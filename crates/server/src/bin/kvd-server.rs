@@ -45,7 +45,7 @@ fn main() {
         }
     };
     println!(
-        "kvd-server listening on {} ({} shard workers, {} MiB/shard)",
+        "kvd-server listening on {} ({} shards, {} MiB/shard)",
         handle.local_addr(),
         shards,
         memory_mb

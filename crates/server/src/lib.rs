@@ -8,15 +8,16 @@
 //! accelerated KV stores client-compatible — so off-the-shelf clients
 //! (and the bundled open-loop load generator) exercise the real code
 //! path: TCP bytes → incremental frame reassembly ([`proto`]) →
-//! shard-per-worker scatter/gather ([`server`]) → the pooled
+//! per-shard bundles executed in place by the connection's own thread
+//! under the shard's lock ([`server`]) → the pooled
 //! `execute_batch_refs_into` hot path of [`kvd_core::KvDirectStore`].
 //!
 //! * [`proto`] — the wire grammar: borrowed zero-copy decode, response
 //!   encoding, error taxonomy (`ERROR` / `CLIENT_ERROR` /
 //!   `SERVER_ERROR`).
-//! * [`server`] — acceptor + shard workers + per-connection
-//!   scatter/gather; protocol traffic lands in the op-cost ledger's
-//!   `server` section.
+//! * [`server`] — acceptor + connection threads + mutex-guarded shard
+//!   stores; protocol traffic lands in the op-cost ledger's `server`
+//!   section, readable while serving.
 //! * [`loadgen`] — the self-driving open-loop load client
 //!   ([`ChaosSchedule`](kvd_sim::ChaosSchedule) arrivals, goodput
 //!   accounting against per-op deadlines).

@@ -1,22 +1,40 @@
-//! The serving front-end: worker-per-core, shard-per-worker TCP server.
+//! The serving front-end: thread-per-connection TCP server executing in
+//! place on locked shards.
 //!
 //! Layout (DESIGN.md §12):
 //!
-//! * one **acceptor** thread owns the listener;
-//! * `shards` **shard workers**, each exclusively owning one
-//!   [`KvDirectStore`] — shared-nothing, so the data plane never locks;
+//! * one **acceptor** thread owns the (blocking) listener;
+//! * `shards` **shards**, each one [`KvDirectStore`] behind its own
+//!   mutex, shared by every connection and the [`ServerHandle`];
 //! * one thread per **connection**, which reassembles frames
 //!   incrementally ([`crate::proto::parse`]), routes each operation to
-//!   its shard via [`kvd_net::shard_of`], scatters per-shard jobs over
-//!   channels, gathers the replies and writes responses back in request
-//!   order.
+//!   its shard via [`kvd_net::shard_of`], stages per-shard bundles, and
+//!   on seal locks the shard, executes the bundle itself and unlocks —
+//!   no hand-off to another thread — then writes responses back in
+//!   request order straight out of the bundles it just executed.
 //!
-//! Steady-state the hot path allocates nothing per request: keys and
-//! data are staged into per-shard arenas that travel to the worker and
-//! back, workers execute through the pooled
+//! What the per-shard lock guarantees, and what connections must keep:
+//!
+//! * a connection holds **at most one** shard lock at a time (taken and
+//!   released inside `seal`), so there is no lock order and no deadlock;
+//! * per connection and shard, program order is seal order: ships-alone
+//!   ops (`add`/`replace`/`touch`) seal what is staged ahead of them,
+//!   then themselves, before anything later is staged;
+//! * `add`/`replace` probe-then-store is atomic because both halves run
+//!   inside one critical section;
+//! * a poisoned shard lock (a connection panicked mid-bundle, so the
+//!   table may be half-mutated) is fail-stop: connections that need the
+//!   shard close with `BrokenPipe`, while [`ServerHandle::ledger`] and
+//!   [`ServerHandle::stop`] still read the counters through the poison.
+//!
+//! Steady-state the hot path allocates nothing per request: bytes are
+//! read straight into the receive buffer, keys and data are staged into
+//! pooled per-shard arenas, bundles execute through the pooled
 //! [`KvDirectStore::execute_batch_refs_into`] entry point (retired value
 //! buffers recycle into the station pool), and response encoding appends
-//! into a reused write buffer.
+//! into a reused write buffer. What is still allocated is one vector of
+//! request refs per multi-op bundle — it borrows the bundle's arena, so
+//! it cannot outlive the call.
 //!
 //! Stored values carry a 12-byte header — `flags: u32 LE | cas: u64 LE`
 //! — ahead of the client data, so GET can echo flags and `gets` a cas
@@ -25,7 +43,7 @@
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -54,7 +72,7 @@ pub const EXPTIME_RELATIVE_MAX: u32 = 30 * 24 * 60 * 60;
 /// Tick 0 of every shard store is the instant the server started; the
 /// clock reports `now` with one tick of headroom so a stamp minted
 /// "dead on arrival" (`expiry = now_tick`) is expired from the very
-/// first job a worker executes, even within the first millisecond of
+/// first bundle a shard executes, even within the first millisecond of
 /// uptime.
 #[derive(Debug, Clone, Copy)]
 struct ServerClock {
@@ -129,19 +147,19 @@ impl ClusterMembership {
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Shard (= worker thread) count; keys route via `shard_of`.
+    /// Shard (= store) count; keys route via `shard_of`.
     pub shards: usize,
     /// Per-shard store configuration.
     pub store: KvDirectConfig,
     /// Max operations gathered from one connection's buffered frames
-    /// before a scatter/gather round trip.
+    /// before they are executed and answered.
     pub max_batch: usize,
     /// Cluster membership; `None` (standalone) serves every key.
     pub cluster: Option<ClusterMembership>,
 }
 
 impl ServerConfig {
-    /// A loopback-test configuration: `shards` workers, 64 MiB per
+    /// A loopback-test configuration: `shards` stores, 64 MiB per
     /// shard, extended slabs on (memcache data blocks routinely exceed
     /// the paper's 512 B inline regime).
     pub fn loopback(shards: usize) -> Self {
@@ -162,7 +180,7 @@ impl ServerConfig {
     }
 }
 
-/// Operation verb as routed to a shard worker.
+/// Operation verb as routed to a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verb {
     Get,
@@ -196,9 +214,9 @@ struct Op {
     expiry: u32,
 }
 
-/// A pooled scatter unit: ops + their byte arena out, responses back.
-/// Bundles shuttle between a connection and one worker per round trip
-/// and return with `responses[i]` aligned to `ops[i]`; the next reuse
+/// A pooled execution unit: one shard's ops + their byte arena in,
+/// responses out. A connection fills it, executes it under the shard's
+/// lock and reads `responses[i]` aligned to `ops[i]`; the next reuse
 /// hands `responses` back to `execute_batch_refs_into`, which recycles
 /// the retired value buffers.
 #[derive(Debug, Default)]
@@ -214,15 +232,11 @@ impl Bundle {
     }
 }
 
-struct Job {
-    bundle: Bundle,
-    reply: mpsc::Sender<Bundle>,
-}
-
-enum ShardMsg {
-    Job(Job),
-    /// Snapshot request: the worker sends its store's ledger back.
-    Ledger(mpsc::Sender<OpLedger>),
+/// One shard: its store, and the scratch response conditional probes
+/// read into (pooled across bundles).
+struct Shard {
+    store: KvDirectStore,
+    probe: KvResponse,
 }
 
 /// Live protocol counters shared by all connections.
@@ -302,9 +316,8 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     costs: Arc<SharedCosts>,
-    shard_tx: Vec<mpsc::Sender<ShardMsg>>,
+    shards: Arc<[Mutex<Shard>]>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -325,18 +338,17 @@ impl ServerHandle {
         self.costs.snapshot()
     }
 
-    /// Merged op-cost ledger: every shard's data-plane costs (merged in
-    /// shard order, so the result is deterministic) plus the protocol
-    /// plane's [`ServerCosts`].
+    /// Merged op-cost ledger: every shard's data-plane costs (read
+    /// under its lock and merged in shard order, so the result is
+    /// deterministic) plus the protocol plane's [`ServerCosts`]. Safe to
+    /// call while the server is serving.
     pub fn ledger(&self) -> OpLedger {
         let mut out = OpLedger::default();
-        for tx in &self.shard_tx {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if tx.send(ShardMsg::Ledger(reply_tx)).is_ok() {
-                if let Ok(l) = reply_rx.recv() {
-                    out.merge(&l);
-                }
-            }
+        for shard in self.shards.iter() {
+            // Counters stay meaningful after a panic mid-bundle, so read
+            // through a poisoned lock.
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            out.merge(&shard.store.ledger());
         }
         let protocol = OpLedger {
             server: self.costs.snapshot(),
@@ -346,13 +358,10 @@ impl ServerHandle {
         out
     }
 
-    /// Stops the server: drains connections, captures the final ledger,
-    /// joins every thread.
+    /// Stops the server: drains connections and returns the final
+    /// ledger.
     pub fn stop(mut self) -> OpLedger {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        self.shut_down();
         // Connections poll the flag on their read timeout; give them a
         // bounded window to drain.
         for _ in 0..200 {
@@ -361,14 +370,26 @@ impl ServerHandle {
             }
             thread::sleep(Duration::from_millis(10));
         }
-        let ledger = self.ledger();
-        // Dropping the senders disconnects the worker channels, which is
-        // each worker's exit signal.
-        self.shard_tx.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        self.ledger()
+    }
+
+    /// Raises the shutdown flag and joins the acceptor.
+    fn shut_down(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(a) = self.acceptor.take() {
+            // The acceptor blocks in `accept`; one throw-away connection
+            // wakes it to see the flag. If that cannot be made, leave
+            // the thread detached rather than wait on it forever.
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = a.join();
+            }
         }
-        ledger
+    }
+}
+
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.shut_down();
     }
 }
 
@@ -384,7 +405,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerH
     assert!(cfg.max_batch >= 1, "need a positive batch cap");
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
@@ -392,51 +412,50 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerH
     let cas = Arc::new(AtomicU64::new(0));
     let clock = ServerClock::start();
 
-    let mut shard_tx = Vec::with_capacity(cfg.shards);
-    let mut workers = Vec::with_capacity(cfg.shards);
-    for _ in 0..cfg.shards {
-        let (tx, rx) = mpsc::channel::<ShardMsg>();
-        shard_tx.push(tx);
-        let store = KvDirectStore::new(cfg.store.clone());
-        let cas = Arc::clone(&cas);
-        workers.push(thread::spawn(move || shard_worker(store, rx, cas, clock)));
-    }
+    let shards: Arc<[Mutex<Shard>]> = (0..cfg.shards)
+        .map(|_| {
+            Mutex::new(Shard {
+                store: KvDirectStore::new(cfg.store.clone()),
+                probe: KvResponse {
+                    status: Status::NotFound,
+                    value: Vec::new(),
+                },
+            })
+        })
+        .collect();
 
     let acceptor = {
         let shutdown = Arc::clone(&shutdown);
         let active = Arc::clone(&active);
         let costs = Arc::clone(&costs);
-        let shard_tx = shard_tx.clone();
-        let cfg = cfg.clone();
+        let shards = Arc::clone(&shards);
         thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        active.fetch_add(1, Ordering::SeqCst);
-                        costs.connections.fetch_add(1, Ordering::Relaxed);
-                        let shutdown = Arc::clone(&shutdown);
-                        let active = Arc::clone(&active);
-                        let costs = Arc::clone(&costs);
-                        let shard_tx = shard_tx.clone();
-                        let max_batch = cfg.max_batch;
-                        let cluster = cfg.cluster.clone();
-                        thread::spawn(move || {
-                            let _guard = ConnGuard {
-                                active,
-                                costs: Arc::clone(&costs),
-                            };
-                            let conn =
-                                Connection::new(stream, shard_tx, costs, max_batch, cluster, clock);
-                            if let Ok(mut conn) = conn {
-                                let _ = conn.run(&shutdown);
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            // Ends on an accept error or on the wake-up connection that
+            // `shut_down` makes after raising the flag.
+            while let Ok((stream, _)) = listener.accept() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
+                active.fetch_add(1, Ordering::SeqCst);
+                costs.connections.fetch_add(1, Ordering::Relaxed);
+                let shutdown = Arc::clone(&shutdown);
+                let active = Arc::clone(&active);
+                let costs = Arc::clone(&costs);
+                let shards = Arc::clone(&shards);
+                let cas = Arc::clone(&cas);
+                let max_batch = cfg.max_batch;
+                let cluster = cfg.cluster.clone();
+                thread::spawn(move || {
+                    let _guard = ConnGuard {
+                        active,
+                        costs: Arc::clone(&costs),
+                    };
+                    let conn =
+                        Connection::new(stream, shards, cas, costs, max_batch, cluster, clock);
+                    if let Ok(mut conn) = conn {
+                        let _ = conn.run(&shutdown);
+                    }
+                });
             }
         })
     };
@@ -446,9 +465,8 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerH
         shutdown,
         active,
         costs,
-        shard_tx,
+        shards,
         acceptor: Some(acceptor),
-        workers,
     })
 }
 
@@ -466,49 +484,15 @@ impl Drop for ConnGuard {
 }
 
 // ---------------------------------------------------------------------
-// Shard worker
+// Shard execution (called with the shard's lock held)
 // ---------------------------------------------------------------------
-
-fn shard_worker(
-    mut store: KvDirectStore,
-    rx: mpsc::Receiver<ShardMsg>,
-    cas: Arc<AtomicU64>,
-    clock: ServerClock,
-) {
-    // Scratch response reused across conditional probes (pooled).
-    let mut probe = KvResponse {
-        status: Status::NotFound,
-        value: Vec::new(),
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Ledger(reply) => {
-                let _ = reply.send(store.ledger());
-            }
-            ShardMsg::Job(Job { mut bundle, reply }) => {
-                // Advance this shard's expiry clock to wall time before
-                // executing, so lazily-expired entries stop being
-                // served the moment their deadline passes.
-                store
-                    .processor_mut()
-                    .set_now(SimTime::from_us(clock.now_us()));
-                execute_bundle(&mut store, &mut bundle, &cas, &mut probe);
-                let _ = reply.send(bundle);
-            }
-        }
-    }
-}
 
 fn next_cas(cas: &AtomicU64) -> u64 {
     cas.fetch_add(1, Ordering::Relaxed) + 1
 }
 
-fn execute_bundle(
-    store: &mut KvDirectStore,
-    bundle: &mut Bundle,
-    cas: &AtomicU64,
-    probe: &mut KvResponse,
-) {
+fn execute_bundle(shard: &mut Shard, bundle: &mut Bundle, cas: &AtomicU64) {
+    let store = &mut shard.store;
     // Connections seal ships-alone ops into their own single-op bundle.
     if bundle.ops.len() == 1 && bundle.ops[0].verb.ships_alone() {
         let op = bundle.ops[0];
@@ -518,7 +502,7 @@ fn execute_bundle(
             set_response(bundle, status);
             return;
         }
-        return execute_conditional(store, bundle, cas, probe);
+        return execute_conditional(store, bundle, cas, &mut shard.probe);
     }
     // Stamp cas uniques into the value headers, then run the whole
     // bundle through the pooled batch entry point. Destructured so the
@@ -551,8 +535,8 @@ fn execute_bundle(
     store.execute_batch_refs_into(&refs, responses);
 }
 
-/// `add`/`replace`: probe-then-store, atomic because this worker is the
-/// shard's only executor. The precondition failure is surfaced as
+/// `add`/`replace`: probe-then-store, atomic because the caller holds
+/// the shard's lock across both. The precondition failure is surfaced as
 /// `Status::NotFound` (the connection maps it to `NOT_STORED`).
 fn execute_conditional(
     store: &mut KvDirectStore,
@@ -660,12 +644,17 @@ enum PlanItem {
 
 struct Connection {
     stream: TcpStream,
-    shard_tx: Vec<mpsc::Sender<ShardMsg>>,
+    shards: Arc<[Mutex<Shard>]>,
+    cas: Arc<AtomicU64>,
     costs: Arc<SharedCosts>,
     max_batch: usize,
 
+    /// Receive buffer, read into directly: `recv[start..end]` holds the
+    /// bytes received and not yet consumed. Its length only grows, and
+    /// only when one frame is larger than the whole buffer.
     recv: Vec<u8>,
     start: usize,
+    end: usize,
     out: Vec<u8>,
     /// Data-block bytes still to swallow after an oversized store.
     swallow: usize,
@@ -673,10 +662,10 @@ struct Connection {
     /// Per-shard bundle being filled this chunk (`None` = empty).
     staging: Vec<Option<Bundle>>,
     pool: Vec<Bundle>,
-    reply_tx: mpsc::Sender<Bundle>,
-    reply_rx: mpsc::Receiver<Bundle>,
+    /// Bundles executed this chunk, in seal order.
+    done: Vec<Bundle>,
     plan: Vec<PlanItem>,
-    /// slot -> (received-bundle index, op index), filled at gather.
+    /// slot -> (index into `done`, op index), filled before encoding.
     slots: Vec<(u32, u32)>,
     local: ServerCosts,
     cluster: Option<ClusterMembership>,
@@ -686,7 +675,8 @@ struct Connection {
 impl Connection {
     fn new(
         stream: TcpStream,
-        shard_tx: Vec<mpsc::Sender<ShardMsg>>,
+        shards: Arc<[Mutex<Shard>]>,
+        cas: Arc<AtomicU64>,
         costs: Arc<SharedCosts>,
         max_batch: usize,
         cluster: Option<ClusterMembership>,
@@ -694,21 +684,20 @@ impl Connection {
     ) -> io::Result<Connection> {
         stream.set_read_timeout(Some(Duration::from_millis(50)))?;
         stream.set_nodelay(true)?;
-        let shards = shard_tx.len();
-        let (reply_tx, reply_rx) = mpsc::channel();
         Ok(Connection {
             stream,
-            shard_tx,
+            staging: (0..shards.len()).map(|_| None).collect(),
+            shards,
+            cas,
             costs,
             max_batch,
-            recv: Vec::with_capacity(16 << 10),
+            recv: vec![0; 16 << 10],
             start: 0,
+            end: 0,
             out: Vec::with_capacity(16 << 10),
             swallow: 0,
-            staging: (0..shards).map(|_| None).collect(),
             pool: Vec::new(),
-            reply_tx,
-            reply_rx,
+            done: Vec::new(),
             plan: Vec::new(),
             slots: Vec::new(),
             local: ServerCosts::default(),
@@ -723,23 +712,33 @@ impl Connection {
     }
 
     fn run(&mut self, shutdown: &AtomicBool) -> io::Result<()> {
-        let mut tmp = [0u8; 16 << 10];
         let mut closing = false;
         // Read when the buffer is drained OR the last pass made no
         // progress (a partial frame is waiting for the rest of its
         // bytes) — otherwise a buffered partial frame would spin hot.
         let mut need_read = true;
         while !closing && !shutdown.load(Ordering::SeqCst) {
-            if need_read || self.start == self.recv.len() {
-                if self.start == self.recv.len() {
-                    self.recv.clear();
+            if need_read || self.start == self.end {
+                if self.start == self.end {
+                    self.start = 0;
+                    self.end = 0;
+                } else if self.start > 0 {
+                    // A partial frame is carried over: move it to the
+                    // front so the rest of it has room to arrive.
+                    self.recv.copy_within(self.start..self.end, 0);
+                    self.end -= self.start;
                     self.start = 0;
                 }
-                match self.stream.read(&mut tmp) {
+                if self.end == self.recv.len() {
+                    // One frame larger than the buffer (the parser
+                    // bounds frames, so this stops at a few doublings).
+                    self.recv.resize(self.recv.len() * 2, 0);
+                }
+                match self.stream.read(&mut self.recv[self.end..]) {
                     Ok(0) => break,
                     Ok(n) => {
                         self.local.bytes_in += n as u64;
-                        self.recv.extend_from_slice(&tmp[..n]);
+                        self.end += n;
                     }
                     Err(e)
                         if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
@@ -751,8 +750,7 @@ impl Connection {
                 }
             }
             if self.swallow > 0 {
-                let avail = self.recv.len() - self.start;
-                let eat = self.swallow.min(avail);
+                let eat = self.swallow.min(self.end - self.start);
                 self.start += eat;
                 self.swallow -= eat;
                 if self.swallow > 0 {
@@ -760,35 +758,30 @@ impl Connection {
                 }
             }
 
+            let before = self.start;
             closing = self.process_chunk()?;
             // No bytes consumed = a partial frame: wait for more input.
-            need_read = self.start == 0;
-            // Compact the carried-over tail so the buffer stays bounded.
-            if self.start > 0 {
-                self.recv.drain(..self.start);
-                self.start = 0;
-            }
+            need_read = self.start == before;
         }
         self.flush_costs();
         Ok(())
     }
 
     /// Parses as many frames as are buffered (capped at `max_batch`
-    /// ops), scatters, gathers, encodes and writes. Returns `true` when
-    /// the connection should close.
+    /// ops), executes them shard by shard, encodes and writes. Returns
+    /// `true` when the connection should close.
     fn process_chunk(&mut self) -> io::Result<bool> {
         // The parsed commands borrow the receive buffer while staging
         // mutates `self`; moving the buffer out for the duration keeps
         // the borrows disjoint without copying a byte.
         let recv = std::mem::take(&mut self.recv);
-        let res = self.process_buffered(&recv);
+        let res = self.process_buffered(&recv[..self.end]);
         self.recv = recv;
         res
     }
 
     fn process_buffered(&mut self, recv: &[u8]) -> io::Result<bool> {
         let mut next_slot: u32 = 0;
-        let mut jobs_sent = 0usize;
         let mut closing = false;
 
         loop {
@@ -820,7 +813,7 @@ impl Connection {
                             let first_slot = next_slot;
                             let mut n_keys = 0u32;
                             for key in keys.iter() {
-                                jobs_sent += self.stage(Verb::Get, next_slot, key, 0, &[], 0)?;
+                                self.stage(Verb::Get, next_slot, key, 0, &[], 0)?;
                                 next_slot += 1;
                                 n_keys += 1;
                             }
@@ -853,7 +846,7 @@ impl Connection {
                                 continue;
                             }
                             let expiry = self.clock.expiry_tick(exptime);
-                            jobs_sent += self.stage(verb, next_slot, key, flags, data, expiry)?;
+                            self.stage(verb, next_slot, key, flags, data, expiry)?;
                             self.plan.push(PlanItem::Op {
                                 slot: next_slot,
                                 verb,
@@ -876,7 +869,7 @@ impl Connection {
                                 continue;
                             }
                             let expiry = self.clock.expiry_tick(exptime);
-                            jobs_sent += self.stage(Verb::Touch, next_slot, key, 0, &[], expiry)?;
+                            self.stage(Verb::Touch, next_slot, key, 0, &[], expiry)?;
                             self.plan.push(PlanItem::Op {
                                 slot: next_slot,
                                 verb: Verb::Touch,
@@ -894,7 +887,7 @@ impl Connection {
                                 self.start += consumed;
                                 continue;
                             }
-                            jobs_sent += self.stage(Verb::Delete, next_slot, key, 0, &[], 0)?;
+                            self.stage(Verb::Delete, next_slot, key, 0, &[], 0)?;
                             self.plan.push(PlanItem::Op {
                                 slot: next_slot,
                                 verb: Verb::Delete,
@@ -938,23 +931,12 @@ impl Connection {
 
         // Seal whatever is still staged.
         for shard in 0..self.staging.len() {
-            if self.staging[shard].is_some() {
-                jobs_sent += self.seal(shard)?;
-            }
+            self.seal(shard)?;
         }
 
-        // Gather.
-        let mut received: Vec<Bundle> = Vec::with_capacity(jobs_sent);
-        for _ in 0..jobs_sent {
-            let b = self
-                .reply_rx
-                .recv()
-                .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "shard worker gone"))?;
-            received.push(b);
-        }
         self.slots.clear();
         self.slots.resize(next_slot as usize, (u32::MAX, u32::MAX));
-        for (bi, b) in received.iter().enumerate() {
+        for (bi, b) in self.done.iter().enumerate() {
             for (oi, op) in b.ops.iter().enumerate() {
                 self.slots[op.slot as usize] = (bi as u32, oi as u32);
             }
@@ -977,7 +959,7 @@ impl Connection {
                     // with the first fault's taxonomy class.
                     let failed = (first_slot..first_slot + n_keys).find_map(|slot| {
                         let (bi, oi) = self.slots[slot as usize];
-                        let status = received[bi as usize].responses[oi as usize].status;
+                        let status = self.done[bi as usize].responses[oi as usize].status;
                         (!matches!(status, Status::Ok | Status::NotFound)).then_some(status)
                     });
                     if let Some(status) = failed {
@@ -987,7 +969,7 @@ impl Connection {
                     }
                     for slot in first_slot..first_slot + n_keys {
                         let (bi, oi) = self.slots[slot as usize];
-                        let b = &received[bi as usize];
+                        let b = &self.done[bi as usize];
                         let op = &b.ops[oi as usize];
                         let resp = &b.responses[oi as usize];
                         if resp.status == Status::Ok && resp.value.len() >= VALUE_HEADER_LEN {
@@ -1014,7 +996,7 @@ impl Connection {
                     noreply,
                 } => {
                     let (bi, oi) = self.slots[slot as usize];
-                    let status = received[bi as usize].responses[oi as usize].status;
+                    let status = self.done[bi as usize].responses[oi as usize].status;
                     let line: &[u8] = match (verb, status) {
                         (Verb::Set | Verb::Add | Verb::Replace, Status::Ok) => b"STORED\r\n",
                         (Verb::Add | Verb::Replace, Status::NotFound) => b"NOT_STORED\r\n",
@@ -1042,7 +1024,7 @@ impl Connection {
 
         // Return bundles (responses intact — their buffers recycle on
         // the next execute) to the pool.
-        self.pool.extend(received.drain(..).map(|mut b| {
+        self.pool.extend(self.done.drain(..).map(|mut b| {
             b.ops.clear();
             b.arena.clear();
             b
@@ -1055,8 +1037,8 @@ impl Connection {
         Ok(closing)
     }
 
-    /// Stages one op into its shard's bundle; returns how many jobs were
-    /// sent as a side effect (ships-alone ops force seals).
+    /// Stages one op into its shard's bundle. Ships-alone ops seal (and
+    /// so execute) what was staged ahead of them, then themselves.
     fn stage(
         &mut self,
         verb: Verb,
@@ -1065,12 +1047,11 @@ impl Connection {
         flags: u32,
         data: &[u8],
         expiry: u32,
-    ) -> io::Result<usize> {
+    ) -> io::Result<()> {
         debug_assert!(key.len() <= MAX_KEY_LEN);
-        let shard = shard_of(key, self.shard_tx.len());
-        let mut sent = 0;
-        if verb.ships_alone() && self.staging[shard].is_some() {
-            sent += self.seal(shard)?;
+        let shard = shard_of(key, self.shards.len());
+        if verb.ships_alone() {
+            self.seal(shard)?;
         }
         let mut bundle = self.staging[shard]
             .take()
@@ -1082,7 +1063,7 @@ impl Connection {
         let (vstart, vend) = if matches!(verb, Verb::Set | Verb::Add | Verb::Replace) {
             let vstart = bundle.arena.len() as u32;
             bundle.arena.extend_from_slice(&flags.to_le_bytes());
-            bundle.arena.extend_from_slice(&[0u8; 8]); // cas, stamped by the worker
+            bundle.arena.extend_from_slice(&[0u8; 8]); // cas, stamped at execute
             bundle.arena.extend_from_slice(data);
             (vstart, bundle.arena.len() as u32)
         } else {
@@ -1097,23 +1078,31 @@ impl Connection {
         });
         self.staging[shard] = Some(bundle);
         if verb.ships_alone() {
-            sent += self.seal(shard)?;
+            self.seal(shard)?;
         }
-        Ok(sent)
+        Ok(())
     }
 
-    /// Ships shard `shard`'s staged bundle to its worker.
-    fn seal(&mut self, shard: usize) -> io::Result<usize> {
-        let Some(bundle) = self.staging[shard].take() else {
-            return Ok(0);
+    /// Executes shard `shard`'s staged bundle (if any) in place, under
+    /// the shard's lock — the only lock this connection ever holds.
+    fn seal(&mut self, shard: usize) -> io::Result<()> {
+        let Some(mut bundle) = self.staging[shard].take() else {
+            return Ok(());
         };
-        self.shard_tx[shard]
-            .send(ShardMsg::Job(Job {
-                bundle,
-                reply: self.reply_tx.clone(),
-            }))
-            .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "shard worker gone"))?;
-        Ok(1)
+        {
+            let mut locked = self.shards[shard]
+                .lock()
+                .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "shard lock poisoned"))?;
+            // Advance this shard's expiry clock to wall time before
+            // executing, so lazily-expired entries stop being served the
+            // moment their deadline passes. Read under the lock, so the
+            // shard never sees time run backwards.
+            let now = SimTime::from_us(self.clock.now_us());
+            locked.store.processor_mut().set_now(now);
+            execute_bundle(&mut locked, &mut bundle, &self.cas);
+        }
+        self.done.push(bundle);
+        Ok(())
     }
 
     fn flush_costs(&mut self) {
@@ -1128,6 +1117,7 @@ impl Connection {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+    use std::sync::Barrier;
 
     fn roundtrip(server: &ServerHandle, send: &[u8]) -> Vec<u8> {
         let mut s = TcpStream::connect(server.local_addr()).expect("connect");
@@ -1384,6 +1374,232 @@ mod tests {
         let got = roundtrip(&h, b"get j\r\n");
         assert_eq!(got, b"VALUE j 0 1\r\nb\r\nEND\r\n".to_vec());
         h.stop();
+    }
+
+    /// Opens `conns` connections, releases them together and runs
+    /// `client(index, stream, barrier)` on each, where `barrier` lines
+    /// all of them up again; results come back in index order.
+    fn race<T: Send>(
+        server: &ServerHandle,
+        conns: usize,
+        client: impl Fn(usize, TcpStream, &Barrier) -> T + Sync,
+    ) -> Vec<T> {
+        let addr = server.local_addr();
+        let barrier = Barrier::new(conns);
+        thread::scope(|s| {
+            let handles: Vec<_> = (0..conns)
+                .map(|c| {
+                    let (barrier, client) = (&barrier, &client);
+                    s.spawn(move || {
+                        let stream = TcpStream::connect(addr).expect("connect");
+                        barrier.wait();
+                        client(c, stream, barrier)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client panicked"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn racing_adds_store_each_key_exactly_once() {
+        const CONNS: usize = 8;
+        const KEYS: usize = 200;
+        let h = serve("127.0.0.1:0", ServerConfig::loopback(2)).expect("bind");
+        // Key by key, every connection adds the same key at the same
+        // moment, its own index as the value.
+        let stored: Vec<Vec<bool>> = race(&h, CONNS, |c, s, barrier| {
+            let mut w = s.try_clone().expect("clone");
+            let mut r = BufReader::new(s);
+            let mut line = String::new();
+            (0..KEYS)
+                .map(|k| {
+                    barrier.wait();
+                    let send = format!("add race{k} 0 0 1\r\n{c}\r\n");
+                    w.write_all(send.as_bytes()).expect("send");
+                    line.clear();
+                    r.read_line(&mut line).expect("reply");
+                    match line.as_str() {
+                        "STORED\r\n" => true,
+                        "NOT_STORED\r\n" => false,
+                        other => panic!("unexpected reply {other:?}"),
+                    }
+                })
+                .collect()
+        });
+        for k in 0..KEYS {
+            let winners = stored.iter().enumerate().filter(|(_, conn)| conn[k]);
+            let winners: Vec<usize> = winners.map(|(c, _)| c).collect();
+            assert_eq!(winners.len(), 1, "race{k}: STORED to {winners:?}");
+            // The value that survived is the one whose add was acked.
+            let got = roundtrip(&h, format!("get race{k}\r\n").as_bytes());
+            let want = format!("VALUE race{k} 0 1\r\n{}\r\nEND\r\n", winners[0]);
+            assert_eq!(got, want.as_bytes());
+        }
+        let ledger = h.stop();
+        assert_eq!(ledger.server.requests, ((CONNS + 1) * KEYS) as u64);
+        assert_eq!(ledger.server.stored, KEYS as u64);
+        assert_eq!(ledger.server.not_stored, ((CONNS - 1) * KEYS) as u64);
+        assert!(ledger.core.requests > 0, "core plane unattributed");
+    }
+
+    #[test]
+    fn racing_sets_get_distinct_cas_uniques_ordered_per_key() {
+        const CONNS: usize = 8;
+        const KEYS: usize = 16;
+        const ROUNDS: usize = 40;
+        let h = serve("127.0.0.1:0", ServerConfig::loopback(2)).expect("bind");
+        // Each round: overwrite a shared key with a value naming the
+        // write, then `gets` it. Returns (key, value, cas) as observed.
+        let seen: Vec<Vec<(usize, String, u64)>> = race(&h, CONNS, |c, s, _| {
+            let mut w = s.try_clone().expect("clone");
+            let mut r = BufReader::new(s);
+            let mut seen = Vec::new();
+            let mut line = String::new();
+            let mut read_line = |line: &mut String| {
+                line.clear();
+                r.read_line(line).expect("reply");
+            };
+            for round in 0..ROUNDS {
+                let k = (c + round) % KEYS;
+                let value = format!("c{c}r{round}");
+                let send = format!(
+                    "set cas{k} 0 0 {}\r\n{value}\r\ngets cas{k}\r\n",
+                    value.len()
+                );
+                w.write_all(send.as_bytes()).expect("send");
+                read_line(&mut line);
+                assert_eq!(line, "STORED\r\n");
+                read_line(&mut line);
+                let cas = line.trim_end().rsplit(' ').next().expect("cas").parse();
+                let cas: u64 = cas.unwrap_or_else(|_| panic!("no cas in {line:?}"));
+                read_line(&mut line);
+                seen.push((k, line.trim_end().to_string(), cas));
+                read_line(&mut line);
+                assert_eq!(line, "END\r\n");
+            }
+            seen
+        });
+        // One cas unique names one write, and one write has one unique.
+        let mut write_of = std::collections::HashMap::new();
+        let mut cas_of = std::collections::HashMap::new();
+        for (k, value, cas) in seen.iter().flatten() {
+            let write = (*k, value.as_str());
+            assert_eq!(*write_of.entry(*cas).or_insert(write), write, "cas {cas}");
+            assert_eq!(
+                *cas_of.entry(write).or_insert(*cas),
+                *cas,
+                "write {write:?}"
+            );
+        }
+        // A key's unique never goes back for any one reader.
+        for per_conn in &seen {
+            let mut last = [0u64; KEYS];
+            for (k, _, cas) in per_conn {
+                assert!(
+                    *cas >= last[*k],
+                    "cas{k} went back: {} then {cas}",
+                    last[*k]
+                );
+                last[*k] = *cas;
+            }
+        }
+        let ledger = h.stop();
+        assert_eq!(ledger.server.requests, (CONNS * ROUNDS * 2) as u64);
+        assert!(ledger.core.requests > 0, "core plane unattributed");
+    }
+
+    #[test]
+    fn ledger_is_readable_and_monotone_while_serving() {
+        const WINDOW: usize = 32;
+        let h = serve("127.0.0.1:0", ServerConfig::loopback(2)).expect("bind");
+        let stop = AtomicBool::new(false);
+        let (sent, last_live) = thread::scope(|s| {
+            // Two connections, each keeping WINDOW frames in flight.
+            let clients = s.spawn(|| {
+                race(&h, 2, |c, stream, _| {
+                    let mut w = stream.try_clone().expect("clone");
+                    let mut r = BufReader::new(stream);
+                    let frame = format!("set live{c} 0 0 1\r\nv\r\n");
+                    w.write_all(frame.repeat(WINDOW).as_bytes()).expect("fill");
+                    let mut sent = WINDOW as u64;
+                    let mut answered = 0;
+                    let mut line = String::new();
+                    // Once told to stop, drain what is still in flight.
+                    while answered < sent {
+                        line.clear();
+                        r.read_line(&mut line).expect("reply");
+                        assert_eq!(line, "STORED\r\n");
+                        answered += 1;
+                        if !stop.load(Ordering::SeqCst) {
+                            w.write_all(frame.as_bytes()).expect("send");
+                            sent += 1;
+                        }
+                    }
+                    sent
+                })
+            });
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let mut last = h.ledger();
+            while last.core.requests < 20_000 {
+                assert!(Instant::now() < deadline, "no progress: {:?}", last.core);
+                let now = h.ledger();
+                assert!(now.core.requests >= last.core.requests);
+                assert!(now.server.requests >= last.server.requests);
+                last = now;
+            }
+            stop.store(true, Ordering::SeqCst);
+            let sent: u64 = clients.join().expect("clients").iter().sum();
+            (sent, last)
+        });
+        let fin = h.stop();
+        assert!(fin.core.requests >= last_live.core.requests);
+        assert!(fin.server.requests >= last_live.server.requests);
+        assert_eq!(fin.server.requests, sent, "every frame sent was served");
+    }
+
+    #[test]
+    fn poisoned_shard_fails_its_connections_and_still_stops() {
+        let h = serve("127.0.0.1:0", ServerConfig::loopback(2)).expect("bind");
+        let other = (0u32..)
+            .map(|i| format!("k{i}"))
+            .find(|k| shard_of(k.as_bytes(), 2) != shard_of(b"k", 2))
+            .expect("key on the other shard");
+        let send = format!("set k 0 0 1\r\na\r\nset {other} 0 0 1\r\nb\r\n");
+        assert_eq!(
+            roundtrip(&h, send.as_bytes()),
+            b"STORED\r\nSTORED\r\n".to_vec()
+        );
+
+        // What a connection panicking mid-bundle leaves behind.
+        let poisoned = &h.shards[shard_of(b"k", 2)];
+        thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _locked = poisoned.lock().expect("first panic");
+                panic!("poisoning the shard on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(poisoned.is_poisoned());
+
+        // The table may be half-mutated: no reply, not even to frames
+        // of the same chunk that never touch it; the connection closes.
+        assert_eq!(roundtrip(&h, b"version\r\nget k\r\n"), b"".to_vec());
+        // The other shard keeps serving.
+        let got = roundtrip(&h, format!("get {other}\r\n").as_bytes());
+        assert_eq!(got, format!("VALUE {other} 0 1\r\nb\r\nEND\r\n").as_bytes());
+
+        assert_eq!(h.ledger().server.stored, 2);
+        let ledger = h.stop();
+        assert_eq!(ledger.server.stored, 2);
+        assert!(
+            ledger.core.requests >= 3,
+            "poisoned shard's costs still read"
+        );
+        h_assert_disconnect(&ledger);
     }
 
     #[test]
