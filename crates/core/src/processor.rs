@@ -565,10 +565,12 @@ impl<M: MemoryEngine> KvProcessor<M> {
         while !self.inflight.is_empty() {
             self.retire_one();
         }
-        for (key, value) in self.station.flush() {
+        let mut writebacks = self.station.flush();
+        for (key, value) in writebacks.drain(..) {
             self.apply_writeback(&key, value);
             self.station.give(key);
         }
+        self.station.give_writebacks(writebacks);
     }
 
     /// Builds the station operation (with its forwarding-compatible
@@ -918,7 +920,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
                 status,
                 value: Vec::new(),
             },
-            None => build_response(ctx, value, &self.registry),
+            None => build_response(ctx, value, &self.registry, &mut self.station),
         };
         debug_assert!(
             self.responses[id as usize].is_none(),
@@ -959,7 +961,14 @@ impl<M: MemoryEngine + CostSource> CostSource for KvProcessor<M> {
 }
 
 /// Builds the client-visible response from the station's result value.
-fn build_response(ctx: &RespCtx, value: Option<Vec<u8>>, registry: &LambdaRegistry) -> KvResponse {
+/// PUT and DELETE answer with a status only: the buffer of the value they
+/// displaced goes back to the station's pool, not to the allocator.
+fn build_response(
+    ctx: &RespCtx,
+    value: Option<Vec<u8>>,
+    registry: &LambdaRegistry,
+    station: &mut ReservationStation,
+) -> KvResponse {
     match ctx.op {
         OpCode::Get => match value {
             Some(v) => KvResponse {
@@ -971,18 +980,20 @@ fn build_response(ctx: &RespCtx, value: Option<Vec<u8>>, registry: &LambdaRegist
                 value: Vec::new(),
             },
         },
-        OpCode::Put => KvResponse {
-            status: Status::Ok,
-            value: Vec::new(),
-        },
-        OpCode::Delete => KvResponse {
-            status: if value.is_some() {
-                Status::Ok
-            } else {
-                Status::NotFound
-            },
-            value: Vec::new(),
-        },
+        OpCode::Put | OpCode::Delete => {
+            let found = value.is_some();
+            if let Some(displaced) = value {
+                station.give(displaced);
+            }
+            KvResponse {
+                status: if ctx.op == OpCode::Put || found {
+                    Status::Ok
+                } else {
+                    Status::NotFound
+                },
+                value: Vec::new(),
+            }
+        }
         OpCode::UpdateScalar => KvResponse {
             status: Status::Ok,
             value: decode_scalar(value.as_deref()).to_le_bytes().to_vec(),

@@ -16,8 +16,8 @@
 //! reporting how many host-memory cache lines the window consumed. The
 //! parallel multi-NIC engine ([`crate::parallel`]) drives one `SystemSim`
 //! per shard in lockstep windows and charges their aggregate host traffic
-//! to a shared DRAM arbiter; [`SystemSim::run`] is the single-shard
-//! convenience that steps to completion in one unbounded window.
+//! to a shared DRAM arbiter; [`SystemSim::run`] is the single-shard form:
+//! one unbounded window over the caller's own slice, nothing staged.
 //!
 //! # Open-loop mode and the overload plane
 //!
@@ -149,6 +149,8 @@ pub struct SystemSim {
     pcie_free: SimTime,
     dram_free: SimTime,
     // ---- staged run state (load/step/report) ----
+    /// The staged stream. Empty during [`Self::run`], which reads the
+    /// caller's slice instead.
     pending: Vec<KvRequest>,
     loads: Vec<OpLoad>,
     statuses: Vec<Status>,
@@ -158,6 +160,12 @@ pub struct SystemSim {
     get_hist: Histogram,
     put_hist: Histogram,
     ops_done: u64,
+    /// Instant the current run's clock starts: zero for staged streams
+    /// (their driver owns the time axis), where the component clocks
+    /// stood for [`Self::run`].
+    origin: SimTime,
+    /// Arrival of the run's last response (absolute; the report covers
+    /// `origin..makespan`).
     makespan: SimTime,
     // ---- open-loop + overload state ----
     /// Per-request client issue times; empty in closed-loop mode.
@@ -285,6 +293,7 @@ impl SystemSim {
             get_hist: Histogram::new(),
             put_hist: Histogram::new(),
             ops_done: 0,
+            origin: SimTime::ZERO,
             makespan: SimTime::ZERO,
             arrivals: Vec::new(),
             open_loop: false,
@@ -307,26 +316,35 @@ impl SystemSim {
         &mut self.store
     }
 
-    /// Stages a request stream and resets per-run accounting (histograms,
-    /// op counts, client windows). Component clocks (links, service
-    /// backlogs) persist, as they would across runs on real hardware.
-    pub fn load(&mut self, reqs: &[KvRequest]) {
+    /// Resets per-run accounting (histograms, op counts, client windows)
+    /// and empties the stage. Component clocks (links, service backlogs)
+    /// persist, as they would across runs on real hardware; the client
+    /// windows open at `origin`.
+    fn reset_run(&mut self, origin: SimTime) {
         self.pending.clear();
-        self.pending.extend_from_slice(reqs);
         self.arrivals.clear();
         self.open_loop = false;
         self.cursor = 0;
-        self.window_free = vec![SimTime::ZERO; self.cfg.windows.max(1)];
+        self.window_free.fill(origin);
         self.server_free = SimTime::ZERO;
         self.get_hist = Histogram::new();
         self.put_hist = Histogram::new();
         self.ops_done = 0;
-        self.makespan = SimTime::ZERO;
+        self.origin = origin;
+        self.makespan = origin;
         self.outcomes.clear();
         self.goodput_ops = 0;
         self.shed_ops = 0;
         self.expired_ops = 0;
         self.ledger = OpLedger::default();
+    }
+
+    /// Stages a copy of a closed-loop request stream for [`Self::step`]
+    /// and resets per-run accounting. A staged stream has to outlive the
+    /// call, hence the copy; [`Self::run`] borrows instead and
+    /// [`Self::load_owned`] takes the caller's buffer.
+    pub fn load(&mut self, reqs: &[KvRequest]) {
+        self.load_owned(reqs.to_vec());
     }
 
     /// Stages an *open-loop* request stream: each request is issued at
@@ -341,22 +359,16 @@ impl SystemSim {
     ///
     /// Panics if arrival times are not non-decreasing.
     pub fn load_open(&mut self, reqs: &[(SimTime, KvRequest)]) {
-        assert!(
-            reqs.windows(2).all(|w| w[0].0 <= w[1].0),
-            "open-loop arrivals must be sorted by time"
-        );
-        self.load(&[]);
-        self.pending.extend(reqs.iter().map(|(_, r)| r.clone()));
-        self.arrivals.extend(reqs.iter().map(|(t, _)| *t));
-        self.open_loop = true;
+        let (arrivals, reqs) = reqs.iter().cloned().unzip();
+        self.load_open_owned(reqs, arrivals);
     }
 
     /// [`Self::load`] taking ownership of the stream: the staged buffer
     /// is moved in rather than deep-copied (each [`KvRequest`] owns its
-    /// key and value bytes, so `extend_from_slice` clones every one).
-    /// The parallel router stages its per-shard streams this way.
+    /// key and value bytes). The parallel router stages its per-shard
+    /// streams this way.
     pub fn load_owned(&mut self, reqs: Vec<KvRequest>) {
-        self.load(&[]);
+        self.reset_run(SimTime::ZERO);
         self.pending = reqs;
     }
 
@@ -377,7 +389,7 @@ impl SystemSim {
             arrivals.windows(2).all(|w| w[0] <= w[1]),
             "open-loop arrivals must be sorted by time"
         );
-        self.load(&[]);
+        self.reset_run(SimTime::ZERO);
         self.pending = reqs;
         self.arrivals = arrivals;
         self.open_loop = true;
@@ -482,7 +494,7 @@ impl SystemSim {
     /// spill past the horizon by at most one batch's service time).
     pub fn step(&mut self, horizon: SimTime, floor: SimTime) -> StepOutcome {
         let base = self.ledger();
-        self.advance(horizon, floor);
+        self.advance_staged(horizon, floor);
         StepOutcome {
             window: self.ledger().since(&base),
             done: self.staged_done(),
@@ -497,7 +509,7 @@ impl SystemSim {
     /// allocator entirely.
     pub fn step_window(&mut self, horizon: SimTime, floor: SimTime) -> WindowStep {
         let before = self.store.processor().table().mem().stats();
-        self.advance(horizon, floor);
+        self.advance_staged(horizon, floor);
         let after = self.store.processor().table().mem().stats();
         WindowStep {
             host_lines: after.since(&before).dma_ops(),
@@ -535,14 +547,23 @@ impl SystemSim {
         }
     }
 
-    /// The staged batch loop shared by [`Self::step`] and
-    /// [`Self::step_window`].
-    fn advance(&mut self, horizon: SimTime, floor: SimTime) {
+    /// [`Self::advance`] over the staged stream, which is lent to it for
+    /// the window ([`Self::step`] and [`Self::step_window`]).
+    fn advance_staged(&mut self, horizon: SimTime, floor: SimTime) {
+        let pending = std::mem::take(&mut self.pending);
+        self.advance(&pending, horizon, floor);
+        self.pending = pending;
+    }
+
+    /// The batch loop: runs `reqs[self.cursor..]` up to `horizon`. The
+    /// stream is a slice so that [`Self::run`] can pass its caller's and
+    /// the stepped forms their staged one.
+    fn advance(&mut self, reqs: &[KvRequest], horizon: SimTime, floor: SimTime) {
         let batch = self.cfg.batch.max(1);
         let cycle = self.cfg.clock.cycle();
 
-        while self.cursor < self.pending.len() {
-            let end = (self.cursor + batch).min(self.pending.len());
+        while self.cursor < reqs.len() {
+            let end = (self.cursor + batch).min(reqs.len());
             let (start, w) = if self.open_loop {
                 // Open loop: the batch cuts when its last request
                 // arrives, regardless of outstanding responses.
@@ -576,7 +597,7 @@ impl SystemSim {
 
             // Request packet: header-amortized batch on the wire, live
             // (unexpired) requests only.
-            let req_bytes: u64 = self.pending[self.cursor..end]
+            let req_bytes: u64 = reqs[self.cursor..end]
                 .iter()
                 .filter(|r| !dead_at_client(r))
                 .map(|r| 4 + r.key.len() as u64 + r.value.len() as u64)
@@ -641,8 +662,7 @@ impl SystemSim {
                     value: Vec::new(),
                 };
                 std::mem::swap(&mut resp, &mut self.resp);
-                for i in self.cursor..end {
-                    let req = &self.pending[i];
+                for (i, req) in (self.cursor..end).zip(&reqs[self.cursor..end]) {
                     if dead_at_client(req) {
                         self.ledger.net.client_expired += 1;
                         self.statuses.push(Status::Expired);
@@ -785,7 +805,7 @@ impl SystemSim {
                             let pcie = load.pcie_ps;
                             let dram = load.dram_ps;
                             let net = lat.as_ps().saturating_sub(proc + pcie + dram);
-                            let class = match self.pending[i].op {
+                            let class = match reqs[i].op {
                                 OpCode::Put => OpClass::Put,
                                 OpCode::Get => OpClass::Get,
                                 _ => OpClass::Other,
@@ -796,12 +816,12 @@ impl SystemSim {
                         // percentile resolution (scheduling noise
                         // stand-in).
                         let jitter = SimTime::from_ps(self.rng.u64_below(50_000));
-                        if self.pending[i].op == OpCode::Put {
+                        if reqs[i].op == OpCode::Put {
                             self.put_hist.record_time(lat + jitter);
                         } else {
                             self.get_hist.record_time(lat + jitter);
                         }
-                        let deadline = self.pending[i].deadline_us;
+                        let deadline = reqs[i].deadline_us;
                         let on_time =
                             deadline == 0 || resp_arrive <= SimTime::from_us(u64::from(deadline));
                         if on_time && matches!(status, Status::Ok | Status::NotFound) {
@@ -814,12 +834,13 @@ impl SystemSim {
         }
     }
 
-    /// Report over everything completed since the last [`Self::load`].
+    /// Report over everything completed since the last [`Self::load`] or
+    /// [`Self::run`], over that run's own span.
     pub fn report(&self) -> SystemSimReport {
         SystemSimReport {
             summary: RunSummary::new(
                 self.ops_done,
-                self.makespan,
+                self.makespan.saturating_sub(self.origin),
                 self.goodput_ops,
                 self.shed_ops,
                 self.expired_ops,
@@ -841,11 +862,25 @@ impl SystemSim {
     ///
     /// The client keeps `windows` batches outstanding; each batch's
     /// operations execute functionally (capturing their real memory
-    /// accesses) and are charged in simulated time. Equivalent to one
-    /// unbounded [`Self::step`] window.
+    /// accesses) and are charged in simulated time. One unbounded window
+    /// read straight from `reqs`: nothing is staged or copied.
+    ///
+    /// The run starts where the component clocks stand — the later of
+    /// the previous run's last response and every link and service
+    /// backlog — and reports over its own span, so a second run on one
+    /// engine measures the second run. On a fresh engine that instant is
+    /// zero.
     pub fn run(&mut self, reqs: &[KvRequest]) -> SystemSimReport {
-        self.load(reqs);
-        while !self.step(SimTime::MAX, SimTime::ZERO).done {}
+        let origin = [
+            self.req_link.free_at(),
+            self.resp_link.free_at(),
+            self.pcie_free,
+            self.dram_free,
+        ]
+        .into_iter()
+        .fold(self.makespan, SimTime::max);
+        self.reset_run(origin);
+        self.advance(reqs, SimTime::MAX, SimTime::ZERO);
         self.report()
     }
 
@@ -1167,6 +1202,31 @@ mod tests {
             "5% packet faults over 1000 ops must fire"
         );
         assert_eq!(r1, r2, "fault schedule is seed-deterministic");
+    }
+
+    #[test]
+    fn a_rerun_on_one_engine_reports_its_own_span() {
+        // The links' and backlogs' clocks persist across runs. A run that
+        // opened its client windows at zero anyway would queue behind them:
+        // its throughput would be quoted over the cumulative makespan and
+        // its latencies would absorb the previous run.
+        let mut sim = preloaded(2_000, 8, 8);
+        let reqs = mixed_reqs(4_000, 2_000, 0.0, false, 21);
+        let first = sim.run(&reqs);
+        for nth in 2..=5 {
+            let again = sim.run(&reqs);
+            assert_eq!(again.ops, first.ops);
+            let mops = again.mops / first.mops;
+            let p50 = again.get_us(Percentile::P50) / first.get_us(Percentile::P50);
+            assert!(
+                (0.9..1.1).contains(&mops) && (0.9..1.1).contains(&p50),
+                "run {nth}: {} vs {} Mops, GET p50 {} vs {} us",
+                again.mops,
+                first.mops,
+                again.get_us(Percentile::P50),
+                first.get_us(Percentile::P50)
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,114 @@
+//! Steady-state allocation guard for the write path on the full memory
+//! stack.
+//!
+//! `zero_alloc.rs` replays GETs on `FlatMemory`, which is why a `to_vec`
+//! per memory write inside `DispatchedMemory` went unnoticed until a
+//! profile showed it. This file drives the paths that write — PUTs that
+//! overwrite a slab-resident value with one of another slab class, and
+//! DELETE followed by a re-PUT — through `KvDirectStore::execute_one_into`
+//! (host pages behind PCIe, NIC DRAM cache, dispatcher), and requires
+//! that once the pools are warm they perform **zero** heap allocations.
+//!
+//! One `#[test]` per file: the harness runs a binary's tests
+//! concurrently, and a second test's allocations would race the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use kvd_core::{KvDirectConfig, KvDirectStore};
+use kvd_net::{KvRequestRef, KvResponse, Status};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTER: Counting = Counting;
+
+fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Value lengths one per slab class above the inline threshold
+/// (64/128/256/512 B records).
+const LENS: [usize; 4] = [40, 100, 230, 480];
+
+#[test]
+fn steady_state_writes_allocate_nothing() {
+    const POP: u64 = 2048;
+    const OPS: u64 = 8_000;
+
+    let mut store = KvDirectStore::new(KvDirectConfig::with_memory(8 << 20));
+    let value = [0xA5u8; 512];
+    let mut resp = KvResponse {
+        status: Status::Ok,
+        value: Vec::new(),
+    };
+    let key = |i: u64| splitmix(splitmix(i) % POP).to_le_bytes();
+    let len = |i: u64, round: u64| LENS[(splitmix(i ^ (round % 2)) % 4) as usize];
+
+    // Passes alternate between two assignments of lengths to operations,
+    // so every key keeps changing slab class and the measured pass replays
+    // a pass already seen. The passes before it touch every host page the
+    // corpus can reach and grow the pools (the station's spare buffers and
+    // flush vector, the table's scratch, the slab allocator's free stacks)
+    // to their float.
+    let mut overwrite = |store: &mut KvDirectStore, round: u64| {
+        for i in 0..OPS {
+            let k = key(i);
+            store.execute_one_into(KvRequestRef::put(&k, &value[..len(i, round)]), &mut resp);
+            assert_eq!(resp.status, Status::Ok, "the corpus fits");
+        }
+    };
+    for round in 0..6 {
+        overwrite(&mut store, round);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    overwrite(&mut store, 6);
+    let overwrites = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        overwrites, 0,
+        "overwrite-PUTs across slab classes must not allocate ({overwrites} over {OPS} ops)"
+    );
+
+    let mut cycle = |store: &mut KvDirectStore, round: u64| {
+        for i in 0..OPS {
+            let k = key(i);
+            store.execute_one_into(KvRequestRef::delete(&k), &mut resp);
+            assert_eq!(resp.status, Status::Ok, "every key is resident");
+            store.execute_one_into(KvRequestRef::put(&k, &value[..len(i, round)]), &mut resp);
+            assert_eq!(resp.status, Status::Ok);
+        }
+    };
+    for round in 7..11 {
+        cycle(&mut store, round);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    cycle(&mut store, 11);
+    let cycles = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        cycles, 0,
+        "DELETE then PUT must not allocate ({cycles} over {OPS} cycles)"
+    );
+}

@@ -16,7 +16,7 @@ use kvd_sim::{CostSource, DramFault, FaultPlane, OpLedger};
 
 use crate::dispatch::{hash_line, optimal_ratio_measured, DispatchConfig, LoadDispatcher};
 use crate::host::HostMemory;
-use crate::nicdram::{NicDram, NicDramConfig};
+use crate::nicdram::{NicDram, NicDramConfig, Place, Victim};
 use crate::sketch::{FreqSketch, SketchConfig, SpaceSaving};
 use crate::LINE;
 
@@ -475,26 +475,40 @@ impl DispatchedMemory {
         !self.ecc.bypassed && self.dispatcher.is_cacheable(line)
     }
 
+    /// Writes a dirty line's only copy back to host memory over PCIe.
+    fn write_back(host: &mut HostMemory, stats: &mut AccessStats, line: u64, bytes: &[u8]) {
+        host.write(line * LINE, bytes);
+        stats.dma_writes += 1;
+        stats.dma_write_bytes += LINE;
+    }
+
+    /// (Re)builds `slot` as `line` from host memory: whatever valid line
+    /// the slot held is displaced — written back first if dirty — and
+    /// `line` is fetched over PCIe straight into the slot. Returns the
+    /// displaced line, if any.
+    fn fetch_into(&mut self, slot: usize, place: &Place, line: u64) -> Option<Victim> {
+        let (victim, bytes) = self.cache.install(slot, place);
+        if let Some(v) = victim.filter(|v| v.dirty) {
+            Self::write_back(&mut self.host, &mut self.stats, v.line, bytes);
+        }
+        self.host.read(line * LINE, bytes);
+        self.stats.dma_reads += 1;
+        self.stats.dma_read_bytes += LINE;
+        // The fill itself is a DRAM write.
+        self.stats.dram_writes += 1;
+        victim
+    }
+
     /// Rebuilds a cache line hit by an uncorrectable DRAM error: a dirty
     /// line is salvaged to host first (it is the only copy), then the line
     /// is refetched so the damaged bits are overwritten. Data survives;
     /// only extra traffic and counters show the event happened.
-    fn recover_uncorrectable(&mut self, line: u64) {
+    fn recover_uncorrectable(&mut self, slot: usize, place: &Place, line: u64) {
         self.ecc.uncorrectable += 1;
-        if self.cache.is_dirty(line) {
-            let mut data = [0u8; LINE as usize];
-            self.cache.peek(line, &mut data);
-            self.host.write(line * LINE, &data);
-            self.stats.dma_writes += 1;
-            self.stats.dma_write_bytes += LINE;
+        let salvaged = self.fetch_into(slot, place, line);
+        if salvaged.is_some_and(|v| v.dirty) {
             self.ecc.rescue_writebacks += 1;
         }
-        let mut data = [0u8; LINE as usize];
-        self.host.read(line * LINE, &mut data);
-        self.stats.dma_reads += 1;
-        self.stats.dma_read_bytes += LINE;
-        self.cache.restore(line, &data, false);
-        self.stats.dram_writes += 1;
         self.ecc.refetches += 1;
         if self.ecc.uncorrectable >= self.bypass_threshold {
             self.trip_bypass();
@@ -506,11 +520,13 @@ impl DispatchedMemory {
     /// PCIe. The store keeps serving — degraded, not dead.
     fn trip_bypass(&mut self) {
         self.ecc.bypassed = true;
-        for (line, data) in self.cache.flush_dirty() {
-            self.host.write(line * LINE, &data);
-            self.stats.dma_writes += 1;
-            self.stats.dma_write_bytes += LINE;
-        }
+        let DispatchedMemory {
+            cache, host, stats, ..
+        } = self;
+        cache.retire_if(
+            |_| true,
+            |line, bytes| Self::write_back(host, stats, line, bytes),
+        );
     }
 
     /// Feeds the adaptive plane one line access: sketch observation,
@@ -542,36 +558,24 @@ impl DispatchedMemory {
     /// cacheability changed — dirty ones written back, nothing flushed
     /// wholesale.
     fn retune(&mut self) {
-        let (measured, cfg_vals) = {
-            let ad = self
-                .adaptive
-                .as_mut()
-                .expect("retune without adaptive state");
-            ad.epoch_ticks = 0;
-            let win = self.stats.since(&ad.epoch_base);
-            ad.epoch_base = self.stats;
-            if win.cache_hits + win.cache_misses == 0 {
-                return; // nothing cacheable this epoch: no signal
-            }
-            (
-                win.hit_rate(),
-                (
-                    ad.cfg.tput_dram,
-                    ad.cfg.tput_pcie,
-                    ad.cfg.min_ratio,
-                    ad.cfg.max_ratio,
-                    ad.cfg.deadband,
-                    ad.cfg.max_step,
-                ),
-            )
-        };
-        let (tput_dram, tput_pcie, min_r, max_r, deadband, max_step) = cfg_vals;
-        let target = optimal_ratio_measured(measured, tput_dram, tput_pcie).clamp(min_r, max_r);
+        let ad = self
+            .adaptive
+            .as_mut()
+            .expect("retune without adaptive state");
+        ad.epoch_ticks = 0;
+        let win = self.stats.since(&ad.epoch_base);
+        ad.epoch_base = self.stats;
+        if win.cache_hits + win.cache_misses == 0 {
+            return; // nothing cacheable this epoch: no signal
+        }
+        let cfg = &ad.cfg;
+        let target = optimal_ratio_measured(win.hit_rate(), cfg.tput_dram, cfg.tput_pcie)
+            .clamp(cfg.min_ratio, cfg.max_ratio);
         let current = self.dispatcher.ratio();
-        if (target - current).abs() <= deadband {
+        if (target - current).abs() <= cfg.deadband {
             return; // hysteresis: hold the threshold against noise
         }
-        let next = current + (target - current).clamp(-max_step, max_step);
+        let next = current + (target - current).clamp(-cfg.max_step, cfg.max_step);
         let old_t = self.dispatcher.threshold();
         self.dispatcher.set_ratio(next);
         let new_t = self.dispatcher.threshold();
@@ -588,11 +592,7 @@ impl DispatchedMemory {
                 let h = hash_line(line);
                 h > lo && h <= hi
             },
-            |line, data| {
-                host.write(line * LINE, data);
-                stats.dma_writes += 1;
-                stats.dma_write_bytes += LINE;
-            },
+            |line, bytes| Self::write_back(host, stats, line, bytes),
         );
         self.cache_stats.retune_steps += 1;
         self.cache_stats.demoted_lines += clean + dirty;
@@ -604,12 +604,12 @@ impl DispatchedMemory {
     /// coldest resident with zero estimated frequency is surrendered
     /// (that is how a cold cache warms); otherwise the incomer must
     /// strictly out-count the coldest resident.
-    fn admit(&mut self, line: u64) -> Option<usize> {
+    fn admit(&mut self, line: u64, place: &Place) -> Option<usize> {
         let Some(ad) = self.adaptive.as_mut() else {
-            return Some(self.cache.rr_victim(line));
+            return Some(self.cache.rr_victim(place));
         };
         let mut coldest: Option<(usize, u32)> = None;
-        for (way, occupant) in self.cache.occupants(line).iter().enumerate() {
+        for (way, occupant) in self.cache.occupants(place).iter().enumerate() {
             match occupant {
                 None => return Some(way), // free way: no displacement
                 Some(resident) => {
@@ -638,133 +638,103 @@ impl DispatchedMemory {
         }
     }
 
-    /// Fetches `line` from host over PCIe and installs it into `way`,
-    /// writing back any displaced dirty victim. Counts the traffic.
-    fn miss_fill(&mut self, line: u64, way: usize) {
-        if self.faults.host_stall() {
-            self.ecc.host_stalls += 1;
-        }
-        let mut data = [0u8; LINE as usize];
-        self.host.read(line * LINE, &mut data);
-        self.stats.dma_reads += 1;
-        self.stats.dma_read_bytes += LINE;
-        self.stats.cache_misses += 1;
-        let mut victim = [0u8; LINE as usize];
-        let ev = self.cache.fill_way(line, way, &data, false, &mut victim);
-        if let Some(victim_line) = ev.line {
-            self.stats.conflict_fills += 1;
-            if ev.dirty {
-                self.stats.evict_dirty += 1;
-                // Dirty write-back over PCIe.
-                self.host.write(victim_line * LINE, &victim);
-                self.stats.dma_writes += 1;
-                self.stats.dma_write_bytes += LINE;
-            } else {
-                self.stats.evict_clean += 1;
-            }
-        }
-        // The fill itself is a DRAM write.
-        self.stats.dram_writes += 1;
-        self.cache_stats.admitted_fills += 1;
+    /// Serves a rejected or degraded access over PCIe as one DMA request
+    /// of its own.
+    fn pcie_direct(&mut self, addr: u64, io: Io<'_>) {
+        let mut run = io.len() as u64;
+        self.flush_pcie_run(&mut run, io.kind());
+        io.transfer(&mut self.host, addr);
     }
 
-    /// Serves a rejected or degraded access straight from host memory,
-    /// counting one DMA request.
-    fn pcie_direct(&mut self, line: u64, kind: AccessKind, in_line: usize, buf: &mut [u8]) {
-        match kind {
-            AccessKind::Read => {
-                self.stats.dma_reads += 1;
-                self.stats.dma_read_bytes += buf.len() as u64;
-                self.host.read(line * LINE + in_line as u64, buf);
-            }
-            AccessKind::Write => {
-                self.stats.dma_writes += 1;
-                self.stats.dma_write_bytes += buf.len() as u64;
-                self.host.write(line * LINE + in_line as u64, buf);
-            }
-        }
-    }
-
-    fn access_line(&mut self, line: u64, kind: AccessKind, in_line: usize, buf: &mut [u8]) {
-        self.observe_line(line);
-        if self.cacheable(line) {
-            let was_hit = self.cache.lookup(line);
-            if was_hit {
+    /// Serves the part of an access that falls in cacheable `line` (at
+    /// `addr`) through the NIC DRAM: the line is resolved once, filled on
+    /// an admitted miss, and `io` is copied between the caller's buffer
+    /// and the cache slot itself.
+    fn cache_io(&mut self, line: u64, addr: u64, io: Io<'_>) {
+        let place = self.cache.locate(line);
+        let slot = match place.slot {
+            Some(slot) => {
                 self.stats.cache_hits += 1;
-            } else {
-                match self.admit(line) {
-                    Some(way) => self.miss_fill(line, way),
-                    None => {
-                        // Admission rejected: a miss served over PCIe
-                        // without polluting the cache.
-                        self.stats.cache_misses += 1;
-                        if self.faults.host_stall() {
-                            self.ecc.host_stalls += 1;
-                        }
-                        self.pcie_direct(line, kind, in_line, buf);
-                        return;
+                slot
+            }
+            None => {
+                self.stats.cache_misses += 1;
+                if self.faults.host_stall() {
+                    self.ecc.host_stalls += 1;
+                }
+                let Some(way) = self.admit(line, &place) else {
+                    // Admission rejected: a miss served over PCIe
+                    // without polluting the cache.
+                    return self.pcie_direct(addr, io);
+                };
+                let slot = place.way(way);
+                if let Some(victim) = self.fetch_into(slot, &place, line) {
+                    self.stats.conflict_fills += 1;
+                    if victim.dirty {
+                        self.stats.evict_dirty += 1;
+                    } else {
+                        self.stats.evict_clean += 1;
                     }
                 }
+                self.cache_stats.admitted_fills += 1;
+                slot
             }
-            // The DRAM access may trip an ECC event on the stored line.
-            match self.faults.dram_fault() {
-                DramFault::None => {}
-                DramFault::Corrected => self.ecc.corrected += 1,
-                DramFault::Uncorrectable => self.recover_uncorrectable(line),
+        };
+        // The DRAM access may trip an ECC event on the stored line.
+        match self.faults.dram_fault() {
+            DramFault::None => {}
+            DramFault::Corrected => self.ecc.corrected += 1,
+            DramFault::Uncorrectable => self.recover_uncorrectable(slot, &place, line),
+        }
+        if self.ecc.bypassed {
+            // The breaker tripped on this very access. Recovery left
+            // the line clean (host copy authoritative), so serve the
+            // access over PCIe like every access from now on.
+            return self.pcie_direct(addr, io);
+        }
+        let in_line = (addr % LINE) as usize;
+        match io {
+            Io::Read(buf) => {
+                self.stats.dram_reads += 1;
+                buf.copy_from_slice(&self.cache.line(slot)[in_line..in_line + buf.len()]);
             }
-            if self.ecc.bypassed {
-                // The breaker tripped on this very access. Recovery left
-                // the line clean (host copy authoritative), so serve the
-                // access over PCIe like every access from now on.
-                self.pcie_direct(line, kind, in_line, buf);
-                return;
-            }
-            let mut data = [0u8; LINE as usize];
-            self.cache.read_hit(line, &mut data);
-            match kind {
-                AccessKind::Read => {
-                    self.stats.dram_reads += 1;
-                    buf.copy_from_slice(&data[in_line..in_line + buf.len()]);
-                }
-                AccessKind::Write => {
-                    data[in_line..in_line + buf.len()].copy_from_slice(buf);
-                    self.cache.write_hit(line, &data);
-                    self.stats.dram_writes += 1;
-                }
-            }
-        } else {
-            // Non-cacheable: straight to host over PCIe. Contiguous-run
-            // coalescing happens one level up in `access`.
-            if self.faults.host_stall() {
-                self.ecc.host_stalls += 1;
-            }
-            match kind {
-                AccessKind::Read => self.host.read(line * LINE + in_line as u64, buf),
-                AccessKind::Write => self.host.write(line * LINE + in_line as u64, buf),
+            Io::Write(data) => {
+                self.cache.line_mut(slot)[in_line..in_line + data.len()].copy_from_slice(data);
+                self.stats.dram_writes += 1;
             }
         }
     }
 
-    fn access(&mut self, addr: u64, kind: AccessKind, buf: &mut [u8]) {
+    fn access(&mut self, addr: u64, mut io: Io<'_>) {
+        let len = io.len();
         assert!(
-            addr + buf.len() as u64 <= self.host.capacity(),
+            addr + len as u64 <= self.host.capacity(),
             "access out of bounds"
         );
-        // Split the range into 64B lines; cacheable lines go through the
-        // cache individually, non-cacheable runs coalesce into DMA
-        // requests of up to MAX_DMA_PAYLOAD.
+        // Split the range into 64B lines. Per line: feed the adaptive
+        // plane first — it may retune, which moves the dispatch threshold
+        // and retires lines — and only then decide, once, which device
+        // serves the line. Cacheable lines go through the cache
+        // individually; non-cacheable runs coalesce into DMA requests of
+        // up to MAX_DMA_PAYLOAD.
+        let kind = io.kind();
         let mut off = 0usize;
         let mut pcie_run = 0u64; // bytes of the current non-cacheable run
-        while off < buf.len() {
+        while off < len {
             let a = addr + off as u64;
             let line = a / LINE;
-            let in_line = (a % LINE) as usize;
-            let n = (LINE as usize - in_line).min(buf.len() - off);
+            let n = (LINE as usize - (a % LINE) as usize).min(len - off);
+            let part = io.part(off, n);
+            self.observe_line(line);
             if self.cacheable(line) {
                 self.flush_pcie_run(&mut pcie_run, kind);
-                self.access_line(line, kind, in_line, &mut buf[off..off + n]);
+                self.cache_io(line, a, part);
             } else {
-                self.access_line(line, kind, in_line, &mut buf[off..off + n]);
+                // Straight to host over PCIe.
+                if self.faults.host_stall() {
+                    self.ecc.host_stalls += 1;
+                }
+                part.transfer(&mut self.host, a);
                 pcie_run += n as u64;
             }
             off += n;
@@ -793,16 +763,51 @@ impl DispatchedMemory {
     }
 }
 
+/// One access's caller-side buffer: filled by a read, drained by a write.
+enum Io<'a> {
+    Read(&'a mut [u8]),
+    Write(&'a [u8]),
+}
+
+impl Io<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Io::Read(buf) => buf.len(),
+            Io::Write(data) => data.len(),
+        }
+    }
+
+    fn kind(&self) -> AccessKind {
+        match self {
+            Io::Read(_) => AccessKind::Read,
+            Io::Write(_) => AccessKind::Write,
+        }
+    }
+
+    /// Moves the bytes between the caller's buffer and host memory.
+    fn transfer(self, host: &mut HostMemory, addr: u64) {
+        match self {
+            Io::Read(buf) => host.read(addr, buf),
+            Io::Write(data) => host.write(addr, data),
+        }
+    }
+
+    /// The `n` bytes at `off`, reborrowed.
+    fn part(&mut self, off: usize, n: usize) -> Io<'_> {
+        match self {
+            Io::Read(buf) => Io::Read(&mut buf[off..off + n]),
+            Io::Write(data) => Io::Write(&data[off..off + n]),
+        }
+    }
+}
+
 impl MemoryEngine for DispatchedMemory {
     fn read(&mut self, addr: u64, buf: &mut [u8]) {
-        self.access(addr, AccessKind::Read, buf);
+        self.access(addr, Io::Read(buf));
     }
 
     fn write(&mut self, addr: u64, data: &[u8]) {
-        // `access` needs a mutable buffer for the read path; writes only
-        // read from it. A copy keeps the public signature conventional.
-        let mut tmp = data.to_vec();
-        self.access(addr, AccessKind::Write, &mut tmp);
+        self.access(addr, Io::Write(data));
     }
 
     fn capacity(&self) -> u64 {
@@ -814,7 +819,12 @@ impl MemoryEngine for DispatchedMemory {
     }
 
     fn reset_stats(&mut self) {
+        // The hit-rate snapshots count from the same origin as the stats.
         self.stats = AccessStats::default();
+        self.window_base = self.stats;
+        if let Some(ad) = &mut self.adaptive {
+            ad.epoch_base = self.stats;
+        }
     }
 }
 
@@ -1138,6 +1148,87 @@ mod tests {
             m.cache_stats().retune_steps
         );
         assert!(m.cache_stats().retune_steps >= 2);
+    }
+
+    /// Warms an adaptive engine to one tick short of a retune that will
+    /// move the ratio from `ratio` by one `max_step`, then makes the
+    /// crossing access an 8-byte read of a line inside the migrated band.
+    /// Returns the engine, the line and what that one access cost.
+    fn read_across_a_retune(ratio: f64) -> (DispatchedMemory, u64, AccessStats) {
+        const EPOCH: u64 = 64;
+        let mut m = adaptive(ratio, 9, EPOCH);
+        // An all-hit epoch solves to l* ~ 0.5: up from 0.2, down from 0.9.
+        let next = ratio + if ratio < 0.5 { 0.05 } else { -0.05 };
+        let (old_t, new_t) = (
+            m.dispatcher().threshold(),
+            LoadDispatcher::new(DispatchConfig::new(next)).threshold(),
+        );
+        let in_band =
+            |l: &u64| hash_line(*l) > old_t.min(new_t) && hash_line(*l) <= old_t.max(new_t);
+        let stays_cached = |l: &u64| hash_line(*l) <= old_t.min(new_t);
+        let warm: Vec<u64> = (0..4096u64).filter(stays_cached).take(8).collect();
+        let crossing = (0..4096u64).find(in_band).expect("a line in the band");
+        let mut buf = [0u8; 8];
+        for i in 0..EPOCH - 1 {
+            m.read(warm[i as usize % warm.len()] * LINE, &mut buf);
+        }
+        assert_eq!(m.cache_stats().retune_steps, 0);
+        let before = m.stats();
+        m.read(crossing * LINE, &mut buf);
+        assert_eq!(
+            m.cache_stats().retune_steps,
+            1,
+            "the crossing access retunes"
+        );
+        assert!((m.dispatcher().ratio() - next).abs() < 1e-9);
+        let cost = m.stats().since(&before);
+        (m, crossing, cost)
+    }
+
+    #[test]
+    fn retune_on_the_crossing_access_promotes_its_line_and_charges_the_cache_once() {
+        let (m, line, cost) = read_across_a_retune(0.2);
+        assert!(m.dispatcher().is_cacheable(line), "promoted by this access");
+        // Served by the cache: one miss, one 64 B fill over PCIe, one DRAM
+        // read — and no second PCIe request for the 8 bytes themselves.
+        assert_eq!((cost.cache_misses, cost.dram_reads), (1, 1));
+        assert_eq!((cost.dma_reads, cost.dma_read_bytes), (1, LINE));
+    }
+
+    #[test]
+    fn retune_on_the_crossing_access_demotes_its_line_and_charges_pcie_once() {
+        let (m, line, cost) = read_across_a_retune(0.9);
+        assert!(!m.dispatcher().is_cacheable(line), "demoted by this access");
+        // Served from host: one 8-byte DMA read, nothing on the DRAM.
+        assert_eq!((cost.dma_reads, cost.dma_read_bytes), (1, 8));
+        assert_eq!(cost.dram_reads + cost.cache_hits + cost.cache_misses, 0);
+    }
+
+    #[test]
+    fn reset_stats_restarts_the_hit_rate_windows_too() {
+        // `kvd_core::timing` resets a store's engine after preload. The
+        // window and epoch snapshots must restart with the counters, or
+        // the next delta runs `since` below zero.
+        let mut m = adaptive(0.5, 4, 256);
+        let mut rng = kvd_sim::DetRng::seed(8);
+        let mut buf = [0u8; 64];
+        let mut drive = |m: &mut DispatchedMemory, n: u64| {
+            for _ in 0..n {
+                m.read(rng.u64_below(4096) * LINE, &mut buf);
+            }
+        };
+        drive(&mut m, 300); // past the first retune, mid-epoch
+        m.roll_hit_window();
+        drive(&mut m, 50);
+        m.reset_stats();
+        assert_eq!(
+            m.windowed_hit_rate(),
+            0.0,
+            "an empty window, not a wrapped one"
+        );
+        drive(&mut m, 300); // crosses the next epoch boundary
+        assert!((0.0..=1.0).contains(&m.windowed_hit_rate()));
+        assert!(m.stats().cache_hits + m.stats().cache_misses <= 300);
     }
 
     #[test]

@@ -3,13 +3,24 @@
 //! The paper's KVS occupies 64 GiB of host memory. To let the same address
 //! arithmetic run on a development machine, [`HostMemory`] is paged and
 //! allocates 64 KiB pages on first touch; untouched pages read as zero.
-
-use std::collections::HashMap;
+//!
+//! Pages are found by index, not by hashing: a two-level table whose
+//! root has one entry per 64 MiB of address space and whose leaves
+//! (8 KiB, allocated with their first page) hold 1024 page pointers
+//! each. Every engine access ends here, so the lookup is two dependent
+//! loads; a 1 TiB address space costs a 128 KiB root and nothing more
+//! until it is written.
 
 /// Page size for sparse allocation (simulation artifact, not a paper
 /// parameter).
 const PAGE_SHIFT: u32 = 16;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+/// Pages per leaf of the page table.
+const LEAF_SHIFT: u32 = 10;
+const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
+
+type Page = [u8; PAGE_SIZE];
+type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 
 /// A sparse, allocate-on-touch byte-addressable memory.
 ///
@@ -28,15 +39,18 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// assert_eq!(&buf, &[0; 5]);
 /// ```
 pub struct HostMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    root: Vec<Option<Box<Leaf>>>,
+    resident_pages: u64,
     capacity: u64,
 }
 
 impl HostMemory {
     /// Creates a memory with `capacity` bytes of address space.
     pub fn new(capacity: u64) -> Self {
+        let leaves = capacity.div_ceil(1 << (PAGE_SHIFT + LEAF_SHIFT));
         HostMemory {
-            pages: HashMap::new(),
+            root: (0..leaves).map(|_| None).collect(),
+            resident_pages: 0,
             capacity,
         }
     }
@@ -48,7 +62,7 @@ impl HostMemory {
 
     /// Bytes of memory actually resident (allocated pages).
     pub fn resident_bytes(&self) -> u64 {
-        (self.pages.len() * PAGE_SIZE) as u64
+        self.resident_pages * PAGE_SIZE as u64
     }
 
     fn check_range(&self, addr: u64, len: usize) {
@@ -60,24 +74,36 @@ impl HostMemory {
         );
     }
 
+    /// The part of `[addr, addr + len)` that lies in `addr`'s page, as
+    /// `(page number, offset in page, bytes)`.
+    fn span(addr: u64, len: usize) -> (usize, usize, usize) {
+        let in_page = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+        (
+            (addr >> PAGE_SHIFT) as usize,
+            in_page,
+            (PAGE_SIZE - in_page).min(len),
+        )
+    }
+
     /// Reads `buf.len()` bytes at `addr`.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds capacity.
-    pub fn read(&self, addr: u64, buf: &mut [u8]) {
+    pub fn read(&self, mut addr: u64, mut buf: &mut [u8]) {
         self.check_range(addr, buf.len());
-        let mut off = 0usize;
-        while off < buf.len() {
-            let a = addr + off as u64;
-            let page = a >> PAGE_SHIFT;
-            let in_page = (a & (PAGE_SIZE as u64 - 1)) as usize;
-            let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            match self.pages.get(&page) {
-                Some(p) => buf[off..off + n].copy_from_slice(&p[in_page..in_page + n]),
-                None => buf[off..off + n].fill(0),
+        while !buf.is_empty() {
+            let (page, in_page, n) = Self::span(addr, buf.len());
+            let (head, rest) = buf.split_at_mut(n);
+            match self.root[page >> LEAF_SHIFT]
+                .as_ref()
+                .and_then(|leaf| leaf[page & (LEAF_PAGES - 1)].as_ref())
+            {
+                Some(p) => head.copy_from_slice(&p[in_page..in_page + n]),
+                None => head.fill(0),
             }
-            off += n;
+            addr += n as u64;
+            buf = rest;
         }
     }
 
@@ -86,20 +112,24 @@ impl HostMemory {
     /// # Panics
     ///
     /// Panics if the range exceeds capacity.
-    pub fn write(&mut self, addr: u64, data: &[u8]) {
+    pub fn write(&mut self, mut addr: u64, mut data: &[u8]) {
         self.check_range(addr, data.len());
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = addr + off as u64;
-            let page = a >> PAGE_SHIFT;
-            let in_page = (a & (PAGE_SIZE as u64 - 1)) as usize;
-            let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0; PAGE_SIZE]));
-            p[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
-            off += n;
+        while !data.is_empty() {
+            let (page, in_page, n) = Self::span(addr, data.len());
+            let (head, rest) = data.split_at(n);
+            let leaf = self.root[page >> LEAF_SHIFT]
+                .get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
+            let p = leaf[page & (LEAF_PAGES - 1)].get_or_insert_with(|| {
+                self.resident_pages += 1;
+                // Zeroed on the heap: a page never exists on the stack.
+                vec![0u8; PAGE_SIZE]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("page-sized allocation")
+            });
+            p[in_page..in_page + n].copy_from_slice(head);
+            addr += n as u64;
+            data = rest;
         }
     }
 

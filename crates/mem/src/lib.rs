@@ -7,12 +7,14 @@
 //! a *hybrid*: a cache for a fixed, hash-selected portion of host memory
 //! (§3.3.4, Figure 7). This crate provides:
 //!
-//! * [`HostMemory`] — a sparse, allocate-on-touch byte store so paper-scale
-//!   address spaces work laptop-scale.
+//! * [`HostMemory`] — a sparse, allocate-on-touch byte store (64 KiB
+//!   pages behind a direct-indexed page table) so paper-scale address
+//!   spaces work laptop-scale.
 //! * [`NicDram`] — the on-board DRAM: a 4-way set-associative 64 B-line
 //!   cache with per-line metadata kept in the spare ECC bits (the paper's
 //!   trick of widening the parity granularity — here 64 to 512 data bits
-//!   to free 8 bits per 64 B line for tag + dirty + valid).
+//!   to free 8 bits per 64 B line for tag + dirty + valid). It holds the
+//!   lines' bytes and lends its slots; the engine does the copying.
 //! * [`LoadDispatcher`] — the hash split between cacheable and
 //!   non-cacheable addresses, parameterized by the load dispatch ratio `l`,
 //!   plus the paper's balance equation for choosing `l`.
@@ -40,7 +42,7 @@ pub use engine::{
     FlatMemory, MemoryEngine, DEFAULT_BYPASS_THRESHOLD,
 };
 pub use host::HostMemory;
-pub use nicdram::{FillVictim, NicDram, NicDramConfig, WAYS};
+pub use nicdram::{NicDram, NicDramConfig, Place, Victim, WAYS};
 pub use sketch::{FreqSketch, HeavyHitter, SketchConfig, SpaceSaving};
 
 /// Cache-line granularity used throughout the paper (bytes).

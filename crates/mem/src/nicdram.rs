@@ -61,15 +61,35 @@ struct LineMeta {
     valid: bool,
 }
 
-/// The victim a [`NicDram::fill_way`] displaced: its host line address
-/// and whether the caller must write its contents back to host memory
-/// (the victim's bytes are in the caller-provided buffer either way).
+/// Where a host line lives, or would live, in the cache: its set, its
+/// tag and — if it is resident — its slot. [`NicDram::locate`] is the one
+/// place this is worked out; the memory engine does it once per line
+/// access and hands the result to everything that follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillVictim {
-    /// The displaced host line, `None` if the way was invalid (no
-    /// conflict).
-    pub line: Option<u64>,
-    /// Whether the displaced line was dirty and must be written back.
+pub struct Place {
+    /// Slot index of way 0 of the line's set (slots are way-major
+    /// within a set: `set * WAYS + way`).
+    base: usize,
+    tag: u8,
+    /// The slot holding the line, `None` on a miss.
+    pub slot: Option<usize>,
+}
+
+impl Place {
+    /// The slot of `way` in this line's set.
+    pub fn way(&self, way: usize) -> usize {
+        assert!(way < WAYS, "way out of range");
+        self.base + way
+    }
+}
+
+/// The valid line an [`NicDram::install`] displaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Victim {
+    /// The displaced host line.
+    pub line: u64,
+    /// Whether it was dirty, i.e. the slot's bytes are its only copy and
+    /// must be written back to host memory.
     pub dirty: bool,
 }
 
@@ -81,12 +101,14 @@ pub struct FillVictim {
 /// bits (`log2(ratio) + log2(WAYS)` tag bits + 2 ≤ 8 ⇒ host:DRAM
 /// capacity ratio ≤ 16, exactly the paper's ratio).
 ///
-/// Replacement is split from installation so the memory engine can run
-/// TinyLFU-style admission: [`rr_victim`] returns the default
-/// round-robin choice, [`occupants`] exposes the set's resident lines
-/// for frequency comparison, and [`fill_way`] installs into whichever
-/// way the policy picked — copying any displaced line into a
-/// caller-provided buffer, so the hot path never allocates.
+/// The cache owns the tags, the dirty and valid bits, the round-robin
+/// cursors and the **bytes** — a hit is served from here and a dirty
+/// line is the only copy of its data. It owns no policy and no copy
+/// loop: [`locate`] resolves a line to its [`Place`], [`occupants`] and
+/// [`rr_victim`] give a replacement policy its candidates, and
+/// [`install`], [`line`] and [`line_mut`] lend the slot itself, so the
+/// memory engine moves bytes straight between the slot and the caller's
+/// buffer or the host page.
 ///
 /// # Examples
 ///
@@ -99,14 +121,24 @@ pub struct FillVictim {
 ///     bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
 /// };
 /// let mut cache = NicDram::new(cfg, 16 * 64 * 1024); // 16:1 host ratio
-/// assert!(cache.lookup(0)); // tags 0..3 start resident (zeroed)
+/// assert!(cache.locate(0).slot.is_some()); // tags 0..3 start resident (zeroed)
 /// let far = 4 * (64 * 1024 / LINE); // tag 4: not resident
-/// assert!(!cache.lookup(far));
+/// let place = cache.locate(far);
+/// assert_eq!(place.slot, None);
+/// // Fill it over the round-robin victim: clean tag 0, nothing to save.
+/// let slot = place.way(cache.rr_victim(&place));
+/// let (victim, bytes) = cache.install(slot, &place);
+/// assert_eq!(victim.map(|v| (v.line, v.dirty)), Some((0, false)));
+/// bytes.fill(7);
+/// assert_eq!(cache.locate(far).slot, Some(slot));
 /// ```
 ///
-/// [`rr_victim`]: NicDram::rr_victim
+/// [`locate`]: NicDram::locate
 /// [`occupants`]: NicDram::occupants
-/// [`fill_way`]: NicDram::fill_way
+/// [`rr_victim`]: NicDram::rr_victim
+/// [`install`]: NicDram::install
+/// [`line`]: NicDram::line
+/// [`line_mut`]: NicDram::line_mut
 pub struct NicDram {
     cfg: NicDramConfig,
     sets: u64,
@@ -116,12 +148,6 @@ pub struct NicDram {
     data: Vec<u8>,
     /// Per-set round-robin replacement cursor.
     rr: Vec<u8>,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
-    evict_clean: u64,
-    evict_dirty: u64,
-    conflict_fills: u64,
 }
 
 impl NicDram {
@@ -167,12 +193,6 @@ impl NicDram {
             meta,
             data: vec![0; cfg.capacity as usize],
             rr: vec![0; sets as usize],
-            hits: 0,
-            misses: 0,
-            writebacks: 0,
-            evict_clean: 0,
-            evict_dirty: 0,
-            conflict_fills: 0,
             cfg,
         }
     }
@@ -182,210 +202,85 @@ impl NicDram {
         &self.cfg
     }
 
-    fn set_of(&self, host_line: u64) -> u64 {
-        host_line % self.sets
-    }
-
-    fn tag_of(&self, host_line: u64) -> u8 {
-        let t = host_line / self.sets;
-        debug_assert!(t <= u8::MAX as u64, "tag overflow");
-        t as u8
-    }
-
-    /// The resident way of `host_line`, if any.
-    fn way_of(&self, host_line: u64) -> Option<usize> {
-        let set = self.set_of(host_line);
-        let tag = self.tag_of(host_line);
-        let base = (set as usize) * WAYS;
-        (0..WAYS).find(|&w| {
-            let m = &self.meta[base + w];
+    /// Resolves `host_line` to its set, tag and — if resident — slot.
+    pub fn locate(&self, host_line: u64) -> Place {
+        let tag = host_line / self.sets;
+        debug_assert!(tag <= u8::MAX as u64, "tag overflow");
+        let (base, tag) = ((host_line % self.sets) as usize * WAYS, tag as u8);
+        let slot = (base..base + WAYS).find(|&s| {
+            let m = &self.meta[s];
             m.valid && m.tag == tag
+        });
+        Place { base, tag, slot }
+    }
+
+    /// The host line a valid slot holds.
+    fn line_of(&self, slot: usize) -> u64 {
+        self.meta[slot].tag as u64 * self.sets + (slot / WAYS) as u64
+    }
+
+    /// The host lines resident in `place`'s set, by way (`None` for
+    /// invalid ways) — the candidates a frequency-aware replacement
+    /// policy compares against.
+    pub fn occupants(&self, place: &Place) -> [Option<u64>; WAYS] {
+        std::array::from_fn(|w| {
+            let slot = place.base + w;
+            self.meta[slot].valid.then(|| self.line_of(slot))
         })
     }
 
-    fn data_off(&self, set: u64, way: usize) -> usize {
-        ((set as usize) * WAYS + way) * LINE as usize
-    }
-
-    /// Returns `true` if `host_line` is resident.
-    pub fn lookup(&self, host_line: u64) -> bool {
-        self.way_of(host_line).is_some()
-    }
-
-    /// The host lines resident in `host_line`'s set, by way (`None` for
-    /// invalid ways) — the candidates a frequency-aware replacement
-    /// policy compares against.
-    pub fn occupants(&self, host_line: u64) -> [Option<u64>; WAYS] {
-        let set = self.set_of(host_line);
-        let base = (set as usize) * WAYS;
-        let mut out = [None; WAYS];
-        for (w, slot) in out.iter_mut().enumerate() {
-            let m = &self.meta[base + w];
-            if m.valid {
-                *slot = Some(m.tag as u64 * self.sets + set);
-            }
-        }
-        out
-    }
-
-    /// The default replacement choice for `host_line`'s set: an invalid
-    /// way if one exists, else the set's round-robin cursor (advanced).
-    pub fn rr_victim(&mut self, host_line: u64) -> usize {
-        let set = self.set_of(host_line);
-        let base = (set as usize) * WAYS;
-        if let Some(w) = (0..WAYS).find(|&w| !self.meta[base + w].valid) {
+    /// The default replacement choice for `place`'s set: an invalid way
+    /// if one exists, else the set's round-robin cursor (advanced).
+    pub fn rr_victim(&mut self, place: &Place) -> usize {
+        if let Some(w) = (0..WAYS).find(|&w| !self.meta[place.base + w].valid) {
             return w;
         }
-        let cursor = &mut self.rr[set as usize];
+        let cursor = &mut self.rr[place.base / WAYS];
         let w = *cursor as usize % WAYS;
         *cursor = ((w + 1) % WAYS) as u8;
         w
     }
 
-    /// Reads a resident line into `buf` (64 bytes) and counts a hit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not resident; callers must [`lookup`] first.
-    ///
-    /// [`lookup`]: NicDram::lookup
-    pub fn read_hit(&mut self, host_line: u64, buf: &mut [u8]) {
-        let way = self
-            .way_of(host_line)
-            .expect("read_hit on non-resident line");
-        assert_eq!(buf.len() as u64, LINE);
-        let off = self.data_off(self.set_of(host_line), way);
-        buf.copy_from_slice(&self.data[off..off + LINE as usize]);
-        self.hits += 1;
+    /// The bytes of `slot`.
+    pub fn line(&self, slot: usize) -> &[u8] {
+        &self.data[slot * LINE as usize..][..LINE as usize]
     }
 
-    /// Writes a resident line and marks it dirty; counts a hit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not resident.
-    pub fn write_hit(&mut self, host_line: u64, data: &[u8]) {
-        let way = self
-            .way_of(host_line)
-            .expect("write_hit on non-resident line");
-        assert_eq!(data.len() as u64, LINE);
-        let set = self.set_of(host_line);
-        let off = self.data_off(set, way);
-        self.data[off..off + LINE as usize].copy_from_slice(data);
-        self.meta[(set as usize) * WAYS + way].dirty = true;
-        self.hits += 1;
+    /// The bytes of `slot` for a write hit: the line is marked dirty.
+    pub fn line_mut(&mut self, slot: usize) -> &mut [u8] {
+        debug_assert!(self.meta[slot].valid, "write hit on an invalid slot");
+        self.meta[slot].dirty = true;
+        &mut self.data[slot * LINE as usize..][..LINE as usize]
     }
 
-    /// Installs `host_line` with `data` into `way` of its set, copying
-    /// any displaced line's contents into `victim_buf` (64 bytes, no
-    /// allocation). Counts a miss; the caller writes a dirty victim back
-    /// to host memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is already resident or `way >= WAYS`.
-    pub fn fill_way(
-        &mut self,
-        host_line: u64,
-        way: usize,
-        data: &[u8],
-        dirty: bool,
-        victim_buf: &mut [u8],
-    ) -> FillVictim {
-        assert_eq!(data.len() as u64, LINE);
-        assert_eq!(victim_buf.len() as u64, LINE);
-        assert!(way < WAYS, "way out of range");
-        assert!(!self.lookup(host_line), "fill of already-resident line");
-        self.misses += 1;
-        let set = self.set_of(host_line);
-        let off = self.data_off(set, way);
-        let old = self.meta[(set as usize) * WAYS + way];
-        let victim = if old.valid {
-            self.conflict_fills += 1;
-            if old.dirty {
-                self.writebacks += 1;
-                self.evict_dirty += 1;
-            } else {
-                self.evict_clean += 1;
-            }
-            victim_buf.copy_from_slice(&self.data[off..off + LINE as usize]);
-            FillVictim {
-                line: Some(old.tag as u64 * self.sets + set),
-                dirty: old.dirty,
-            }
-        } else {
-            FillVictim {
-                line: None,
-                dirty: false,
-            }
-        };
-        self.meta[(set as usize) * WAYS + way] = LineMeta {
-            tag: self.tag_of(host_line),
-            dirty,
+    /// Hands `slot` over to `place`'s line, valid and clean, and lends
+    /// its bytes. They are still the previous occupant's: if that was a
+    /// valid line it is returned, and a dirty one must be written back
+    /// from the lent bytes before the new line's contents are copied in.
+    /// Installing a resident line over itself is how the ECC path
+    /// rebuilds it (salvage if dirty, then refetch).
+    pub fn install(&mut self, slot: usize, place: &Place) -> (Option<Victim>, &mut [u8]) {
+        debug_assert!((place.base..place.base + WAYS).contains(&slot));
+        let old = self.meta[slot];
+        let victim = old.valid.then(|| Victim {
+            line: self.line_of(slot),
+            dirty: old.dirty,
+        });
+        self.meta[slot] = LineMeta {
+            tag: place.tag,
+            dirty: false,
             valid: true,
         };
-        self.data[off..off + LINE as usize].copy_from_slice(data);
-        victim
-    }
-
-    /// Installs `host_line` at the default round-robin victim —
-    /// the non-adaptive fill path.
-    pub fn fill(
-        &mut self,
-        host_line: u64,
-        data: &[u8],
-        dirty: bool,
-        victim_buf: &mut [u8],
-    ) -> FillVictim {
-        let way = self.rr_victim(host_line);
-        self.fill_way(host_line, way, data, dirty, victim_buf)
-    }
-
-    /// Whether a resident line is dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not resident.
-    pub fn is_dirty(&self, host_line: u64) -> bool {
-        let way = self
-            .way_of(host_line)
-            .expect("is_dirty on non-resident line");
-        self.meta[(self.set_of(host_line) as usize) * WAYS + way].dirty
-    }
-
-    /// Reads a resident line without hit accounting (ECC recovery path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not resident.
-    pub fn peek(&self, host_line: u64, buf: &mut [u8]) {
-        let way = self.way_of(host_line).expect("peek of non-resident line");
-        assert_eq!(buf.len() as u64, LINE);
-        let off = self.data_off(self.set_of(host_line), way);
-        buf.copy_from_slice(&self.data[off..off + LINE as usize]);
-    }
-
-    /// Overwrites a resident line in place with a fresh copy and sets its
-    /// dirty state — the ECC recovery refill after an uncorrectable error.
-    /// No hit/miss accounting (this is not a demand access).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not resident.
-    pub fn restore(&mut self, host_line: u64, data: &[u8], dirty: bool) {
-        let way = self
-            .way_of(host_line)
-            .expect("restore of non-resident line");
-        assert_eq!(data.len() as u64, LINE);
-        let set = self.set_of(host_line);
-        let off = self.data_off(set, way);
-        self.data[off..off + LINE as usize].copy_from_slice(data);
-        self.meta[(set as usize) * WAYS + way].dirty = dirty;
+        (
+            victim,
+            &mut self.data[slot * LINE as usize..][..LINE as usize],
+        )
     }
 
     /// Invalidates every resident line for which `retire` returns true —
-    /// the threshold-migration sweep of the adaptive dispatcher. Dirty
-    /// lines are handed to `writeback` (host line, contents) before
+    /// the threshold-migration sweep of the adaptive dispatcher, and with
+    /// an always-true predicate the drain of the degradation breaker.
+    /// Dirty lines are handed to `writeback` (host line, contents) before
     /// invalidation. Returns `(clean, dirty)` lines retired. No
     /// allocation: contents are passed by reference out of the array.
     pub fn retire_if(
@@ -394,91 +289,24 @@ impl NicDram {
         mut writeback: impl FnMut(u64, &[u8]),
     ) -> (u64, u64) {
         let (mut clean, mut dirty) = (0u64, 0u64);
-        for set in 0..self.sets {
-            for way in 0..WAYS {
-                let idx = (set as usize) * WAYS + way;
-                let m = self.meta[idx];
-                if !m.valid {
-                    continue;
-                }
-                let line = m.tag as u64 * self.sets + set;
-                if !retire(line) {
-                    continue;
-                }
-                if m.dirty {
-                    let off = idx * LINE as usize;
-                    writeback(line, &self.data[off..off + LINE as usize]);
-                    self.writebacks += 1;
-                    dirty += 1;
-                } else {
-                    clean += 1;
-                }
-                self.meta[idx].valid = false;
-                self.meta[idx].dirty = false;
+        for slot in 0..self.meta.len() {
+            let m = self.meta[slot];
+            if !m.valid {
+                continue;
             }
+            let line = self.line_of(slot);
+            if !retire(line) {
+                continue;
+            }
+            if m.dirty {
+                writeback(line, self.line(slot));
+                dirty += 1;
+            } else {
+                clean += 1;
+            }
+            self.meta[slot] = LineMeta::default();
         }
         (clean, dirty)
-    }
-
-    /// Drains every dirty line, clearing the dirty flags, and returns the
-    /// (host line, contents) pairs for the caller to write back — used when
-    /// the degradation breaker retires the cache from service.
-    pub fn flush_dirty(&mut self) -> Vec<(u64, Box<[u8]>)> {
-        let mut out = Vec::new();
-        for set in 0..self.sets {
-            for way in 0..WAYS {
-                let idx = (set as usize) * WAYS + way;
-                let m = &mut self.meta[idx];
-                if m.valid && m.dirty {
-                    m.dirty = false;
-                    let line = m.tag as u64 * self.sets + set;
-                    let off = idx * LINE as usize;
-                    out.push((line, self.data[off..off + LINE as usize].into()));
-                }
-            }
-        }
-        out
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Dirty write-backs so far (demand evictions + migration sweeps).
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
-    }
-
-    /// Valid lines displaced by a fill while clean.
-    pub fn evict_clean(&self) -> u64 {
-        self.evict_clean
-    }
-
-    /// Valid lines displaced by a fill while dirty.
-    pub fn evict_dirty(&self) -> u64 {
-        self.evict_dirty
-    }
-
-    /// Fills that displaced a valid line (conflict misses; fills into
-    /// invalid ways are not conflicts).
-    pub fn conflict_fills(&self) -> u64 {
-        self.conflict_fills
-    }
-
-    /// Hit rate over all lookups that were served.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -501,39 +329,52 @@ mod tests {
     /// Sets in the test cache (16).
     const SETS: u64 = 4096 / LINE / WAYS as u64;
 
+    fn resident(c: &NicDram, line: u64) -> bool {
+        c.locate(line).slot.is_some()
+    }
+
+    /// Fills `line` with `byte` over the round-robin victim, as the
+    /// engine's miss path does; returns the displaced line and its bytes.
+    fn fill(c: &mut NicDram, line: u64, byte: u8, dirty: bool) -> Option<(Victim, [u8; 64])> {
+        let place = c.locate(line);
+        assert_eq!(place.slot, None, "fill of a resident line");
+        let slot = place.way(c.rr_victim(&place));
+        let (victim, bytes) = c.install(slot, &place);
+        let old: [u8; 64] = (&*bytes).try_into().unwrap();
+        bytes.fill(byte);
+        if dirty {
+            c.line_mut(slot);
+        }
+        victim.map(|v| (v, old))
+    }
+
     #[test]
     fn cold_cache_holds_low_tags_zeroed() {
-        let mut c = cache();
+        let c = cache();
         // Tags 0..WAYS start resident, zero-filled, coherent with zeroed
         // host memory (the no-flush initialization).
         for tag in 0..WAYS as u64 {
-            assert!(c.lookup(tag * SETS + 5), "tag {tag} must start resident");
+            assert!(
+                resident(&c, tag * SETS + 5),
+                "tag {tag} must start resident"
+            );
         }
-        let mut buf = [0xFFu8; 64];
-        c.read_hit(5, &mut buf);
-        assert_eq!(buf, [0u8; 64]);
+        let slot = c.locate(5).slot.unwrap();
+        assert_eq!(c.line(slot), [0u8; 64]);
         // Tag WAYS does not fit the initial residency.
-        assert!(!c.lookup(WAYS as u64 * SETS + 5));
+        assert!(!resident(&c, WAYS as u64 * SETS + 5));
     }
 
     #[test]
     fn fill_then_hit() {
         let mut c = cache();
         let line = WAYS as u64 * SETS + 3; // tag 4, set 3
-        assert!(!c.lookup(line));
-        let data = [7u8; 64];
-        let mut victim = [0u8; 64];
-        let ev = c.fill(line, &data, false, &mut victim);
-        assert!(!ev.dirty, "initial lines are clean");
-        assert!(ev.line.is_some(), "set was full of valid lines");
-        assert!(c.lookup(line));
-        let mut buf = [0u8; 64];
-        c.read_hit(line, &mut buf);
-        assert_eq!(buf, data);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.conflict_fills(), 1);
-        assert_eq!(c.evict_clean(), 1);
+        let (victim, _) = fill(&mut c, line, 7, false).expect("set was full of valid lines");
+        assert!(!victim.dirty, "initial lines are clean");
+        assert_eq!(victim.line % SETS, 3, "victim comes from the same set");
+        let slot = c.locate(line).slot.expect("resident after the fill");
+        assert_eq!(c.line(slot), [7u8; 64]);
+        assert_eq!(c.locate(line), c.locate(line), "locating changes nothing");
     }
 
     #[test]
@@ -541,17 +382,16 @@ mod tests {
         let mut c = cache();
         // Four lines of the same set (tags 4..8) can all be resident at
         // once after the initial occupants rotate out.
-        let mut victim = [0u8; 64];
         for tag in 4..8u64 {
-            c.fill(tag * SETS + 2, &[tag as u8; 64], false, &mut victim);
+            fill(&mut c, tag * SETS + 2, tag as u8, false);
         }
         for tag in 4..8u64 {
-            assert!(c.lookup(tag * SETS + 2), "tag {tag} evicted too early");
+            assert!(resident(&c, tag * SETS + 2), "tag {tag} evicted too early");
         }
         // A fifth conflicting line displaces one of them.
-        c.fill(8 * SETS + 2, &[8u8; 64], false, &mut victim);
-        let resident = (4..9u64).filter(|&t| c.lookup(t * SETS + 2)).count();
-        assert_eq!(resident, WAYS);
+        fill(&mut c, 8 * SETS + 2, 8, false);
+        let n = (4..9u64).filter(|&t| resident(&c, t * SETS + 2)).count();
+        assert_eq!(n, WAYS);
     }
 
     #[test]
@@ -559,64 +399,71 @@ mod tests {
         let mut c = cache();
         // Dirty the tag-0 occupant of set 9, then displace it by filling
         // enough conflicting lines to wrap the round-robin cursor.
-        c.write_hit(9, &[3u8; 64]);
-        let mut victim = [0u8; 64];
-        let mut seen_dirty = None;
-        for tag in 4..8u64 {
-            let ev = c.fill(tag * SETS + 9, &[4u8; 64], false, &mut victim);
-            if ev.dirty {
-                seen_dirty = Some((ev.line.unwrap(), victim));
-            }
-        }
-        let (line, data) = seen_dirty.expect("dirty line must be evicted");
-        assert_eq!(line, 9);
-        assert_eq!(&data[..], &[3u8; 64]);
-        assert_eq!(c.writebacks(), 1);
-        assert_eq!(c.evict_dirty(), 1);
+        let slot = c.locate(9).slot.unwrap();
+        c.line_mut(slot).fill(3);
+        let dirty: Vec<_> = (4..8u64)
+            .filter_map(|tag| fill(&mut c, tag * SETS + 9, 4, false))
+            .filter(|(v, _)| v.dirty)
+            .collect();
+        assert_eq!(dirty.len(), 1, "the dirty line surfaces exactly once");
+        assert_eq!(dirty[0].0.line, 9);
+        assert_eq!(
+            dirty[0].1, [3u8; 64],
+            "with the bytes that were its only copy"
+        );
     }
 
     #[test]
     fn fill_marked_dirty_writes_back_later() {
         let mut c = cache();
-        let mut victim = [0u8; 64];
         let target = WAYS as u64 * SETS + 1; // tag 4, set 1
-        let ev = c.fill(target, &[1u8; 64], true, &mut victim); // write-allocate
-        assert!(!ev.dirty);
+        let first = fill(&mut c, target, 1, true); // write-allocate
+        assert!(!first.unwrap().0.dirty);
         // Displace the whole set; the dirty fill must surface.
-        let mut dirty_evictions = 0;
-        for tag in 5..9u64 {
-            let ev = c.fill(tag * SETS + 1, &[2u8; 64], false, &mut victim);
-            if ev.dirty {
-                assert_eq!(ev.line, Some(target));
-                assert_eq!(victim, [1u8; 64]);
-                dirty_evictions += 1;
-            }
-        }
-        assert_eq!(dirty_evictions, 1);
+        let dirty: Vec<_> = (5..9u64)
+            .filter_map(|tag| fill(&mut c, tag * SETS + 1, 2, false))
+            .filter(|(v, _)| v.dirty)
+            .collect();
+        assert_eq!(dirty.len(), 1);
+        assert_eq!((dirty[0].0.line, dirty[0].1), (target, [1u8; 64]));
     }
 
     #[test]
-    fn hit_rate_accounting() {
+    fn reinstalling_a_resident_line_reports_itself_and_leaves_it_clean() {
         let mut c = cache();
-        let mut buf = [0u8; 64];
-        c.read_hit(0, &mut buf);
-        c.read_hit(1, &mut buf);
-        let mut victim = [0u8; 64];
-        c.fill(WAYS as u64 * SETS, &[0u8; 64], false, &mut victim);
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        let place = c.locate(6);
+        let slot = place.slot.unwrap();
+        c.line_mut(slot).fill(5);
+        let (victim, bytes) = c.install(slot, &place);
+        assert_eq!(
+            victim,
+            Some(Victim {
+                line: 6,
+                dirty: true
+            })
+        );
+        assert_eq!(bytes, [5u8; 64], "the bytes to salvage are still there");
+        let (victim, _) = c.install(slot, &place);
+        assert_eq!(
+            victim,
+            Some(Victim {
+                line: 6,
+                dirty: false
+            })
+        );
     }
 
     #[test]
     fn occupants_reports_the_set() {
         let mut c = cache();
-        let occ = c.occupants(7);
+        let place = c.locate(7);
         // Initially: tags 0..WAYS of set 7.
-        for (w, line) in occ.iter().enumerate() {
+        for (w, line) in c.occupants(&place).iter().enumerate() {
             assert_eq!(*line, Some(w as u64 * SETS + 7));
         }
         // After retiring one way, it reads back as None.
         c.retire_if(|line| line == SETS + 7, |_, _| {});
-        let occ = c.occupants(7);
+        let occ = c.occupants(&place);
         assert_eq!(occ[1], None);
         assert_eq!(occ[0], Some(7));
     }
@@ -625,18 +472,19 @@ mod tests {
     fn rr_victim_prefers_invalid_ways() {
         let mut c = cache();
         c.retire_if(|line| line == 2 * SETS + 3, |_, _| {});
-        assert_eq!(c.rr_victim(3 + 4 * SETS), 2, "invalid way wins");
+        let place = c.locate(3 + 4 * SETS);
+        assert_eq!(c.rr_victim(&place), 2, "invalid way wins");
         // With all ways valid again, the cursor rotates.
-        let mut victim = [0u8; 64];
-        c.fill(4 * SETS + 3, &[0u8; 64], false, &mut victim);
-        let (a, b) = (c.rr_victim(3), c.rr_victim(3));
+        fill(&mut c, 4 * SETS + 3, 0, false);
+        let (a, b) = (c.rr_victim(&place), c.rr_victim(&place));
         assert_ne!(a, b, "cursor must advance");
     }
 
     #[test]
     fn retire_sweep_writes_back_dirty_and_invalidates() {
         let mut c = cache();
-        c.write_hit(5, &[9u8; 64]); // dirty line 5 (tag 0, set 5)
+        let slot = c.locate(5).slot.unwrap();
+        c.line_mut(slot).fill(9); // dirty line 5 (tag 0, set 5)
         let mut written = Vec::new();
         let (clean, dirty) = c.retire_if(
             |line| line % SETS == 5, // everything in set 5
@@ -645,17 +493,12 @@ mod tests {
         assert_eq!(dirty, 1);
         assert_eq!(clean, WAYS as u64 - 1);
         assert_eq!(written, vec![(5, 9)]);
-        assert!(!c.lookup(5), "retired lines are gone");
-        // A retired dirty line must not write back again via flush.
-        assert!(c.flush_dirty().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-resident")]
-    fn read_hit_requires_residency() {
-        let mut c = cache();
-        let mut buf = [0u8; 64];
-        c.read_hit(WAYS as u64 * SETS, &mut buf);
+        assert!(!resident(&c, 5), "retired lines are gone");
+        // A retired dirty line must not write back again.
+        assert_eq!(
+            c.retire_if(|_| true, |_, _| panic!("nothing is dirty")).1,
+            0
+        );
     }
 
     #[test]

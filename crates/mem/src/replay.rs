@@ -115,8 +115,6 @@ pub fn replay_lines(
     let mut rejected_fills = 0u64;
     let mut reject_streak = 0u64;
     let total_lines = cfg.host_capacity / LINE;
-    let scratch = [0u8; LINE as usize];
-    let mut victim = [0u8; LINE as usize];
 
     let mut pcie = |ports: &mut Vec<DmaPort>, kind: AccessKind| {
         let port = &mut ports[next_port];
@@ -167,17 +165,15 @@ pub fn replay_lines(
             }
         }
         if dispatcher.is_cacheable(line) {
-            if cache.lookup(line) {
+            let place = cache.locate(line);
+            if let Some(slot) = place.slot {
                 hits += 1;
                 win_hits += 1;
-                // Hit: one DRAM access (read or write-and-dirty).
+                // Hit: one DRAM access (read or write-and-dirty). Only
+                // the tags matter to the replay, never the bytes.
                 dram.transfer(SimTime::ZERO, LINE);
-                match kind {
-                    AccessKind::Read => {
-                        let mut buf = [0u8; LINE as usize];
-                        cache.read_hit(line, &mut buf);
-                    }
-                    AccessKind::Write => cache.write_hit(line, &scratch),
+                if kind == AccessKind::Write {
+                    cache.line_mut(slot);
                 }
             } else {
                 misses += 1;
@@ -186,11 +182,11 @@ pub fn replay_lines(
                 // coldest resident of its set, or serve over PCIe
                 // without displacing anyone.
                 let way = match &adaptive {
-                    None => Some(cache.rr_victim(line)),
+                    None => Some(cache.rr_victim(&place)),
                     Some((sketch, _, acfg)) => {
                         let mut coldest: Option<(usize, u32)> = None;
                         let mut free = None;
-                        for (w, occ) in cache.occupants(line).iter().enumerate() {
+                        for (w, occ) in cache.occupants(&place).iter().enumerate() {
                             match occ {
                                 None => {
                                     free = Some(w);
@@ -233,14 +229,12 @@ pub fn replay_lines(
                         pcie_ops += 1;
                         pcie(&mut ports, AccessKind::Read);
                         dram.transfer(SimTime::ZERO, LINE);
-                        let ev = cache.fill_way(
-                            line,
-                            way,
-                            &scratch,
-                            kind == AccessKind::Write,
-                            &mut victim,
-                        );
-                        if ev.dirty {
+                        let slot = place.way(way);
+                        let (victim, _) = cache.install(slot, &place);
+                        if kind == AccessKind::Write {
+                            cache.line_mut(slot);
+                        }
+                        if victim.is_some_and(|v| v.dirty) {
                             // Evicted dirty line: DRAM read-out + PCIe write-back.
                             dram.transfer(SimTime::ZERO, LINE);
                             pcie(&mut ports, AccessKind::Write);

@@ -7,20 +7,27 @@
 //! write-back with ECC-bit metadata and no valid bits, so an encoding
 //! slip silently corrupts the KVS.)
 
-use kvd_mem::{DispatchConfig, DispatchedMemory, FlatMemory, MemoryEngine, NicDramConfig};
-use kvd_sim::Bandwidth;
+use kvd_mem::{
+    AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, FlatMemory, MemoryEngine, NicDramConfig,
+};
+use kvd_sim::{Bandwidth, FaultPlane, FaultRates};
 use proptest::prelude::*;
 
-const CAP: u64 = 1 << 18; // 256 KiB host
+const CAP: u64 = 1 << 18; // 256 KiB host: four 64 KiB pages
 
 fn dispatched(ratio: f64) -> DispatchedMemory {
-    DispatchedMemory::new(
+    dispatched_faulty(ratio, FaultPlane::disabled())
+}
+
+fn dispatched_faulty(ratio: f64, faults: FaultPlane) -> DispatchedMemory {
+    DispatchedMemory::with_faults(
         CAP,
         NicDramConfig {
             capacity: CAP / 16,
             bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
         },
         DispatchConfig::new(ratio),
+        faults,
     )
 }
 
@@ -38,8 +45,85 @@ fn access() -> impl Strategy<Value = Access> {
     ]
 }
 
+/// Accesses of 1-600 B, half of them starting within 600 B below a
+/// 64 KiB page boundary so that they straddle host pages as well as
+/// cache lines.
+fn long_access() -> impl Strategy<Value = Access> {
+    let addr = || {
+        prop_oneof![
+            0u64..CAP - 600,
+            (1u64..CAP >> 16, 1u64..600).prop_map(|(page, back)| (page << 16) - back),
+        ]
+    };
+    prop_oneof![
+        (addr(), prop::collection::vec(any::<u8>(), 1..=600))
+            .prop_map(|(addr, data)| Access::Write { addr, data }),
+        (addr(), 1usize..=600).prop_map(|(addr, len)| Access::Read { addr, len }),
+    ]
+}
+
+/// Applies `ops` to both memories, comparing every read, then reads the
+/// whole address space back from both.
+fn check_against_flat(
+    d: &mut DispatchedMemory,
+    ops: &[Access],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut f = FlatMemory::new(CAP);
+    for op in ops {
+        match op {
+            Access::Write { addr, data } => {
+                d.write(*addr, data);
+                f.write(*addr, data);
+            }
+            Access::Read { addr, len } => {
+                let mut a = vec![0u8; *len];
+                let mut b = vec![0u8; *len];
+                d.read(*addr, &mut a);
+                f.read(*addr, &mut b);
+                prop_assert_eq!(&a, &b, "divergence at {:#x}+{}", addr, len);
+            }
+        }
+    }
+    // Full sweep at the end catches stale dirty lines that were never
+    // re-read during the run.
+    let mut a = vec![0u8; 4096];
+    let mut b = vec![0u8; 4096];
+    for chunk in 0..(CAP / 4096) {
+        d.read(chunk * 4096, &mut a);
+        f.read(chunk * 4096, &mut b);
+        prop_assert_eq!(&a, &b, "sweep divergence in chunk {}", chunk);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential with every plane on: retunes every 64 line accesses
+    /// (so thresholds migrate and lines retire mid-access), TinyLFU
+    /// rejections, ECC rebuilds, host stalls and — in the cases that draw
+    /// a low threshold — the bypass breaker. Placement and cost may do
+    /// what they like; the bytes may not.
+    #[test]
+    fn adaptive_faulty_engine_equals_flat(
+        ratio_pct in 5u32..=95,
+        seed in any::<u64>(),
+        bypass_after in 1u64..200,
+        ops in prop::collection::vec(long_access(), 1..120),
+    ) {
+        let rates = FaultRates {
+            dram_bit_error: 0.2,
+            dram_uncorrectable: 0.3,
+            host_stall: 0.1,
+            ..FaultRates::ZERO
+        };
+        let mut d = dispatched_faulty(ratio_pct as f64 / 100.0, FaultPlane::new(rates, seed));
+        d.set_bypass_threshold(bypass_after);
+        let mut cfg = AdaptiveCacheConfig::data_path(seed);
+        cfg.epoch_accesses = 64;
+        d.set_adaptive(cfg);
+        check_against_flat(&mut d, &ops)?;
+    }
 
     /// Differential: dispatched == flat for every pattern and ratio.
     #[test]
@@ -47,32 +131,7 @@ proptest! {
         ratio_pct in 0u32..=100,
         ops in prop::collection::vec(access(), 1..150),
     ) {
-        let mut d = dispatched(ratio_pct as f64 / 100.0);
-        let mut f = FlatMemory::new(CAP);
-        for op in &ops {
-            match op {
-                Access::Write { addr, data } => {
-                    d.write(*addr, data);
-                    f.write(*addr, data);
-                }
-                Access::Read { addr, len } => {
-                    let mut a = vec![0u8; *len];
-                    let mut b = vec![0u8; *len];
-                    d.read(*addr, &mut a);
-                    f.read(*addr, &mut b);
-                    prop_assert_eq!(&a, &b, "divergence at {:#x}+{}", addr, len);
-                }
-            }
-        }
-        // Full sweep at the end catches stale dirty lines that were never
-        // re-read during the run.
-        let mut a = vec![0u8; 4096];
-        let mut b = vec![0u8; 4096];
-        for chunk in 0..(CAP / 4096) {
-            d.read(chunk * 4096, &mut a);
-            f.read(chunk * 4096, &mut b);
-            prop_assert_eq!(&a, &b, "sweep divergence in chunk {}", chunk);
-        }
+        check_against_flat(&mut dispatched(ratio_pct as f64 / 100.0), &ops)?;
     }
 
     /// Cache-hit accounting is conservative: hits never exceed total

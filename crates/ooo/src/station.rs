@@ -208,6 +208,10 @@ pub struct ReservationStation {
     spare_cap: usize,
     /// Retired [`Completion::results`] vectors, recycled the same way.
     spare_results: Vec<Vec<OpResult>>,
+    /// The retired [`flush`] vector (one flush is outstanding at a time).
+    ///
+    /// [`flush`]: ReservationStation::flush
+    spare_writebacks: Vec<Writeback>,
 }
 
 impl ReservationStation {
@@ -227,6 +231,7 @@ impl ReservationStation {
             // beyond that, buffers are dropped rather than hoarded.
             spare_cap: cfg.hash_slots + 4 * cfg.capacity,
             spare_results: Vec::new(),
+            spare_writebacks: Vec::new(),
         }
     }
 
@@ -257,6 +262,15 @@ impl ReservationStation {
             v.clear();
             self.spare_results.push(v);
         }
+    }
+
+    /// Returns a drained [`flush`] vector, so the next flush pushes into
+    /// its capacity — the per-op engine path flushes after every write.
+    ///
+    /// [`flush`]: ReservationStation::flush
+    pub fn give_writebacks(&mut self, mut v: Vec<Writeback>) {
+        v.clear();
+        self.spare_writebacks = v;
     }
 
     /// Operations currently tracked (busy + queued).
@@ -488,7 +502,7 @@ impl ReservationStation {
     /// Scans the dirty bitset — 64 slots per word — instead of every
     /// slot, still emitting write-backs in slot-index order.
     pub fn flush(&mut self) -> Vec<Writeback> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare_writebacks);
         for w in 0..self.dirty_bits.len() {
             let mut bits = self.dirty_bits[w];
             self.dirty_bits[w] = 0;

@@ -229,10 +229,9 @@ impl SlabAllocator {
         self.stats.frees += 1;
         // High watermark: spill a batch back to the host pool (one DMA).
         if self.nic[slab.class.index()].len() > self.cfg.nic_stack_capacity {
-            let n = self.cfg.sync_batch.min(self.nic[slab.class.index()].len());
             let stack = &mut self.nic[slab.class.index()];
-            let drained: Vec<u64> = stack.drain(stack.len() - n..).collect();
-            self.host[slab.class.index()].extend(drained);
+            let n = self.cfg.sync_batch.min(stack.len());
+            self.host[slab.class.index()].extend(stack.drain(stack.len() - n..));
             self.stats.dma_syncs += 1;
             self.stats.entries_synced += n as u64;
         }
@@ -256,8 +255,7 @@ impl SlabAllocator {
         }
         let pool = &mut self.host[class.index()];
         let n = self.cfg.sync_batch.min(pool.len());
-        let batch: Vec<u64> = pool.drain(pool.len() - n..).collect();
-        self.nic[class.index()].extend(batch);
+        self.nic[class.index()].extend(pool.drain(pool.len() - n..));
         self.stats.dma_syncs += 1;
         self.stats.entries_synced += n as u64;
         self.nic[class.index()].pop()
