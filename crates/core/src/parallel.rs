@@ -7,8 +7,28 @@
 //! module reproduces that experiment structurally: one full timed
 //! pipeline ([`SystemSim`]: client ↔ 40 GbE ↔ KV processor ↔ PCIe/DRAM)
 //! per shard, key-partitioned request routing via [`kvd_net::shard_of`],
-//! and a conservative time-quantum [`HostArbiter`] standing in for the
-//! shared host memory.
+//! and a conservative time-quantum host-memory arbiter
+//! ([`kvd_sim::HostArbiter`]'s charge inside a [`CreditArbiter`])
+//! standing in for the shared host memory.
+//!
+//! # Routing and the run origin
+//!
+//! [`ParallelSystemSim::run`] copies no request: [`route`] records, per
+//! shard, the positions of its requests in the caller's slice (pooled
+//! `Vec<u32>`s), and each shard steps over a [`Routed`] view of that
+//! slice through the same batch loop the sequential engine runs.
+//!
+//! Every shard's links and service backlogs keep their clocks across
+//! runs. A closed-loop run therefore starts at one common origin — the
+//! latest [`SystemSim::clock`] over all shards, zero on a fresh engine:
+//! every shard opens its client windows there and the credit frontier
+//! starts there, so the shards are busy over the same windows and the
+//! report covers the run's own span. (Per-shard origins would let the
+//! busy spans drift apart run over run; the arbiter would then settle
+//! the idle shard by null message while the other works, and two
+//! workers would take turns instead of overlapping.)
+//! [`ParallelSystemSim::run_open`] starts at zero: its arrival schedule
+//! owns the time axis.
 //!
 //! # Synchronization scheme
 //!
@@ -25,12 +45,13 @@
 //!
 //! Coordination is *asynchronous*: instead of a global barrier (spawn
 //! threads, step every shard, merge every window ledger, repeat each
-//! 8 µs quantum), persistent workers draw credit from a
-//! [`CreditArbiter`]. A shard publishes its window as three `u64`s
-//! through its own atomic cell; whichever publication closes the window
-//! settles it and releases the next; shards that cannot touch a window
-//! (drained, or next event beyond the horizon) are settled by
-//! Chandy–Misra null messages without their threads waking. Per-window
+//! 8 µs quantum), workers that live for the whole run — the calling
+//! thread is the first of them — draw credit from a [`CreditArbiter`].
+//! A shard publishes its window as three `u64`s through its own atomic
+//! cell; whichever publication closes the window settles it and releases
+//! the next; shards that cannot touch a window (drained, or next event
+//! beyond the horizon) are settled by Chandy–Misra null messages without
+//! their threads waking. Per-window
 //! `OpLedger` merges are gone from the hot path entirely — each shard's
 //! ledger accumulates in place and is folded once per report.
 //!
@@ -54,7 +75,7 @@ use kvd_sim::{
 
 use crate::overload::OverloadCounters;
 use crate::store::{KvDirectConfig, KvDirectStore, StoreError};
-use crate::system::{SystemSim, SystemSimConfig, SystemSimReport};
+use crate::system::{RequestStream, SystemSim, SystemSimConfig, SystemSimReport, WindowStep};
 
 /// Decorrelates shard fault schedules: shard `i`'s store fault seed is
 /// xored with `i * SHARD_FAULT_SALT` so ten NICs never fault in lockstep.
@@ -167,6 +188,55 @@ pub struct ParallelSystemSim {
     cfg: ParallelSimConfig,
     sims: Vec<SystemSim>,
     credit: CreditArbiter,
+    /// The router's index lists, one per shard, kept across runs so that
+    /// a steady-state [`Self::run`] allocates nothing.
+    routes: Vec<Vec<u32>>,
+    /// The GET and PUT histograms a run's report merges the shards' into,
+    /// kept for the same reason.
+    merged: [Histogram; 2],
+}
+
+/// One shard's share of a routed stream: `idx` lists, in stream order,
+/// the positions in `reqs` of the requests the shard owns.
+#[derive(Debug, Clone, Copy)]
+pub struct Routed<'a> {
+    /// The caller's whole stream.
+    pub reqs: &'a [KvRequest],
+    /// Positions of this shard's requests in `reqs`, ascending.
+    pub idx: &'a [u32],
+}
+
+impl RequestStream for Routed<'_> {
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    fn get(&self, i: usize) -> &KvRequest {
+        &self.reqs[self.idx[i] as usize]
+    }
+}
+
+/// Client-side routing by index: clears `routes` (one list per shard) and
+/// pushes every request's position onto its owning shard's list. Each
+/// key's shard is a pure hash ([`shard_of`]), so the lists partition
+/// `0..reqs.len()`, each ascending — request order within a shard is
+/// preserved — and no key or value byte is copied.
+///
+/// # Panics
+///
+/// Panics if the stream has more than `u32::MAX` requests.
+pub fn route(reqs: &[KvRequest], routes: &mut [Vec<u32>]) {
+    assert!(
+        u32::try_from(reqs.len()).is_ok(),
+        "a routed stream is indexed by u32"
+    );
+    for list in routes.iter_mut() {
+        list.clear();
+    }
+    let n = routes.len();
+    for (i, r) in reqs.iter().enumerate() {
+        routes[shard_of(&r.key, n)].push(i as u32);
+    }
 }
 
 impl ParallelSystemSim {
@@ -188,6 +258,8 @@ impl ParallelSystemSim {
             .collect();
         ParallelSystemSim {
             credit: CreditArbiter::new(cfg.arbiter.clone(), cfg.shards),
+            routes: vec![Vec::new(); cfg.shards],
+            merged: [Histogram::new(), Histogram::new()],
             sims,
             cfg,
         }
@@ -237,43 +309,38 @@ impl ParallelSystemSim {
     }
 
     /// Routes the stream to its owning shards, simulates to completion,
-    /// and merges the per-shard reports.
+    /// and merges the per-shard reports. Nothing is copied, and the run
+    /// starts at one origin for all shards — the latest shard clock, zero
+    /// on a fresh engine — and reports over its own span (see the module
+    /// docs, "Routing and the run origin").
     pub fn run(&mut self, reqs: &[KvRequest]) -> ParallelSimReport {
-        self.stage(reqs);
-        self.drive_staged();
-        self.merged_report()
-    }
-
-    /// Routes and stages a closed-loop stream without driving it —
-    /// [`Self::run`] is `stage` + [`Self::drive_staged`] +
-    /// [`Self::merged_report`], split so callers can separate routing
-    /// allocations from the allocation-free drive (and time them
-    /// independently).
-    pub fn stage(&mut self, reqs: &[KvRequest]) {
-        // Client-side routing: each key's shard is a pure hash, so the
-        // partition is independent of worker count and request order
-        // within a shard is preserved. The routed buffers are handed to
-        // the shards whole — one clone per request, not two.
-        let n = self.sims.len();
-        let mut routed: Vec<Vec<KvRequest>> = vec![Vec::new(); n];
-        for r in reqs {
-            routed[shard_of(&r.key, n)].push(r.clone());
+        route(reqs, &mut self.routes);
+        let origin = self
+            .sims
+            .iter()
+            .map(SystemSim::clock)
+            .max()
+            .expect("at least one shard");
+        for sim in &mut self.sims {
+            sim.begin_run(origin);
         }
-        for (sim, shard_reqs) in self.sims.iter_mut().zip(routed) {
-            sim.load_owned(shard_reqs);
-        }
-    }
-
-    /// Drives the staged streams to completion (see [`Self::stage`]).
-    /// Steady-state allocation-free with one worker; multi-worker runs
-    /// allocate only the scoped worker threads.
-    pub fn drive_staged(&mut self) {
-        self.drive();
+        let routes = std::mem::take(&mut self.routes);
+        self.drive(origin, |shard, sim, horizon, floor| {
+            let view = Routed {
+                reqs,
+                idx: &routes[shard],
+            };
+            sim.step_window_over(&view, horizon, floor)
+        });
+        self.routes = routes;
+        self.pooled_report()
     }
 
     /// Open-loop variant of [`Self::run`]: each request carries its
     /// client issue time (non-decreasing). Routing preserves per-shard
-    /// arrival order, so every shard sees a sorted sub-schedule.
+    /// arrival order, so every shard sees a sorted sub-schedule. The
+    /// arrival schedule owns the time axis, so the run starts at zero
+    /// whatever ran before.
     pub fn run_open(&mut self, reqs: &[(SimTime, KvRequest)]) -> ParallelSimReport {
         let n = self.sims.len();
         let mut routed: Vec<Vec<KvRequest>> = vec![Vec::new(); n];
@@ -286,45 +353,52 @@ impl ParallelSystemSim {
         for ((sim, shard_reqs), shard_arrivals) in self.sims.iter_mut().zip(routed).zip(arrivals) {
             sim.load_open_owned(shard_reqs, shard_arrivals);
         }
-        self.drive();
-        self.merged_report()
+        self.drive(SimTime::ZERO, |_, sim, horizon, floor| {
+            sim.step_window(horizon, floor)
+        });
+        self.pooled_report()
     }
 
-    /// Drives every shard's staged stream to completion through the
-    /// asynchronous credit arbiter: persistent workers draw `(window,
-    /// floor, horizon, stall)` credit per shard, publish the three
-    /// scalars each window produced, and the arbiter settles windows as
+    /// Drives every shard's stream to completion through the asynchronous
+    /// credit arbiter, on a time axis starting at `origin`: workers draw
+    /// `(window, floor, horizon, stall)` credit per shard, advance the
+    /// shard with `step(shard, sim, horizon, floor)`, publish the three
+    /// scalars the window produced, and the arbiter settles windows as
     /// they close (by real publications or by null messages for idle
     /// shards). The settled stall feeds back into each shard as
     /// backpressure (`stall / quantum` host stretch) exactly when the
     /// shard next executes — the only time the gauge is read — so the
     /// per-shard `(absorb, advance)` sequence is bit-identical to the
     /// lockstep barrier's.
-    fn drive(&mut self) {
+    ///
+    /// The calling thread is worker 0: it steps the first shard chunk
+    /// itself and only `workers − 1` threads are spawned. With one worker
+    /// nothing is spawned and the drive allocates nothing.
+    fn drive(
+        &mut self,
+        origin: SimTime,
+        step: impl Fn(usize, &mut SystemSim, SimTime, SimTime) -> WindowStep + Sync,
+    ) {
         let quantum = self.credit.quantum();
         let lookahead = u64::from(self.credit.lookahead().max(1));
-        self.credit.begin();
-        // Shards whose routed stream is empty publish a terminal null up
-        // front; the settlement cascade carries them from there.
-        for (i, sim) in self.sims.iter().enumerate() {
-            if sim.staged_done() {
-                self.credit.publish(i, 0, SimTime::MAX, true);
-            }
-        }
-        if !self.credit.all_done() {
-            let workers = self.worker_count();
-            let credit = &self.credit;
-            if workers == 1 {
-                Self::work(credit, 0, &mut self.sims, quantum, lookahead);
-            } else {
-                let chunk = self.sims.len().div_ceil(workers);
-                crossbeam::thread::scope(|s| {
-                    for (ci, sims) in self.sims.chunks_mut(chunk).enumerate() {
-                        s.spawn(move |_| Self::work(credit, ci * chunk, sims, quantum, lookahead));
-                    }
-                })
-                .expect("shard worker panicked");
-            }
+        self.credit.begin(origin);
+        let workers = self.worker_count();
+        let (credit, step) = (&self.credit, &step);
+        if workers == 1 {
+            Self::work(credit, 0, &mut self.sims, quantum, lookahead, step);
+        } else {
+            let chunk = self.sims.len().div_ceil(workers);
+            crossbeam::thread::scope(|s| {
+                let mut chunks = self.sims.chunks_mut(chunk).enumerate();
+                let (_, own) = chunks.next().expect("at least one shard");
+                for (ci, sims) in chunks {
+                    s.spawn(move |_| {
+                        Self::work(credit, ci * chunk, sims, quantum, lookahead, step)
+                    });
+                }
+                Self::work(credit, 0, own, quantum, lookahead, step);
+            })
+            .expect("shard worker panicked");
         }
         // Leave every shard's pressure gauge holding the final window's
         // verdict, as the barrier engine did.
@@ -339,13 +413,15 @@ impl ParallelSystemSim {
     /// consecutive windows on a shard before servicing the next, and
     /// sleeps on the arbiter only when every owned shard is blocked on
     /// settlement — which, with a single worker, never happens (the
-    /// publication closing a window settles it synchronously).
+    /// publication closing a window settles it synchronously). A shard
+    /// with an empty stream drains in its first window.
     fn work(
         credit: &CreditArbiter,
         base: usize,
         sims: &mut [SystemSim],
         quantum: SimTime,
         lookahead: u64,
+        step: &impl Fn(usize, &mut SystemSim, SimTime, SimTime) -> WindowStep,
     ) {
         let mut seen = credit.settled();
         loop {
@@ -370,7 +446,7 @@ impl ParallelSystemSim {
                             if window > 0 {
                                 sim.absorb_host_stall(stall, quantum);
                             }
-                            let w = sim.step_window(horizon, floor);
+                            let w = step(shard, sim, horizon, floor);
                             credit.publish(shard, w.host_lines, w.next_event, w.done);
                             progressed = true;
                             if w.done {
@@ -407,22 +483,41 @@ impl ParallelSystemSim {
     /// for any worker count). Per-shard reports are retained only when
     /// [`ParallelSimConfig::per_shard_reports`] is set.
     pub fn merged_report(&self) -> ParallelSimReport {
-        let n = self.sims.len();
+        let mut merged = [Histogram::new(), Histogram::new()];
+        Self::fold(&self.cfg, &self.sims, self.credit.stats(), &mut merged)
+    }
+
+    /// [`Self::merged_report`] for the run that just ended, merging into
+    /// the pooled histograms instead of two fresh ones.
+    fn pooled_report(&mut self) -> ParallelSimReport {
+        Self::fold(&self.cfg, &self.sims, self.credit.stats(), &mut self.merged)
+    }
+
+    /// [`Self::merged_report`] over the engine's parts, merging the
+    /// shards' histograms into `merged` (GET, PUT).
+    fn fold(
+        cfg: &ParallelSimConfig,
+        sims: &[SystemSim],
+        arbiter: ArbiterStats,
+        merged: &mut [Histogram; 2],
+    ) -> ParallelSimReport {
+        let n = sims.len();
+        let [get_hist, put_hist] = merged;
+        get_hist.clear();
+        put_hist.clear();
         let mut ops = 0u64;
         let mut elapsed = SimTime::ZERO;
         let mut goodput_ops = 0u64;
         let mut shed_ops = 0u64;
         let mut expired_ops = 0u64;
-        let mut get_hist = Histogram::new();
-        let mut put_hist = Histogram::new();
         let mut ledger = OpLedger::default();
         let mut overload = OverloadCounters::default();
         let mut faults = FaultCounters::default();
         let mut per_shard = Vec::new();
-        if self.cfg.per_shard_reports {
+        if cfg.per_shard_reports {
             per_shard.reserve_exact(n);
         }
-        for sim in &self.sims {
+        for sim in sims {
             let r = sim.report();
             ops += r.ops;
             elapsed = elapsed.max(r.elapsed);
@@ -435,7 +530,7 @@ impl ParallelSystemSim {
             ledger.merge(&r.ledger);
             overload.merge(&r.overload);
             faults.merge(&r.faults);
-            if self.cfg.per_shard_reports {
+            if cfg.per_shard_reports {
                 per_shard.push(r);
             }
         }
@@ -447,14 +542,14 @@ impl ParallelSystemSim {
                 goodput_ops,
                 shed_ops,
                 expired_ops,
-                &get_hist,
-                &put_hist,
+                get_hist,
+                put_hist,
             ),
             overload,
             faults,
             ledger,
             per_shard,
-            arbiter: self.credit.stats(),
+            arbiter,
         }
     }
 }
@@ -602,6 +697,79 @@ mod tests {
             2_000,
         );
         assert_eq!(a.run_open(&reqs), b.run_open(&reqs));
+    }
+
+    /// `n` requests over `keys` Zipf-0.99 keys, 5% PUTs.
+    fn zipf_workload(n: usize, keys: u64, seed: u64) -> Vec<KvRequest> {
+        let mut rng = DetRng::seed(seed);
+        let sampler = kvd_sim::ZipfSampler::new(keys, 0.99);
+        (0..n)
+            .map(|_| {
+                let id = sampler.sample(&mut rng);
+                if rng.chance(0.05) {
+                    KvRequest::put(&id.to_le_bytes(), &[9u8; 8])
+                } else {
+                    KvRequest::get(&id.to_le_bytes())
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_rerun_on_one_parallel_engine_reports_its_own_span() {
+        // Every shard's links and backlogs keep their clocks across runs.
+        // A rerun that opened the client windows and the credit frontier
+        // at zero anyway would queue behind them, quote its throughput
+        // over the cumulative makespan and null-settle its way through
+        // every window the previous runs covered.
+        let cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 40, 2);
+        let mut sim = preloaded(cfg, 5_000);
+        let mut windows = 0;
+        let mut first = None;
+        for nth in 1..=5 {
+            let r = sim.run(&zipf_workload(20_000, 5_000, 30 + nth));
+            assert_eq!(r.ops, 20_000);
+            let ran = r.arbiter.windows - windows;
+            windows = r.arbiter.windows;
+            let (mops, first_ran) = *first.get_or_insert((r.mops, ran));
+            assert!(
+                (0.9..1.1).contains(&(r.mops / mops)) && ran.abs_diff(first_ran) <= 2,
+                "run {nth}: {} vs {mops} Mops over {ran} vs {first_ran} windows",
+                r.mops
+            );
+        }
+        let empty = sim.run(&[]);
+        assert_eq!(empty.ops, 0);
+        assert_eq!(empty.elapsed, SimTime::ZERO);
+    }
+
+    #[test]
+    fn shards_of_a_rerun_are_busy_over_the_same_windows() {
+        // The deterministic face of the overlap: once the shards start a
+        // run at one instant, the settler publishes on a shard's behalf
+        // only after the lighter shard (Zipf routes ~55/45) has drained.
+        // With each shard starting where its own clocks stood, the busy
+        // spans drift apart run over run and nearly every window of a
+        // late rerun settles on a null message.
+        let cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 40, 2)
+            .with_per_shard_reports();
+        let quantum = cfg.arbiter.quantum;
+        let mut sim = preloaded(cfg, 5_000);
+        let reqs = zipf_workload(20_000, 5_000, 41);
+        let mut before = ArbiterStats::default();
+        for _ in 1..20 {
+            before = sim.run(&reqs).arbiter;
+        }
+        let r = sim.run(&reqs);
+        let windows = r.arbiter.windows - before.windows;
+        let nulls = r.arbiter.null_messages - before.null_messages;
+        let lighter = r.per_shard.iter().map(|s| s.elapsed).min().expect("shards");
+        let after_drain = windows - lighter.as_ps() / quantum.as_ps();
+        assert!(
+            nulls <= after_drain,
+            "{nulls} null messages over {windows} windows, {after_drain} of them after \
+             the lighter shard drained at {lighter:?}"
+        );
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! parallel multi-NIC engine ([`crate::parallel`]) drives one `SystemSim`
 //! per shard in lockstep windows and charges their aggregate host traffic
 //! to a shared DRAM arbiter; [`SystemSim::run`] is the single-shard form:
-//! one unbounded window over the caller's own slice, nothing staged.
+//! one unbounded window over the caller's own slice, nothing staged. The
+//! batch loop reads its requests through [`RequestStream`], so the same
+//! loop runs over a slice, a staged vector, or the parallel router's view
+//! of one shard's share of the caller's slice.
 //!
 //! # Open-loop mode and the overload plane
 //!
@@ -149,8 +152,8 @@ pub struct SystemSim {
     pcie_free: SimTime,
     dram_free: SimTime,
     // ---- staged run state (load/step/report) ----
-    /// The staged stream. Empty during [`Self::run`], which reads the
-    /// caller's slice instead.
+    /// The staged stream. Empty during [`Self::run`] and
+    /// [`Self::step_window_over`], which read the caller's instead.
     pending: Vec<KvRequest>,
     loads: Vec<OpLoad>,
     statuses: Vec<Status>,
@@ -161,8 +164,9 @@ pub struct SystemSim {
     put_hist: Histogram,
     ops_done: u64,
     /// Instant the current run's clock starts: zero for staged streams
-    /// (their driver owns the time axis), where the component clocks
-    /// stood for [`Self::run`].
+    /// (their arrival schedule or driver owns the time axis), whatever
+    /// [`Self::begin_run`] was given otherwise — where the component
+    /// clocks stood, for [`Self::run`].
     origin: SimTime,
     /// Arrival of the run's last response (absolute; the report covers
     /// `origin..makespan`).
@@ -250,6 +254,28 @@ pub struct WindowStep {
     pub done: bool,
 }
 
+/// A request stream the batch loop reads by position: a slice (the
+/// caller's in [`SystemSim::run`], the staged vector in the stepped
+/// forms) or the parallel router's view of one shard's share of a slice
+/// ([`crate::parallel::Routed`]). The loop is monomorphised per stream.
+#[allow(clippy::len_without_is_empty)] // the loop compares its cursor with `len`; nothing asks "empty?"
+pub trait RequestStream {
+    /// Requests in the stream.
+    fn len(&self) -> usize;
+    /// Request `i` (`i < len()`).
+    fn get(&self, i: usize) -> &KvRequest;
+}
+
+impl RequestStream for [KvRequest] {
+    fn len(&self) -> usize {
+        <[KvRequest]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> &KvRequest {
+        &self[i]
+    }
+}
+
 impl SystemSim {
     /// Builds the simulator with the default seed.
     pub fn new(cfg: SystemSimConfig) -> Self {
@@ -316,19 +342,36 @@ impl SystemSim {
         &mut self.store
     }
 
-    /// Resets per-run accounting (histograms, op counts, client windows)
-    /// and empties the stage. Component clocks (links, service backlogs)
-    /// persist, as they would across runs on real hardware; the client
-    /// windows open at `origin`.
-    fn reset_run(&mut self, origin: SimTime) {
+    /// Where the component clocks stand: the later of the previous run's
+    /// last response and every link and service backlog — the earliest
+    /// instant a new closed-loop run can open its client windows without
+    /// queueing behind the previous one. Zero on a fresh engine.
+    pub fn clock(&self) -> SimTime {
+        [
+            self.req_link.free_at(),
+            self.resp_link.free_at(),
+            self.pcie_free,
+            self.dram_free,
+        ]
+        .into_iter()
+        .fold(self.makespan, SimTime::max)
+    }
+
+    /// Opens a closed-loop run at `origin`: resets per-run accounting
+    /// (histograms, op counts, client windows) and empties the stage.
+    /// Component clocks (links, service backlogs) persist, as they would
+    /// across runs on real hardware; the client windows open at `origin`
+    /// and the report covers `origin..` the last response. The stream is
+    /// then lent window by window ([`Self::step_window_over`]).
+    pub fn begin_run(&mut self, origin: SimTime) {
         self.pending.clear();
         self.arrivals.clear();
         self.open_loop = false;
         self.cursor = 0;
         self.window_free.fill(origin);
         self.server_free = SimTime::ZERO;
-        self.get_hist = Histogram::new();
-        self.put_hist = Histogram::new();
+        self.get_hist.clear();
+        self.put_hist.clear();
         self.ops_done = 0;
         self.origin = origin;
         self.makespan = origin;
@@ -340,11 +383,12 @@ impl SystemSim {
     }
 
     /// Stages a copy of a closed-loop request stream for [`Self::step`]
-    /// and resets per-run accounting. A staged stream has to outlive the
-    /// call, hence the copy; [`Self::run`] borrows instead and
-    /// [`Self::load_owned`] takes the caller's buffer.
+    /// and resets per-run accounting, on a time axis that starts at zero.
+    /// A staged stream has to outlive the call, hence the copy;
+    /// [`Self::run`] and [`Self::step_window_over`] borrow instead.
     pub fn load(&mut self, reqs: &[KvRequest]) {
-        self.load_owned(reqs.to_vec());
+        self.begin_run(SimTime::ZERO);
+        self.pending.extend_from_slice(reqs);
     }
 
     /// Stages an *open-loop* request stream: each request is issued at
@@ -361,15 +405,6 @@ impl SystemSim {
     pub fn load_open(&mut self, reqs: &[(SimTime, KvRequest)]) {
         let (arrivals, reqs) = reqs.iter().cloned().unzip();
         self.load_open_owned(reqs, arrivals);
-    }
-
-    /// [`Self::load`] taking ownership of the stream: the staged buffer
-    /// is moved in rather than deep-copied (each [`KvRequest`] owns its
-    /// key and value bytes). The parallel router stages its per-shard
-    /// streams this way.
-    pub fn load_owned(&mut self, reqs: Vec<KvRequest>) {
-        self.reset_run(SimTime::ZERO);
-        self.pending = reqs;
     }
 
     /// [`Self::load_open`] taking ownership of the split schedule.
@@ -389,7 +424,7 @@ impl SystemSim {
             arrivals.windows(2).all(|w| w[0] <= w[1]),
             "open-loop arrivals must be sorted by time"
         );
-        self.reset_run(SimTime::ZERO);
+        self.begin_run(SimTime::ZERO);
         self.pending = reqs;
         self.arrivals = arrivals;
         self.open_loop = true;
@@ -494,10 +529,10 @@ impl SystemSim {
     /// spill past the horizon by at most one batch's service time).
     pub fn step(&mut self, horizon: SimTime, floor: SimTime) -> StepOutcome {
         let base = self.ledger();
-        self.advance_staged(horizon, floor);
+        let done = self.step_window(horizon, floor).done;
         StepOutcome {
             window: self.ledger().since(&base),
-            done: self.staged_done(),
+            done,
         }
     }
 
@@ -508,19 +543,30 @@ impl SystemSim {
     /// what lets the asynchronous engine's publication path stay off the
     /// allocator entirely.
     pub fn step_window(&mut self, horizon: SimTime, floor: SimTime) -> WindowStep {
+        let pending = std::mem::take(&mut self.pending);
+        let w = self.step_window_over(&pending[..], horizon, floor);
+        self.pending = pending;
+        w
+    }
+
+    /// [`Self::step_window`] over a stream the caller lends for the
+    /// window instead of a staged one: the same `reqs` must be passed for
+    /// every window of a run opened with [`Self::begin_run`] (the
+    /// simulator keeps only its position in it).
+    pub fn step_window_over<S: RequestStream + ?Sized>(
+        &mut self,
+        reqs: &S,
+        horizon: SimTime,
+        floor: SimTime,
+    ) -> WindowStep {
         let before = self.store.processor().table().mem().stats();
-        self.advance_staged(horizon, floor);
+        self.advance(reqs, horizon, floor);
         let after = self.store.processor().table().mem().stats();
         WindowStep {
             host_lines: after.since(&before).dma_ops(),
-            next_event: self.next_event(),
-            done: self.staged_done(),
+            next_event: self.next_event_in(reqs.len()),
+            done: self.cursor >= reqs.len(),
         }
-    }
-
-    /// True once every staged request has completed.
-    pub fn staged_done(&self) -> bool {
-        self.cursor >= self.pending.len()
     }
 
     /// The earliest instant the next staged batch could cut, before any
@@ -532,11 +578,16 @@ impl SystemSim {
     /// lets the credit arbiter settle idle windows with null messages
     /// instead of waking the shard.
     pub fn next_event(&self) -> SimTime {
-        if self.staged_done() {
+        self.next_event_in(self.pending.len())
+    }
+
+    /// [`Self::next_event`] for a stream of `len` requests.
+    fn next_event_in(&self, len: usize) -> SimTime {
+        if self.cursor >= len {
             return SimTime::MAX;
         }
         if self.open_loop {
-            let end = (self.cursor + self.cfg.batch.max(1)).min(self.pending.len());
+            let end = (self.cursor + self.cfg.batch.max(1)).min(len);
             self.arrivals[end - 1]
         } else {
             self.window_free
@@ -547,18 +598,8 @@ impl SystemSim {
         }
     }
 
-    /// [`Self::advance`] over the staged stream, which is lent to it for
-    /// the window ([`Self::step`] and [`Self::step_window`]).
-    fn advance_staged(&mut self, horizon: SimTime, floor: SimTime) {
-        let pending = std::mem::take(&mut self.pending);
-        self.advance(&pending, horizon, floor);
-        self.pending = pending;
-    }
-
-    /// The batch loop: runs `reqs[self.cursor..]` up to `horizon`. The
-    /// stream is a slice so that [`Self::run`] can pass its caller's and
-    /// the stepped forms their staged one.
-    fn advance(&mut self, reqs: &[KvRequest], horizon: SimTime, floor: SimTime) {
+    /// The batch loop: runs the stream from `self.cursor` up to `horizon`.
+    fn advance<S: RequestStream + ?Sized>(&mut self, reqs: &S, horizon: SimTime, floor: SimTime) {
         let batch = self.cfg.batch.max(1);
         let cycle = self.cfg.clock.cycle();
 
@@ -597,8 +638,8 @@ impl SystemSim {
 
             // Request packet: header-amortized batch on the wire, live
             // (unexpired) requests only.
-            let req_bytes: u64 = reqs[self.cursor..end]
-                .iter()
+            let req_bytes: u64 = (self.cursor..end)
+                .map(|i| reqs.get(i))
                 .filter(|r| !dead_at_client(r))
                 .map(|r| 4 + r.key.len() as u64 + r.value.len() as u64)
                 .sum();
@@ -662,7 +703,8 @@ impl SystemSim {
                     value: Vec::new(),
                 };
                 std::mem::swap(&mut resp, &mut self.resp);
-                for (i, req) in (self.cursor..end).zip(&reqs[self.cursor..end]) {
+                for i in self.cursor..end {
+                    let req = reqs.get(i);
                     if dead_at_client(req) {
                         self.ledger.net.client_expired += 1;
                         self.statuses.push(Status::Expired);
@@ -790,6 +832,7 @@ impl SystemSim {
                     Status::Overloaded => self.shed_ops += 1,
                     Status::Expired => self.expired_ops += 1,
                     _ => {
+                        let req = reqs.get(i);
                         let issued = if self.open_loop {
                             self.arrivals[i]
                         } else {
@@ -805,7 +848,7 @@ impl SystemSim {
                             let pcie = load.pcie_ps;
                             let dram = load.dram_ps;
                             let net = lat.as_ps().saturating_sub(proc + pcie + dram);
-                            let class = match reqs[i].op {
+                            let class = match req.op {
                                 OpCode::Put => OpClass::Put,
                                 OpCode::Get => OpClass::Get,
                                 _ => OpClass::Other,
@@ -816,12 +859,12 @@ impl SystemSim {
                         // percentile resolution (scheduling noise
                         // stand-in).
                         let jitter = SimTime::from_ps(self.rng.u64_below(50_000));
-                        if reqs[i].op == OpCode::Put {
+                        if req.op == OpCode::Put {
                             self.put_hist.record_time(lat + jitter);
                         } else {
                             self.get_hist.record_time(lat + jitter);
                         }
-                        let deadline = reqs[i].deadline_us;
+                        let deadline = req.deadline_us;
                         let on_time =
                             deadline == 0 || resp_arrive <= SimTime::from_us(u64::from(deadline));
                         if on_time && matches!(status, Status::Ok | Status::NotFound) {
@@ -865,21 +908,12 @@ impl SystemSim {
     /// accesses) and are charged in simulated time. One unbounded window
     /// read straight from `reqs`: nothing is staged or copied.
     ///
-    /// The run starts where the component clocks stand — the later of
-    /// the previous run's last response and every link and service
-    /// backlog — and reports over its own span, so a second run on one
-    /// engine measures the second run. On a fresh engine that instant is
-    /// zero.
+    /// The run starts where the component clocks stand
+    /// ([`Self::clock`]) and reports over its own span, so a second run
+    /// on one engine measures the second run. On a fresh engine that
+    /// instant is zero.
     pub fn run(&mut self, reqs: &[KvRequest]) -> SystemSimReport {
-        let origin = [
-            self.req_link.free_at(),
-            self.resp_link.free_at(),
-            self.pcie_free,
-            self.dram_free,
-        ]
-        .into_iter()
-        .fold(self.makespan, SimTime::max);
-        self.reset_run(origin);
+        self.begin_run(self.clock());
         self.advance(reqs, SimTime::MAX, SimTime::ZERO);
         self.report()
     }

@@ -1,20 +1,20 @@
-//! Steady-state allocation guard for the parallel engine's drive loop.
+//! Steady-state allocation guard for the parallel engine's whole `run`.
 //!
-//! Mirror of `zero_alloc.rs` for the asynchronous credit engine: after a
-//! warmup run has grown every pool (buffer pools, staged vectors, the
-//! arbiter's per-shard cells), re-staging and re-driving the same
-//! streams must perform **zero** heap allocations inside
-//! [`ParallelSystemSim::drive_staged`] with one worker. This is what the
-//! credit rework bought on the reporting path: window publication is
-//! three `u64` atomics, not a per-window `OpLedger` clone + merge, and
-//! ledgers accumulate in per-shard arenas folded once per report.
+//! Mirror of `zero_alloc.rs` for the asynchronous credit engine: after
+//! warm-up runs have grown every pool (buffer pools, the router's index
+//! lists, the report's merge histograms), [`ParallelSystemSim::run`]
+//! with one worker must perform **zero** heap allocations, from routing
+//! to the merged report it returns. Routing records positions into the
+//! caller's slice in pooled `Vec<u32>`s and clones no request, the
+//! calling thread drives the shards itself, a run resets its histograms
+//! in place, window publication is three `u64` atomics, and ledgers
+//! accumulate in per-shard arenas folded once per report.
 //!
-//! Staging (request routing) allocates by design and is excluded;
-//! multi-worker drives allocate only the scoped worker threads, which
-//! the single-worker loop never spawns. Like `zero_alloc.rs`, the
-//! counted stream is GET-only: PUT writebacks drain through the
-//! station flush and the memory engine's bucket rewrite, both of which
-//! build fresh buffers by design.
+//! Multi-worker runs allocate only the scoped worker threads, which the
+//! single-worker loop never spawns. The first case is GET-only, like
+//! `zero_alloc.rs`; the second mixes in SETs of 40-480 B to show that
+//! routing copies no payload (the write path itself is pinned
+//! allocation-free by `zero_alloc_write.rs`).
 //!
 //! This file intentionally holds a single `#[test]`: the harness runs
 //! tests in one binary concurrently, and a second test's allocations
@@ -59,46 +59,73 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-#[test]
-fn steady_state_parallel_drive_allocates_nothing() {
-    const POP: u64 = 4_096;
-    const OPS: usize = 12_000;
+const POP: u64 = 4_096;
+const OPS: usize = 12_000;
 
-    let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 4);
+/// A four-shard, one-worker engine with `POP` keys preloaded.
+fn engine(value_len: usize) -> ParallelSystemSim {
+    let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(4 << 20), 24, 4);
     cfg.workers = 1;
     let mut sim = ParallelSystemSim::new(cfg);
     for id in 0..POP {
         let key = splitmix(id).to_le_bytes();
-        sim.preload_put(&key, &[id as u8; 8]).expect("preload fits");
+        sim.preload_put(&key, &vec![id as u8; value_len])
+            .expect("preload fits");
     }
+    sim
+}
 
+/// Allocations of one `run` of `trace` on `sim` after `warmups` replays
+/// of it have grown every pool to its equilibrium float.
+fn counted_run(sim: &mut ParallelSystemSim, trace: &[KvRequest], warmups: usize) -> u64 {
+    for _ in 0..warmups {
+        sim.run(trace);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let r = sim.run(trace);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(r.ops, OPS as u64, "the counted run completed every op");
+    allocs
+}
+
+#[test]
+fn steady_state_parallel_run_allocates_nothing() {
     // Hot-skewed GET stream over preloaded keys, built outside the
     // counted region.
-    let trace: Vec<KvRequest> = (0..OPS as u64)
+    let gets: Vec<KvRequest> = (0..OPS as u64)
         .map(|i| {
             let key = splitmix(splitmix(i) % POP).to_le_bytes();
             KvRequest::get(&key)
         })
         .collect();
-
-    // Two warmup replays: the first grows every pool to its equilibrium
-    // float, the second proves the float is a fixpoint.
-    for _ in 0..2 {
-        sim.stage(&trace);
-        sim.drive_staged();
-    }
-
-    // Stage once more (routing allocates; not under test), then count
-    // the drive alone.
-    sim.stage(&trace);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    sim.drive_staged();
-    let drive = ALLOCS.load(Ordering::Relaxed) - before;
+    // Two warm-ups: the first grows the pools, the second proves the
+    // float is a fixpoint.
+    let allocs = counted_run(&mut engine(8), &gets, 2);
     assert_eq!(
-        drive, 0,
-        "steady-state single-worker drive must not allocate ({drive} allocations over {OPS} ops)"
+        allocs, 0,
+        "steady-state single-worker run must not allocate ({allocs} allocations over {OPS} ops)"
     );
 
-    let r = sim.merged_report();
-    assert_eq!(r.ops, OPS as u64, "the counted drive completed every op");
+    // Same keys, one request in five a SET of 40-480 B: routing by index
+    // copies no payload, so the values cost the run nothing either. More
+    // warm-ups, because the store's pooled value buffers each grow to the
+    // largest value they have carried and reach that float geometrically
+    // (138, 39, 12, 3, 0 allocations over the first five replays); with
+    // a clone per request the count never falls below the SETs' 2 400.
+    let mixed: Vec<KvRequest> = (0..OPS as u64)
+        .map(|i| {
+            let key = splitmix(splitmix(i) % POP).to_le_bytes();
+            if i % 5 == 0 {
+                let len = 40 + (splitmix(i ^ 0x5E7) % 441) as usize;
+                KvRequest::put(&key, &vec![i as u8; len])
+            } else {
+                KvRequest::get(&key)
+            }
+        })
+        .collect();
+    let allocs = counted_run(&mut engine(256), &mixed, 8);
+    assert_eq!(
+        allocs, 0,
+        "routing must not copy SET payloads ({allocs} allocations over {OPS} ops)"
+    );
 }

@@ -71,6 +71,12 @@ pub struct ArbiterStats {
     pub lines: u64,
     /// Total stall injected across all windows.
     pub stall: SimTime,
+    /// Window publications the credit arbiter's settler made on a
+    /// shard's behalf — Chandy–Misra null messages, one per window a
+    /// shard sat out because it had drained or its next event lay at or
+    /// beyond the horizon. A run whose shards are busy over the same span
+    /// of simulated time has few; a bare [`HostArbiter`] has none.
+    pub null_messages: u64,
 }
 
 /// The quantum-synchronized host-memory arbiter.
@@ -131,6 +137,12 @@ impl HostArbiter {
     /// Activity counters.
     pub fn stats(&self) -> ArbiterStats {
         self.stats
+    }
+
+    /// Counts `n` null messages (the credit arbiter's settler is the only
+    /// source; see [`ArbiterStats::null_messages`]).
+    pub(crate) fn note_null_messages(&mut self, n: u64) {
+        self.stats.null_messages += n;
     }
 }
 

@@ -30,12 +30,12 @@
 //! # Why the semantic lookahead is exactly one window
 //!
 //! The stall oracle is non-negotiable: window `k`'s issue floor is
-//! `floor_k = k·q + Σ_{j<k} stall_j`, and `stall_{k-1}` is a function of
-//! *every* shard's window-`k-1` traffic. A shard therefore cannot know
-//! `floor_k` — and must not simulate window `k` — before all peers'
-//! window `k-1` publications have settled. Any deeper overlap of *busy*
-//! shards would require speculating on unsettled stalls and rolling back
-//! simulator state on a miss. The [`HostArbiterConfig::lookahead`] depth
+//! `floor_k = origin + k·q + Σ_{j<k} stall_j`, and `stall_{k-1}` is a
+//! function of *every* shard's window-`k-1` traffic. A shard therefore
+//! cannot know `floor_k` — and must not simulate window `k` — before all
+//! peers' window `k-1` publications have settled. Any deeper overlap of
+//! *busy* shards would require speculating on unsettled stalls and rolling
+//! back simulator state on a miss. The [`HostArbiterConfig::lookahead`] depth
 //! is consequently a pure scheduling knob (how many consecutive windows
 //! a worker bursts on one shard before servicing its other shards, and
 //! how much settlement bookkeeping may run ahead of the slowest peer);
@@ -69,7 +69,8 @@ pub enum Credit {
     Step {
         /// Index of the granted window.
         window: u64,
-        /// Issue floor of the window (`window·q + Σ` settled stalls).
+        /// Issue floor of the window (`origin + window·q + Σ` settled
+        /// stalls).
         floor: SimTime,
         /// Exclusive end of the window's issue range (`floor + quantum`).
         horizon: SimTime,
@@ -172,16 +173,20 @@ impl CreditArbiter {
         self.lookahead
     }
 
-    /// Resets the frontier for a new run. Charge statistics persist
-    /// across runs (matching the barrier engine).
-    pub fn begin(&mut self) {
+    /// Resets the frontier for a new run whose time axis starts at
+    /// `origin`: window `k`'s issue floor is `origin + k·q + Σ` settled
+    /// stalls. A closed-loop run passes the instant its shards' clocks
+    /// stand at, so that every shard is busy from window 0 on; a run whose
+    /// arrival schedule owns the time axis passes zero. Charge statistics
+    /// persist across runs (matching the barrier engine).
+    pub fn begin(&mut self, origin: SimTime) {
         for cell in &self.shards {
             cell.window.store(0, Ordering::Relaxed);
             cell.nat.store(0, Ordering::Relaxed);
             cell.done.store(false, Ordering::Relaxed);
         }
         self.settled.store(0, Ordering::Relaxed);
-        self.floor_ps.store(0, Ordering::Relaxed);
+        self.floor_ps.store(origin.as_ps(), Ordering::Relaxed);
         self.prev_stall_ps.store(0, Ordering::Relaxed);
         self.open_lines.store(0, Ordering::Relaxed);
         self.published.store(0, Ordering::Relaxed);
@@ -279,6 +284,7 @@ impl CreditArbiter {
             // settled frontier is released below, so plain stores are
             // race-free here.
             self.published.store(published, Ordering::Relaxed);
+            charge.note_null_messages(published as u64);
             if published < self.n {
                 self.floor_ps.store(floor.as_ps(), Ordering::Relaxed);
                 self.settled.store(settled, Ordering::Release);
@@ -427,6 +433,7 @@ mod tests {
         // Windows 1 and 2 settled on shard 1's null messages alone; its
         // own frontier was advanced for it.
         assert_eq!(arb.settled(), 3);
+        assert_eq!(arb.stats().null_messages, 2, "one per window it sat out");
         // Window 3 spans [30, 40)us: shard 1's 35us event is inside, so
         // the null-message cascade must stop and hand it real credit.
         match arb.credit(1) {
@@ -454,6 +461,8 @@ mod tests {
         assert!(arb.all_done());
         // One settlement per window in which the last busy shard ran.
         assert_eq!(arb.stats().windows, 5);
+        // Two drained shards sat out the four windows after the first.
+        assert_eq!(arb.stats().null_messages, 8);
     }
 
     #[test]
@@ -502,13 +511,31 @@ mod tests {
         let s1 = arb.stats();
         assert_eq!(s1.windows, 1);
         assert_eq!(s1.oversubscribed, 1);
-        arb.begin();
+        // The next run's windows count from zero again, on a time axis
+        // that starts where the caller says the clocks stand.
+        let origin = SimTime::from_us(123);
+        arb.begin(origin);
         assert!(!arb.all_done());
         assert_eq!(arb.settled(), 0);
-        assert!(matches!(arb.credit(0), Credit::Step { window: 0, .. }));
+        assert_eq!(
+            arb.credit(0),
+            Credit::Step {
+                window: 0,
+                floor: origin,
+                horizon: origin + SimTime::from_us(10),
+                stall: SimTime::ZERO,
+            }
+        );
+        // 2 000 lines need 20us of a 10us window: window 1 opens at
+        // origin + q + stall.
+        arb.publish(0, 2_000, SimTime::ZERO, false);
+        assert!(matches!(
+            arb.credit(0),
+            Credit::Step { window: 1, floor, .. } if floor == origin + SimTime::from_us(20)
+        ));
         arb.publish(0, 0, SimTime::ZERO, true);
         // Stats accumulated across both runs, like the barrier arbiter's.
-        assert_eq!(arb.stats().windows, 2);
-        assert_eq!(arb.stats().oversubscribed, 1);
+        assert_eq!(arb.stats().windows, 3);
+        assert_eq!(arb.stats().oversubscribed, 2);
     }
 }

@@ -55,6 +55,15 @@ impl Histogram {
         }
     }
 
+    /// Empties the histogram in place, keeping its bucket storage.
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     fn index_of(value: u64) -> usize {
         if value < SUB_BUCKETS as u64 {
             return value as usize;

@@ -14,7 +14,7 @@
 use kv_direct::parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 use kv_direct::sim::{Bandwidth, DetRng, SimTime};
 use kv_direct::workloads::presets::{PresetWorkload, YcsbPreset};
-use kv_direct::{KvDirectConfig, KvRequest, OpClass, OpLedger};
+use kv_direct::{KvDirectConfig, KvRequest, OpClass, OpLedger, Status};
 use proptest::prelude::*;
 
 fn workload(n: usize, seed: u64) -> Vec<KvRequest> {
@@ -22,25 +22,38 @@ fn workload(n: usize, seed: u64) -> Vec<KvRequest> {
     w.batch(n)
 }
 
-/// A 10-shard run with explicit scheduling knobs: worker count,
-/// lookahead depth, quantum. None of the three may change any bit of
-/// the report.
+/// A preloaded 10-shard engine with explicit scheduling knobs: worker
+/// count, lookahead depth, quantum — none of the three may change any
+/// bit of a report — and optionally a host bandwidth other than the
+/// paper's (a starved host stalls every window).
+fn engine(
+    workers: usize,
+    lookahead: u32,
+    quantum: SimTime,
+    bandwidth: Option<Bandwidth>,
+) -> ParallelSystemSim {
+    let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 10);
+    cfg.workers = workers;
+    cfg.arbiter.lookahead = lookahead;
+    cfg.arbiter.quantum = quantum;
+    if let Some(bandwidth) = bandwidth {
+        cfg.arbiter.bandwidth = bandwidth;
+    }
+    let mut sim = ParallelSystemSim::new(cfg);
+    for id in 0..5_000u64 {
+        sim.preload_put(&id.to_le_bytes(), &[id as u8; 16])
+            .expect("preload fits");
+    }
+    sim
+}
+
 fn run_scheduled(
     workers: usize,
     lookahead: u32,
     quantum: SimTime,
     reqs: &[KvRequest],
 ) -> ParallelSimReport {
-    let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 10);
-    cfg.workers = workers;
-    cfg.arbiter.lookahead = lookahead;
-    cfg.arbiter.quantum = quantum;
-    let mut sim = ParallelSystemSim::new(cfg);
-    for id in 0..5_000u64 {
-        sim.preload_put(&id.to_le_bytes(), &[id as u8; 16])
-            .expect("preload fits");
-    }
-    sim.run(reqs)
+    engine(workers, lookahead, quantum, None).run(reqs)
 }
 
 fn run_with_workers(workers: usize, reqs: &[KvRequest]) -> ParallelSimReport {
@@ -92,18 +105,9 @@ fn stalling_runs_are_schedule_invariant() {
     // window's issue times → backpressure gauge) must itself be
     // schedule-independent, not just the zero-stall fast path.
     let reqs = workload(9_000, 0xD378);
-    let starve = |workers, lookahead| {
-        let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 10);
-        cfg.workers = workers;
-        cfg.arbiter.lookahead = lookahead;
-        cfg.arbiter.bandwidth = Bandwidth::from_gbytes_per_sec(0.4);
-        let mut sim = ParallelSystemSim::new(cfg);
-        for id in 0..5_000u64 {
-            sim.preload_put(&id.to_le_bytes(), &[id as u8; 16])
-                .expect("preload fits");
-        }
-        sim.run(&reqs)
-    };
+    let starved = Some(Bandwidth::from_gbytes_per_sec(0.4));
+    let starve =
+        |workers, lookahead| engine(workers, lookahead, SimTime::from_us(8), starved).run(&reqs);
     let base = starve(1, 1);
     assert!(
         base.arbiter.oversubscribed > 0 && base.arbiter.stall > SimTime::ZERO,
@@ -247,6 +251,116 @@ fn worker_count_does_not_change_merged_ledger() {
     // slices: re-deriving it from a fresh sequential run agrees.
     let total: u64 = OpClass::ALL.iter().map(|&c| f1.ledger.latency.ops(c)).sum();
     assert!(total > 0, "latency attribution must record answered ops");
+}
+
+/// What one engine produced over three runs in a row — closed loop, open
+/// loop, closed loop, each on its own stream: every report, and every
+/// shard's recorded outcomes after each run.
+#[derive(Debug, PartialEq)]
+struct Reused {
+    reports: Vec<ParallelSimReport>,
+    /// Indexed by run, then by shard.
+    outcomes: Vec<Vec<ShardOutcomes>>,
+}
+
+type ShardOutcomes = Vec<(Status, Vec<u8>)>;
+
+fn run_reused(
+    workers: usize,
+    lookahead: u32,
+    quantum: SimTime,
+    bandwidth: Option<Bandwidth>,
+) -> Reused {
+    let mut sim = engine(workers, lookahead, quantum, bandwidth);
+    sim.set_record_outcomes(true);
+    // 20 Mops offered over ten shards: under capacity, so the open-loop
+    // run is paced by its schedule, not by the clocks the first run left.
+    let open: Vec<(SimTime, KvRequest)> = workload(4_000, 0xD37B)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| (SimTime::from_ns(50 * i as u64), r))
+        .collect();
+    let mut out = Reused {
+        reports: Vec::new(),
+        outcomes: Vec::new(),
+    };
+    for nth in 0..3 {
+        out.reports.push(match nth {
+            0 => sim.run(&workload(12_000, 0xD37A)),
+            1 => sim.run_open(&open),
+            _ => sim.run(&workload(12_000, 0xD37C)),
+        });
+        out.outcomes.push(
+            (0..sim.shards())
+                .map(|i| sim.shard_outcomes(i).to_vec())
+                .collect(),
+        );
+    }
+    out
+}
+
+/// The report of a run in one line: the summary and the arbiter's charge
+/// counters spelled out, the merged ledger as an FNV-1a digest of its
+/// `Debug` form.
+fn fingerprint(r: &ParallelSimReport) -> String {
+    let digest = format!("{:?}", r.ledger)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    format!(
+        "{:?} | windows {} oversubscribed {} lines {} stall {:?} | ledger {digest:#018x}",
+        r.summary, r.arbiter.windows, r.arbiter.oversubscribed, r.arbiter.lines, r.arbiter.stall
+    )
+}
+
+/// First-run fingerprints of [`run_reused`] recorded on `ece0ff7`, before
+/// runs had an origin: on a fresh engine the origin is zero and nothing
+/// may move.
+const GOLDEN_FRESH_Q4: &str = "RunSummary { ops: 12000, elapsed: 43.594us, mops: 275.27013060787766, goodput_ops: 12000, goodput_mops: 275.27013060787766, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3776597.9254276697, min: 2227983, p5: 3342336, p50: 3604480, p95: 4718592, p99: 5046272, max: 5471930 }, put_latency: Summary { count: 5979, mean: 3775759.8367620003, min: 2238000, p5: 3342336, p50: 3604480, p95: 4718592, p99: 4980736, max: 5470171 } } | windows 11 oversubscribed 0 lines 5023 stall 0ns | ledger 0xb0bfd59f7aad672b";
+const GOLDEN_FRESH_Q8: &str = "RunSummary { ops: 12000, elapsed: 43.594us, mops: 275.27013060787766, goodput_ops: 12000, goodput_mops: 275.27013060787766, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3776597.9254276697, min: 2227983, p5: 3342336, p50: 3604480, p95: 4718592, p99: 5046272, max: 5471930 }, put_latency: Summary { count: 5979, mean: 3775759.8367620003, min: 2238000, p5: 3342336, p50: 3604480, p95: 4718592, p99: 4980736, max: 5470171 } } | windows 6 oversubscribed 0 lines 5023 stall 0ns | ledger 0x82d37a8019a3c81f";
+const GOLDEN_FRESH_STARVED: &str = "RunSummary { ops: 12000, elapsed: 804.828us, mops: 14.910019041510767, goodput_ops: 12000, goodput_mops: 14.910019041510767, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3921145.547749543, min: 2227983, p5: 3375104, p50: 3670016, p95: 5046272, p99: 5373952, max: 5514322 }, put_latency: Summary { count: 5979, mean: 3921200.566482689, min: 2238000, p5: 3407872, p50: 3670016, p95: 4980736, p99: 5308416, max: 5513956 } } | windows 5 oversubscribed 4 lines 5023 stall 768.480us | ledger 0xb118c5493c6dff26";
+
+#[test]
+fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
+    // Reuse is where the run origin matters: the second closed-loop run
+    // starts where the slowest shard's clocks stand, which must itself be
+    // a pure function of the streams — and the open-loop run in between
+    // starts at zero against clocks that do not.
+    let starved = Some(Bandwidth::from_gbytes_per_sec(0.4));
+    for (quantum, bandwidth, golden) in [
+        (SimTime::from_us(4), None, GOLDEN_FRESH_Q4),
+        (SimTime::from_us(8), None, GOLDEN_FRESH_Q8),
+        (SimTime::from_us(8), starved, GOLDEN_FRESH_STARVED),
+    ] {
+        let base = run_reused(1, 1, quantum, bandwidth);
+        assert_eq!(
+            fingerprint(&base.reports[0]),
+            golden,
+            "first run on a fresh engine moved (quantum={quantum:?})"
+        );
+        for r in &base.reports {
+            assert!(r.ops >= 4_000 && r.elapsed > SimTime::ZERO);
+        }
+        if bandwidth.is_some() {
+            let last = &base.reports[2].arbiter;
+            assert!(
+                last.oversubscribed > 0 && last.stall > SimTime::ZERO,
+                "a 0.4 GB/s host must oversubscribe: {last:?}"
+            );
+        }
+        for lookahead in [1u32, 4] {
+            for workers in [1usize, 2, 8] {
+                let r = run_reused(workers, lookahead, quantum, bandwidth);
+                assert!(
+                    base == r,
+                    "reused engine diverged at workers={workers} lookahead={lookahead} \
+                     quantum={quantum:?} starved={}",
+                    bandwidth.is_some()
+                );
+            }
+        }
+    }
 }
 
 /// A ledger with every counter (and gauge) populated from `seed` —
