@@ -46,7 +46,7 @@ pub use overload::{
     AdmissionController, HotKeyConfig, OverloadConfig, OverloadCounters, Watermarks,
 };
 pub use parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
-pub use processor::{KvProcessor, ProcessorStats};
+pub use processor::{KvProcessor, ProcessorStats, RequestStream};
 pub use store::{KvDirectConfig, KvDirectStore, MultiNicStore, StoreError};
 pub use system::{
     Percentile, RunSummary, StepOutcome, SystemSim, SystemSimConfig, SystemSimReport, WindowStep,

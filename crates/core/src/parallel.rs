@@ -67,7 +67,7 @@
 //! `tests/parallel_determinism.rs` enforces over a depth × worker ×
 //! quantum matrix.
 
-use kvd_net::{shard_of, KvRequest, Status};
+use kvd_net::{shard_of, KvRequest, KvRequestRef, Status};
 use kvd_sim::{
     ArbiterStats, Credit, CreditArbiter, FaultCounters, Histogram, HostArbiterConfig, OpLedger,
     RunSummary, SimTime,
@@ -211,8 +211,8 @@ impl RequestStream for Routed<'_> {
         self.idx.len()
     }
 
-    fn get(&self, i: usize) -> &KvRequest {
-        &self.reqs[self.idx[i] as usize]
+    fn get(&self, i: usize) -> KvRequestRef<'_> {
+        self.reqs[self.idx[i] as usize].as_ref()
     }
 }
 

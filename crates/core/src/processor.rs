@@ -6,6 +6,16 @@
 //! stages functionally with a configurable pipeline depth: issued
 //! operations sit in an in-flight FIFO (memory latency) so dependent
 //! requests really do queue and forward, exactly as on the FPGA.
+//!
+//! There is one execution core, [`KvProcessor::run`]; every entry point
+//! is that core called with a different view of the caller's requests.
+//! For the length of the call it **borrows**: keys and values stay where
+//! the caller put them, the FIFO holds `(request index, station slot)`,
+//! the table reads a GET's value straight into `responses[i].value` and
+//! writes a PUT from `requests[i].value`, and whatever a response needs
+//! to know about its request is read from `requests[i]`. Bytes are
+//! **owned** only where they outlive their operation, and only by the
+//! station (DESIGN.md §11 has the table).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -13,7 +23,7 @@ use std::sync::Arc;
 use kvd_hash::{HashError, HashTable, HashTableConfig};
 use kvd_mem::MemoryEngine;
 use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
-use kvd_ooo::{Admission, KvOpKind, ReservationStation, StationConfig, StationOp};
+use kvd_ooo::{OpRef, Probe, Reissue, ReservationStation, StationConfig, UpdateFn};
 use kvd_sim::{CostSource, FaultPlane, OpLedger, SimTime};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
@@ -97,18 +107,42 @@ impl HotKeyRollup {
     }
 }
 
-/// Per-request context needed to build its response from the station's
-/// result value. `param` is only retained for ops whose response needs it
-/// after completion (REDUCE's initial accumulator) — cloning it for every
-/// request would put an allocation back on the hot path.
-#[derive(Debug, Clone)]
-struct RespCtx {
-    op: OpCode,
-    lambda: u16,
-    param: Vec<u8>,
-    /// Absolute lifecycle stamp the request carried (0 = never expires);
-    /// read back when the op's PUT retires against the table.
-    expiry_tick: u32,
+/// Requests the core reads by position for the length of one call: a
+/// slice of borrowed or owned requests, the serving front-end's view of
+/// a bundle's arena, or the parallel router's view of one shard's share
+/// of a stream ([`crate::parallel::Routed`]). Each user is monomorphised.
+#[allow(clippy::len_without_is_empty)] // loops compare a cursor with `len`; nothing asks "empty?"
+pub trait RequestStream {
+    /// Requests in the stream.
+    fn len(&self) -> usize;
+    /// Request `i` (`i < len()`).
+    fn get(&self, i: usize) -> KvRequestRef<'_>;
+}
+
+impl RequestStream for [KvRequestRef<'_>] {
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> KvRequestRef<'_> {
+        self[i]
+    }
+}
+
+impl RequestStream for [KvRequest] {
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> KvRequestRef<'_> {
+        self[i].as_ref()
+    }
+}
+
+/// Answers with a bare status.
+fn answer(resp: &mut KvResponse, status: Status) {
+    resp.status = status;
+    resp.value.clear();
 }
 
 /// The KV processor: hash table + slab allocator + reservation station.
@@ -133,16 +167,21 @@ pub struct KvProcessor<M: MemoryEngine> {
     table: HashTable<M>,
     station: ReservationStation,
     registry: LambdaRegistry,
-    inflight: VecDeque<StationOp>,
+    /// Issued operations awaiting their memory access, oldest first:
+    /// `(request index, station slot)`.
+    inflight: VecDeque<(usize, usize)>,
     pipeline_depth: usize,
-    responses: Vec<Option<KvResponse>>,
-    ctxs: Vec<RespCtx>,
+    /// Response slots [`execute_batch_refs_into`] trimmed off a caller's
+    /// vector, value buffers intact, until a larger batch wants them.
+    ///
+    /// [`execute_batch_refs_into`]: Self::execute_batch_refs_into
+    spare: Vec<KvResponse>,
     faults: FaultPlane,
     fault_retry_limit: u32,
     overload_cfg: OverloadConfig,
     admission: Option<AdmissionController>,
     hot_keys: Option<HotKeyRollup>,
-    /// When set, `finish` also attributes retire outcomes
+    /// When set, `count_retired` also attributes retire outcomes
     /// (`retired_ok`/`retired_not_found`/`retired_failed`) to the ledger.
     /// Off by default so the hot path stays exactly as wide as before the
     /// ledger existed.
@@ -196,8 +235,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
             // The paper saturates PCIe with up to 256 in-flight KV
             // operations; 64 models one DMA-tag window.
             pipeline_depth: 64,
-            responses: Vec::new(),
-            ctxs: Vec::new(),
+            spare: Vec::new(),
             faults: FaultPlane::disabled(),
             fault_retry_limit: DEFAULT_FAULT_RETRY_LIMIT,
             overload_cfg: OverloadConfig::default(),
@@ -369,121 +407,133 @@ impl<M: MemoryEngine> KvProcessor<M> {
         self.station.stats()
     }
 
-    /// Executes a batch of requests, returning responses in order.
+    /// Executes a batch of requests, returning responses in order — the
+    /// owned convenience form of [`run`](Self::run).
     ///
     /// All effects are applied to the table by return time (dirty
-    /// forwarding caches are flushed). Callers whose requests already
-    /// live in their own buffers should prefer
-    /// [`execute_batch_refs`](Self::execute_batch_refs), which skips the
-    /// owned-request construction entirely.
+    /// forwarding caches are flushed).
     pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
-        self.begin_batch(reqs.len());
-        for (i, req) in reqs.iter().enumerate() {
-            self.admit_request(i, req.as_ref());
-        }
-        self.finish_batch()
-    }
-
-    /// Executes a batch of borrowed requests — the hot path.
-    ///
-    /// Identical semantics to [`execute_batch`](Self::execute_batch); the
-    /// only per-operation allocations left are the ones the reservation
-    /// station needs to own its key and (for PUT) its value.
-    pub fn execute_batch_refs(&mut self, reqs: &[KvRequestRef<'_>]) -> Vec<KvResponse> {
-        self.begin_batch(reqs.len());
-        for (i, req) in reqs.iter().enumerate() {
-            self.admit_request(i, *req);
-        }
-        self.finish_batch()
+        let mut out = vec![KvResponse::default(); reqs.len()];
+        self.run(reqs, &mut out);
+        out
     }
 
     /// Executes a batch of borrowed requests into a caller-owned response
-    /// vector. `out` is cleared first; its old response value buffers are
-    /// retired into the station's pool, so a caller that loops with one
-    /// `Vec` reuses every buffer instead of reallocating.
+    /// vector, which is resized to the batch. A caller that loops with one
+    /// `Vec` has every response written into a buffer it held before: the
+    /// surplus slots of a smaller batch wait in the processor for the next
+    /// larger one instead of being dropped and allocated again.
     pub fn execute_batch_refs_into(
         &mut self,
         reqs: &[KvRequestRef<'_>],
         out: &mut Vec<KvResponse>,
     ) {
-        self.begin_batch(reqs.len());
-        for (i, req) in reqs.iter().enumerate() {
-            self.admit_request(i, *req);
-        }
-        self.drain_and_flush();
-        for r in out.drain(..) {
-            self.station.give(r.value);
-        }
-        out.extend(
-            self.responses
-                .drain(..)
-                .map(|r| r.expect("every request produces a response")),
-        );
+        let room = (4 * self.pipeline_depth).saturating_sub(self.spare.len());
+        self.spare
+            .extend(out.drain(reqs.len().min(out.len())..).take(room));
+        out.resize_with(reqs.len(), || self.spare.pop().unwrap_or_default());
+        self.run(reqs, out);
     }
 
-    /// Executes one borrowed request (the embedder API's point ops).
-    pub fn execute_one(&mut self, req: KvRequestRef<'_>) -> KvResponse {
-        let mut resp = KvResponse {
-            status: Status::Ok,
-            value: Vec::new(),
-        };
-        self.execute_one_into(req, &mut resp);
-        resp
-    }
-
-    /// Executes one borrowed request into a caller-owned response. The
-    /// response's previous value buffer is retired into the station's
-    /// pool, so a caller that loops with one `KvResponse` runs the
-    /// steady-state GET path without a single heap allocation.
+    /// Executes one borrowed request into a caller-owned response: the
+    /// core, called with one request. A caller that loops with one
+    /// `KvResponse` runs the steady-state path without a heap allocation.
     pub fn execute_one_into(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse) {
-        self.begin_batch(1);
-        self.admit_request(0, req);
-        self.drain_and_flush();
-        let r = self.responses[0]
-            .take()
-            .expect("one request yields one response");
-        let old = std::mem::replace(resp, r);
-        self.station.give(old.value);
+        self.run(std::slice::from_ref(&req), std::slice::from_mut(resp));
     }
 
-    fn begin_batch(&mut self, n: usize) {
-        self.responses.clear();
-        self.responses.resize(n, None);
-        self.ctxs.clear();
-        self.ctxs.reserve(n);
+    /// The execution core: runs `requests` in order and answers request
+    /// `i` in `responses[i]` in place (status set, value buffer cleared
+    /// and refilled). By return the pipeline is drained and dirty
+    /// forwarding entries are flushed, so every effect is in the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one response slot per request.
+    pub fn run<R: RequestStream + ?Sized>(&mut self, requests: &R, responses: &mut [KvResponse]) {
+        assert_eq!(
+            requests.len(),
+            responses.len(),
+            "one response slot per request"
+        );
         if !self.pending_ttl.is_empty() {
             self.pending_ttl.clear();
         }
+        for i in 0..requests.len() {
+            self.admit(requests, responses, i);
+        }
+        while !self.inflight.is_empty() {
+            self.retire_one(requests, responses);
+        }
+        self.flush();
     }
 
-    fn admit_request(&mut self, i: usize, req: KvRequestRef<'_>) {
-        self.ctxs.push(RespCtx {
-            op: req.op,
-            lambda: req.lambda,
-            // Only REDUCE reads the parameter after completion.
-            param: if req.op == OpCode::Reduce {
-                req.value.to_vec()
-            } else {
-                Vec::new()
-            },
-            expiry_tick: req.expiry_tick,
-        });
+    /// Gates, decodes and submits request `i` to the station, handling
+    /// back-pressure.
+    fn admit<R: RequestStream + ?Sized>(
+        &mut self,
+        requests: &R,
+        responses: &mut [KvResponse],
+        i: usize,
+    ) {
+        let req = requests.get(i);
         self.ledger.core.requests += 1;
-        if let Some(status) = self.overload_gate(req) {
-            self.responses[i] = Some(KvResponse {
-                status,
-                value: Vec::new(),
-            });
-            return;
-        }
-        match self.build_station_op(i as u64, req) {
-            Ok(op) => self.submit(op),
+        let update = match self.overload_gate(req) {
+            None => self.decode(req),
+            Some(shed) => Err(shed),
+        };
+        let update = match update {
+            Ok(update) => update,
             Err(status) => {
-                self.ledger.core.invalid += 1;
-                self.responses[i] = Some(KvResponse {
-                    status,
-                    value: Vec::new(),
-                });
+                answer(&mut responses[i], status);
+                return;
+            }
+        };
+        let op = match (req.op, &update) {
+            (_, Some(f)) => OpRef::Update(f),
+            // Dead on arrival (memcache `set` with a past exptime): the
+            // store is acknowledged but the value must be observably
+            // absent. Run it as a delete so the outcome holds even
+            // through the forwarding cache; the response is still the
+            // PUT's.
+            (OpCode::Put, None) if !self.table.stamp_dead(req.expiry_tick) => OpRef::Put(req.value),
+            (OpCode::Put | OpCode::Delete, None) => OpRef::Delete,
+            _ => OpRef::Get,
+        };
+        let slot = self.station.slot_of(req.key);
+        loop {
+            match self.station.probe(slot, req.key) {
+                Probe::Hit => {
+                    let (registry, resp) = (&self.registry, &mut responses[i]);
+                    self.station
+                        .forward(slot, op, |value| respond(registry, req, value, resp));
+                    count_retired(&mut self.ledger, self.ledger_detail, responses[i].status);
+                    return;
+                }
+                Probe::Miss => {
+                    if let Some((key, value)) = self.station.issue(slot) {
+                        Self::write_back(
+                            &mut self.table,
+                            &self.pending_ttl,
+                            &mut self.ledger,
+                            key,
+                            value,
+                        );
+                    }
+                    self.inflight.push_back((i, slot));
+                    if self.inflight.len() >= self.pipeline_depth {
+                        self.retire_one(requests, responses);
+                    }
+                    return;
+                }
+                Probe::Busy => {
+                    if self.station.enqueue(slot, i as u64, req.key, op) {
+                        return;
+                    }
+                    // Backpressure: retire the oldest in-flight op (which
+                    // drains its dependency chain) and probe again.
+                    self.retire_one(requests, responses);
+                }
             }
         }
     }
@@ -551,111 +601,74 @@ impl<M: MemoryEngine> KvProcessor<M> {
         None
     }
 
-    fn finish_batch(&mut self) -> Vec<KvResponse> {
-        self.drain_and_flush();
-        self.responses
-            .drain(..)
-            .map(|r| r.expect("every request produces a response"))
-            .collect()
-    }
-
-    /// Drains the pipeline and flushes dirty caches; applied write-back
-    /// buffers are retired into the station's pool.
-    fn drain_and_flush(&mut self) {
-        while !self.inflight.is_empty() {
-            self.retire_one();
-        }
-        let mut writebacks = self.station.flush();
-        for (key, value) in writebacks.drain(..) {
-            self.apply_writeback(&key, value);
-            self.station.give(key);
-        }
-        self.station.give_writebacks(writebacks);
-    }
-
-    /// Builds the station operation (with its forwarding-compatible
-    /// update closure) for a request.
-    fn build_station_op(&mut self, id: u64, req: KvRequestRef<'_>) -> Result<StationOp, Status> {
-        let kind = match req.op {
-            OpCode::Get | OpCode::Reduce | OpCode::Filter => {
-                self.ledger.core.reads += 1;
-                // Reduce/filter need a registered λ of the right type.
-                match req.op {
-                    OpCode::Reduce => match self.registry.get(req.lambda) {
-                        Some(Lambda::Reduce(_)) => {}
-                        _ => return Err(Status::Invalid),
-                    },
-                    OpCode::Filter => match self.registry.get(req.lambda) {
-                        Some(Lambda::Filter(_)) => {}
-                        _ => return Err(Status::Invalid),
-                    },
-                    _ => {}
-                }
-                KvOpKind::Get
+    /// The operation decoder: counts the request in the ledger's mix,
+    /// keeps the batch's lifecycle stamps, checks that a λ of the right
+    /// type is registered (`Invalid` otherwise) and builds an atomic
+    /// update's transform.
+    fn decode(&mut self, req: KvRequestRef<'_>) -> Result<Option<UpdateFn>, Status> {
+        let core = &mut self.ledger.core;
+        // What a write-back of this key must re-install: a live PUT's
+        // stamp. Every other write resets the lifecycle to immortal
+        // (λ-updates write back unstamped on every path).
+        let mut stamp = 0;
+        match req.op {
+            OpCode::Get => {
+                core.reads += 1;
+                return Ok(None);
+            }
+            OpCode::Reduce | OpCode::Filter => {
+                core.reads += 1;
+                return match (req.op, self.registry.get(req.lambda)) {
+                    (OpCode::Reduce, Some(Lambda::Reduce(_)))
+                    | (OpCode::Filter, Some(Lambda::Filter(_))) => Ok(None),
+                    _ => self.invalid(),
+                };
             }
             OpCode::Put => {
-                self.ledger.core.puts += 1;
-                if self.table.stamp_dead(req.expiry_tick) {
-                    // Dead on arrival (memcache `set` with a past
-                    // exptime): the store is acknowledged but the value
-                    // must be observably absent. Run it as a delete so
-                    // the outcome holds even through the forwarding
-                    // cache; the response is still built from the PUT
-                    // context.
+                core.puts += 1;
+                if req.expiry_tick != 0 {
                     self.ttl_seen = true;
-                    if !self.pending_ttl.is_empty() {
-                        self.pending_ttl.remove(req.key);
+                    if !self.table.stamp_dead(req.expiry_tick) {
+                        stamp = req.expiry_tick;
                     }
-                    KvOpKind::Delete
-                } else {
-                    if req.expiry_tick != 0 {
-                        self.ttl_seen = true;
-                        self.pending_ttl.insert(req.key.to_vec(), req.expiry_tick);
-                    } else if !self.pending_ttl.is_empty() {
-                        self.pending_ttl.remove(req.key);
-                    }
-                    let mut v = self.station.recycle().unwrap_or_default();
-                    v.extend_from_slice(req.value);
-                    KvOpKind::Put(v)
                 }
             }
-            OpCode::Delete => {
-                self.ledger.core.deletes += 1;
-                if !self.pending_ttl.is_empty() {
-                    self.pending_ttl.remove(req.key);
-                }
-                KvOpKind::Delete
+            OpCode::Delete => core.deletes += 1,
+            OpCode::UpdateScalar | OpCode::UpdateScalarToVector | OpCode::UpdateVector => {
+                core.updates += 1
             }
-            OpCode::UpdateScalar => {
-                self.ledger.core.updates += 1;
-                // λ-updates write back unstamped: an update resets the
-                // entry's lifecycle to immortal on every path.
-                if !self.pending_ttl.is_empty() {
-                    self.pending_ttl.remove(req.key);
-                }
-                let f = match self.registry.get(req.lambda) {
-                    Some(Lambda::Scalar(f)) => Arc::clone(f),
-                    _ => return Err(Status::Invalid),
-                };
-                let param = decode_scalar(Some(req.value));
-                KvOpKind::Update(Arc::new(move |old| {
-                    let new = f(decode_scalar(old), param);
-                    Some(new.to_le_bytes().to_vec())
-                }))
+        }
+        if stamp != 0 {
+            self.pending_ttl.insert(req.key.to_vec(), stamp);
+        } else if !self.pending_ttl.is_empty() {
+            self.pending_ttl.remove(req.key);
+        }
+        match req.op {
+            OpCode::Put | OpCode::Delete => Ok(None),
+            _ => match self.update_fn(req) {
+                Some(f) => Ok(Some(f)),
+                None => self.invalid(),
+            },
+        }
+    }
+
+    /// Rejects a request that names no registered λ of its opcode's type.
+    fn invalid<T>(&mut self) -> Result<T, Status> {
+        self.ledger.core.invalid += 1;
+        Err(Status::Invalid)
+    }
+
+    /// The transform (old value → new value) of an atomic update request;
+    /// `None` unless a λ of the opcode's type is registered under its id.
+    fn update_fn(&self, req: KvRequestRef<'_>) -> Option<UpdateFn> {
+        Some(match (req.op, self.registry.get(req.lambda)?) {
+            (OpCode::UpdateScalar, Lambda::Scalar(f)) => {
+                let (f, param) = (Arc::clone(f), decode_scalar(Some(req.value)));
+                Arc::new(move |old| Some(f(decode_scalar(old), param).to_le_bytes().to_vec()))
             }
-            OpCode::UpdateScalarToVector => {
-                self.ledger.core.updates += 1;
-                // λ-updates write back unstamped: an update resets the
-                // entry's lifecycle to immortal on every path.
-                if !self.pending_ttl.is_empty() {
-                    self.pending_ttl.remove(req.key);
-                }
-                let f = match self.registry.get(req.lambda) {
-                    Some(Lambda::ScalarToVector(f)) => Arc::clone(f),
-                    _ => return Err(Status::Invalid),
-                };
-                let param = decode_scalar(Some(req.value));
-                KvOpKind::Update(Arc::new(move |old| {
+            (OpCode::UpdateScalarToVector, Lambda::ScalarToVector(f)) => {
+                let (f, param) = (Arc::clone(f), decode_scalar(Some(req.value)));
+                Arc::new(move |old| {
                     old.map(|bytes| {
                         let elems: Vec<u64> = decode_vector(bytes)
                             .into_iter()
@@ -663,21 +676,11 @@ impl<M: MemoryEngine> KvProcessor<M> {
                             .collect();
                         encode_vector(&elems)
                     })
-                }))
+                })
             }
-            OpCode::UpdateVector => {
-                self.ledger.core.updates += 1;
-                // λ-updates write back unstamped: an update resets the
-                // entry's lifecycle to immortal on every path.
-                if !self.pending_ttl.is_empty() {
-                    self.pending_ttl.remove(req.key);
-                }
-                let f = match self.registry.get(req.lambda) {
-                    Some(Lambda::VectorToVector(f)) => Arc::clone(f),
-                    _ => return Err(Status::Invalid),
-                };
-                let params = decode_vector(req.value);
-                KvOpKind::Update(Arc::new(move |old| {
+            (OpCode::UpdateVector, Lambda::VectorToVector(f)) => {
+                let (f, params) = (Arc::clone(f), decode_vector(req.value));
+                Arc::new(move |old| {
                     old.map(|bytes| {
                         let mut elems = decode_vector(bytes);
                         for (e, p) in elems.iter_mut().zip(&params) {
@@ -685,154 +688,131 @@ impl<M: MemoryEngine> KvProcessor<M> {
                         }
                         encode_vector(&elems)
                     })
-                }))
+                })
             }
-        };
-        let mut key = self.station.recycle().unwrap_or_default();
-        key.extend_from_slice(req.key);
-        Ok(StationOp { id, key, kind })
-    }
-
-    /// Submits one operation to the station, handling backpressure.
-    fn submit(&mut self, op: StationOp) {
-        let mut op = op;
-        loop {
-            match self.station.admit(op) {
-                Admission::Fast(r) => {
-                    self.finish(r.id, r.value, None);
-                    return;
-                }
-                Admission::Queued => return,
-                Admission::Issue { op, writeback } => {
-                    if let Some((k, v)) = writeback {
-                        self.apply_writeback(&k, v);
-                        self.station.give(k);
-                    }
-                    self.inflight.push_back(op);
-                    if self.inflight.len() >= self.pipeline_depth {
-                        self.retire_one();
-                    }
-                    return;
-                }
-                Admission::Full(returned) => {
-                    // Backpressure: retire the oldest in-flight op (which
-                    // drains its dependency chain) and retry.
-                    self.retire_one();
-                    op = returned;
-                }
-            }
-        }
+            _ => return None,
+        })
     }
 
     /// Executes the oldest in-flight operation against the table and
-    /// reports its completion to the station.
-    fn retire_one(&mut self) {
-        let Some(op) = self.inflight.pop_front() else {
+    /// reports its completion to the station; whatever its chain
+    /// re-issues runs straight after it, in the same slot.
+    fn retire_one<R: RequestStream + ?Sized>(
+        &mut self,
+        requests: &R,
+        responses: &mut [KvResponse],
+    ) {
+        let Some((mut idx, slot)) = self.inflight.pop_front() else {
             return;
         };
-        // Each issued op (including colliding-chain re-issues) is one
-        // memory transaction with its own fault draw.
-        let mut next = Some(op);
-        while let Some(mut op) = next.take() {
+        loop {
+            // Each issued op (including colliding-chain re-issues) is one
+            // memory transaction with its own fault draw.
             let txn = self.faults.transaction(self.fault_retry_limit);
             self.ledger.core.fault_retries += txn.retries as u64;
-            let mut completion = if txn.failed {
+            if txn.failed {
                 // The transaction died in the device after exhausting its
                 // retries: the table was never touched, so the station
-                // must reclaim the slot without installing a forwarding
+                // must free the slot without installing a forwarding
                 // value — dependents re-reach memory themselves.
                 self.ledger.core.device_errors += 1;
-                self.finish(op.id, None, Some(Status::DeviceError));
-                self.station.reclaim(&op.key)
+                answer(&mut responses[idx], Status::DeviceError);
+                self.station.release(slot);
             } else {
-                let (result_value, cache_value, status_override) = self.execute_on_table(&mut op);
-                self.finish(op.id, result_value, status_override);
-                self.station.complete(&op.key, cache_value)
+                self.execute(requests.get(idx), &mut responses[idx], slot);
+            }
+            let (registry, ledger, detail) = (&self.registry, &mut self.ledger, self.ledger_detail);
+            count_retired(ledger, detail, responses[idx].status);
+            let next = self.station.drain(slot, |id, value| {
+                let resp = &mut responses[id as usize];
+                respond(registry, requests.get(id as usize), value, resp);
+                count_retired(ledger, detail, resp.status);
+            });
+            let Some(Reissue { op, writeback }) = next else {
+                return;
             };
-            // The retired op's buffers feed the next one.
-            let StationOp { key, kind, .. } = op;
-            self.station.give(key);
-            if let KvOpKind::Put(v) = kind {
-                self.station.give(v);
+            if let Some((key, value)) = writeback {
+                Self::write_back(
+                    &mut self.table,
+                    &self.pending_ttl,
+                    &mut self.ledger,
+                    key,
+                    value,
+                );
             }
-            for r in completion.results.drain(..) {
-                self.finish(r.id, r.value, None);
-            }
-            if let Some((k, v)) = completion.writeback.take() {
-                self.apply_writeback(&k, v);
-                self.station.give(k);
-            }
-            next = completion.issue.take();
-            self.station.give_results(completion.results);
+            idx = op.id as usize;
+            self.station.recycle(op);
         }
     }
 
-    /// Runs one operation against the hash table.
-    ///
-    /// Returns `(result value, cache value, status override)`.
-    #[allow(clippy::type_complexity)]
-    fn execute_on_table(
-        &mut self,
-        op: &mut StationOp,
-    ) -> (Option<Vec<u8>>, Option<Vec<u8>>, Option<Status>) {
-        match &mut op.kind {
-            KvOpKind::Get => {
-                let mut buf = self.station.recycle().unwrap_or_default();
-                match self.table.get_into(&op.key, &mut buf) {
-                    Some(_) => {
-                        let mut result = self.station.recycle().unwrap_or_default();
-                        result.extend_from_slice(&buf);
-                        (Some(result), Some(buf), None)
-                    }
-                    None => {
-                        self.station.give(buf);
-                        (None, None, None)
-                    }
+    /// Runs one issued request against the hash table — the only place a
+    /// request reaches it — answers it, and installs the key's value
+    /// after the operation as the slot's forwarding entry.
+    fn execute(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse, slot: usize) {
+        let key = req.key;
+        match req.op {
+            OpCode::Get | OpCode::Reduce | OpCode::Filter => {
+                let hit = self.table.get_into(key, &mut resp.value).is_some();
+                self.station
+                    .install(slot, key, hit.then_some(resp.value.as_slice()));
+                if !hit {
+                    answer(resp, Status::NotFound);
+                } else if req.op == OpCode::Get {
+                    resp.status = Status::Ok;
+                } else {
+                    let raw = std::mem::take(&mut resp.value);
+                    respond(&self.registry, req, Some(&raw), resp);
                 }
             }
-            KvOpKind::Put(v) => {
-                let exp = self.ctxs[op.id as usize].expiry_tick;
-                match self.table.put_ttl(&op.key, v, exp) {
-                    // The op's value buffer moves straight into the
-                    // forwarding cache; no copy.
-                    Ok(_replaced) => (None, Some(std::mem::take(v)), None),
+            OpCode::Put if !self.table.stamp_dead(req.expiry_tick) => {
+                let status = match self.table.put_ttl(key, req.value, req.expiry_tick) {
+                    Ok(_replaced) => {
+                        self.station.install(slot, key, Some(req.value));
+                        Status::Ok
+                    }
                     Err(e) => {
-                        let status = self.map_error(e);
                         // Leave the cache coherent with the table's (old)
                         // contents.
-                        let old = self.table.get(&op.key);
-                        (None, old, Some(status))
+                        let status = self.map_error(e);
+                        let old = self.table.get(key);
+                        self.station.install(slot, key, old.as_deref());
+                        status
                     }
-                }
-            }
-            KvOpKind::Delete => {
-                let existed = self.table.delete(&op.key);
-                // A dead-on-arrival PUT runs as a delete; its response is
-                // the PUT's Ok, not the delete's found/not-found.
-                let status = if existed || self.ctxs[op.id as usize].op == OpCode::Put {
-                    Status::Ok
-                } else {
-                    Status::NotFound
                 };
-                (None, None, Some(status))
+                answer(resp, status);
             }
-            KvOpKind::Update(f) => {
-                let old = self.table.get(&op.key);
+            // A dead-on-arrival PUT runs as a delete; its response is the
+            // PUT's Ok, not the delete's found/not-found.
+            OpCode::Put | OpCode::Delete => {
+                let existed = self.table.delete(key);
+                self.station.install(slot, key, None);
+                let ok = existed || req.op == OpCode::Put;
+                answer(resp, if ok { Status::Ok } else { Status::NotFound });
+            }
+            OpCode::UpdateScalar | OpCode::UpdateScalarToVector | OpCode::UpdateVector => {
+                let f = self.update_fn(req).expect("validated at submission");
+                let old = self.table.get(key);
                 let new = f(old.as_deref());
-                match &new {
-                    Some(nv) => {
-                        if let Err(e) = self.table.put(&op.key, nv) {
-                            let status = self.map_error(e);
-                            return (old.clone(), old, Some(status));
-                        }
-                    }
+                let stored = match &new {
+                    Some(nv) => self.table.put(key, nv).map(|_| ()),
                     None => {
                         if old.is_some() {
-                            self.table.delete(&op.key);
+                            self.table.delete(key);
                         }
+                        Ok(())
+                    }
+                };
+                match stored {
+                    Ok(()) => {
+                        self.station.install(slot, key, new.as_deref());
+                        respond(&self.registry, req, old.as_deref(), resp);
+                    }
+                    Err(e) => {
+                        let status = self.map_error(e);
+                        self.station.install(slot, key, old.as_deref());
+                        answer(resp, status);
                     }
                 }
-                (old, new, None)
             }
         }
     }
@@ -854,32 +834,46 @@ impl<M: MemoryEngine> KvProcessor<M> {
         }
     }
 
-    fn apply_writeback(&mut self, key: &[u8], value: Option<Vec<u8>>) {
-        let r = match value {
+    /// Applies a dirty forwarding entry to the table. An associated
+    /// function over the fields it needs, because its `key` and `value`
+    /// are borrowed from the station's entry.
+    fn write_back(
+        table: &mut HashTable<M>,
+        pending_ttl: &HashMap<Vec<u8>, u32>,
+        ledger: &mut OpLedger,
+        key: &[u8],
+        value: Option<&[u8]>,
+    ) {
+        let ok = match value {
+            // A write-back lands with the stamp of the batch's last TTL'd
+            // PUT of this key (0 — immortal — otherwise: unstamped PUTs
+            // and λ-updates both reset the lifecycle).
             Some(v) => {
-                // A write-back lands with the stamp of the batch's last
-                // TTL'd PUT of this key (0 — immortal — otherwise:
-                // unstamped PUTs and λ-updates both reset the lifecycle).
-                let exp = if self.pending_ttl.is_empty() {
+                let exp = if pending_ttl.is_empty() {
                     0
                 } else {
-                    self.pending_ttl.get(key).copied().unwrap_or(0)
+                    pending_ttl.get(key).copied().unwrap_or(0)
                 };
-                let r = self.table.put_ttl(key, &v, exp).map(|_| ());
-                self.station.give(v);
-                r
+                table.put_ttl(key, v, exp).is_ok()
             }
             None => {
-                self.table.delete(key);
-                Ok(())
+                table.delete(key);
+                true
             }
         };
-        if r.is_err() {
+        if !ok {
             // A write-back can only fail if the cached value grew past
             // available memory; the value is then dropped. Surfaced via
             // stats so benchmarks can assert it never happens.
-            self.ledger.core.writeback_failures += 1;
+            ledger.core.writeback_failures += 1;
         }
+    }
+
+    /// Writes every dirty forwarding entry back, in slot order.
+    fn flush(&mut self) {
+        let (table, pending_ttl, ledger) = (&mut self.table, &self.pending_ttl, &mut self.ledger);
+        self.station
+            .flush_with(|key, value| Self::write_back(table, pending_ttl, ledger, key, value));
     }
 
     /// Rewrites `key`'s lifecycle stamp in place (memcache `touch`).
@@ -890,7 +884,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// touch into the past kills the entry *now*, so the caches are
     /// dropped in that case before any read can forward the corpse.
     pub fn touch(&mut self, key: &[u8], expiry_tick: u32) -> bool {
-        self.drain_and_flush();
+        self.flush();
         self.ttl_seen = true;
         let found = self.table.touch(key, expiry_tick);
         if found && self.table.stamp_dead(expiry_tick) {
@@ -911,33 +905,20 @@ impl<M: MemoryEngine> KvProcessor<M> {
     pub fn expiry_stats(&self) -> kvd_hash::ExpiryStats {
         self.table.expiry_stats()
     }
+}
 
-    /// Builds and stores the response for request `id`.
-    fn finish(&mut self, id: u64, value: Option<Vec<u8>>, status_override: Option<Status>) {
-        let ctx = &self.ctxs[id as usize];
-        let resp = match status_override {
-            Some(status) => KvResponse {
-                status,
-                value: Vec::new(),
-            },
-            None => build_response(ctx, value, &self.registry, &mut self.station),
-        };
-        debug_assert!(
-            self.responses[id as usize].is_none(),
-            "response {id} produced twice"
-        );
-        if self.ledger_detail {
-            // Station-retired outcome attribution (fast-path, issued and
-            // chain-forwarded completions all land here; shed/invalid
-            // responses are written directly and are already counted by
-            // their own ledger channels).
-            match resp.status {
-                Status::Ok => self.ledger.core.retired_ok += 1,
-                Status::NotFound => self.ledger.core.retired_not_found += 1,
-                _ => self.ledger.core.retired_failed += 1,
-            }
-        }
-        self.responses[id as usize] = Some(resp);
+/// Station-retired outcome attribution, when the ledger asks for the
+/// detail (fast-path, issued and chain-forwarded completions all land
+/// here; shed/invalid responses are already counted by their own ledger
+/// channels).
+fn count_retired(ledger: &mut OpLedger, detail: bool, status: Status) {
+    if !detail {
+        return;
+    }
+    match status {
+        Status::Ok => ledger.core.retired_ok += 1,
+        Status::NotFound => ledger.core.retired_not_found += 1,
+        _ => ledger.core.retired_failed += 1,
     }
 }
 
@@ -960,89 +941,41 @@ impl<M: MemoryEngine + CostSource> CostSource for KvProcessor<M> {
     }
 }
 
-/// Builds the client-visible response from the station's result value.
-/// PUT and DELETE answer with a status only: the buffer of the value they
-/// displaced goes back to the station's pool, not to the allocator.
-fn build_response(
-    ctx: &RespCtx,
-    value: Option<Vec<u8>>,
+/// Builds the client-visible response, in place, from the value the
+/// station (or the table) produced for the request: GET the value read,
+/// PUT/DELETE the value displaced, an update the original. PUT and
+/// DELETE answer with a status only.
+fn respond(
     registry: &LambdaRegistry,
-    station: &mut ReservationStation,
-) -> KvResponse {
-    match ctx.op {
-        OpCode::Get => match value {
-            Some(v) => KvResponse {
-                status: Status::Ok,
-                value: v,
-            },
-            None => KvResponse {
-                status: Status::NotFound,
-                value: Vec::new(),
-            },
-        },
-        OpCode::Put | OpCode::Delete => {
-            let found = value.is_some();
-            if let Some(displaced) = value {
-                station.give(displaced);
-            }
-            KvResponse {
-                status: if ctx.op == OpCode::Put || found {
-                    Status::Ok
-                } else {
-                    Status::NotFound
-                },
-                value: Vec::new(),
-            }
+    req: KvRequestRef<'_>,
+    value: Option<&[u8]>,
+    resp: &mut KvResponse,
+) {
+    answer(resp, Status::Ok);
+    match (req.op, value) {
+        (OpCode::Put, _) | (OpCode::Delete, Some(_)) => {}
+        (OpCode::UpdateScalar, v) => resp
+            .value
+            .extend_from_slice(&decode_scalar(v).to_le_bytes()),
+        (OpCode::Get | OpCode::UpdateScalarToVector | OpCode::UpdateVector, Some(v)) => {
+            resp.value.extend_from_slice(v)
         }
-        OpCode::UpdateScalar => KvResponse {
-            status: Status::Ok,
-            value: decode_scalar(value.as_deref()).to_le_bytes().to_vec(),
-        },
-        OpCode::UpdateScalarToVector | OpCode::UpdateVector => match value {
-            Some(v) => KvResponse {
-                status: Status::Ok,
-                value: v,
-            },
-            None => KvResponse {
-                status: Status::NotFound,
-                value: Vec::new(),
-            },
-        },
-        OpCode::Reduce => match value {
-            Some(v) => {
-                let f = match registry.get(ctx.lambda) {
-                    Some(Lambda::Reduce(f)) => f,
-                    _ => unreachable!("validated at submission"),
-                };
-                let init = decode_scalar(Some(&ctx.param));
-                let acc = decode_vector(&v).into_iter().fold(init, |a, e| f(a, e));
-                KvResponse {
-                    status: Status::Ok,
-                    value: acc.to_le_bytes().to_vec(),
-                }
-            }
-            None => KvResponse {
-                status: Status::NotFound,
-                value: Vec::new(),
-            },
-        },
-        OpCode::Filter => match value {
-            Some(v) => {
-                let f = match registry.get(ctx.lambda) {
-                    Some(Lambda::Filter(f)) => f,
-                    _ => unreachable!("validated at submission"),
-                };
-                let kept: Vec<u64> = decode_vector(&v).into_iter().filter(|e| f(*e)).collect();
-                KvResponse {
-                    status: Status::Ok,
-                    value: encode_vector(&kept),
-                }
-            }
-            None => KvResponse {
-                status: Status::NotFound,
-                value: Vec::new(),
-            },
-        },
+        (OpCode::Reduce, Some(v)) => {
+            let Some(Lambda::Reduce(f)) = registry.get(req.lambda) else {
+                unreachable!("validated at submission")
+            };
+            let init = decode_scalar(Some(req.value));
+            let acc = decode_vector(v).into_iter().fold(init, |a, e| f(a, e));
+            resp.value.extend_from_slice(&acc.to_le_bytes());
+        }
+        (OpCode::Filter, Some(v)) => {
+            let Some(Lambda::Filter(f)) = registry.get(req.lambda) else {
+                unreachable!("validated at submission")
+            };
+            let kept: Vec<u64> = decode_vector(v).into_iter().filter(|e| f(*e)).collect();
+            resp.value = encode_vector(&kept);
+        }
+        (_, None) => resp.status = Status::NotFound,
     }
 }
 

@@ -14,7 +14,8 @@ use kvd_sim::{Bandwidth, CostSource, FaultCounters, FaultPlane, FaultRates, OpLe
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
 use crate::overload::{OverloadConfig, OverloadCounters};
-use crate::processor::{KvProcessor, ProcessorStats};
+use crate::parallel::{route, Routed};
+use crate::processor::{KvProcessor, ProcessorStats, RequestStream};
 
 /// Errors surfaced by the store API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,9 +203,9 @@ impl Default for KvDirectConfig {
 /// ```
 pub struct KvDirectStore {
     proc: KvProcessor<DispatchedMemory>,
-    /// Reused response for the point-op convenience API (`get_into`,
-    /// `execute_one`-style wrappers); its value buffer circulates through
-    /// the processor's pool instead of being reallocated per call.
+    /// Reused response of the point-op API (`get`, `put`, `fetch_add`,
+    /// …): each runs through the core into it and copies out what its
+    /// caller keeps.
     scratch: KvResponse,
 }
 
@@ -244,10 +245,7 @@ impl KvDirectStore {
         proc.set_overload_config(cfg.overload.clone());
         KvDirectStore {
             proc,
-            scratch: KvResponse {
-                status: Status::Ok,
-                value: Vec::new(),
-            },
+            scratch: KvResponse::default(),
         }
     }
 
@@ -301,8 +299,14 @@ impl KvDirectStore {
         self.proc.is_read_only()
     }
 
-    fn one(&mut self, req: KvRequestRef<'_>) -> KvResponse {
-        self.proc.execute_one(req)
+    /// Runs one request through the core into the pooled scratch
+    /// response; `Ok` lends out the response's value.
+    fn one(&mut self, req: KvRequestRef<'_>) -> Result<&[u8], StoreError> {
+        self.proc.execute_one_into(req, &mut self.scratch);
+        match self.scratch.status {
+            Status::Ok => Ok(&self.scratch.value),
+            s => Err(status_to_err(s)),
+        }
     }
 
     /// `get(k) → v`.
@@ -312,47 +316,32 @@ impl KvDirectStore {
     /// injection, or [`get_into`](Self::get_into) to reuse a caller-owned
     /// scratch buffer on hot read paths.
     pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        let r = self.one(KvRequestRef::get(key));
-        match r.status {
-            Status::Ok => Some(r.value),
-            _ => None,
-        }
+        self.one(KvRequestRef::get(key)).ok().map(<[u8]>::to_vec)
     }
 
     /// `get(k)` into a caller-owned scratch buffer; returns the value
     /// length on a hit. `out` is cleared and filled in place, so a read
     /// loop reuses one allocation instead of producing one `Vec` per op.
     pub fn get_into(&mut self, key: &[u8], out: &mut Vec<u8>) -> Option<usize> {
-        self.proc
-            .execute_one_into(KvRequestRef::get(key), &mut self.scratch);
-        match self.scratch.status {
-            Status::Ok => {
-                out.clear();
-                out.extend_from_slice(&self.scratch.value);
-                Some(out.len())
-            }
-            _ => None,
-        }
+        let value = self.one(KvRequestRef::get(key)).ok()?;
+        out.clear();
+        out.extend_from_slice(value);
+        Some(out.len())
     }
 
     /// `get(k)` that separates absence (`Ok(None)`) from device faults
     /// (`Err(DeviceError)`).
     pub fn try_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let r = self.one(KvRequestRef::get(key));
-        match r.status {
-            Status::Ok => Ok(Some(r.value)),
-            Status::NotFound => Ok(None),
-            s => Err(status_to_err(s)),
+        match self.one(KvRequestRef::get(key)) {
+            Ok(value) => Ok(Some(value.to_vec())),
+            Err(StoreError::NotFound) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
     /// `put(k, v) → bool` (inserts or replaces).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let r = self.one(KvRequestRef::put(key, value));
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_to_err(s)),
-        }
+        self.put_ttl(key, value, 0)
     }
 
     /// `put(k, v)` with an absolute lifecycle stamp (expiry tick;
@@ -364,11 +353,8 @@ impl KvDirectStore {
         value: &[u8],
         expiry_tick: u32,
     ) -> Result<(), StoreError> {
-        let r = self.one(KvRequestRef::put_ttl(key, value, expiry_tick));
-        match r.status {
-            Status::Ok => Ok(()),
-            s => Err(status_to_err(s)),
-        }
+        self.one(KvRequestRef::put_ttl(key, value, expiry_tick))
+            .map(|_| ())
     }
 
     /// Rewrites `key`'s lifecycle stamp (memcache `touch`); returns
@@ -379,12 +365,30 @@ impl KvDirectStore {
 
     /// `delete(k) → bool`.
     pub fn delete(&mut self, key: &[u8]) -> bool {
-        self.one(KvRequestRef::delete(key)).status == Status::Ok
+        self.one(KvRequestRef::delete(key)).is_ok()
     }
 
     /// Atomic fetch-and-add (builtin λ), returning the original value.
     pub fn fetch_add(&mut self, key: &[u8], delta: u64) -> Result<u64, StoreError> {
         self.update_scalar(key, crate::lambda::builtin::ADD, delta)
+    }
+
+    /// Runs one λ operation of Table 1; `Ok` lends out the response.
+    fn func(
+        &mut self,
+        op: OpCode,
+        key: &[u8],
+        value: &[u8],
+        lambda: u16,
+    ) -> Result<&[u8], StoreError> {
+        self.one(KvRequestRef {
+            op,
+            key,
+            value,
+            lambda,
+            deadline_us: 0,
+            expiry_tick: 0,
+        })
     }
 
     /// `update_scalar2scalar(k, Δ, λ) → v`.
@@ -394,19 +398,8 @@ impl KvDirectStore {
         lambda: u16,
         param: u64,
     ) -> Result<u64, StoreError> {
-        let param = param.to_le_bytes();
-        let r = self.one(KvRequestRef {
-            op: OpCode::UpdateScalar,
-            key,
-            value: &param,
-            lambda,
-            deadline_us: 0,
-            expiry_tick: 0,
-        });
-        match r.status {
-            Status::Ok => Ok(decode_scalar(Some(&r.value))),
-            s => Err(status_to_err(s)),
-        }
+        self.func(OpCode::UpdateScalar, key, &param.to_le_bytes(), lambda)
+            .map(|v| decode_scalar(Some(v)))
     }
 
     /// `update_scalar2vector(k, Δ, λ) → [v]`: applies λ to every element,
@@ -417,19 +410,13 @@ impl KvDirectStore {
         lambda: u16,
         param: u64,
     ) -> Result<Vec<u64>, StoreError> {
-        let param = param.to_le_bytes();
-        let r = self.one(KvRequestRef {
-            op: OpCode::UpdateScalarToVector,
+        self.func(
+            OpCode::UpdateScalarToVector,
             key,
-            value: &param,
+            &param.to_le_bytes(),
             lambda,
-            deadline_us: 0,
-            expiry_tick: 0,
-        });
-        match r.status {
-            Status::Ok => Ok(decode_vector(&r.value)),
-            s => Err(status_to_err(s)),
-        }
+        )
+        .map(decode_vector)
     }
 
     /// `update_vector2vector(k, [Δ], λ) → [v]`.
@@ -439,52 +426,20 @@ impl KvDirectStore {
         lambda: u16,
         params: &[u64],
     ) -> Result<Vec<u64>, StoreError> {
-        let value = encode_vector(params);
-        let r = self.one(KvRequestRef {
-            op: OpCode::UpdateVector,
-            key,
-            value: &value,
-            lambda,
-            deadline_us: 0,
-            expiry_tick: 0,
-        });
-        match r.status {
-            Status::Ok => Ok(decode_vector(&r.value)),
-            s => Err(status_to_err(s)),
-        }
+        self.func(OpCode::UpdateVector, key, &encode_vector(params), lambda)
+            .map(decode_vector)
     }
 
     /// `reduce(k, Σ, λ) → Σ`.
     pub fn vector_reduce(&mut self, key: &[u8], lambda: u16, init: u64) -> Result<u64, StoreError> {
-        let init = init.to_le_bytes();
-        let r = self.one(KvRequestRef {
-            op: OpCode::Reduce,
-            key,
-            value: &init,
-            lambda,
-            deadline_us: 0,
-            expiry_tick: 0,
-        });
-        match r.status {
-            Status::Ok => Ok(decode_scalar(Some(&r.value))),
-            s => Err(status_to_err(s)),
-        }
+        self.func(OpCode::Reduce, key, &init.to_le_bytes(), lambda)
+            .map(|v| decode_scalar(Some(v)))
     }
 
     /// `filter(k, λ) → [v]`.
     pub fn vector_filter(&mut self, key: &[u8], lambda: u16) -> Result<Vec<u64>, StoreError> {
-        let r = self.one(KvRequestRef {
-            op: OpCode::Filter,
-            key,
-            value: &[],
-            lambda,
-            deadline_us: 0,
-            expiry_tick: 0,
-        });
-        match r.status {
-            Status::Ok => Ok(decode_vector(&r.value)),
-            s => Err(status_to_err(s)),
-        }
+        self.func(OpCode::Filter, key, &[], lambda)
+            .map(decode_vector)
     }
 
     /// Registers a λ ("compile before use").
@@ -492,19 +447,14 @@ impl KvDirectStore {
         self.proc.registry_mut().register(id, lambda);
     }
 
-    /// Executes a client-batched request packet — the network fast path.
+    /// Executes a client-batched request packet, returning owned
+    /// responses — the convenience form of [`run`](Self::run).
     pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
         self.proc.execute_batch(reqs)
     }
 
-    /// Executes a batch of borrowed requests straight off a decoded wire
-    /// packet (see [`KvProcessor::execute_batch_refs`]).
-    pub fn execute_batch_refs(&mut self, reqs: &[KvRequestRef<'_>]) -> Vec<KvResponse> {
-        self.proc.execute_batch_refs(reqs)
-    }
-
-    /// Batch execution into a caller-owned response vector; retired
-    /// response buffers are recycled (see
+    /// Batch execution into a caller-owned response vector, resized to
+    /// the batch and answered in place (see
     /// [`KvProcessor::execute_batch_refs_into`]).
     pub fn execute_batch_refs_into(
         &mut self,
@@ -514,17 +464,18 @@ impl KvDirectStore {
         self.proc.execute_batch_refs_into(reqs, out)
     }
 
-    /// Executes one borrowed request without staging allocations — the
-    /// simulator's per-op hot path.
-    pub fn execute_one(&mut self, req: KvRequestRef<'_>) -> KvResponse {
-        self.proc.execute_one(req)
-    }
-
-    /// Executes one borrowed request into a caller-owned response; the
-    /// response's old value buffer is recycled (see
-    /// [`KvProcessor::execute_one_into`]).
+    /// Executes one borrowed request into a caller-owned response,
+    /// without staging allocations — the simulator's per-op hot path
+    /// (see [`KvProcessor::execute_one_into`]).
     pub fn execute_one_into(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse) {
         self.proc.execute_one_into(req, resp)
+    }
+
+    /// The execution core over any positional view of the caller's
+    /// requests, answering `responses[i]` in place (see
+    /// [`KvProcessor::run`]).
+    pub fn run<R: RequestStream + ?Sized>(&mut self, requests: &R, responses: &mut [KvResponse]) {
+        self.proc.run(requests, responses)
     }
 }
 
@@ -595,26 +546,21 @@ impl MultiNicStore {
         self.nics[s].fetch_add(key, delta)
     }
 
-    /// Scatters a batch to the owning NICs and gathers responses in order.
+    /// Scatters a batch to the owning NICs and gathers responses in
+    /// order. Nothing is copied on the way in: each NIC's core reads its
+    /// share of `reqs` through a routed view.
     pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
-        let mut per_nic: Vec<Vec<(usize, KvRequest)>> = vec![Vec::new(); self.nics.len()];
-        for (i, r) in reqs.iter().enumerate() {
-            per_nic[self.shard(&r.key)].push((i, r.clone()));
-        }
-        let mut out: Vec<Option<KvResponse>> = vec![None; reqs.len()];
-        for (nic, batch) in per_nic.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let reqs_only: Vec<KvRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
-            let responses = self.nics[nic].execute_batch(&reqs_only);
-            for ((i, _), resp) in batch.into_iter().zip(responses) {
-                out[i] = Some(resp);
+        let mut routes = vec![Vec::new(); self.nics.len()];
+        route(reqs, &mut routes);
+        let mut out = vec![KvResponse::default(); reqs.len()];
+        for (nic, idx) in self.nics.iter_mut().zip(&routes) {
+            let mut answers = vec![KvResponse::default(); idx.len()];
+            nic.run(&Routed { reqs, idx }, &mut answers);
+            for (&i, answer) in idx.iter().zip(answers) {
+                out[i as usize] = answer;
             }
         }
-        out.into_iter()
-            .map(|r| r.expect("all requests routed"))
-            .collect()
+        out
     }
 
     /// Per-NIC access to the shards.

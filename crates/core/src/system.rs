@@ -38,7 +38,7 @@
 //! drops and reorders ride the same deterministic schedule.
 
 use kvd_mem::MemoryEngine;
-use kvd_net::{KvRequest, KvResponse, NetConfig, NetLink, OpCode, Status};
+use kvd_net::{KvRequest, KvRequestRef, KvResponse, NetConfig, NetLink, OpCode, Status};
 use kvd_pcie::PcieConfig;
 use kvd_sim::{
     Bandwidth, CostSource, DetRng, FaultCounters, FaultPlane, Freq, Histogram, OpClass, OpLedger,
@@ -47,6 +47,7 @@ use kvd_sim::{
 pub use kvd_sim::{Percentile, RunSummary};
 
 use crate::overload::OverloadCounters;
+pub use crate::processor::RequestStream;
 use crate::store::{KvDirectConfig, KvDirectStore};
 
 /// Salt separating the network links' fault stream from the store's
@@ -252,28 +253,6 @@ pub struct WindowStep {
     pub next_event: SimTime,
     /// True once every staged request has completed.
     pub done: bool,
-}
-
-/// A request stream the batch loop reads by position: a slice (the
-/// caller's in [`SystemSim::run`], the staged vector in the stepped
-/// forms) or the parallel router's view of one shard's share of a slice
-/// ([`crate::parallel::Routed`]). The loop is monomorphised per stream.
-#[allow(clippy::len_without_is_empty)] // the loop compares its cursor with `len`; nothing asks "empty?"
-pub trait RequestStream {
-    /// Requests in the stream.
-    fn len(&self) -> usize;
-    /// Request `i` (`i < len()`).
-    fn get(&self, i: usize) -> &KvRequest;
-}
-
-impl RequestStream for [KvRequest] {
-    fn len(&self) -> usize {
-        <[KvRequest]>::len(self)
-    }
-
-    fn get(&self, i: usize) -> &KvRequest {
-        &self[i]
-    }
 }
 
 impl SystemSim {
@@ -632,7 +611,7 @@ impl SystemSim {
             // queue grows without limit and *every* response is late
             // (congestion collapse).
             let wire_start = start.max(self.req_link.free_at());
-            let dead_at_client = |r: &KvRequest| {
+            let dead_at_client = |r: &KvRequestRef<'_>| {
                 r.deadline_us != 0 && wire_start > SimTime::from_us(u64::from(r.deadline_us))
             };
 
@@ -705,7 +684,7 @@ impl SystemSim {
                 std::mem::swap(&mut resp, &mut self.resp);
                 for i in self.cursor..end {
                     let req = reqs.get(i);
-                    if dead_at_client(req) {
+                    if dead_at_client(&req) {
                         self.ledger.net.client_expired += 1;
                         self.statuses.push(Status::Expired);
                         if self.record_outcomes {
@@ -716,10 +695,10 @@ impl SystemSim {
                     decoded += 1;
                     let decode_done = decode_start + cycle * decoded;
                     self.store.processor_mut().set_now(decode_done);
-                    let before = self.store.processor().table().mem().stats();
-                    self.store.execute_one_into(req.as_ref(), &mut resp);
+                    let before = self.store.processor().table().mem().traffic();
+                    self.store.execute_one_into(req, &mut resp);
                     resp_bytes += 3 + resp.value.len() as u64;
-                    let d = self.store.processor().table().mem().stats().since(&before);
+                    let after = self.store.processor().table().mem().traffic();
                     self.statuses.push(resp.status);
                     if self.record_outcomes {
                         self.outcomes.push((resp.status, resp.value.clone()));
@@ -727,10 +706,10 @@ impl SystemSim {
                     self.loads.push(OpLoad {
                         idx: i,
                         t: decode_done,
-                        dma_reads: d.dma_reads,
-                        dram_reads: d.dram_reads,
-                        dma_writes: d.dma_writes,
-                        dram_writes: d.dram_writes,
+                        dma_reads: after.dma_reads - before.dma_reads,
+                        dram_reads: after.dram_reads - before.dram_reads,
+                        dma_writes: after.dma_writes - before.dma_writes,
+                        dram_writes: after.dram_writes - before.dram_writes,
                         proc_ps: decode_done.saturating_sub(arrive).as_ps(),
                         pcie_ps: 0,
                         dram_ps: 0,

@@ -75,34 +75,3 @@ fn zero_copy_batches_match_owned_path() {
          access, station decision, or retire outcome"
     );
 }
-
-#[test]
-fn execute_one_into_matches_execute_one() {
-    const POP: u64 = 500;
-
-    let mut a = store();
-    let mut b = store();
-    let mut w = PresetWorkload::new(YcsbPreset::A, POP, 24, 0xBEE);
-    for req in w.preload() {
-        a.execute_one(req.as_ref());
-        b.execute_one_into(
-            req.as_ref(),
-            &mut KvResponse {
-                status: kvd_net::Status::Ok,
-                value: Vec::new(),
-            },
-        );
-    }
-
-    let mut resp = KvResponse {
-        status: kvd_net::Status::Ok,
-        value: Vec::new(),
-    };
-    for _ in 0..5_000 {
-        let req = w.next_request();
-        let ra = a.execute_one(req.as_ref());
-        b.execute_one_into(req.as_ref(), &mut resp);
-        assert_eq!(ra, resp, "per-op paths diverged");
-    }
-    assert_eq!(merged_ledger(&a), merged_ledger(&b), "ledgers diverged");
-}

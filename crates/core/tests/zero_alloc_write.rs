@@ -8,6 +8,11 @@
 //! DELETE followed by a re-PUT — through `KvDirectStore::execute_one_into`
 //! (host pages behind PCIe, NIC DRAM cache, dispatcher), and requires
 //! that once the pools are warm they perform **zero** heap allocations.
+//! A last phase replays the serving front-end's shape — bundles of 16
+//! mixed GET/SET/DELETE on 13-byte keys through
+//! `execute_batch_refs_into`, values up the extended slab ladder, keys
+//! repeating inside a bundle so operations queue and forward — under the
+//! same requirement.
 //!
 //! One `#[test]` per file: the harness runs a binary's tests
 //! concurrently, and a second test's allocations would race the counter.
@@ -16,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kvd_core::{KvDirectConfig, KvDirectStore};
-use kvd_net::{KvRequestRef, KvResponse, Status};
+use kvd_net::{KvRequest, KvRequestRef, KvResponse, Status};
 
 struct Counting;
 
@@ -110,5 +115,69 @@ fn steady_state_writes_allocate_nothing() {
     assert_eq!(
         cycles, 0,
         "DELETE then PUT must not allocate ({cycles} over {OPS} cycles)"
+    );
+
+    // --- The serving front-end's bundle shape ---------------------------
+    const BUNDLE: usize = 16;
+    const BUNDLES: u64 = 500;
+    const BUNDLE_POP: u64 = 256;
+    // `flags | cas` header + data, as kvd-server frames a stored value;
+    // the last three lengths need the extended slab ladder.
+    const FRAMED: [usize; 6] = [
+        12 + 8,
+        12 + 64,
+        12 + 400,
+        12 + 1_000,
+        12 + 3_000,
+        12 + 9_000,
+    ];
+    let mut store = KvDirectStore::new(KvDirectConfig {
+        extended_slabs: true,
+        ..KvDirectConfig::with_memory(16 << 20)
+    });
+    let big = vec![0x5Au8; 9_100];
+    // The trace and its borrowed bundles are built once, outside the
+    // counter; a connection stages them into pooled arenas the same way.
+    let trace: Vec<KvRequest> = (0..BUNDLES * BUNDLE as u64)
+        .map(|i| {
+            let key = format!("key:{:09}", splitmix(i) % BUNDLE_POP);
+            assert_eq!(key.len(), 13);
+            match splitmix(i ^ 0xB0B) % 10 {
+                0..=4 => KvRequest::get(key.as_bytes()),
+                5..=7 => KvRequest::put(
+                    key.as_bytes(),
+                    &big[..FRAMED[(splitmix(i ^ 0xF00D) % 6) as usize]],
+                ),
+                _ => KvRequest::delete(key.as_bytes()),
+            }
+        })
+        .collect();
+    let refs: Vec<KvRequestRef<'_>> = trace.iter().map(|r| r.as_ref()).collect();
+    let mut out: Vec<KvResponse> = Vec::new();
+    let mut replay = |store: &mut KvDirectStore| {
+        let mut answered = 0;
+        for bundle in refs.chunks(BUNDLE) {
+            store.execute_batch_refs_into(bundle, &mut out);
+            answered += out
+                .iter()
+                .filter(|r| matches!(r.status, Status::Ok | Status::NotFound))
+                .count();
+        }
+        assert_eq!(answered, refs.len(), "the corpus fits: no op fails");
+    };
+    for _ in 0..4 {
+        replay(&mut store);
+    }
+    let station = store.processor().station_stats();
+    assert!(
+        station.queued > 0 && station.forwarded > 0 && station.writebacks > 0,
+        "bundles must queue, forward and write back: {station:?}"
+    );
+    let before = ALLOCS.load(Ordering::Relaxed);
+    replay(&mut store);
+    let bundled = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        bundled, 0,
+        "bundles of {BUNDLE} mixed ops must not allocate ({bundled} over {BUNDLES} bundles)"
     );
 }

@@ -94,6 +94,16 @@ impl AccessStats {
         }
     }
 
+    /// The request counts alone.
+    pub fn traffic(&self) -> Traffic {
+        Traffic {
+            dma_reads: self.dma_reads,
+            dma_writes: self.dma_writes,
+            dram_reads: self.dram_reads,
+            dram_writes: self.dram_writes,
+        }
+    }
+
     /// Cache hit rate over the lookups in this (possibly windowed) stats
     /// view; 0 if there were none.
     pub fn hit_rate(&self) -> f64 {
@@ -104,6 +114,20 @@ impl AccessStats {
             self.cache_hits as f64 / lookups as f64
         }
     }
+}
+
+/// Requests issued per device — the part of [`AccessStats`] a timing
+/// model charges per operation, cheap enough to read around every one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// PCIe DMA read requests issued.
+    pub dma_reads: u64,
+    /// PCIe DMA write requests issued.
+    pub dma_writes: u64,
+    /// NIC DRAM line reads.
+    pub dram_reads: u64,
+    /// NIC DRAM line writes.
+    pub dram_writes: u64,
 }
 
 /// Byte-addressable memory with access accounting.
@@ -124,6 +148,12 @@ pub trait MemoryEngine {
 
     /// Accumulated access statistics.
     fn stats(&self) -> AccessStats;
+
+    /// The request counts of [`stats`](Self::stats). Engines that hold
+    /// their statistics override this to read just the four.
+    fn traffic(&self) -> Traffic {
+        self.stats().traffic()
+    }
 
     /// Resets the statistics (storage contents are kept).
     fn reset_stats(&mut self);
@@ -195,6 +225,10 @@ impl MemoryEngine for FlatMemory {
 
     fn stats(&self) -> AccessStats {
         self.stats
+    }
+
+    fn traffic(&self) -> Traffic {
+        self.stats.traffic()
     }
 
     fn reset_stats(&mut self) {
@@ -816,6 +850,10 @@ impl MemoryEngine for DispatchedMemory {
 
     fn stats(&self) -> AccessStats {
         self.stats
+    }
+
+    fn traffic(&self) -> Traffic {
+        self.stats.traffic()
     }
 
     fn reset_stats(&mut self) {

@@ -39,7 +39,7 @@ pub mod sketch;
 pub use dispatch::{DispatchConfig, LoadDispatcher};
 pub use engine::{
     AccessKind, AccessStats, AdaptiveCacheConfig, CacheStats, DispatchedMemory, EccStats,
-    FlatMemory, MemoryEngine, DEFAULT_BYPASS_THRESHOLD,
+    FlatMemory, MemoryEngine, Traffic, DEFAULT_BYPASS_THRESHOLD,
 };
 pub use host::HostMemory;
 pub use nicdram::{NicDram, NicDramConfig, Place, Victim, WAYS};

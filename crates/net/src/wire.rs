@@ -291,10 +291,11 @@ impl KvRequest {
 }
 
 /// Response status codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Status {
     /// Operation succeeded.
+    #[default]
     Ok = 0,
     /// Key not found.
     NotFound = 1,
@@ -328,8 +329,9 @@ impl Status {
     }
 }
 
-/// One KV response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One KV response. The default is a blank slot — `Ok`, no value — for
+/// an executor to answer in place.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KvResponse {
     /// Outcome.
     pub status: Status,

@@ -31,6 +31,6 @@ pub mod station;
 
 pub use pipeline::{simulate_throughput, PipelineConfig, PipelineResult, SimOp};
 pub use station::{
-    Admission, Completion, KvOpKind, OpResult, ReservationStation, StationConfig, StationOp,
-    StationStats, UpdateFn, Writeback,
+    Admission, Completion, KvOpKind, OpRef, OpResult, Probe, Reissue, ReservationStation,
+    StationConfig, StationOp, StationStats, UpdateFn, Writeback, WritebackRef,
 };

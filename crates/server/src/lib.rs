@@ -9,8 +9,8 @@
 //! (and the bundled open-loop load generator) exercise the real code
 //! path: TCP bytes → incremental frame reassembly ([`proto`]) →
 //! per-shard bundles executed in place by the connection's own thread
-//! under the shard's lock ([`server`]) → the pooled
-//! `execute_batch_refs_into` hot path of [`kvd_core::KvDirectStore`].
+//! under the shard's lock ([`server`]) → the execution core of
+//! [`kvd_core::KvDirectStore`] (`run`), reading each bundle in place.
 //!
 //! * [`proto`] — the wire grammar: borrowed zero-copy decode, response
 //!   encoding, error taxonomy (`ERROR` / `CLIENT_ERROR` /

@@ -27,14 +27,13 @@
 //!   shard close with `BrokenPipe`, while [`ServerHandle::ledger`] and
 //!   [`ServerHandle::stop`] still read the counters through the poison.
 //!
-//! Steady-state the hot path allocates nothing per request: bytes are
-//! read straight into the receive buffer, keys and data are staged into
-//! pooled per-shard arenas, bundles execute through the pooled
-//! [`KvDirectStore::execute_batch_refs_into`] entry point (retired value
-//! buffers recycle into the station pool), and response encoding appends
-//! into a reused write buffer. What is still allocated is one vector of
-//! request refs per multi-op bundle — it borrows the bundle's arena, so
-//! it cannot outlive the call.
+//! Steady-state the hot path allocates nothing, per request or per
+//! bundle: bytes are read straight into the receive buffer, keys and
+//! data are staged into pooled per-shard arenas, the store's execution
+//! core ([`KvDirectStore::run`]) reads a bundle's requests in place
+//! through a positional view of its `ops` and `arena` and answers into
+//! the bundle's pooled responses, and response encoding appends into a
+//! reused write buffer.
 //!
 //! Stored values carry a 12-byte header — `flags: u32 LE | cas: u64 LE`
 //! — ahead of the client data, so GET can echo flags and `gets` a cas
@@ -47,7 +46,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use kvd_core::{tick_of_us, KvDirectConfig, KvDirectStore, EXPIRY_TICK_US};
+use kvd_core::{tick_of_us, KvDirectConfig, KvDirectStore, RequestStream, EXPIRY_TICK_US};
 use kvd_net::{shard_of, HashRing, KvRequestRef, KvResponse, Status};
 use kvd_sim::{CostSource, OpLedger, ServerCosts, SimTime};
 
@@ -217,8 +216,7 @@ struct Op {
 /// A pooled execution unit: one shard's ops + their byte arena in,
 /// responses out. A connection fills it, executes it under the shard's
 /// lock and reads `responses[i]` aligned to `ops[i]`; the next reuse
-/// hands `responses` back to `execute_batch_refs_into`, which recycles
-/// the retired value buffers.
+/// answers into the same responses, value buffers kept.
 #[derive(Debug, Default)]
 struct Bundle {
     ops: Vec<Op>,
@@ -229,6 +227,43 @@ struct Bundle {
 impl Bundle {
     fn key<'a>(&'a self, op: &Op) -> &'a [u8] {
         &self.arena[op.key.0 as usize..op.key.1 as usize]
+    }
+}
+
+/// The first `n` response slots of a bundle. The vector only grows (a
+/// connection reads `responses[i]` for `ops[i]` and nothing beyond), so
+/// the value buffers of a large bundle survive a small one in between.
+fn response_slots(responses: &mut Vec<KvResponse>, n: usize) -> &mut [KvResponse] {
+    if responses.len() < n {
+        responses.resize_with(n, KvResponse::default);
+    }
+    &mut responses[..n]
+}
+
+/// The execution core's view of a multi-op bundle: request `i` is
+/// `ops[i]`, its key and framed value read in place from `arena`.
+struct BundleRequests<'a> {
+    ops: &'a [Op],
+    arena: &'a [u8],
+}
+
+impl RequestStream for BundleRequests<'_> {
+    fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn get(&self, i: usize) -> KvRequestRef<'_> {
+        let op = &self.ops[i];
+        let key = &self.arena[op.key.0 as usize..op.key.1 as usize];
+        match op.verb {
+            Verb::Get => KvRequestRef::get(key),
+            Verb::Set => {
+                let value = &self.arena[op.val.0 as usize..op.val.1 as usize];
+                KvRequestRef::put_ttl(key, value, op.expiry)
+            }
+            Verb::Delete => KvRequestRef::delete(key),
+            Verb::Add | Verb::Replace | Verb::Touch => unreachable!("these ops ship alone"),
+        }
     }
 }
 
@@ -504,10 +539,10 @@ fn execute_bundle(shard: &mut Shard, bundle: &mut Bundle, cas: &AtomicU64) {
         }
         return execute_conditional(store, bundle, cas, &mut shard.probe);
     }
-    // Stamp cas uniques into the value headers, then run the whole
-    // bundle through the pooled batch entry point. Destructured so the
-    // request refs (borrowing `arena`) and the response vector borrow
-    // disjoint fields.
+    // Stamp cas uniques into the value headers, then let the core read
+    // the whole bundle in place. Destructured so the request view
+    // (borrowing `ops` and `arena`) and the responses borrow disjoint
+    // fields.
     let Bundle {
         ops,
         arena,
@@ -520,19 +555,10 @@ fn execute_bundle(shard: &mut Shard, bundle: &mut Bundle, cas: &AtomicU64) {
             arena[at..at + 8].copy_from_slice(&c.to_le_bytes());
         }
     }
-    let mut refs: Vec<KvRequestRef<'_>> = Vec::with_capacity(ops.len());
-    for op in ops.iter() {
-        let key = &arena[op.key.0 as usize..op.key.1 as usize];
-        refs.push(match op.verb {
-            Verb::Get => KvRequestRef::get(key),
-            Verb::Set => {
-                KvRequestRef::put_ttl(key, &arena[op.val.0 as usize..op.val.1 as usize], op.expiry)
-            }
-            Verb::Delete => KvRequestRef::delete(key),
-            Verb::Add | Verb::Replace | Verb::Touch => unreachable!("these ops ship alone"),
-        });
-    }
-    store.execute_batch_refs_into(&refs, responses);
+    store.run(
+        &BundleRequests { ops, arena },
+        response_slots(responses, ops.len()),
+    );
 }
 
 /// `add`/`replace`: probe-then-store, atomic because the caller holds
@@ -567,19 +593,12 @@ fn execute_conditional(
     let Bundle {
         arena, responses, ..
     } = bundle;
-    responses.truncate(1);
-    if responses.is_empty() {
-        responses.push(KvResponse {
-            status: Status::NotFound,
-            value: Vec::new(),
-        });
-    }
     let req = KvRequestRef::put_ttl(
         &arena[op.key.0 as usize..op.key.1 as usize],
         &arena[op.val.0 as usize..op.val.1 as usize],
         op.expiry,
     );
-    store.execute_one_into(req, &mut responses[0]);
+    store.execute_one_into(req, &mut response_slots(responses, 1)[0]);
 }
 
 /// Maps a failed op status to its `SERVER_ERROR` taxonomy line. The
@@ -606,16 +625,9 @@ fn taxonomy_reply(status: Status) -> &'static [u8] {
 }
 
 fn set_response(bundle: &mut Bundle, status: Status) {
-    bundle.responses.truncate(1);
-    if bundle.responses.is_empty() {
-        bundle.responses.push(KvResponse {
-            status,
-            value: Vec::new(),
-        });
-    } else {
-        bundle.responses[0].status = status;
-        bundle.responses[0].value.clear();
-    }
+    let resp = &mut response_slots(&mut bundle.responses, 1)[0];
+    resp.status = status;
+    resp.value.clear();
 }
 
 // ---------------------------------------------------------------------
