@@ -13,8 +13,11 @@
 
 use kv_direct::parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 use kv_direct::sim::{Bandwidth, DetRng, SimTime};
+use kv_direct::system::{SystemSim, SystemSimConfig};
 use kv_direct::workloads::presets::{PresetWorkload, YcsbPreset};
-use kv_direct::{KvDirectConfig, KvRequest, OpClass, OpLedger, Status};
+use kv_direct::{
+    ClusterSim, ClusterSimConfig, KvDirectConfig, KvRequest, NodeKill, OpClass, OpLedger, Status,
+};
 use proptest::prelude::*;
 
 fn workload(n: usize, seed: u64) -> Vec<KvRequest> {
@@ -321,6 +324,14 @@ const GOLDEN_FRESH_Q4: &str = "RunSummary { ops: 12000, elapsed: 43.594us, mops:
 const GOLDEN_FRESH_Q8: &str = "RunSummary { ops: 12000, elapsed: 43.594us, mops: 275.27013060787766, goodput_ops: 12000, goodput_mops: 275.27013060787766, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3776597.9254276697, min: 2227983, p5: 3342336, p50: 3604480, p95: 4718592, p99: 5046272, max: 5471930 }, put_latency: Summary { count: 5979, mean: 3775759.8367620003, min: 2238000, p5: 3342336, p50: 3604480, p95: 4718592, p99: 4980736, max: 5470171 } } | windows 6 oversubscribed 0 lines 5023 stall 0ns | ledger 0x82d37a8019a3c81f";
 const GOLDEN_FRESH_STARVED: &str = "RunSummary { ops: 12000, elapsed: 804.828us, mops: 14.910019041510767, goodput_ops: 12000, goodput_mops: 14.910019041510767, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3921145.547749543, min: 2227983, p5: 3375104, p50: 3670016, p95: 5046272, p99: 5373952, max: 5514322 }, put_latency: Summary { count: 5979, mean: 3921200.566482689, min: 2238000, p5: 3407872, p50: 3670016, p95: 4980736, p99: 5308416, max: 5513956 } } | windows 5 oversubscribed 4 lines 5023 stall 768.480us | ledger 0xb118c5493c6dff26";
 
+/// The open-loop second run and the closed-loop third run of
+/// [`run_reused`], with a digest of every shard's outcomes, recorded on
+/// `0b0af86`: an open-loop run against clocks a closed-loop run left, and
+/// a closed-loop origin taken from clocks an open-loop run left.
+const GOLDEN_LATER_Q4: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 203.267us, mops: 19.67851340559615, goodput_ops: 4000, goodput_mops: 19.67851340559615, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 10495481.16092545, min: 3162484, p5: 3604480, p50: 8912896, p95: 21495808, p99: 34078720, max: 43747321 }, put_latency: Summary { count: 2055, mean: 10487534.451581508, min: 3108025, p5: 3670016, p50: 8912896, p95: 21757952, p99: 33030144, max: 43583558 } } | windows 61 oversubscribed 0 lines 6799 stall 0ns | ledger 0x94a958fc85176ee3 | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 44.203us, mops: 271.47507543217756, goodput_ops: 12000, goodput_mops: 271.47507543217756, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3750169.3449605904, min: 2442159, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325875 }, put_latency: Summary { count: 6037, mean: 3755800.0780188837, min: 2438198, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325169 } } | windows 72 oversubscribed 0 lines 11890 stall 0ns | ledger 0xc2d315c56cec1eaa | outcomes 0x7d890fad1066d8d5"];
+const GOLDEN_LATER_Q8: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 203.267us, mops: 19.67851340559615, goodput_ops: 4000, goodput_mops: 19.67851340559615, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 10495481.16092545, min: 3162484, p5: 3604480, p50: 8912896, p95: 21495808, p99: 34078720, max: 43747321 }, put_latency: Summary { count: 2055, mean: 10487534.451581508, min: 3108025, p5: 3670016, p50: 8912896, p95: 21757952, p99: 33030144, max: 43583558 } } | windows 31 oversubscribed 0 lines 6799 stall 0ns | ledger 0xf1080980f78792e7 | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 44.203us, mops: 271.47507543217756, goodput_ops: 12000, goodput_mops: 271.47507543217756, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3750169.3449605904, min: 2442159, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325875 }, put_latency: Summary { count: 6037, mean: 3755800.0780188837, min: 2438198, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325169 } } | windows 37 oversubscribed 0 lines 11890 stall 0ns | ledger 0xae765a98cae25816 | outcomes 0x7d890fad1066d8d5"];
+const GOLDEN_LATER_STARVED: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 808.781us, mops: 4.945716349017689, goodput_ops: 4000, goodput_mops: 4.945716349017689, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 526513800.00411314, min: 153447035, p5: 186646528, p50: 587202560, p95: 763363328, p99: 788529152, max: 804938825 }, put_latency: Summary { count: 2055, mean: 521065145.64671534, min: 153516052, p5: 188743680, p50: 578813952, p95: 754974720, p99: 788529152, max: 804775062 } } | windows 14 oversubscribed 12 lines 6799 stall 987.520us | ledger 0x5ce4fde91eb0b9be | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 808.656us, mops: 14.839444812345885, goodput_ops: 12000, goodput_mops: 14.839444812345885, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3893174.7793057184, min: 2258017, p5: 3342336, p50: 3670016, p95: 4718592, p99: 5242880, max: 5565448 }, put_latency: Summary { count: 6037, mean: 3892145.1166142123, min: 2262389, p5: 3375104, p50: 3670016, p95: 4784128, p99: 5242880, max: 5567577 } } | windows 19 oversubscribed 17 lines 11890 stall 1.762ms | ledger 0xa395e601d647baa1 | outcomes 0x7d890fad1066d8d5"];
+
 #[test]
 fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
     // Reuse is where the run origin matters: the second closed-loop run
@@ -328,10 +339,15 @@ fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
     // a pure function of the streams — and the open-loop run in between
     // starts at zero against clocks that do not.
     let starved = Some(Bandwidth::from_gbytes_per_sec(0.4));
-    for (quantum, bandwidth, golden) in [
-        (SimTime::from_us(4), None, GOLDEN_FRESH_Q4),
-        (SimTime::from_us(8), None, GOLDEN_FRESH_Q8),
-        (SimTime::from_us(8), starved, GOLDEN_FRESH_STARVED),
+    for (quantum, bandwidth, golden, later) in [
+        (SimTime::from_us(4), None, GOLDEN_FRESH_Q4, GOLDEN_LATER_Q4),
+        (SimTime::from_us(8), None, GOLDEN_FRESH_Q8, GOLDEN_LATER_Q8),
+        (
+            SimTime::from_us(8),
+            starved,
+            GOLDEN_FRESH_STARVED,
+            GOLDEN_LATER_STARVED,
+        ),
     ] {
         let base = run_reused(1, 1, quantum, bandwidth);
         assert_eq!(
@@ -339,6 +355,17 @@ fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
             golden,
             "first run on a fresh engine moved (quantum={quantum:?})"
         );
+        for (nth, golden) in [(1, later[0]), (2, later[1])] {
+            assert_eq!(
+                format!(
+                    "{} | outcomes {:#018x}",
+                    fingerprint(&base.reports[nth]),
+                    debug_digest(&base.outcomes[nth])
+                ),
+                golden,
+                "run {nth} on a reused engine moved (quantum={quantum:?})"
+            );
+        }
         for r in &base.reports {
             assert!(r.ops >= 4_000 && r.elapsed > SimTime::ZERO);
         }
@@ -360,6 +387,169 @@ fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
                 );
             }
         }
+    }
+}
+
+/// FNV-1a over a byte stream.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digest of a value's `Debug` form.
+fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
+    fnv(format!("{v:?}").bytes())
+}
+
+/// Digest of one shard's recorded outcomes, statuses and value bytes in
+/// stream order.
+fn outcomes_digest(outcomes: &[(Status, Vec<u8>)]) -> u64 {
+    debug_digest(&outcomes)
+}
+
+/// An open-loop schedule that exercises every way a request resolves:
+/// YCSB-A at 200 Mops offered (5 ns apart: past one pipeline's decode
+/// rate, under ten shards'), every seventh request under a deadline about
+/// 3 µs out and every eleventh under one at most 1 µs out — below the
+/// network round trip, so those die at the client's batch cut or at the
+/// server's decode clock while the others are answered late or shed.
+fn open_schedule(n: usize, seed: u64) -> Vec<(SimTime, KvRequest)> {
+    workload(n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let t = SimTime::from_ns(5 * i as u64);
+            let r = match (i % 7, i % 11) {
+                (0, _) => r.with_deadline(t.as_us() as u32 + 3),
+                (_, 0) => r.with_deadline(t.as_us() as u32 + 1),
+                _ => r,
+            };
+            (t, r)
+        })
+        .collect()
+}
+
+/// Open-loop fingerprints recorded on `0b0af86`, while `run_open` still
+/// staged owned copies of the schedule (`load_open`, per-shard `Vec`s)
+/// and stepped them with `step` / `step_window`.
+const GOLDEN_SEQ_OPEN: &str = "RunSummary { ops: 6000, elapsed: 35.464us, mops: 169.18458444205632, goodput_ops: 804, goodput_mops: 22.67073431523555, shed_ops: 4063, expired_ops: 984, get_latency: Summary { count: 487, mean: 5987584.503080082, min: 4741172, p5: 4849664, p50: 6029312, p95: 6750208, p99: 6881280, max: 6939751 }, put_latency: Summary { count: 466, mean: 5993408.939914163, min: 4778269, p5: 4849664, p50: 5963776, p95: 6750208, p99: 6881280, max: 6958427 } } | report 0x5bbf94c8595a59c5 | outcomes 0x6f52d27799568532";
+const GOLDEN_PAR_OPEN_Q4: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 8 oversubscribed 0 lines 2372 stall 0ns | ledger 0xf841a9c16d7d7e2d | report 0xb44ae71db1166c95 | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
+const GOLDEN_PAR_OPEN_Q8: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 4 oversubscribed 0 lines 2372 stall 0ns | ledger 0x6a1a17c49bcbdba9 | report 0xe3eb0d75a2e4975d | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
+
+#[test]
+fn open_loop_runs_reproduce_their_recorded_fingerprints() {
+    let sched = open_schedule(6_000, 0xD37D);
+
+    // One pipeline: the whole report, and every recorded outcome.
+    let mut cfg = SystemSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24);
+    cfg.store.overload = kv_direct::OverloadConfig::enabled();
+    let mut seq = SystemSim::new(cfg);
+    for id in 0..5_000u64 {
+        seq.store_mut()
+            .put(&id.to_le_bytes(), &[id as u8; 16])
+            .expect("preload fits");
+    }
+    seq.set_record_outcomes(true);
+    let r = seq.run_open(&sched);
+    assert!(
+        r.expired_ops > 0 && r.goodput_ops > 0,
+        "the schedule must both expire and answer: {:?}",
+        r.summary
+    );
+    assert_eq!(
+        format!(
+            "{:?} | report {:#018x} | outcomes {:#018x}",
+            r.summary,
+            debug_digest(&r),
+            outcomes_digest(seq.outcomes())
+        ),
+        GOLDEN_SEQ_OPEN,
+        "SystemSim::run_open moved"
+    );
+
+    // Ten shards: the summary, the arbiter, the merged ledger, the whole
+    // report and every shard's outcomes, the same for either worker count.
+    for (quantum, golden) in [
+        (SimTime::from_us(4), GOLDEN_PAR_OPEN_Q4),
+        (SimTime::from_us(8), GOLDEN_PAR_OPEN_Q8),
+    ] {
+        for workers in [1usize, 2] {
+            let mut par = engine(workers, 1, quantum, None);
+            par.set_record_outcomes(true);
+            let r = par.run_open(&sched);
+            let shards: Vec<String> = (0..par.shards())
+                .map(|i| format!("{:#018x}", outcomes_digest(par.shard_outcomes(i))))
+                .collect();
+            assert_eq!(
+                format!(
+                    "{} | report {:#018x} | outcomes [{}]",
+                    fingerprint(&r),
+                    debug_digest(&r),
+                    shards.join(", ")
+                ),
+                golden,
+                "ParallelSystemSim::run_open moved (workers={workers} quantum={quantum:?})"
+            );
+        }
+    }
+}
+
+/// An RF2 cluster run across a node kill, recorded on `0b0af86`, while
+/// members were fed through `feed_open` and stepped with `step_window`.
+const GOLDEN_CLUSTER_RF2_KILL: &str = "ops 324 elapsed 430.000us windows 215 kill Some(40) detect Some(51) | writes Summary { count: 159, mean: 10462995.220125787, min: 184000, p5: 1818624, p50: 11927552, p95: 24903680, p99: 32768000, max: 32993680 } | reads Summary { count: 165, mean: 1594230.303030303, min: 11000, p5: 79872, p50: 925696, p95: 1982464, p99: 19398656, max: 23001000 } | ClusterCosts { rep_frames: 621, rep_bytes: 10809, rep_acks: 117, rep_retries: 10, heartbeats: 384, hb_bytes: 4992, node_kills: 1, failovers: 1, promotions: 1, orphan_redrives: 0, client_retries: 3, hedged_reads: 8, writes_acked: 159, writes_failed: 0, failover_depth_windows: 11 } | ledger 0x701ce29190041565 | records 0x98926986a8d9e588";
+
+#[test]
+fn a_cluster_node_kill_run_reproduces_its_recorded_fingerprint() {
+    // Writes and reads over 24 keys from before the kill (window 40 of
+    // 2 µs) until after detection, then a read-back of every key.
+    let mut rng = DetRng::seed(0xC1A5);
+    let mut sched = Vec::new();
+    let mut t = SimTime::ZERO;
+    for i in 0..300u64 {
+        t += SimTime::from_ns(300 + rng.u64_below(200));
+        let key = rng.u64_below(24).to_le_bytes();
+        sched.push((
+            t,
+            match rng.u64_below(10) {
+                0..=4 => KvRequest::get(&key),
+                5..=8 => KvRequest::put(&key, &i.to_le_bytes()),
+                _ => KvRequest::delete(&key),
+            },
+        ));
+    }
+    t += SimTime::from_us(300);
+    for id in 0..24u64 {
+        sched.push((t, KvRequest::get(&id.to_le_bytes())));
+        t += SimTime::from_ns(400);
+    }
+    for workers in [1usize, 2] {
+        let mut cfg = ClusterSimConfig::smoke(4, 2);
+        cfg.workers = workers;
+        cfg.kill = Some(NodeKill {
+            node: 1,
+            window: 40,
+        });
+        let r = ClusterSim::new(cfg).run(&sched);
+        assert!(r.detect_window.is_some(), "the kill must be detected");
+        assert_eq!(
+            format!(
+                "ops {} elapsed {:?} windows {} kill {:?} detect {:?} | writes {:?} | reads {:?} \
+                 | {:?} | ledger {:#018x} | records {:#018x}",
+                r.ops,
+                r.elapsed,
+                r.windows,
+                r.kill_window,
+                r.detect_window,
+                r.write_hist.summary(),
+                r.read_hist.summary(),
+                r.ledger.cluster,
+                debug_digest(&r.ledger),
+                debug_digest(&r.records)
+            ),
+            GOLDEN_CLUSTER_RF2_KILL,
+            "ClusterSim::run moved (workers={workers})"
+        );
     }
 }
 
