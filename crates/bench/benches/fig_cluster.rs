@@ -16,12 +16,8 @@
 //! * **failover depth** — windows between the kill and the survivors'
 //!   heartbeat-timeout detection, the interval hedged reads and client
 //!   retries have to cover.
-//!
-//! The `cluster` section of `BENCH_wallclock.json` is updated in place
-//! (the wall-clock harness owns the other sections and preserves this
-//! one).
 
-use kvd_bench::{banner, shape_check, with_json_section, Table};
+use kvd_bench::{banner, shape_check, Table};
 use kvd_core::{ClusterReport, ClusterSim, ClusterSimConfig, NodeKill};
 use kvd_net::KvRequest;
 use kvd_sim::SimTime;
@@ -94,32 +90,6 @@ fn main() {
         rows.push(report);
     }
     table.print();
-    println!();
-
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wallclock.json");
-    let section = format!(
-        "{{\n    \"rf1_goodput_mops\": {:.3}, \"rf2_goodput_mops\": {:.3}, \"rf3_goodput_mops\": {:.3},\n    \"rf1_write_p50_us\": {:.2}, \"rf2_write_p50_us\": {:.2}, \"rf3_write_p50_us\": {:.2},\n    \"rf2_rep_bytes\": {}, \"rf3_rep_bytes\": {},\n    \"rf2_failover_depth_windows\": {}, \"rf3_failover_depth_windows\": {}\n  }}",
-        rows[0].goodput_ops_per_sec() / 1e6,
-        rows[1].goodput_ops_per_sec() / 1e6,
-        rows[2].goodput_ops_per_sec() / 1e6,
-        rows[0].write_hist.percentile_time(50.0).as_us(),
-        rows[1].write_hist.percentile_time(50.0).as_us(),
-        rows[2].write_hist.percentile_time(50.0).as_us(),
-        rows[1].ledger.cluster.rep_bytes,
-        rows[2].ledger.cluster.rep_bytes,
-        rows[1].ledger.cluster.failover_depth_windows,
-        rows[2].ledger.cluster.failover_depth_windows,
-    );
-    match std::fs::read_to_string(json_path) {
-        Ok(doc) => {
-            let out = with_json_section(&doc, "cluster", &section);
-            match std::fs::write(json_path, out) {
-                Ok(()) => println!("updated cluster section of {json_path}"),
-                Err(e) => println!("could not write {json_path}: {e}"),
-            }
-        }
-        Err(_) => println!("(no {json_path} yet — run the wallclock bench first)"),
-    }
     println!();
 
     shape_check(

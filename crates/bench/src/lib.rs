@@ -24,56 +24,6 @@ pub fn shape_check(name: &str, ok: bool, detail: &str) {
     println!("[shape {status}] {name}: {detail}");
 }
 
-/// Extracts one top-level `"name": { ... }` section (braces included)
-/// from a flat benchmark-report JSON document. The reports emit no
-/// braces inside string values, so plain depth counting is exact.
-pub fn json_section(text: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\"");
-    let at = text.find(&key)?;
-    let rest = &text[at + key.len()..];
-    let open = rest.find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[open..open + i + 1].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Returns `text` with its top-level `"name"` section replaced by
-/// `body` (an object literal including braces), or appended before the
-/// closing brace when absent. Lets independent harnesses each own one
-/// section of a shared report file without clobbering the others.
-pub fn with_json_section(text: &str, name: &str, body: &str) -> String {
-    let key = format!("\"{name}\"");
-    if let (Some(at), Some(existing)) = (text.find(&key), json_section(text, name)) {
-        let open = text[at..].find('{').expect("section has a body") + at;
-        let mut out = String::with_capacity(text.len() + body.len());
-        out.push_str(&text[..open]);
-        out.push_str(body);
-        out.push_str(&text[open + existing.len()..]);
-        return out;
-    }
-    let close = text.rfind('}').expect("document is an object");
-    let head = text[..close].trim_end();
-    let mut out = String::with_capacity(text.len() + body.len() + name.len() + 8);
-    out.push_str(head);
-    out.push_str(",\n  ");
-    out.push_str(&key);
-    out.push_str(": ");
-    out.push_str(body);
-    out.push_str("\n}\n");
-    out
-}
-
 /// Standard scaled memory size used by the functional experiments
 /// (stands in for the paper's 64 GiB with all ratios preserved).
 pub const SCALED_MEMORY: u64 = 1 << 20;
@@ -97,37 +47,6 @@ mod tests {
             };
             let _ = kvd_mem::NicDram::new(cfg, host);
         }
-    }
-
-    #[test]
-    fn json_sections_replace_and_append() {
-        let doc = "{\n  \"after\": {\"x\": 1.0},\n  \"cluster\": {\"rf2\": {\"g\": 2}}\n}\n";
-        assert_eq!(
-            json_section(doc, "cluster").as_deref(),
-            Some("{\"rf2\": {\"g\": 2}}")
-        );
-        assert_eq!(json_section(doc, "missing"), None);
-        // Replace keeps the rest of the document intact.
-        let replaced = with_json_section(doc, "cluster", "{\"rf3\": {\"g\": 3}}");
-        assert_eq!(
-            json_section(&replaced, "cluster").as_deref(),
-            Some("{\"rf3\": {\"g\": 3}}")
-        );
-        assert_eq!(
-            json_section(&replaced, "after").as_deref(),
-            Some("{\"x\": 1.0}")
-        );
-        // Append adds a new section before the closing brace.
-        let appended =
-            with_json_section("{\n  \"after\": {\"x\": 1.0}\n}\n", "cluster", "{\"g\": 9}");
-        assert_eq!(
-            json_section(&appended, "cluster").as_deref(),
-            Some("{\"g\": 9}")
-        );
-        assert_eq!(
-            json_section(&appended, "after").as_deref(),
-            Some("{\"x\": 1.0}")
-        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ use kvd_net::{HashRing, KvRequest, OpCode, RepFrame, Status};
 use kvd_sim::{ClusterClock, CostSource, Histogram, NodeLink, NodeLinkConfig, OpLedger, SimTime};
 
 use crate::store::KvDirectConfig;
-use crate::system::{SystemSim, SystemSimConfig};
+use crate::system::{assert_arrivals_sorted, SystemSim, SystemSimConfig};
 
 /// Kill order for one member: the node stops stepping, sending and
 /// receiving at the start of `window` — a power failure, not a drain.
@@ -147,7 +147,7 @@ impl ClusterSimConfig {
     }
 }
 
-/// What one staged request on a member's host means to the cluster.
+/// What one fed request on a member's host means to the cluster.
 #[derive(Debug, Clone, Copy)]
 enum FedKind {
     /// Client write applying at the chain head (op index).
@@ -165,9 +165,12 @@ struct NodeState {
     alive: bool,
     /// Outcomes already consumed by the coordinator.
     consumed: usize,
-    /// Cluster meaning of each staged request, aligned with the stream.
+    /// The member's arrival schedule so far — the one stream its host is
+    /// lent every window. Append-only: the host keeps its position in it.
+    feed: Vec<(SimTime, KvRequest)>,
+    /// Cluster meaning of each fed request, aligned with `feed`.
     fed: Vec<FedKind>,
-    /// Requests accumulated for the upcoming feed, with push order for
+    /// Requests accumulated for the upcoming window, with push order for
     /// stable tie-breaking.
     feed_buf: Vec<(SimTime, KvRequest, FedKind)>,
     /// Next write sequence number originated at this member.
@@ -178,6 +181,34 @@ struct NodeState {
     /// Window the member died in, once killed.
     killed_at: u64,
     detected: bool,
+}
+
+impl NodeState {
+    /// Moves the batch accumulated for the window `[floor, horizon)` onto
+    /// the tail of the feed, sorted by arrival (stable in emission order).
+    /// This is the cluster's issue path: the coordinator feeds each member
+    /// exactly the client and replication traffic that lands in the
+    /// upcoming window, then steps it, so a host never sees an arrival the
+    /// window discipline has not yet made visible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival precedes the feed's tail (the host may have
+    /// cut a batch there): windows must be fed in order.
+    fn feed_window(&mut self, floor: SimTime, horizon: SimTime) {
+        self.feed_buf.sort_by_key(|(t, _, _)| t.max(&floor).as_ps());
+        for (t, req, kind) in self.feed_buf.drain(..) {
+            // Clamp up to the floor: an arrival can be scheduled before
+            // the window opened, but the lookahead rule guarantees none
+            // lands at or past the horizon.
+            let at = t.max(floor);
+            debug_assert!(at < horizon, "arrival escaped its window");
+            let tail = self.feed.last().map_or(SimTime::ZERO, |(t, _)| *t);
+            assert_arrivals_sorted([tail, at]);
+            self.feed.push((at, req));
+            self.fed.push(kind);
+        }
+    }
 }
 
 /// An unresolved client write moving down its chain.
@@ -294,13 +325,13 @@ impl ClusterSim {
         let nodes = (0..cfg.nodes)
             .map(|_| {
                 let mut sim = SystemSim::new(cfg.node.clone());
-                sim.load_open_owned(Vec::new(), Vec::new());
                 sim.set_record_outcomes(true);
                 NodeState {
                     sim,
                     link: NodeLink::new(cfg.link.clone()),
                     alive: true,
                     consumed: 0,
+                    feed: Vec::new(),
                     fed: Vec::new(),
                     feed_buf: Vec::new(),
                     seq: 0,
@@ -800,54 +831,31 @@ impl ClusterSim {
         }
     }
 
-    /// Feeds each live member its accumulated window batch (sorted by
-    /// arrival, stable in emission order) and steps all members — in
-    /// parallel when configured. Members touch only their own state, and
-    /// every input was settled at the window boundary, so the worker
-    /// count cannot change any outcome.
+    /// Feeds each live member its accumulated window batch and steps all
+    /// members — in parallel when configured. Members touch only their own
+    /// state, and every input was settled at the window boundary, so the
+    /// worker count cannot change any outcome.
     fn feed_and_step(&mut self, horizon: SimTime, floor: SimTime) {
         for node in self.nodes.iter_mut() {
-            if !node.alive {
+            if node.alive {
+                node.feed_window(floor, horizon);
+            } else {
                 node.feed_buf.clear();
-                continue;
             }
-            if node.feed_buf.is_empty() {
-                continue;
-            }
-            let mut batch = std::mem::take(&mut node.feed_buf);
-            batch.sort_by_key(|(t, _, _)| t.max(&floor).as_ps());
-            let mut reqs = Vec::with_capacity(batch.len());
-            let mut arrivals = Vec::with_capacity(batch.len());
-            for (t, req, kind) in batch {
-                // Clamp up to the floor: an arrival can be scheduled
-                // before the window opened, but the lookahead rule
-                // guarantees none lands at or past the horizon.
-                let at = t.max(floor);
-                debug_assert!(at < horizon, "arrival escaped its window");
-                reqs.push(req);
-                arrivals.push(at);
-                node.fed.push(kind);
-            }
-            node.sim.feed_open(reqs, arrivals);
         }
+        let step = |nodes: &mut [NodeState]| {
+            for node in nodes.iter_mut().filter(|n| n.alive) {
+                node.sim.step_window_over(&node.feed[..], horizon, floor);
+            }
+        };
         let workers = self.cfg.workers.min(self.nodes.len()).max(1);
         if workers == 1 {
-            for node in self.nodes.iter_mut() {
-                if node.alive {
-                    node.sim.step_window(horizon, floor);
-                }
-            }
+            step(&mut self.nodes);
         } else {
             let chunk = self.nodes.len().div_ceil(workers);
             crossbeam::thread::scope(|s| {
                 for nodes in self.nodes.chunks_mut(chunk) {
-                    s.spawn(move |_| {
-                        for node in nodes.iter_mut() {
-                            if node.alive {
-                                node.sim.step_window(horizon, floor);
-                            }
-                        }
-                    });
+                    s.spawn(move |_| step(nodes));
                 }
             })
             .expect("member worker panicked");
@@ -989,6 +997,20 @@ mod tests {
         // RF=1: no replication frames, but heartbeats flow.
         assert_eq!(report.ledger.cluster.rep_acks, 0);
         assert!(report.ledger.cluster.heartbeats > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "open-loop arrivals must be non-decreasing")]
+    fn a_member_feed_rejects_an_arrival_before_its_tail() {
+        let us = SimTime::from_us;
+        let mut cluster = ClusterSim::new(ClusterSimConfig::smoke(2, 1));
+        let node = &mut cluster.nodes[0];
+        let read = |op| (us(0), KvRequest::get(b"k"), FedKind::Read(op));
+        node.feed_buf.push(read(0));
+        node.feed_window(us(4), us(6));
+        // A window that opens before the last one did.
+        node.feed_buf.push(read(1));
+        node.feed_window(us(2), us(4));
     }
 
     #[test]

@@ -48,7 +48,5 @@ pub use overload::{
 pub use parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 pub use processor::{KvProcessor, ProcessorStats, RequestStream};
 pub use store::{KvDirectConfig, KvDirectStore, MultiNicStore, StoreError};
-pub use system::{
-    Percentile, RunSummary, StepOutcome, SystemSim, SystemSimConfig, SystemSimReport, WindowStep,
-};
+pub use system::{Percentile, RunSummary, SystemSim, SystemSimConfig, SystemSimReport, WindowStep};
 pub use timing::{SystemModel, ThroughputBreakdown, WorkloadSpec};

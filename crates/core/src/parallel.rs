@@ -8,15 +8,16 @@
 //! pipeline ([`SystemSim`]: client ↔ 40 GbE ↔ KV processor ↔ PCIe/DRAM)
 //! per shard, key-partitioned request routing via [`kvd_net::shard_of`],
 //! and a conservative time-quantum host-memory arbiter
-//! ([`kvd_sim::HostArbiter`]'s charge inside a [`CreditArbiter`])
+//! ([`kvd_sim::arbiter::HostArbiter`]'s charge inside a [`CreditArbiter`])
 //! standing in for the shared host memory.
 //!
 //! # Routing and the run origin
 //!
-//! [`ParallelSystemSim::run`] copies no request: [`route`] records, per
-//! shard, the positions of its requests in the caller's slice (pooled
-//! `Vec<u32>`s), and each shard steps over a [`Routed`] view of that
-//! slice through the same batch loop the sequential engine runs.
+//! [`ParallelSystemSim::run`] and [`ParallelSystemSim::run_open`] copy no
+//! request: [`route`] records, per shard, the positions of its requests in
+//! the caller's slice (pooled `Vec<u32>`s), and each shard steps over a
+//! [`Routed`] view of that slice — timed or not, as the slice is — through
+//! the same batch loop the sequential engine runs.
 //!
 //! Every shard's links and service backlogs keep their clocks across
 //! runs. A closed-loop run therefore starts at one common origin — the
@@ -75,7 +76,9 @@ use kvd_sim::{
 
 use crate::overload::OverloadCounters;
 use crate::store::{KvDirectConfig, KvDirectStore, StoreError};
-use crate::system::{RequestStream, SystemSim, SystemSimConfig, SystemSimReport, WindowStep};
+use crate::system::{
+    assert_arrivals_sorted, RequestStream, SystemSim, SystemSimConfig, SystemSimReport,
+};
 
 /// Decorrelates shard fault schedules: shard `i`'s store fault seed is
 /// xored with `i * SHARD_FAULT_SALT` so ten NICs never fault in lockstep.
@@ -197,22 +200,32 @@ pub struct ParallelSystemSim {
 }
 
 /// One shard's share of a routed stream: `idx` lists, in stream order,
-/// the positions in `reqs` of the requests the shard owns.
-#[derive(Debug, Clone, Copy)]
-pub struct Routed<'a> {
+/// the positions in `reqs` of the requests the shard owns. The view is
+/// whatever stream the slice is: closed-loop over `[KvRequest]`, carrying
+/// its arrival schedule over `[(SimTime, KvRequest)]` (a sub-sequence of a
+/// non-decreasing schedule is one).
+#[derive(Debug)]
+pub struct Routed<'a, T = KvRequest> {
     /// The caller's whole stream.
-    pub reqs: &'a [KvRequest],
+    pub reqs: &'a [T],
     /// Positions of this shard's requests in `reqs`, ascending.
     pub idx: &'a [u32],
 }
 
-impl RequestStream for Routed<'_> {
+impl<T> RequestStream for Routed<'_, T>
+where
+    [T]: RequestStream,
+{
     fn len(&self) -> usize {
         self.idx.len()
     }
 
     fn get(&self, i: usize) -> KvRequestRef<'_> {
-        self.reqs[self.idx[i] as usize].as_ref()
+        RequestStream::get(self.reqs, self.idx[i] as usize)
+    }
+
+    fn arrival(&self, i: usize) -> Option<SimTime> {
+        RequestStream::arrival(self.reqs, self.idx[i] as usize)
     }
 }
 
@@ -225,7 +238,10 @@ impl RequestStream for Routed<'_> {
 /// # Panics
 ///
 /// Panics if the stream has more than `u32::MAX` requests.
-pub fn route(reqs: &[KvRequest], routes: &mut [Vec<u32>]) {
+pub fn route<T>(reqs: &[T], routes: &mut [Vec<u32>])
+where
+    [T]: RequestStream,
+{
     assert!(
         u32::try_from(reqs.len()).is_ok(),
         "a routed stream is indexed by u32"
@@ -234,8 +250,8 @@ pub fn route(reqs: &[KvRequest], routes: &mut [Vec<u32>]) {
         list.clear();
     }
     let n = routes.len();
-    for (i, r) in reqs.iter().enumerate() {
-        routes[shard_of(&r.key, n)].push(i as u32);
+    for i in 0..reqs.len() {
+        routes[shard_of(RequestStream::get(reqs, i).key, n)].push(i as u32);
     }
 }
 
@@ -314,89 +330,71 @@ impl ParallelSystemSim {
     /// on a fresh engine — and reports over its own span (see the module
     /// docs, "Routing and the run origin").
     pub fn run(&mut self, reqs: &[KvRequest]) -> ParallelSimReport {
-        route(reqs, &mut self.routes);
         let origin = self
             .sims
             .iter()
             .map(SystemSim::clock)
             .max()
             .expect("at least one shard");
-        for sim in &mut self.sims {
-            sim.begin_run(origin);
-        }
-        let routes = std::mem::take(&mut self.routes);
-        self.drive(origin, |shard, sim, horizon, floor| {
-            let view = Routed {
-                reqs,
-                idx: &routes[shard],
-            };
-            sim.step_window_over(&view, horizon, floor)
-        });
-        self.routes = routes;
-        self.pooled_report()
+        self.drive(origin, reqs)
     }
 
     /// Open-loop variant of [`Self::run`]: each request carries its
-    /// client issue time (non-decreasing). Routing preserves per-shard
-    /// arrival order, so every shard sees a sorted sub-schedule. The
-    /// arrival schedule owns the time axis, so the run starts at zero
-    /// whatever ran before.
+    /// client issue time. Routing preserves per-shard arrival order, so
+    /// every shard sees a sorted sub-schedule. The arrival schedule owns
+    /// the time axis, so the run starts at zero whatever ran before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if arrival times are not non-decreasing.
     pub fn run_open(&mut self, reqs: &[(SimTime, KvRequest)]) -> ParallelSimReport {
-        let n = self.sims.len();
-        let mut routed: Vec<Vec<KvRequest>> = vec![Vec::new(); n];
-        let mut arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-        for (t, r) in reqs {
-            let s = shard_of(&r.key, n);
-            routed[s].push(r.clone());
-            arrivals[s].push(*t);
-        }
-        for ((sim, shard_reqs), shard_arrivals) in self.sims.iter_mut().zip(routed).zip(arrivals) {
-            sim.load_open_owned(shard_reqs, shard_arrivals);
-        }
-        self.drive(SimTime::ZERO, |_, sim, horizon, floor| {
-            sim.step_window(horizon, floor)
-        });
-        self.pooled_report()
+        assert_arrivals_sorted(reqs.iter().map(|(t, _)| *t));
+        self.drive(SimTime::ZERO, reqs)
     }
 
-    /// Drives every shard's stream to completion through the asynchronous
-    /// credit arbiter, on a time axis starting at `origin`: workers draw
-    /// `(window, floor, horizon, stall)` credit per shard, advance the
-    /// shard with `step(shard, sim, horizon, floor)`, publish the three
-    /// scalars the window produced, and the arbiter settles windows as
-    /// they close (by real publications or by null messages for idle
-    /// shards). The settled stall feeds back into each shard as
-    /// backpressure (`stall / quantum` host stretch) exactly when the
-    /// shard next executes — the only time the gauge is read — so the
+    /// Routes `reqs` by index, opens every shard at `origin`, drives every
+    /// shard's [`Routed`] share to completion through the asynchronous
+    /// credit arbiter on a time axis starting there, and merges the
+    /// shards' reports: workers draw `(window, floor, horizon, stall)`
+    /// credit per shard, advance the shard one window over its view,
+    /// publish the three scalars the window produced, and the arbiter
+    /// settles windows as they close (by real publications or by null
+    /// messages for idle shards). The settled stall feeds back into each
+    /// shard as backpressure (`stall / quantum` host stretch) exactly when
+    /// the shard next executes — the only time the gauge is read — so the
     /// per-shard `(absorb, advance)` sequence is bit-identical to the
     /// lockstep barrier's.
     ///
     /// The calling thread is worker 0: it steps the first shard chunk
     /// itself and only `workers − 1` threads are spawned. With one worker
     /// nothing is spawned and the drive allocates nothing.
-    fn drive(
-        &mut self,
-        origin: SimTime,
-        step: impl Fn(usize, &mut SystemSim, SimTime, SimTime) -> WindowStep + Sync,
-    ) {
+    fn drive<T: Sync>(&mut self, origin: SimTime, reqs: &[T]) -> ParallelSimReport
+    where
+        [T]: RequestStream,
+    {
+        route(reqs, &mut self.routes);
+        for sim in &mut self.sims {
+            sim.begin_run(origin);
+        }
         let quantum = self.credit.quantum();
         let lookahead = u64::from(self.credit.lookahead().max(1));
         self.credit.begin(origin);
         let workers = self.worker_count();
-        let (credit, step) = (&self.credit, &step);
+        let (credit, routes) = (&self.credit, &self.routes[..]);
+        let work = |base: usize, sims: &mut [SystemSim]| {
+            Self::work(credit, base, sims, routes, reqs, quantum, lookahead)
+        };
         if workers == 1 {
-            Self::work(credit, 0, &mut self.sims, quantum, lookahead, step);
+            work(0, &mut self.sims);
         } else {
             let chunk = self.sims.len().div_ceil(workers);
             crossbeam::thread::scope(|s| {
                 let mut chunks = self.sims.chunks_mut(chunk).enumerate();
                 let (_, own) = chunks.next().expect("at least one shard");
                 for (ci, sims) in chunks {
-                    s.spawn(move |_| {
-                        Self::work(credit, ci * chunk, sims, quantum, lookahead, step)
-                    });
+                    s.spawn(move |_| work(ci * chunk, sims));
                 }
-                Self::work(credit, 0, own, quantum, lookahead, step);
+                work(0, own);
             })
             .expect("shard worker panicked");
         }
@@ -406,6 +404,7 @@ impl ParallelSystemSim {
         for sim in self.sims.iter_mut() {
             sim.absorb_host_stall(stall, quantum);
         }
+        self.pooled_report()
     }
 
     /// One worker's loop over its owned shard slice (`base..base +
@@ -415,20 +414,27 @@ impl ParallelSystemSim {
     /// settlement — which, with a single worker, never happens (the
     /// publication closing a window settles it synchronously). A shard
     /// with an empty stream drains in its first window.
-    fn work(
+    fn work<T>(
         credit: &CreditArbiter,
         base: usize,
         sims: &mut [SystemSim],
+        routes: &[Vec<u32>],
+        reqs: &[T],
         quantum: SimTime,
         lookahead: u64,
-        step: &impl Fn(usize, &mut SystemSim, SimTime, SimTime) -> WindowStep,
-    ) {
+    ) where
+        [T]: RequestStream,
+    {
         let mut seen = credit.settled();
         loop {
             let mut progressed = false;
             let mut live = false;
             for (off, sim) in sims.iter_mut().enumerate() {
                 let shard = base + off;
+                let view = Routed {
+                    reqs,
+                    idx: &routes[shard],
+                };
                 let mut burst = 0u64;
                 loop {
                     match credit.credit(shard) {
@@ -446,7 +452,7 @@ impl ParallelSystemSim {
                             if window > 0 {
                                 sim.absorb_host_stall(stall, quantum);
                             }
-                            let w = step(shard, sim, horizon, floor);
+                            let w = sim.step_window_over(&view, horizon, floor);
                             credit.publish(shard, w.host_lines, w.next_event, w.done);
                             progressed = true;
                             if w.done {
@@ -668,6 +674,19 @@ mod tests {
         assert_eq!(r.shed_ops + r.expired_ops, 0);
         let recorded: usize = (0..sim.shards()).map(|i| sim.shard_outcomes(i).len()).sum();
         assert_eq!(recorded, 2_000, "every op's outcome captured exactly once");
+    }
+
+    #[test]
+    #[should_panic(expected = "open-loop arrivals must be non-decreasing")]
+    fn open_loop_run_rejects_a_schedule_that_goes_back_in_time() {
+        let cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 8, 2);
+        let mut reqs: Vec<(SimTime, KvRequest)> = workload(10, 100, 18)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (SimTime::from_ns(250 * i as u64), r))
+            .collect();
+        reqs.swap(3, 7);
+        preloaded(cfg, 100).run_open(&reqs);
     }
 
     #[test]

@@ -117,6 +117,14 @@ pub trait RequestStream {
     fn len(&self) -> usize;
     /// Request `i` (`i < len()`).
     fn get(&self, i: usize) -> KvRequestRef<'_>;
+    /// The instant request `i`'s client issues it, if the stream carries
+    /// an open-loop arrival schedule (every request of such a stream has
+    /// one, non-decreasing in `i`); `None` for a closed loop, whose
+    /// requests issue as responses free client windows. Only the timed
+    /// engine ([`crate::system::SystemSim`]) asks.
+    fn arrival(&self, _i: usize) -> Option<SimTime> {
+        None
+    }
 }
 
 impl RequestStream for [KvRequestRef<'_>] {
@@ -171,11 +179,6 @@ pub struct KvProcessor<M: MemoryEngine> {
     /// `(request index, station slot)`.
     inflight: VecDeque<(usize, usize)>,
     pipeline_depth: usize,
-    /// Response slots [`execute_batch_refs_into`] trimmed off a caller's
-    /// vector, value buffers intact, until a larger batch wants them.
-    ///
-    /// [`execute_batch_refs_into`]: Self::execute_batch_refs_into
-    spare: Vec<KvResponse>,
     faults: FaultPlane,
     fault_retry_limit: u32,
     overload_cfg: OverloadConfig,
@@ -235,7 +238,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
             // The paper saturates PCIe with up to 256 in-flight KV
             // operations; 64 models one DMA-tag window.
             pipeline_depth: 64,
-            spare: Vec::new(),
             faults: FaultPlane::disabled(),
             fault_retry_limit: DEFAULT_FAULT_RETRY_LIMIT,
             overload_cfg: OverloadConfig::default(),
@@ -416,23 +418,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         let mut out = vec![KvResponse::default(); reqs.len()];
         self.run(reqs, &mut out);
         out
-    }
-
-    /// Executes a batch of borrowed requests into a caller-owned response
-    /// vector, which is resized to the batch. A caller that loops with one
-    /// `Vec` has every response written into a buffer it held before: the
-    /// surplus slots of a smaller batch wait in the processor for the next
-    /// larger one instead of being dropped and allocated again.
-    pub fn execute_batch_refs_into(
-        &mut self,
-        reqs: &[KvRequestRef<'_>],
-        out: &mut Vec<KvResponse>,
-    ) {
-        let room = (4 * self.pipeline_depth).saturating_sub(self.spare.len());
-        self.spare
-            .extend(out.drain(reqs.len().min(out.len())..).take(room));
-        out.resize_with(reqs.len(), || self.spare.pop().unwrap_or_default());
-        self.run(reqs, out);
     }
 
     /// Executes one borrowed request into a caller-owned response: the

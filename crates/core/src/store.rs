@@ -453,17 +453,6 @@ impl KvDirectStore {
         self.proc.execute_batch(reqs)
     }
 
-    /// Batch execution into a caller-owned response vector, resized to
-    /// the batch and answered in place (see
-    /// [`KvProcessor::execute_batch_refs_into`]).
-    pub fn execute_batch_refs_into(
-        &mut self,
-        reqs: &[KvRequestRef<'_>],
-        out: &mut Vec<KvResponse>,
-    ) {
-        self.proc.execute_batch_refs_into(reqs, out)
-    }
-
     /// Executes one borrowed request into a caller-owned response,
     /// without staging allocations — the simulator's per-op hot path
     /// (see [`KvProcessor::execute_one_into`]).

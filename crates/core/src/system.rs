@@ -11,22 +11,26 @@
 //! land in a histogram, yielding the paper's 5th/95th-percentile error
 //! bars (Figure 17) from first principles.
 //!
-//! The simulator is *steppable*: [`SystemSim::load`] stages a request
-//! stream and [`SystemSim::step`] advances it only up to a time horizon,
-//! reporting how many host-memory cache lines the window consumed. The
-//! parallel multi-NIC engine ([`crate::parallel`]) drives one `SystemSim`
-//! per shard in lockstep windows and charges their aggregate host traffic
-//! to a shared DRAM arbiter; [`SystemSim::run`] is the single-shard form:
-//! one unbounded window over the caller's own slice, nothing staged. The
-//! batch loop reads its requests through [`RequestStream`], so the same
-//! loop runs over a slice, a staged vector, or the parallel router's view
-//! of one shard's share of the caller's slice.
+//! The simulator owns no request: the caller owns the stream and lends it.
+//! [`SystemSim::begin_run`] opens a run and [`SystemSim::step_window_over`]
+//! advances it only up to a time horizon over a borrowed
+//! [`RequestStream`], reporting how many host-memory cache lines the
+//! window consumed. The parallel multi-NIC engine ([`crate::parallel`])
+//! drives one `SystemSim` per shard window by window over its routed view
+//! of the caller's slice and charges the aggregate host traffic to a
+//! shared DRAM arbiter; the cluster plane ([`crate::cluster`]) lends each
+//! member a feed that grows at its tail between windows;
+//! [`SystemSim::run`] and [`SystemSim::run_open`] are the single-shard
+//! form: one unbounded window over the caller's own slice.
 //!
 //! # Open-loop mode and the overload plane
 //!
-//! [`SystemSim::load_open`] stages an *arrival schedule* instead of a
-//! closed loop: each request carries the instant its client issues it,
-//! independent of responses. Offered load can then exceed capacity,
+//! Whether a run is closed- or open-loop is a property of the stream, not
+//! of the simulator: a stream whose [`RequestStream::arrival`] answers
+//! carries an *arrival schedule* — each request is issued at its instant,
+//! independent of responses — and the batch loop, monomorphised per
+//! stream type, asks it where a closed loop consults its client windows.
+//! Offered load can then exceed capacity,
 //! which is where the overload plane earns its keep: a per-batch
 //! [`PressureGauge`] folds the simulated-time backlogs (decode queue,
 //! PCIe tag pressure, host-arbiter stretch) into the store's admission
@@ -152,30 +156,25 @@ pub struct SystemSim {
     /// extends into the future.
     pcie_free: SimTime,
     dram_free: SimTime,
-    // ---- staged run state (load/step/report) ----
-    /// The staged stream. Empty during [`Self::run`] and
-    /// [`Self::step_window_over`], which read the caller's instead.
-    pending: Vec<KvRequest>,
+    // ---- run state (begin_run/step_window_over/report) ----
     loads: Vec<OpLoad>,
     statuses: Vec<Status>,
+    /// Position in the lent stream: requests before it have resolved.
     cursor: usize,
     window_free: Vec<SimTime>,
     server_free: SimTime,
     get_hist: Histogram,
     put_hist: Histogram,
     ops_done: u64,
-    /// Instant the current run's clock starts: zero for staged streams
-    /// (their arrival schedule or driver owns the time axis), whatever
-    /// [`Self::begin_run`] was given otherwise — where the component
-    /// clocks stood, for [`Self::run`].
+    /// Instant the current run's clock starts, as given to
+    /// [`Self::begin_run`]: where the component clocks stood for
+    /// [`Self::run`], zero for [`Self::run_open`] (the arrival schedule
+    /// owns the time axis).
     origin: SimTime,
     /// Arrival of the run's last response (absolute; the report covers
     /// `origin..makespan`).
     makespan: SimTime,
-    // ---- open-loop + overload state ----
-    /// Per-request client issue times; empty in closed-loop mode.
-    arrivals: Vec<SimTime>,
-    open_loop: bool,
+    // ---- overload state ----
     record_outcomes: bool,
     outcomes: Vec<(Status, Vec<u8>)>,
     /// The one response buffer the functional pass decodes into,
@@ -199,7 +198,7 @@ pub struct SystemSim {
 /// passes of a batch).
 #[derive(Debug, Clone, Copy)]
 struct OpLoad {
-    /// Absolute index of the request in the staged stream.
+    /// Index of the request in the lent stream.
     idx: usize,
     t: SimTime,
     dma_reads: u64,
@@ -216,43 +215,61 @@ struct OpLoad {
     dram_ps: u64,
 }
 
-/// What one [`SystemSim::step`] window consumed and whether the stream is
-/// drained.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// The window's op-cost delta: everything the ledger accrued between
-    /// step entry and exit (operations that *started* inside the window;
-    /// see [`OpLedger::since`]).
-    pub window: OpLedger,
-    /// True once every staged request has completed.
-    pub done: bool,
-}
-
-impl StepOutcome {
-    /// Host-memory cache lines (PCIe DMA reads + writes) issued inside
-    /// the window. The arbiter charges these against shared host DRAM
-    /// bandwidth.
-    pub fn host_lines(&self) -> u64 {
-        self.window.host_lines()
-    }
-}
-
-/// The lean window summary returned by [`SystemSim::step_window`]: just
-/// the three scalars the credit arbiter settles on, no ledger
-/// materialization.
+/// What one [`SystemSim::step_window_over`] window produced: just the
+/// three scalars the credit arbiter settles on, no ledger
+/// materialization, so a shard's publication path stays off the allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowStep {
     /// Host-memory cache lines (PCIe DMA reads + writes) issued inside
-    /// the window — identical to [`StepOutcome::host_lines`] for the
-    /// same window (the simulator's PCIe DMA ledger entries are sourced
-    /// solely from the memory engine's access counters).
+    /// the window, which the arbiter charges against shared host DRAM
+    /// bandwidth — equal to the window's ledger delta (the simulator's
+    /// PCIe DMA ledger entries are sourced solely from the memory
+    /// engine's access counters).
     pub host_lines: u64,
-    /// The shard's next natural event time (see [`SystemSim::next_event`]):
-    /// the earliest instant at which its next batch could cut, before any
-    /// floor is applied. [`SimTime::MAX`] once the stream is drained.
+    /// The earliest instant the stream's next batch could cut, before any
+    /// issue floor: the next batch's last arrival for a stream with a
+    /// schedule, the earliest free client window for a closed loop,
+    /// [`SimTime::MAX`] once the stream is drained. A window
+    /// `[floor, horizon)` with `next_event >= horizon` processes nothing
+    /// (batch issue times are floored at `floor < horizon` but start no
+    /// earlier than this), which is what lets the credit arbiter settle
+    /// idle windows with null messages instead of waking the shard.
     pub next_event: SimTime,
-    /// True once every staged request has completed.
+    /// True once every request of the lent stream has resolved.
     pub done: bool,
+}
+
+impl RequestStream for [(SimTime, KvRequest)] {
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> KvRequestRef<'_> {
+        self[i].1.as_ref()
+    }
+
+    fn arrival(&self, i: usize) -> Option<SimTime> {
+        Some(self[i].0)
+    }
+}
+
+/// The input check of an open-loop schedule, made once where it enters an
+/// engine ([`SystemSim::run_open`], the parallel engine's, the cluster's
+/// feed): a batch cuts at its last request's arrival, so issue instants
+/// must not go back.
+///
+/// # Panics
+///
+/// Panics if `arrivals` are not non-decreasing.
+pub(crate) fn assert_arrivals_sorted(arrivals: impl IntoIterator<Item = SimTime>) {
+    let mut last = SimTime::ZERO;
+    for next in arrivals {
+        assert!(
+            next >= last,
+            "open-loop arrivals must be non-decreasing: {next:?} after {last:?}"
+        );
+        last = next;
+    }
 }
 
 impl SystemSim {
@@ -289,7 +306,6 @@ impl SystemSim {
             dram_line_service: Bandwidth::from_gbytes_per_sec(12.8).transfer_time(64),
             pcie_free: SimTime::ZERO,
             dram_free: SimTime::ZERO,
-            pending: Vec::new(),
             loads: Vec::new(),
             statuses: Vec::new(),
             cursor: 0,
@@ -300,8 +316,6 @@ impl SystemSim {
             ops_done: 0,
             origin: SimTime::ZERO,
             makespan: SimTime::ZERO,
-            arrivals: Vec::new(),
-            open_loop: false,
             record_outcomes: false,
             outcomes: Vec::new(),
             resp: KvResponse {
@@ -336,16 +350,14 @@ impl SystemSim {
         .fold(self.makespan, SimTime::max)
     }
 
-    /// Opens a closed-loop run at `origin`: resets per-run accounting
-    /// (histograms, op counts, client windows) and empties the stage.
-    /// Component clocks (links, service backlogs) persist, as they would
-    /// across runs on real hardware; the client windows open at `origin`
-    /// and the report covers `origin..` the last response. The stream is
-    /// then lent window by window ([`Self::step_window_over`]).
+    /// Opens a run at `origin`: resets per-run accounting (histograms, op
+    /// counts, client windows, recorded outcomes, the position in the
+    /// stream). Component clocks (links, service backlogs) persist, as
+    /// they would across runs on real hardware; a closed loop's client
+    /// windows open at `origin` and the report covers `origin..` the last
+    /// response. The stream is then lent window by window
+    /// ([`Self::step_window_over`]).
     pub fn begin_run(&mut self, origin: SimTime) {
-        self.pending.clear();
-        self.arrivals.clear();
-        self.open_loop = false;
         self.cursor = 0;
         self.window_free.fill(origin);
         self.server_free = SimTime::ZERO;
@@ -361,99 +373,14 @@ impl SystemSim {
         self.ledger = OpLedger::default();
     }
 
-    /// Stages a copy of a closed-loop request stream for [`Self::step`]
-    /// and resets per-run accounting, on a time axis that starts at zero.
-    /// A staged stream has to outlive the call, hence the copy;
-    /// [`Self::run`] and [`Self::step_window_over`] borrow instead.
-    pub fn load(&mut self, reqs: &[KvRequest]) {
-        self.begin_run(SimTime::ZERO);
-        self.pending.extend_from_slice(reqs);
-    }
-
-    /// Stages an *open-loop* request stream: each request is issued at
-    /// its scheduled arrival time regardless of outstanding responses,
-    /// so offered load is a free variable (and may exceed capacity —
-    /// that is the point). Batches cut every `cfg.batch` consecutive
-    /// arrivals; a request whose deadline has already passed when its
-    /// batch reaches the wire is dropped at the client, costing no
-    /// bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if arrival times are not non-decreasing.
-    pub fn load_open(&mut self, reqs: &[(SimTime, KvRequest)]) {
-        let (arrivals, reqs) = reqs.iter().cloned().unzip();
-        self.load_open_owned(reqs, arrivals);
-    }
-
-    /// [`Self::load_open`] taking ownership of the split schedule.
-    /// `arrivals[i]` is request `i`'s issue instant; the two vectors must
-    /// be equal length and the arrivals non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or arrivals are not sorted.
-    pub fn load_open_owned(&mut self, reqs: Vec<KvRequest>, arrivals: Vec<SimTime>) {
-        assert_eq!(
-            reqs.len(),
-            arrivals.len(),
-            "one arrival instant per request"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "open-loop arrivals must be sorted by time"
-        );
-        self.begin_run(SimTime::ZERO);
-        self.pending = reqs;
-        self.arrivals = arrivals;
-        self.open_loop = true;
-    }
-
-    /// Extends an open-loop stream *without* resetting accounting: the
-    /// fed requests are appended behind whatever is already staged, and
-    /// histograms, op counts, recorded outcomes and the ledger keep
-    /// accumulating. This is the cluster plane's issue path — the window
-    /// coordinator feeds each member host exactly the client and
-    /// replication traffic that lands in the upcoming window, then steps
-    /// it, so a host never sees an arrival the window discipline has not
-    /// yet made visible. Start from `load_open_owned(vec![], vec![])`
-    /// for an initially idle host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host is not in open-loop mode, the vectors differ
-    /// in length, the fed arrivals are unsorted, or the first fed
-    /// arrival precedes the last already-staged one (the combined
-    /// schedule must stay non-decreasing).
-    pub fn feed_open(&mut self, reqs: Vec<KvRequest>, arrivals: Vec<SimTime>) {
-        assert!(self.open_loop, "feed_open extends an open-loop stream");
-        assert_eq!(
-            reqs.len(),
-            arrivals.len(),
-            "one arrival instant per request"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "fed arrivals must be sorted by time"
-        );
-        if let (Some(&first), Some(&last)) = (arrivals.first(), self.arrivals.last()) {
-            assert!(
-                first >= last,
-                "fed arrivals must not precede already-staged ones"
-            );
-        }
-        self.pending.extend(reqs);
-        self.arrivals.extend(arrivals);
-    }
-
-    /// Records every staged request's `(status, value)` outcome, aligned
+    /// Records every request's `(status, value)` outcome, aligned
     /// with the request stream, for consistency checking. Off by default
     /// (response values are large).
     pub fn set_record_outcomes(&mut self, on: bool) {
         self.record_outcomes = on;
     }
 
-    /// Outcomes captured since the last load (empty unless
+    /// Outcomes captured since the run began (empty unless
     /// [`Self::set_record_outcomes`] is on).
     pub fn outcomes(&self) -> &[(Status, Vec<u8>)] {
         &self.outcomes
@@ -495,86 +422,56 @@ impl SystemSim {
         out
     }
 
-    /// Advances the staged stream through one lookahead window.
+    /// Advances the run through one lookahead window over a stream the
+    /// caller lends for the call; the simulator keeps only its position in
+    /// it. Between the windows of one run (opened with
+    /// [`Self::begin_run`]) the stream may only grow at its tail: what was
+    /// lent before must read the same, so a host can be fed exactly the
+    /// traffic the window discipline has made visible.
     ///
-    /// Processes every batch whose client issue time — the earliest free
-    /// window, floored at `floor` — falls strictly before `horizon`, and
-    /// returns the host cache-line traffic those batches generated.
+    /// Processes every batch whose client issue time — the last arrival of
+    /// the batch, or the earliest free window of a closed loop, floored at
+    /// `floor` — falls strictly before `horizon`, and returns the host
+    /// cache-line traffic those batches generated.
     /// `floor` is how the multi-NIC arbiter stretches an oversubscribed
     /// window: requests in the next window cannot issue before the
     /// stretched start, so aggregate throughput degrades without any
     /// component clock rewinding. Traffic is charged to the window where
     /// the batch *issues* (a conservative approximation: completion may
     /// spill past the horizon by at most one batch's service time).
-    pub fn step(&mut self, horizon: SimTime, floor: SimTime) -> StepOutcome {
-        let base = self.ledger();
-        let done = self.step_window(horizon, floor).done;
-        StepOutcome {
-            window: self.ledger().since(&base),
-            done,
-        }
-    }
-
-    /// [`Self::step`] without the ledger materialization: advances the
-    /// window and returns only the scalars the parallel engine's credit
-    /// arbiter settles on. Two full-ledger clones per window per shard
-    /// (entry baseline + exit delta) become three `u64` loads, which is
-    /// what lets the asynchronous engine's publication path stay off the
-    /// allocator entirely.
-    pub fn step_window(&mut self, horizon: SimTime, floor: SimTime) -> WindowStep {
-        let pending = std::mem::take(&mut self.pending);
-        let w = self.step_window_over(&pending[..], horizon, floor);
-        self.pending = pending;
-        w
-    }
-
-    /// [`Self::step_window`] over a stream the caller lends for the
-    /// window instead of a staged one: the same `reqs` must be passed for
-    /// every window of a run opened with [`Self::begin_run`] (the
-    /// simulator keeps only its position in it).
     pub fn step_window_over<S: RequestStream + ?Sized>(
         &mut self,
         reqs: &S,
         horizon: SimTime,
         floor: SimTime,
     ) -> WindowStep {
-        let before = self.store.processor().table().mem().stats();
+        let before = self.store.processor().table().mem().traffic();
         self.advance(reqs, horizon, floor);
-        let after = self.store.processor().table().mem().stats();
-        WindowStep {
-            host_lines: after.since(&before).dma_ops(),
-            next_event: self.next_event_in(reqs.len()),
-            done: self.cursor >= reqs.len(),
-        }
-    }
-
-    /// The earliest instant the next staged batch could cut, before any
-    /// issue floor: the next batch's last arrival in open-loop mode, the
-    /// earliest free client window in closed-loop mode, [`SimTime::MAX`]
-    /// when drained. A window `[floor, horizon)` with `next_event() >=
-    /// horizon` processes nothing (batch issue times are floored at
-    /// `floor < horizon` but start no earlier than this), which is what
-    /// lets the credit arbiter settle idle windows with null messages
-    /// instead of waking the shard.
-    pub fn next_event(&self) -> SimTime {
-        self.next_event_in(self.pending.len())
-    }
-
-    /// [`Self::next_event`] for a stream of `len` requests.
-    fn next_event_in(&self, len: usize) -> SimTime {
-        if self.cursor >= len {
-            return SimTime::MAX;
-        }
-        if self.open_loop {
-            let end = (self.cursor + self.cfg.batch.max(1)).min(len);
-            self.arrivals[end - 1]
+        let after = self.store.processor().table().mem().traffic();
+        let done = self.cursor >= reqs.len();
+        let next_event = if done {
+            SimTime::MAX
         } else {
-            self.window_free
-                .iter()
-                .copied()
-                .min()
-                .expect("at least one window")
+            let end = (self.cursor + self.cfg.batch.max(1)).min(reqs.len());
+            reqs.arrival(end - 1)
+                .unwrap_or_else(|| self.earliest_window().1)
+        };
+        WindowStep {
+            host_lines: (after.dma_reads + after.dma_writes)
+                - (before.dma_reads + before.dma_writes),
+            next_event,
+            done,
         }
+    }
+
+    /// The closed-loop client's earliest free window and when it frees.
+    fn earliest_window(&self) -> (usize, SimTime) {
+        self.window_free
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(_, t)| t)
+            .expect("at least one window")
     }
 
     /// The batch loop: runs the stream from `self.cursor` up to `horizon`.
@@ -584,21 +481,16 @@ impl SystemSim {
 
         while self.cursor < reqs.len() {
             let end = (self.cursor + batch).min(reqs.len());
-            let (start, w) = if self.open_loop {
+            let (start, window) = match reqs.arrival(end - 1) {
                 // Open loop: the batch cuts when its last request
                 // arrives, regardless of outstanding responses.
-                (self.arrivals[end - 1].max(floor), usize::MAX)
-            } else {
+                Some(cut) => (cut.max(floor), None),
                 // Closed loop: the client issues when its earliest
                 // window frees up.
-                let w = self
-                    .window_free
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &t)| t)
-                    .map(|(i, _)| i)
-                    .expect("at least one window");
-                (self.window_free[w].max(floor), w)
+                None => {
+                    let (w, free) = self.earliest_window();
+                    (free.max(floor), Some(w))
+                }
             };
             if start >= horizon {
                 break;
@@ -785,7 +677,7 @@ impl SystemSim {
 
                 // Response packet for the batch.
                 let resp_arrive = self.resp_link.send(batch_done, resp_bytes);
-                if !self.open_loop {
+                if let Some(w) = window {
                     self.window_free[w] = resp_arrive;
                 }
                 self.makespan = self.makespan.max(resp_arrive);
@@ -812,11 +704,7 @@ impl SystemSim {
                     Status::Expired => self.expired_ops += 1,
                     _ => {
                         let req = reqs.get(i);
-                        let issued = if self.open_loop {
-                            self.arrivals[i]
-                        } else {
-                            start
-                        };
+                        let issued = reqs.arrival(i).unwrap_or(start);
                         let lat = resp_arrive.saturating_sub(issued);
                         // Per-component attribution: the processor, PCIe
                         // and DRAM shares are the op's measured service
@@ -856,8 +744,8 @@ impl SystemSim {
         }
     }
 
-    /// Report over everything completed since the last [`Self::load`] or
-    /// [`Self::run`], over that run's own span.
+    /// Report over everything completed since the last
+    /// [`Self::begin_run`], over that run's own span.
     pub fn report(&self) -> SystemSimReport {
         SystemSimReport {
             summary: RunSummary::new(
@@ -892,19 +780,38 @@ impl SystemSim {
     /// on one engine measures the second run. On a fresh engine that
     /// instant is zero.
     pub fn run(&mut self, reqs: &[KvRequest]) -> SystemSimReport {
-        self.begin_run(self.clock());
-        self.advance(reqs, SimTime::MAX, SimTime::ZERO);
-        self.report()
+        self.run_from(self.clock(), reqs)
     }
 
-    /// Runs an open-loop arrival schedule to completion (see
-    /// [`Self::load_open`]), returning the report. With the overload
-    /// plane enabled, offered load beyond the saturation point sheds
-    /// instead of collapsing: `goodput_mops` holds near the knee while
-    /// `shed_ops`/`expired_ops` absorb the excess.
+    /// Runs an *open-loop* arrival schedule to completion, returning the
+    /// report: each request is issued at its scheduled instant regardless
+    /// of outstanding responses, so offered load is a free variable (and
+    /// may exceed capacity — that is the point). Batches cut every
+    /// `cfg.batch` consecutive arrivals; a request whose deadline has
+    /// already passed when its batch reaches the wire is dropped at the
+    /// client, costing no bandwidth. With the overload plane enabled,
+    /// offered load beyond the saturation point sheds instead of
+    /// collapsing: `goodput_mops` holds near the knee while
+    /// `shed_ops`/`expired_ops` absorb the excess. The schedule owns the
+    /// time axis, so the run starts at zero, and like [`Self::run`] it
+    /// reads `reqs` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if arrival times are not non-decreasing.
     pub fn run_open(&mut self, reqs: &[(SimTime, KvRequest)]) -> SystemSimReport {
-        self.load_open(reqs);
-        while !self.step(SimTime::MAX, SimTime::ZERO).done {}
+        assert_arrivals_sorted(reqs.iter().map(|(t, _)| *t));
+        self.run_from(SimTime::ZERO, reqs)
+    }
+
+    /// Begin at `origin`, one unbounded window over `reqs`, report.
+    fn run_from<S: RequestStream + ?Sized>(
+        &mut self,
+        origin: SimTime,
+        reqs: &S,
+    ) -> SystemSimReport {
+        self.begin_run(origin);
+        self.advance(reqs, SimTime::MAX, SimTime::ZERO);
         self.report()
     }
 }
@@ -1056,34 +963,35 @@ mod tests {
     }
 
     #[test]
-    fn feed_open_matches_upfront_staging() {
+    fn a_stream_lent_in_growing_prefixes_equals_the_stream_lent_whole() {
         let sched = open_schedule(1_000, 2_000, 0.2, 2.0, 0, 7);
         let mut a = preloaded(2_000, 8, 1);
         a.set_record_outcomes(true);
         let ra = a.run_open(&sched);
 
-        // Same stream fed incrementally: first half, a bounded step, then
-        // the rest — accounting must accumulate identically.
+        // The same schedule lent as it becomes visible — each prefix up
+        // to the next cut's arrival, then the whole to the end — must
+        // accumulate identically: the simulator keeps only its position.
         let mut b = preloaded(2_000, 8, 1);
         b.set_record_outcomes(true);
-        b.load_open_owned(Vec::new(), Vec::new());
-        let cut = 500;
-        b.feed_open(
-            sched[..cut].iter().map(|(_, r)| r.clone()).collect(),
-            sched[..cut].iter().map(|(t, _)| *t).collect(),
-        );
-        b.step(sched[cut].0, SimTime::ZERO);
-        b.feed_open(
-            sched[cut..].iter().map(|(_, r)| r.clone()).collect(),
-            sched[cut..].iter().map(|(t, _)| *t).collect(),
-        );
-        while !b.step(SimTime::MAX, SimTime::ZERO).done {}
+        b.begin_run(SimTime::ZERO);
+        for cut in [0, 1, 500, 501, 900] {
+            b.step_window_over(&sched[..cut], sched[cut].0, SimTime::ZERO);
+        }
+        let last = b.step_window_over(&sched[..], SimTime::MAX, SimTime::ZERO);
+        assert!(last.done);
         let rb = b.report();
 
-        assert_eq!(ra.ops, rb.ops);
-        assert_eq!(ra.goodput_ops, rb.goodput_ops);
-        assert_eq!(ra.elapsed, rb.elapsed);
+        assert_eq!(ra, rb, "reports identical");
         assert_eq!(a.outcomes(), b.outcomes(), "per-op outcomes identical");
+    }
+
+    #[test]
+    #[should_panic(expected = "open-loop arrivals must be non-decreasing")]
+    fn run_open_rejects_a_schedule_that_goes_back_in_time() {
+        let mut sched = open_schedule(10, 100, 0.0, 2.0, 0, 8);
+        sched.swap(3, 7);
+        preloaded(100, 8, 1).run_open(&sched);
     }
 
     #[test]

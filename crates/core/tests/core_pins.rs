@@ -1,7 +1,7 @@
 //! Recorded fingerprints of the execution core.
 //!
 //! Seeded request streams are driven through `execute_one_into` and
-//! through `execute_batch_refs_into` at batch 1 / 16 / 40 / 257, under
+//! through `run` at batch 1 / 16 / 40 / 257, under
 //! nine configurations that between them reach every station decision
 //! (forward, issue, queue, `Full` back-pressure, chain re-issue, dirty
 //! eviction, flush), every retire outcome (fault retries, `DeviceError`
@@ -348,7 +348,15 @@ fn drive(sc: &Scenario, mode: Mode) -> Outcome {
     }
     let mut responses = Fnv::new();
     let mut statuses = BTreeMap::<u8, u64>::new();
-    let mut out: Vec<KvResponse> = Vec::new();
+    // Response slots for the largest batch, sized once; a batch of `n`
+    // answers into the first `n`.
+    let mut out = vec![
+        KvResponse::default();
+        match mode {
+            Mode::Batch(n) => n,
+            Mode::OneInto => 0,
+        }
+    ];
     let mut one = KvResponse {
         status: Status::Ok,
         value: Vec::new(),
@@ -365,9 +373,8 @@ fn drive(sc: &Scenario, mode: Mode) -> Outcome {
             return;
         }
         let refs: Vec<KvRequestRef<'_>> = staged.iter().map(|r| r.as_ref()).collect();
-        store.execute_batch_refs_into(&refs, &mut out);
-        assert_eq!(out.len(), refs.len(), "one response per request");
-        out.iter().for_each(&mut *note);
+        store.run(&refs[..], &mut out[..refs.len()]);
+        out[..refs.len()].iter().for_each(&mut *note);
         staged.clear();
     };
     let mut touches = Fnv::new();

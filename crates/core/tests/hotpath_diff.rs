@@ -9,7 +9,7 @@
 //!   `execute_batch` — the path every caller used before the zero-copy
 //!   rework;
 //! * **zero-copy**: the same packet bytes → `decode_packet_ref` (borrowed
-//!   requests) → `execute_batch_refs_into` with a reused response arena.
+//!   requests) → `run` over a reused response arena.
 //!
 //! Every response must match, and the merged op-cost ledgers must be
 //! *equal as values* — the ledger is the equivalence oracle proving the
@@ -45,16 +45,16 @@ fn zero_copy_batches_match_owned_path() {
     // Identical preloads through each store's own path under test.
     let mut w = PresetWorkload::new(YcsbPreset::A, POP, 32, 0xD1FF);
     let preload = w.preload();
+    // One response arena for every batch, sized once.
+    let mut arena = vec![KvResponse::default(); BATCH];
     for chunk in preload.chunks(BATCH) {
         let bytes = encode_packet(chunk);
         let owned_reqs = decode_packet(&bytes).expect("round-trip");
         owned.execute_batch(&owned_reqs);
         let refs = decode_packet_ref(&bytes).expect("round-trip");
-        let mut scratch = Vec::new();
-        zero_copy.execute_batch_refs_into(&refs, &mut scratch);
+        zero_copy.run(&refs[..], &mut arena[..refs.len()]);
     }
 
-    let mut arena: Vec<KvResponse> = Vec::new();
     for _ in 0..BATCHES {
         let batch = w.batch(BATCH);
         let bytes = encode_packet(&batch);
@@ -63,9 +63,9 @@ fn zero_copy_batches_match_owned_path() {
         let owned_resps = owned.execute_batch(&owned_reqs);
 
         let refs = decode_packet_ref(&bytes).expect("round-trip");
-        zero_copy.execute_batch_refs_into(&refs, &mut arena);
+        zero_copy.run(&refs[..], &mut arena[..refs.len()]);
 
-        assert_eq!(owned_resps, arena, "responses diverged");
+        assert_eq!(owned_resps, arena[..refs.len()], "responses diverged");
     }
 
     assert_eq!(

@@ -1,10 +1,11 @@
-//! Steady-state allocation guard for the parallel engine's whole `run`.
+//! Steady-state allocation guard for the parallel engine's whole `run`
+//! and `run_open`.
 //!
 //! Mirror of `zero_alloc.rs` for the asynchronous credit engine: after
 //! warm-up runs have grown every pool (buffer pools, the router's index
-//! lists, the report's merge histograms), [`ParallelSystemSim::run`]
-//! with one worker must perform **zero** heap allocations, from routing
-//! to the merged report it returns. Routing records positions into the
+//! lists, the report's merge histograms), [`ParallelSystemSim::run`] and
+//! [`ParallelSystemSim::run_open`] with one worker must perform **zero**
+//! heap allocations, from routing to the merged report they return. Routing records positions into the
 //! caller's slice in pooled `Vec<u32>`s and clones no request, the
 //! calling thread drives the shards itself, a run resets its histograms
 //! in place, window publication is three `u64` atomics, and ledgers
@@ -14,7 +15,9 @@
 //! single-worker loop never spawns. The first case is GET-only, like
 //! `zero_alloc.rs`; the second mixes in SETs of 40-480 B to show that
 //! routing copies no payload (the write path itself is pinned
-//! allocation-free by `zero_alloc_write.rs`).
+//! allocation-free by `zero_alloc_write.rs`). Both cases then repeat
+//! open-loop, the same requests on an arrival schedule: the schedule is
+//! routed by index through the same view, so it costs what `run` costs.
 //!
 //! This file intentionally holds a single `#[test]`: the harness runs
 //! tests in one binary concurrently, and a second test's allocations
@@ -23,9 +26,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kvd_core::parallel::{ParallelSimConfig, ParallelSystemSim};
+use kvd_core::parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 use kvd_core::KvDirectConfig;
 use kvd_net::KvRequest;
+use kvd_sim::SimTime;
 
 struct Counting;
 
@@ -77,15 +81,30 @@ fn engine(value_len: usize) -> ParallelSystemSim {
 
 /// Allocations of one `run` of `trace` on `sim` after `warmups` replays
 /// of it have grown every pool to its equilibrium float.
-fn counted_run(sim: &mut ParallelSystemSim, trace: &[KvRequest], warmups: usize) -> u64 {
+fn counted_run<T: ?Sized>(
+    sim: &mut ParallelSystemSim,
+    run: impl Fn(&mut ParallelSystemSim, &T) -> ParallelSimReport,
+    trace: &T,
+    warmups: usize,
+) -> u64 {
     for _ in 0..warmups {
-        sim.run(trace);
+        run(sim, trace);
     }
     let before = ALLOCS.load(Ordering::Relaxed);
-    let r = sim.run(trace);
+    let r = run(sim, trace);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(r.ops, OPS as u64, "the counted run completed every op");
     allocs
+}
+
+/// `trace` on an arrival schedule of 40 Mops offered over the four
+/// shards: under capacity, so every op is answered.
+fn scheduled(trace: &[KvRequest]) -> Vec<(SimTime, KvRequest)> {
+    trace
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (SimTime::from_ns(25 * i as u64), r.clone()))
+        .collect()
 }
 
 #[test]
@@ -100,10 +119,21 @@ fn steady_state_parallel_run_allocates_nothing() {
         .collect();
     // Two warm-ups: the first grows the pools, the second proves the
     // float is a fixpoint.
-    let allocs = counted_run(&mut engine(8), &gets, 2);
+    let allocs = counted_run(&mut engine(8), ParallelSystemSim::run, &gets[..], 2);
     assert_eq!(
         allocs, 0,
         "steady-state single-worker run must not allocate ({allocs} allocations over {OPS} ops)"
+    );
+    let timed_gets = scheduled(&gets);
+    let allocs = counted_run(
+        &mut engine(8),
+        ParallelSystemSim::run_open,
+        &timed_gets[..],
+        2,
+    );
+    assert_eq!(
+        allocs, 0,
+        "steady-state single-worker run_open must not allocate ({allocs} allocations over {OPS} ops)"
     );
 
     // Same keys, one request in five a SET of 40-480 B: routing by index
@@ -123,9 +153,20 @@ fn steady_state_parallel_run_allocates_nothing() {
             }
         })
         .collect();
-    let allocs = counted_run(&mut engine(256), &mixed, 8);
+    let allocs = counted_run(&mut engine(256), ParallelSystemSim::run, &mixed[..], 8);
     assert_eq!(
         allocs, 0,
         "routing must not copy SET payloads ({allocs} allocations over {OPS} ops)"
+    );
+    let timed_mixed = scheduled(&mixed);
+    let allocs = counted_run(
+        &mut engine(256),
+        ParallelSystemSim::run_open,
+        &timed_mixed[..],
+        8,
+    );
+    assert_eq!(
+        allocs, 0,
+        "routing a schedule must not copy SET payloads ({allocs} allocations over {OPS} ops)"
     );
 }

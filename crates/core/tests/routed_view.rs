@@ -1,19 +1,20 @@
 //! The routed view is the owned sub-stream, seen through an index list.
 //!
-//! [`ParallelSystemSim::run`] no longer hands each shard a cloned copy
+//! [`ParallelSystemSim::run`] and `run_open` hand no shard a cloned copy
 //! of its requests: the router ([`route`]) records positions into the
 //! caller's slice and every shard steps over a [`Routed`] view of it.
 //! Two properties make that a pure representation change: (1) the index
 //! lists partition `0..reqs.len()`, each ascending, each holding exactly
 //! the positions [`shard_of`] assigns to its shard; (2) a [`SystemSim`]
 //! stepped over the view behaves, window for window, exactly like a twin
-//! that staged the owned sub-stream — same [`WindowStep`] sequence under
-//! the same `(horizon, floor)` sequence, same report, same outcomes.
+//! lent the owned sub-stream — same [`WindowStep`] sequence under the
+//! same `(horizon, floor)` sequence, same report, same outcomes — closed
+//! loop, and open loop with the arrival schedule seen through the view.
 //!
 //! [`ParallelSystemSim::run`]: kvd_core::parallel::ParallelSystemSim::run
 
 use kvd_core::parallel::{route, Routed};
-use kvd_core::system::{SystemSim, SystemSimConfig, WindowStep};
+use kvd_core::system::{RequestStream, SystemSim, SystemSimConfig, WindowStep};
 use kvd_core::KvDirectConfig;
 use kvd_net::{shard_of, KvRequest};
 use kvd_sim::SimTime;
@@ -74,12 +75,59 @@ fn drain(
     }
 }
 
+/// Every shard stepped over its [`Routed`] view of `reqs` behaves, window
+/// for window, like a twin lent the owned sub-stream.
+fn view_equals_owned<T: Clone>(
+    reqs: &[T],
+    routes: &[Vec<u32>],
+    batch: usize,
+    quantum: SimTime,
+    stalls: &[u64],
+) -> Result<(), TestCaseError>
+where
+    [T]: RequestStream,
+{
+    for (shard, idx) in routes.iter().enumerate() {
+        let view = Routed { reqs, idx };
+        let owned: Vec<T> = idx.iter().map(|&i| reqs[i as usize].clone()).collect();
+
+        let mut lent = shard_sim(shard, routes.len(), batch);
+        lent.begin_run(SimTime::ZERO);
+        let lent_windows = drain(|h, f| lent.step_window_over(&view, h, f), quantum, stalls);
+
+        let mut whole = shard_sim(shard, routes.len(), batch);
+        whole.begin_run(SimTime::ZERO);
+        let whole_windows = drain(
+            |h, f| whole.step_window_over(&owned[..], h, f),
+            quantum,
+            stalls,
+        );
+
+        prop_assert_eq!(
+            lent_windows,
+            whole_windows,
+            "shard {} window sequence",
+            shard
+        );
+        prop_assert_eq!(lent.report(), whole.report(), "shard {} report", shard);
+        prop_assert_eq!(
+            lent.outcomes(),
+            whole.outcomes(),
+            "shard {} outcomes",
+            shard
+        );
+        prop_assert_eq!(lent.outcomes().len(), idx.len());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn a_shard_over_its_routed_view_equals_one_over_its_owned_substream(
         reqs in prop::collection::vec(request(), 0..400),
+        gaps_ns in prop::collection::vec(0u64..400, 400),
         shards in 1usize..=6,
         batch in 1usize..=24,
         quantum_ns in 500u64..8_000,
@@ -101,22 +149,21 @@ proptest! {
 
         // (2) View and owned sub-stream are the same stream.
         let quantum = SimTime::from_ns(quantum_ns);
-        for (shard, idx) in routes.iter().enumerate() {
-            let view = Routed { reqs: &reqs, idx };
-            let owned: Vec<KvRequest> = idx.iter().map(|&i| reqs[i as usize].clone()).collect();
+        view_equals_owned(&reqs, &routes, batch, quantum, &stalls)?;
 
-            let mut lent = shard_sim(shard, shards, batch);
-            lent.begin_run(SimTime::ZERO);
-            let lent_windows = drain(|h, f| lent.step_window_over(&view, h, f), quantum, &stalls);
-
-            let mut staged = shard_sim(shard, shards, batch);
-            staged.load(&owned);
-            let staged_windows = drain(|h, f| staged.step_window(h, f), quantum, &stalls);
-
-            prop_assert_eq!(lent_windows, staged_windows, "shard {} window sequence", shard);
-            prop_assert_eq!(lent.report(), staged.report(), "shard {} report", shard);
-            prop_assert_eq!(lent.outcomes(), staged.outcomes(), "shard {} outcomes", shard);
-            prop_assert_eq!(lent.outcomes().len(), idx.len());
-        }
+        // (3) The same with an arrival schedule: the timed view of a
+        // shard is its owned sub-schedule.
+        let timed: Vec<(SimTime, KvRequest)> = reqs
+            .iter()
+            .zip(&gaps_ns)
+            .scan(SimTime::ZERO, |t, (r, &gap)| {
+                *t += SimTime::from_ns(gap);
+                Some((*t, r.clone()))
+            })
+            .collect();
+        let mut timed_routes = vec![Vec::new(); shards];
+        route(&timed, &mut timed_routes);
+        prop_assert_eq!(&timed_routes, &routes, "a schedule routes like its requests");
+        view_equals_owned(&timed, &routes, batch, quantum, &stalls)?;
     }
 }

@@ -75,19 +75,22 @@ fn steady_state_get_allocates_nothing() {
     let refs: Vec<KvRequestRef<'_>> = trace.iter().map(|r| r.as_ref()).collect();
 
     // --- Batched path ---------------------------------------------------
-    let mut out: Vec<KvResponse> = Vec::new();
+    let mut out = vec![KvResponse::default(); BATCH];
     // Two warmup replays: the first grows the buffer pools to their
     // equilibrium float, the second proves the float is a fixpoint.
     for _ in 0..2 {
         for chunk in refs.chunks(BATCH) {
-            p.execute_batch_refs_into(chunk, &mut out);
+            p.run(chunk, &mut out[..chunk.len()]);
         }
     }
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut hits = 0usize;
     for chunk in refs.chunks(BATCH) {
-        p.execute_batch_refs_into(chunk, &mut out);
-        hits += out.iter().filter(|r| r.status == Status::Ok).count();
+        p.run(chunk, &mut out[..chunk.len()]);
+        hits += out[..chunk.len()]
+            .iter()
+            .filter(|r| r.status == Status::Ok)
+            .count();
     }
     let batched = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(hits, OPS, "every GET must hit a preloaded key");

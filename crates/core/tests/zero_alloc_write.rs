@@ -10,7 +10,7 @@
 //! that once the pools are warm they perform **zero** heap allocations.
 //! A last phase replays the serving front-end's shape — bundles of 16
 //! mixed GET/SET/DELETE on 13-byte keys through
-//! `execute_batch_refs_into`, values up the extended slab ladder, keys
+//! `run`, values up the extended slab ladder, keys
 //! repeating inside a bundle so operations queue and forward — under the
 //! same requirement.
 //!
@@ -153,12 +153,12 @@ fn steady_state_writes_allocate_nothing() {
         })
         .collect();
     let refs: Vec<KvRequestRef<'_>> = trace.iter().map(|r| r.as_ref()).collect();
-    let mut out: Vec<KvResponse> = Vec::new();
+    let mut out = vec![KvResponse::default(); BUNDLE];
     let mut replay = |store: &mut KvDirectStore| {
         let mut answered = 0;
         for bundle in refs.chunks(BUNDLE) {
-            store.execute_batch_refs_into(bundle, &mut out);
-            answered += out
+            store.run(bundle, &mut out[..bundle.len()]);
+            answered += out[..bundle.len()]
                 .iter()
                 .filter(|r| matches!(r.status, Status::Ok | Status::NotFound))
                 .count();

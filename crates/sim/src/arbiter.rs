@@ -84,7 +84,8 @@ pub struct ArbiterStats {
 /// # Examples
 ///
 /// ```
-/// use kvd_sim::{Bandwidth, HostArbiter, HostArbiterConfig, SimTime};
+/// use kvd_sim::arbiter::HostArbiter;
+/// use kvd_sim::{Bandwidth, HostArbiterConfig, SimTime};
 ///
 /// let mut arb = HostArbiter::new(HostArbiterConfig {
 ///     bandwidth: Bandwidth::from_gbytes_per_sec(6.4), // 100 Mlines/s

@@ -16,7 +16,7 @@
 //! * [`rng`] — seeded deterministic RNG plus Zipf samplers (the paper's
 //!   "long-tail" workload is Zipf with skewness 0.99).
 //! * [`arbiter`] — the conservative time-quantum host-memory arbiter
-//!   ([`HostArbiter`]) that lets parallel per-shard simulations share the
+//!   ([`arbiter::HostArbiter`]) that lets parallel per-shard simulations share the
 //!   server's aggregate DRAM bandwidth deterministically.
 //! * [`credit`] — the asynchronous bounded-lookahead credit issuer
 //!   ([`CreditArbiter`]) wrapping the arbiter: shards publish window
@@ -59,7 +59,7 @@ pub mod runreport;
 pub mod stats;
 pub mod time;
 
-pub use arbiter::{ArbiterStats, HostArbiter, HostArbiterConfig};
+pub use arbiter::{ArbiterStats, HostArbiterConfig};
 pub use chaos::{ChaosConfig, ChaosPhase, ChaosSchedule};
 pub use cluster::{ClusterClock, NodeLink, NodeLinkConfig};
 pub use credit::{Credit, CreditArbiter};

@@ -302,15 +302,20 @@ fn run_reused(
     out
 }
 
+/// FNV-1a digest of a value's `Debug` form.
+fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
+    format!("{v:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 /// The report of a run in one line: the summary and the arbiter's charge
 /// counters spelled out, the merged ledger as an FNV-1a digest of its
 /// `Debug` form.
 fn fingerprint(r: &ParallelSimReport) -> String {
-    let digest = format!("{:?}", r.ledger)
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        });
+    let digest = debug_digest(&r.ledger);
     format!(
         "{:?} | windows {} oversubscribed {} lines {} stall {:?} | ledger {digest:#018x}",
         r.summary, r.arbiter.windows, r.arbiter.oversubscribed, r.arbiter.lines, r.arbiter.stall
@@ -390,24 +395,6 @@ fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
     }
 }
 
-/// FNV-1a over a byte stream.
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
-/// Digest of a value's `Debug` form.
-fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
-    fnv(format!("{v:?}").bytes())
-}
-
-/// Digest of one shard's recorded outcomes, statuses and value bytes in
-/// stream order.
-fn outcomes_digest(outcomes: &[(Status, Vec<u8>)]) -> u64 {
-    debug_digest(&outcomes)
-}
-
 /// An open-loop schedule that exercises every way a request resolves:
 /// YCSB-A at 200 Mops offered (5 ns apart: past one pipeline's decode
 /// rate, under ten shards'), every seventh request under a deadline about
@@ -462,7 +449,7 @@ fn open_loop_runs_reproduce_their_recorded_fingerprints() {
             "{:?} | report {:#018x} | outcomes {:#018x}",
             r.summary,
             debug_digest(&r),
-            outcomes_digest(seq.outcomes())
+            debug_digest(&seq.outcomes())
         ),
         GOLDEN_SEQ_OPEN,
         "SystemSim::run_open moved"
@@ -479,7 +466,7 @@ fn open_loop_runs_reproduce_their_recorded_fingerprints() {
             par.set_record_outcomes(true);
             let r = par.run_open(&sched);
             let shards: Vec<String> = (0..par.shards())
-                .map(|i| format!("{:#018x}", outcomes_digest(par.shard_outcomes(i))))
+                .map(|i| format!("{:#018x}", debug_digest(&par.shard_outcomes(i))))
                 .collect();
             assert_eq!(
                 format!(
