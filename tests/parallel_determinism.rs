@@ -134,6 +134,28 @@ fn repeated_runs_are_bit_identical() {
     assert_eq!(a, b, "same seed + config must reproduce exactly");
 }
 
+/// The ledger's ten fault channels: the eight injected event kinds, then
+/// recovery retries and abandoned transactions.
+fn fault_channels(l: &OpLedger) -> [u64; 10] {
+    [
+        l.pcie.corruptions,
+        l.pcie.replays,
+        l.pcie.timeouts,
+        l.dram.corrected,
+        l.dram.uncorrectable,
+        l.dram.host_stalls,
+        l.net.drops,
+        l.net.reorders,
+        l.pcie.retries,
+        l.pcie.exhausted,
+    ]
+}
+
+/// Injected fault events (recovery bookkeeping excluded).
+fn total_faults(l: &OpLedger) -> u64 {
+    fault_channels(l)[..8].iter().sum()
+}
+
 fn run_faulty(workers: usize, reqs: &[KvRequest]) -> ParallelSimReport {
     let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 6)
         .with_per_shard_reports();
@@ -153,19 +175,19 @@ fn fault_counters_bit_identical_across_worker_counts() {
     // Faults fork per shard from the store seed, so the schedule is part
     // of the (config, seed, stream) function and must not care how
     // shards map onto OS threads. `ParallelSimReport` equality covers
-    // the merged rollup and every per-shard `faults` field.
+    // the merged ledger's fault channels and every per-shard ledger's.
     let reqs = workload(9_000, 0xD375);
     let r1 = run_faulty(1, &reqs);
     let r2 = run_faulty(2, &reqs);
     let r8 = run_faulty(8, &reqs);
     assert!(
-        r1.faults.total_faults() > 0,
+        total_faults(&r1.ledger) > 0,
         "2% uniform rates over 9k ops must inject"
     );
     assert!(
         r1.per_shard
             .iter()
-            .any(|s| s.faults.total_faults() != r1.per_shard[0].faults.total_faults()),
+            .any(|s| fault_channels(&s.ledger) != fault_channels(&r1.per_shard[0].ledger)),
         "per-shard schedules should be decorrelated"
     );
     assert_eq!(r1, r2, "fault schedule diverged between 1 and 2 workers");
@@ -246,10 +268,7 @@ fn worker_count_does_not_change_merged_ledger() {
     assert_eq!(c1.ledger, c8.ledger, "fig18-shaped merged ledger diverged");
     let (f1, f8) = (run_faulty(1, &reqs), run_faulty(8, &reqs));
     assert_eq!(f1.ledger, f8.ledger, "faulty merged ledger diverged");
-    assert!(
-        f1.ledger.fault_view().total_faults() > 0,
-        "faults must fire"
-    );
+    assert!(total_faults(&f1.ledger) > 0, "faults must fire");
     // The merged ledger is exactly the shard-order fold of the per-shard
     // slices: re-deriving it from a fresh sequential run agrees.
     let total: u64 = OpClass::ALL.iter().map(|&c| f1.ledger.latency.ops(c)).sum();
@@ -417,18 +436,22 @@ fn open_schedule(n: usize, seed: u64) -> Vec<(SimTime, KvRequest)> {
         .collect()
 }
 
-/// Open-loop fingerprints recorded on `0b0af86`, while `run_open` still
-/// staged owned copies of the schedule (`load_open`, per-shard `Vec`s)
-/// and stepped them with `step` / `step_window`.
-const GOLDEN_SEQ_OPEN: &str = "RunSummary { ops: 6000, elapsed: 35.464us, mops: 169.18458444205632, goodput_ops: 804, goodput_mops: 22.67073431523555, shed_ops: 4063, expired_ops: 984, get_latency: Summary { count: 487, mean: 5987584.503080082, min: 4741172, p5: 4849664, p50: 6029312, p95: 6750208, p99: 6881280, max: 6939751 }, put_latency: Summary { count: 466, mean: 5993408.939914163, min: 4778269, p5: 4849664, p50: 5963776, p95: 6750208, p99: 6881280, max: 6958427 } } | report 0x5bbf94c8595a59c5 | outcomes 0x6f52d27799568532";
-const GOLDEN_PAR_OPEN_Q4: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 8 oversubscribed 0 lines 2372 stall 0ns | ledger 0xf841a9c16d7d7e2d | report 0xb44ae71db1166c95 | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
-const GOLDEN_PAR_OPEN_Q8: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 4 oversubscribed 0 lines 2372 stall 0ns | ledger 0x6a1a17c49bcbdba9 | report 0xe3eb0d75a2e4975d | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
+/// Open-loop fingerprints. Everything but the `report` digests was
+/// recorded on `0b0af86`, while `run_open` still staged owned copies of the
+/// schedule (`load_open`, per-shard `Vec`s) and stepped them with `step` /
+/// `step_window`. The `report` digests were re-recorded on `b257b7d`, over
+/// the parts of a report that outlive its `overload` / `faults` views:
+/// summary and ledger, and for the sharded engine the shard count and the
+/// arbiter's counters.
+const GOLDEN_SEQ_OPEN: &str = "RunSummary { ops: 6000, elapsed: 35.464us, mops: 169.18458444205632, goodput_ops: 804, goodput_mops: 22.67073431523555, shed_ops: 4063, expired_ops: 984, get_latency: Summary { count: 487, mean: 5987584.503080082, min: 4741172, p5: 4849664, p50: 6029312, p95: 6750208, p99: 6881280, max: 6939751 }, put_latency: Summary { count: 466, mean: 5993408.939914163, min: 4778269, p5: 4849664, p50: 5963776, p95: 6750208, p99: 6881280, max: 6958427 } } | report 0xfe809d7452c31eb7 | outcomes 0x6f52d27799568532";
+const GOLDEN_PAR_OPEN_Q4: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 8 oversubscribed 0 lines 2372 stall 0ns | ledger 0xf841a9c16d7d7e2d | report 0x0b97e2c9d8cd8506 | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
+const GOLDEN_PAR_OPEN_Q8: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 4 oversubscribed 0 lines 2372 stall 0ns | ledger 0x6a1a17c49bcbdba9 | report 0x290816a28ea155b6 | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
 
 #[test]
 fn open_loop_runs_reproduce_their_recorded_fingerprints() {
     let sched = open_schedule(6_000, 0xD37D);
 
-    // One pipeline: the whole report, and every recorded outcome.
+    // One pipeline: summary, ledger, and every recorded outcome.
     let mut cfg = SystemSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24);
     cfg.store.overload = kv_direct::OverloadConfig::enabled();
     let mut seq = SystemSim::new(cfg);
@@ -448,15 +471,15 @@ fn open_loop_runs_reproduce_their_recorded_fingerprints() {
         format!(
             "{:?} | report {:#018x} | outcomes {:#018x}",
             r.summary,
-            debug_digest(&r),
+            debug_digest(&(&r.summary, &r.ledger)),
             debug_digest(&seq.outcomes())
         ),
         GOLDEN_SEQ_OPEN,
         "SystemSim::run_open moved"
     );
 
-    // Ten shards: the summary, the arbiter, the merged ledger, the whole
-    // report and every shard's outcomes, the same for either worker count.
+    // Ten shards: the summary, the arbiter, the merged ledger and every
+    // shard's outcomes, the same for either worker count.
     for (quantum, golden) in [
         (SimTime::from_us(4), GOLDEN_PAR_OPEN_Q4),
         (SimTime::from_us(8), GOLDEN_PAR_OPEN_Q8),
@@ -472,7 +495,7 @@ fn open_loop_runs_reproduce_their_recorded_fingerprints() {
                 format!(
                     "{} | report {:#018x} | outcomes [{}]",
                     fingerprint(&r),
-                    debug_digest(&r),
+                    debug_digest(&(r.shards, &r.summary, &r.ledger, &r.arbiter)),
                     shards.join(", ")
                 ),
                 golden,
