@@ -61,7 +61,7 @@ fn measure_faulty(cfg: &KvDirectConfig, spec: &WorkloadSpec, seed: u64) -> Fault
 
     store.processor_mut().table_mut().mem_mut().reset_stats();
     let st0 = store.processor().station_stats();
-    let faults0 = store.fault_counters();
+    let retries0 = store.ledger().pcie.retries;
     let zipf = ZipfSampler::new(n_keys, 0.99);
     let mut batch = Vec::with_capacity(spec.batch as usize);
     let mut executed = 0usize;
@@ -92,7 +92,6 @@ fn measure_faulty(cfg: &KvDirectConfig, spec: &WorkloadSpec, seed: u64) -> Fault
 
     let mem = store.processor().table().mem().stats();
     let forwarded = store.processor().station_stats().forwarded - st0.forwarded;
-    let faults = store.fault_counters();
     let ecc = store.ecc_stats();
     let n = executed as f64;
     FaultyRun {
@@ -111,7 +110,7 @@ fn measure_faulty(cfg: &KvDirectConfig, spec: &WorkloadSpec, seed: u64) -> Fault
             },
         },
         goodput: ok as f64 / n,
-        retries_per_op: (faults.retries - faults0.retries) as f64 / n,
+        retries_per_op: (store.ledger().pcie.retries - retries0) as f64 / n,
         ecc_corrected: ecc.corrected,
         ecc_uncorrectable: ecc.uncorrectable,
         bypassed: ecc.bypassed,

@@ -39,15 +39,13 @@ fn workload(total: usize, population: u64, seed: u64) -> Vec<KvRequest> {
 
 /// Harness overrides from the command line. `--workers N` picks the
 /// worker-thread count (default: the machine's parallelism), `--quantum-us Q`
-/// the arbiter window, `--lookahead D` the credit depth. Workers and
-/// lookahead never change simulated results (the determinism suite pins
-/// that); a non-default quantum does, so the shape gates below assume
-/// the paper's.
+/// the arbiter window. Workers never change simulated results (the
+/// determinism suite pins that); a non-default quantum does, so the shape
+/// gates below assume the paper's.
 #[derive(Default, Clone, Copy)]
 struct Cli {
     workers: Option<usize>,
     quantum_us: Option<u64>,
-    lookahead: Option<u32>,
 }
 
 fn parse_cli() -> Cli {
@@ -67,13 +65,6 @@ fn parse_cli() -> Cli {
                     value(&mut args, "--quantum-us")
                         .parse()
                         .expect("--quantum-us: microseconds"),
-                )
-            }
-            "--lookahead" => {
-                cli.lookahead = Some(
-                    value(&mut args, "--lookahead")
-                        .parse()
-                        .expect("--lookahead: depth >= 1"),
                 )
             }
             // Cargo's bench runner forwards its own flags (`--bench`,
@@ -97,9 +88,6 @@ fn engine(shards: usize, forced_workers: Option<usize>, cli: Cli) -> ParallelSys
     if let Some(q) = cli.quantum_us {
         cfg.arbiter.quantum = SimTime::from_us(q);
     }
-    if let Some(d) = cli.lookahead {
-        cfg.arbiter.lookahead = d.max(1);
-    }
     let mut sim = ParallelSystemSim::new(cfg);
     for id in 0..POPULATION_PER_NIC * shards as u64 {
         sim.preload_put(&id.to_le_bytes(), &[id as u8; 8])
@@ -115,10 +103,10 @@ fn main() {
         "throughput scales near-linearly with NICs until the server's \
          aggregate host memory bandwidth caps it just above 1.2 Gops",
     );
-    if cli.workers.is_some() || cli.quantum_us.is_some() || cli.lookahead.is_some() {
+    if cli.workers.is_some() || cli.quantum_us.is_some() {
         println!(
-            "overrides: workers {:?}, quantum {:?} us, lookahead {:?}\n",
-            cli.workers, cli.quantum_us, cli.lookahead
+            "overrides: workers {:?}, quantum {:?} us\n",
+            cli.workers, cli.quantum_us
         );
     }
 

@@ -36,13 +36,9 @@
 
 use kvd_bench::{banner, shape_check, Table};
 use kvd_mem::dispatch::optimal_ratio_zipf;
-use kvd_mem::replay::{replay_lines, ReplayConfig};
-use kvd_mem::{
-    AccessKind, AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, MemoryEngine, NicDramConfig,
-    LINE,
-};
+use kvd_mem::replay::{Replay, ReplayConfig};
+use kvd_mem::{AccessKind, AdaptiveCacheConfig, MemoryEngine, LINE};
 use kvd_ooo::SimOp;
-use kvd_sim::Bandwidth;
 use kvd_workloads::{ZipfHotSpec, ZipfHotWorkload};
 
 /// 16 MiB host address space (262,144 lines), NIC DRAM at the paper's
@@ -108,46 +104,30 @@ struct RunResult {
     trajectory: Vec<f64>,
 }
 
-/// Runs one policy over one trace: the timed replay for sustained Mops,
-/// and the functional engine for per-phase served shares and the ratio
-/// trajectory (both replay the identical trace deterministically).
+/// Runs one policy over one trace, once: the timed replay's sustained
+/// Mops, and from the engine it drives the per-phase served shares and the
+/// ratio trajectory.
 fn run(trace_data: &[(u64, AccessKind)], adaptive: bool) -> RunResult {
-    let mut replay_cfg = ReplayConfig::paper_scaled(HOST, offline_ratio());
+    let mut cfg = ReplayConfig::paper_scaled(HOST, offline_ratio());
     if adaptive {
-        replay_cfg.adaptive = Some(adaptive_config());
+        cfg.adaptive = Some(adaptive_config());
     }
-    let timed = replay_lines(&replay_cfg, trace_data.iter().copied());
-
-    let mut mem = DispatchedMemory::new(
-        HOST,
-        NicDramConfig {
-            capacity: HOST / 16,
-            bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
-        },
-        DispatchConfig::new(offline_ratio()),
-    );
-    if adaptive {
-        mem.set_adaptive(adaptive_config());
-    }
+    let mut replay = Replay::new(&cfg);
     let half = trace_data.len() / 2;
     let snap_every = trace_data.len() / 8;
     let mut hits_at_half = 0u64;
     let mut trajectory = Vec::new();
-    let mut buf = [0u8; LINE as usize];
     for (i, &(line, kind)) in trace_data.iter().enumerate() {
-        let addr = line * LINE;
-        match kind {
-            AccessKind::Read => mem.read(addr, &mut buf),
-            AccessKind::Write => mem.write(addr, &buf),
-        }
+        replay.step(line, kind);
         if i + 1 == half {
-            hits_at_half = mem.stats().cache_hits;
+            hits_at_half = replay.mem().stats().cache_hits;
         }
         if (i + 1) % snap_every == 0 {
-            trajectory.push(mem.dispatcher().ratio());
+            trajectory.push(replay.mem().dispatcher().ratio());
         }
     }
-    let hits = mem.stats().cache_hits;
+    let hits = replay.mem().stats().cache_hits;
+    let timed = replay.finish();
     RunResult {
         mops: timed.mops,
         hit_rate: timed.hit_rate,

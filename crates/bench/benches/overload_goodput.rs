@@ -156,7 +156,7 @@ fn main() {
             fmt_f(r.mops, 1),
             r.shed_ops.to_string(),
             r.expired_ops.to_string(),
-            r.overload.shed_transitions.to_string(),
+            r.ledger.core.shed_transitions.to_string(),
         ]);
     }
     t.print();

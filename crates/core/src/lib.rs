@@ -19,8 +19,8 @@
 //!   [`MultiNicStore`] for the paper's multi-NIC scaling (10 NICs →
 //!   1.22 Gops).
 //! * [`overload`] — the overload-control plane: watermark admission with
-//!   hysteresis, deadline expiry, read-only degradation, and the
-//!   [`OverloadCounters`] rollup.
+//!   hysteresis, deadline expiry and read-only degradation, counted in
+//!   the ledger's `core` section.
 //! * [`parallel`] — the multi-NIC server *simulated*: one timed pipeline
 //!   per shard on OS worker threads, synchronized through a host-memory
 //!   arbiter so the Figure 18 saturation knee emerges from contention.
@@ -42,11 +42,9 @@ pub mod timing;
 pub use cluster::{ClusterReport, ClusterSim, ClusterSimConfig, NodeKill, OpRecord};
 pub use kvd_hash::{tick_of_us, EXPIRY_TICK_US};
 pub use lambda::{builtin, Lambda, LambdaRegistry};
-pub use overload::{
-    AdmissionController, HotKeyConfig, OverloadConfig, OverloadCounters, Watermarks,
-};
+pub use overload::{AdmissionController, HotKeyConfig, OverloadConfig, Watermarks};
 pub use parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
-pub use processor::{KvProcessor, ProcessorStats, RequestStream};
+pub use processor::{KvProcessor, RequestStream};
 pub use store::{KvDirectConfig, KvDirectStore, MultiNicStore, StoreError};
 pub use system::{Percentile, RunSummary, SystemSim, SystemSimConfig, SystemSimReport, WindowStep};
 pub use timing::{SystemModel, ThroughputBreakdown, WorkloadSpec};

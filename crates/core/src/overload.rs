@@ -12,9 +12,9 @@
 //! oscillates between the watermarks cannot flap the admission decision
 //! on every request.
 //!
-//! [`OverloadCounters`] is the rollup the store and the simulations
-//! expose, mirroring `FaultCounters` for the fault plane: every shed
-//! (and the reason), every degraded-mode transition.
+//! Every shed (and the reason) and every degraded-mode transition is
+//! counted in the `core` section of the op-cost ledger the store and the
+//! simulations expose (`admitted`, `shed_*`, `read_only_*`).
 
 /// Hysteresis watermark pair for the admission controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,47 +189,6 @@ impl AdmissionController {
     }
 }
 
-/// Rollup of shedding and degraded-mode activity, mirroring
-/// `FaultCounters`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadCounters {
-    /// Requests that passed every overload gate.
-    pub admitted: u64,
-    /// Requests shed with `Status::Overloaded` by the admission
-    /// controller.
-    pub shed_overload: u64,
-    /// Requests dropped with `Status::Expired` — their deadline had
-    /// passed before execution.
-    pub shed_expired: u64,
-    /// Writes shed with `Status::Overloaded` while in read-only mode.
-    pub shed_read_only: u64,
-    /// Entries into read-only mode (slab exhaustion).
-    pub read_only_entries: u64,
-    /// Exits from read-only mode (memory drained below the exit
-    /// watermark).
-    pub read_only_exits: u64,
-    /// Admission-controller state flips (both directions).
-    pub shed_transitions: u64,
-}
-
-impl OverloadCounters {
-    /// Accumulates another rollup into this one (multi-shard merges).
-    pub fn merge(&mut self, other: &OverloadCounters) {
-        self.admitted += other.admitted;
-        self.shed_overload += other.shed_overload;
-        self.shed_expired += other.shed_expired;
-        self.shed_read_only += other.shed_read_only;
-        self.read_only_entries += other.read_only_entries;
-        self.read_only_exits += other.read_only_exits;
-        self.shed_transitions += other.shed_transitions;
-    }
-
-    /// Requests shed for any reason.
-    pub fn total_shed(&self) -> u64 {
-        self.shed_overload + self.shed_expired + self.shed_read_only
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,23 +224,5 @@ mod tests {
         assert!(!ac.observe(0.4));
         assert!(!ac.observe(0.7));
         assert_eq!(ac.transitions(), 2);
-    }
-
-    #[test]
-    fn counters_merge_componentwise() {
-        let a = OverloadCounters {
-            admitted: 10,
-            shed_overload: 2,
-            shed_expired: 1,
-            shed_read_only: 3,
-            read_only_entries: 1,
-            read_only_exits: 1,
-            shed_transitions: 4,
-        };
-        let mut b = a;
-        b.merge(&a);
-        assert_eq!(b.admitted, 20);
-        assert_eq!(b.total_shed(), 12);
-        assert_eq!(b.shed_transitions, 8);
     }
 }

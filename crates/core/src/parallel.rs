@@ -64,17 +64,15 @@
 //! independent of which OS thread stepped which shard and of how far any
 //! worker ran ahead. Worker threads only partition the shard vector;
 //! they exchange no other state. A run is therefore bit-identical for
-//! any worker count and any lookahead depth, which
-//! `tests/parallel_determinism.rs` enforces over a depth × worker ×
-//! quantum matrix.
+//! any worker count, which `tests/parallel_determinism.rs` enforces over
+//! a worker × quantum matrix.
 
 use kvd_net::{shard_of, KvRequest, KvRequestRef, Status};
 use kvd_sim::{
-    ArbiterStats, Credit, CreditArbiter, FaultCounters, Histogram, HostArbiterConfig, OpLedger,
-    RunSummary, SimTime,
+    ArbiterStats, Credit, CreditArbiter, Histogram, HostArbiterConfig, OpLedger, RunSummary,
+    SimTime,
 };
 
-use crate::overload::OverloadCounters;
 use crate::store::{KvDirectConfig, KvDirectStore, StoreError};
 use crate::system::{
     assert_arrivals_sorted, RequestStream, SystemSim, SystemSimConfig, SystemSimReport,
@@ -141,10 +139,6 @@ pub struct ParallelSimReport {
     /// over the slowest shard's makespan, and shard-merged latency
     /// summaries. Also reachable through `Deref`, so `r.mops` works.
     pub summary: RunSummary,
-    /// Overload rollup merged across shards.
-    pub overload: OverloadCounters,
-    /// Fault rollup merged across shards (stores + network links).
-    pub faults: FaultCounters,
     /// The op-cost ledger merged across shards in shard order
     /// (deterministic: bit-identical for any worker count).
     pub ledger: OpLedger,
@@ -260,8 +254,7 @@ impl ParallelSystemSim {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.shards == 0`, the arbiter quantum is zero, or the
-    /// lookahead depth is zero.
+    /// Panics if `cfg.shards == 0` or the arbiter quantum is zero.
     pub fn new(cfg: ParallelSimConfig) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         let sims = (0..cfg.shards)
@@ -377,12 +370,11 @@ impl ParallelSystemSim {
             sim.begin_run(origin);
         }
         let quantum = self.credit.quantum();
-        let lookahead = u64::from(self.credit.lookahead().max(1));
         self.credit.begin(origin);
         let workers = self.worker_count();
         let (credit, routes) = (&self.credit, &self.routes[..]);
         let work = |base: usize, sims: &mut [SystemSim]| {
-            Self::work(credit, base, sims, routes, reqs, quantum, lookahead)
+            Self::work(credit, base, sims, routes, reqs, quantum)
         };
         if workers == 1 {
             work(0, &mut self.sims);
@@ -408,8 +400,8 @@ impl ParallelSystemSim {
     }
 
     /// One worker's loop over its owned shard slice (`base..base +
-    /// sims.len()` in global shard indices). Bursts up to `lookahead`
-    /// consecutive windows on a shard before servicing the next, and
+    /// sims.len()` in global shard indices). Steps each shard through the
+    /// one window the arbiter will grant it before servicing the next, and
     /// sleeps on the arbiter only when every owned shard is blocked on
     /// settlement — which, with a single worker, never happens (the
     /// publication closing a window settles it synchronously). A shard
@@ -421,7 +413,6 @@ impl ParallelSystemSim {
         routes: &[Vec<u32>],
         reqs: &[T],
         quantum: SimTime,
-        lookahead: u64,
     ) where
         [T]: RequestStream,
     {
@@ -435,41 +426,28 @@ impl ParallelSystemSim {
                     reqs,
                     idx: &routes[shard],
                 };
-                let mut burst = 0u64;
-                loop {
-                    match credit.credit(shard) {
-                        Credit::Step {
-                            window,
-                            floor,
-                            horizon,
-                            stall,
-                        } => {
-                            // Fold the settled stall of the previous
-                            // window into the shard's backpressure gauge
-                            // before stepping (window 0 has no previous
-                            // window: its gauge keeps the load-time
-                            // zeros, as under the barrier).
-                            if window > 0 {
-                                sim.absorb_host_stall(stall, quantum);
-                            }
-                            let w = sim.step_window_over(&view, horizon, floor);
-                            credit.publish(shard, w.host_lines, w.next_event, w.done);
-                            progressed = true;
-                            if w.done {
-                                break;
-                            }
-                            burst += 1;
-                            if burst >= lookahead {
-                                live = true;
-                                break;
-                            }
+                match credit.credit(shard) {
+                    Credit::Step {
+                        window,
+                        floor,
+                        horizon,
+                        stall,
+                    } => {
+                        // Fold the settled stall of the previous window
+                        // into the shard's backpressure gauge before
+                        // stepping (window 0 has no previous window: its
+                        // gauge keeps the load-time zeros, as under the
+                        // barrier).
+                        if window > 0 {
+                            sim.absorb_host_stall(stall, quantum);
                         }
-                        Credit::Blocked => {
-                            live = true;
-                            break;
-                        }
-                        Credit::ShardDone => break,
+                        let w = sim.step_window_over(&view, horizon, floor);
+                        credit.publish(shard, w.host_lines, w.next_event, w.done);
+                        progressed = true;
+                        live |= !w.done;
                     }
+                    Credit::Blocked => live = true,
+                    Credit::ShardDone => {}
                 }
             }
             if !live || credit.all_done() {
@@ -517,8 +495,6 @@ impl ParallelSystemSim {
         let mut shed_ops = 0u64;
         let mut expired_ops = 0u64;
         let mut ledger = OpLedger::default();
-        let mut overload = OverloadCounters::default();
-        let mut faults = FaultCounters::default();
         let mut per_shard = Vec::new();
         if cfg.per_shard_reports {
             per_shard.reserve_exact(n);
@@ -534,8 +510,6 @@ impl ParallelSystemSim {
             get_hist.merge(g);
             put_hist.merge(p);
             ledger.merge(&r.ledger);
-            overload.merge(&r.overload);
-            faults.merge(&r.faults);
             if cfg.per_shard_reports {
                 per_shard.push(r);
             }
@@ -551,8 +525,6 @@ impl ParallelSystemSim {
                 get_hist,
                 put_hist,
             ),
-            overload,
-            faults,
             ledger,
             per_shard,
             arbiter,
@@ -643,18 +615,18 @@ mod tests {
         cfg.shard.store.fault_seed = 9;
         let mut sim = preloaded(cfg, 2_000);
         let r = sim.run(&workload(8_000, 2_000, 15));
-        assert!(r.faults.total_faults() > 0, "2% rates over 8k ops fire");
+        assert!(r.ledger.total_faults() > 0, "2% rates over 8k ops fire");
         let per: Vec<u64> = r
             .per_shard
             .iter()
-            .map(|s| s.faults.total_faults())
+            .map(|s| s.ledger.total_faults())
             .collect();
         assert!(
             per.windows(2).any(|w| w[0] != w[1]),
             "identical per-shard fault counts {per:?} suggest lockstep schedules"
         );
         // The merged rollup is exactly the per-shard sum.
-        assert_eq!(per.iter().sum::<u64>(), r.faults.total_faults());
+        assert_eq!(per.iter().sum::<u64>(), r.ledger.total_faults());
     }
 
     #[test]

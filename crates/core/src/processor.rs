@@ -27,39 +27,11 @@ use kvd_ooo::{OpRef, Probe, Reissue, ReservationStation, StationConfig, UpdateFn
 use kvd_sim::{CostSource, FaultPlane, OpLedger, SimTime};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
-use crate::overload::{AdmissionController, HotKeyConfig, OverloadConfig, OverloadCounters};
+use crate::overload::{AdmissionController, HotKeyConfig, OverloadConfig};
 
 /// Retries the processor grants a memory transaction before surfacing
 /// [`Status::DeviceError`] (matches the DMA engine's read retry budget).
 pub const DEFAULT_FAULT_RETRY_LIMIT: u32 = 4;
-
-/// Counters for the processor — a *view* over the processor's op-cost
-/// ledger (`ledger().core`), not an accumulator of its own.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcessorStats {
-    /// Requests executed.
-    pub requests: u64,
-    /// GET/REDUCE/FILTER (read-only) requests.
-    pub reads: u64,
-    /// PUT requests.
-    pub puts: u64,
-    /// DELETE requests.
-    pub deletes: u64,
-    /// Atomic update requests (scalar or vector).
-    pub updates: u64,
-    /// Requests rejected as invalid (unknown λ, wrong type).
-    pub invalid: u64,
-    /// Requests that hit out-of-memory.
-    pub oom: u64,
-    /// Station write-backs that failed (should stay zero; see docs).
-    pub writeback_failures: u64,
-    /// Memory transactions re-run because the fault plane injected a
-    /// recoverable fault.
-    pub fault_retries: u64,
-    /// Requests failed with [`Status::DeviceError`] after the retry
-    /// budget ran out; the table was left untouched.
-    pub device_errors: u64,
-}
 
 /// The hot-key shed policy's live state: a space-saving rollup over
 /// hashed request keys, aged by periodic halving so the tracked hot set
@@ -305,21 +277,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         self.external_pressure = pressure;
     }
 
-    /// Overload/shed rollup (admissions, sheds by reason, degraded-mode
-    /// transitions) — a view over the processor's ledger.
-    pub fn overload_counters(&self) -> OverloadCounters {
-        let c = &self.ledger.core;
-        OverloadCounters {
-            admitted: c.admitted,
-            shed_overload: c.shed_overload,
-            shed_expired: c.shed_expired,
-            shed_read_only: c.shed_read_only,
-            read_only_entries: c.read_only_entries,
-            read_only_exits: c.read_only_exits,
-            shed_transitions: c.shed_transitions,
-        }
-    }
-
     /// Enables per-retire outcome attribution in the ledger
     /// (`retired_ok`/`retired_not_found`/`retired_failed`). Costs one
     /// branch + increment per response; off by default.
@@ -385,23 +342,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// The λ registry.
     pub fn registry_mut(&mut self) -> &mut LambdaRegistry {
         &mut self.registry
-    }
-
-    /// Counters — a view over the processor's ledger.
-    pub fn stats(&self) -> ProcessorStats {
-        let c = &self.ledger.core;
-        ProcessorStats {
-            requests: c.requests,
-            reads: c.reads,
-            puts: c.puts,
-            deletes: c.deletes,
-            updates: c.updates,
-            invalid: c.invalid,
-            oom: c.oom,
-            writeback_failures: c.writeback_failures,
-            fault_retries: c.fault_retries,
-            device_errors: c.device_errors,
-        }
     }
 
     /// Reservation-station counters (forwarding rate etc.).
@@ -987,7 +927,7 @@ mod tests {
         assert_eq!(rs[2].value, b"1");
         assert_eq!(rs[3].value, b"2");
         assert_eq!(rs[4].status, Status::NotFound);
-        let s = p.stats();
+        let s = p.ledger().core;
         assert_eq!(s.requests, 5);
         assert_eq!(s.puts, 2);
         assert_eq!(s.reads, 3);
@@ -1107,7 +1047,7 @@ mod tests {
                 "table divergence at {k:?}"
             );
         }
-        assert_eq!(p.stats().writeback_failures, 0);
+        assert_eq!(p.ledger().core.writeback_failures, 0);
     }
 
     #[test]
@@ -1351,7 +1291,7 @@ mod tests {
         ]);
         assert!(rs.iter().all(|r| r.status == Status::DeviceError));
         assert_eq!(p.table().len(), 0, "no failed op reached the table");
-        assert_eq!(p.stats().device_errors, 3);
+        assert_eq!(p.ledger().core.device_errors, 3);
         assert_eq!(p.station_stats().reclaimed, 3, "every op reclaimed");
     }
 
@@ -1390,7 +1330,7 @@ mod tests {
             errs > 0,
             "~0.55^5 per-op exhaustion should fire over 500 ops"
         );
-        assert_eq!(p.stats().device_errors, errs);
-        assert_eq!(p.faults().counters().exhausted, errs);
+        assert_eq!(p.ledger().core.device_errors, errs);
+        assert_eq!(p.faults().ledger().pcie.exhausted, errs);
     }
 }

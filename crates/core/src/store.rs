@@ -10,12 +10,12 @@ use kvd_hash::{HashTable, HashTableConfig};
 use kvd_mem::{AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, NicDramConfig};
 use kvd_net::{shard_of, KvRequest, KvRequestRef, KvResponse, OpCode, Status};
 use kvd_ooo::StationConfig;
-use kvd_sim::{Bandwidth, CostSource, FaultCounters, FaultPlane, FaultRates, OpLedger};
+use kvd_sim::{Bandwidth, CostSource, FaultPlane, FaultRates, OpLedger};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
-use crate::overload::{OverloadConfig, OverloadCounters};
+use crate::overload::OverloadConfig;
 use crate::parallel::{route, Routed};
-use crate::processor::{KvProcessor, ProcessorStats, RequestStream};
+use crate::processor::{KvProcessor, RequestStream};
 
 /// Errors surfaced by the store API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,18 +259,6 @@ impl KvDirectStore {
         &mut self.proc
     }
 
-    /// Processor counters.
-    pub fn stats(&self) -> ProcessorStats {
-        self.proc.stats()
-    }
-
-    /// Store-wide rollup of injected faults across every component plane
-    /// (processor DMA transactions + memory-engine ECC/stall events) — a
-    /// view over the store's op-cost ledger.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.ledger().fault_view()
-    }
-
     /// The store's full op-cost ledger: processor request mix and
     /// overload decisions, station occupancy, slab activity, memory
     /// traffic and every fault plane's injections, folded together.
@@ -284,13 +272,6 @@ impl KvDirectStore {
     /// counts and whether the DRAM-cache bypass breaker has tripped).
     pub fn ecc_stats(&self) -> kvd_mem::EccStats {
         *self.proc.table().mem().ecc()
-    }
-
-    /// Store-wide overload rollup (admissions, sheds by reason,
-    /// degraded-mode transitions), mirroring
-    /// [`fault_counters`](Self::fault_counters).
-    pub fn overload_counters(&self) -> OverloadCounters {
-        self.proc.overload_counters()
     }
 
     /// Whether the store is in read-only degraded mode (writes shed with
@@ -754,12 +735,12 @@ mod tests {
                 zeroed.get(&(i / 2).to_le_bytes())
             );
         }
-        assert_eq!(plain.stats(), zeroed.stats());
+        assert_eq!(plain.ledger(), zeroed.ledger());
         assert_eq!(
             plain.processor().table().mem().stats(),
             zeroed.processor().table().mem().stats()
         );
-        assert_eq!(zeroed.fault_counters().total_faults(), 0);
+        assert_eq!(zeroed.ledger().total_faults(), 0);
         assert!(!zeroed.ecc_stats().bypassed);
     }
 
@@ -777,10 +758,10 @@ mod tests {
         });
         assert_eq!(s.put(b"k", b"v"), Err(StoreError::DeviceError));
         assert_eq!(s.processor().table().len(), 0, "failed PUT not applied");
-        let st = s.stats();
-        assert_eq!(st.device_errors, 1);
-        assert!(st.fault_retries > 0, "retries precede exhaustion");
-        assert!(s.fault_counters().exhausted > 0);
+        let l = s.ledger();
+        assert_eq!(l.core.device_errors, 1);
+        assert!(l.core.fault_retries > 0, "retries precede exhaustion");
+        assert!(l.pcie.exhausted > 0);
     }
 
     #[test]
@@ -823,7 +804,7 @@ mod tests {
             }
         }
         assert!(oks > 400, "most ops should survive 5% rates: {oks}");
-        assert!(s.fault_counters().total_faults() > 0, "faults did fire");
+        assert!(s.ledger().total_faults() > 0, "faults did fire");
         let _ = errs;
     }
 
@@ -840,13 +821,13 @@ mod tests {
                 let _ = s.put(&k, &i.to_le_bytes());
                 let _ = s.get(&k);
             }
-            (s.stats(), s.fault_counters(), s.ecc_stats())
+            (s.ledger(), s.ecc_stats())
         };
         assert_eq!(run(11), run(11), "same seed, same everything");
-        let (_, c11, _) = run(11);
-        let (_, c12, _) = run(12);
-        assert!(c11.total_faults() > 0);
-        assert_ne!(c11, c12, "different seeds, different schedules");
+        let (l11, _) = run(11);
+        let (l12, _) = run(12);
+        assert!(l11.total_faults() > 0);
+        assert_ne!(l11, l12, "different seeds, different schedules");
     }
 
     #[test]
@@ -867,7 +848,7 @@ mod tests {
         // shed attempts.
         s.processor_mut().set_external_pressure(0.3);
         assert_eq!(s.get(b"k").unwrap(), b"v");
-        let c = s.overload_counters();
+        let c = s.ledger().core;
         assert_eq!(c.shed_overload, 3);
         assert_eq!(c.shed_transitions, 2, "one flip in, one out");
         assert!(c.admitted >= 2);
@@ -895,7 +876,7 @@ mod tests {
         }
         let sheds = s.processor().ledger().cache.hot_key_sheds;
         assert!(sheds >= 1, "celebrity shed must be attributed");
-        assert_eq!(s.overload_counters().shed_overload, sheds);
+        assert_eq!(s.ledger().core.shed_overload, sheds);
         // At severe pressure the carve-out vanishes: everything sheds,
         // and those sheds are NOT attributed to the hot-key defense.
         s.processor_mut().set_external_pressure(0.97);
@@ -921,7 +902,7 @@ mod tests {
         assert_eq!(rs[1].status, Status::Ok);
         assert_eq!(rs[2].status, Status::Ok);
         assert_eq!(s.get(b"stale"), None, "expired PUT left no trace");
-        assert_eq!(s.overload_counters().shed_expired, 1);
+        assert_eq!(s.ledger().core.shed_expired, 1);
     }
 
     #[test]
@@ -966,7 +947,7 @@ mod tests {
         s.put(b"after", b"v")
             .expect("recovered store admits writes");
         assert!(!s.is_read_only());
-        let c = s.overload_counters();
+        let c = s.ledger().core;
         assert_eq!(c.read_only_entries, 1);
         assert_eq!(c.read_only_exits, 1);
         assert!(c.shed_read_only >= 1);
@@ -988,11 +969,13 @@ mod tests {
             assert_eq!(plain.put(&k, &k), enabled.put(&k, &k));
             assert_eq!(plain.get(&k), enabled.get(&k));
         }
-        assert_eq!(plain.stats(), enabled.stats());
-        let c = enabled.overload_counters();
-        assert_eq!(c.total_shed(), 0);
+        let c = enabled.ledger().core;
+        assert_eq!(plain.ledger().core, c);
+        assert_eq!(
+            (c.shed_overload, c.shed_expired, c.shed_read_only),
+            (0, 0, 0)
+        );
         assert_eq!(c.admitted, 600);
-        assert_eq!(plain.overload_counters().total_shed(), 0);
     }
 
     #[test]

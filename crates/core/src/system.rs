@@ -45,12 +45,11 @@ use kvd_mem::MemoryEngine;
 use kvd_net::{KvRequest, KvRequestRef, KvResponse, NetConfig, NetLink, OpCode, Status};
 use kvd_pcie::PcieConfig;
 use kvd_sim::{
-    Bandwidth, CostSource, DetRng, FaultCounters, FaultPlane, Freq, Histogram, OpClass, OpLedger,
-    PressureGauge, SimTime,
+    Bandwidth, CostSource, DetRng, FaultPlane, Freq, Histogram, OpClass, OpLedger, PressureGauge,
+    SimTime,
 };
 pub use kvd_sim::{Percentile, RunSummary};
 
-use crate::overload::OverloadCounters;
 pub use crate::processor::RequestStream;
 use crate::store::{KvDirectConfig, KvDirectStore};
 
@@ -97,17 +96,11 @@ impl SystemSimConfig {
 
 /// Result of a simulation run: the shared [`RunSummary`] accounting
 /// (throughput, goodput, latency percentiles — the report derefs to it),
-/// plus the store-side counter views and the full op-cost ledger.
+/// plus the full op-cost ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemSimReport {
     /// Core run accounting (ops, rates, latency summaries).
     pub summary: RunSummary,
-    /// Store-side overload rollup (admissions, sheds by reason,
-    /// degraded-mode transitions) — a view over `ledger.core`.
-    pub overload: OverloadCounters,
-    /// Fault rollup across the store *and* both network links — a view
-    /// over the ledger's fault channels.
-    pub faults: FaultCounters,
     /// The full op-cost ledger: per-plane traffic, retire outcomes,
     /// per-component latency attribution and backpressure terms.
     pub ledger: OpLedger,
@@ -403,17 +396,10 @@ impl SystemSim {
         self.ledger.pressure.quantum_ps = quantum.as_ps();
     }
 
-    /// Fault rollup across the store and both network links — a view
-    /// over the simulation's full ledger.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.ledger().fault_view()
-    }
-
     /// The simulation's full op-cost ledger: the sim-side run slice
     /// (batch fill, latency attribution, backpressure terms) folded with
     /// the store's costs and both network links'. Store and link
-    /// counters span the component's lifetime (preload included),
-    /// consistent with [`Self::fault_counters`].
+    /// counters span the component's lifetime (preload included).
     pub fn ledger(&self) -> OpLedger {
         let mut out = self.ledger.clone();
         self.store.emit_costs(&mut out);
@@ -757,8 +743,6 @@ impl SystemSim {
                 &self.get_hist,
                 &self.put_hist,
             ),
-            overload: self.store.overload_counters(),
-            faults: self.fault_counters(),
             ledger: self.ledger(),
         }
     }
@@ -1006,8 +990,12 @@ mod tests {
         // not the pipeline's idle capacity.
         let ms = r.elapsed.as_secs_f64() * 1e3;
         assert!((1.9..2.5).contains(&ms), "makespan {ms}ms off schedule");
-        assert_eq!(r.overload.total_shed(), 0);
-        assert_eq!(r.faults.total_faults(), 0);
+        let core = r.ledger.core;
+        assert_eq!(
+            core.shed_overload + core.shed_expired + core.shed_read_only,
+            0
+        );
+        assert_eq!(r.ledger.total_faults(), 0);
     }
 
     #[test]
@@ -1039,8 +1027,8 @@ mod tests {
         assert_eq!(r.get_latency.count + r.put_latency.count, r.ops - dropped);
         // Shed/expired ops surface in the store rollup or the client-side
         // expiry count; the controller actually flipped.
-        assert_eq!(r.overload.shed_overload, r.shed_ops);
-        assert!(r.expired_ops >= r.overload.shed_expired);
+        assert_eq!(r.ledger.core.shed_overload, r.shed_ops);
+        assert!(r.expired_ops >= r.ledger.core.shed_expired);
         assert!(r.goodput_mops <= r.mops);
     }
 
@@ -1119,7 +1107,7 @@ mod tests {
         let r1 = run(cfg.clone());
         let r2 = run(cfg);
         assert!(
-            r1.faults.net_drops + r1.faults.net_reorders > 0,
+            r1.ledger.net.drops + r1.ledger.net.reorders > 0,
             "5% packet faults over 1000 ops must fire"
         );
         assert_eq!(r1, r2, "fault schedule is seed-deterministic");

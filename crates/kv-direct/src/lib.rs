@@ -45,17 +45,17 @@
 pub use kvd_core::{
     builtin, tick_of_us, AdmissionController, ClusterReport, ClusterSim, ClusterSimConfig,
     HotKeyConfig, KvDirectConfig, KvDirectStore, KvProcessor, Lambda, LambdaRegistry,
-    MultiNicStore, NodeKill, OpRecord, OverloadConfig, OverloadCounters, ParallelSimConfig,
-    ParallelSimReport, ParallelSystemSim, StoreError, SystemModel, ThroughputBreakdown, Watermarks,
-    WorkloadSpec, EXPIRY_TICK_US,
+    MultiNicStore, NodeKill, OpRecord, OverloadConfig, ParallelSimConfig, ParallelSimReport,
+    ParallelSystemSim, StoreError, SystemModel, ThroughputBreakdown, Watermarks, WorkloadSpec,
+    EXPIRY_TICK_US,
 };
 pub use kvd_net::{
     decode_packet, decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse,
     NetConfig, OpCode, Status,
 };
 pub use kvd_sim::{
-    ChaosConfig, ChaosSchedule, Component, CostSource, FaultCounters, FaultPlane, FaultRates,
-    OpClass, OpLedger, Percentile, PressureGauge, RunSummary,
+    ChaosConfig, ChaosSchedule, Component, CostSource, FaultPlane, FaultRates, OpClass, OpLedger,
+    Percentile, PressureGauge, RunSummary,
 };
 
 /// The paper's λ machinery (element codecs, registry).

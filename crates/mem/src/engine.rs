@@ -857,8 +857,12 @@ impl MemoryEngine for DispatchedMemory {
     }
 
     fn reset_stats(&mut self) {
-        // The hit-rate snapshots count from the same origin as the stats.
+        // The hit-rate snapshots and the cache plane's counters count from
+        // the same origin as the stats: both feed one ledger section, where
+        // fills are a subset of misses. The ECC counters and the bypass
+        // breaker are recovery state, not statistics, and stay.
         self.stats = AccessStats::default();
+        self.cache_stats = CacheStats::default();
         self.window_base = self.stats;
         if let Some(ad) = &mut self.adaptive {
             ad.epoch_base = self.stats;
@@ -1270,6 +1274,66 @@ mod tests {
     }
 
     #[test]
+    fn reset_stats_restarts_the_cache_plane_counters_with_the_stats() {
+        // Preload, reset, measure: the fills and misses of the measured
+        // phase go into one ledger section, where every fill is a miss.
+        let mut m = dispatched(1.0);
+        let mut buf = [0u8; 64];
+        // The cache boots holding the first 1024 lines; start past them.
+        for i in 1024..1536u64 {
+            m.read(i * LINE, &mut buf); // preload: 512 misses, 512 fills
+        }
+        assert_eq!(m.cache_stats().admitted_fills, 512);
+        m.reset_stats();
+        assert_eq!(m.cache_stats(), CacheStats::default());
+        for i in 1024..1536u64 {
+            m.read(i * LINE, &mut buf); // resident: all hits
+        }
+        m.read(2000 * LINE, &mut buf); // one miss, one fill
+        let mut ledger = OpLedger::default();
+        m.emit_costs(&mut ledger);
+        assert_eq!(
+            (ledger.dram.cache_misses, ledger.cache.admitted_fills),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn reset_stats_leaves_recovery_state_alone() {
+        let mut m = DispatchedMemory::with_faults(
+            1 << 20,
+            NicDramConfig {
+                capacity: 1 << 16,
+                bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
+            },
+            DispatchConfig::new(1.0),
+            FaultPlane::new(
+                kvd_sim::FaultRates {
+                    dram_bit_error: 1.0,
+                    dram_uncorrectable: 1.0,
+                    ..kvd_sim::FaultRates::ZERO
+                },
+                3,
+            ),
+        );
+        m.set_bypass_threshold(2);
+        let mut buf = [0u8; 64];
+        m.read(0, &mut buf);
+        m.read(LINE, &mut buf);
+        assert!(
+            m.ecc().bypassed,
+            "two uncorrectable errors trip the breaker"
+        );
+        let ecc = *m.ecc();
+        m.reset_stats();
+        assert_eq!(
+            *m.ecc(),
+            ecc,
+            "the breaker and its counts are not statistics"
+        );
+    }
+
+    #[test]
     fn windowed_hit_rate_is_recent_not_lifetime() {
         let mut m = dispatched(1.0);
         let mut buf = [0u8; 64];
@@ -1333,7 +1397,7 @@ mod tests {
         }
         assert_eq!(plain.stats(), faulty.stats());
         assert_eq!(*faulty.ecc(), EccStats::default());
-        assert_eq!(faulty.faults().counters().total_faults(), 0);
+        assert_eq!(faulty.faults().ledger().total_faults(), 0);
     }
 
     #[test]
@@ -1489,7 +1553,7 @@ mod tests {
                     m.read(addr, &mut buf);
                 }
             }
-            (m.stats(), *m.ecc(), m.faults().counters())
+            (m.stats(), *m.ecc(), m.faults().ledger().clone())
         };
         assert_eq!(run(7), run(7));
         let (_, e7, _) = run(7);

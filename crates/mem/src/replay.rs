@@ -3,19 +3,21 @@
 //! Figure 14 measures the achievable memory access throughput with the
 //! DRAM load dispatcher against a PCIe-only baseline, under uniform and
 //! long-tail address distributions and several read percentages. This
-//! module replays a line-granular access trace through the functional
-//! cache and charges each device — two PCIe Gen3 x8 [`DmaPort`]s and the
-//! NIC DRAM channel — in simulated time; sustained throughput is the trace
-//! length divided by the slowest device's finish time.
+//! module is a device clock and nothing else: it drives a line-granular
+//! access trace through a real [`DispatchedMemory`] — the one dispatcher,
+//! cache, admission filter and retune loop the store runs on — and charges
+//! the engine's own [`Traffic`](crate::Traffic) delta around each access
+//! to two PCIe Gen3 x8 [`DmaPort`]s and the NIC DRAM channel in simulated
+//! time. Sustained throughput is the trace length divided by the slowest
+//! device's finish time.
 
 use kvd_pcie::{DmaPort, PcieConfig};
-use kvd_sim::{BandwidthLink, SimTime};
+use kvd_sim::{BandwidthLink, Counter, SimTime};
 
-use crate::dispatch::{hash_line, optimal_ratio_measured, DispatchConfig, LoadDispatcher};
-use crate::engine::{AccessKind, AdaptiveCacheConfig};
-use crate::nicdram::{NicDram, NicDramConfig};
-use crate::sketch::{FreqSketch, SpaceSaving};
-use crate::LINE;
+use crate::{
+    AccessKind, AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, MemoryEngine, NicDramConfig,
+    LINE,
+};
 
 /// Configuration of a timed replay run.
 #[derive(Debug, Clone)]
@@ -26,19 +28,13 @@ pub struct ReplayConfig {
     pub dram: NicDramConfig,
     /// Load dispatch ratio.
     pub dispatch: DispatchConfig,
-    /// Per-endpoint PCIe configuration.
-    pub pcie: PcieConfig,
-    /// Number of PCIe endpoints (the paper's NIC has two Gen3 x8 in a
-    /// bifurcated x16).
-    pub pcie_ports: usize,
     /// Adaptive cache plane (TinyLFU admission + online retune); `None`
     /// replays the paper's static policy.
     pub adaptive: Option<AdaptiveCacheConfig>,
 }
 
 impl ReplayConfig {
-    /// A laptop-scale configuration preserving the paper's ratios:
-    /// host:DRAM = 16:1, two PCIe Gen3 x8 endpoints.
+    /// A laptop-scale configuration preserving the paper's host:DRAM = 16:1.
     pub fn paper_scaled(host_capacity: u64, dispatch_ratio: f64) -> Self {
         ReplayConfig {
             host_capacity,
@@ -47,8 +43,6 @@ impl ReplayConfig {
                 bandwidth: kvd_sim::Bandwidth::from_gbytes_per_sec(12.8),
             },
             dispatch: DispatchConfig::new(dispatch_ratio),
-            pcie: PcieConfig::gen3_x8(),
-            pcie_ports: 2,
             adaptive: None,
         }
     }
@@ -57,8 +51,6 @@ impl ReplayConfig {
 /// Outcome of a replay run.
 #[derive(Debug, Clone)]
 pub struct ReplayResult {
-    /// Number of accesses replayed.
-    pub ops: u64,
     /// Simulated time until the last device finished.
     pub elapsed: SimTime,
     /// Sustained throughput in Mops.
@@ -66,14 +58,90 @@ pub struct ReplayResult {
     /// NIC DRAM cache hit rate over cacheable accesses (admission
     /// rejections count as misses).
     pub hit_rate: f64,
-    /// Fraction of accesses that touched PCIe.
-    pub pcie_fraction: f64,
     /// Load dispatch ratio at end of run (moves only in adaptive mode).
     pub final_ratio: f64,
     /// Retune steps the adaptive plane took.
     pub retune_steps: u64,
     /// Conflict fills the TinyLFU admission rejected.
     pub rejected_fills: u64,
+}
+
+/// A replay in progress: the engine and the device clock it is charged to.
+pub struct Replay {
+    mem: DispatchedMemory,
+    /// The paper's NIC: two Gen3 x8 endpoints in a bifurcated x16.
+    ports: [DmaPort; 2],
+    next_port: usize,
+    dram: BandwidthLink,
+    ops: Counter,
+}
+
+impl Replay {
+    /// A fresh engine and idle devices, as `cfg` describes them.
+    pub fn new(cfg: &ReplayConfig) -> Self {
+        let mut mem = DispatchedMemory::new(cfg.host_capacity, cfg.dram.clone(), cfg.dispatch);
+        if let Some(adaptive) = &cfg.adaptive {
+            mem.set_adaptive(adaptive.clone());
+        }
+        Replay {
+            mem,
+            ports: [0, 1].map(|i| DmaPort::new(PcieConfig::gen3_x8(), 0x5EED + i)),
+            next_port: 0,
+            dram: BandwidthLink::new(cfg.dram.bandwidth),
+            ops: Counter::new(),
+        }
+    }
+
+    /// The engine, for its own account of the run so far.
+    pub fn mem(&self) -> &DispatchedMemory {
+        &self.mem
+    }
+
+    /// Performs one 64 B access to `line` (wrapped into the address space)
+    /// and charges the devices the four numbers `SystemSim` charges per
+    /// operation: DMA reads, then DMA writes, round-robin over the ports,
+    /// and every NIC DRAM line to the channel.
+    pub fn step(&mut self, line: u64, kind: AccessKind) {
+        let addr = line % (self.mem.capacity() / LINE) * LINE;
+        let mut buf = [0u8; LINE as usize];
+        let before = self.mem.traffic();
+        match kind {
+            AccessKind::Read => self.mem.read(addr, &mut buf),
+            AccessKind::Write => self.mem.write(addr, &buf),
+        }
+        let after = self.mem.traffic();
+        self.ops.inc();
+        for _ in before.dma_reads..after.dma_reads {
+            self.port().read(SimTime::ZERO, LINE, false);
+        }
+        for _ in before.dma_writes..after.dma_writes {
+            self.port().write(SimTime::ZERO, LINE);
+        }
+        for _ in before.dram_reads + before.dram_writes..after.dram_reads + after.dram_writes {
+            self.dram.transfer(SimTime::ZERO, LINE);
+        }
+    }
+
+    fn port(&mut self) -> &mut DmaPort {
+        let port = self.next_port;
+        self.next_port = (port + 1) % self.ports.len();
+        &mut self.ports[port]
+    }
+
+    /// The run so far: when the slowest device finishes, and the engine's
+    /// own account of what its policies did.
+    pub fn finish(&self) -> ReplayResult {
+        let [a, b] = &self.ports;
+        let elapsed = a.horizon().max(b.horizon()).max(self.dram.free_at());
+        ReplayResult {
+            elapsed,
+            mops: self.ops.mops(elapsed),
+            hit_rate: self.mem.cache_hit_rate(),
+            final_ratio: self.mem.dispatcher().ratio(),
+            retune_steps: self.mem.cache_stats().retune_steps,
+            rejected_fills: self.mem.cache_stats().rejected_fills,
+        }
+    }
 }
 
 /// Replays `(line, kind)` accesses through the dispatched memory stack.
@@ -93,190 +161,11 @@ pub fn replay_lines(
     cfg: &ReplayConfig,
     accesses: impl IntoIterator<Item = (u64, AccessKind)>,
 ) -> ReplayResult {
-    assert!(cfg.pcie_ports >= 1);
-    let mut cache = NicDram::new(cfg.dram.clone(), cfg.host_capacity);
-    let mut dispatcher = LoadDispatcher::new(cfg.dispatch);
-    let mut adaptive = cfg
-        .adaptive
-        .clone()
-        .map(|c| (FreqSketch::new(c.sketch), SpaceSaving::new(c.top_k), c));
-    let mut ports: Vec<DmaPort> = (0..cfg.pcie_ports)
-        .map(|i| DmaPort::new(cfg.pcie.clone(), 0x5EED + i as u64))
-        .collect();
-    let mut dram = BandwidthLink::new(cfg.dram.bandwidth);
-    let mut next_port = 0usize;
-    let mut ops = 0u64;
-    let mut pcie_ops = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let (mut win_hits, mut win_misses) = (0u64, 0u64);
-    let mut epoch_ticks = 0u64;
-    let mut retune_steps = 0u64;
-    let mut rejected_fills = 0u64;
-    let mut reject_streak = 0u64;
-    let total_lines = cfg.host_capacity / LINE;
-
-    let mut pcie = |ports: &mut Vec<DmaPort>, kind: AccessKind| {
-        let port = &mut ports[next_port];
-        next_port = (next_port + 1) % cfg.pcie_ports;
-        match kind {
-            AccessKind::Read => port.read(SimTime::ZERO, LINE, false),
-            AccessKind::Write => port.write(SimTime::ZERO, LINE),
-        }
-    };
-
+    let mut replay = Replay::new(cfg);
     for (line, kind) in accesses {
-        let line = line % total_lines;
-        ops += 1;
-        // Adaptive bookkeeping: sketch observation + the access-count
-        // epoch that drives retuning (mirrors DispatchedMemory).
-        if let Some((sketch, hot, acfg)) = &mut adaptive {
-            if sketch.observe(line) {
-                hot.observe(line);
-            }
-            epoch_ticks += 1;
-            if epoch_ticks >= acfg.epoch_accesses && win_hits + win_misses > 0 {
-                epoch_ticks = 0;
-                let h = win_hits as f64 / (win_hits + win_misses) as f64;
-                (win_hits, win_misses) = (0, 0);
-                let target = optimal_ratio_measured(h, acfg.tput_dram, acfg.tput_pcie)
-                    .clamp(acfg.min_ratio, acfg.max_ratio);
-                let current = dispatcher.ratio();
-                if (target - current).abs() > acfg.deadband {
-                    let next = current + (target - current).clamp(-acfg.max_step, acfg.max_step);
-                    let old_t = dispatcher.threshold();
-                    dispatcher.set_ratio(next);
-                    let new_t = dispatcher.threshold();
-                    let (lo, hi) = (old_t.min(new_t), old_t.max(new_t));
-                    retune_steps += 1;
-                    // Migration sweep: dirty retirees cost a DRAM
-                    // read-out plus a PCIe write-back each.
-                    cache.retire_if(
-                        |l| {
-                            let h = hash_line(l);
-                            h > lo && h <= hi
-                        },
-                        |_, _| {
-                            dram.transfer(SimTime::ZERO, LINE);
-                            pcie(&mut ports, AccessKind::Write);
-                        },
-                    );
-                }
-            }
-        }
-        if dispatcher.is_cacheable(line) {
-            let place = cache.locate(line);
-            if let Some(slot) = place.slot {
-                hits += 1;
-                win_hits += 1;
-                // Hit: one DRAM access (read or write-and-dirty). Only
-                // the tags matter to the replay, never the bytes.
-                dram.transfer(SimTime::ZERO, LINE);
-                if kind == AccessKind::Write {
-                    cache.line_mut(slot);
-                }
-            } else {
-                misses += 1;
-                win_misses += 1;
-                // TinyLFU admission: the incomer must out-count the
-                // coldest resident of its set, or serve over PCIe
-                // without displacing anyone.
-                let way = match &adaptive {
-                    None => Some(cache.rr_victim(&place)),
-                    Some((sketch, _, acfg)) => {
-                        let mut coldest: Option<(usize, u32)> = None;
-                        let mut free = None;
-                        for (w, occ) in cache.occupants(&place).iter().enumerate() {
-                            match occ {
-                                None => {
-                                    free = Some(w);
-                                    break;
-                                }
-                                Some(resident) => {
-                                    let est = sketch.estimate(*resident);
-                                    if coldest.is_none_or(|(_, c)| est < c) {
-                                        coldest = Some((w, est));
-                                    }
-                                }
-                            }
-                        }
-                        match (free, coldest) {
-                            (Some(w), _) => Some(w),
-                            (None, Some((w, cold))) => {
-                                if cold == 0 || sketch.estimate(line) > cold {
-                                    reject_streak = 0;
-                                    Some(w)
-                                } else {
-                                    reject_streak += 1;
-                                    if acfg.admit_every > 0 && reject_streak >= acfg.admit_every {
-                                        // Starvation hatch (mirrors
-                                        // `DispatchedMemory::admit`).
-                                        reject_streak = 0;
-                                        Some(w)
-                                    } else {
-                                        rejected_fills += 1;
-                                        None
-                                    }
-                                }
-                            }
-                            (None, None) => unreachable!("set has ways"),
-                        }
-                    }
-                };
-                match way {
-                    Some(way) => {
-                        // Miss: PCIe fetch + DRAM fill (+ dirty write-back).
-                        pcie_ops += 1;
-                        pcie(&mut ports, AccessKind::Read);
-                        dram.transfer(SimTime::ZERO, LINE);
-                        let slot = place.way(way);
-                        let (victim, _) = cache.install(slot, &place);
-                        if kind == AccessKind::Write {
-                            cache.line_mut(slot);
-                        }
-                        if victim.is_some_and(|v| v.dirty) {
-                            // Evicted dirty line: DRAM read-out + PCIe write-back.
-                            dram.transfer(SimTime::ZERO, LINE);
-                            pcie(&mut ports, AccessKind::Write);
-                            pcie_ops += 1;
-                        }
-                    }
-                    None => {
-                        // Rejected: the access itself goes over PCIe.
-                        pcie_ops += 1;
-                        pcie(&mut ports, kind);
-                    }
-                }
-            }
-        } else {
-            pcie_ops += 1;
-            pcie(&mut ports, kind);
-        }
+        replay.step(line, kind);
     }
-
-    let mut elapsed = dram.free_at();
-    for p in &ports {
-        elapsed = elapsed.max(p.horizon());
-    }
-    let secs = elapsed.as_secs_f64();
-    ReplayResult {
-        ops,
-        elapsed,
-        mops: if secs > 0.0 {
-            ops as f64 / secs / 1e6
-        } else {
-            0.0
-        },
-        hit_rate: if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        },
-        pcie_fraction: pcie_ops as f64 / ops.max(1) as f64,
-        final_ratio: dispatcher.ratio(),
-        retune_steps,
-        rejected_fills,
-    }
+    replay.finish()
 }
 
 #[cfg(test)]
@@ -342,7 +231,6 @@ mod tests {
         );
         // Paper: ~30% of accesses served from DRAM under long-tail, l=0.5.
         assert!(r.hit_rate > 0.3, "hit rate {}", r.hit_rate);
-        assert!(r.pcie_fraction < 0.9);
     }
 
     #[test]
@@ -367,7 +255,7 @@ mod tests {
             uniform_trace(100_000, lines, 1.0, 13),
         );
         assert!(r.mops > 100.0 && r.mops < 140.0, "got {}", r.mops);
-        assert_eq!(r.pcie_fraction, 1.0);
+        assert_eq!(r.hit_rate, 0.0, "nothing is cacheable at l = 0");
     }
 
     #[test]
@@ -383,5 +271,48 @@ mod tests {
             uniform_trace(50_000, lines, 0.0, 15),
         );
         assert!(writes.mops > reads.mops);
+    }
+
+    #[test]
+    fn the_replay_reports_the_engine_and_charges_every_request_it_issued() {
+        // One adaptive trace whose hot set moves at the midpoint: retunes,
+        // rejected fills, dirty write-backs and retirement sweeps all
+        // happen, and each must reach the result and the devices from the
+        // engine itself.
+        let host = 1u64 << 22;
+        let lines = host / LINE;
+        let mut cfg = ReplayConfig::paper_scaled(host, 0.5);
+        let mut adaptive = AdaptiveCacheConfig::data_path(0x5EED);
+        adaptive.epoch_accesses = 2_048;
+        cfg.adaptive = Some(adaptive);
+        let mut replay = Replay::new(&cfg);
+        let (first, second) = (
+            zipf_trace(40_000, lines, 0.9, 21),
+            zipf_trace(40_000, lines, 0.9, 22),
+        );
+        for (line, kind) in first {
+            replay.step(line, kind);
+        }
+        for (line, kind) in second {
+            replay.step(line.wrapping_mul(31) % lines, kind);
+        }
+        let r = replay.finish();
+        let mem = replay.mem();
+        assert!(r.retune_steps > 0 && r.rejected_fills > 0, "{r:?}");
+        assert!(mem.stats().evict_dirty > 0 && mem.cache_stats().demoted_lines > 0);
+        assert_eq!(r.hit_rate, mem.cache_hit_rate());
+        assert_eq!(r.final_ratio, mem.dispatcher().ratio());
+        assert_eq!(r.retune_steps, mem.cache_stats().retune_steps);
+        assert_eq!(r.rejected_fills, mem.cache_stats().rejected_fills);
+        let requests: u64 = replay
+            .ports
+            .iter()
+            .map(|p| p.stats().reads + p.stats().writes)
+            .sum();
+        assert_eq!(requests, mem.stats().dma_ops());
+        assert_eq!(
+            replay.dram.bytes_moved(),
+            (mem.stats().dram_reads + mem.stats().dram_writes) * LINE
+        );
     }
 }

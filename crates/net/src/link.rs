@@ -163,7 +163,7 @@ mod tests {
         }
         assert_eq!(plain.packets(), faulty.packets());
         assert_eq!(faulty.retransmits(), 0);
-        assert_eq!(faulty.faults().counters().total_faults(), 0);
+        assert_eq!(faulty.faults().ledger().total_faults(), 0);
     }
 
     #[test]
@@ -181,7 +181,7 @@ mod tests {
             total_retx = link.retransmits();
         }
         assert!(total_retx > 50, "p=0.5 must retransmit often: {total_retx}");
-        assert_eq!(link.faults().counters().net_drops, total_retx);
+        assert_eq!(link.faults().ledger().net.drops, total_retx);
         assert_eq!(link.packets(), 200, "every packet eventually arrives");
     }
 
@@ -221,7 +221,7 @@ mod tests {
         let a = faulty.send(t, 64);
         let b = clean.send(t, 64);
         assert_eq!(a - b, NetConfig::forty_gbe().latency / 4);
-        assert_eq!(faulty.faults().counters().net_reorders, 1);
+        assert_eq!(faulty.faults().ledger().net.reorders, 1);
         assert_eq!(faulty.retransmits(), 0, "reorder is not a loss");
     }
 
@@ -239,13 +239,13 @@ mod tests {
             for i in 0..300u64 {
                 arrivals.push(link.send(SimTime::from_us(5 * i), 128));
             }
-            (arrivals, link.retransmits(), link.faults().counters())
+            (arrivals, link.retransmits(), link.faults().ledger().net)
         };
         assert_eq!(run(9), run(9));
         let (_, retx9, c9) = run(9);
         let (_, _, c10) = run(10);
-        assert!(c9.net_drops + c9.net_reorders > 0);
-        assert_eq!(retx9, c9.net_drops);
+        assert!(c9.drops + c9.reorders > 0);
+        assert_eq!(retx9, c9.drops);
         assert_ne!(c9, c10, "different seeds, different schedules");
     }
 }

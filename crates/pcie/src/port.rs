@@ -522,7 +522,7 @@ mod tests {
             assert_eq!(plain.write(t0, 64), faulty.write(t0, 64));
         }
         assert_eq!(plain.stats(), faulty.stats());
-        assert_eq!(faulty.faults().counters().total_faults(), 0);
+        assert_eq!(faulty.faults().ledger().total_faults(), 0);
     }
 
     #[test]
@@ -539,8 +539,8 @@ mod tests {
         assert_eq!(p.stats().retries, 4);
         assert_eq!(p.stats().failed_reads, 1);
         assert_eq!(p.stats().reads, 0, "failed reads must not count as reads");
-        let c = p.faults().counters();
-        assert_eq!(c.pcie_corruptions, 5);
+        let c = p.faults().ledger().pcie;
+        assert_eq!(c.corruptions, 5);
         assert_eq!(c.retries, 4);
         assert_eq!(c.exhausted, 1);
     }
@@ -602,7 +602,7 @@ mod tests {
         assert!(done < SimTime::from_ns(850));
         assert_eq!(p.stats().replays, 1);
         assert_eq!(p.stats().reads, 1);
-        assert_eq!(p.faults().counters().pcie_replays, 1);
+        assert_eq!(p.faults().ledger().pcie.replays, 1);
         // The duplicate completion occupies the rx link: a back-to-back
         // second read on a replaying port finishes later than on a clean one.
         let mut clean = port();
@@ -635,7 +635,7 @@ mod tests {
                     last = done;
                 }
             }
-            (last, oks, p.stats().clone(), p.faults().counters())
+            (last, oks, p.stats().clone(), p.faults().ledger().clone())
         };
         let (a_last, a_oks, a_stats, a_counters) = run(7);
         let (b_last, b_oks, b_stats, b_counters) = run(7);

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use kvd_core::{tick_of_us, KvDirectConfig, KvDirectStore, RequestStream, EXPIRY_TICK_US};
 use kvd_net::{shard_of, HashRing, KvRequestRef, KvResponse, Status};
-use kvd_sim::{CostSource, OpLedger, ServerCosts, SimTime};
+use kvd_sim::{CostSource, OpLedger, ServerCosts, SharedServerCosts, SimTime};
 
 use crate::proto::{
     parse, Command, Parsed, StoreVerb, MAX_KEY_LEN, TOO_LARGE_REPLY, VERSION_REPLY,
@@ -274,83 +274,13 @@ struct Shard {
     probe: KvResponse,
 }
 
-/// Live protocol counters shared by all connections.
-#[derive(Default)]
-struct SharedCosts {
-    connections: AtomicU64,
-    disconnects: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    frames: AtomicU64,
-    requests: AtomicU64,
-    get_hits: AtomicU64,
-    get_misses: AtomicU64,
-    stored: AtomicU64,
-    not_stored: AtomicU64,
-    deleted: AtomicU64,
-    touched: AtomicU64,
-    protocol_errors: AtomicU64,
-    server_errors: AtomicU64,
-    not_primary: AtomicU64,
-}
-
-impl SharedCosts {
-    fn fold(&self, c: &ServerCosts) {
-        macro_rules! fold {
-            ($($f:ident),+ $(,)?) => { $(self.$f.fetch_add(c.$f, Ordering::Relaxed);)+ };
-        }
-        fold!(
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary,
-        );
-    }
-
-    fn snapshot(&self) -> ServerCosts {
-        macro_rules! snap {
-            ($($f:ident),+ $(,)?) => {
-                ServerCosts { $($f: self.$f.load(Ordering::Relaxed)),+ }
-            };
-        }
-        snap!(
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary,
-        )
-    }
-}
-
 /// A running server; dropping or [`stop`](ServerHandle::stop)ping shuts
 /// it down.
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
-    costs: Arc<SharedCosts>,
+    costs: Arc<SharedServerCosts>,
     shards: Arc<[Mutex<Shard>]>,
     acceptor: Option<JoinHandle<()>>,
 }
@@ -443,7 +373,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerH
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
-    let costs = Arc::new(SharedCosts::default());
+    let costs = Arc::new(SharedServerCosts::default());
     let cas = Arc::new(AtomicU64::new(0));
     let clock = ServerClock::start();
 
@@ -508,7 +438,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerH
 /// Decrements the active-connection gauge however the thread exits.
 struct ConnGuard {
     active: Arc<AtomicUsize>,
-    costs: Arc<SharedCosts>,
+    costs: Arc<SharedServerCosts>,
 }
 
 impl Drop for ConnGuard {
@@ -658,7 +588,7 @@ struct Connection {
     stream: TcpStream,
     shards: Arc<[Mutex<Shard>]>,
     cas: Arc<AtomicU64>,
-    costs: Arc<SharedCosts>,
+    costs: Arc<SharedServerCosts>,
     max_batch: usize,
 
     /// Receive buffer, read into directly: `recv[start..end]` holds the
@@ -689,7 +619,7 @@ impl Connection {
         stream: TcpStream,
         shards: Arc<[Mutex<Shard>]>,
         cas: Arc<AtomicU64>,
-        costs: Arc<SharedCosts>,
+        costs: Arc<SharedServerCosts>,
         max_batch: usize,
         cluster: Option<ClusterMembership>,
         clock: ServerClock,

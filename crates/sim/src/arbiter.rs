@@ -31,16 +31,6 @@ pub struct HostArbiterConfig {
     /// (traffic is charged at the window granularity); smaller quanta
     /// track the knee more closely.
     pub quantum: SimTime,
-    /// Bounded-lookahead depth of the asynchronous credit scheme (see
-    /// [`crate::credit::CreditArbiter`]): how many windows a shard's
-    /// execution frontier may run ahead of the globally settled frontier.
-    /// Purely a scheduling knob — the conservative stall oracle caps the
-    /// *semantic* lookahead at one window (a shard cannot know window
-    /// `k`'s issue floor before every peer's window `k-1` traffic is
-    /// settled), so results are bit-identical for every depth; depths
-    /// above 1 only bound the settlement bookkeeping a shard may commit
-    /// ahead of its slowest peer. Must be at least 1.
-    pub lookahead: u32,
 }
 
 impl HostArbiterConfig {
@@ -55,7 +45,6 @@ impl HostArbiterConfig {
         HostArbiterConfig {
             bandwidth: Bandwidth::from_gbytes_per_sec(57.6),
             quantum: SimTime::from_us(8),
-            lookahead: 1,
         }
     }
 }
@@ -90,7 +79,6 @@ pub struct ArbiterStats {
 /// let mut arb = HostArbiter::new(HostArbiterConfig {
 ///     bandwidth: Bandwidth::from_gbytes_per_sec(6.4), // 100 Mlines/s
 ///     quantum: SimTime::from_us(10),
-///     lookahead: 1,
 /// });
 /// // 500 lines in 10us is 50 Mlines/s: under capacity, no stall.
 /// assert_eq!(arb.charge(500), SimTime::ZERO);
@@ -155,7 +143,6 @@ mod tests {
         HostArbiter::new(HostArbiterConfig {
             bandwidth: Bandwidth::from_gbytes_per_sec(gbs),
             quantum: SimTime::from_us(quantum_us),
-            lookahead: 1,
         })
     }
 

@@ -35,13 +35,8 @@
 //! cannot know `floor_k` — and must not simulate window `k` — before all
 //! peers' window `k-1` publications have settled. Any deeper overlap of
 //! *busy* shards would require speculating on unsettled stalls and rolling
-//! back simulator state on a miss. The [`HostArbiterConfig::lookahead`] depth
-//! is consequently a pure scheduling knob (how many consecutive windows
-//! a worker bursts on one shard before servicing its other shards, and
-//! how much settlement bookkeeping may run ahead of the slowest peer);
-//! results are bit-identical for every depth, which
-//! `tests/parallel_determinism.rs` proves over a depth × worker ×
-//! quantum matrix.
+//! back simulator state on a miss. A worker therefore takes one window
+//! of credit per shard at a time and moves on to its next shard.
 //!
 //! # Determinism
 //!
@@ -51,7 +46,7 @@
 //! integer picosecond arithmetic, and null messages depend only on the
 //! published next-event times. No wall-clock interleaving can change a
 //! settled `(horizon, floor)` sequence, so the engine's reports are
-//! bit-identical for any worker count and any lookahead depth.
+//! bit-identical for any worker count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -107,7 +102,6 @@ struct ShardCell {
 #[derive(Debug)]
 pub struct CreditArbiter {
     quantum: SimTime,
-    lookahead: u32,
     n: usize,
     shards: Vec<ShardCell>,
     /// Windows fully settled (the open window's index). Release-stored
@@ -136,14 +130,12 @@ impl CreditArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, the quantum is zero, or `lookahead == 0`.
+    /// Panics if `shards == 0` or the quantum is zero.
     pub fn new(cfg: HostArbiterConfig, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(cfg.quantum > SimTime::ZERO, "need a positive quantum");
-        assert!(cfg.lookahead >= 1, "lookahead depth must be at least 1");
         CreditArbiter {
             quantum: cfg.quantum,
-            lookahead: cfg.lookahead,
             n: shards,
             shards: (0..shards)
                 .map(|_| ShardCell {
@@ -166,11 +158,6 @@ impl CreditArbiter {
     /// The synchronization quantum.
     pub fn quantum(&self) -> SimTime {
         self.quantum
-    }
-
-    /// The configured lookahead depth (worker burst length).
-    pub fn lookahead(&self) -> u32 {
-        self.lookahead
     }
 
     /// Resets the frontier for a new run whose time axis starts at
@@ -335,12 +322,11 @@ mod tests {
     use super::*;
     use crate::time::Bandwidth;
 
-    fn arbiter(n: usize, gbs: f64, quantum_us: u64, lookahead: u32) -> CreditArbiter {
+    fn arbiter(n: usize, gbs: f64, quantum_us: u64) -> CreditArbiter {
         CreditArbiter::new(
             HostArbiterConfig {
                 bandwidth: Bandwidth::from_gbytes_per_sec(gbs),
                 quantum: SimTime::from_us(quantum_us),
-                lookahead,
             },
             n,
         )
@@ -348,8 +334,8 @@ mod tests {
 
     /// Drives `n` shards with fixed per-window traffic through `windows`
     /// windows single-threadedly, returning the floors granted.
-    fn run_floors(n: usize, lines: u64, windows: u64, lookahead: u32) -> Vec<SimTime> {
-        let arb = arbiter(n, 6.4, 10, lookahead);
+    fn run_floors(n: usize, lines: u64, windows: u64) -> Vec<SimTime> {
+        let arb = arbiter(n, 6.4, 10);
         let mut floors = Vec::new();
         for w in 0..windows {
             for shard in 0..n {
@@ -375,7 +361,7 @@ mod tests {
         // 6.4 GB/s = 100 Mlines/s → 1000 lines per 10us window. Three
         // shards × 500 lines = 1500 lines/window: needs 15us, stalls 5us.
         // floor_k = k·(10 + 5)us after the first settlement.
-        let floors = run_floors(3, 500, 4, 1);
+        let floors = run_floors(3, 500, 4);
         assert_eq!(
             floors,
             vec![
@@ -386,7 +372,7 @@ mod tests {
             ]
         );
         // Under capacity there is never a stall: floors are k·q exactly.
-        let free = run_floors(3, 100, 4, 1);
+        let free = run_floors(3, 100, 4);
         assert_eq!(
             free,
             vec![
@@ -399,20 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_depth_does_not_change_floors_or_stats() {
-        let a = run_floors(4, 700, 6, 1);
-        let b = run_floors(4, 700, 6, 4);
-        let c = run_floors(4, 700, 6, 16);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-    }
-
-    #[test]
     fn null_messages_cascade_through_idle_windows() {
         // Shard 1 reports its next event 35us out; shard 0 stays busy.
         // After each of shard 0's publications the settler must publish
         // nulls for shard 1, so shard 0 never blocks.
-        let arb = arbiter(2, 6.4, 10, 1);
+        let arb = arbiter(2, 6.4, 10);
         match arb.credit(1) {
             Credit::Step { window, .. } => {
                 assert_eq!(window, 0);
@@ -444,7 +421,7 @@ mod tests {
 
     #[test]
     fn drained_shards_never_block_the_frontier() {
-        let arb = arbiter(3, 6.4, 10, 1);
+        let arb = arbiter(3, 6.4, 10);
         // Shards 1 and 2 drain immediately (empty streams).
         arb.publish(1, 0, SimTime::MAX, true);
         arb.publish(2, 0, SimTime::MAX, true);
@@ -470,13 +447,12 @@ mod tests {
         let mut barrier = HostArbiter::new(HostArbiterConfig {
             bandwidth: Bandwidth::from_gbytes_per_sec(6.4),
             quantum: SimTime::from_us(10),
-            lookahead: 1,
         });
         let traffic = [900u64, 2_000, 0, 3_500, 100, 1_000];
         for &lines in &traffic {
             barrier.charge(lines);
         }
-        let arb = arbiter(2, 6.4, 10, 1);
+        let arb = arbiter(2, 6.4, 10);
         for (w, &lines) in traffic.iter().enumerate() {
             let done = w == traffic.len() - 1;
             arb.publish(0, lines, SimTime::ZERO, done);
@@ -488,7 +464,7 @@ mod tests {
 
     #[test]
     fn blocked_until_peers_publish() {
-        let arb = arbiter(2, 6.4, 10, 1);
+        let arb = arbiter(2, 6.4, 10);
         match arb.credit(0) {
             Credit::Step { .. } => arb.publish(0, 5, SimTime::ZERO, false),
             other => panic!("unexpected {other:?}"),
@@ -505,7 +481,7 @@ mod tests {
 
     #[test]
     fn begin_resets_frontier_but_keeps_charge_stats() {
-        let mut arb = arbiter(1, 6.4, 10, 1);
+        let mut arb = arbiter(1, 6.4, 10);
         arb.publish(0, 2_000, SimTime::ZERO, true);
         assert!(arb.all_done());
         let s1 = arb.stats();

@@ -19,10 +19,8 @@
 //!   timing, stats and RNG streams are bit-identical to a build without
 //!   fault injection.
 //! * Planes count every event they inject into an [`OpLedger`] (the
-//!   workspace-wide op-cost ledger); [`FaultCounters`] is the legacy
-//!   rollup *view* over the ledger's fault channels
-//!   ([`OpLedger::fault_view`]), kept so stores and benchmarks can keep
-//!   reporting fault overhead with the familiar shape.
+//!   workspace-wide op-cost ledger), in the channel fields of its `pcie`,
+//!   `dram` and `net` sections; [`OpLedger::total_faults`] sums them.
 
 use crate::ledger::{CostSource, OpLedger};
 use crate::rng::DetRng;
@@ -89,61 +87,6 @@ impl FaultRates {
     /// True when every channel is silent.
     pub fn is_zero(&self) -> bool {
         *self == FaultRates::ZERO
-    }
-}
-
-/// Count of every fault event a plane has injected — a *view* over the
-/// ledger's fault channels (see [`OpLedger::fault_view`]), not an
-/// accumulator of its own.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Corrupted TLPs injected.
-    pub pcie_corruptions: u64,
-    /// Replayed (duplicate) TLPs injected.
-    pub pcie_replays: u64,
-    /// Read-tag timeouts injected.
-    pub pcie_timeouts: u64,
-    /// ECC-corrected DRAM bit errors.
-    pub dram_corrected: u64,
-    /// Uncorrectable DRAM errors.
-    pub dram_uncorrectable: u64,
-    /// Host memory stalls.
-    pub host_stalls: u64,
-    /// Dropped packets.
-    pub net_drops: u64,
-    /// Reordered packets.
-    pub net_reorders: u64,
-    /// Recovery retries performed because of an injected fault.
-    pub retries: u64,
-    /// Transactions abandoned after the retry budget ran out.
-    pub exhausted: u64,
-}
-
-impl FaultCounters {
-    /// Sums another counter set into this one (for store-level rollups).
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.pcie_corruptions += other.pcie_corruptions;
-        self.pcie_replays += other.pcie_replays;
-        self.pcie_timeouts += other.pcie_timeouts;
-        self.dram_corrected += other.dram_corrected;
-        self.dram_uncorrectable += other.dram_uncorrectable;
-        self.host_stalls += other.host_stalls;
-        self.net_drops += other.net_drops;
-        self.net_reorders += other.net_reorders;
-        self.retries += other.retries;
-        self.exhausted += other.exhausted;
-    }
-
-    /// Total injected fault events (excluding recovery bookkeeping).
-    pub fn total_faults(&self) -> u64 {
-        self.pcie_corruptions
-            + self.pcie_replays
-            + self.pcie_timeouts
-            + self.dram_corrected
-            + self.dram_uncorrectable
-            + self.host_stalls
-            + self.net_drops
-            + self.net_reorders
     }
 }
 
@@ -248,12 +191,6 @@ impl FaultPlane {
     /// Counters and the random stream are left untouched.
     pub fn set_rates(&mut self, rates: FaultRates) {
         self.rates = rates;
-    }
-
-    /// Events injected so far, as the legacy rollup view over this
-    /// plane's ledger.
-    pub fn counters(&self) -> FaultCounters {
-        self.ledger.fault_view()
     }
 
     /// The plane's op-cost ledger (only the fault channels are ever
@@ -395,7 +332,7 @@ mod tests {
             assert_eq!(p.net_fault(), NetFault::None);
             assert_eq!(p.transaction(3), TxnOutcome::CLEAN);
         }
-        assert_eq!(p.counters(), before.counters());
+        assert_eq!(p.ledger(), before.ledger());
         // The RNG stream was never advanced: forks from both planes with
         // the same salt must agree.
         let mut a = p;
@@ -417,8 +354,8 @@ mod tests {
             assert_eq!(a.dram_fault(), b.dram_fault());
             assert_eq!(a.net_fault(), b.net_fault());
         }
-        assert_eq!(a.counters(), b.counters());
-        assert!(a.counters().total_faults() > 0);
+        assert_eq!(a.ledger(), b.ledger());
+        assert!(a.ledger().total_faults() > 0);
     }
 
     #[test]
@@ -454,8 +391,8 @@ mod tests {
             .count() as f64;
         let frac = drops / trials as f64;
         assert!((frac - 0.1).abs() < 0.01, "drop rate {frac}");
-        assert_eq!(p.counters().net_drops, drops as u64);
-        assert_eq!(p.counters().net_reorders, 0);
+        assert_eq!(p.ledger().net.drops, drops as u64);
+        assert_eq!(p.ledger().net.reorders, 0);
     }
 
     #[test]
@@ -468,9 +405,9 @@ mod tests {
         let out = p.transaction(3);
         assert!(out.failed);
         assert_eq!(out.retries, 3);
-        assert_eq!(p.counters().retries, 3);
-        assert_eq!(p.counters().exhausted, 1);
-        assert_eq!(p.counters().pcie_corruptions, 4);
+        assert_eq!(p.ledger().pcie.retries, 3);
+        assert_eq!(p.ledger().pcie.exhausted, 1);
+        assert_eq!(p.ledger().pcie.corruptions, 4);
     }
 
     #[test]
@@ -488,9 +425,9 @@ mod tests {
             assert!(!out.failed);
             assert_eq!(out.retries, 0);
         }
-        assert_eq!(p.counters().pcie_replays, 100);
-        assert_eq!(p.counters().dram_corrected, 100);
-        assert_eq!(p.counters().retries, 0);
+        assert_eq!(p.ledger().pcie.replays, 100);
+        assert_eq!(p.ledger().dram.corrected, 100);
+        assert_eq!(p.ledger().pcie.retries, 0);
     }
 
     #[test]
@@ -505,9 +442,9 @@ mod tests {
         for _ in 0..trials {
             p.dram_fault();
         }
-        let c = p.counters();
-        assert_eq!(c.dram_corrected + c.dram_uncorrectable, trials);
-        let frac = c.dram_uncorrectable as f64 / trials as f64;
+        let c = p.ledger().dram;
+        assert_eq!(c.corrected + c.uncorrectable, trials);
+        let frac = c.uncorrectable as f64 / trials as f64;
         assert!((frac - 0.25).abs() < 0.02, "uncorrectable frac {frac}");
     }
 }

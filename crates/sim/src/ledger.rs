@@ -1,24 +1,26 @@
 //! The op-cost ledger: one typed, mergeable account of where every
 //! byte, line and cycle went.
 //!
-//! Before this module, the workspace reported costs through four ad-hoc
-//! planes grown PR-by-PR — `ProcessorStats`, [`FaultCounters`],
-//! `OverloadCounters` and bare `u64` host-traffic sums threaded
-//! hand-over-hand between the sharded simulator and the host arbiter.
-//! [`OpLedger`] replaces the *accumulation* layer underneath all of
-//! them: each hardware model emits its counters into the ledger through
-//! one narrow trait ([`CostSource`]), and the legacy structs become pure
-//! *views* over ledger sections ([`OpLedger::fault_view`] and friends in
-//! `kvd-core`).
+//! [`OpLedger`] is the workspace's only counter surface. Each hardware
+//! model keeps its own counters and folds them into a ledger on demand
+//! through one narrow trait ([`CostSource`]); stores, simulators, the
+//! server and every report expose that ledger and nothing else, so a
+//! reader finds a count in exactly one place: `ledger().core.*`,
+//! `.pcie.*`, `.dram.*`, `.net.*` and so on.
+//!
+//! Every section is declared once, by `cost_section!`: the documented
+//! field list is the struct, and the same list drives `merge` and `since`
+//! (and, for [`ServerCosts`], the atomic mirror live connections fold
+//! into), so a counter added later cannot be forgotten by either.
 //!
 //! Design rules, mirroring the fault plane's:
 //!
 //! * **Mergeable.** [`OpLedger::merge`] is associative and commutative
-//!   with the zero ledger as identity: event counters add, capacity
-//!   gauges ([`PressureTerms`], the station high-water mark) take the
-//!   component-wise maximum. Both operations are exact over `u64`, so
-//!   merging N shard ledgers in shard order is bit-identical for any
-//!   worker count — the property `tests/parallel_determinism.rs` pins.
+//!   with the zero ledger as identity: event counters add, fields marked
+//!   `gauge` ([`PressureTerms`], the station high-water mark, the
+//!   failover depth) take the maximum. Both operations are exact over
+//!   `u64`, so merging N shard ledgers in shard order is bit-identical for
+//!   any worker count — the property `tests/parallel_determinism.rs` pins.
 //! * **Window deltas are views.** [`OpLedger::since`] subtracts an
 //!   earlier snapshot, which is how the parallel engine's per-window
 //!   host-traffic charge ([`OpLedger::host_lines`]) is derived instead
@@ -29,7 +31,7 @@
 //!   collects a ledger executes exactly the same instructions as one
 //!   that predates it.
 
-use crate::fault::FaultCounters;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a nanosecond of client-observed latency was spent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,311 +110,375 @@ impl OpClass {
     }
 }
 
-/// Network-plane costs: wire traffic, batch fill, drops and client-side
-/// expiry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetCosts {
-    /// Packets serialized onto a link (retransmissions included).
-    pub packets: u64,
-    /// Payload bytes carried by those packets.
-    pub payload_bytes: u64,
-    /// Retransmissions after an injected drop.
-    pub retransmits: u64,
-    /// Packets the fault plane dropped.
-    pub drops: u64,
-    /// Packets the fault plane reordered.
-    pub reorders: u64,
-    /// Request batches that reached the wire.
-    pub batches: u64,
-    /// Live operations those batches carried (`batch_ops / batches` is
-    /// the mean batch fill).
-    pub batch_ops: u64,
-    /// Requests dropped at the client because their deadline had passed
-    /// before transmission.
-    pub client_expired: u64,
+/// Declares one ledger section from its documented field list: the struct
+/// (every field a `u64`) and the field visitor [`OpLedger::merge`] and
+/// [`OpLedger::since`] run on. A field marked `: gauge` is a level, not an
+/// event count: it merges by maximum and a delta keeps it. `shared as Name`
+/// also declares the section's atomic mirror.
+macro_rules! cost_section {
+    (
+        $(#[$meta:meta])*
+        $name:ident, shared as $shared:ident {
+            $( $(#[$fmeta:meta])* $field:ident ),+ $(,)?
+        }
+    ) => {
+        cost_section! { $(#[$meta])* $name { $( $(#[$fmeta])* $field ),+ } }
+
+        #[doc = concat!("[`", stringify!($name), "`] as relaxed atomics, for threads that count concurrently.")]
+        #[derive(Debug, Default)]
+        pub struct $shared {
+            $( $(#[$fmeta])* pub $field: AtomicU64, )+
+        }
+
+        impl $shared {
+            /// Adds `c` to the shared counters.
+            pub fn fold(&self, c: &$name) {
+                $( self.$field.fetch_add(c.$field, Ordering::Relaxed); )+
+            }
+
+            /// The counters as they stand.
+            pub fn snapshot(&self) -> $name {
+                $name { $( $field: self.$field.load(Ordering::Relaxed), )+ }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $name:ident {
+            $( $(#[$fmeta:meta])* $field:ident $(: $kind:ident)? ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )+
+        }
+
+        impl $name {
+            fn zip(&mut self, other: &$name, mut f: impl FnMut(bool, &mut u64, u64)) {
+                $( f(cost_section!(@gauge $($kind)?), &mut self.$field, other.$field); )+
+            }
+        }
+    };
+    (@gauge) => { false };
+    (@gauge gauge) => { true };
 }
 
-/// PCIe-plane costs: DMA traffic, tag/credit stalls and link faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PcieCosts {
-    /// DMA read requests (64 B lines) issued to host memory.
-    pub dma_reads: u64,
-    /// DMA write requests issued to host memory.
-    pub dma_writes: u64,
-    /// Payload bytes moved by DMA reads.
-    pub read_bytes: u64,
-    /// Payload bytes moved by DMA writes.
-    pub write_bytes: u64,
-    /// Issue stalls waiting for a free read tag.
-    pub tag_stalls: u64,
-    /// Issue stalls waiting for flow-control credits.
-    pub credit_stalls: u64,
-    /// Corrupted TLPs injected by the fault plane.
-    pub corruptions: u64,
-    /// Replayed (duplicate) TLPs injected.
-    pub replays: u64,
-    /// Read-tag timeouts injected.
-    pub timeouts: u64,
-    /// Recovery retries performed because of an injected fault.
-    pub retries: u64,
-    /// Transactions abandoned after the retry budget ran out.
-    pub exhausted: u64,
+cost_section! {
+    /// Network-plane costs: wire traffic, batch fill, drops and client-side
+    /// expiry.
+    NetCosts {
+        /// Packets serialized onto a link (retransmissions included).
+        packets,
+        /// Payload bytes carried by those packets.
+        payload_bytes,
+        /// Retransmissions after an injected drop.
+        retransmits,
+        /// Packets the fault plane dropped.
+        drops,
+        /// Packets the fault plane reordered.
+        reorders,
+        /// Request batches that reached the wire.
+        batches,
+        /// Live operations those batches carried (`batch_ops / batches` is
+        /// the mean batch fill).
+        batch_ops,
+        /// Requests dropped at the client because their deadline had passed
+        /// before transmission.
+        client_expired,
+    }
 }
 
-/// DRAM-plane costs: NIC DRAM lines, cache behavior and ECC recovery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramCosts {
-    /// NIC DRAM line reads.
-    pub reads: u64,
-    /// NIC DRAM line writes.
-    pub writes: u64,
-    /// NIC DRAM cache hits.
-    pub cache_hits: u64,
-    /// NIC DRAM cache misses.
-    pub cache_misses: u64,
-    /// Single-bit errors corrected by ECC.
-    pub corrected: u64,
-    /// Multi-bit errors ECC could only detect.
-    pub uncorrectable: u64,
-    /// Host-memory stall events.
-    pub host_stalls: u64,
-    /// Lines refetched from host memory after an uncorrectable error.
-    pub refetches: u64,
-    /// Dirty lines salvaged to host before a refetch.
-    pub rescue_writebacks: u64,
+cost_section! {
+    /// PCIe-plane costs: DMA traffic, tag/credit stalls and link faults.
+    PcieCosts {
+        /// DMA read requests (64 B lines) issued to host memory.
+        dma_reads,
+        /// DMA write requests issued to host memory.
+        dma_writes,
+        /// Payload bytes moved by DMA reads.
+        read_bytes,
+        /// Payload bytes moved by DMA writes.
+        write_bytes,
+        /// Issue stalls waiting for a free read tag.
+        tag_stalls,
+        /// Issue stalls waiting for flow-control credits.
+        credit_stalls,
+        /// Corrupted TLPs injected by the fault plane.
+        corruptions,
+        /// Replayed (duplicate) TLPs injected.
+        replays,
+        /// Read-tag timeouts injected.
+        timeouts,
+        /// Recovery retries performed because of an injected fault.
+        retries,
+        /// Transactions abandoned after the retry budget ran out.
+        exhausted,
+    }
 }
 
-/// Reservation-station costs: occupancy and forwarding behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StationCosts {
-    /// Results served from the forwarding cache without touching memory.
-    pub forwarded: u64,
-    /// Operations issued to the execution pipeline.
-    pub issued: u64,
-    /// Operations queued behind a same-key operation.
-    pub queued: u64,
-    /// Dirty cache values written back to memory.
-    pub writebacks: u64,
-    /// Admissions rejected because the station was full.
-    pub rejected: u64,
-    /// Slots reclaimed without installing a forwarding value (device
-    /// errors).
-    pub reclaimed: u64,
-    /// High-water mark of tracked operations (merged by maximum: the
-    /// worst occupancy any shard saw).
-    pub high_water: u64,
+cost_section! {
+    /// DRAM-plane costs: NIC DRAM lines, cache behavior and ECC recovery.
+    DramCosts {
+        /// NIC DRAM line reads.
+        reads,
+        /// NIC DRAM line writes.
+        writes,
+        /// NIC DRAM cache hits.
+        cache_hits,
+        /// NIC DRAM cache misses.
+        cache_misses,
+        /// Single-bit errors corrected by ECC.
+        corrected,
+        /// Multi-bit errors ECC could only detect.
+        uncorrectable,
+        /// Host-memory stall events.
+        host_stalls,
+        /// Lines refetched from host memory after an uncorrectable error.
+        refetches,
+        /// Dirty lines salvaged to host before a refetch.
+        rescue_writebacks,
+    }
 }
 
-/// Slab-allocator costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlabCosts {
-    /// Allocations served.
-    pub allocs: u64,
-    /// Frees accepted.
-    pub frees: u64,
-    /// Allocations that failed (out of memory).
-    pub failed_allocs: u64,
-    /// NIC-to-host free-list synchronization DMAs.
-    pub dma_syncs: u64,
-    /// Free-list entries moved by those syncs.
-    pub entries_synced: u64,
-    /// Block splits performed to serve a smaller class.
-    pub splits: u64,
-    /// Buddy merges performed by the lazy merger.
-    pub merges: u64,
-    /// Merge passes executed.
-    pub merge_passes: u64,
+cost_section! {
+    /// Reservation-station costs: occupancy and forwarding behavior.
+    StationCosts {
+        /// Results served from the forwarding cache without touching memory.
+        forwarded,
+        /// Operations issued to the execution pipeline.
+        issued,
+        /// Operations queued behind a same-key operation.
+        queued,
+        /// Dirty cache values written back to memory.
+        writebacks,
+        /// Admissions rejected because the station was full.
+        rejected,
+        /// Slots reclaimed without installing a forwarding value (device
+        /// errors).
+        reclaimed,
+        /// High-water mark of tracked operations (merged by maximum: the
+        /// worst occupancy any shard saw).
+        high_water: gauge,
+    }
 }
 
-/// Serving-front-end costs: what the memcache-protocol server layer
-/// spent translating real client traffic into KV operations. These sit
-/// *above* the network plane ([`NetCosts`] accounts the simulated wire;
-/// this section accounts the protocol boundary): frames decoded, bytes
-/// moved through real sockets, and the protocol-level outcome mix, so
-/// serving overhead is attributed exactly like every simulated
-/// component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCosts {
-    /// TCP connections accepted.
-    pub connections: u64,
-    /// Connections closed (client EOF, `quit`, or a fatal protocol
-    /// error).
-    pub disconnects: u64,
-    /// Bytes read off client sockets.
-    pub bytes_in: u64,
-    /// Bytes written back to client sockets.
-    pub bytes_out: u64,
-    /// Complete protocol frames (command line + any data block) decoded.
-    pub frames: u64,
-    /// KV operations those frames produced (a multi-key `get` is one
-    /// frame, many operations).
-    pub requests: u64,
-    /// GET operations answered with a value.
-    pub get_hits: u64,
-    /// GET operations answered with a miss.
-    pub get_misses: u64,
-    /// Storage commands acknowledged `STORED`.
-    pub stored: u64,
-    /// Storage commands answered `NOT_STORED` (failed `add`/`replace`
-    /// precondition).
-    pub not_stored: u64,
-    /// `delete` commands acknowledged `DELETED`.
-    pub deleted: u64,
-    /// `touch` commands acknowledged `TOUCHED` (lifetime re-stamped
-    /// without moving the value).
-    pub touched: u64,
-    /// Client mistakes answered `ERROR`/`CLIENT_ERROR`.
-    pub protocol_errors: u64,
-    /// Store-side failures answered `SERVER_ERROR` (every taxonomy
-    /// class: `device_error`, `overloaded`, `not_primary`, allocation).
-    pub server_errors: u64,
-    /// Requests refused with `SERVER_ERROR not_primary` because this
-    /// node does not own the key under the cluster ring (also counted in
-    /// [`Self::server_errors`]).
-    pub not_primary: u64,
+cost_section! {
+    /// Slab-allocator costs.
+    SlabCosts {
+        /// Allocations served.
+        allocs,
+        /// Frees accepted.
+        frees,
+        /// Allocations that failed (out of memory).
+        failed_allocs,
+        /// NIC-to-host free-list synchronization DMAs.
+        dma_syncs,
+        /// Free-list entries moved by those syncs.
+        entries_synced,
+        /// Block splits performed to serve a smaller class.
+        splits,
+        /// Buddy merges performed by the lazy merger.
+        merges,
+        /// Merge passes executed.
+        merge_passes,
+    }
 }
 
-/// Cluster-plane costs: replication and heartbeat traffic between
-/// simulated hosts, plus failover-protocol events. Replication frames
-/// ride the inter-node links (`kvd_sim::cluster::NodeLink`), so the
-/// throughput cost of RF=2/3 shows up here as measured bytes rather
-/// than a modeling assumption.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterCosts {
-    /// Replicate frames forwarded down a chain (head → … → tail).
-    pub rep_frames: u64,
-    /// Payload bytes carried by those frames.
-    pub rep_bytes: u64,
-    /// Chain acknowledgements (tail apply → head/client).
-    pub rep_acks: u64,
-    /// Backup applies re-staged after a device fault.
-    pub rep_retries: u64,
-    /// Heartbeat frames broadcast between nodes.
-    pub heartbeats: u64,
-    /// Heartbeat payload bytes.
-    pub hb_bytes: u64,
-    /// Whole-node kills injected by the cluster fault plane.
-    pub node_kills: u64,
-    /// Dead nodes detected via missed heartbeats.
-    pub failovers: u64,
-    /// Chain promotions performed after a detection.
-    pub promotions: u64,
-    /// In-flight writes re-driven past a dead chain member.
-    pub orphan_redrives: u64,
-    /// Client-side retries against a survivor after failover.
-    pub client_retries: u64,
-    /// Reads hedged to another replica during the failover window.
-    pub hedged_reads: u64,
-    /// Writes acknowledged after the tail applied them.
-    pub writes_acked: u64,
-    /// Writes that failed without an acknowledgement (retry budget or
-    /// unavailability).
-    pub writes_failed: u64,
-    /// Gauge: cluster windows between a node kill and its detection (the
-    /// failover-window depth; merged by maximum).
-    pub failover_depth_windows: u64,
+cost_section! {
+    /// Serving-front-end costs: what the memcache-protocol server layer
+    /// spent translating real client traffic into KV operations. These sit
+    /// *above* the network plane ([`NetCosts`] accounts the simulated wire;
+    /// this section accounts the protocol boundary): frames decoded, bytes
+    /// moved through real sockets, and the protocol-level outcome mix, so
+    /// serving overhead is attributed exactly like every simulated
+    /// component.
+    ServerCosts, shared as SharedServerCosts {
+        /// TCP connections accepted.
+        connections,
+        /// Connections closed (client EOF, `quit`, or a fatal protocol
+        /// error).
+        disconnects,
+        /// Bytes read off client sockets.
+        bytes_in,
+        /// Bytes written back to client sockets.
+        bytes_out,
+        /// Complete protocol frames (command line + any data block) decoded.
+        frames,
+        /// KV operations those frames produced (a multi-key `get` is one
+        /// frame, many operations).
+        requests,
+        /// GET operations answered with a value.
+        get_hits,
+        /// GET operations answered with a miss.
+        get_misses,
+        /// Storage commands acknowledged `STORED`.
+        stored,
+        /// Storage commands answered `NOT_STORED` (failed `add`/`replace`
+        /// precondition).
+        not_stored,
+        /// `delete` commands acknowledged `DELETED`.
+        deleted,
+        /// `touch` commands acknowledged `TOUCHED` (lifetime re-stamped
+        /// without moving the value).
+        touched,
+        /// Client mistakes answered `ERROR`/`CLIENT_ERROR`.
+        protocol_errors,
+        /// Store-side failures answered `SERVER_ERROR` (every taxonomy
+        /// class: `device_error`, `overloaded`, `not_primary`, allocation).
+        server_errors,
+        /// Requests refused with `SERVER_ERROR not_primary` because this
+        /// node does not own the key under the cluster ring (also counted in
+        /// [`Self::server_errors`]).
+        not_primary,
+    }
 }
 
-/// Entry-lifecycle costs: TTL-stamped writes, lazy expiry on the probe
-/// paths, and the background reaper's bounded sweeps. All counters sum
-/// on merge, so the section is bit-identical across worker counts like
-/// every other plane.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpiryCosts {
-    /// PUTs that carried a nonzero lifecycle stamp.
-    pub ttl_puts: u64,
-    /// Successful stamp rewrites (`touch`).
-    pub touches: u64,
-    /// Dead entries discovered lazily by foreground probes
-    /// (GET/DELETE/touch): each was answered as a miss and reclaimed.
-    pub lazy_expired: u64,
-    /// Dead entries overwritten in place by a PUT of the same key.
-    pub expired_overwrites: u64,
-    /// Entries reclaimed through the free path (lazily or by the reaper).
-    pub reaped_entries: u64,
-    /// Logical KV bytes those reclaimed entries held.
-    pub reaped_bytes: u64,
-    /// Bounded reaper passes run.
-    pub sweep_passes: u64,
-    /// Bucket frames (primary + chained) the reaper scanned.
-    pub sweep_buckets: u64,
+cost_section! {
+    /// Cluster-plane costs: replication and heartbeat traffic between
+    /// simulated hosts, plus failover-protocol events. Replication frames
+    /// ride the inter-node links (`kvd_sim::cluster::NodeLink`), so the
+    /// throughput cost of RF=2/3 shows up here as measured bytes rather
+    /// than a modeling assumption.
+    ClusterCosts {
+        /// Replicate frames forwarded down a chain (head → … → tail).
+        rep_frames,
+        /// Payload bytes carried by those frames.
+        rep_bytes,
+        /// Chain acknowledgements (tail apply → head/client).
+        rep_acks,
+        /// Backup applies re-staged after a device fault.
+        rep_retries,
+        /// Heartbeat frames broadcast between nodes.
+        heartbeats,
+        /// Heartbeat payload bytes.
+        hb_bytes,
+        /// Whole-node kills injected by the cluster fault plane.
+        node_kills,
+        /// Dead nodes detected via missed heartbeats.
+        failovers,
+        /// Chain promotions performed after a detection.
+        promotions,
+        /// In-flight writes re-driven past a dead chain member.
+        orphan_redrives,
+        /// Client-side retries against a survivor after failover.
+        client_retries,
+        /// Reads hedged to another replica during the failover window.
+        hedged_reads,
+        /// Writes acknowledged after the tail applied them.
+        writes_acked,
+        /// Writes that failed without an acknowledgement (retry budget or
+        /// unavailability).
+        writes_failed,
+        /// Gauge: cluster windows between a node kill and its detection (the
+        /// failover-window depth; merged by maximum).
+        failover_depth_windows: gauge,
+    }
 }
 
-/// Adaptive-cache-plane costs: frequency-sketch sampling, TinyLFU fill
-/// admission, eviction quality, online retune steps, and the hot-key
-/// sheds the heavy-hitter rollup feeds into admission control. All
-/// counters sum on merge, preserving the bit-identical determinism
-/// contract across worker counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCosts {
-    /// Line accesses the frequency sketch sampled.
-    pub sketch_samples: u64,
-    /// Cache fills performed (admission granted, or the plane disabled).
-    pub admitted_fills: u64,
-    /// Conflict fills the TinyLFU admission rejected.
-    pub rejected_fills: u64,
-    /// Valid lines displaced clean by a fill.
-    pub evict_clean: u64,
-    /// Valid lines displaced dirty by a fill (write-back traffic).
-    pub evict_dirty: u64,
-    /// Fills that displaced a valid line (conflict misses).
-    pub conflict_fills: u64,
-    /// Retune steps that moved the load-dispatch threshold.
-    pub retune_steps: u64,
-    /// Resident lines retired by threshold-migration sweeps.
-    pub demoted_lines: u64,
-    /// Requests shed because their key was a tracked heavy hitter during
-    /// overload (per-hot-key shedding instead of across-the-board).
-    pub hot_key_sheds: u64,
+cost_section! {
+    /// Entry-lifecycle costs: TTL-stamped writes, lazy expiry on the probe
+    /// paths, and the background reaper's bounded sweeps. All counters sum
+    /// on merge, so the section is bit-identical across worker counts like
+    /// every other plane.
+    ExpiryCosts {
+        /// PUTs that carried a nonzero lifecycle stamp.
+        ttl_puts,
+        /// Successful stamp rewrites (`touch`).
+        touches,
+        /// Dead entries discovered lazily by foreground probes
+        /// (GET/DELETE/touch): each was answered as a miss and reclaimed.
+        lazy_expired,
+        /// Dead entries overwritten in place by a PUT of the same key.
+        expired_overwrites,
+        /// Entries reclaimed through the free path (lazily or by the reaper).
+        reaped_entries,
+        /// Logical KV bytes those reclaimed entries held.
+        reaped_bytes,
+        /// Bounded reaper passes run.
+        sweep_passes,
+        /// Bucket frames (primary + chained) the reaper scanned.
+        sweep_buckets,
+    }
 }
 
-/// KV-processor costs: request mix, retire outcomes and overload-plane
-/// decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreCosts {
-    /// Requests executed.
-    pub requests: u64,
-    /// Read-only requests (GET/REDUCE/FILTER).
-    pub reads: u64,
-    /// PUT requests.
-    pub puts: u64,
-    /// DELETE requests.
-    pub deletes: u64,
-    /// Atomic update requests (scalar or vector).
-    pub updates: u64,
-    /// Requests rejected as invalid (unknown λ, wrong type, oversized).
-    pub invalid: u64,
-    /// Requests that hit out-of-memory.
-    pub oom: u64,
-    /// Station write-backs that failed.
-    pub writeback_failures: u64,
-    /// Memory transactions re-run after a recoverable injected fault.
-    pub fault_retries: u64,
-    /// Requests failed with `DeviceError` after the retry budget ran out.
-    pub device_errors: u64,
-    /// Requests that passed every overload gate.
-    pub admitted: u64,
-    /// Requests shed by the admission controller.
-    pub shed_overload: u64,
-    /// Requests dropped at the server because their deadline had passed.
-    pub shed_expired: u64,
-    /// Writes shed while in read-only degraded mode.
-    pub shed_read_only: u64,
-    /// Entries into read-only mode.
-    pub read_only_entries: u64,
-    /// Exits from read-only mode.
-    pub read_only_exits: u64,
-    /// Admission-controller state flips (both directions).
-    pub shed_transitions: u64,
-    /// Station-retired operations that completed `Ok` (detail mode only;
-    /// see `KvProcessor::set_ledger_detail`).
-    pub retired_ok: u64,
-    /// Station-retired operations that completed `NotFound` (detail mode
-    /// only).
-    pub retired_not_found: u64,
-    /// Station-retired operations that completed with any error status
-    /// (detail mode only).
-    pub retired_failed: u64,
+cost_section! {
+    /// Adaptive-cache-plane costs: frequency-sketch sampling, TinyLFU fill
+    /// admission, eviction quality, online retune steps, and the hot-key
+    /// sheds the heavy-hitter rollup feeds into admission control. All
+    /// counters sum on merge, preserving the bit-identical determinism
+    /// contract across worker counts.
+    CacheCosts {
+        /// Line accesses the frequency sketch sampled.
+        sketch_samples,
+        /// Cache fills performed (admission granted, or the plane disabled).
+        admitted_fills,
+        /// Conflict fills the TinyLFU admission rejected.
+        rejected_fills,
+        /// Valid lines displaced clean by a fill.
+        evict_clean,
+        /// Valid lines displaced dirty by a fill (write-back traffic).
+        evict_dirty,
+        /// Fills that displaced a valid line (conflict misses).
+        conflict_fills,
+        /// Retune steps that moved the load-dispatch threshold.
+        retune_steps,
+        /// Resident lines retired by threshold-migration sweeps.
+        demoted_lines,
+        /// Requests shed because their key was a tracked heavy hitter during
+        /// overload (per-hot-key shedding instead of across-the-board).
+        hot_key_sheds,
+    }
+}
+
+cost_section! {
+    /// KV-processor costs: request mix, retire outcomes and overload-plane
+    /// decisions.
+    CoreCosts {
+        /// Requests executed.
+        requests,
+        /// Read-only requests (GET/REDUCE/FILTER).
+        reads,
+        /// PUT requests.
+        puts,
+        /// DELETE requests.
+        deletes,
+        /// Atomic update requests (scalar or vector).
+        updates,
+        /// Requests rejected as invalid (unknown λ, wrong type, oversized).
+        invalid,
+        /// Requests that hit out-of-memory.
+        oom,
+        /// Station write-backs that failed.
+        writeback_failures,
+        /// Memory transactions re-run after a recoverable injected fault.
+        fault_retries,
+        /// Requests failed with `DeviceError` after the retry budget ran out.
+        device_errors,
+        /// Requests that passed every overload gate.
+        admitted,
+        /// Requests shed by the admission controller.
+        shed_overload,
+        /// Requests dropped at the server because their deadline had passed.
+        shed_expired,
+        /// Writes shed while in read-only degraded mode.
+        shed_read_only,
+        /// Entries into read-only mode.
+        read_only_entries,
+        /// Exits from read-only mode.
+        read_only_exits,
+        /// Admission-controller state flips (both directions).
+        shed_transitions,
+        /// Station-retired operations that completed `Ok` (detail mode only;
+        /// see `KvProcessor::set_ledger_detail`).
+        retired_ok,
+        /// Station-retired operations that completed `NotFound` (detail mode
+        /// only).
+        retired_not_found,
+        /// Station-retired operations that completed with any error status
+        /// (detail mode only).
+        retired_failed,
+    }
 }
 
 /// Per-class, per-component latency attribution in picoseconds.
@@ -472,514 +538,104 @@ impl LatencyCosts {
         self.ps[class.index()][component.index()] as f64 / total as f64
     }
 
-    fn merge(&mut self, other: &LatencyCosts) {
-        for (row, orow) in self.ps.iter_mut().zip(&other.ps) {
-            for (a, b) in row.iter_mut().zip(orow) {
-                *a += b;
+    fn zip(&mut self, other: &LatencyCosts, mut f: impl FnMut(bool, &mut u64, u64)) {
+        let mine = self.ps.iter_mut().flatten().chain(&mut self.ops);
+        for (a, b) in mine.zip(other.ps.iter().flatten().chain(&other.ops)) {
+            f(false, a, *b);
+        }
+    }
+}
+
+cost_section! {
+    /// Raw backpressure terms the `PressureGauge` is computed from, all in
+    /// integer picoseconds so shard merges stay exact.
+    ///
+    /// These are *gauges* (latest sample), not event counters: merging takes
+    /// the component-wise maximum — the worst backlog any shard reported —
+    /// which is associative, commutative and has the zero term as identity,
+    /// exactly like the counter sums.
+    PressureTerms {
+        /// Decode backlog at the last batch cut (how far the server's decode
+        /// clock ran ahead of the batch's arrival).
+        station_backlog_ps: gauge,
+        /// The station capacity envelope: one decode cycle times the station's
+        /// operation capacity.
+        station_cap_ps: gauge,
+        /// PCIe service backlog at the last batch cut.
+        tag_backlog_ps: gauge,
+        /// The tag-pool capacity envelope: per-line service time times the
+        /// total read tags across endpoints.
+        tag_cap_ps: gauge,
+        /// Host-arbiter stall of the previous lockstep window.
+        stall_ps: gauge,
+        /// The arbiter's synchronization quantum.
+        quantum_ps: gauge,
+    }
+}
+
+/// Declares [`OpLedger`] from its section list, so the struct and the
+/// visitor that merges it cannot disagree about which sections exist.
+macro_rules! ledger {
+    ($( $(#[$meta:meta])* $section:ident: $ty:ident ),+ $(,)?) => {
+        /// The op-cost ledger: one section per plane, every field an exact
+        /// integer so merges and deltas never lose a count.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct OpLedger {
+            $( $(#[$meta])* pub $section: $ty, )+
+        }
+
+        impl OpLedger {
+            /// Calls `f(is_gauge, mine, theirs)` for every field of every
+            /// section, in declaration order.
+            fn zip(&mut self, other: &OpLedger, mut f: impl FnMut(bool, &mut u64, u64)) {
+                $( self.$section.zip(&other.$section, &mut f); )+
             }
         }
-        for (a, b) in self.ops.iter_mut().zip(&other.ops) {
-            *a += b;
-        }
-    }
-
-    fn since(&self, earlier: &LatencyCosts) -> LatencyCosts {
-        let mut out = *self;
-        for (row, erow) in out.ps.iter_mut().zip(&earlier.ps) {
-            for (a, b) in row.iter_mut().zip(erow) {
-                *a = a.saturating_sub(*b);
-            }
-        }
-        for (a, b) in out.ops.iter_mut().zip(&earlier.ops) {
-            *a = a.saturating_sub(*b);
-        }
-        out
-    }
-}
-
-/// Raw backpressure terms the `PressureGauge` is computed from, all in
-/// integer picoseconds so shard merges stay exact.
-///
-/// These are *gauges* (latest sample), not event counters: merging takes
-/// the component-wise maximum — the worst backlog any shard reported —
-/// which is associative, commutative and has the zero term as identity,
-/// exactly like the counter sums.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PressureTerms {
-    /// Decode backlog at the last batch cut (how far the server's decode
-    /// clock ran ahead of the batch's arrival).
-    pub station_backlog_ps: u64,
-    /// The station capacity envelope: one decode cycle times the station's
-    /// operation capacity.
-    pub station_cap_ps: u64,
-    /// PCIe service backlog at the last batch cut.
-    pub tag_backlog_ps: u64,
-    /// The tag-pool capacity envelope: per-line service time times the
-    /// total read tags across endpoints.
-    pub tag_cap_ps: u64,
-    /// Host-arbiter stall of the previous lockstep window.
-    pub stall_ps: u64,
-    /// The arbiter's synchronization quantum.
-    pub quantum_ps: u64,
-}
-
-impl PressureTerms {
-    fn merge(&mut self, other: &PressureTerms) {
-        self.station_backlog_ps = self.station_backlog_ps.max(other.station_backlog_ps);
-        self.station_cap_ps = self.station_cap_ps.max(other.station_cap_ps);
-        self.tag_backlog_ps = self.tag_backlog_ps.max(other.tag_backlog_ps);
-        self.tag_cap_ps = self.tag_cap_ps.max(other.tag_cap_ps);
-        self.stall_ps = self.stall_ps.max(other.stall_ps);
-        self.quantum_ps = self.quantum_ps.max(other.quantum_ps);
-    }
-}
-
-macro_rules! sum_fields {
-    ($self:ident, $other:ident, $($field:ident),+ $(,)?) => {
-        $( $self.$field += $other.$field; )+
     };
 }
 
-macro_rules! sub_fields {
-    ($out:ident, $earlier:ident, $($field:ident),+ $(,)?) => {
-        $( $out.$field = $out.$field.saturating_sub($earlier.$field); )+
-    };
-}
-
-impl NetCosts {
-    fn merge(&mut self, other: &NetCosts) {
-        sum_fields!(
-            self,
-            other,
-            packets,
-            payload_bytes,
-            retransmits,
-            drops,
-            reorders,
-            batches,
-            batch_ops,
-            client_expired
-        );
-    }
-
-    fn since(&self, earlier: &NetCosts) -> NetCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            packets,
-            payload_bytes,
-            retransmits,
-            drops,
-            reorders,
-            batches,
-            batch_ops,
-            client_expired
-        );
-        out
-    }
-}
-
-impl PcieCosts {
-    fn merge(&mut self, other: &PcieCosts) {
-        sum_fields!(
-            self,
-            other,
-            dma_reads,
-            dma_writes,
-            read_bytes,
-            write_bytes,
-            tag_stalls,
-            credit_stalls,
-            corruptions,
-            replays,
-            timeouts,
-            retries,
-            exhausted
-        );
-    }
-
-    fn since(&self, earlier: &PcieCosts) -> PcieCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            dma_reads,
-            dma_writes,
-            read_bytes,
-            write_bytes,
-            tag_stalls,
-            credit_stalls,
-            corruptions,
-            replays,
-            timeouts,
-            retries,
-            exhausted
-        );
-        out
-    }
-}
-
-impl DramCosts {
-    fn merge(&mut self, other: &DramCosts) {
-        sum_fields!(
-            self,
-            other,
-            reads,
-            writes,
-            cache_hits,
-            cache_misses,
-            corrected,
-            uncorrectable,
-            host_stalls,
-            refetches,
-            rescue_writebacks
-        );
-    }
-
-    fn since(&self, earlier: &DramCosts) -> DramCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            reads,
-            writes,
-            cache_hits,
-            cache_misses,
-            corrected,
-            uncorrectable,
-            host_stalls,
-            refetches,
-            rescue_writebacks
-        );
-        out
-    }
-}
-
-impl StationCosts {
-    fn merge(&mut self, other: &StationCosts) {
-        sum_fields!(self, other, forwarded, issued, queued, writebacks, rejected, reclaimed);
-        self.high_water = self.high_water.max(other.high_water);
-    }
-
-    fn since(&self, earlier: &StationCosts) -> StationCosts {
-        let mut out = *self;
-        sub_fields!(out, earlier, forwarded, issued, queued, writebacks, rejected, reclaimed);
-        // `high_water` is a gauge: the delta keeps the current mark.
-        out
-    }
-}
-
-impl SlabCosts {
-    fn merge(&mut self, other: &SlabCosts) {
-        sum_fields!(
-            self,
-            other,
-            allocs,
-            frees,
-            failed_allocs,
-            dma_syncs,
-            entries_synced,
-            splits,
-            merges,
-            merge_passes
-        );
-    }
-
-    fn since(&self, earlier: &SlabCosts) -> SlabCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            allocs,
-            frees,
-            failed_allocs,
-            dma_syncs,
-            entries_synced,
-            splits,
-            merges,
-            merge_passes
-        );
-        out
-    }
-}
-
-impl ServerCosts {
-    fn merge(&mut self, other: &ServerCosts) {
-        sum_fields!(
-            self,
-            other,
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary
-        );
-    }
-
-    fn since(&self, earlier: &ServerCosts) -> ServerCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary
-        );
-        out
-    }
-}
-
-impl ClusterCosts {
-    fn merge(&mut self, other: &ClusterCosts) {
-        sum_fields!(
-            self,
-            other,
-            rep_frames,
-            rep_bytes,
-            rep_acks,
-            rep_retries,
-            heartbeats,
-            hb_bytes,
-            node_kills,
-            failovers,
-            promotions,
-            orphan_redrives,
-            client_retries,
-            hedged_reads,
-            writes_acked,
-            writes_failed
-        );
-        self.failover_depth_windows = self
-            .failover_depth_windows
-            .max(other.failover_depth_windows);
-    }
-
-    fn since(&self, earlier: &ClusterCosts) -> ClusterCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            rep_frames,
-            rep_bytes,
-            rep_acks,
-            rep_retries,
-            heartbeats,
-            hb_bytes,
-            node_kills,
-            failovers,
-            promotions,
-            orphan_redrives,
-            client_retries,
-            hedged_reads,
-            writes_acked,
-            writes_failed
-        );
-        // `failover_depth_windows` is a gauge: the delta keeps the mark.
-        out
-    }
-}
-
-impl ExpiryCosts {
-    fn merge(&mut self, other: &ExpiryCosts) {
-        sum_fields!(
-            self,
-            other,
-            ttl_puts,
-            touches,
-            lazy_expired,
-            expired_overwrites,
-            reaped_entries,
-            reaped_bytes,
-            sweep_passes,
-            sweep_buckets
-        );
-    }
-
-    fn since(&self, earlier: &ExpiryCosts) -> ExpiryCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            ttl_puts,
-            touches,
-            lazy_expired,
-            expired_overwrites,
-            reaped_entries,
-            reaped_bytes,
-            sweep_passes,
-            sweep_buckets
-        );
-        out
-    }
-}
-
-impl CacheCosts {
-    fn merge(&mut self, other: &CacheCosts) {
-        sum_fields!(
-            self,
-            other,
-            sketch_samples,
-            admitted_fills,
-            rejected_fills,
-            evict_clean,
-            evict_dirty,
-            conflict_fills,
-            retune_steps,
-            demoted_lines,
-            hot_key_sheds
-        );
-    }
-
-    fn since(&self, earlier: &CacheCosts) -> CacheCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            sketch_samples,
-            admitted_fills,
-            rejected_fills,
-            evict_clean,
-            evict_dirty,
-            conflict_fills,
-            retune_steps,
-            demoted_lines,
-            hot_key_sheds
-        );
-        out
-    }
-}
-
-impl CoreCosts {
-    fn merge(&mut self, other: &CoreCosts) {
-        sum_fields!(
-            self,
-            other,
-            requests,
-            reads,
-            puts,
-            deletes,
-            updates,
-            invalid,
-            oom,
-            writeback_failures,
-            fault_retries,
-            device_errors,
-            admitted,
-            shed_overload,
-            shed_expired,
-            shed_read_only,
-            read_only_entries,
-            read_only_exits,
-            shed_transitions,
-            retired_ok,
-            retired_not_found,
-            retired_failed
-        );
-    }
-
-    fn since(&self, earlier: &CoreCosts) -> CoreCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            requests,
-            reads,
-            puts,
-            deletes,
-            updates,
-            invalid,
-            oom,
-            writeback_failures,
-            fault_retries,
-            device_errors,
-            admitted,
-            shed_overload,
-            shed_expired,
-            shed_read_only,
-            read_only_entries,
-            read_only_exits,
-            shed_transitions,
-            retired_ok,
-            retired_not_found,
-            retired_failed
-        );
-        out
-    }
-}
-
-/// The op-cost ledger: one section per plane, every field an exact
-/// integer so merges and deltas never lose a count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpLedger {
+ledger! {
     /// Network-plane costs (links, batching, client-side expiry).
-    pub net: NetCosts,
+    net: NetCosts,
     /// PCIe-plane costs (DMA traffic, stalls, link faults).
-    pub pcie: PcieCosts,
+    pcie: PcieCosts,
     /// NIC-DRAM-plane costs (lines, cache, ECC).
-    pub dram: DramCosts,
+    dram: DramCosts,
     /// Reservation-station costs.
-    pub station: StationCosts,
+    station: StationCosts,
     /// Slab-allocator costs.
-    pub slab: SlabCosts,
+    slab: SlabCosts,
     /// Entry-lifecycle costs (TTL writes, lazy expiry, reaper sweeps).
-    pub expiry: ExpiryCosts,
+    expiry: ExpiryCosts,
     /// Adaptive-cache-plane costs (sketch, admission, retune, hot keys).
-    pub cache: CacheCosts,
+    cache: CacheCosts,
     /// KV-processor costs (request mix, retire outcomes, overload plane).
-    pub core: CoreCosts,
+    core: CoreCosts,
     /// Serving-front-end costs (protocol frames, socket bytes, outcome
     /// mix) — zero unless a real server fronts the store.
-    pub server: ServerCosts,
+    server: ServerCosts,
     /// Cluster-plane costs (replication, heartbeats, failover events) —
     /// zero unless the run spans multiple simulated hosts.
-    pub cluster: ClusterCosts,
+    cluster: ClusterCosts,
     /// Per-class, per-component latency attribution.
-    pub latency: LatencyCosts,
+    latency: LatencyCosts,
     /// Raw backpressure terms (gauges, merged by maximum).
-    pub pressure: PressureTerms,
+    pressure: PressureTerms,
 }
 
 impl OpLedger {
-    /// Accumulates another ledger into this one. Counter sections add;
-    /// gauge fields ([`PressureTerms`], the station high-water mark) take
-    /// the maximum. Associative and commutative, with the default ledger
-    /// as identity.
+    /// Accumulates another ledger into this one. Counter fields add;
+    /// gauge fields ([`PressureTerms`], the station high-water mark, the
+    /// failover depth) take the maximum. Associative and commutative,
+    /// with the default ledger as identity.
     pub fn merge(&mut self, other: &OpLedger) {
-        self.net.merge(&other.net);
-        self.pcie.merge(&other.pcie);
-        self.dram.merge(&other.dram);
-        self.station.merge(&other.station);
-        self.slab.merge(&other.slab);
-        self.expiry.merge(&other.expiry);
-        self.cache.merge(&other.cache);
-        self.core.merge(&other.core);
-        self.server.merge(&other.server);
-        self.cluster.merge(&other.cluster);
-        self.latency.merge(&other.latency);
-        self.pressure.merge(&other.pressure);
+        self.zip(other, |gauge, mine, theirs| {
+            *mine = if gauge {
+                (*mine).max(theirs)
+            } else {
+                *mine + theirs
+            }
+        });
     }
 
     /// The delta since an `earlier` snapshot of the same ledger: counter
@@ -987,20 +643,13 @@ impl OpLedger {
     /// value. This is how per-window traffic is derived from the run
     /// ledger instead of being accumulated separately.
     pub fn since(&self, earlier: &OpLedger) -> OpLedger {
-        OpLedger {
-            net: self.net.since(&earlier.net),
-            pcie: self.pcie.since(&earlier.pcie),
-            dram: self.dram.since(&earlier.dram),
-            station: self.station.since(&earlier.station),
-            slab: self.slab.since(&earlier.slab),
-            expiry: self.expiry.since(&earlier.expiry),
-            cache: self.cache.since(&earlier.cache),
-            core: self.core.since(&earlier.core),
-            server: self.server.since(&earlier.server),
-            cluster: self.cluster.since(&earlier.cluster),
-            latency: self.latency.since(&earlier.latency),
-            pressure: self.pressure,
-        }
+        let mut out = self.clone();
+        out.zip(earlier, |gauge, mine, theirs| {
+            if !gauge {
+                *mine = mine.saturating_sub(theirs);
+            }
+        });
+        out
     }
 
     /// Host-memory cache lines this ledger accounts for (PCIe DMA reads
@@ -1010,21 +659,18 @@ impl OpLedger {
         self.pcie.dma_reads + self.pcie.dma_writes
     }
 
-    /// The legacy [`FaultCounters`] rollup as a view over the ledger's
-    /// fault channels.
-    pub fn fault_view(&self) -> FaultCounters {
-        FaultCounters {
-            pcie_corruptions: self.pcie.corruptions,
-            pcie_replays: self.pcie.replays,
-            pcie_timeouts: self.pcie.timeouts,
-            dram_corrected: self.dram.corrected,
-            dram_uncorrectable: self.dram.uncorrectable,
-            host_stalls: self.dram.host_stalls,
-            net_drops: self.net.drops,
-            net_reorders: self.net.reorders,
-            retries: self.pcie.retries,
-            exhausted: self.pcie.exhausted,
-        }
+    /// Fault events injected across the PCIe, DRAM and network channels.
+    /// Recovery bookkeeping (`pcie.retries`, `pcie.exhausted`) is what the
+    /// faults cost, not more faults, and is left out.
+    pub fn total_faults(&self) -> u64 {
+        self.pcie.corruptions
+            + self.pcie.replays
+            + self.pcie.timeouts
+            + self.dram.corrected
+            + self.dram.uncorrectable
+            + self.dram.host_stalls
+            + self.net.drops
+            + self.net.reorders
     }
 }
 
@@ -1049,159 +695,16 @@ mod tests {
     use super::*;
     use crate::rng::DetRng;
 
-    /// A ledger with every field filled from a seeded stream, exercising
-    /// all sections in merge laws.
+    /// A ledger with every field of every section filled from a seeded
+    /// stream, through the same visitor `merge` and `since` run on — a
+    /// field declared later is covered without touching this file.
     fn random_ledger(seed: u64) -> OpLedger {
         let mut rng = DetRng::seed(seed);
-        let mut r = || rng.u64_below(1 << 20);
-        OpLedger {
-            net: NetCosts {
-                packets: r(),
-                payload_bytes: r(),
-                retransmits: r(),
-                drops: r(),
-                reorders: r(),
-                batches: r(),
-                batch_ops: r(),
-                client_expired: r(),
-            },
-            pcie: PcieCosts {
-                dma_reads: r(),
-                dma_writes: r(),
-                read_bytes: r(),
-                write_bytes: r(),
-                tag_stalls: r(),
-                credit_stalls: r(),
-                corruptions: r(),
-                replays: r(),
-                timeouts: r(),
-                retries: r(),
-                exhausted: r(),
-            },
-            dram: DramCosts {
-                reads: r(),
-                writes: r(),
-                cache_hits: r(),
-                cache_misses: r(),
-                corrected: r(),
-                uncorrectable: r(),
-                host_stalls: r(),
-                refetches: r(),
-                rescue_writebacks: r(),
-            },
-            station: StationCosts {
-                forwarded: r(),
-                issued: r(),
-                queued: r(),
-                writebacks: r(),
-                rejected: r(),
-                reclaimed: r(),
-                high_water: r(),
-            },
-            slab: SlabCosts {
-                allocs: r(),
-                frees: r(),
-                failed_allocs: r(),
-                dma_syncs: r(),
-                entries_synced: r(),
-                splits: r(),
-                merges: r(),
-                merge_passes: r(),
-            },
-            expiry: ExpiryCosts {
-                ttl_puts: r(),
-                touches: r(),
-                lazy_expired: r(),
-                expired_overwrites: r(),
-                reaped_entries: r(),
-                reaped_bytes: r(),
-                sweep_passes: r(),
-                sweep_buckets: r(),
-            },
-            cache: CacheCosts {
-                sketch_samples: r(),
-                admitted_fills: r(),
-                rejected_fills: r(),
-                evict_clean: r(),
-                evict_dirty: r(),
-                conflict_fills: r(),
-                retune_steps: r(),
-                demoted_lines: r(),
-                hot_key_sheds: r(),
-            },
-            core: CoreCosts {
-                requests: r(),
-                reads: r(),
-                puts: r(),
-                deletes: r(),
-                updates: r(),
-                invalid: r(),
-                oom: r(),
-                writeback_failures: r(),
-                fault_retries: r(),
-                device_errors: r(),
-                admitted: r(),
-                shed_overload: r(),
-                shed_expired: r(),
-                shed_read_only: r(),
-                read_only_entries: r(),
-                read_only_exits: r(),
-                shed_transitions: r(),
-                retired_ok: r(),
-                retired_not_found: r(),
-                retired_failed: r(),
-            },
-            server: ServerCosts {
-                connections: r(),
-                disconnects: r(),
-                bytes_in: r(),
-                bytes_out: r(),
-                frames: r(),
-                requests: r(),
-                get_hits: r(),
-                get_misses: r(),
-                stored: r(),
-                not_stored: r(),
-                deleted: r(),
-                touched: r(),
-                protocol_errors: r(),
-                server_errors: r(),
-                not_primary: r(),
-            },
-            cluster: ClusterCosts {
-                rep_frames: r(),
-                rep_bytes: r(),
-                rep_acks: r(),
-                rep_retries: r(),
-                heartbeats: r(),
-                hb_bytes: r(),
-                node_kills: r(),
-                failovers: r(),
-                promotions: r(),
-                orphan_redrives: r(),
-                client_retries: r(),
-                hedged_reads: r(),
-                writes_acked: r(),
-                writes_failed: r(),
-                failover_depth_windows: r(),
-            },
-            latency: LatencyCosts {
-                ps: [
-                    [r(), r(), r(), r()],
-                    [r(), r(), r(), r()],
-                    [r(), r(), r(), r()],
-                ],
-                ops: [r(), r(), r()],
-            },
-            pressure: PressureTerms {
-                station_backlog_ps: r(),
-                station_cap_ps: r(),
-                tag_backlog_ps: r(),
-                tag_cap_ps: r(),
-                stall_ps: r(),
-                quantum_ps: r(),
-            },
-        }
+        let mut l = OpLedger::default();
+        l.zip(&OpLedger::default(), |_, field, _| {
+            *field = rng.u64_below(1 << 20)
+        });
+        l
     }
 
     fn merged(a: &OpLedger, b: &OpLedger) -> OpLedger {
@@ -1235,26 +738,52 @@ mod tests {
         let base = random_ledger(7);
         let delta = random_ledger(8);
         let total = merged(&base, &delta);
-        let got = total.since(&base);
-        // Counter sections round-trip exactly.
-        assert_eq!(got.net, delta.net);
-        assert_eq!(got.pcie, delta.pcie);
-        assert_eq!(got.dram, delta.dram);
-        assert_eq!(got.slab, delta.slab);
-        assert_eq!(got.expiry, delta.expiry);
-        assert_eq!(got.cache, delta.cache);
-        assert_eq!(got.core, delta.core);
-        assert_eq!(got.server, delta.server);
-        assert_eq!(got.latency, delta.latency);
-        // Gauges keep their merged (max) value.
-        assert_eq!(got.pressure, total.pressure);
-        assert_eq!(got.station.high_water, total.station.high_water);
+        // Counters round-trip exactly; gauges keep their merged value.
+        let mut want = delta.clone();
+        want.zip(&total, |gauge, field, merged| {
+            if gauge {
+                *field = merged;
+            }
+        });
+        assert_eq!(total.since(&base), want);
+    }
+
+    #[test]
+    fn gauges_keep_the_max() {
+        let (a, b) = (random_ledger(11), random_ledger(12));
+        let m = merged(&a, &b);
         assert_eq!(
-            got.cluster.failover_depth_windows,
-            total.cluster.failover_depth_windows
+            m.station.high_water,
+            a.station.high_water.max(b.station.high_water)
         );
-        assert_eq!(got.cluster.rep_frames, delta.cluster.rep_frames);
-        assert_eq!(got.cluster.writes_acked, delta.cluster.writes_acked);
+        assert_eq!(
+            m.cluster.failover_depth_windows,
+            a.cluster
+                .failover_depth_windows
+                .max(b.cluster.failover_depth_windows)
+        );
+        assert_eq!(
+            m.pressure.stall_ps,
+            a.pressure.stall_ps.max(b.pressure.stall_ps)
+        );
+        assert_eq!(m.station.issued, a.station.issued + b.station.issued);
+        // Those two and the six pressure terms are all the gauges there are.
+        let mut gauges = 0;
+        m.clone().zip(&a, |gauge, _, _| gauges += u32::from(gauge));
+        assert_eq!(gauges, 8);
+    }
+
+    #[test]
+    fn shared_server_costs_fold_to_the_merge_of_their_snapshots() {
+        let shared = SharedServerCosts::default();
+        let mut want = OpLedger::default();
+        for seed in 0..9 {
+            let part = random_ledger(seed);
+            shared.fold(&part.server);
+            want.merge(&part);
+        }
+        assert_eq!(shared.snapshot(), want.server);
+        assert_ne!(want.server, ServerCosts::default());
     }
 
     #[test]
@@ -1266,19 +795,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_view_round_trips_every_channel() {
-        let l = random_ledger(9);
-        let v = l.fault_view();
-        assert_eq!(v.pcie_corruptions, l.pcie.corruptions);
-        assert_eq!(v.pcie_replays, l.pcie.replays);
-        assert_eq!(v.pcie_timeouts, l.pcie.timeouts);
-        assert_eq!(v.dram_corrected, l.dram.corrected);
-        assert_eq!(v.dram_uncorrectable, l.dram.uncorrectable);
-        assert_eq!(v.host_stalls, l.dram.host_stalls);
-        assert_eq!(v.net_drops, l.net.drops);
-        assert_eq!(v.net_reorders, l.net.reorders);
-        assert_eq!(v.retries, l.pcie.retries);
-        assert_eq!(v.exhausted, l.pcie.exhausted);
+    fn total_faults_counts_events_not_recovery() {
+        let mut l = random_ledger(9);
+        let events = l.total_faults();
+        l.pcie.retries += 5;
+        l.pcie.exhausted += 5;
+        assert_eq!(l.total_faults(), events);
+        l.net.reorders += 1;
+        l.dram.host_stalls += 1;
+        assert_eq!(l.total_faults(), events + 2);
     }
 
     #[test]

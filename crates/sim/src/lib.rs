@@ -34,8 +34,8 @@
 //!   host-to-host links and the fixed-quantum window discipline that
 //!   keeps cross-node delivery deterministic.
 //! * [`ledger`] — the typed, mergeable op-cost ledger ([`OpLedger`])
-//!   every plane emits into through [`CostSource`]; the legacy counter
-//!   structs are views over it.
+//!   every plane emits into through [`CostSource`] — the only counter
+//!   surface stores, simulators and reports expose.
 //! * [`runreport`] — the shared [`RunSummary`] both simulation reports
 //!   (single-shard and parallel) are built from.
 //! * [`report`] — plain-text table rendering used by the benchmark
@@ -63,13 +63,11 @@ pub use arbiter::{ArbiterStats, HostArbiterConfig};
 pub use chaos::{ChaosConfig, ChaosPhase, ChaosSchedule};
 pub use cluster::{ClusterClock, NodeLink, NodeLinkConfig};
 pub use credit::{Credit, CreditArbiter};
-pub use fault::{
-    DramFault, FaultCounters, FaultPlane, FaultRates, NetFault, PcieFault, TxnOutcome,
-};
+pub use fault::{DramFault, FaultPlane, FaultRates, NetFault, PcieFault, TxnOutcome};
 pub use ledger::{
     CacheCosts, ClusterCosts, Component, CoreCosts, CostSource, DramCosts, ExpiryCosts,
-    LatencyCosts, NetCosts, OpClass, OpLedger, PcieCosts, PressureTerms, ServerCosts, SlabCosts,
-    StationCosts,
+    LatencyCosts, NetCosts, OpClass, OpLedger, PcieCosts, PressureTerms, ServerCosts,
+    SharedServerCosts, SlabCosts, StationCosts,
 };
 pub use pressure::PressureGauge;
 pub use queue::EventQueue;

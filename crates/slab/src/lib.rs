@@ -23,16 +23,10 @@
 
 pub mod bitmap;
 pub mod class;
-pub mod daemon;
 pub mod merge;
 pub mod slab;
-pub mod spsc;
 
 pub use bitmap::AllocBitmap;
 pub use class::{SlabClass, GRANULE, MAX_CLASSES};
-pub use daemon::{
-    spawn as spawn_concurrent_slab, ConcurrentSlabConfig, DaemonHandle, DaemonStats, NicAllocator,
-};
 pub use merge::{merge_bitmap, merge_radix, MergeOutcome};
 pub use slab::{SlabAddr, SlabAllocator, SlabConfig, SlabStats};
-pub use spsc::SpscRing;

@@ -101,7 +101,7 @@ fn main() {
     println!("  all mice combined: {mouse_drops} packets dropped");
     println!(
         "  NIC-side ops: {} (vs {} per-packet ops a per-element scheme would need)",
-        store.stats().updates,
+        store.ledger().core.updates,
         ticks * flows
     );
 

@@ -120,7 +120,7 @@ fn main() {
         "training did not reduce the loss: {losses:?}"
     );
 
-    let s = store.stats();
+    let s = store.ledger().core;
     println!("\n-- KV-Direct accounting --");
     println!("requests executed : {}", s.requests);
     println!("vector updates    : {}", s.updates);

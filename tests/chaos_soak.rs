@@ -230,7 +230,7 @@ fn chaos_soak_consistency_holds_across_seeds() {
             .sum();
         assert!(applied > 0, "seed {seed}: soak applied no writes at all");
         assert!(
-            report.faults.total_faults() > 0,
+            report.ledger.total_faults() > 0,
             "seed {seed}: fault plane must actually fire"
         );
         // The knee: goodput at 2x offered load stays within 70% of the
@@ -486,7 +486,7 @@ fn chaos_soak_survives_tcp_client_churn() {
         "every surviving op reached the data plane"
     );
     assert!(
-        ledger.fault_view().total_faults() > 0,
+        ledger.total_faults() > 0,
         "the 1% fault plane must actually fire under TCP traffic"
     );
     // Retries absorb most injected faults; the ones that exhaust their

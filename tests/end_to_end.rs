@@ -49,7 +49,7 @@ fn ycsb_uniform_all_mixes() {
     for put in [0.0, 0.5, 1.0] {
         let store = run_workload(Dist::Uniform, put);
         assert_eq!(store.processor().table().len(), 40_000);
-        assert_eq!(store.stats().writeback_failures, 0);
+        assert_eq!(store.ledger().core.writeback_failures, 0);
     }
 }
 
@@ -67,8 +67,8 @@ fn longtail_forwards_more_than_uniform() {
     // operations on the most popular keys" under long-tail.
     let uni = run_workload(Dist::Uniform, 0.5);
     let zipf = run_workload(Dist::long_tail(), 0.5);
-    let fu = uni.processor().station_stats().forwarded as f64 / uni.stats().requests as f64;
-    let fz = zipf.processor().station_stats().forwarded as f64 / zipf.stats().requests as f64;
+    let fu = uni.processor().station_stats().forwarded as f64 / uni.ledger().core.requests as f64;
+    let fz = zipf.processor().station_stats().forwarded as f64 / zipf.ledger().core.requests as f64;
     assert!(fz > fu, "zipf {fz} should forward more than uniform {fu}");
     assert!(fz > 0.02, "long-tail merge rate suspiciously low: {fz}");
 }
@@ -169,10 +169,10 @@ fn ycsb_presets_run_clean_through_the_store() {
             }
         }
         assert_eq!(errors, 0, "{preset:?} produced failing responses");
-        assert_eq!(store.stats().writeback_failures, 0, "{preset:?}");
+        assert_eq!(store.ledger().core.writeback_failures, 0, "{preset:?}");
         // F's RMWs really mutate: some counter moved off its preload value.
         if preset == YcsbPreset::F {
-            assert!(store.stats().updates > 0);
+            assert!(store.ledger().core.updates > 0);
         }
     }
 }

@@ -16,8 +16,8 @@ use std::collections::HashMap;
 
 use kv_direct::lambda::decode_scalar;
 use kv_direct::{
-    builtin, FaultCounters, FaultRates, KvDirectConfig, KvDirectStore, KvRequest, KvResponse,
-    OpCode, Status,
+    builtin, FaultRates, KvDirectConfig, KvDirectStore, KvRequest, KvResponse, OpCode, OpLedger,
+    Status,
 };
 use proptest::prelude::*;
 
@@ -156,24 +156,24 @@ proptest! {
             let device_errors = run_differential(&mut store, &ops)?;
             if rate == 0.0 {
                 prop_assert_eq!(device_errors, 0, "zero rate cannot fail ops");
-                prop_assert_eq!(store.fault_counters().total_faults(), 0);
+                prop_assert_eq!(store.ledger().total_faults(), 0);
             }
         }
     }
 
     /// The injected fault schedule is a pure function of the seed:
     /// replaying the same ops with the same seed reproduces responses,
-    /// processor stats and fault counters bit-for-bit.
+    /// and the whole ledger (processor counts, fault channels) bit-for-bit.
     #[test]
     fn fault_schedule_reproducible_for_any_seed(
         ops in prop::collection::vec(op_strategy(), 1..150),
         seed in any::<u64>(),
     ) {
         let reqs: Vec<KvRequest> = ops.iter().map(to_request).collect();
-        let run = |seed: u64| -> (Vec<KvResponse>, FaultCounters) {
+        let run = |seed: u64| -> (Vec<KvResponse>, OpLedger) {
             let mut store = faulty_store(0.1, seed);
             let responses = store.execute_batch(&reqs);
-            (responses, store.fault_counters())
+            (responses, store.ledger())
         };
         prop_assert_eq!(run(seed), run(seed), "same seed must replay exactly");
     }
@@ -193,17 +193,19 @@ fn determinism_regression_same_and_different_seeds() {
     let run = |seed: u64| {
         let mut store = faulty_store(0.1, seed);
         let responses = store.execute_batch(&workload);
-        (responses, store.stats(), store.fault_counters())
+        (responses, store.ledger())
     };
-    let (ra, sa, ca) = run(1234);
-    let (rb, sb, cb) = run(1234);
+    let (ra, la) = run(1234);
+    let (rb, lb) = run(1234);
     assert_eq!(ra, rb, "same seed, same responses");
-    assert_eq!(sa, sb, "same seed, same processor stats");
-    assert_eq!(ca, cb, "same seed, same fault counters");
-    assert!(ca.total_faults() > 0, "10% pressure injects faults");
+    assert_eq!(
+        la, lb,
+        "same seed, same processor counts and fault channels"
+    );
+    assert!(la.total_faults() > 0, "10% pressure injects faults");
 
-    let (_, _, cc) = run(5678);
-    assert_ne!(ca, cc, "different seeds, different schedules");
+    let (_, lc) = run(5678);
+    assert_ne!(la, lc, "different seeds, different schedules");
 }
 
 /// A zero-rate fault plane is inert: the store's observable behavior is
@@ -230,8 +232,8 @@ fn zero_rate_plane_is_bit_identical_to_plain_store() {
         plain.execute_batch(&workload),
         zeroed.execute_batch(&workload)
     );
-    assert_eq!(plain.stats(), zeroed.stats());
-    assert_eq!(zeroed.fault_counters(), FaultCounters::default());
+    assert_eq!(plain.ledger(), zeroed.ledger());
+    assert_eq!(zeroed.ledger().total_faults(), 0);
     assert!(!zeroed.ecc_stats().bypassed);
 }
 

@@ -6,10 +6,10 @@
 //! shard's evolution depends only on its own state and the per-window
 //! `(horizon, floor)` pair, and the arbiter's stall depends only on the
 //! aggregate line count — a commutative sum of `u64`s. These tests pin
-//! that contract: a run is bit-identical for any worker count, any
-//! lookahead depth, for repeated runs, and regardless of the test
-//! harness's own thread scheduling (CI runs this suite under different
-//! `--test-threads` values).
+//! that contract: a run is bit-identical for any worker count, for
+//! repeated runs, and regardless of the test harness's own thread
+//! scheduling (CI runs this suite under different `--test-threads`
+//! values).
 
 use kv_direct::parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 use kv_direct::sim::{Bandwidth, DetRng, SimTime};
@@ -25,19 +25,13 @@ fn workload(n: usize, seed: u64) -> Vec<KvRequest> {
     w.batch(n)
 }
 
-/// A preloaded 10-shard engine with explicit scheduling knobs: worker
-/// count, lookahead depth, quantum — none of the three may change any
-/// bit of a report — and optionally a host bandwidth other than the
-/// paper's (a starved host stalls every window).
-fn engine(
-    workers: usize,
-    lookahead: u32,
-    quantum: SimTime,
-    bandwidth: Option<Bandwidth>,
-) -> ParallelSystemSim {
+/// A preloaded 10-shard engine with explicit scheduling knobs: the worker
+/// count, which may not change any bit of a report, and the quantum — and
+/// optionally a host bandwidth other than the paper's (a starved host
+/// stalls every window).
+fn engine(workers: usize, quantum: SimTime, bandwidth: Option<Bandwidth>) -> ParallelSystemSim {
     let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 10);
     cfg.workers = workers;
-    cfg.arbiter.lookahead = lookahead;
     cfg.arbiter.quantum = quantum;
     if let Some(bandwidth) = bandwidth {
         cfg.arbiter.bandwidth = bandwidth;
@@ -50,17 +44,12 @@ fn engine(
     sim
 }
 
-fn run_scheduled(
-    workers: usize,
-    lookahead: u32,
-    quantum: SimTime,
-    reqs: &[KvRequest],
-) -> ParallelSimReport {
-    engine(workers, lookahead, quantum, None).run(reqs)
+fn run_scheduled(workers: usize, quantum: SimTime, reqs: &[KvRequest]) -> ParallelSimReport {
+    engine(workers, quantum, None).run(reqs)
 }
 
 fn run_with_workers(workers: usize, reqs: &[KvRequest]) -> ParallelSimReport {
-    run_scheduled(workers, 1, SimTime::from_us(8), reqs)
+    run_scheduled(workers, SimTime::from_us(8), reqs)
 }
 
 #[test]
@@ -77,26 +66,20 @@ fn worker_count_does_not_change_results() {
 }
 
 #[test]
-fn lookahead_worker_quantum_matrix_is_bit_identical() {
+fn worker_quantum_matrix_is_bit_identical() {
     // The ISSUE 7 oracle: merged ledgers and `RunSummary` bit-identical
-    // to the single-worker run for any worker count and any lookahead
-    // depth, at more than one quantum. The depth axis is guaranteed by
-    // construction (the conservative stall oracle caps the semantic
-    // lookahead at one window; deeper credit only reorders wall-clock
-    // scheduling), and this matrix is the executable proof.
+    // to the single-worker run for any worker count, at more than one
+    // quantum.
     let reqs = workload(9_000, 0xD377);
     for quantum in [SimTime::from_us(4), SimTime::from_us(8)] {
-        let baseline = run_scheduled(1, 1, quantum, &reqs);
+        let baseline = run_scheduled(1, quantum, &reqs);
         assert_eq!(baseline.ops, 9_000);
-        for lookahead in [1u32, 4, 16] {
-            for workers in [1usize, 2, 8] {
-                let r = run_scheduled(workers, lookahead, quantum, &reqs);
-                assert_eq!(
-                    baseline, r,
-                    "diverged at workers={workers} lookahead={lookahead} \
-                     quantum={quantum:?}"
-                );
-            }
+        for workers in [1usize, 2, 8] {
+            let r = run_scheduled(workers, quantum, &reqs);
+            assert_eq!(
+                baseline, r,
+                "diverged at workers={workers} quantum={quantum:?}"
+            );
         }
     }
 }
@@ -109,19 +92,18 @@ fn stalling_runs_are_schedule_invariant() {
     // schedule-independent, not just the zero-stall fast path.
     let reqs = workload(9_000, 0xD378);
     let starved = Some(Bandwidth::from_gbytes_per_sec(0.4));
-    let starve =
-        |workers, lookahead| engine(workers, lookahead, SimTime::from_us(8), starved).run(&reqs);
-    let base = starve(1, 1);
+    let starve = |workers| engine(workers, SimTime::from_us(8), starved).run(&reqs);
+    let base = starve(1);
     assert!(
         base.arbiter.oversubscribed > 0 && base.arbiter.stall > SimTime::ZERO,
         "a 0.4 GB/s host must oversubscribe: {:?}",
         base.arbiter
     );
-    for (workers, lookahead) in [(2usize, 1u32), (8, 4), (2, 16)] {
-        let r = starve(workers, lookahead);
+    for workers in [2usize, 8] {
         assert_eq!(
-            base, r,
-            "stalling run diverged at workers={workers} lookahead={lookahead}"
+            base,
+            starve(workers),
+            "stalling run diverged at workers={workers}"
         );
     }
 }
@@ -132,28 +114,6 @@ fn repeated_runs_are_bit_identical() {
     let a = run_with_workers(0, &reqs); // auto worker count
     let b = run_with_workers(0, &reqs);
     assert_eq!(a, b, "same seed + config must reproduce exactly");
-}
-
-/// The ledger's ten fault channels: the eight injected event kinds, then
-/// recovery retries and abandoned transactions.
-fn fault_channels(l: &OpLedger) -> [u64; 10] {
-    [
-        l.pcie.corruptions,
-        l.pcie.replays,
-        l.pcie.timeouts,
-        l.dram.corrected,
-        l.dram.uncorrectable,
-        l.dram.host_stalls,
-        l.net.drops,
-        l.net.reorders,
-        l.pcie.retries,
-        l.pcie.exhausted,
-    ]
-}
-
-/// Injected fault events (recovery bookkeeping excluded).
-fn total_faults(l: &OpLedger) -> u64 {
-    fault_channels(l)[..8].iter().sum()
 }
 
 fn run_faulty(workers: usize, reqs: &[KvRequest]) -> ParallelSimReport {
@@ -181,13 +141,13 @@ fn fault_counters_bit_identical_across_worker_counts() {
     let r2 = run_faulty(2, &reqs);
     let r8 = run_faulty(8, &reqs);
     assert!(
-        total_faults(&r1.ledger) > 0,
+        r1.ledger.total_faults() > 0,
         "2% uniform rates over 9k ops must inject"
     );
     assert!(
         r1.per_shard
             .iter()
-            .any(|s| fault_channels(&s.ledger) != fault_channels(&r1.per_shard[0].ledger)),
+            .any(|s| s.ledger.total_faults() != r1.per_shard[0].ledger.total_faults()),
         "per-shard schedules should be decorrelated"
     );
     assert_eq!(r1, r2, "fault schedule diverged between 1 and 2 workers");
@@ -268,7 +228,7 @@ fn worker_count_does_not_change_merged_ledger() {
     assert_eq!(c1.ledger, c8.ledger, "fig18-shaped merged ledger diverged");
     let (f1, f8) = (run_faulty(1, &reqs), run_faulty(8, &reqs));
     assert_eq!(f1.ledger, f8.ledger, "faulty merged ledger diverged");
-    assert!(total_faults(&f1.ledger) > 0, "faults must fire");
+    assert!(f1.ledger.total_faults() > 0, "faults must fire");
     // The merged ledger is exactly the shard-order fold of the per-shard
     // slices: re-deriving it from a fresh sequential run agrees.
     let total: u64 = OpClass::ALL.iter().map(|&c| f1.ledger.latency.ops(c)).sum();
@@ -287,13 +247,8 @@ struct Reused {
 
 type ShardOutcomes = Vec<(Status, Vec<u8>)>;
 
-fn run_reused(
-    workers: usize,
-    lookahead: u32,
-    quantum: SimTime,
-    bandwidth: Option<Bandwidth>,
-) -> Reused {
-    let mut sim = engine(workers, lookahead, quantum, bandwidth);
+fn run_reused(workers: usize, quantum: SimTime, bandwidth: Option<Bandwidth>) -> Reused {
+    let mut sim = engine(workers, quantum, bandwidth);
     sim.set_record_outcomes(true);
     // 20 Mops offered over ten shards: under capacity, so the open-loop
     // run is paced by its schedule, not by the clocks the first run left.
@@ -373,7 +328,7 @@ fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
             GOLDEN_LATER_STARVED,
         ),
     ] {
-        let base = run_reused(1, 1, quantum, bandwidth);
+        let base = run_reused(1, quantum, bandwidth);
         assert_eq!(
             fingerprint(&base.reports[0]),
             golden,
@@ -400,16 +355,13 @@ fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
                 "a 0.4 GB/s host must oversubscribe: {last:?}"
             );
         }
-        for lookahead in [1u32, 4] {
-            for workers in [1usize, 2, 8] {
-                let r = run_reused(workers, lookahead, quantum, bandwidth);
-                assert!(
-                    base == r,
-                    "reused engine diverged at workers={workers} lookahead={lookahead} \
-                     quantum={quantum:?} starved={}",
-                    bandwidth.is_some()
-                );
-            }
+        for workers in [1usize, 2, 8] {
+            let r = run_reused(workers, quantum, bandwidth);
+            assert!(
+                base == r,
+                "reused engine diverged at workers={workers} quantum={quantum:?} starved={}",
+                bandwidth.is_some()
+            );
         }
     }
 }
@@ -485,7 +437,7 @@ fn open_loop_runs_reproduce_their_recorded_fingerprints() {
         (SimTime::from_us(8), GOLDEN_PAR_OPEN_Q8),
     ] {
         for workers in [1usize, 2] {
-            let mut par = engine(workers, 1, quantum, None);
+            let mut par = engine(workers, quantum, None);
             par.set_record_outcomes(true);
             let r = par.run_open(&sched);
             let shards: Vec<String> = (0..par.shards())
