@@ -20,6 +20,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use kvd_hash::hashing::{hash_key, KeyHashes};
 use kvd_hash::{HashError, HashTable, HashTableConfig};
 use kvd_mem::MemoryEngine;
 use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
@@ -53,8 +54,8 @@ impl HotKeyRollup {
         }
     }
 
-    fn observe(&mut self, key: &[u8]) {
-        self.rollup.observe(kvd_hash::hashing::primary_hash(key));
+    fn observe(&mut self, key_hash: u64) {
+        self.rollup.observe(key_hash);
         self.since_halve += 1;
         if self.since_halve >= self.cfg.halve_every {
             self.rollup.halve();
@@ -66,16 +67,14 @@ impl HotKeyRollup {
     /// (`count - err`) must reach `min_share` of observed traffic, so a
     /// spread key that merely inherited a displaced slot's inflated count
     /// is never shed by mistake.
-    fn is_hot(&self, key: &[u8]) -> bool {
+    fn is_hot(&self, key_hash: u64) -> bool {
         let total = self.rollup.total();
         if total == 0 {
             return false;
         }
-        self.rollup
-            .estimate(kvd_hash::hashing::primary_hash(key))
-            .is_some_and(|e| {
-                e.count.saturating_sub(e.err) as f64 >= self.cfg.min_share * total as f64
-            })
+        self.rollup.estimate(key_hash).is_some_and(|e| {
+            e.count.saturating_sub(e.err) as f64 >= self.cfg.min_share * total as f64
+        })
     }
 }
 
@@ -148,8 +147,8 @@ pub struct KvProcessor<M: MemoryEngine> {
     station: ReservationStation,
     registry: LambdaRegistry,
     /// Issued operations awaiting their memory access, oldest first:
-    /// `(request index, station slot)`.
-    inflight: VecDeque<(usize, usize)>,
+    /// `(request index, station slot, the key's hashes)`.
+    inflight: VecDeque<(usize, usize, KeyHashes)>,
     pipeline_depth: usize,
     faults: FaultPlane,
     fault_retry_limit: u32,
@@ -258,6 +257,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// clean forwarding caches (which hold values, not stamps) are
     /// dropped — but only once a lifecycle stamp has actually been seen,
     /// so stampless workloads keep bit-identical forwarding behaviour.
+    #[inline]
     pub fn set_now(&mut self, now: SimTime) {
         self.now = now;
         let tick = kvd_hash::tick_of_us(now.as_ps() / 1_000_000);
@@ -273,6 +273,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// (decode backlog in station-capacities, tag-pool fill, host-arbiter
     /// stretch); the admission decision takes the worst of this and the
     /// live station occupancy.
+    #[inline]
     pub fn set_external_pressure(&mut self, pressure: f64) {
         self.external_pressure = pressure;
     }
@@ -330,6 +331,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     }
 
     /// The hash table.
+    #[inline]
     pub fn table(&self) -> &HashTable<M> {
         &self.table
     }
@@ -363,6 +365,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// Executes one borrowed request into a caller-owned response: the
     /// core, called with one request. A caller that loops with one
     /// `KvResponse` runs the steady-state path without a heap allocation.
+    #[inline]
     pub fn execute_one_into(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse) {
         self.run(std::slice::from_ref(&req), std::slice::from_mut(resp));
     }
@@ -402,8 +405,11 @@ impl<M: MemoryEngine> KvProcessor<M> {
         i: usize,
     ) {
         let req = requests.get(i);
+        // The key is hashed here, once: the station slot, the hot-key
+        // rollup and the table's bucket and slot tag all come from `h`.
+        let h = hash_key(req.key);
         self.ledger.core.requests += 1;
-        let update = match self.overload_gate(req) {
+        let update = match self.overload_gate(req, h.primary) {
             None => self.decode(req),
             Some(shed) => Err(shed),
         };
@@ -425,7 +431,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
             (OpCode::Put | OpCode::Delete, None) => OpRef::Delete,
             _ => OpRef::Get,
         };
-        let slot = self.station.slot_of(req.key);
+        let slot = self.station.slot_for(h.station);
         loop {
             match self.station.probe(slot, req.key) {
                 Probe::Hit => {
@@ -445,7 +451,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
                             value,
                         );
                     }
-                    self.inflight.push_back((i, slot));
+                    self.inflight.push_back((i, slot, h));
                     if self.inflight.len() >= self.pipeline_depth {
                         self.retire_one(requests, responses);
                     }
@@ -469,7 +475,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// degraded read-only mode sheds allocating writes next, and the
     /// watermark admission controller sees only requests that could
     /// actually execute.
-    fn overload_gate(&mut self, req: KvRequestRef<'_>) -> Option<Status> {
+    fn overload_gate(&mut self, req: KvRequestRef<'_>, key_hash: u64) -> Option<Status> {
         if req.deadline_us != 0 && self.now > SimTime::from_us(req.deadline_us as u64) {
             self.ledger.core.shed_expired += 1;
             return Some(Status::Expired);
@@ -495,7 +501,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
         }
         if let Some(ac) = &mut self.admission {
             if let Some(hk) = &mut self.hot_keys {
-                hk.observe(req.key);
+                hk.observe(key_hash);
             }
             let pressure = self.station.occupancy().max(self.external_pressure);
             let was_shedding = ac.is_shedding();
@@ -509,7 +515,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
                 // overload; the spread traffic keeps flowing. At or above
                 // severe the carve-out vanishes and everything sheds.
                 match self.hot_keys.as_ref().filter(|hk| pressure < hk.cfg.severe) {
-                    Some(hk) if hk.is_hot(req.key) => {
+                    Some(hk) if hk.is_hot(key_hash) => {
                         self.ledger.cache.hot_key_sheds += 1;
                         self.ledger.core.shed_overload += 1;
                         return Some(Status::Overloaded);
@@ -627,7 +633,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
         requests: &R,
         responses: &mut [KvResponse],
     ) {
-        let Some((mut idx, slot)) = self.inflight.pop_front() else {
+        let Some((mut idx, slot, mut h)) = self.inflight.pop_front() else {
             return;
         };
         loop {
@@ -644,7 +650,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
                 answer(&mut responses[idx], Status::DeviceError);
                 self.station.release(slot);
             } else {
-                self.execute(requests.get(idx), &mut responses[idx], slot);
+                self.execute(requests.get(idx), h, &mut responses[idx], slot);
             }
             let (registry, ledger, detail) = (&self.registry, &mut self.ledger, self.ledger_detail);
             count_retired(ledger, detail, responses[idx].status);
@@ -665,7 +671,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
                     value,
                 );
             }
-            idx = op.id as usize;
+            (idx, h) = (op.id as usize, hash_key(&op.key));
             self.station.recycle(op);
         }
     }
@@ -673,11 +679,11 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// Runs one issued request against the hash table — the only place a
     /// request reaches it — answers it, and installs the key's value
     /// after the operation as the slot's forwarding entry.
-    fn execute(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse, slot: usize) {
+    fn execute(&mut self, req: KvRequestRef<'_>, h: KeyHashes, resp: &mut KvResponse, slot: usize) {
         let key = req.key;
         match req.op {
             OpCode::Get | OpCode::Reduce | OpCode::Filter => {
-                let hit = self.table.get_into(key, &mut resp.value).is_some();
+                let (hit, _) = self.table.get_hashed(key, h, &mut resp.value);
                 self.station
                     .install(slot, key, hit.then_some(resp.value.as_slice()));
                 if !hit {
@@ -690,7 +696,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
                 }
             }
             OpCode::Put if !self.table.stamp_dead(req.expiry_tick) => {
-                let status = match self.table.put_ttl(key, req.value, req.expiry_tick) {
+                let status = match self.table.put_hashed(key, h, req.value, req.expiry_tick) {
                     Ok(_replaced) => {
                         self.station.install(slot, key, Some(req.value));
                         Status::Ok
@@ -709,7 +715,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
             // A dead-on-arrival PUT runs as a delete; its response is the
             // PUT's Ok, not the delete's found/not-found.
             OpCode::Put | OpCode::Delete => {
-                let existed = self.table.delete(key);
+                let (existed, _) = self.table.delete_hashed(key, h);
                 self.station.install(slot, key, None);
                 let ok = existed || req.op == OpCode::Put;
                 answer(resp, if ok { Status::Ok } else { Status::NotFound });
@@ -931,6 +937,27 @@ mod tests {
         assert_eq!(s.requests, 5);
         assert_eq!(s.puts, 2);
         assert_eq!(s.reads, 3);
+    }
+
+    #[test]
+    fn station_slot_comes_from_the_one_key_hash() {
+        // `admit` derives the slot from the hashes it already holds;
+        // `slot_of`, which the owned forms and the trace binary call with a
+        // key, must land on the same slot — by mask and by remainder.
+        for hash_slots in [1024usize, 1000] {
+            let rs = ReservationStation::new(StationConfig {
+                hash_slots,
+                capacity: 256,
+            });
+            for i in 0..2000u64 {
+                let keys = [i.to_le_bytes().to_vec(), format!("k{i:012}").into_bytes()];
+                for key in keys {
+                    let station = hash_key(&key).station;
+                    assert_eq!(rs.slot_of(&key), rs.slot_for(station));
+                    assert_eq!(rs.slot_of(&key), (station % hash_slots as u64) as usize);
+                }
+            }
+        }
     }
 
     #[test]

@@ -193,6 +193,9 @@ pub struct SystemSim {
 struct OpLoad {
     /// Index of the request in the lent stream.
     idx: usize,
+    /// What pass 3 needs of the request, so it does not rebuild it.
+    op: OpCode,
+    deadline_us: u32,
     t: SimTime,
     dma_reads: u64,
     dram_reads: u64,
@@ -583,6 +586,8 @@ impl SystemSim {
                     }
                     self.loads.push(OpLoad {
                         idx: i,
+                        op: req.op,
+                        deadline_us: req.deadline_us,
                         t: decode_done,
                         dma_reads: after.dma_reads - before.dma_reads,
                         dram_reads: after.dram_reads - before.dram_reads,
@@ -689,35 +694,31 @@ impl SystemSim {
                     Status::Overloaded => self.shed_ops += 1,
                     Status::Expired => self.expired_ops += 1,
                     _ => {
-                        let req = reqs.get(i);
+                        let load = load.expect("an answered op was executed");
                         let issued = reqs.arrival(i).unwrap_or(start);
                         let lat = resp_arrive.saturating_sub(issued);
                         // Per-component attribution: the processor, PCIe
                         // and DRAM shares are the op's measured service
                         // terms; the remainder (wire serialization,
                         // propagation, batch skew) is the network's.
-                        if let Some(load) = load {
-                            let proc = load.proc_ps;
-                            let pcie = load.pcie_ps;
-                            let dram = load.dram_ps;
-                            let net = lat.as_ps().saturating_sub(proc + pcie + dram);
-                            let class = match req.op {
-                                OpCode::Put => OpClass::Put,
-                                OpCode::Get => OpClass::Get,
-                                _ => OpClass::Other,
-                            };
-                            self.ledger.latency.record(class, [net, pcie, dram, proc]);
-                        }
+                        let (proc, pcie, dram) = (load.proc_ps, load.pcie_ps, load.dram_ps);
+                        let net = lat.as_ps().saturating_sub(proc + pcie + dram);
+                        let class = match load.op {
+                            OpCode::Put => OpClass::Put,
+                            OpCode::Get => OpClass::Get,
+                            _ => OpClass::Other,
+                        };
+                        self.ledger.latency.record(class, [net, pcie, dram, proc]);
                         // Tiny deterministic jitter spreads ties for
                         // percentile resolution (scheduling noise
                         // stand-in).
                         let jitter = SimTime::from_ps(self.rng.u64_below(50_000));
-                        if req.op == OpCode::Put {
+                        if load.op == OpCode::Put {
                             self.put_hist.record_time(lat + jitter);
                         } else {
                             self.get_hist.record_time(lat + jitter);
                         }
-                        let deadline = req.deadline_us;
+                        let deadline = load.deadline_us;
                         let on_time =
                             deadline == 0 || resp_arrive <= SimTime::from_us(u64::from(deadline));
                         if on_time && matches!(status, Status::Ok | Status::NotFound) {

@@ -197,6 +197,7 @@ pub struct RawEntries<'a> {
 
 impl<'a> RawEntries<'a> {
     /// Starts a walk over `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8; BUCKET_BYTES]) -> Self {
         RawEntries {
             bytes,
@@ -211,6 +212,7 @@ impl<'a> RawEntries<'a> {
 impl<'a> Iterator for RawEntries<'a> {
     type Item = RawEntry<'a>;
 
+    #[inline(always)] // `#[inline]` alone leaves one call per entry of every bucket
     fn next(&mut self) -> Option<RawEntry<'a>> {
         while self.slot < SLOTS_PER_BUCKET {
             let slot = self.slot;

@@ -12,7 +12,7 @@
 use kvd_mem::MemoryEngine;
 use kvd_slab::{SlabAddr, SlabAllocator, SlabClass, SlabConfig, GRANULE};
 
-use crate::hashing::{primary_hash, secondary_hash};
+use crate::hashing::{hash_key, KeyHashes};
 use crate::layout::{Bucket, BUCKET_BYTES, MAX_INLINE_KV};
 use crate::swar::{self, RawEntries, RawEntry};
 
@@ -233,6 +233,7 @@ impl<M: MemoryEngine> HashTable<M> {
     }
 
     /// The underlying memory engine (for access statistics).
+    #[inline]
     pub fn mem(&self) -> &M {
         &self.mem
     }
@@ -273,8 +274,8 @@ impl<M: MemoryEngine> HashTable<M> {
         self.stored_kv_bytes as f64 / self.total_memory as f64
     }
 
-    fn bucket_addr(&self, index: u64) -> u64 {
-        index * BUCKET_BYTES as u64
+    fn bucket_addr(&self, primary: u64) -> u64 {
+        primary % self.n_buckets * BUCKET_BYTES as u64
     }
 
     fn chain_to_addr(&self, ptr: u32) -> u64 {
@@ -302,10 +303,10 @@ impl<M: MemoryEngine> HashTable<M> {
     /// Reads a slab KV record into the table-owned scratch buffer,
     /// returning its key and value lengths.
     fn read_kv_scratch(&mut self, ptr: u32, class: SlabClass, cost: &mut u64) -> (usize, usize) {
-        let addr = self.chain_to_addr(ptr);
-        self.kv_scratch.clear();
-        self.kv_scratch.resize(class.size() as usize, 0);
-        self.mem.read(addr, &mut self.kv_scratch);
+        let (addr, size) = (self.chain_to_addr(ptr), class.size() as usize);
+        // Grow-only, never refilled: the read overwrites all `size` bytes.
+        self.kv_scratch.resize(self.kv_scratch.len().max(size), 0);
+        self.mem.read(addr, &mut self.kv_scratch[..size]);
         *cost += 1;
         let klen = self.kv_scratch[0] as usize;
         let vlen = u16::from_le_bytes([self.kv_scratch[1], self.kv_scratch[2]]) as usize;
@@ -383,14 +384,17 @@ impl<M: MemoryEngine> HashTable<M> {
     /// miss that reclaims the entry in place (bucket write-back + slab
     /// free) — the lazy half of the expiry plane.
     pub fn get_into_with_cost(&mut self, key: &[u8], out: &mut Vec<u8>) -> (bool, OpCost) {
+        self.get_hashed(key, hash_key(key), out)
+    }
+
+    /// [`Self::get_into_with_cost`] for a caller holding `h = hash_key(key)`.
+    pub fn get_hashed(&mut self, key: &[u8], h: KeyHashes, out: &mut Vec<u8>) -> (bool, OpCost) {
         let mut cost = 0u64;
-        let sec = secondary_hash(key);
-        let mut addr = self.bucket_addr(primary_hash(key) % self.n_buckets);
+        let sec = h.secondary;
+        let mut addr = self.bucket_addr(h.primary);
         let mut bytes = [0u8; BUCKET_BYTES];
         loop {
             self.read_bucket_raw(addr, &mut bytes, &mut cost);
-            // All ten tag compares at once; entries below test their bit.
-            let secmask = swar::sec_match_mask(&bytes, sec);
             for e in RawEntries::new(&bytes) {
                 match e {
                     RawEntry::Inline {
@@ -425,7 +429,7 @@ impl<M: MemoryEngine> HashTable<M> {
                         }
                     }
                     RawEntry::Pointer { slot, raw, class } => {
-                        if secmask & (1 << slot) != 0 {
+                        if swar::sec_matches(raw, sec) {
                             // The key is always checked for correctness
                             // (secondary hash can false-positive).
                             let ptr = swar::slot_ptr(raw);
@@ -487,6 +491,7 @@ impl<M: MemoryEngine> HashTable<M> {
 
     /// Looks up `key` into a caller-owned buffer; returns the value
     /// length on a hit.
+    #[inline]
     pub fn get_into(&mut self, key: &[u8], out: &mut Vec<u8>) -> Option<usize> {
         let (hit, _) = self.get_into_with_cost(key, out);
         hit.then_some(out.len())
@@ -517,6 +522,17 @@ impl<M: MemoryEngine> HashTable<M> {
         value: &[u8],
         expiry_tick: u32,
     ) -> Result<OpCost, HashError> {
+        self.put_hashed(key, hash_key(key), value, expiry_tick)
+    }
+
+    /// [`Self::put_with_cost_ttl`] for a caller holding `h = hash_key(key)`.
+    pub fn put_hashed(
+        &mut self,
+        key: &[u8],
+        h: KeyHashes,
+        value: &[u8],
+        expiry_tick: u32,
+    ) -> Result<OpCost, HashError> {
         if key.is_empty() || key.len() > u8::MAX as usize {
             return Err(HashError::KeyTooLarge);
         }
@@ -526,8 +542,8 @@ impl<M: MemoryEngine> HashTable<M> {
         let mut cost = 0u64;
         let kv_len = key.len() + value.len();
         let inline_ok = kv_len <= self.inline_threshold && value.len() <= u8::MAX as usize;
-        let sec = secondary_hash(key);
-        let first_addr = self.bucket_addr(primary_hash(key) % self.n_buckets);
+        let sec = h.secondary;
+        let first_addr = self.bucket_addr(h.primary);
 
         // Phase 1: walk the chain raw, looking for the key and
         // remembering where a new entry could go. Buckets stay in their
@@ -552,7 +568,6 @@ impl<M: MemoryEngine> HashTable<M> {
         let mut bytes = [0u8; BUCKET_BYTES];
         let (last_addr, last_raw) = loop {
             self.read_bucket_raw(addr, &mut bytes, &mut cost);
-            let secmask = swar::sec_match_mask(&bytes, sec);
             let mut found = None;
             for e in RawEntries::new(&bytes) {
                 match e {
@@ -573,7 +588,7 @@ impl<M: MemoryEngine> HashTable<M> {
                         }
                     }
                     RawEntry::Pointer { slot, raw, class } => {
-                        if secmask & (1 << slot) != 0 {
+                        if swar::sec_matches(raw, sec) {
                             let ptr = swar::slot_ptr(raw);
                             let (klen, vlen) = self.read_kv_scratch(ptr, class, &mut cost);
                             if self.scratch_key(klen) == key {
@@ -602,6 +617,7 @@ impl<M: MemoryEngine> HashTable<M> {
                         bucket,
                         slot,
                         key,
+                        sec,
                         value,
                         inline_ok,
                         old_len,
@@ -625,6 +641,7 @@ impl<M: MemoryEngine> HashTable<M> {
                         ptr,
                         class,
                         key,
+                        sec,
                         value,
                         old_len,
                         expiry_tick,
@@ -694,6 +711,7 @@ impl<M: MemoryEngine> HashTable<M> {
         mut bucket: Bucket,
         slot: usize,
         key: &[u8],
+        sec: u16,
         value: &[u8],
         inline_ok: bool,
         old_len: usize,
@@ -715,7 +733,7 @@ impl<M: MemoryEngine> HashTable<M> {
             let slab = self.alloc_kv(key, value)?;
             self.write_kv_data(slab.addr, slab.class, key, value, expiry_tick, &mut cost);
             bucket
-                .insert_pointer(self.addr_to_ptr(slab.addr), secondary_hash(key), slab.class)
+                .insert_pointer(self.addr_to_ptr(slab.addr), sec, slab.class)
                 .expect("removing an inline run frees at least one slot");
             self.write_bucket(addr, &bucket, &mut cost);
         }
@@ -733,6 +751,7 @@ impl<M: MemoryEngine> HashTable<M> {
         ptr: u32,
         class: SlabClass,
         key: &[u8],
+        sec: u16,
         value: &[u8],
         old_len: usize,
         expiry_tick: u32,
@@ -760,7 +779,7 @@ impl<M: MemoryEngine> HashTable<M> {
             // No room inline; fall through to the slab path. The pointer
             // may land in a different slot after reinsertion.
             slot = bucket
-                .insert_pointer(ptr, secondary_hash(key), class)
+                .insert_pointer(ptr, sec, class)
                 .expect("slot was just freed");
         }
         if fits_class(class, key, value) {
@@ -773,7 +792,7 @@ impl<M: MemoryEngine> HashTable<M> {
             self.write_kv_data(slab.addr, slab.class, key, value, expiry_tick, &mut cost);
             bucket.remove(slot);
             bucket
-                .insert_pointer(self.addr_to_ptr(slab.addr), secondary_hash(key), slab.class)
+                .insert_pointer(self.addr_to_ptr(slab.addr), sec, slab.class)
                 .expect("slot was just freed");
             self.write_bucket(addr, &bucket, &mut cost);
             self.alloc.free(SlabAddr {
@@ -826,13 +845,17 @@ impl<M: MemoryEngine> HashTable<M> {
     /// Deletes `key`, returning whether it existed, with the cost. A dead
     /// entry is reclaimed but reported as "did not exist".
     pub fn delete_with_cost(&mut self, key: &[u8]) -> (bool, OpCost) {
+        self.delete_hashed(key, hash_key(key))
+    }
+
+    /// [`Self::delete_with_cost`] for a caller holding `h = hash_key(key)`.
+    pub fn delete_hashed(&mut self, key: &[u8], h: KeyHashes) -> (bool, OpCost) {
         let mut cost = 0u64;
-        let sec = secondary_hash(key);
-        let mut addr = self.bucket_addr(primary_hash(key) % self.n_buckets);
+        let sec = h.secondary;
+        let mut addr = self.bucket_addr(h.primary);
         let mut bytes = [0u8; BUCKET_BYTES];
         loop {
             self.read_bucket_raw(addr, &mut bytes, &mut cost);
-            let secmask = swar::sec_match_mask(&bytes, sec);
             // slot, slab backing to free (if any), logical KV bytes, dead.
             type Found = (usize, Option<(u32, SlabClass)>, usize, bool);
             let mut found: Option<Found> = None;
@@ -851,7 +874,7 @@ impl<M: MemoryEngine> HashTable<M> {
                         }
                     }
                     RawEntry::Pointer { slot, raw, class } => {
-                        if secmask & (1 << slot) != 0 {
+                        if swar::sec_matches(raw, sec) {
                             let ptr = swar::slot_ptr(raw);
                             let (klen, vlen) = self.read_kv_scratch(ptr, class, &mut cost);
                             if self.scratch_key(klen) == key {
@@ -914,11 +937,13 @@ impl<M: MemoryEngine> HashTable<M> {
     }
 
     /// Deletes `key`, returning whether it existed.
+    #[inline]
     pub fn delete(&mut self, key: &[u8]) -> bool {
         self.delete_with_cost(key).0
     }
 
     /// Inserts or replaces `key → value` with a lifecycle stamp.
+    #[inline]
     pub fn put_ttl(
         &mut self,
         key: &[u8],
@@ -934,12 +959,12 @@ impl<M: MemoryEngine> HashTable<M> {
     /// dead (a dead entry is reclaimed on the way out).
     pub fn touch_with_cost(&mut self, key: &[u8], expiry_tick: u32) -> (bool, OpCost) {
         let mut cost = 0u64;
-        let sec = secondary_hash(key);
-        let mut addr = self.bucket_addr(primary_hash(key) % self.n_buckets);
+        let h = hash_key(key);
+        let sec = h.secondary;
+        let mut addr = self.bucket_addr(h.primary);
         let mut bytes = [0u8; BUCKET_BYTES];
         loop {
             self.read_bucket_raw(addr, &mut bytes, &mut cost);
-            let secmask = swar::sec_match_mask(&bytes, sec);
             enum Hit {
                 // Slot index of the inline run start; stamp patched in the
                 // raw image and written back whole.
@@ -977,7 +1002,7 @@ impl<M: MemoryEngine> HashTable<M> {
                         }
                     }
                     RawEntry::Pointer { slot, raw, class } => {
-                        if secmask & (1 << slot) != 0 {
+                        if swar::sec_matches(raw, sec) {
                             let ptr = swar::slot_ptr(raw);
                             let (klen, vlen) = self.read_kv_scratch(ptr, class, &mut cost);
                             if self.scratch_key(klen) == key {
@@ -1052,7 +1077,8 @@ impl<M: MemoryEngine> HashTable<M> {
                     // and rewrite the slab record in place.
                     self.kv_scratch[3..7].copy_from_slice(&expiry_tick.to_le_bytes());
                     let data_addr = self.chain_to_addr(ptr);
-                    self.mem.write(data_addr, &self.kv_scratch);
+                    self.mem
+                        .write(data_addr, &self.kv_scratch[..class.size() as usize]);
                     cost += 1;
                     self.expiry.touches += 1;
                     return (
@@ -1099,9 +1125,8 @@ impl<M: MemoryEngine> HashTable<M> {
         let mut bytes = [0u8; BUCKET_BYTES];
         let mut budget = max_buckets;
         while budget > 0 {
-            let primary = self.sweep_cursor % self.n_buckets;
+            let mut addr = self.bucket_addr(self.sweep_cursor);
             self.sweep_cursor = (self.sweep_cursor + 1) % self.n_buckets;
-            let mut addr = self.bucket_addr(primary);
             // Walk the whole chain of this primary bucket, spending one
             // budget unit per frame; a chain longer than the remaining
             // budget is still finished (bounded by chain length).

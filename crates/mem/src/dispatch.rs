@@ -102,6 +102,7 @@ impl LoadDispatcher {
     }
 
     /// Whether 64 B line `line` belongs to the cacheable portion.
+    #[inline]
     pub fn is_cacheable(&self, line: u64) -> bool {
         if self.cfg.ratio == 0.0 {
             return false;
@@ -114,6 +115,7 @@ impl LoadDispatcher {
 /// address-space region is cacheable in proportion `l`, which is the
 /// paper's requirement for the hash. Public so the adaptive plane can
 /// identify the migration band when the threshold moves.
+#[inline]
 pub fn hash_line(line: u64) -> u64 {
     let mut z = line.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

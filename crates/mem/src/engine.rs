@@ -95,6 +95,7 @@ impl AccessStats {
     }
 
     /// The request counts alone.
+    #[inline]
     pub fn traffic(&self) -> Traffic {
         Traffic {
             dma_reads: self.dma_reads,
@@ -227,6 +228,7 @@ impl MemoryEngine for FlatMemory {
         self.stats
     }
 
+    #[inline]
     fn traffic(&self) -> Traffic {
         self.stats.traffic()
     }
@@ -504,11 +506,6 @@ impl DispatchedMemory {
         self.bypass_threshold = threshold.max(1);
     }
 
-    /// Whether `line` is currently served by the NIC DRAM cache.
-    fn cacheable(&self, line: u64) -> bool {
-        !self.ecc.bypassed && self.dispatcher.is_cacheable(line)
-    }
-
     /// Writes a dirty line's only copy back to host memory over PCIe.
     fn write_back(host: &mut HostMemory, stats: &mut AccessStats, line: u64, bytes: &[u8]) {
         host.write(line * LINE, bytes);
@@ -537,6 +534,7 @@ impl DispatchedMemory {
     /// line is salvaged to host first (it is the only copy), then the line
     /// is refetched so the damaged bits are overwritten. Data survives;
     /// only extra traffic and counters show the event happened.
+    #[cold]
     fn recover_uncorrectable(&mut self, slot: usize, place: &Place, line: u64) {
         self.ecc.uncorrectable += 1;
         let salvaged = self.fetch_into(slot, place, line);
@@ -552,6 +550,7 @@ impl DispatchedMemory {
     /// Retires the NIC DRAM cache after persistent uncorrectable errors:
     /// all dirty lines are flushed to host, then every access goes over
     /// PCIe. The store keeps serving — degraded, not dead.
+    #[cold]
     fn trip_bypass(&mut self) {
         self.ecc.bypassed = true;
         let DispatchedMemory {
@@ -564,26 +563,18 @@ impl DispatchedMemory {
     }
 
     /// Feeds the adaptive plane one line access: sketch observation,
-    /// heavy-hitter rollup, and the epoch tick that drives retuning.
-    /// No-op when the plane is off or the cache is bypassed.
-    fn observe_line(&mut self, line: u64) {
-        if self.ecc.bypassed {
-            return;
-        }
-        let retune_due = match &mut self.adaptive {
-            None => return,
-            Some(ad) => {
-                if ad.sketch.observe(line) {
-                    self.cache_stats.sketch_samples += 1;
-                    ad.hot.observe(line);
-                }
-                ad.epoch_ticks += 1;
-                ad.epoch_ticks >= ad.cfg.epoch_accesses
-            }
+    /// heavy-hitter rollup, and the epoch tick. Returns whether that tick
+    /// makes a [`retune`](Self::retune) due.
+    fn observe_line(&mut self, line: u64) -> bool {
+        let Some(ad) = &mut self.adaptive else {
+            return false;
         };
-        if retune_due {
-            self.retune();
+        if ad.sketch.observe(line) {
+            self.cache_stats.sketch_samples += 1;
+            ad.hot.observe(line);
         }
+        ad.epoch_ticks += 1;
+        ad.epoch_ticks >= ad.cfg.epoch_accesses
     }
 
     /// One retune step: re-solve the balance equation with the epoch's
@@ -591,6 +582,7 @@ impl DispatchedMemory {
     /// toward the optimum (with hysteresis), and retire the lines whose
     /// cacheability changed — dirty ones written back, nothing flushed
     /// wholesale.
+    #[cold]
     fn retune(&mut self) {
         let ad = self
             .adaptive
@@ -674,127 +666,174 @@ impl DispatchedMemory {
 
     /// Serves a rejected or degraded access over PCIe as one DMA request
     /// of its own.
-    fn pcie_direct(&mut self, addr: u64, io: Io<'_>) {
-        let mut run = io.len() as u64;
-        self.flush_pcie_run(&mut run, io.kind());
+    fn pcie_direct(&mut self, addr: u64, io: Io<'_>, pass: &mut Pass) {
+        debug_assert_eq!(pass.run, 0, "a cacheable line closes the run before it");
+        pass.run = io.len() as u64;
+        self.settle(pass);
         io.transfer(&mut self.host, addr);
+    }
+
+    /// A miss on cacheable `line`: picks and fills a slot, unless
+    /// admission rejects the line (`None`: serve it over PCIe, pollute
+    /// nothing).
+    fn fill(&mut self, line: u64, place: &Place, faulty: bool) -> Option<usize> {
+        self.stats.cache_misses += 1;
+        if faulty && self.faults.host_stall() {
+            self.ecc.host_stalls += 1;
+        }
+        let slot = place.way(self.admit(line, place)?);
+        if let Some(victim) = self.fetch_into(slot, place, line) {
+            self.stats.conflict_fills += 1;
+            self.stats.evict_dirty += u64::from(victim.dirty);
+            self.stats.evict_clean += u64::from(!victim.dirty);
+        }
+        self.cache_stats.admitted_fills += 1;
+        Some(slot)
     }
 
     /// Serves the part of an access that falls in cacheable `line` (at
     /// `addr`) through the NIC DRAM: the line is resolved once, filled on
     /// an admitted miss, and `io` is copied between the caller's buffer
     /// and the cache slot itself.
-    fn cache_io(&mut self, line: u64, addr: u64, io: Io<'_>) {
+    #[inline]
+    fn cache_io(&mut self, line: u64, addr: u64, io: Io<'_>, pass: &mut Pass) {
         let place = self.cache.locate(line);
         let slot = match place.slot {
             Some(slot) => {
-                self.stats.cache_hits += 1;
+                pass.hits += 1;
                 slot
             }
-            None => {
-                self.stats.cache_misses += 1;
-                if self.faults.host_stall() {
-                    self.ecc.host_stalls += 1;
-                }
-                let Some(way) = self.admit(line, &place) else {
-                    // Admission rejected: a miss served over PCIe
-                    // without polluting the cache.
-                    return self.pcie_direct(addr, io);
-                };
-                let slot = place.way(way);
-                if let Some(victim) = self.fetch_into(slot, &place, line) {
-                    self.stats.conflict_fills += 1;
-                    if victim.dirty {
-                        self.stats.evict_dirty += 1;
-                    } else {
-                        self.stats.evict_clean += 1;
-                    }
-                }
-                self.cache_stats.admitted_fills += 1;
-                slot
-            }
+            None => match self.fill(line, &place, pass.faulty) {
+                Some(slot) => slot,
+                None => return self.pcie_direct(addr, io, pass),
+            },
         };
         // The DRAM access may trip an ECC event on the stored line.
-        match self.faults.dram_fault() {
-            DramFault::None => {}
-            DramFault::Corrected => self.ecc.corrected += 1,
-            DramFault::Uncorrectable => self.recover_uncorrectable(slot, &place, line),
+        if pass.faulty {
+            match self.faults.dram_fault() {
+                DramFault::None => {}
+                DramFault::Corrected => self.ecc.corrected += 1,
+                DramFault::Uncorrectable => self.recover_uncorrectable(slot, &place, line),
+            }
+            if self.ecc.bypassed {
+                // The breaker tripped on this very access. Recovery left
+                // the line clean (host copy authoritative), so serve the
+                // access over PCIe like every line from now on.
+                (pass.cached, pass.observing) = (false, false);
+                return self.pcie_direct(addr, io, pass);
+            }
         }
-        if self.ecc.bypassed {
-            // The breaker tripped on this very access. Recovery left
-            // the line clean (host copy authoritative), so serve the
-            // access over PCIe like every access from now on.
-            return self.pcie_direct(addr, io);
-        }
+        pass.dram_ops += 1;
         let in_line = (addr % LINE) as usize;
         match io {
             Io::Read(buf) => {
-                self.stats.dram_reads += 1;
-                buf.copy_from_slice(&self.cache.line(slot)[in_line..in_line + buf.len()]);
+                buf.copy_from_slice(&self.cache.line(slot)[in_line..in_line + buf.len()])
             }
             Io::Write(data) => {
-                self.cache.line_mut(slot)[in_line..in_line + data.len()].copy_from_slice(data);
-                self.stats.dram_writes += 1;
+                self.cache.line_mut(slot)[in_line..in_line + data.len()].copy_from_slice(data)
             }
         }
     }
 
+    /// One line's share of an access, at `addr`. Feed the adaptive plane
+    /// first — it may retune, which moves the dispatch threshold and
+    /// retires lines — and only then decide, once, which device serves
+    /// the line. Cacheable lines go through the cache individually;
+    /// non-cacheable runs coalesce into DMA requests of up to
+    /// [`MAX_DMA_PAYLOAD`].
+    #[inline]
+    fn line_io(&mut self, addr: u64, io: Io<'_>, pass: &mut Pass) {
+        let line = addr / LINE;
+        if pass.observing && self.observe_line(line) {
+            // The retune reads the epoch's hit rate.
+            self.stats.cache_hits += std::mem::take(&mut pass.hits);
+            self.retune();
+        }
+        if pass.cached && self.dispatcher.is_cacheable(line) {
+            if pass.run != 0 {
+                self.settle(pass);
+            }
+            self.cache_io(line, addr, io, pass);
+        } else {
+            // Straight to host over PCIe.
+            if pass.faulty && self.faults.host_stall() {
+                self.ecc.host_stalls += 1;
+            }
+            pass.run += io.len() as u64;
+            io.transfer(&mut self.host, addr);
+        }
+    }
+
+    #[inline]
     fn access(&mut self, addr: u64, mut io: Io<'_>) {
         let len = io.len();
         assert!(
-            addr + len as u64 <= self.host.capacity(),
+            addr.checked_add(len as u64)
+                .is_some_and(|end| end <= self.host.capacity()),
             "access out of bounds"
         );
-        // Split the range into 64B lines. Per line: feed the adaptive
-        // plane first — it may retune, which moves the dispatch threshold
-        // and retires lines — and only then decide, once, which device
-        // serves the line. Cacheable lines go through the cache
-        // individually; non-cacheable runs coalesce into DMA requests of
-        // up to MAX_DMA_PAYLOAD.
-        let kind = io.kind();
-        let mut off = 0usize;
-        let mut pcie_run = 0u64; // bytes of the current non-cacheable run
-        while off < len {
-            let a = addr + off as u64;
-            let line = a / LINE;
-            let n = (LINE as usize - (a % LINE) as usize).min(len - off);
-            let part = io.part(off, n);
-            self.observe_line(line);
-            if self.cacheable(line) {
-                self.flush_pcie_run(&mut pcie_run, kind);
-                self.cache_io(line, a, part);
-            } else {
-                // Straight to host over PCIe.
-                if self.faults.host_stall() {
-                    self.ecc.host_stalls += 1;
-                }
-                part.transfer(&mut self.host, a);
-                pcie_run += n as u64;
+        // What no line of one access can change is read once; the breaker
+        // is read again only where a fault draw could have tripped it.
+        let cached = !self.ecc.bypassed;
+        let mut pass = Pass {
+            kind: io.kind(),
+            faulty: self.faults.enabled(),
+            observing: cached && self.adaptive.is_some(),
+            cached,
+            run: 0,
+            hits: 0,
+            dram_ops: 0,
+        };
+        if len != 0 && (addr % LINE) as usize + len <= LINE as usize {
+            // Inside one line (every bucket, every inline KV): no split.
+            self.line_io(addr, io, &mut pass);
+        } else {
+            let mut off = 0usize;
+            while off < len {
+                let a = addr + off as u64;
+                let n = (LINE as usize - (a % LINE) as usize).min(len - off);
+                self.line_io(a, io.part(off, n), &mut pass);
+                off += n;
             }
-            off += n;
         }
-        self.flush_pcie_run(&mut pcie_run, kind);
+        self.settle(&mut pass);
     }
 
-    /// Accounts the DMA requests for a completed run of non-cacheable
-    /// bytes.
-    fn flush_pcie_run(&mut self, run: &mut u64, kind: AccessKind) {
-        if *run == 0 {
-            return;
-        }
-        let requests = run.div_ceil(MAX_DMA_PAYLOAD);
-        match kind {
+    /// Folds an access's tallies into the statistics: the completed run of
+    /// non-cacheable bytes as DMA requests, the cache hits and the DRAM
+    /// line operations.
+    fn settle(&mut self, pass: &mut Pass) {
+        let requests = pass.run.div_ceil(MAX_DMA_PAYLOAD);
+        let s = &mut self.stats;
+        s.cache_hits += pass.hits;
+        match pass.kind {
             AccessKind::Read => {
-                self.stats.dma_reads += requests;
-                self.stats.dma_read_bytes += *run;
+                s.dma_reads += requests;
+                s.dma_read_bytes += pass.run;
+                s.dram_reads += pass.dram_ops;
             }
             AccessKind::Write => {
-                self.stats.dma_writes += requests;
-                self.stats.dma_write_bytes += *run;
+                s.dma_writes += requests;
+                s.dma_write_bytes += pass.run;
+                s.dram_writes += pass.dram_ops;
             }
         }
-        *run = 0;
+        (pass.run, pass.hits, pass.dram_ops) = (0, 0, 0);
     }
+}
+
+/// What [`DispatchedMemory::access`] reads once and tallies until it settles.
+struct Pass {
+    kind: AccessKind,
+    /// Some fault channel can fire (a zero-rate plane draws nothing).
+    faulty: bool,
+    /// The breaker has not retired the cache — and the adaptive plane is on.
+    cached: bool,
+    observing: bool,
+    /// Bytes of the current non-cacheable run, cache hits, DRAM line operations.
+    run: u64,
+    hits: u64,
+    dram_ops: u64,
 }
 
 /// One access's caller-side buffer: filled by a read, drained by a write.
@@ -852,6 +891,7 @@ impl MemoryEngine for DispatchedMemory {
         self.stats
     }
 
+    #[inline]
     fn traffic(&self) -> Traffic {
         self.stats.traffic()
     }
@@ -1496,6 +1536,121 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.dram_reads + s.dram_writes, dram_ops_at_trip);
         assert!(m.ecc().uncorrectable >= 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn access_end_overflow_is_out_of_bounds() {
+        // `addr + len` wraps past zero, so a plain add passes the check in
+        // a release build. The first such access still dies, in the host
+        // page lookup of its fill — after the slot was retagged with a
+        // truncated tag; the second one *hits* that slot and is served
+        // another line's bytes. Hence twice per engine, every shape; three
+        // are caught so that the fourth can be the test's own panic.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let twice = |ratio: f64, write: bool| {
+            let mut m = dispatched(ratio);
+            let mut wrapped = move || match write {
+                true => m.write(u64::MAX - 3, &[0u8; 8]),
+                false => m.read(u64::MAX - 3, &mut [0u8; 8]),
+            };
+            let first = catch_unwind(AssertUnwindSafe(&mut wrapped));
+            assert!(first.is_err(), "first access went through");
+            wrapped()
+        };
+        for (ratio, write) in [(0.0, false), (0.0, true), (1.0, true)] {
+            let second = catch_unwind(|| twice(ratio, write));
+            assert!(second.is_err(), "second access went through");
+        }
+        twice(1.0, false);
+    }
+
+    /// Drives `split` with one seeded trace of reads and writes of up to
+    /// four lines, handing it each access whole; returns everything the
+    /// engine exposes plus a digest of the bytes read.
+    fn drive_split(
+        mut m: DispatchedMemory,
+        split: impl Fn(&mut DispatchedMemory, u64, Io<'_>),
+    ) -> (AccessStats, CacheStats, EccStats, OpLedger, u64, u64) {
+        let mut rng = kvd_sim::DetRng::seed(0x5EED_11FE);
+        let (mut buf, mut digest) = ([0u8; 256], 0u64);
+        for _ in 0..6000 {
+            // A small working set, so lines are re-read, dirtied, evicted.
+            let addr = rng.u64_below(48 << 10) * 5 % ((1 << 20) - 256);
+            let len = 1 + rng.usize_below(256);
+            if rng.chance(0.4) {
+                rng.fill_bytes(&mut buf[..len]);
+                split(&mut m, addr, Io::Write(&buf[..len]));
+            } else {
+                split(&mut m, addr, Io::Read(&mut buf[..len]));
+                for &b in &buf[..len] {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+        }
+        let ratio = m.dispatcher().ratio().to_bits();
+        let faults = m.faults().ledger().clone();
+        (m.stats(), m.cache_stats(), *m.ecc(), faults, ratio, digest)
+    }
+
+    #[test]
+    fn single_line_path_and_line_loop_agree() {
+        // The same trace twice: each access issued whole (more than one
+        // line: the loop), and split by hand at line boundaries into
+        // pieces that each lie inside one line (the straight path).
+        let whole = |m: &mut DispatchedMemory, addr: u64, io: Io<'_>| m.access(addr, io);
+        let by_hand = |m: &mut DispatchedMemory, addr: u64, mut io: Io<'_>| {
+            let (len, mut off) = (io.len(), 0usize);
+            while off < len {
+                let a = addr + off as u64;
+                let n = (LINE as usize - (a % LINE) as usize).min(len - off);
+                m.access(a, io.part(off, n));
+                off += n;
+            }
+        };
+        let rates = kvd_sim::FaultRates {
+            dram_bit_error: 0.05,
+            dram_uncorrectable: 0.2,
+            host_stall: 0.1,
+            ..kvd_sim::FaultRates::ZERO
+        };
+        // Everything cacheable, adaptive plane on (sketch, admission and
+        // the starvation hatch run; the clamp pins the ratio): no
+        // non-cacheable run exists to coalesce, so every counter agrees.
+        let adaptive_all_cacheable = || {
+            let mut m = dispatched_faulty(1.0, rates, 21);
+            m.set_bypass_threshold(u64::MAX);
+            let mut cfg = AdaptiveCacheConfig::data_path(5);
+            (cfg.epoch_accesses, cfg.min_ratio, cfg.max_ratio) = (512, 1.0, 1.0);
+            m.set_adaptive(cfg);
+            m
+        };
+        let (a, b) = (
+            drive_split(adaptive_all_cacheable(), whole),
+            drive_split(adaptive_all_cacheable(), by_hand),
+        );
+        assert!(a.1.rejected_fills > 0 && a.2.uncorrectable > 0 && a.2.host_stalls > 0);
+        assert_eq!(a, b);
+        // Retuning dispatch with the breaker tripping mid-trace: whole
+        // accesses coalesce non-cacheable runs into fewer DMA requests
+        // than the pieces, and nothing else may differ.
+        let retuning = || {
+            let mut m = dispatched_faulty(0.5, rates, 22);
+            m.set_bypass_threshold(60);
+            let mut cfg = AdaptiveCacheConfig::data_path(6);
+            cfg.epoch_accesses = 512;
+            m.set_adaptive(cfg);
+            m
+        };
+        let (mut a, mut b) = (
+            drive_split(retuning(), whole),
+            drive_split(retuning(), by_hand),
+        );
+        assert!(a.1.retune_steps > 0 && a.2.bypassed);
+        assert!(a.0.dma_reads < b.0.dma_reads && a.0.dma_writes < b.0.dma_writes);
+        (a.0.dma_reads, a.0.dma_writes) = (0, 0);
+        (b.0.dma_reads, b.0.dma_writes) = (0, 0);
+        assert_eq!(a, b);
     }
 
     #[test]

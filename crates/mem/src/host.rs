@@ -90,6 +90,7 @@ impl HostMemory {
     /// # Panics
     ///
     /// Panics if the range exceeds capacity.
+    #[inline]
     pub fn read(&self, mut addr: u64, mut buf: &mut [u8]) {
         self.check_range(addr, buf.len());
         while !buf.is_empty() {
@@ -112,6 +113,7 @@ impl HostMemory {
     /// # Panics
     ///
     /// Panics if the range exceeds capacity.
+    #[inline]
     pub fn write(&mut self, mut addr: u64, mut data: &[u8]) {
         self.check_range(addr, data.len());
         while !data.is_empty() {

@@ -54,12 +54,12 @@ impl NicDramConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LineMeta {
-    tag: u8,
-    dirty: bool,
-    valid: bool,
-}
+/// A way's [`ECC_SPARE_BITS`] are the byte `tag << 2 | DIRTY | VALID`; a
+/// set's four make one `u32`, way 0 lowest: one load, one compare per lookup.
+const VALID: u32 = 1;
+const DIRTY: u32 = 2;
+/// Times a byte value: that value in every way's byte.
+const WAYWISE: u32 = 0x0101_0101;
 
 /// Where a host line lives, or would live, in the cache: its set, its
 /// tag and — if it is resident — its slot. [`NicDram::locate`] is the one
@@ -142,9 +142,8 @@ pub struct Victim {
 pub struct NicDram {
     cfg: NicDramConfig,
     sets: u64,
-    /// `sets * WAYS` entries, way-major within a set
-    /// (`meta[set * WAYS + way]`).
-    meta: Vec<LineMeta>,
+    /// One packed word per set (see [`VALID`]).
+    meta: Vec<u32>,
     data: Vec<u8>,
     /// Per-set round-robin replacement cursor.
     rr: Vec<u8>,
@@ -180,17 +179,11 @@ impl NicDram {
         );
         // Initialization stays zero-coherent without any flush: way `w` of
         // every set holds tag `w`, valid and clean, all-zero data — the
-        // first `capacity` bytes of a zero-initialized host memory.
-        let meta = (0..slots)
-            .map(|i| LineMeta {
-                tag: (i % WAYS as u64) as u8,
-                dirty: false,
-                valid: true,
-            })
-            .collect();
+        // first `capacity` bytes of a zero-initialized host memory
+        // (bytes `w << 2 | VALID`: 0x01, 0x05, 0x09, 0x0D).
         NicDram {
             sets,
-            meta,
+            meta: vec![0x0D09_0501; sets as usize],
             data: vec![0; cfg.capacity as usize],
             rr: vec![0; sets as usize],
             cfg,
@@ -203,37 +196,51 @@ impl NicDram {
     }
 
     /// Resolves `host_line` to its set, tag and — if resident — slot.
+    #[inline]
     pub fn locate(&self, host_line: u64) -> Place {
-        let tag = host_line / self.sets;
-        debug_assert!(tag <= u8::MAX as u64, "tag overflow");
-        let (base, tag) = ((host_line % self.sets) as usize * WAYS, tag as u8);
-        let slot = (base..base + WAYS).find(|&s| {
-            let m = &self.meta[s];
-            m.valid && m.tag == tag
-        });
+        // Every `with_memory` size gives a power of two: shift and mask.
+        let sets = self.sets;
+        let (set, tag) = if sets.is_power_of_two() {
+            (host_line & (sets - 1), host_line >> sets.trailing_zeros())
+        } else {
+            (host_line % sets, host_line / sets)
+        };
+        debug_assert!(tag < 1 << (ECC_SPARE_BITS - 2), "tag overflow");
+        // A valid way holding `tag`, dirty or not, XORs to a zero byte; the
+        // borrow trick is exact for the lowest one.
+        let want = ((tag as u32) << 2 | VALID) * WAYWISE;
+        let x = (self.meta[set as usize] & !(DIRTY * WAYWISE)) ^ want;
+        let hit = x.wrapping_sub(WAYWISE) & !x & (0x80 * WAYWISE);
+        let (base, tag) = (set as usize * WAYS, tag as u8);
+        let slot = (hit != 0).then(|| base + hit.trailing_zeros() as usize / 8);
         Place { base, tag, slot }
     }
 
-    /// The host line a valid slot holds.
-    fn line_of(&self, slot: usize) -> u64 {
-        self.meta[slot].tag as u64 * self.sets + (slot / WAYS) as u64
+    /// The metadata byte of `slot` and the host line it names if valid.
+    #[inline]
+    fn resident(&self, slot: usize) -> (u32, u64) {
+        let meta = self.meta[slot / WAYS] >> (slot % WAYS * 8) & 0xFF;
+        (meta, (meta >> 2) as u64 * self.sets + (slot / WAYS) as u64)
     }
 
     /// The host lines resident in `place`'s set, by way (`None` for
     /// invalid ways) — the candidates a frequency-aware replacement
     /// policy compares against.
+    #[inline]
     pub fn occupants(&self, place: &Place) -> [Option<u64>; WAYS] {
         std::array::from_fn(|w| {
-            let slot = place.base + w;
-            self.meta[slot].valid.then(|| self.line_of(slot))
+            let (meta, line) = self.resident(place.base + w);
+            (meta & VALID != 0).then_some(line)
         })
     }
 
     /// The default replacement choice for `place`'s set: an invalid way
     /// if one exists, else the set's round-robin cursor (advanced).
+    #[inline]
     pub fn rr_victim(&mut self, place: &Place) -> usize {
-        if let Some(w) = (0..WAYS).find(|&w| !self.meta[place.base + w].valid) {
-            return w;
+        let invalid = !self.meta[place.base / WAYS] & (VALID * WAYWISE);
+        if invalid != 0 {
+            return invalid.trailing_zeros() as usize / 8;
         }
         let cursor = &mut self.rr[place.base / WAYS];
         let w = *cursor as usize % WAYS;
@@ -242,14 +249,16 @@ impl NicDram {
     }
 
     /// The bytes of `slot`.
+    #[inline]
     pub fn line(&self, slot: usize) -> &[u8] {
         &self.data[slot * LINE as usize..][..LINE as usize]
     }
 
     /// The bytes of `slot` for a write hit: the line is marked dirty.
+    #[inline]
     pub fn line_mut(&mut self, slot: usize) -> &mut [u8] {
-        debug_assert!(self.meta[slot].valid, "write hit on an invalid slot");
-        self.meta[slot].dirty = true;
+        debug_assert!(self.resident(slot).0 & VALID != 0, "invalid slot written");
+        self.meta[slot / WAYS] |= DIRTY << (slot % WAYS * 8);
         &mut self.data[slot * LINE as usize..][..LINE as usize]
     }
 
@@ -259,22 +268,16 @@ impl NicDram {
     /// from the lent bytes before the new line's contents are copied in.
     /// Installing a resident line over itself is how the ECC path
     /// rebuilds it (salvage if dirty, then refetch).
+    #[inline]
     pub fn install(&mut self, slot: usize, place: &Place) -> (Option<Victim>, &mut [u8]) {
         debug_assert!((place.base..place.base + WAYS).contains(&slot));
-        let old = self.meta[slot];
-        let victim = old.valid.then(|| Victim {
-            line: self.line_of(slot),
-            dirty: old.dirty,
-        });
-        self.meta[slot] = LineMeta {
-            tag: place.tag,
-            dirty: false,
-            valid: true,
-        };
-        (
-            victim,
-            &mut self.data[slot * LINE as usize..][..LINE as usize],
-        )
+        let (old, line) = self.resident(slot);
+        let dirty = old & DIRTY != 0;
+        let victim = (old & VALID != 0).then_some(Victim { line, dirty });
+        let new = (place.tag as u32) << 2 | VALID;
+        self.meta[slot / WAYS] ^= (old ^ new) << (slot % WAYS * 8);
+        let bytes = &mut self.data[slot * LINE as usize..][..LINE as usize];
+        (victim, bytes)
     }
 
     /// Invalidates every resident line for which `retire` returns true —
@@ -289,22 +292,18 @@ impl NicDram {
         mut writeback: impl FnMut(u64, &[u8]),
     ) -> (u64, u64) {
         let (mut clean, mut dirty) = (0u64, 0u64);
-        for slot in 0..self.meta.len() {
-            let m = self.meta[slot];
-            if !m.valid {
+        for slot in 0..self.meta.len() * WAYS {
+            let (m, line) = self.resident(slot);
+            if m & VALID == 0 || !retire(line) {
                 continue;
             }
-            let line = self.line_of(slot);
-            if !retire(line) {
-                continue;
-            }
-            if m.dirty {
+            if m & DIRTY != 0 {
                 writeback(line, self.line(slot));
                 dirty += 1;
             } else {
                 clean += 1;
             }
-            self.meta[slot] = LineMeta::default();
+            self.meta[slot / WAYS] &= !(0xFF << (slot % WAYS * 8));
         }
         (clean, dirty)
     }
@@ -499,6 +498,130 @@ mod tests {
             c.retire_if(|_| true, |_, _| panic!("nothing is dirty")).1,
             0
         );
+    }
+
+    /// The cache's metadata as it was before the ways were packed: one
+    /// `(tag, dirty, valid)` per slot, every lookup a scan.
+    struct Naive {
+        sets: u64,
+        meta: Vec<(u8, bool, bool)>,
+        rr: Vec<u8>,
+    }
+
+    impl Naive {
+        fn new(sets: u64) -> Naive {
+            Naive {
+                sets,
+                meta: (0..sets as usize * WAYS)
+                    .map(|i| ((i % WAYS) as u8, false, true))
+                    .collect(),
+                rr: vec![0; sets as usize],
+            }
+        }
+
+        fn locate(&self, line: u64) -> Place {
+            let (base, tag) = ((line % self.sets) as usize * WAYS, (line / self.sets) as u8);
+            let slot = (base..base + WAYS).find(|&s| self.meta[s].2 && self.meta[s].0 == tag);
+            Place { base, tag, slot }
+        }
+
+        fn line_of(&self, slot: usize) -> u64 {
+            self.meta[slot].0 as u64 * self.sets + (slot / WAYS) as u64
+        }
+
+        fn rr_victim(&mut self, place: &Place) -> usize {
+            if let Some(w) = (0..WAYS).find(|&w| !self.meta[place.base + w].2) {
+                return w;
+            }
+            let cursor = &mut self.rr[place.base / WAYS];
+            let w = *cursor as usize % WAYS;
+            *cursor = ((w + 1) % WAYS) as u8;
+            w
+        }
+
+        fn install(&mut self, slot: usize, place: &Place) -> Option<Victim> {
+            let (_, dirty, valid) = self.meta[slot];
+            let line = self.line_of(slot);
+            self.meta[slot] = (place.tag, false, true);
+            valid.then_some(Victim { line, dirty })
+        }
+
+        /// Retired lines in slot order, with their dirty bits.
+        fn retire_if(&mut self, retire: impl Fn(u64) -> bool) -> Vec<(u64, bool)> {
+            let mut out = Vec::new();
+            for slot in 0..self.meta.len() {
+                let line = self.line_of(slot);
+                if self.meta[slot].2 && retire(line) {
+                    out.push((line, self.meta[slot].1));
+                    self.meta[slot] = (0, false, false);
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn packed_sets_match_a_per_way_model() {
+        // 16 sets (shift and mask) and 12 sets (divide), ratio 16 both.
+        for sets in [16u64, 12] {
+            let capacity = sets * WAYS as u64 * LINE;
+            let mut c = NicDram::new(
+                NicDramConfig {
+                    capacity,
+                    bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
+                },
+                16 * capacity,
+            );
+            let mut m = Naive::new(sets);
+            let mut rng = kvd_sim::DetRng::seed(0x91C_D7A3 ^ sets);
+            let lines = 16 * sets * WAYS as u64;
+            for step in 0..20_000u32 {
+                let line = rng.u64_below(lines);
+                let place = c.locate(line);
+                assert_eq!(place, m.locate(line), "step {step}: locate({line})");
+                let occupants: [Option<u64>; WAYS] = std::array::from_fn(|w| {
+                    let slot = place.way(w);
+                    m.meta[slot].2.then(|| m.line_of(slot))
+                });
+                assert_eq!(c.occupants(&place), occupants, "step {step}");
+                match place.slot {
+                    // A write hit dirties the line; a rebuild cleans it.
+                    Some(slot) if rng.chance(0.5) => {
+                        c.line_mut(slot).fill(line as u8);
+                        m.meta[slot].1 = true;
+                    }
+                    Some(slot) if rng.chance(0.2) => {
+                        assert_eq!(c.install(slot, &place).0, m.install(slot, &place));
+                    }
+                    Some(_) => {}
+                    None => {
+                        let way = c.rr_victim(&place);
+                        assert_eq!(way, m.rr_victim(&place), "step {step}: victim way");
+                        let slot = place.way(way);
+                        let (victim, bytes) = c.install(slot, &place);
+                        bytes.fill(line as u8);
+                        assert_eq!(victim, m.install(slot, &place), "step {step}: victim");
+                    }
+                }
+                assert_eq!(c.rr, m.rr, "step {step}: cursors");
+                if step % 500 == 499 {
+                    // A migration sweep: a hash-like band of lines.
+                    let band = rng.u64_below(5);
+                    let retire = |line: u64| line.wrapping_mul(0x9E37_79B9) % 5 == band;
+                    let mut retired = Vec::new();
+                    let (clean, dirty) = c.retire_if(retire, |line, bytes| {
+                        assert_eq!(bytes, [line as u8; 64], "dirty bytes of line {line}");
+                        retired.push(line);
+                    });
+                    let expect = m.retire_if(retire);
+                    let expect_dirty: Vec<u64> =
+                        expect.iter().filter(|r| r.1).map(|r| r.0).collect();
+                    assert_eq!(retired, expect_dirty, "step {step}: write-back order");
+                    assert_eq!((clean + dirty) as usize, expect.len(), "step {step}");
+                    assert_eq!(dirty as usize, expect_dirty.len(), "step {step}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -85,6 +85,7 @@ impl NetLink {
     }
 
     /// When the link is next free to serialize.
+    #[inline]
     pub fn free_at(&self) -> SimTime {
         self.line.free_at()
     }

@@ -27,6 +27,7 @@
 /// # Panics
 ///
 /// Panics if `shards == 0`.
+#[inline]
 pub fn shard_of(key: &[u8], shards: usize) -> usize {
     assert!(shards > 0, "cannot route to zero shards");
     let mut h = 0xA076_1D64_78BD_642Fu64;

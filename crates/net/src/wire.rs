@@ -216,6 +216,7 @@ pub struct KvRequestRef<'a> {
 
 impl<'a> KvRequestRef<'a> {
     /// A borrowed GET request.
+    #[inline]
     pub fn get(key: &'a [u8]) -> Self {
         KvRequestRef {
             op: OpCode::Get,
@@ -228,6 +229,7 @@ impl<'a> KvRequestRef<'a> {
     }
 
     /// A borrowed PUT request.
+    #[inline]
     pub fn put(key: &'a [u8], value: &'a [u8]) -> Self {
         KvRequestRef {
             op: OpCode::Put,
@@ -240,6 +242,7 @@ impl<'a> KvRequestRef<'a> {
     }
 
     /// A borrowed PUT request with an entry lifecycle stamp.
+    #[inline]
     pub fn put_ttl(key: &'a [u8], value: &'a [u8], expiry_tick: u32) -> Self {
         KvRequestRef {
             op: OpCode::Put,
@@ -252,6 +255,7 @@ impl<'a> KvRequestRef<'a> {
     }
 
     /// A borrowed DELETE request.
+    #[inline]
     pub fn delete(key: &'a [u8]) -> Self {
         KvRequestRef {
             op: OpCode::Delete,
@@ -278,6 +282,7 @@ impl<'a> KvRequestRef<'a> {
 
 impl KvRequest {
     /// Borrows this request as a [`KvRequestRef`].
+    #[inline]
     pub fn as_ref(&self) -> KvRequestRef<'_> {
         KvRequestRef {
             op: self.op,

@@ -220,10 +220,12 @@ struct Entry {
 }
 
 impl Entry {
+    #[inline]
     fn value(&self) -> Option<&[u8]> {
         self.present.then_some(&self.value)
     }
 
+    #[inline]
     fn set(&mut self, value: Option<&[u8]>) {
         self.present = value.is_some();
         if let Some(v) = value {
@@ -235,6 +237,7 @@ impl Entry {
     /// Runs `op` on the entry: hands `result` the op's result (GET: the
     /// value; PUT/DELETE: the value displaced; UPDATE: the original) and
     /// overwrites the value in place. Returns whether it wrote.
+    #[inline]
     fn apply(&mut self, op: OpRef<'_>, result: impl FnOnce(Option<&[u8]>)) -> bool {
         let updated = match op {
             OpRef::Update(f) => f(self.value()),
@@ -384,6 +387,7 @@ impl ReservationStation {
         self.total_tracked == 0
     }
 
+    #[inline]
     fn note_tracked(&mut self) {
         self.total_tracked += 1;
         self.stats.high_water = self.stats.high_water.max(self.total_tracked as u64);
@@ -402,6 +406,7 @@ impl ReservationStation {
         self.slots[slot].pending.push_back(op);
     }
 
+    #[inline]
     fn mark_dirty(&mut self, slot: usize) {
         let entry = &mut self.slots[slot].entry;
         if !entry.dirty {
@@ -413,6 +418,7 @@ impl ReservationStation {
 
     /// Invalidates the slot's entry; a dirty one is counted and handed
     /// out for write-back (its buffers stay put until the next install).
+    #[inline]
     fn evict(&mut self, slot: usize) -> Option<WritebackRef<'_>> {
         let entry = &mut self.slots[slot].entry;
         entry.valid = false;
@@ -439,16 +445,24 @@ impl ReservationStation {
 
     /// The slot `key` hashes to — the handle every other primitive
     /// takes, so a key is hashed once per operation.
+    #[inline]
     pub fn slot_of(&self, key: &[u8]) -> usize {
-        let h = kvd_station_hash(key);
+        self.slot_for(kvd_hash::hashing::hash_key(key).station)
+    }
+
+    /// [`slot_of`](Self::slot_of) for a caller that already holds the
+    /// key's [`KeyHashes::station`](kvd_hash::hashing::KeyHashes).
+    #[inline]
+    pub fn slot_for(&self, station_hash: u64) -> usize {
         if self.mask != 0 {
-            (h & self.mask) as usize
+            (station_hash & self.mask) as usize
         } else {
-            (h % self.cfg.hash_slots as u64) as usize
+            (station_hash % self.cfg.hash_slots as u64) as usize
         }
     }
 
     /// What an operation on `key` (which hashes to `slot`) must do next.
+    #[inline]
     pub fn probe(&self, slot: usize, key: &[u8]) -> Probe {
         let s = &self.slots[slot];
         if s.busy || !s.pending.is_empty() {
@@ -463,6 +477,7 @@ impl ReservationStation {
     /// After [`Probe::Hit`]: runs `op` on the slot's entry in one cycle,
     /// no memory access. `result` sees the op's result — GET: the value;
     /// PUT/DELETE: the value displaced; UPDATE: the original.
+    #[inline]
     pub fn forward(&mut self, slot: usize, op: OpRef<'_>, result: impl FnOnce(Option<&[u8]>)) {
         debug_assert!(self.slots[slot].entry.valid && !self.slots[slot].busy);
         if self.slots[slot].entry.apply(op, result) {
@@ -477,6 +492,7 @@ impl ReservationStation {
     ///
     /// [`install`]: ReservationStation::install
     /// [`release`]: ReservationStation::release
+    #[inline]
     pub fn issue(&mut self, slot: usize) -> Option<WritebackRef<'_>> {
         self.slots[slot].busy = true;
         self.note_tracked();
@@ -510,6 +526,7 @@ impl ReservationStation {
     /// # Panics
     ///
     /// Panics if the slot is not busy.
+    #[inline]
     pub fn install(&mut self, slot: usize, key: &[u8], value: Option<&[u8]>) {
         let s = &mut self.slots[slot];
         assert!(s.busy, "completion for a non-busy slot");
@@ -537,6 +554,7 @@ impl ReservationStation {
     ///
     /// [`install`]: ReservationStation::install
     /// [`drain`]: ReservationStation::drain
+    #[inline]
     pub fn release(&mut self, slot: usize) {
         let s = &mut self.slots[slot];
         assert!(s.busy, "reclaim for a non-busy slot");
@@ -553,6 +571,7 @@ impl ReservationStation {
     /// hash-colliding different key, or any key after a
     /// [`release`](ReservationStation::release)): that operation takes
     /// the slot and is returned.
+    #[inline]
     pub fn drain(
         &mut self,
         slot: usize,
@@ -580,6 +599,7 @@ impl ReservationStation {
     /// Takes back the buffers of an operation [`drain`] returned.
     ///
     /// [`drain`]: ReservationStation::drain
+    #[inline]
     pub fn recycle(&mut self, op: StationOp) {
         // Bounded by what can be queued at once: a key and a value each.
         let room = (2 * self.cfg.capacity).saturating_sub(self.spare.len());
@@ -716,20 +736,6 @@ impl ReservationStation {
         self.flush_with(|key, value| out.push(owned((key, value))));
         out
     }
-}
-
-/// The station's key hash (a distinct stream from the table's hashes).
-fn kvd_station_hash(key: &[u8]) -> u64 {
-    // FNV-1a + finisher, seeded differently from the hash index.
-    const SEED: u64 = 0x5151_5151_5151_5151;
-    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ SEED.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
 }
 
 impl CostSource for ReservationStation {

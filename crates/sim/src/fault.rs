@@ -147,6 +147,8 @@ impl TxnOutcome {
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
     rates: FaultRates,
+    /// `!rates.is_zero()`, kept beside the rates: the hot paths ask per op.
+    enabled: bool,
     rng: DetRng,
     ledger: OpLedger,
 }
@@ -156,6 +158,7 @@ impl FaultPlane {
     pub fn new(rates: FaultRates, seed: u64) -> Self {
         FaultPlane {
             rates,
+            enabled: !rates.is_zero(),
             rng: DetRng::seed(seed),
             ledger: OpLedger::default(),
         }
@@ -171,14 +174,16 @@ impl FaultPlane {
     pub fn fork(&mut self, salt: u64) -> FaultPlane {
         FaultPlane {
             rates: self.rates,
+            enabled: self.enabled,
             rng: self.rng.fork(salt),
             ledger: OpLedger::default(),
         }
     }
 
     /// True when at least one channel can fire.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        !self.rates.is_zero()
+        self.enabled
     }
 
     /// The configured rates.
@@ -190,6 +195,7 @@ impl FaultPlane {
     /// disabling a channel, or a test turning faults off after a burst).
     /// Counters and the random stream are left untouched.
     pub fn set_rates(&mut self, rates: FaultRates) {
+        self.enabled = !rates.is_zero();
         self.rates = rates;
     }
 
@@ -206,12 +212,14 @@ impl FaultPlane {
 
     /// Bernoulli draw that consumes no randomness when `p` is zero, so a
     /// silent channel cannot perturb other draws.
+    #[inline]
     fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.rng.chance(p)
     }
 
     /// Draws the fate of one PCIe DMA transaction. Severity order:
     /// timeout beats corruption beats replay.
+    #[inline]
     pub fn pcie_fault(&mut self) -> PcieFault {
         if self.chance(self.rates.pcie_timeout) {
             self.ledger.pcie.timeouts += 1;
@@ -228,6 +236,7 @@ impl FaultPlane {
     }
 
     /// Draws the fate of one NIC DRAM line access.
+    #[inline]
     pub fn dram_fault(&mut self) -> DramFault {
         if self.chance(self.rates.dram_bit_error) {
             if self.chance(self.rates.dram_uncorrectable) {
@@ -243,6 +252,7 @@ impl FaultPlane {
     }
 
     /// Draws whether one host memory access stalls.
+    #[inline]
     pub fn host_stall(&mut self) -> bool {
         if self.chance(self.rates.host_stall) {
             self.ledger.dram.host_stalls += 1;
@@ -282,6 +292,7 @@ impl FaultPlane {
     ///
     /// Replayed TLPs and ECC-corrected bit errors are absorbed without a
     /// retry; corruption, timeouts and uncorrectable errors force one.
+    #[inline]
     pub fn transaction(&mut self, max_retries: u32) -> TxnOutcome {
         if !self.enabled() {
             return TxnOutcome::CLEAN;

@@ -500,6 +500,7 @@ pub struct LatencyCosts {
 impl LatencyCosts {
     /// Records one answered operation's component split (picoseconds,
     /// in [`Component::ALL`] order).
+    #[inline]
     pub fn record(&mut self, class: OpClass, component_ps: [u64; 4]) {
         let row = &mut self.ps[class.index()];
         for (acc, ps) in row.iter_mut().zip(component_ps) {

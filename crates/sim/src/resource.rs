@@ -130,6 +130,7 @@ impl LatencyModel {
     }
 
     /// Draws one latency sample.
+    #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> SimTime {
         if self.jitter == SimTime::ZERO {
             self.base

@@ -50,11 +50,13 @@ impl DetRng {
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be nonzero.
+    #[inline]
     pub fn u64_below(&mut self, bound: u64) -> u64 {
         self.inner.random_range(0..bound)
     }
 
     /// Uniform `usize` in `[0, bound)`. `bound` must be nonzero.
+    #[inline]
     pub fn usize_below(&mut self, bound: usize) -> usize {
         self.inner.random_range(0..bound)
     }

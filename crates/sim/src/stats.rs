@@ -64,6 +64,7 @@ impl Histogram {
         self.max = 0;
     }
 
+    #[inline]
     fn index_of(value: u64) -> usize {
         if value < SUB_BUCKETS as u64 {
             return value as usize;
@@ -85,6 +86,7 @@ impl Histogram {
     }
 
     /// Records one value.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::index_of(value)] += 1;
         self.count += 1;
@@ -94,6 +96,7 @@ impl Histogram {
     }
 
     /// Records a [`SimTime`] (in picoseconds).
+    #[inline]
     pub fn record_time(&mut self, t: SimTime) {
         self.record(t.as_ps());
     }

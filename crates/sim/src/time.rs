@@ -37,6 +37,7 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from whole picoseconds.
+    #[inline]
     pub const fn from_ps(ps: u64) -> Self {
         SimTime(ps)
     }
@@ -47,6 +48,7 @@ impl SimTime {
     }
 
     /// Creates a time from whole microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimTime(us * 1_000_000)
     }
@@ -69,6 +71,7 @@ impl SimTime {
     }
 
     /// Returns the raw picosecond count.
+    #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
@@ -89,6 +92,7 @@ impl SimTime {
     }
 
     /// Returns the larger of two times.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
@@ -107,6 +111,7 @@ impl SimTime {
     }
 
     /// Saturating subtraction: returns zero instead of underflowing.
+    #[inline]
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
@@ -114,12 +119,14 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         self.0 += rhs.0;
     }
@@ -140,6 +147,7 @@ impl SubAssign for SimTime {
 
 impl Mul<u64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn mul(self, rhs: u64) -> SimTime {
         SimTime(self.0 * rhs)
     }
