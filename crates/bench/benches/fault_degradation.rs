@@ -9,9 +9,10 @@
 //!
 //! * **goodput** — fraction of operations acknowledged `Ok` (the rest
 //!   exhausted their DMA retry budget and returned `DeviceError`),
-//! * **effective Mops** — the §5.2 bound composition on the *measured*
-//!   per-op access counts (ECC refetches and rescue write-backs inflate
-//!   them), scaled by goodput,
+//! * **effective Mops** — goodput over the run's simulated makespan on the
+//!   timed engine (`SystemSim`, `SATURATING_WINDOWS` client windows), so
+//!   every retry, ECC refetch and rescue write-back costs the time it
+//!   takes,
 //! * fault-plane counters (retries per op, ECC corrected/uncorrectable).
 //!
 //! Shape claims: the zero-rate row reproduces the fault-free Figure 16
@@ -19,103 +20,14 @@
 //! fault rate but stays within 2× of fault-free even at 10 %; goodput
 //! stays above 99 % (the retry budget absorbs almost everything).
 
-use kvd_bench::{banner, fmt_f, shape_check, Table, SCALED_MEMORY};
-use kvd_core::timing::{KeyDist, MeasuredWorkload, SystemModel, WorkloadSpec};
-use kvd_core::{KvDirectConfig, KvDirectStore};
-use kvd_mem::MemoryEngine;
-use kvd_net::{KvRequest, Status};
-use kvd_sim::{DetRng, FaultRates, ZipfSampler};
+use kvd_bench::{
+    banner, fmt_f, shape_check, KeyDist, Table, Ycsb, SATURATING_WINDOWS, SCALED_MEMORY,
+};
+use kvd_core::system::SystemSimConfig;
+use kvd_core::KvDirectConfig;
+use kvd_sim::FaultRates;
 
-const OPS: usize = 8_000;
 const RATES: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.1];
-
-struct FaultyRun {
-    measured: MeasuredWorkload,
-    goodput: f64,
-    retries_per_op: f64,
-    ecc_corrected: u64,
-    ecc_uncorrectable: u64,
-    bypassed: bool,
-}
-
-/// `timing::measure_workload`, made fault-tolerant: preload retries
-/// `DeviceError` puts, and the measurement loop counts goodput instead of
-/// assuming every op lands.
-fn measure_faulty(cfg: &KvDirectConfig, spec: &WorkloadSpec, seed: u64) -> FaultyRun {
-    let mut store = KvDirectStore::new(cfg.clone());
-    let mut rng = DetRng::seed(seed);
-    let key_len = 8usize;
-    let val_len = spec.kv_size as usize - key_len;
-    let mut n_keys = 0u64;
-    while store.processor().table().memory_utilization() < 0.4 {
-        let key = n_keys.to_le_bytes();
-        let mut value = vec![0u8; val_len];
-        rng.fill_bytes(&mut value);
-        match store.put(&key, &value) {
-            Ok(()) => n_keys += 1,
-            Err(kvd_core::StoreError::DeviceError) => continue, // retry the slot
-            Err(_) => break,
-        }
-    }
-    assert!(n_keys > 0, "no keys fit the configured memory");
-
-    store.processor_mut().table_mut().mem_mut().reset_stats();
-    let st0 = store.processor().station_stats();
-    let retries0 = store.ledger().pcie.retries;
-    let zipf = ZipfSampler::new(n_keys, 0.99);
-    let mut batch = Vec::with_capacity(spec.batch as usize);
-    let mut executed = 0usize;
-    let mut ok = 0u64;
-    while executed < OPS {
-        batch.clear();
-        for _ in 0..spec.batch.min((OPS - executed) as u64) {
-            let rank = match spec.dist {
-                KeyDist::Uniform => rng.u64_below(n_keys),
-                KeyDist::Zipf => zipf.sample(&mut rng),
-            };
-            let key = rank.to_le_bytes();
-            if rng.chance(spec.put_ratio) {
-                let mut value = vec![0u8; val_len];
-                rng.fill_bytes(&mut value);
-                batch.push(KvRequest::put(&key, &value));
-            } else {
-                batch.push(KvRequest::get(&key));
-            }
-            executed += 1;
-        }
-        for resp in store.execute_batch(&batch) {
-            if resp.status != Status::DeviceError {
-                ok += 1;
-            }
-        }
-    }
-
-    let mem = store.processor().table().mem().stats();
-    let forwarded = store.processor().station_stats().forwarded - st0.forwarded;
-    let ecc = store.ecc_stats();
-    let n = executed as f64;
-    FaultyRun {
-        measured: MeasuredWorkload {
-            dma_reads_per_op: mem.dma_reads as f64 / n,
-            dma_writes_per_op: mem.dma_writes as f64 / n,
-            dram_per_op: (mem.dram_reads + mem.dram_writes) as f64 / n,
-            forward_rate: forwarded as f64 / n,
-            cache_hit_rate: {
-                let lookups = mem.cache_hits + mem.cache_misses;
-                if lookups == 0 {
-                    0.0
-                } else {
-                    mem.cache_hits as f64 / lookups as f64
-                }
-            },
-        },
-        goodput: ok as f64 / n,
-        retries_per_op: (store.ledger().pcie.retries - retries0) as f64 / n,
-        ecc_corrected: ecc.corrected,
-        ecc_uncorrectable: ecc.uncorrectable,
-        bypassed: ecc.bypassed,
-    }
-}
 
 fn main() {
     banner(
@@ -125,8 +37,7 @@ fn main() {
          never a panic or wrong answer",
     );
 
-    let model = SystemModel::paper();
-    let spec = WorkloadSpec::ycsb(10, 0.5, KeyDist::Zipf);
+    let point = Ycsb::new(10, 0.5, KeyDist::Zipf);
     let mut t = Table::new(
         "effective throughput vs uniform fault rate",
         &[
@@ -144,26 +55,32 @@ fn main() {
     let mut worst = f64::INFINITY;
     let mut min_goodput = 1.0f64;
     for rate in RATES {
-        let cfg = KvDirectConfig {
+        let store = KvDirectConfig {
             fault_rates: FaultRates::uniform(rate),
             fault_seed: 26,
             ..KvDirectConfig::with_memory(SCALED_MEMORY)
         };
-        let run = measure_faulty(&cfg, &spec, 26);
-        let tp = model.throughput(&spec, &run.measured);
-        let eff = tp.mops * run.goodput;
+        let cfg = SystemSimConfig {
+            windows: SATURATING_WINDOWS,
+            ..SystemSimConfig::paper(store, 40)
+        };
+        let mut run = point.run(cfg, 26);
+        let ecc = run.sim.store_mut().ecc_stats();
+        let r = &run.report;
+        let goodput = r.goodput_ops as f64 / r.ops as f64;
+        let eff = r.goodput_mops;
         if rate == 0.0 {
             baseline = eff;
         }
         worst = worst.min(eff);
-        min_goodput = min_goodput.min(run.goodput);
+        min_goodput = min_goodput.min(goodput);
         t.row(&[
             format!("{rate}"),
-            fmt_f(run.goodput, 4),
-            fmt_f(run.retries_per_op, 4),
-            run.ecc_corrected.to_string(),
-            run.ecc_uncorrectable.to_string(),
-            if run.bypassed { "TRIPPED" } else { "-" }.to_string(),
+            fmt_f(goodput, 4),
+            fmt_f(r.ledger.pcie.retries as f64 / r.ops as f64, 4),
+            ecc.corrected.to_string(),
+            ecc.uncorrectable.to_string(),
+            if ecc.bypassed { "TRIPPED" } else { "-" }.to_string(),
             fmt_f(eff, 1),
         ]);
     }
@@ -173,7 +90,7 @@ fn main() {
         "zero-rate baseline is fault-free",
         baseline > 0.0,
         &format!(
-            "rate 0 → {} Mops (≈ Figure 16's 10 B / 50% PUT long-tail cell)",
+            "rate 0 → {} Mops (Figure 16's 10 B / 50% PUT long-tail cell)",
             fmt_f(baseline, 1)
         ),
     );

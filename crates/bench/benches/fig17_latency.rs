@@ -1,25 +1,48 @@
-//! Figure 17: latency of KV-Direct at the peak throughput of the YCSB
-//! workload, with and without network batching.
+//! Figure 17: latency of KV-Direct under YCSB load, with and without
+//! network batching.
+//!
+//! Every cell is a closed-loop run of the timed engine (`SystemSim`) with
+//! `LATENCY_WINDOWS` client windows in flight for the whole figure: the
+//! functional store executes each operation and the client observes its
+//! wire, decode, PCIe and NIC DRAM time, with the paper's p95 error bar
+//! read from the run's histogram.
 
-use kvd_bench::{banner, fmt_f, shape_check, Table, SCALED_MEMORY, SCALED_MEMORY_BIG};
-use kvd_core::system::{Percentile, SystemSim, SystemSimConfig};
-use kvd_core::timing::{measure_workload, KeyDist, SystemModel, WorkloadSpec};
+use kvd_bench::{
+    banner, fmt_f, shape_check, KeyDist, Table, Ycsb, LATENCY_WINDOWS, SCALED_MEMORY, YCSB_OPS,
+};
+use kvd_core::system::{Percentile, SystemSimConfig, SystemSimReport};
 use kvd_core::KvDirectConfig;
-use kvd_net::KvRequest;
-use kvd_sim::{DetRng, ZipfSampler};
+
+/// One run of a 100 % GET or 100 % PUT stream at `batch` ops per packet.
+fn run(kv: u64, is_put: bool, dist: KeyDist, batch: usize) -> SystemSimReport {
+    let cfg = SystemSimConfig {
+        windows: LATENCY_WINDOWS,
+        ..SystemSimConfig::paper(KvDirectConfig::with_memory(SCALED_MEMORY), batch)
+    };
+    let put_ratio = if is_put { 1.0 } else { 0.0 };
+    Ycsb::new(kv as usize, put_ratio, dist)
+        .run(cfg, 16 + kv)
+        .report
+}
+
+/// The p50 (or p95) latency of the run's own operation type, in µs.
+fn latency_us(r: &SystemSimReport, is_put: bool, p: Percentile) -> f64 {
+    if is_put {
+        r.put_us(p)
+    } else {
+        r.get_us(p)
+    }
+}
 
 fn main() {
     banner(
-        "Figure 17: latency under peak YCSB load",
+        "Figure 17: latency under YCSB load",
         "non-batched tail latency spans ~3-10us; PUT > GET (extra memory \
          access); skewed < uniform (NIC DRAM cache hits); batching adds \
          <1us over non-batched",
     );
 
-    let model = SystemModel::paper();
-    let cfg = KvDirectConfig::with_memory(SCALED_MEMORY);
-
-    for (batch, label) in [(40u64, "with batching"), (1u64, "without batching")] {
+    for (batch, label) in [(40usize, "with batching"), (1, "without batching")] {
         let mut t = Table::new(
             &format!("Figure 17 ({label}): latency us (p50 / p95)"),
             &[
@@ -38,121 +61,46 @@ fn main() {
                 (true, KeyDist::Uniform),
                 (true, KeyDist::Zipf),
             ] {
-                let put_ratio = if is_put { 1.0 } else { 0.0 };
-                let spec = WorkloadSpec {
-                    batch,
-                    ..WorkloadSpec::ycsb(kv, put_ratio, dist)
-                };
-                let m = measure_workload(&cfg, &spec, 0.4, 4_000, 17 + kv);
-                let p50 = model.latency(&spec, &m, is_put, false).as_us();
-                let p95 = model.latency(&spec, &m, is_put, true).as_us();
-                cells.push(format!("{} / {}", fmt_f(p50, 1), fmt_f(p95, 1)));
+                let r = run(kv, is_put, dist, batch);
+                cells.push(format!(
+                    "{} / {}",
+                    fmt_f(latency_us(&r, is_put, Percentile::P50), 1),
+                    fmt_f(latency_us(&r, is_put, Percentile::P95), 1)
+                ));
             }
             t.row(&cells);
         }
         t.print();
     }
+    println!("({LATENCY_WINDOWS} client windows, {YCSB_OPS} ops per cell)\n");
 
-    // --- End-to-end discrete-event simulation (distributions) -----------
-    // Unlike the closed-form table above, this drives a closed-loop
-    // client through the network/PCIe/DRAM models with the *functional*
-    // store executing every operation; error bars are the paper's
-    // p5/p95.
-    let mut t = Table::new(
-        "Figure 17 (simulated, non-batched): GET/PUT latency us (p5 / p50 / p95)",
-        &["workload", "GET", "PUT"],
-    );
-    let n_keys = 20_000u64;
-    for (zipf, label) in [(false, "uniform"), (true, "long-tail")] {
-        let mut sim = SystemSim::new(SystemSimConfig::paper(
-            KvDirectConfig::with_memory(SCALED_MEMORY_BIG),
-            1,
-        ));
-        for id in 0..n_keys {
-            sim.store_mut()
-                .put(&id.to_le_bytes(), &[id as u8; 8])
-                .expect("preload fits");
-        }
-        let mut rng = DetRng::seed(1717);
-        let sampler = ZipfSampler::new(n_keys, 0.99);
-        let reqs: Vec<KvRequest> = (0..4000)
-            .map(|_| {
-                let id = if zipf {
-                    sampler.sample(&mut rng)
-                } else {
-                    rng.u64_below(n_keys)
-                };
-                if rng.chance(0.5) {
-                    KvRequest::put(&id.to_le_bytes(), &[3u8; 8])
-                } else {
-                    KvRequest::get(&id.to_le_bytes())
-                }
-            })
-            .collect();
-        let r = sim.run(&reqs);
-        t.row(&[
-            label.to_string(),
-            format!(
-                "{:.1} / {:.1} / {:.1}",
-                r.get_us(Percentile::P5),
-                r.get_us(Percentile::P50),
-                r.get_us(Percentile::P95)
-            ),
-            format!(
-                "{:.1} / {:.1} / {:.1}",
-                r.put_us(Percentile::P5),
-                r.put_us(Percentile::P50),
-                r.put_us(Percentile::P95)
-            ),
-        ]);
-    }
-    t.print();
-
-    // Shape checks at the 62B point.
-    let spec_nb = |put: f64, dist| WorkloadSpec {
-        batch: 1,
-        ..WorkloadSpec::ycsb(62, put, dist)
-    };
-    let mu = measure_workload(&cfg, &spec_nb(0.0, KeyDist::Uniform), 0.4, 4_000, 3);
-    let mz = measure_workload(&cfg, &spec_nb(0.0, KeyDist::Zipf), 0.4, 4_000, 3);
-    let get_u = model.latency(&spec_nb(0.0, KeyDist::Uniform), &mu, false, false);
-    let get_z = model.latency(&spec_nb(0.0, KeyDist::Zipf), &mz, false, false);
-    let put_u = model.latency(&spec_nb(1.0, KeyDist::Uniform), &mu, true, false);
-    let p95 = model.latency(&spec_nb(1.0, KeyDist::Uniform), &mu, true, true);
+    // Shape checks at the 62B point, non-batched.
+    let get_u = run(62, false, KeyDist::Uniform, 1).get_us(Percentile::P50);
+    let get_z = run(62, false, KeyDist::Zipf, 1).get_us(Percentile::P50);
+    let put = run(62, true, KeyDist::Uniform, 1);
+    let (put_u, p95) = (put.put_us(Percentile::P50), put.put_us(Percentile::P95));
 
     shape_check(
         "PUT latency exceeds GET",
         put_u > get_u,
-        &format!("{:.1} vs {:.1} us", put_u.as_us(), get_u.as_us()),
+        &format!("{put_u:.2} vs {get_u:.2} us"),
     );
     shape_check(
         "skewed GET is faster than uniform GET",
         get_z <= get_u,
-        &format!(
-            "{:.2} vs {:.2} us (cache hits)",
-            get_z.as_us(),
-            get_u.as_us()
-        ),
+        &format!("{get_z:.2} vs {get_u:.2} us (cache hits)"),
     );
     shape_check(
         "tail stays in the paper's band",
-        p95.as_us() < 12.0 && get_z.as_us() > 1.0,
-        &format!("p95 = {:.1} us (paper: 3-10us non-batched)", p95.as_us()),
+        p95 < 12.0 && get_z > 1.0,
+        &format!("p95 = {p95:.1} us (paper: 3-10us non-batched)"),
     );
 
     // The paper batches to ~1KiB packets per KV size; 16 ops of 62B.
-    let batched = model.latency(
-        &WorkloadSpec {
-            batch: 16,
-            ..WorkloadSpec::ycsb(62, 0.0, KeyDist::Uniform)
-        },
-        &mu,
-        false,
-        false,
-    );
+    let batched = run(62, false, KeyDist::Uniform, 16).get_us(Percentile::P50);
     shape_check(
         "batching adds less than 1us",
-        (batched.as_us() - get_u.as_us()).abs() < 1.0,
-        &format!("{:.2} vs {:.2} us", batched.as_us(), get_u.as_us()),
+        (batched - get_u).abs() < 1.0,
+        &format!("{batched:.2} vs {get_u:.2} us"),
     );
 }

@@ -13,29 +13,12 @@
 
 use std::time::Instant;
 
-use kvd_bench::{banner, fmt_f, shape_check, Table, SCALED_MEMORY, SCALED_MEMORY_BIG};
-use kvd_core::parallel::{ParallelSimConfig, ParallelSystemSim};
+use kvd_bench::{
+    banner, fmt_f, multi_nic_engine, multi_nic_gets, shape_check, Table, OPS_PER_NIC, SCALED_MEMORY,
+};
+use kvd_core::parallel::ParallelSystemSim;
 use kvd_core::{KvDirectConfig, MultiNicStore};
-use kvd_net::KvRequest;
-use kvd_sim::{DetRng, SimTime};
-
-/// Corpus per NIC: the population scales with the shard count so every
-/// NIC sees the same per-shard key-space density regardless of how many
-/// NICs the run has (the experiment varies NICs, not load shape).
-const POPULATION_PER_NIC: u64 = 20_000;
-const OPS_PER_NIC: usize = 24_000;
-const BATCH: usize = 40;
-const WINDOWS: usize = 24;
-
-/// Long-tail tiny KVs (the paper's peak-throughput workload): uniform
-/// GETs over a corpus much larger than the reservation station, so
-/// operations genuinely touch memory.
-fn workload(total: usize, population: u64, seed: u64) -> Vec<KvRequest> {
-    let mut rng = DetRng::seed(seed);
-    (0..total)
-        .map(|_| KvRequest::get(&rng.u64_below(population).to_le_bytes()))
-        .collect()
-}
+use kvd_sim::SimTime;
 
 /// Harness overrides from the command line. `--workers N` picks the
 /// worker-thread count (default: the machine's parallelism), `--quantum-us Q`
@@ -78,22 +61,8 @@ fn parse_cli() -> Cli {
 /// Builds the simulation. `forced_workers` pins the worker count for the
 /// wall-clock comparison; `None` defers to `--workers` (or auto).
 fn engine(shards: usize, forced_workers: Option<usize>, cli: Cli) -> ParallelSystemSim {
-    let mut cfg = ParallelSimConfig::paper(
-        KvDirectConfig::with_memory(SCALED_MEMORY_BIG),
-        BATCH,
-        shards,
-    );
-    cfg.shard.windows = WINDOWS;
-    cfg.workers = forced_workers.unwrap_or_else(|| cli.workers.unwrap_or(0));
-    if let Some(q) = cli.quantum_us {
-        cfg.arbiter.quantum = SimTime::from_us(q);
-    }
-    let mut sim = ParallelSystemSim::new(cfg);
-    for id in 0..POPULATION_PER_NIC * shards as u64 {
-        sim.preload_put(&id.to_le_bytes(), &[id as u8; 8])
-            .expect("preload fits");
-    }
-    sim
+    let workers = forced_workers.unwrap_or_else(|| cli.workers.unwrap_or(0));
+    multi_nic_engine(shards, workers, cli.quantum_us.map(SimTime::from_us))
 }
 
 fn main() {
@@ -127,11 +96,7 @@ fn main() {
     let mut stalled_10 = false;
     for &n in &[1usize, 2, 3, 4, 5, 6, 8, 10] {
         let mut sim = engine(n, None, cli);
-        let r = sim.run(&workload(
-            OPS_PER_NIC * n,
-            POPULATION_PER_NIC * n as u64,
-            0xF160 + n as u64,
-        ));
+        let r = sim.run(&multi_nic_gets(n, 0xF160 + n as u64));
         let lines_per_op = r.arbiter.lines as f64 / r.ops as f64;
         let stall_us = r.arbiter.stall.as_secs_f64() * 1e6 / r.arbiter.windows.max(1) as f64;
         let stalled = r.arbiter.oversubscribed > 0;
@@ -161,7 +126,7 @@ fn main() {
 
     // Wall-clock: the same 10-NIC simulation, stepped by 1 worker thread
     // vs the machine's available parallelism.
-    let reqs = workload(OPS_PER_NIC * 10, POPULATION_PER_NIC * 10, 0xF170);
+    let reqs = multi_nic_gets(10, 0xF170);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -21,14 +21,15 @@
 //! * [`overload`] — the overload-control plane: watermark admission with
 //!   hysteresis, deadline expiry and read-only degradation, counted in
 //!   the ledger's `core` section.
+//! * [`system`] — the timed engine: one NIC's network, decode clock, PCIe
+//!   and NIC DRAM in simulated time, behind every throughput and latency
+//!   figure.
 //! * [`parallel`] — the multi-NIC server *simulated*: one timed pipeline
 //!   per shard on OS worker threads, synchronized through a host-memory
 //!   arbiter so the Figure 18 saturation knee emerges from contention.
 //! * [`cluster`] — the multi-node plane: M member hosts in window
 //!   lockstep, chain replication over consistent hashing, heartbeat
 //!   failure detection and deterministic failover.
-//! * [`timing`] — the system-level throughput/latency composition used by
-//!   the benchmark harnesses (Figures 16/17/18, Tables 3/4).
 
 pub mod cluster;
 pub mod lambda;
@@ -37,7 +38,6 @@ pub mod parallel;
 pub mod processor;
 pub mod store;
 pub mod system;
-pub mod timing;
 
 pub use cluster::{ClusterReport, ClusterSim, ClusterSimConfig, NodeKill, OpRecord};
 pub use kvd_hash::{tick_of_us, EXPIRY_TICK_US};
@@ -47,4 +47,3 @@ pub use parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 pub use processor::{KvProcessor, RequestStream};
 pub use store::{KvDirectConfig, KvDirectStore, MultiNicStore, StoreError};
 pub use system::{Percentile, RunSummary, SystemSim, SystemSimConfig, SystemSimReport, WindowStep};
-pub use timing::{SystemModel, ThroughputBreakdown, WorkloadSpec};

@@ -1,0 +1,164 @@
+//! The paper's §5.2 throughput bound, kept as an oracle for the timed
+//! engine.
+//!
+//! §5.2 explains single-NIC throughput as the minimum of three bounds: the
+//! 180 MHz clock (one operation per cycle), the 40 GbE network, and
+//! PCIe/DRAM. This test computes that minimum from a run's own ledger (the
+//! wire bytes of each direction, DMA reads and writes, NIC DRAM lines) and
+//! the configured device capacities, then holds `SystemSim` to it: the
+//! engine never runs more than 2 % above the bound, and where the paper
+//! says one NIC saturates (10 B long-tail GETs at the clock, 249 B GETs at
+//! the network) it comes within 10 % of it.
+//!
+//! The engine is driven as the throughput figures drive it: batches of 40,
+//! 64 client windows in flight (enough to cover the bandwidth-delay
+//! product), a corpus preloaded to 40 % of memory.
+
+use kvd_core::system::{SystemSim, SystemSimConfig, SystemSimReport};
+use kvd_core::KvDirectConfig;
+use kvd_net::KvRequest;
+use kvd_sim::{Bandwidth, DetRng, ZipfSampler};
+
+const OPS: usize = 40_000;
+const KEY_LEN: usize = 8;
+
+/// NIC DRAM channel bandwidth (paper: 12.8 GB/s), which the engine charges
+/// per 64 B line.
+const DRAM_GBYTES_PER_SEC: f64 = 12.8;
+
+/// One run and what the bound needs that the ledger does not split: the
+/// request direction's payload bytes.
+struct Run {
+    cfg: SystemSimConfig,
+    report: SystemSimReport,
+    request_payload: u64,
+}
+
+fn run(kv_size: usize, put_ratio: f64, zipf: bool) -> Run {
+    let cfg = SystemSimConfig {
+        windows: 64,
+        ..SystemSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 40)
+    };
+    let mut sim = SystemSim::new(cfg.clone());
+    let mut rng = DetRng::seed(kv_size as u64);
+    let value = vec![7u8; kv_size - KEY_LEN];
+    let mut n_keys = 0u64;
+    while sim.store_mut().processor().table().memory_utilization() < 0.4
+        && sim.store_mut().put(&n_keys.to_le_bytes(), &value).is_ok()
+    {
+        n_keys += 1;
+    }
+    let sampler = ZipfSampler::new(n_keys, 0.99);
+    let reqs: Vec<KvRequest> = (0..OPS)
+        .map(|_| {
+            let id = if zipf {
+                sampler.sample(&mut rng)
+            } else {
+                rng.u64_below(n_keys)
+            };
+            if rng.chance(put_ratio) {
+                KvRequest::put(&id.to_le_bytes(), &value)
+            } else {
+                KvRequest::get(&id.to_le_bytes())
+            }
+        })
+        .collect();
+    // What the engine puts on the request link per op: a 4 B header plus
+    // the key and value.
+    let request_payload = reqs
+        .iter()
+        .map(|r| 4 + (r.key.len() + r.value.len()) as u64)
+        .sum();
+    let preload = sim.ledger();
+    let mut report = sim.run(&reqs);
+    report.ledger = report.ledger.since(&preload);
+    Run {
+        cfg,
+        report,
+        request_payload,
+    }
+}
+
+/// The three §5.2 bounds of one run, in Mops.
+#[derive(Debug)]
+struct Bound {
+    clock: f64,
+    network: f64,
+    memory: f64,
+}
+
+impl Bound {
+    fn of(run: &Run) -> Self {
+        let (cfg, l) = (&run.cfg, &run.report.ledger);
+        let ops = run.report.ops as f64;
+        // Network: each direction serializes its own packets (full
+        // duplex), one request and one response packet per batch.
+        let batches = l.net.batches;
+        let response_payload = l.net.payload_bytes - run.request_payload;
+        let wire = |payload: u64| batches * cfg.net.wire_bytes(payload / batches);
+        let busier = wire(run.request_payload).max(wire(response_payload));
+        let network_secs = busier as f64 / cfg.net.bandwidth.bytes_per_sec();
+        // PCIe: a random 64 B read is tag-limited (tags / mean round trip)
+        // or wire-limited, a write wire-limited; the ports work in
+        // parallel, and so does the NIC DRAM channel.
+        let ports = cfg.pcie_ports as f64;
+        let write_rate = cfg.pcie.bandwidth_bound_mops(64) * 1e6;
+        let tag_rate =
+            f64::from(cfg.pcie.read_tags) / cfg.pcie.mean_random_read_latency().as_secs_f64();
+        let read_rate = tag_rate.min(write_rate);
+        let pcie_secs = l.pcie.dma_reads as f64 / (ports * read_rate)
+            + l.pcie.dma_writes as f64 / (ports * write_rate);
+        let dram_rate = Bandwidth::from_gbytes_per_sec(DRAM_GBYTES_PER_SEC).transfers_per_sec(64);
+        let dram_secs = (l.dram.reads + l.dram.writes) as f64 / dram_rate;
+        Bound {
+            clock: cfg.clock.ops_per_sec() / 1e6,
+            network: ops / network_secs / 1e6,
+            memory: ops / pcie_secs.max(dram_secs) / 1e6,
+        }
+    }
+
+    fn mops(&self) -> f64 {
+        self.clock.min(self.network).min(self.memory)
+    }
+}
+
+/// Runs the point and checks the engine against the bound; returns
+/// (engine Mops, bound).
+fn engine_within_bound(kv_size: usize, put_ratio: f64, zipf: bool) -> (f64, Bound) {
+    let run = run(kv_size, put_ratio, zipf);
+    let bound = Bound::of(&run);
+    let mops = run.report.mops;
+    assert!(
+        mops <= 1.02 * bound.mops(),
+        "{kv_size} B, {put_ratio} PUT, zipf {zipf}: engine {mops:.1} Mops above {bound:?}"
+    );
+    (mops, bound)
+}
+
+#[test]
+fn tiny_longtail_gets_reach_the_clock_bound() {
+    let (mops, bound) = engine_within_bound(10, 0.0, true);
+    assert_eq!(bound.mops(), bound.clock, "{bound:?}");
+    assert!(mops >= 0.9 * bound.mops(), "{mops:.1} Mops vs {bound:?}");
+}
+
+#[test]
+fn large_uniform_gets_reach_the_network_bound() {
+    let (mops, bound) = engine_within_bound(249, 0.0, false);
+    assert_eq!(bound.mops(), bound.network, "{bound:?}");
+    assert!(mops >= 0.9 * bound.mops(), "{mops:.1} Mops vs {bound:?}");
+}
+
+#[test]
+fn no_mix_runs_above_the_bound() {
+    for (kv_size, put_ratio, zipf) in [
+        (10, 0.0, false),
+        (10, 0.5, true),
+        (10, 1.0, true),
+        (57, 0.0, true),
+        (249, 0.5, false),
+        (249, 1.0, true),
+    ] {
+        engine_within_bound(kv_size, put_ratio, zipf);
+    }
+}

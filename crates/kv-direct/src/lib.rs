@@ -46,8 +46,7 @@ pub use kvd_core::{
     builtin, tick_of_us, AdmissionController, ClusterReport, ClusterSim, ClusterSimConfig,
     HotKeyConfig, KvDirectConfig, KvDirectStore, KvProcessor, Lambda, LambdaRegistry,
     MultiNicStore, NodeKill, OpRecord, OverloadConfig, ParallelSimConfig, ParallelSimReport,
-    ParallelSystemSim, StoreError, SystemModel, ThroughputBreakdown, Watermarks, WorkloadSpec,
-    EXPIRY_TICK_US,
+    ParallelSystemSim, StoreError, Watermarks, EXPIRY_TICK_US,
 };
 pub use kvd_net::{
     decode_packet, decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse,
@@ -106,11 +105,6 @@ pub mod baselines {
 /// YCSB-style workload generators.
 pub mod workloads {
     pub use kvd_workloads::*;
-}
-
-/// Timing composition for the system benchmarks.
-pub mod timing {
-    pub use kvd_core::timing::*;
 }
 
 /// The end-to-end timed pipeline (client ↔ NIC ↔ host memory).

@@ -1288,7 +1288,7 @@ mod tests {
 
     #[test]
     fn reset_stats_restarts_the_hit_rate_windows_too() {
-        // `kvd_core::timing` resets a store's engine after preload. The
+        // A steady-state measurement resets the engine after preload. The
         // window and epoch snapshots must restart with the counters, or
         // the next delta runs `since` below zero.
         let mut m = adaptive(0.5, 4, 256);

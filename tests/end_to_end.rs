@@ -4,11 +4,12 @@
 //! system-level properties the evaluation depends on: preload to a target
 //! utilization, correct data under uniform and long-tail mixes, the
 //! skew-dependent behaviour of the forwarding and caching layers, and
-//! the throughput composition's headline shapes.
+//! Figure 16's headline shapes on the timed engine.
 
-use kv_direct::timing::{measure_workload, KeyDist, SystemModel, WorkloadSpec};
+use kv_direct::system::SystemSimConfig;
 use kv_direct::workloads::{Dist, YcsbSpec, YcsbWorkload};
-use kv_direct::{KvDirectConfig, KvDirectStore, OpCode};
+use kv_direct::{Component, KvDirectConfig, KvDirectStore, OpClass, OpCode};
+use kvd_bench::{KeyDist, Ycsb, SATURATING_WINDOWS};
 
 fn run_workload(dist: Dist, put_ratio: f64) -> KvDirectStore {
     use kv_direct::mem::MemoryEngine;
@@ -90,39 +91,44 @@ fn longtail_caches_better_than_uniform() {
 
 #[test]
 fn throughput_composition_headline_shapes() {
-    // The three Figure 16 regimes, at laptop scale:
-    let cfg = KvDirectConfig::with_memory(1 << 20);
-    let model = SystemModel::paper();
+    // The three Figure 16 regimes on the saturated timed engine, at laptop
+    // scale.
+    let cfg = SystemSimConfig {
+        windows: SATURATING_WINDOWS,
+        ..SystemSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 40)
+    };
+    let run = |kv, put, dist, seed| Ycsb::new(kv, put, dist).run(cfg.clone(), seed);
 
-    // (1) tiny KVs, long-tail, read-heavy → clock- or memory-bound well
-    //     above the network bound for ≥62B KVs;
-    let tiny = WorkloadSpec::ycsb(10, 0.1, KeyDist::Zipf);
-    let m_tiny = measure_workload(&cfg, &tiny, 0.4, 15_000, 5);
-    let t_tiny = model.throughput(&tiny, &m_tiny);
-
-    // (2) large KVs → network-bound;
-    let large = WorkloadSpec::ycsb(254, 0.1, KeyDist::Uniform);
-    let m_large = measure_workload(&cfg, &large, 0.3, 5_000, 5);
-    let t_large = model.throughput(&large, &m_large);
-
+    // (1) tiny KVs, long-tail, read-heavy run well above large KVs;
+    let tiny = run(10, 0.1, KeyDist::Zipf, 5).report;
+    let large = run(254, 0.1, KeyDist::Uniform, 5).report;
     assert!(
-        t_tiny.mops > t_large.mops * 2.0,
+        tiny.mops > large.mops * 2.0,
         "{} vs {}",
-        t_tiny.mops,
-        t_large.mops
+        tiny.mops,
+        large.mops
     );
-    assert!((t_large.mops - t_large.network_bound_mops).abs() < 1e-9);
+
+    // (2) large KVs are network-bound: the network holds most of every
+    //     GET's and PUT's latency;
+    let lat = &large.ledger.latency;
+    for class in [OpClass::Get, OpClass::Put] {
+        let share = lat.share(class, Component::Network);
+        assert!(share > 0.5, "{class:?} network share {share}");
+    }
 
     // (3) write-heavy costs more memory accesses than read-heavy.
-    let writes = WorkloadSpec::ycsb(10, 1.0, KeyDist::Uniform);
-    let reads = WorkloadSpec::ycsb(10, 0.0, KeyDist::Uniform);
-    let mw = measure_workload(&cfg, &writes, 0.4, 10_000, 6);
-    let mr = measure_workload(&cfg, &reads, 0.4, 10_000, 6);
+    let accesses_per_op = |r: &kv_direct::system::SystemSimReport| {
+        let l = &r.ledger;
+        (l.pcie.dma_reads + l.pcie.dma_writes + l.dram.reads + l.dram.writes) as f64 / r.ops as f64
+    };
+    let writes = run(10, 1.0, KeyDist::Uniform, 6).report;
+    let reads = run(10, 0.0, KeyDist::Uniform, 6).report;
     assert!(
-        mw.accesses_per_op() > mr.accesses_per_op(),
+        accesses_per_op(&writes) > accesses_per_op(&reads),
         "PUT {} vs GET {}",
-        mw.accesses_per_op(),
-        mr.accesses_per_op()
+        accesses_per_op(&writes),
+        accesses_per_op(&reads)
     );
 }
 
