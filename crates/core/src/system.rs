@@ -1,7 +1,6 @@
 //! Timed end-to-end system simulation (client ↔ NIC ↔ host memory).
 //!
-//! The composition model in [`crate::timing`] predicts throughput and
-//! latency analytically; this module *simulates* them: a closed-loop
+//! Throughput and latency are simulated, not composed: a closed-loop
 //! client sends batched request packets over the 40 GbE model, the KV
 //! processor executes each operation functionally (so access counts are
 //! real, per operation), and every memory access is charged to the PCIe

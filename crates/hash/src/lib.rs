@@ -37,4 +37,4 @@ pub use layout::{
 };
 pub use swar::{RawEntries, RawEntry};
 pub use table::{ExpiryStats, HashError, HashTable, HashTableConfig, OpCost, SweepCost};
-pub use tuning::{fill_to_utilization, measure_costs, optimal_config, MeasuredCosts};
+pub use tuning::{optimal_config, MeasuredCosts};

@@ -7,7 +7,7 @@
 //! index ratio that still reaches the utilization (Figure 10's dashed
 //! line) because more index means more inlining and fewer accesses.
 
-use kvd_mem::{FlatMemory, MemoryEngine};
+use kvd_mem::FlatMemory;
 use kvd_sim::DetRng;
 
 use crate::table::{HashError, HashTable, HashTableConfig};
@@ -18,7 +18,7 @@ use crate::table::{HashError, HashTable, HashTableConfig};
 pub const TUNING_KEY_LEN: usize = 8;
 
 /// Average operation costs measured at some utilization.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MeasuredCosts {
     /// Utilization at which the measurement ran.
     pub utilization: f64,
@@ -34,7 +34,10 @@ fn key_bytes(id: u64) -> [u8; TUNING_KEY_LEN] {
     id.to_le_bytes()
 }
 
-fn value_for(kv_size: usize, id: u64) -> Vec<u8> {
+/// The value of key `id`: its KV size is `sizes[id % sizes.len()]`, so an
+/// update keeps the size the key was inserted with.
+fn value_for(sizes: &[usize], id: u64) -> Vec<u8> {
+    let kv_size = sizes[(id % sizes.len() as u64) as usize];
     assert!(
         kv_size > TUNING_KEY_LEN,
         "kv size must exceed the key length"
@@ -46,20 +49,31 @@ fn value_for(kv_size: usize, id: u64) -> Vec<u8> {
     v
 }
 
-/// Fills `table` with `kv_size`-byte KVs (8-byte keys) until it reaches
-/// `target_utilization` or runs out of memory.
+fn table(
+    total_memory: u64,
+    hash_index_ratio: f64,
+    inline_threshold: usize,
+) -> HashTable<FlatMemory> {
+    HashTable::new(
+        FlatMemory::new(total_memory),
+        HashTableConfig::new(total_memory, hash_index_ratio, inline_threshold),
+    )
+}
+
+/// Fills `table` with KVs of [`value_for`]'s sizes (8-byte keys) until it
+/// reaches `target_utilization` or runs out of memory.
 ///
 /// Returns the inserted key ids and the mean insertion cost.
-pub fn fill_to_utilization<M: MemoryEngine>(
-    table: &mut HashTable<M>,
-    kv_size: usize,
+fn fill_to_utilization(
+    table: &mut HashTable<FlatMemory>,
+    sizes: &[usize],
     target_utilization: f64,
 ) -> (Vec<u64>, f64) {
     let mut ids = Vec::new();
     let mut accesses = 0u64;
     let mut id = 0u64;
     while table.memory_utilization() < target_utilization {
-        match table.put_with_cost(&key_bytes(id), &value_for(kv_size, id)) {
+        match table.put_with_cost(&key_bytes(id), &value_for(sizes, id)) {
             Ok(cost) => {
                 accesses += cost.accesses;
                 ids.push(id);
@@ -77,25 +91,34 @@ pub fn fill_to_utilization<M: MemoryEngine>(
     (ids, insert_avg)
 }
 
-/// Measures average GET and PUT costs over `samples` random existing keys.
-pub fn measure_costs<M: MemoryEngine>(
-    table: &mut HashTable<M>,
-    ids: &[u64],
-    kv_size: usize,
-    samples: usize,
+/// Builds a fresh table, fills it to `utilization`, and measures average
+/// GET and PUT costs over random existing keys — the one driver behind
+/// [`point`] and [`point_mixed`].
+fn fill_and_measure(
+    total_memory: u64,
+    hash_index_ratio: f64,
+    inline_threshold: usize,
+    sizes: &[usize],
+    utilization: f64,
     seed: u64,
 ) -> MeasuredCosts {
-    assert!(!ids.is_empty(), "cannot measure an empty table");
+    let mut table = table(total_memory, hash_index_ratio, inline_threshold);
+    let (ids, insert_avg) = fill_to_utilization(&mut table, sizes, utilization);
+    if ids.is_empty() {
+        return MeasuredCosts::default();
+    }
+    let samples = 2000.min(ids.len() * 2);
     let mut rng = DetRng::seed(seed);
+    let mut out = Vec::new();
     let mut get_total = 0u64;
     let mut put_total = 0u64;
     for _ in 0..samples {
         let id = ids[rng.usize_below(ids.len())];
-        let (v, cost) = table.get_with_cost(&key_bytes(id));
-        assert!(v.is_some(), "inserted key {id} must be present");
+        let (hit, cost) = table.get_into_with_cost(&key_bytes(id), &mut out);
+        assert!(hit, "inserted key {id} must be present");
         get_total += cost.accesses;
         let cost = table
-            .put_with_cost(&key_bytes(id), &value_for(kv_size, id))
+            .put_with_cost(&key_bytes(id), &value_for(sizes, id))
             .expect("update of existing key cannot OOM");
         assert!(cost.hit, "update must hit");
         put_total += cost.accesses;
@@ -104,12 +127,13 @@ pub fn measure_costs<M: MemoryEngine>(
         utilization: table.memory_utilization(),
         get_avg: get_total as f64 / samples as f64,
         put_avg: put_total as f64 / samples as f64,
-        insert_avg: 0.0,
+        insert_avg,
     }
 }
 
-/// Builds a fresh table, fills it to `utilization`, and measures costs —
-/// the single data point behind every cell of Figures 6/9/11.
+/// Builds a fresh table, fills it to `utilization` with `kv_size`-byte
+/// KVs, and measures costs — the single data point behind every cell of
+/// Figures 9–11.
 pub fn point(
     total_memory: u64,
     hash_index_ratio: f64,
@@ -118,26 +142,17 @@ pub fn point(
     utilization: f64,
     seed: u64,
 ) -> MeasuredCosts {
-    let mut table = HashTable::new(
-        FlatMemory::new(total_memory),
-        HashTableConfig::new(total_memory, hash_index_ratio, inline_threshold),
-    );
-    let (ids, insert_avg) = fill_to_utilization(&mut table, kv_size, utilization);
-    if ids.is_empty() {
-        return MeasuredCosts {
-            utilization: 0.0,
-            get_avg: 0.0,
-            put_avg: 0.0,
-            insert_avg: 0.0,
-        };
-    }
-    table.mem_mut().reset_stats();
-    let mut m = measure_costs(&mut table, &ids, kv_size, 2000.min(ids.len() * 2), seed);
-    m.insert_avg = insert_avg;
-    m
+    fill_and_measure(
+        total_memory,
+        hash_index_ratio,
+        inline_threshold,
+        &[kv_size],
+        utilization,
+        seed,
+    )
 }
 
-/// Like [`point`], but with KV sizes drawn uniformly from `sizes` — the
+/// Like [`point`], but with KV sizes cycling through `sizes` by key — the
 /// mixed-size workload behind Figure 6, where the inline threshold trades
 /// inlining gains against bucket pressure.
 pub fn point_mixed(
@@ -149,55 +164,14 @@ pub fn point_mixed(
     seed: u64,
 ) -> MeasuredCosts {
     assert!(!sizes.is_empty());
-    let mut table = HashTable::new(
-        FlatMemory::new(total_memory),
-        HashTableConfig::new(total_memory, hash_index_ratio, inline_threshold),
-    );
-    let mut rng = DetRng::seed(seed ^ 0xFEED);
-    // Fill with per-key deterministic sizes so updates keep sizes stable.
-    let size_of = |id: u64| sizes[(id % sizes.len() as u64) as usize];
-    let mut ids = Vec::new();
-    let mut id = 0u64;
-    let mut insert_accesses = 0u64;
-    while table.memory_utilization() < utilization {
-        let kv = size_of(id);
-        match table.put_with_cost(&key_bytes(id), &value_for(kv, id)) {
-            Ok(c) => {
-                insert_accesses += c.accesses;
-                ids.push(id);
-            }
-            Err(HashError::OutOfMemory) => break,
-            Err(e) => panic!("unexpected fill error: {e}"),
-        }
-        id += 1;
-    }
-    if ids.is_empty() {
-        return MeasuredCosts {
-            utilization: 0.0,
-            get_avg: 0.0,
-            put_avg: 0.0,
-            insert_avg: 0.0,
-        };
-    }
-    let samples = 2000.min(ids.len() * 2);
-    let mut get_total = 0u64;
-    let mut put_total = 0u64;
-    for _ in 0..samples {
-        let id = ids[rng.usize_below(ids.len())];
-        let (v, cost) = table.get_with_cost(&key_bytes(id));
-        assert!(v.is_some());
-        get_total += cost.accesses;
-        let cost = table
-            .put_with_cost(&key_bytes(id), &value_for(size_of(id), id))
-            .expect("update cannot OOM");
-        put_total += cost.accesses;
-    }
-    MeasuredCosts {
-        utilization: table.memory_utilization(),
-        get_avg: get_total as f64 / samples as f64,
-        put_avg: put_total as f64 / samples as f64,
-        insert_avg: insert_accesses as f64 / ids.len() as f64,
-    }
+    fill_and_measure(
+        total_memory,
+        hash_index_ratio,
+        inline_threshold,
+        sizes,
+        utilization,
+        seed ^ 0xFEED,
+    )
 }
 
 /// The highest utilization a configuration can reach before OOM
@@ -208,11 +182,8 @@ pub fn max_achievable_utilization(
     inline_threshold: usize,
     kv_size: usize,
 ) -> f64 {
-    let mut table = HashTable::new(
-        FlatMemory::new(total_memory),
-        HashTableConfig::new(total_memory, hash_index_ratio, inline_threshold),
-    );
-    let (_, _) = fill_to_utilization(&mut table, kv_size, 1.0);
+    let mut table = table(total_memory, hash_index_ratio, inline_threshold);
+    fill_to_utilization(&mut table, &[kv_size], 1.0);
     table.memory_utilization()
 }
 
@@ -254,8 +225,8 @@ mod tests {
 
     #[test]
     fn fill_reaches_target() {
-        let mut t = HashTable::new(FlatMemory::new(MEM), HashTableConfig::new(MEM, 0.5, 24));
-        let (ids, insert_avg) = fill_to_utilization(&mut t, 16, 0.3);
+        let mut t = table(MEM, 0.5, 24);
+        let (ids, insert_avg) = fill_to_utilization(&mut t, &[16], 0.3);
         assert!(t.memory_utilization() >= 0.3);
         assert!(!ids.is_empty());
         assert!(insert_avg >= 2.0, "inline insert costs at least 2");

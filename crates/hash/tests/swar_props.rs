@@ -185,8 +185,8 @@ proptest! {
         for (k, v) in &reference {
             let owned = table.get(k);
             prop_assert_eq!(owned.as_ref(), Some(v));
-            let hit = table.get_into(k, &mut scratch);
-            prop_assert_eq!(hit, Some(v.len()));
+            let (hit, _) = table.get_into_with_cost(k, &mut scratch);
+            prop_assert!(hit);
             prop_assert_eq!(&scratch, v);
         }
         prop_assert_eq!(table.len(), reference.len() as u64);
