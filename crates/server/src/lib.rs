@@ -11,13 +11,15 @@
 //! per-shard bundles executed in place by the connection's own thread
 //! under the shard's lock ([`server`]) → the execution core of
 //! [`kvd_core::KvDirectStore`] (`run`), reading each bundle in place.
+//! Everything between the socket's bytes and the reply bytes is one
+//! socket-free session per connection; a thin driver owns the socket.
 //!
 //! * [`proto`] — the wire grammar: borrowed zero-copy decode, response
 //!   encoding, error taxonomy (`ERROR` / `CLIENT_ERROR` /
 //!   `SERVER_ERROR`).
-//! * [`server`] — acceptor + connection threads + mutex-guarded shard
-//!   stores; protocol traffic lands in the op-cost ledger's `server`
-//!   section, readable while serving.
+//! * [`server`] — acceptor, per-connection sessions and socket drivers,
+//!   mutex-guarded shard stores; protocol traffic lands in the op-cost
+//!   ledger's `server` section, readable while serving.
 //! * [`loadgen`] — the self-driving open-loop load client
 //!   ([`ChaosSchedule`](kvd_sim::ChaosSchedule) arrivals, goodput
 //!   accounting against per-op deadlines).

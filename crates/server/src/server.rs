@@ -1,31 +1,41 @@
-//! The serving front-end: thread-per-connection TCP server executing in
-//! place on locked shards.
+//! The serving front-end: a sans-IO connection core executing in place
+//! on locked shards, fed by one socket driver thread per connection.
 //!
 //! Layout (DESIGN.md §12):
 //!
+//! * `Shared`, behind one `Arc`, holds what every connection and the
+//!   [`ServerHandle`] share: `shards` **shards** (each one
+//!   [`KvDirectStore`] behind its own mutex), the cas counter, protocol
+//!   counters, clock, cluster membership, shutdown flag and open gauge;
 //! * one **acceptor** thread owns the (blocking) listener;
-//! * `shards` **shards**, each one [`KvDirectStore`] behind its own
-//!   mutex, shared by every connection and the [`ServerHandle`];
-//! * one thread per **connection**, which reassembles frames
-//!   incrementally ([`crate::proto::parse`]), routes each operation to
-//!   its shard via [`kvd_net::shard_of`], stages per-shard bundles, and
-//!   on seal locks the shard, executes the bundle itself and unlocks —
-//!   no hand-off to another thread — then writes responses back in
-//!   request order straight out of the bundles it just executed.
+//! * a `Session` is one connection's protocol state and owns no socket:
+//!   it reassembles frames incrementally ([`crate::proto::parse`]),
+//!   routes each operation to its shard via [`kvd_net::shard_of`],
+//!   stages per-shard bundles, and on seal locks the shard, executes the
+//!   bundle itself and unlocks — no hand-off to another thread — then
+//!   encodes the replies in request order into its out-buffer;
+//! * `drive`, one thread per connection, is all that touches the
+//!   `TcpStream`: it reads into the session, runs it and writes its
+//!   out-buffer.
 //!
-//! What the per-shard lock guarantees, and what connections must keep:
+//! What the per-shard lock guarantees, and what sessions must keep:
 //!
-//! * a connection holds **at most one** shard lock at a time (taken and
+//! * a session holds **at most one** shard lock at a time (taken and
 //!   released inside `seal`), so there is no lock order and no deadlock;
-//! * per connection and shard, program order is seal order: ships-alone
+//! * per session and shard, program order is seal order: ships-alone
 //!   ops (`add`/`replace`/`touch`) seal what is staged ahead of them,
 //!   then themselves, before anything later is staged;
 //! * `add`/`replace` probe-then-store is atomic because both halves run
 //!   inside one critical section;
 //! * a poisoned shard lock (a connection panicked mid-bundle, so the
-//!   table may be half-mutated) is fail-stop: connections that need the
-//!   shard close with `BrokenPipe`, while [`ServerHandle::ledger`] and
-//!   [`ServerHandle::stop`] still read the counters through the poison.
+//!   table may be half-mutated) is fail-stop: a session that needs the
+//!   shard returns `Poisoned` and its connection closes without a reply,
+//!   while [`ServerHandle::ledger`] and [`ServerHandle::stop`] still read
+//!   the counters through the poison.
+//!
+//! A session folds its protocol counters into the shared ones when it is
+//! dropped, so they are counted on every exit path: a clean close, `quit`,
+//! an I/O error or a poisoned shard.
 //!
 //! Steady-state the hot path allocates nothing, per request or per
 //! bundle: bytes are read straight into the receive buffer, keys and
@@ -33,7 +43,7 @@
 //! core ([`KvDirectStore::run`]) reads a bundle's requests in place
 //! through a positional view of its `ops` and `arena` and answers into
 //! the bundle's pooled responses, and response encoding appends into a
-//! reused write buffer.
+//! reused out-buffer.
 //!
 //! Stored values carry a 12-byte header — `flags: u32 LE | cas: u64 LE`
 //! — ahead of the client data, so GET can echo flags and `gets` a cas
@@ -50,9 +60,12 @@ use kvd_core::{tick_of_us, KvDirectConfig, KvDirectStore, RequestStream, EXPIRY_
 use kvd_net::{shard_of, HashRing, KvRequestRef, KvResponse, Status};
 use kvd_sim::{CostSource, OpLedger, ServerCosts, SharedServerCosts, SimTime};
 
-use crate::proto::{
-    parse, Command, Parsed, StoreVerb, MAX_KEY_LEN, TOO_LARGE_REPLY, VERSION_REPLY,
-};
+use crate::proto::StoreVerb::{self, Add, Replace, Set};
+use crate::proto::{parse, Command, Parsed, MAX_KEY_LEN, TOO_LARGE_REPLY, VERSION_REPLY};
+
+/// Max operations gathered from one connection's buffered frames before
+/// they are executed and answered.
+const MAX_BATCH: usize = 64;
 
 /// Bytes of `flags | cas` prepended to every stored value.
 pub const VALUE_HEADER_LEN: usize = 12;
@@ -150,9 +163,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Per-shard store configuration.
     pub store: KvDirectConfig,
-    /// Max operations gathered from one connection's buffered frames
-    /// before they are executed and answered.
-    pub max_batch: usize,
     /// Cluster membership; `None` (standalone) serves every key.
     pub cluster: Option<ClusterMembership>,
 }
@@ -167,7 +177,6 @@ impl ServerConfig {
         ServerConfig {
             shards,
             store,
-            max_batch: 64,
             cluster: None,
         }
     }
@@ -183,9 +192,7 @@ impl ServerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verb {
     Get,
-    Set,
-    Add,
-    Replace,
+    Store(StoreVerb),
     Delete,
     Touch,
 }
@@ -196,7 +203,7 @@ impl Verb {
     /// through the store's dedicated re-stamp entry point rather than
     /// the batch pipeline).
     fn ships_alone(self) -> bool {
-        matches!(self, Verb::Add | Verb::Replace | Verb::Touch)
+        matches!(self, Verb::Store(Add | Replace) | Verb::Touch)
     }
 }
 
@@ -204,7 +211,7 @@ impl Verb {
 #[derive(Debug, Clone, Copy)]
 struct Op {
     verb: Verb,
-    /// Response slot in the connection's chunk.
+    /// Response slot in the session's batch.
     slot: u32,
     key: (u32, u32),
     /// Framed value range (`flags|cas|data`) for store verbs.
@@ -214,7 +221,7 @@ struct Op {
 }
 
 /// A pooled execution unit: one shard's ops + their byte arena in,
-/// responses out. A connection fills it, executes it under the shard's
+/// responses out. A session fills it, executes it under the shard's
 /// lock and reads `responses[i]` aligned to `ops[i]`; the next reuse
 /// answers into the same responses, value buffers kept.
 #[derive(Debug, Default)]
@@ -231,7 +238,7 @@ impl Bundle {
 }
 
 /// The first `n` response slots of a bundle. The vector only grows (a
-/// connection reads `responses[i]` for `ops[i]` and nothing beyond), so
+/// session reads `responses[i]` for `ops[i]` and nothing beyond), so
 /// the value buffers of a large bundle survive a small one in between.
 fn response_slots(responses: &mut Vec<KvResponse>, n: usize) -> &mut [KvResponse] {
     if responses.len() < n {
@@ -257,12 +264,12 @@ impl RequestStream for BundleRequests<'_> {
         let key = &self.arena[op.key.0 as usize..op.key.1 as usize];
         match op.verb {
             Verb::Get => KvRequestRef::get(key),
-            Verb::Set => {
+            Verb::Store(Set) => {
                 let value = &self.arena[op.val.0 as usize..op.val.1 as usize];
                 KvRequestRef::put_ttl(key, value, op.expiry)
             }
             Verb::Delete => KvRequestRef::delete(key),
-            Verb::Add | Verb::Replace | Verb::Touch => unreachable!("these ops ship alone"),
+            Verb::Store(Add | Replace) | Verb::Touch => unreachable!("these ops ship alone"),
         }
     }
 }
@@ -274,14 +281,52 @@ struct Shard {
     probe: KvResponse,
 }
 
+/// What every session shares with the others and with the
+/// [`ServerHandle`], behind one `Arc`.
+struct Shared {
+    shards: Box<[Mutex<Shard>]>,
+    cas: AtomicU64,
+    costs: SharedServerCosts,
+    clock: ServerClock,
+    cluster: Option<ClusterMembership>,
+    shutdown: AtomicBool,
+    /// Sessions alive (accepted connections not yet torn down).
+    active: AtomicUsize,
+}
+
+impl Shared {
+    fn new(cfg: ServerConfig) -> Shared {
+        assert!(cfg.shards >= 1, "need at least one shard");
+        let clock = ServerClock::start();
+        let shard = |_| {
+            let store = KvDirectStore::new(cfg.store.clone());
+            Mutex::new(Shard {
+                store,
+                probe: KvResponse::default(),
+            })
+        };
+        Shared {
+            shards: (0..cfg.shards).map(shard).collect(),
+            cas: AtomicU64::new(0),
+            costs: SharedServerCosts::default(),
+            clock,
+            cluster: cfg.cluster,
+            shutdown: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether this node serves `key` (standalone servers serve all).
+    fn owns(&self, key: &[u8]) -> bool {
+        self.cluster.as_ref().is_none_or(|m| m.owns(key))
+    }
+}
+
 /// A running server; dropping or [`stop`](ServerHandle::stop)ping shuts
 /// it down.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    costs: Arc<SharedServerCosts>,
-    shards: Arc<[Mutex<Shard>]>,
+    shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -295,12 +340,12 @@ impl ServerHandle {
     /// tests poll this to know a killed client has fully drained
     /// server-side before asserting on store state.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
+        self.shared.active.load(Ordering::SeqCst)
     }
 
     /// Live protocol-plane counters.
     pub fn server_costs(&self) -> ServerCosts {
-        self.costs.snapshot()
+        self.shared.costs.snapshot()
     }
 
     /// Merged op-cost ledger: every shard's data-plane costs (read
@@ -308,18 +353,16 @@ impl ServerHandle {
     /// deterministic) plus the protocol plane's [`ServerCosts`]. Safe to
     /// call while the server is serving.
     pub fn ledger(&self) -> OpLedger {
-        let mut out = OpLedger::default();
-        for shard in self.shards.iter() {
+        let mut out = OpLedger {
+            server: self.server_costs(),
+            ..Default::default()
+        };
+        for shard in self.shared.shards.iter() {
             // Counters stay meaningful after a panic mid-bundle, so read
             // through a poisoned lock.
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             out.merge(&shard.store.ledger());
         }
-        let protocol = OpLedger {
-            server: self.costs.snapshot(),
-            ..Default::default()
-        };
-        out.merge(&protocol);
         out
     }
 
@@ -330,7 +373,7 @@ impl ServerHandle {
         // Connections poll the flag on their read timeout; give them a
         // bounded window to drain.
         for _ in 0..200 {
-            if self.active.load(Ordering::SeqCst) == 0 {
+            if self.active_connections() == 0 {
                 break;
             }
             thread::sleep(Duration::from_millis(10));
@@ -340,7 +383,7 @@ impl ServerHandle {
 
     /// Raises the shutdown flag and joins the acceptor.
     fn shut_down(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(a) = self.acceptor.take() {
             // The acceptor blocks in `accept`; one throw-away connection
             // wakes it to see the flag. If that cannot be made, leave
@@ -366,99 +409,77 @@ impl CostSource for ServerHandle {
 
 /// Binds `addr` and starts serving.
 pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerHandle> {
-    assert!(cfg.shards >= 1, "need at least one shard");
-    assert!(cfg.max_batch >= 1, "need a positive batch cap");
     let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
-    let costs = Arc::new(SharedServerCosts::default());
-    let cas = Arc::new(AtomicU64::new(0));
-    let clock = ServerClock::start();
-
-    let shards: Arc<[Mutex<Shard>]> = (0..cfg.shards)
-        .map(|_| {
-            Mutex::new(Shard {
-                store: KvDirectStore::new(cfg.store.clone()),
-                probe: KvResponse {
-                    status: Status::NotFound,
-                    value: Vec::new(),
-                },
-            })
-        })
-        .collect();
-
+    let addr = listener.local_addr()?;
+    let shared = Arc::new(Shared::new(cfg));
     let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let active = Arc::clone(&active);
-        let costs = Arc::clone(&costs);
-        let shards = Arc::clone(&shards);
+        let shared = Arc::clone(&shared);
         thread::spawn(move || {
             // Ends on an accept error or on the wake-up connection that
             // `shut_down` makes after raising the flag.
             while let Ok((stream, _)) = listener.accept() {
-                if shutdown.load(Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                active.fetch_add(1, Ordering::SeqCst);
-                costs.connections.fetch_add(1, Ordering::Relaxed);
-                let shutdown = Arc::clone(&shutdown);
-                let active = Arc::clone(&active);
-                let costs = Arc::clone(&costs);
-                let shards = Arc::clone(&shards);
-                let cas = Arc::clone(&cas);
-                let max_batch = cfg.max_batch;
-                let cluster = cfg.cluster.clone();
-                thread::spawn(move || {
-                    let _guard = ConnGuard {
-                        active,
-                        costs: Arc::clone(&costs),
-                    };
-                    let conn =
-                        Connection::new(stream, shards, cas, costs, max_batch, cluster, clock);
-                    if let Ok(mut conn) = conn {
-                        let _ = conn.run(&shutdown);
-                    }
-                });
+                // Opened here, so the connection counts as active from
+                // its accept on.
+                let session = Session::new(Arc::clone(&shared));
+                thread::spawn(move || drive(stream, session));
             }
         })
     };
-
     Ok(ServerHandle {
-        addr: local,
-        shutdown,
-        active,
-        costs,
-        shards,
+        addr,
+        shared,
         acceptor: Some(acceptor),
     })
 }
 
-/// Decrements the active-connection gauge however the thread exits.
-struct ConnGuard {
-    active: Arc<AtomicUsize>,
-    costs: Arc<SharedServerCosts>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        self.costs.disconnects.fetch_add(1, Ordering::Relaxed);
+/// Runs one connection: reads into the session, runs it, writes its
+/// replies. Returns on EOF, `quit`, shutdown, an I/O error or a poisoned
+/// shard; dropping the session then folds its counters.
+fn drive(mut stream: TcpStream, mut session: Session) -> io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
+    stream.set_nodelay(true)?;
+    // Read when the last pass left nothing it could run without more
+    // bytes — otherwise a buffered partial frame would spin hot.
+    let mut more = false;
+    while !session.closing && !session.shared.shutdown.load(Ordering::SeqCst) {
+        if !more {
+            match stream.read(session.spare()) {
+                Ok(0) => break,
+                Ok(n) => session.received(n),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    session.flush_costs();
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        // A poisoned shard closes the connection without a reply.
+        let Ok(again) = session.process() else {
+            return Ok(());
+        };
+        more = again;
+        stream.write_all(&session.out)?;
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // Shard execution (called with the shard's lock held)
 // ---------------------------------------------------------------------
 
-fn next_cas(cas: &AtomicU64) -> u64 {
-    cas.fetch_add(1, Ordering::Relaxed) + 1
+/// Stamps the next cas unique into a store op's value header.
+fn stamp_cas(cas: &AtomicU64, arena: &mut [u8], op: &Op) {
+    let unique = cas.fetch_add(1, Ordering::Relaxed) + 1;
+    let at = op.val.0 as usize + 4;
+    arena[at..at + 8].copy_from_slice(&unique.to_le_bytes());
 }
 
 fn execute_bundle(shard: &mut Shard, bundle: &mut Bundle, cas: &AtomicU64) {
     let store = &mut shard.store;
-    // Connections seal ships-alone ops into their own single-op bundle.
+    // Sessions seal ships-alone ops into their own single-op bundle.
     if bundle.ops.len() == 1 && bundle.ops[0].verb.ships_alone() {
         let op = bundle.ops[0];
         if op.verb == Verb::Touch {
@@ -479,10 +500,8 @@ fn execute_bundle(shard: &mut Shard, bundle: &mut Bundle, cas: &AtomicU64) {
         responses,
     } = bundle;
     for op in ops.iter() {
-        if op.verb == Verb::Set {
-            let c = next_cas(cas);
-            let at = op.val.0 as usize + 4;
-            arena[at..at + 8].copy_from_slice(&c.to_le_bytes());
+        if op.verb == Verb::Store(Set) {
+            stamp_cas(cas, arena, op);
         }
     }
     store.run(
@@ -501,24 +520,17 @@ fn execute_conditional(
     probe: &mut KvResponse,
 ) {
     let op = bundle.ops[0];
-    let c = next_cas(cas);
-    let at = op.val.0 as usize + 4;
-    bundle.arena[at..at + 8].copy_from_slice(&c.to_le_bytes());
-
+    stamp_cas(cas, &mut bundle.arena, &op);
     store.execute_one_into(KvRequestRef::get(bundle.key(&op)), probe);
-    let proceed = match (op.verb, probe.status) {
-        (Verb::Add, Status::NotFound) => true,
-        (Verb::Replace, Status::Ok) => true,
-        (Verb::Add, Status::Ok) | (Verb::Replace, Status::NotFound) => false,
+    let present = match probe.status {
+        Status::Ok => true,
+        Status::NotFound => false,
         // Probe itself failed (device fault, shed): surface that status.
-        _ => {
-            set_response(bundle, probe.status);
-            return;
-        }
+        status => return set_response(bundle, status),
     };
-    if !proceed {
-        set_response(bundle, Status::NotFound);
-        return;
+    // `add` stores only a missing key, `replace` only a present one.
+    if present != (op.verb == Verb::Store(Replace)) {
+        return set_response(bundle, Status::NotFound);
     }
     let Bundle {
         arena, responses, ..
@@ -561,7 +573,7 @@ fn set_response(bundle: &mut Bundle, status: Status) {
 }
 
 // ---------------------------------------------------------------------
-// Connection
+// Session
 // ---------------------------------------------------------------------
 
 /// What the response encoder must emit, in request order.
@@ -572,7 +584,7 @@ enum PlanItem {
         n_keys: u32,
         with_cas: bool,
     },
-    /// One store/delete op's status line (suppressed by `noreply`).
+    /// One store/delete/touch op's status line (suppressed by `noreply`).
     Op {
         slot: u32,
         verb: Verb,
@@ -580,280 +592,138 @@ enum PlanItem {
     },
     /// Immediate canned reply (errors, `VERSION`).
     Reply(&'static [u8]),
-    /// Close after flushing.
-    Close,
 }
 
-struct Connection {
-    stream: TcpStream,
-    shards: Arc<[Mutex<Shard>]>,
-    cas: Arc<AtomicU64>,
-    costs: Arc<SharedServerCosts>,
-    max_batch: usize,
+/// A shard the session needed has a poisoned lock: a connection panicked
+/// mid-bundle, so its table may be half-mutated.
+#[derive(Debug)]
+struct Poisoned;
 
-    /// Receive buffer, read into directly: `recv[start..end]` holds the
-    /// bytes received and not yet consumed. Its length only grows, and
-    /// only when one frame is larger than the whole buffer.
+/// One connection's protocol state, without the socket. Bytes go in
+/// through [`spare`](Session::spare) and [`received`](Session::received);
+/// [`process`](Session::process) answers them into `out`.
+struct Session {
+    shared: Arc<Shared>,
+    /// Receive buffer: `recv[start..end]` holds the bytes received and
+    /// not yet consumed. Its length only grows, and only when one frame
+    /// is larger than the whole buffer.
     recv: Vec<u8>,
     start: usize,
     end: usize,
+    /// Replies encoded by the last `process`, in request order.
     out: Vec<u8>,
     /// Data-block bytes still to swallow after an oversized store.
     swallow: usize,
+    /// Set by `quit` or a fatal protocol error: what is parsed is still
+    /// answered, nothing after it is read.
+    closing: bool,
 
-    /// Per-shard bundle being filled this chunk (`None` = empty).
+    /// Per-shard bundle being filled this batch (`None` = empty).
     staging: Vec<Option<Bundle>>,
     pool: Vec<Bundle>,
-    /// Bundles executed this chunk, in seal order.
+    /// Bundles executed this batch, in seal order.
     done: Vec<Bundle>,
     plan: Vec<PlanItem>,
-    /// slot -> (index into `done`, op index), filled before encoding.
+    /// One entry per op staged this batch: slot -> (index into `done`,
+    /// op index), filled in before encoding.
     slots: Vec<(u32, u32)>,
     local: ServerCosts,
-    cluster: Option<ClusterMembership>,
-    clock: ServerClock,
 }
 
-impl Connection {
-    fn new(
-        stream: TcpStream,
-        shards: Arc<[Mutex<Shard>]>,
-        cas: Arc<AtomicU64>,
-        costs: Arc<SharedServerCosts>,
-        max_batch: usize,
-        cluster: Option<ClusterMembership>,
-        clock: ServerClock,
-    ) -> io::Result<Connection> {
-        stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-        stream.set_nodelay(true)?;
-        Ok(Connection {
-            stream,
-            staging: (0..shards.len()).map(|_| None).collect(),
-            shards,
-            cas,
-            costs,
-            max_batch,
+impl Session {
+    /// Opens a session; it counts as an open connection until dropped.
+    fn new(shared: Arc<Shared>) -> Session {
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        shared.costs.connections.fetch_add(1, Ordering::Relaxed);
+        Session {
+            staging: (0..shared.shards.len()).map(|_| None).collect(),
+            shared,
             recv: vec![0; 16 << 10],
             start: 0,
             end: 0,
             out: Vec::with_capacity(16 << 10),
             swallow: 0,
+            closing: false,
             pool: Vec::new(),
             done: Vec::new(),
             plan: Vec::new(),
             slots: Vec::new(),
             local: ServerCosts::default(),
-            cluster,
-            clock,
-        })
-    }
-
-    /// Whether this node serves `key` (standalone servers serve all).
-    fn owns(&self, key: &[u8]) -> bool {
-        self.cluster.as_ref().is_none_or(|m| m.owns(key))
-    }
-
-    fn run(&mut self, shutdown: &AtomicBool) -> io::Result<()> {
-        let mut closing = false;
-        // Read when the buffer is drained OR the last pass made no
-        // progress (a partial frame is waiting for the rest of its
-        // bytes) — otherwise a buffered partial frame would spin hot.
-        let mut need_read = true;
-        while !closing && !shutdown.load(Ordering::SeqCst) {
-            if need_read || self.start == self.end {
-                if self.start == self.end {
-                    self.start = 0;
-                    self.end = 0;
-                } else if self.start > 0 {
-                    // A partial frame is carried over: move it to the
-                    // front so the rest of it has room to arrive.
-                    self.recv.copy_within(self.start..self.end, 0);
-                    self.end -= self.start;
-                    self.start = 0;
-                }
-                if self.end == self.recv.len() {
-                    // One frame larger than the buffer (the parser
-                    // bounds frames, so this stops at a few doublings).
-                    self.recv.resize(self.recv.len() * 2, 0);
-                }
-                match self.stream.read(&mut self.recv[self.end..]) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        self.local.bytes_in += n as u64;
-                        self.end += n;
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        self.flush_costs();
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if self.swallow > 0 {
-                let eat = self.swallow.min(self.end - self.start);
-                self.start += eat;
-                self.swallow -= eat;
-                if self.swallow > 0 {
-                    continue;
-                }
-            }
-
-            let before = self.start;
-            closing = self.process_chunk()?;
-            // No bytes consumed = a partial frame: wait for more input.
-            need_read = self.start == before;
         }
-        self.flush_costs();
-        Ok(())
     }
 
-    /// Parses as many frames as are buffered (capped at `max_batch`
-    /// ops), executes them shard by shard, encodes and writes. Returns
-    /// `true` when the connection should close.
-    fn process_chunk(&mut self) -> io::Result<bool> {
+    /// Where the next received bytes go: the free tail of the receive
+    /// buffer, after a carried-over partial frame is moved to the front
+    /// so the rest of it has room to arrive.
+    fn spare(&mut self) -> &mut [u8] {
+        if self.start > 0 {
+            self.recv.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.recv.len() {
+            // One frame larger than the buffer (the parser bounds
+            // frames, so this stops at a few doublings).
+            self.recv.resize(self.recv.len() * 2, 0);
+        }
+        &mut self.recv[self.end..]
+    }
+
+    /// Takes in the first `n` bytes of [`spare`](Session::spare).
+    fn received(&mut self, n: usize) {
+        self.local.bytes_in += n as u64;
+        self.end += n;
+    }
+
+    /// Parses up to [`MAX_BATCH`] ops of the buffered frames, executes
+    /// them shard by shard and encodes their replies into `out`. Returns
+    /// whether buffered bytes are left that can be processed without
+    /// receiving more.
+    fn process(&mut self) -> Result<bool, Poisoned> {
+        self.out.clear();
+        if self.swallow > 0 {
+            let eat = self.swallow.min(self.end - self.start);
+            self.start += eat;
+            self.swallow -= eat;
+            if self.swallow > 0 {
+                return Ok(false);
+            }
+        }
+        let before = self.start;
         // The parsed commands borrow the receive buffer while staging
         // mutates `self`; moving the buffer out for the duration keeps
         // the borrows disjoint without copying a byte.
         let recv = std::mem::take(&mut self.recv);
-        let res = self.process_buffered(&recv[..self.end]);
+        let parsed = self.parse_batch(&recv[..self.end]);
         self.recv = recv;
-        res
+        parsed?;
+        for shard in 0..self.staging.len() {
+            self.seal(shard)?;
+        }
+        self.encode();
+        // No bytes consumed = a partial frame: wait for more input.
+        Ok(self.start != before && self.start != self.end)
     }
 
-    fn process_buffered(&mut self, recv: &[u8]) -> io::Result<bool> {
-        let mut next_slot: u32 = 0;
-        let mut closing = false;
-
-        loop {
-            if next_slot as usize >= self.max_batch || closing || self.swallow > 0 {
-                break;
-            }
-            let buf = &recv[self.start..];
-            if buf.is_empty() {
-                break;
-            }
-            match parse(buf) {
+    /// Parses and stages frames until the batch is full, no complete
+    /// frame is buffered, or the session starts closing or swallowing.
+    fn parse_batch(&mut self, recv: &[u8]) -> Result<(), Poisoned> {
+        self.slots.clear();
+        while self.slots.len() < MAX_BATCH && !self.closing && self.swallow == 0 {
+            let consumed = match parse(&recv[self.start..]) {
                 Parsed::Incomplete => break,
                 Parsed::Frame { cmd, consumed } => {
                     self.local.frames += 1;
                     self.local.requests += 1;
-                    // Stage before consuming: `cmd` borrows `buf`.
-                    match cmd {
-                        Command::Get { with_cas, keys } => {
-                            // A frame touching any key this node does not
-                            // own is refused whole — partial answers
-                            // would read as misses on the foreign keys.
-                            if keys.iter().any(|key| !self.owns(key)) {
-                                self.local.server_errors += 1;
-                                self.local.not_primary += 1;
-                                self.plan.push(PlanItem::Reply(NOT_PRIMARY_REPLY));
-                                self.start += consumed;
-                                continue;
-                            }
-                            let first_slot = next_slot;
-                            let mut n_keys = 0u32;
-                            for key in keys.iter() {
-                                self.stage(Verb::Get, next_slot, key, 0, &[], 0)?;
-                                next_slot += 1;
-                                n_keys += 1;
-                            }
-                            self.plan.push(PlanItem::GetFrame {
-                                first_slot,
-                                n_keys,
-                                with_cas,
-                            });
-                        }
-                        Command::Store {
-                            verb,
-                            key,
-                            flags,
-                            exptime,
-                            data,
-                            noreply,
-                        } => {
-                            let verb = match verb {
-                                StoreVerb::Set => Verb::Set,
-                                StoreVerb::Add => Verb::Add,
-                                StoreVerb::Replace => Verb::Replace,
-                            };
-                            if !self.owns(key) {
-                                self.local.server_errors += 1;
-                                self.local.not_primary += 1;
-                                if !noreply {
-                                    self.plan.push(PlanItem::Reply(NOT_PRIMARY_REPLY));
-                                }
-                                self.start += consumed;
-                                continue;
-                            }
-                            let expiry = self.clock.expiry_tick(exptime);
-                            self.stage(verb, next_slot, key, flags, data, expiry)?;
-                            self.plan.push(PlanItem::Op {
-                                slot: next_slot,
-                                verb,
-                                noreply,
-                            });
-                            next_slot += 1;
-                        }
-                        Command::Touch {
-                            key,
-                            exptime,
-                            noreply,
-                        } => {
-                            if !self.owns(key) {
-                                self.local.server_errors += 1;
-                                self.local.not_primary += 1;
-                                if !noreply {
-                                    self.plan.push(PlanItem::Reply(NOT_PRIMARY_REPLY));
-                                }
-                                self.start += consumed;
-                                continue;
-                            }
-                            let expiry = self.clock.expiry_tick(exptime);
-                            self.stage(Verb::Touch, next_slot, key, 0, &[], expiry)?;
-                            self.plan.push(PlanItem::Op {
-                                slot: next_slot,
-                                verb: Verb::Touch,
-                                noreply,
-                            });
-                            next_slot += 1;
-                        }
-                        Command::Delete { key, noreply } => {
-                            if !self.owns(key) {
-                                self.local.server_errors += 1;
-                                self.local.not_primary += 1;
-                                if !noreply {
-                                    self.plan.push(PlanItem::Reply(NOT_PRIMARY_REPLY));
-                                }
-                                self.start += consumed;
-                                continue;
-                            }
-                            self.stage(Verb::Delete, next_slot, key, 0, &[], 0)?;
-                            self.plan.push(PlanItem::Op {
-                                slot: next_slot,
-                                verb: Verb::Delete,
-                                noreply,
-                            });
-                            next_slot += 1;
-                        }
-                        Command::Version => self.plan.push(PlanItem::Reply(VERSION_REPLY)),
-                        Command::Quit => {
-                            self.plan.push(PlanItem::Close);
-                            closing = true;
-                        }
-                    }
-                    self.start += consumed;
+                    self.command(cmd)?;
+                    consumed
                 }
                 Parsed::Error { err, consumed } => {
                     self.local.frames += 1;
                     self.local.protocol_errors += 1;
                     self.plan.push(PlanItem::Reply(err.reply()));
-                    if err.is_fatal() {
-                        self.plan.push(PlanItem::Close);
-                        closing = true;
-                    }
-                    self.start += consumed;
+                    self.closing = err.is_fatal();
+                    consumed
                 }
                 Parsed::TooLarge {
                     consumed,
@@ -865,133 +735,96 @@ impl Connection {
                     if !noreply {
                         self.plan.push(PlanItem::Reply(TOO_LARGE_REPLY));
                     }
-                    self.start += consumed;
                     self.swallow = skip;
+                    consumed
                 }
-            }
+            };
+            self.start += consumed;
         }
-
-        // Seal whatever is still staged.
-        for shard in 0..self.staging.len() {
-            self.seal(shard)?;
-        }
-
-        self.slots.clear();
-        self.slots.resize(next_slot as usize, (u32::MAX, u32::MAX));
-        for (bi, b) in self.done.iter().enumerate() {
-            for (oi, op) in b.ops.iter().enumerate() {
-                self.slots[op.slot as usize] = (bi as u32, oi as u32);
-            }
-        }
-
-        // Encode in request order.
-        self.out.clear();
-        for item in &self.plan {
-            match *item {
-                PlanItem::Reply(bytes) => self.out.extend_from_slice(bytes),
-                PlanItem::Close => {}
-                PlanItem::GetFrame {
-                    first_slot,
-                    n_keys,
-                    with_cas,
-                } => {
-                    // A key that faulted (device error, overload shed,
-                    // …) must not masquerade as a miss — a client would
-                    // read that as a lost write. Fail the whole frame
-                    // with the first fault's taxonomy class.
-                    let failed = (first_slot..first_slot + n_keys).find_map(|slot| {
-                        let (bi, oi) = self.slots[slot as usize];
-                        let status = self.done[bi as usize].responses[oi as usize].status;
-                        (!matches!(status, Status::Ok | Status::NotFound)).then_some(status)
-                    });
-                    if let Some(status) = failed {
-                        self.local.server_errors += 1;
-                        self.out.extend_from_slice(taxonomy_reply(status));
-                        continue;
-                    }
-                    for slot in first_slot..first_slot + n_keys {
-                        let (bi, oi) = self.slots[slot as usize];
-                        let b = &self.done[bi as usize];
-                        let op = &b.ops[oi as usize];
-                        let resp = &b.responses[oi as usize];
-                        if resp.status == Status::Ok && resp.value.len() >= VALUE_HEADER_LEN {
-                            self.local.get_hits += 1;
-                            let flags =
-                                u32::from_le_bytes(resp.value[0..4].try_into().expect("4B"));
-                            let cas = u64::from_le_bytes(resp.value[4..12].try_into().expect("8B"));
-                            crate::proto::encode_value(
-                                &mut self.out,
-                                b.key(op),
-                                flags,
-                                with_cas.then_some(cas),
-                                &resp.value[VALUE_HEADER_LEN..],
-                            );
-                        } else {
-                            self.local.get_misses += 1;
-                        }
-                    }
-                    self.out.extend_from_slice(b"END\r\n");
-                }
-                PlanItem::Op {
-                    slot,
-                    verb,
-                    noreply,
-                } => {
-                    let (bi, oi) = self.slots[slot as usize];
-                    let status = self.done[bi as usize].responses[oi as usize].status;
-                    let line: &[u8] = match (verb, status) {
-                        (Verb::Set | Verb::Add | Verb::Replace, Status::Ok) => b"STORED\r\n",
-                        (Verb::Add | Verb::Replace, Status::NotFound) => b"NOT_STORED\r\n",
-                        (Verb::Delete, Status::Ok) => b"DELETED\r\n",
-                        (Verb::Delete, Status::NotFound) => b"NOT_FOUND\r\n",
-                        (Verb::Touch, Status::Ok) => b"TOUCHED\r\n",
-                        (Verb::Touch, Status::NotFound) => b"NOT_FOUND\r\n",
-                        (_, status) => taxonomy_reply(status),
-                    };
-                    match line {
-                        b"STORED\r\n" => self.local.stored += 1,
-                        b"NOT_STORED\r\n" => self.local.not_stored += 1,
-                        b"DELETED\r\n" => self.local.deleted += 1,
-                        b"TOUCHED\r\n" => self.local.touched += 1,
-                        b"NOT_FOUND\r\n" => {}
-                        _ => self.local.server_errors += 1,
-                    }
-                    if !noreply {
-                        self.out.extend_from_slice(line);
-                    }
-                }
-            }
-        }
-        self.plan.clear();
-
-        // Return bundles (responses intact — their buffers recycle on
-        // the next execute) to the pool.
-        self.pool.extend(self.done.drain(..).map(|mut b| {
-            b.ops.clear();
-            b.arena.clear();
-            b
-        }));
-
-        if !self.out.is_empty() {
-            self.stream.write_all(&self.out)?;
-            self.local.bytes_out += self.out.len() as u64;
-        }
-        Ok(closing)
+        Ok(())
     }
 
-    /// Stages one op into its shard's bundle. Ships-alone ops seal (and
-    /// so execute) what was staged ahead of them, then themselves.
+    /// Stages (or answers) one parsed command.
+    fn command(&mut self, cmd: Command<'_>) -> Result<(), Poisoned> {
+        let (verb, key, flags, data, exptime, noreply) = match cmd {
+            Command::Get { with_cas, keys } => {
+                // A frame touching any key this node does not own is
+                // refused whole — partial answers would read as misses
+                // on the foreign keys.
+                if keys.iter().any(|key| !self.shared.owns(key)) {
+                    self.refuse(false);
+                    return Ok(());
+                }
+                let first_slot = self.slots.len() as u32;
+                for key in keys.iter() {
+                    self.stage(Verb::Get, key, 0, &[], 0)?;
+                }
+                self.plan.push(PlanItem::GetFrame {
+                    first_slot,
+                    n_keys: self.slots.len() as u32 - first_slot,
+                    with_cas,
+                });
+                return Ok(());
+            }
+            Command::Store {
+                verb,
+                key,
+                flags,
+                exptime,
+                data,
+                noreply,
+            } => (Verb::Store(verb), key, flags, data, exptime, noreply),
+            Command::Touch {
+                key,
+                exptime,
+                noreply,
+            } => (Verb::Touch, key, 0, &[][..], exptime, noreply),
+            Command::Delete { key, noreply } => (Verb::Delete, key, 0, &[][..], 0, noreply),
+            Command::Version => {
+                self.plan.push(PlanItem::Reply(VERSION_REPLY));
+                return Ok(());
+            }
+            Command::Quit => {
+                self.closing = true;
+                return Ok(());
+            }
+        };
+        if !self.shared.owns(key) {
+            self.refuse(noreply);
+            return Ok(());
+        }
+        let expiry = self.shared.clock.expiry_tick(exptime);
+        let slot = self.stage(verb, key, flags, data, expiry)?;
+        self.plan.push(PlanItem::Op {
+            slot,
+            verb,
+            noreply,
+        });
+        Ok(())
+    }
+
+    /// Refuses a frame whose key this node does not own.
+    fn refuse(&mut self, noreply: bool) {
+        self.local.server_errors += 1;
+        self.local.not_primary += 1;
+        if !noreply {
+            self.plan.push(PlanItem::Reply(NOT_PRIMARY_REPLY));
+        }
+    }
+
+    /// Stages one op into its shard's bundle and returns its response
+    /// slot. Ships-alone ops seal (and so execute) what was staged ahead
+    /// of them, then themselves.
     fn stage(
         &mut self,
         verb: Verb,
-        slot: u32,
         key: &[u8],
         flags: u32,
         data: &[u8],
         expiry: u32,
-    ) -> io::Result<()> {
+    ) -> Result<u32, Poisoned> {
         debug_assert!(key.len() <= MAX_KEY_LEN);
-        let shard = shard_of(key, self.shards.len());
+        let shard = shard_of(key, self.staging.len());
         if verb.ships_alone() {
             self.seal(shard)?;
         }
@@ -1002,7 +835,7 @@ impl Connection {
         let kstart = bundle.arena.len() as u32;
         bundle.arena.extend_from_slice(key);
         let kend = bundle.arena.len() as u32;
-        let (vstart, vend) = if matches!(verb, Verb::Set | Verb::Add | Verb::Replace) {
+        let (vstart, vend) = if matches!(verb, Verb::Store(_)) {
             let vstart = bundle.arena.len() as u32;
             bundle.arena.extend_from_slice(&flags.to_le_bytes());
             bundle.arena.extend_from_slice(&[0u8; 8]); // cas, stamped at execute
@@ -1011,6 +844,8 @@ impl Connection {
         } else {
             (0, 0)
         };
+        let slot = self.slots.len() as u32;
+        self.slots.push((u32::MAX, u32::MAX));
         bundle.ops.push(Op {
             verb,
             slot,
@@ -1022,36 +857,147 @@ impl Connection {
         if verb.ships_alone() {
             self.seal(shard)?;
         }
-        Ok(())
+        Ok(slot)
     }
 
     /// Executes shard `shard`'s staged bundle (if any) in place, under
-    /// the shard's lock — the only lock this connection ever holds.
-    fn seal(&mut self, shard: usize) -> io::Result<()> {
+    /// the shard's lock — the only lock this session ever holds.
+    fn seal(&mut self, shard: usize) -> Result<(), Poisoned> {
         let Some(mut bundle) = self.staging[shard].take() else {
             return Ok(());
         };
         {
-            let mut locked = self.shards[shard]
-                .lock()
-                .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "shard lock poisoned"))?;
+            let mut locked = self.shared.shards[shard].lock().map_err(|_| Poisoned)?;
             // Advance this shard's expiry clock to wall time before
             // executing, so lazily-expired entries stop being served the
             // moment their deadline passes. Read under the lock, so the
             // shard never sees time run backwards.
-            let now = SimTime::from_us(self.clock.now_us());
+            let now = SimTime::from_us(self.shared.clock.now_us());
             locked.store.processor_mut().set_now(now);
-            execute_bundle(&mut locked, &mut bundle, &self.cas);
+            execute_bundle(&mut locked, &mut bundle, &self.shared.cas);
         }
         self.done.push(bundle);
         Ok(())
     }
 
+    /// Encodes the executed batch into `out` in request order, then
+    /// returns its bundles to the pool.
+    fn encode(&mut self) {
+        let Session {
+            out,
+            done,
+            plan,
+            slots,
+            local,
+            ..
+        } = self;
+        for (bi, b) in done.iter().enumerate() {
+            for (oi, op) in b.ops.iter().enumerate() {
+                slots[op.slot as usize] = (bi as u32, oi as u32);
+            }
+        }
+        let answer = |slot: u32| {
+            let (bi, oi) = slots[slot as usize];
+            let b = &done[bi as usize];
+            (b, &b.ops[oi as usize], &b.responses[oi as usize])
+        };
+        for item in plan.drain(..) {
+            match item {
+                PlanItem::Reply(bytes) => out.extend_from_slice(bytes),
+                PlanItem::GetFrame {
+                    first_slot,
+                    n_keys,
+                    with_cas,
+                } => {
+                    let frame = first_slot..first_slot + n_keys;
+                    // A key that faulted (device error, overload shed,
+                    // …) must not masquerade as a miss — a client would
+                    // read that as a lost write. Fail the whole frame
+                    // with the first fault's taxonomy class.
+                    let failed = frame.clone().find_map(|slot| {
+                        let status = answer(slot).2.status;
+                        (!matches!(status, Status::Ok | Status::NotFound)).then_some(status)
+                    });
+                    if let Some(status) = failed {
+                        local.server_errors += 1;
+                        out.extend_from_slice(taxonomy_reply(status));
+                        continue;
+                    }
+                    for slot in frame {
+                        let (b, op, resp) = answer(slot);
+                        if resp.status == Status::Ok && resp.value.len() >= VALUE_HEADER_LEN {
+                            local.get_hits += 1;
+                            let flags =
+                                u32::from_le_bytes(resp.value[0..4].try_into().expect("4B"));
+                            let cas = u64::from_le_bytes(resp.value[4..12].try_into().expect("8B"));
+                            crate::proto::encode_value(
+                                out,
+                                b.key(op),
+                                flags,
+                                with_cas.then_some(cas),
+                                &resp.value[VALUE_HEADER_LEN..],
+                            );
+                        } else {
+                            local.get_misses += 1;
+                        }
+                    }
+                    out.extend_from_slice(b"END\r\n");
+                }
+                PlanItem::Op {
+                    slot,
+                    verb,
+                    noreply,
+                } => {
+                    let line: &[u8] = match (verb, answer(slot).2.status) {
+                        (Verb::Store(_), Status::Ok) => b"STORED\r\n",
+                        (Verb::Store(Add | Replace), Status::NotFound) => b"NOT_STORED\r\n",
+                        (Verb::Delete, Status::Ok) => b"DELETED\r\n",
+                        (Verb::Touch, Status::Ok) => b"TOUCHED\r\n",
+                        (Verb::Delete | Verb::Touch, Status::NotFound) => b"NOT_FOUND\r\n",
+                        (_, status) => taxonomy_reply(status),
+                    };
+                    match line {
+                        b"STORED\r\n" => local.stored += 1,
+                        b"NOT_STORED\r\n" => local.not_stored += 1,
+                        b"DELETED\r\n" => local.deleted += 1,
+                        b"TOUCHED\r\n" => local.touched += 1,
+                        b"NOT_FOUND\r\n" => {}
+                        _ => local.server_errors += 1,
+                    }
+                    if !noreply {
+                        out.extend_from_slice(line);
+                    }
+                }
+            }
+        }
+        local.bytes_out += out.len() as u64;
+
+        // Return bundles (responses intact — their buffers recycle on
+        // the next execute) to the pool.
+        self.pool.extend(self.done.drain(..).map(|mut b| {
+            b.ops.clear();
+            b.arena.clear();
+            b
+        }));
+    }
+
+    /// Folds this session's protocol counters into the shared ones.
     fn flush_costs(&mut self) {
         if self.local != ServerCosts::default() {
-            self.costs.fold(&self.local);
+            self.shared.costs.fold(&self.local);
             self.local = ServerCosts::default();
         }
+    }
+}
+
+impl Drop for Session {
+    /// Folds the counters on every exit path — EOF, `quit`, an I/O
+    /// error, a poisoned shard — then closes the connection's count.
+    fn drop(&mut self) {
+        self.flush_costs();
+        let Shared { costs, active, .. } = &*self.shared;
+        costs.disconnects.fetch_add(1, Ordering::Relaxed);
+        active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1517,7 +1463,7 @@ mod tests {
         );
 
         // What a connection panicking mid-bundle leaves behind.
-        let poisoned = &h.shards[shard_of(b"k", 2)];
+        let poisoned = &h.shared.shards[shard_of(b"k", 2)];
         thread::scope(|s| {
             let holder = s.spawn(|| {
                 let _locked = poisoned.lock().expect("first panic");
@@ -1537,11 +1483,30 @@ mod tests {
         assert_eq!(h.ledger().server.stored, 2);
         let ledger = h.stop();
         assert_eq!(ledger.server.stored, 2);
+        // The poisoned connection's two frames count although it closed
+        // without a reply.
+        assert_eq!(ledger.server.frames, 5);
         assert!(
             ledger.core.requests >= 3,
             "poisoned shard's costs still read"
         );
         h_assert_disconnect(&ledger);
+    }
+
+    #[test]
+    fn counters_survive_a_reset_connection() {
+        let h = serve("127.0.0.1:0", ServerConfig::loopback(1)).expect("bind");
+        let mut s = TcpStream::connect(h.local_addr()).expect("connect");
+        s.write_all(b"set k 0 0 1\r\nx\r\n").expect("send");
+        // Wait for the reply without reading it: closing a socket with
+        // unread bytes resets the connection, so the server's next read
+        // fails instead of seeing EOF.
+        s.peek(&mut [0u8; 1]).expect("reply arrives");
+        drop(s);
+        let ledger = h.stop();
+        assert_eq!(ledger.server.disconnects, 1);
+        assert_eq!(ledger.server.requests, 1);
+        assert_eq!(ledger.server.stored, 1);
     }
 
     #[test]
@@ -1557,5 +1522,193 @@ mod tests {
         assert_eq!(line, "STORED\r\n");
         w.write_all(b"quit\r\n").expect("quit");
         h.stop();
+    }
+
+    // -----------------------------------------------------------------
+    // In-memory sessions: no socket, chosen segmentations and
+    // interleavings.
+    // -----------------------------------------------------------------
+
+    /// Four shards of small stores with a small reservation station:
+    /// cheap enough to build afresh for every split point.
+    fn small_shared() -> Arc<Shared> {
+        let mut store = KvDirectConfig::with_memory(64 << 10);
+        store.extended_slabs = true;
+        store.station.hash_slots = 16;
+        store.station.capacity = 16;
+        Arc::new(Shared::new(ServerConfig {
+            shards: 4,
+            store,
+            cluster: None,
+        }))
+    }
+
+    /// Feeds `bytes` into `session` the way `drive` does — as much as
+    /// fits per receive, then processed until it asks for more — and
+    /// returns the replies it encoded.
+    fn feed(session: &mut Session, mut bytes: &[u8]) -> Vec<u8> {
+        let mut got = Vec::new();
+        while !bytes.is_empty() && !session.closing {
+            let spare = session.spare();
+            let n = spare.len().min(bytes.len());
+            spare[..n].copy_from_slice(&bytes[..n]);
+            session.received(n);
+            bytes = &bytes[n..];
+            loop {
+                let more = session.process().expect("no shard is poisoned");
+                got.extend_from_slice(&session.out);
+                if !more || session.closing {
+                    break;
+                }
+            }
+        }
+        got
+    }
+
+    /// Replays `stream` into a fresh session on fresh shards, cut into
+    /// segments at `cuts`.
+    fn replay(stream: &[u8], cuts: impl IntoIterator<Item = usize>) -> Vec<u8> {
+        let mut session = Session::new(small_shared());
+        let mut got = Vec::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([stream.len()]) {
+            got.extend(feed(&mut session, &stream[at..cut]));
+            at = cut;
+        }
+        got
+    }
+
+    #[test]
+    fn every_segmentation_answers_like_the_whole_stream() {
+        // Exptimes are 0 or a day ahead, so wall time cannot change a
+        // reply. Cas uniques follow execution order, and a batch runs its
+        // shards' bundles in shard order, so where a segment ends can
+        // reorder the stamps of stores on different shards. Every store
+        // up to the `gets` is therefore on one shard (a, e, u, y and zz
+        // share shard 3 of 4); the get frames also span shards 0 to 2,
+        // and the stores on b and c come after the `gets`.
+        let mut stream = b"set a 1 0 3\r\nabc\r\nset e 2 0 2 noreply\r\nee\r\n\
+            add a 0 0 1\r\nx\r\nadd u 3 0 1\r\nu\r\nadd y 0 0 1 noreply\r\ny\r\n\
+            replace e 5 0 3\r\nEEE\r\nreplace zz 0 0 1\r\nz\r\n\
+            replace u 0 0 2 noreply\r\nuu\r\nget a e u y zz b c d\r\ngets a e u d\r\n\
+            touch a 0\r\ntouch zz 0 noreply\r\ntouch e 86400\r\n\
+            delete u\r\ndelete u\r\ndelete y noreply\r\n"
+            .to_vec();
+        let n = crate::proto::MAX_DATA_LEN + 1;
+        stream.extend_from_slice(format!("set big 0 0 {n}\r\n").as_bytes());
+        stream.extend(vec![b'x'; n]);
+        stream.extend_from_slice(
+            b"\r\nset b 0 0 1 noreply\r\nB\r\nadd c 7 0 1\r\nC\r\nget big a e b c u\r\n\
+            bogus\r\nversion\r\nquit\r\nget a\r\n",
+        );
+        for key in ["a", "e", "u", "y", "zz"] {
+            assert_eq!(shard_of(key.as_bytes(), 4), shard_of(b"a", 4));
+        }
+
+        let whole = replay(&stream, []);
+        let mut want = b"STORED\r\nNOT_STORED\r\nSTORED\r\nSTORED\r\nNOT_STORED\r\n\
+            VALUE a 1 3\r\nabc\r\nVALUE e 5 3\r\nEEE\r\nVALUE u 0 2\r\nuu\r\n\
+            VALUE y 0 1\r\ny\r\nEND\r\n\
+            VALUE a 1 3 1\r\nabc\r\nVALUE e 5 3 6\r\nEEE\r\nVALUE u 0 2 8\r\nuu\r\nEND\r\n\
+            TOUCHED\r\nTOUCHED\r\nDELETED\r\nNOT_FOUND\r\n"
+            .to_vec();
+        want.extend_from_slice(TOO_LARGE_REPLY);
+        want.extend_from_slice(
+            b"STORED\r\nVALUE a 1 3\r\nabc\r\nVALUE e 5 3\r\nEEE\r\nVALUE b 0 1\r\nB\r\n\
+            VALUE c 7 1\r\nC\r\nEND\r\nERROR\r\n",
+        );
+        want.extend_from_slice(VERSION_REPLY);
+        assert_eq!(
+            String::from_utf8_lossy(&whole),
+            String::from_utf8_lossy(&want)
+        );
+
+        for cut in 1..stream.len() {
+            assert!(replay(&stream, [cut]) == whole, "split at byte {cut}");
+        }
+        assert!(
+            replay(&stream, 1..stream.len()) == whole,
+            "one byte at a time"
+        );
+    }
+
+    #[test]
+    fn more_than_a_batch_answers_in_request_order() {
+        const KEYS: usize = 100;
+        let mut stream = Vec::new();
+        let mut get = b"get".to_vec();
+        let mut want = Vec::new();
+        for i in 0..KEYS {
+            stream.extend_from_slice(format!("set k{i} {i} 0 2\r\nv{}\r\n", i % 10).as_bytes());
+            get.extend_from_slice(format!(" k{i}").as_bytes());
+            want.extend_from_slice(b"STORED\r\n");
+        }
+        for i in 0..KEYS {
+            want.extend_from_slice(format!("VALUE k{i} {i} 2\r\nv{}\r\n", i % 10).as_bytes());
+        }
+        want.extend_from_slice(b"END\r\n");
+        stream.extend_from_slice(&get);
+        stream.extend_from_slice(b"\r\n");
+        assert!(
+            KEYS > MAX_BATCH && stream.len() < 16 << 10,
+            "one receive, several batches"
+        );
+        let got = replay(&stream, []);
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want)
+        );
+    }
+
+    #[test]
+    fn interleaved_adds_of_one_key_store_it_once() {
+        for order in [[0, 1], [1, 0]] {
+            let shared = small_shared();
+            let mut sessions = [
+                Session::new(Arc::clone(&shared)),
+                Session::new(Arc::clone(&shared)),
+            ];
+            let replies = order.map(|s| {
+                let add = format!("add k 0 0 1\r\n{s}\r\n");
+                feed(&mut sessions[s], add.as_bytes())
+            });
+            assert_eq!(
+                replies,
+                [b"STORED\r\n".to_vec(), b"NOT_STORED\r\n".to_vec()]
+            );
+            let got = feed(&mut sessions[order[1]], b"get k\r\n");
+            let want = format!("VALUE k 0 1\r\n{}\r\nEND\r\n", order[0]);
+            assert_eq!(got, want.into_bytes(), "the first add's value stays");
+        }
+    }
+
+    #[test]
+    fn interleaved_sets_and_gets_see_cas_uniques_grow_per_key() {
+        const KEYS: usize = 3;
+        for order in [[0, 1], [1, 0]] {
+            let shared = small_shared();
+            let mut sessions = [
+                Session::new(Arc::clone(&shared)),
+                Session::new(Arc::clone(&shared)),
+            ];
+            let mut last = [0u64; KEYS];
+            for round in 0..12 {
+                let k = round % KEYS;
+                // One session writes the key, the other reads it back,
+                // then the other way round: one frame per step.
+                for (writer, reader) in [(order[0], order[1]), (order[1], order[0])] {
+                    let set = format!("set k{k} 0 0 2\r\ns{writer}\r\n");
+                    assert_eq!(feed(&mut sessions[writer], set.as_bytes()), b"STORED\r\n");
+                    let got = feed(&mut sessions[reader], format!("gets k{k}\r\n").as_bytes());
+                    let got = String::from_utf8(got).expect("ascii");
+                    let mut lines = got.lines();
+                    let head = lines.next().expect("VALUE line");
+                    let cas: u64 = head.rsplit(' ').next().expect("cas").parse().expect("cas");
+                    assert!(cas > last[k], "k{k}: cas {cas} after {}", last[k]);
+                    assert_eq!(lines.next(), Some(format!("s{writer}").as_str()));
+                    last[k] = cas;
+                }
+            }
+        }
     }
 }
