@@ -113,7 +113,7 @@ impl HostMemory {
     /// # Panics
     ///
     /// Panics if the range exceeds capacity.
-    #[inline]
+    #[inline(always)] // the hint alone left a tail call per write access
     pub fn write(&mut self, mut addr: u64, mut data: &[u8]) {
         self.check_range(addr, data.len());
         while !data.is_empty() {

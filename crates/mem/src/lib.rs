@@ -10,11 +10,12 @@
 //! * [`HostMemory`] — a sparse, allocate-on-touch byte store (64 KiB
 //!   pages behind a direct-indexed page table) so paper-scale address
 //!   spaces work laptop-scale.
-//! * [`NicDram`] — the on-board DRAM: a 4-way set-associative 64 B-line
-//!   cache with per-line metadata kept in the spare ECC bits (the paper's
-//!   trick of widening the parity granularity — here 64 to 512 data bits
-//!   to free 8 bits per 64 B line for tag + dirty + valid). It holds the
-//!   lines' bytes and lends its slots; the engine does the copying.
+//! * [`NicDram`] — the on-board DRAM: the tags and dirty and valid bits of
+//!   a 4-way set-associative 64 B-line cache, kept in the spare ECC bits
+//!   (the paper's trick of widening the parity granularity — here 64 to
+//!   512 data bits to free 8 bits per 64 B line). That word is its whole
+//!   state: the bytes stay in [`HostMemory`], the one copy, and each
+//!   access moves them once.
 //! * [`LoadDispatcher`] — the hash split between cacheable and
 //!   non-cacheable addresses, parameterized by the load dispatch ratio `l`,
 //!   plus the paper's balance equation for choosing `l`.

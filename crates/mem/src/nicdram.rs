@@ -1,5 +1,5 @@
-//! NIC on-board DRAM modelled as a 4-way set-associative write-back
-//! cache.
+//! NIC on-board DRAM modelled as the tags and dirty bits of a 4-way
+//! set-associative write-back cache.
 //!
 //! The paper's programmable NIC carries 4 GiB of DDR3-1600 (12.8 GB/s) —
 //! an order of magnitude smaller than the 64 GiB host KVS and slightly
@@ -17,6 +17,11 @@
 //! load-dispatch threshold migrates: a demoted line's cached copy would
 //! otherwise go stale while host writes bypass the cache, then be served
 //! again if the line is later re-promoted.
+//!
+//! That spare-bit word is all this model keeps. Which lines are resident
+//! and dirty decides which device serves an access and which evictions
+//! owe a write-back — every count the timing plane charges — while the
+//! bytes themselves live once, in [`HostMemory`](crate::HostMemory).
 
 use kvd_sim::Bandwidth;
 
@@ -88,8 +93,8 @@ impl Place {
 pub struct Victim {
     /// The displaced host line.
     pub line: u64,
-    /// Whether it was dirty, i.e. the slot's bytes are its only copy and
-    /// must be written back to host memory.
+    /// Whether it was dirty, i.e. its eviction owes a write-back to host
+    /// memory.
     pub dirty: bool,
 }
 
@@ -101,14 +106,11 @@ pub struct Victim {
 /// bits (`log2(ratio) + log2(WAYS)` tag bits + 2 ≤ 8 ⇒ host:DRAM
 /// capacity ratio ≤ 16, exactly the paper's ratio).
 ///
-/// The cache owns the tags, the dirty and valid bits, the round-robin
-/// cursors and the **bytes** — a hit is served from here and a dirty
-/// line is the only copy of its data. It owns no policy and no copy
-/// loop: [`locate`] resolves a line to its [`Place`], [`occupants`] and
-/// [`rr_victim`] give a replacement policy its candidates, and
-/// [`install`], [`line`] and [`line_mut`] lend the slot itself, so the
-/// memory engine moves bytes straight between the slot and the caller's
-/// buffer or the host page.
+/// The cache owns the tags, the dirty and valid bits and the round-robin
+/// cursors — no bytes and no policy: [`locate`] resolves a line to its
+/// [`Place`], [`occupants`] and [`rr_victim`] give a replacement policy
+/// its candidates, [`install`] retags a slot and reports what it
+/// displaced, and [`mark_dirty`] records a write hit.
 ///
 /// # Examples
 ///
@@ -127,9 +129,8 @@ pub struct Victim {
 /// assert_eq!(place.slot, None);
 /// // Fill it over the round-robin victim: clean tag 0, nothing to save.
 /// let slot = place.way(cache.rr_victim(&place));
-/// let (victim, bytes) = cache.install(slot, &place);
+/// let victim = cache.install(slot, &place);
 /// assert_eq!(victim.map(|v| (v.line, v.dirty)), Some((0, false)));
-/// bytes.fill(7);
 /// assert_eq!(cache.locate(far).slot, Some(slot));
 /// ```
 ///
@@ -137,14 +138,12 @@ pub struct Victim {
 /// [`occupants`]: NicDram::occupants
 /// [`rr_victim`]: NicDram::rr_victim
 /// [`install`]: NicDram::install
-/// [`line`]: NicDram::line
-/// [`line_mut`]: NicDram::line_mut
+/// [`mark_dirty`]: NicDram::mark_dirty
 pub struct NicDram {
     cfg: NicDramConfig,
     sets: u64,
     /// One packed word per set (see [`VALID`]).
     meta: Vec<u32>,
-    data: Vec<u8>,
     /// Per-set round-robin replacement cursor.
     rr: Vec<u8>,
 }
@@ -177,14 +176,13 @@ impl NicDram {
             tag_bits + 2 <= ECC_SPARE_BITS,
             "host:DRAM ratio {ratio} needs more metadata than {ECC_SPARE_BITS} ECC spare bits"
         );
-        // Initialization stays zero-coherent without any flush: way `w` of
-        // every set holds tag `w`, valid and clean, all-zero data — the
-        // first `capacity` bytes of a zero-initialized host memory
+        // Initialization stays coherent without any flush: way `w` of
+        // every set holds tag `w`, valid and clean — the first `capacity`
+        // bytes of a zero-initialized host memory, as if loaded at boot
         // (bytes `w << 2 | VALID`: 0x01, 0x05, 0x09, 0x0D).
         NicDram {
             sets,
             meta: vec![0x0D09_0501; sets as usize],
-            data: vec![0; cfg.capacity as usize],
             rr: vec![0; sets as usize],
             cfg,
         }
@@ -248,48 +246,37 @@ impl NicDram {
         w
     }
 
-    /// The bytes of `slot`.
+    /// Marks resident `slot` dirty: a write hit, whose eviction now owes
+    /// a write-back.
     #[inline]
-    pub fn line(&self, slot: usize) -> &[u8] {
-        &self.data[slot * LINE as usize..][..LINE as usize]
-    }
-
-    /// The bytes of `slot` for a write hit: the line is marked dirty.
-    #[inline]
-    pub fn line_mut(&mut self, slot: usize) -> &mut [u8] {
+    pub fn mark_dirty(&mut self, slot: usize) {
         debug_assert!(self.resident(slot).0 & VALID != 0, "invalid slot written");
         self.meta[slot / WAYS] |= DIRTY << (slot % WAYS * 8);
-        &mut self.data[slot * LINE as usize..][..LINE as usize]
     }
 
-    /// Hands `slot` over to `place`'s line, valid and clean, and lends
-    /// its bytes. They are still the previous occupant's: if that was a
-    /// valid line it is returned, and a dirty one must be written back
-    /// from the lent bytes before the new line's contents are copied in.
+    /// Hands `slot` over to `place`'s line, valid and clean, and returns
+    /// the valid line it held, if any — a dirty one owes a write-back.
     /// Installing a resident line over itself is how the ECC path
     /// rebuilds it (salvage if dirty, then refetch).
     #[inline]
-    pub fn install(&mut self, slot: usize, place: &Place) -> (Option<Victim>, &mut [u8]) {
+    pub fn install(&mut self, slot: usize, place: &Place) -> Option<Victim> {
         debug_assert!((place.base..place.base + WAYS).contains(&slot));
         let (old, line) = self.resident(slot);
         let dirty = old & DIRTY != 0;
-        let victim = (old & VALID != 0).then_some(Victim { line, dirty });
         let new = (place.tag as u32) << 2 | VALID;
         self.meta[slot / WAYS] ^= (old ^ new) << (slot % WAYS * 8);
-        let bytes = &mut self.data[slot * LINE as usize..][..LINE as usize];
-        (victim, bytes)
+        (old & VALID != 0).then_some(Victim { line, dirty })
     }
 
     /// Invalidates every resident line for which `retire` returns true —
     /// the threshold-migration sweep of the adaptive dispatcher, and with
     /// an always-true predicate the drain of the degradation breaker.
-    /// Dirty lines are handed to `writeback` (host line, contents) before
-    /// invalidation. Returns `(clean, dirty)` lines retired. No
-    /// allocation: contents are passed by reference out of the array.
+    /// Each dirty line is handed to `writeback` before invalidation.
+    /// Returns `(clean, dirty)` lines retired.
     pub fn retire_if(
         &mut self,
         mut retire: impl FnMut(u64) -> bool,
-        mut writeback: impl FnMut(u64, &[u8]),
+        mut writeback: impl FnMut(u64),
     ) -> (u64, u64) {
         let (mut clean, mut dirty) = (0u64, 0u64);
         for slot in 0..self.meta.len() * WAYS {
@@ -298,7 +285,7 @@ impl NicDram {
                 continue;
             }
             if m & DIRTY != 0 {
-                writeback(line, self.line(slot));
+                writeback(line);
                 dirty += 1;
             } else {
                 clean += 1;
@@ -332,47 +319,54 @@ mod tests {
         c.locate(line).slot.is_some()
     }
 
-    /// Fills `line` with `byte` over the round-robin victim, as the
-    /// engine's miss path does; returns the displaced line and its bytes.
-    fn fill(c: &mut NicDram, line: u64, byte: u8, dirty: bool) -> Option<(Victim, [u8; 64])> {
+    /// Fills `line` over the round-robin victim, as the engine's miss
+    /// path does, dirty for a write-allocate; returns the slot and the
+    /// displaced line.
+    fn fill(c: &mut NicDram, line: u64, dirty: bool) -> (usize, Option<Victim>) {
         let place = c.locate(line);
         assert_eq!(place.slot, None, "fill of a resident line");
         let slot = place.way(c.rr_victim(&place));
-        let (victim, bytes) = c.install(slot, &place);
-        let old: [u8; 64] = (&*bytes).try_into().unwrap();
-        bytes.fill(byte);
+        let victim = c.install(slot, &place);
         if dirty {
-            c.line_mut(slot);
+            c.mark_dirty(slot);
         }
-        victim.map(|v| (v, old))
+        (slot, victim)
     }
 
     #[test]
-    fn cold_cache_holds_low_tags_zeroed() {
-        let c = cache();
-        // Tags 0..WAYS start resident, zero-filled, coherent with zeroed
-        // host memory (the no-flush initialization).
+    fn cold_cache_holds_low_tags_clean() {
+        let mut c = cache();
+        // Tag `w` starts resident in way `w`, coherent with zeroed host
+        // memory (the no-flush initialization).
         for tag in 0..WAYS as u64 {
-            assert!(
-                resident(&c, tag * SETS + 5),
-                "tag {tag} must start resident"
+            let place = c.locate(tag * SETS + 5);
+            assert_eq!(
+                place.slot,
+                Some(place.way(tag as usize)),
+                "tag {tag} must start resident in way {tag}"
             );
         }
-        let slot = c.locate(5).slot.unwrap();
-        assert_eq!(c.line(slot), [0u8; 64]);
         // Tag WAYS does not fit the initial residency.
         assert!(!resident(&c, WAYS as u64 * SETS + 5));
+        // And every initial line is clean: retiring the set owes nothing.
+        let retired = c.retire_if(|line| line % SETS == 5, |line| panic!("{line} dirty"));
+        assert_eq!(retired, (WAYS as u64, 0));
     }
 
     #[test]
     fn fill_then_hit() {
         let mut c = cache();
         let line = WAYS as u64 * SETS + 3; // tag 4, set 3
-        let (victim, _) = fill(&mut c, line, 7, false).expect("set was full of valid lines");
+        let (slot, victim) = fill(&mut c, line, false);
+        let victim = victim.expect("set was full of valid lines");
         assert!(!victim.dirty, "initial lines are clean");
         assert_eq!(victim.line % SETS, 3, "victim comes from the same set");
-        let slot = c.locate(line).slot.expect("resident after the fill");
-        assert_eq!(c.line(slot), [7u8; 64]);
+        assert!(!resident(&c, victim.line), "the victim is gone");
+        assert_eq!(
+            c.locate(line).slot,
+            Some(slot),
+            "resident in the filled slot"
+        );
         assert_eq!(c.locate(line), c.locate(line), "locating changes nothing");
     }
 
@@ -382,33 +376,42 @@ mod tests {
         // Four lines of the same set (tags 4..8) can all be resident at
         // once after the initial occupants rotate out.
         for tag in 4..8u64 {
-            fill(&mut c, tag * SETS + 2, tag as u8, false);
+            fill(&mut c, tag * SETS + 2, false);
         }
         for tag in 4..8u64 {
             assert!(resident(&c, tag * SETS + 2), "tag {tag} evicted too early");
         }
         // A fifth conflicting line displaces one of them.
-        fill(&mut c, 8 * SETS + 2, 8, false);
+        fill(&mut c, 8 * SETS + 2, false);
         let n = (4..9u64).filter(|&t| resident(&c, t * SETS + 2)).count();
         assert_eq!(n, WAYS);
     }
 
     #[test]
-    fn dirty_eviction_returns_contents() {
+    fn dirty_eviction_reports_its_line() {
         let mut c = cache();
         // Dirty the tag-0 occupant of set 9, then displace it by filling
         // enough conflicting lines to wrap the round-robin cursor.
         let slot = c.locate(9).slot.unwrap();
-        c.line_mut(slot).fill(3);
-        let dirty: Vec<_> = (4..8u64)
-            .filter_map(|tag| fill(&mut c, tag * SETS + 9, 4, false))
-            .filter(|(v, _)| v.dirty)
+        c.mark_dirty(slot);
+        let fills: Vec<_> = (4..8u64)
+            .map(|tag| fill(&mut c, tag * SETS + 9, false))
+            .collect();
+        let dirty: Vec<_> = fills
+            .iter()
+            .filter(|f| f.1.is_some_and(|v| v.dirty))
             .collect();
         assert_eq!(dirty.len(), 1, "the dirty line surfaces exactly once");
-        assert_eq!(dirty[0].0.line, 9);
         assert_eq!(
-            dirty[0].1, [3u8; 64],
-            "with the bytes that were its only copy"
+            *dirty[0],
+            (
+                slot,
+                Some(Victim {
+                    line: 9,
+                    dirty: true
+                })
+            ),
+            "from the slot it was dirtied in"
         );
     }
 
@@ -416,15 +419,18 @@ mod tests {
     fn fill_marked_dirty_writes_back_later() {
         let mut c = cache();
         let target = WAYS as u64 * SETS + 1; // tag 4, set 1
-        let first = fill(&mut c, target, 1, true); // write-allocate
-        assert!(!first.unwrap().0.dirty);
+        let (slot, first) = fill(&mut c, target, true); // write-allocate
+        assert!(!first.unwrap().dirty);
         // Displace the whole set; the dirty fill must surface.
         let dirty: Vec<_> = (5..9u64)
-            .filter_map(|tag| fill(&mut c, tag * SETS + 1, 2, false))
-            .filter(|(v, _)| v.dirty)
+            .map(|tag| fill(&mut c, tag * SETS + 1, false))
+            .filter(|f| f.1.is_some_and(|v| v.dirty))
             .collect();
-        assert_eq!(dirty.len(), 1);
-        assert_eq!((dirty[0].0.line, dirty[0].1), (target, [1u8; 64]));
+        let victim = Victim {
+            line: target,
+            dirty: true,
+        };
+        assert_eq!(dirty, vec![(slot, Some(victim))]);
     }
 
     #[test]
@@ -432,19 +438,17 @@ mod tests {
         let mut c = cache();
         let place = c.locate(6);
         let slot = place.slot.unwrap();
-        c.line_mut(slot).fill(5);
-        let (victim, bytes) = c.install(slot, &place);
+        c.mark_dirty(slot);
         assert_eq!(
-            victim,
+            c.install(slot, &place),
             Some(Victim {
                 line: 6,
                 dirty: true
             })
         );
-        assert_eq!(bytes, [5u8; 64], "the bytes to salvage are still there");
-        let (victim, _) = c.install(slot, &place);
+        assert_eq!(c.locate(6).slot, Some(slot), "rebuilt in its own slot");
         assert_eq!(
-            victim,
+            c.install(slot, &place),
             Some(Victim {
                 line: 6,
                 dirty: false
@@ -461,7 +465,7 @@ mod tests {
             assert_eq!(*line, Some(w as u64 * SETS + 7));
         }
         // After retiring one way, it reads back as None.
-        c.retire_if(|line| line == SETS + 7, |_, _| {});
+        c.retire_if(|line| line == SETS + 7, |_| {});
         let occ = c.occupants(&place);
         assert_eq!(occ[1], None);
         assert_eq!(occ[0], Some(7));
@@ -470,11 +474,11 @@ mod tests {
     #[test]
     fn rr_victim_prefers_invalid_ways() {
         let mut c = cache();
-        c.retire_if(|line| line == 2 * SETS + 3, |_, _| {});
+        c.retire_if(|line| line == 2 * SETS + 3, |_| {});
         let place = c.locate(3 + 4 * SETS);
         assert_eq!(c.rr_victim(&place), 2, "invalid way wins");
         // With all ways valid again, the cursor rotates.
-        fill(&mut c, 4 * SETS + 3, 0, false);
+        fill(&mut c, 4 * SETS + 3, false);
         let (a, b) = (c.rr_victim(&place), c.rr_victim(&place));
         assert_ne!(a, b, "cursor must advance");
     }
@@ -483,21 +487,22 @@ mod tests {
     fn retire_sweep_writes_back_dirty_and_invalidates() {
         let mut c = cache();
         let slot = c.locate(5).slot.unwrap();
-        c.line_mut(slot).fill(9); // dirty line 5 (tag 0, set 5)
+        c.mark_dirty(slot); // dirty line 5 (tag 0, set 5)
         let mut written = Vec::new();
         let (clean, dirty) = c.retire_if(
             |line| line % SETS == 5, // everything in set 5
-            |line, data| written.push((line, data[0])),
+            |line| written.push(line),
         );
         assert_eq!(dirty, 1);
         assert_eq!(clean, WAYS as u64 - 1);
-        assert_eq!(written, vec![(5, 9)]);
-        assert!(!resident(&c, 5), "retired lines are gone");
-        // A retired dirty line must not write back again.
+        assert_eq!(written, vec![5]);
         assert_eq!(
-            c.retire_if(|_| true, |_, _| panic!("nothing is dirty")).1,
-            0
+            c.occupants(&c.locate(5)),
+            [None; WAYS],
+            "retired lines are gone"
         );
+        // A retired dirty line must not write back again.
+        assert_eq!(c.retire_if(|_| true, |_| panic!("nothing is dirty")).1, 0);
     }
 
     /// The cache's metadata as it was before the ways were packed: one
@@ -587,19 +592,18 @@ mod tests {
                 match place.slot {
                     // A write hit dirties the line; a rebuild cleans it.
                     Some(slot) if rng.chance(0.5) => {
-                        c.line_mut(slot).fill(line as u8);
+                        c.mark_dirty(slot);
                         m.meta[slot].1 = true;
                     }
                     Some(slot) if rng.chance(0.2) => {
-                        assert_eq!(c.install(slot, &place).0, m.install(slot, &place));
+                        assert_eq!(c.install(slot, &place), m.install(slot, &place));
                     }
                     Some(_) => {}
                     None => {
                         let way = c.rr_victim(&place);
                         assert_eq!(way, m.rr_victim(&place), "step {step}: victim way");
                         let slot = place.way(way);
-                        let (victim, bytes) = c.install(slot, &place);
-                        bytes.fill(line as u8);
+                        let victim = c.install(slot, &place);
                         assert_eq!(victim, m.install(slot, &place), "step {step}: victim");
                     }
                 }
@@ -609,10 +613,7 @@ mod tests {
                     let band = rng.u64_below(5);
                     let retire = |line: u64| line.wrapping_mul(0x9E37_79B9) % 5 == band;
                     let mut retired = Vec::new();
-                    let (clean, dirty) = c.retire_if(retire, |line, bytes| {
-                        assert_eq!(bytes, [line as u8; 64], "dirty bytes of line {line}");
-                        retired.push(line);
-                    });
+                    let (clean, dirty) = c.retire_if(retire, |line| retired.push(line));
                     let expect = m.retire_if(retire);
                     let expect_dirty: Vec<u64> =
                         expect.iter().filter(|r| r.1).map(|r| r.0).collect();

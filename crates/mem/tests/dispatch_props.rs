@@ -6,12 +6,20 @@
 //! (The paper's correctness story depends on this: the cache is
 //! write-back with ECC-bit metadata and no valid bits, so an encoding
 //! slip silently corrupts the KVS.)
+//!
+//! Host memory holds the model's only copy of every byte, so a stale
+//! NIC DRAM line cannot show in the bytes read back. [`StaleLines`]
+//! looks for it in the cache metadata instead.
+
+use std::collections::BTreeSet;
 
 use kvd_mem::{
     AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, FlatMemory, MemoryEngine, NicDramConfig,
+    LINE,
 };
 use kvd_sim::{Bandwidth, FaultPlane, FaultRates};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const CAP: u64 = 1 << 18; // 256 KiB host: four 64 KiB pages
 
@@ -62,18 +70,59 @@ fn long_access() -> impl Strategy<Value = Access> {
     ]
 }
 
-/// Applies `ops` to both memories, comparing every read, then reads the
-/// whole address space back from both.
-fn check_against_flat(
-    d: &mut DispatchedMemory,
-    ops: &[Access],
-) -> Result<(), proptest::test_runner::TestCaseError> {
+/// The stale-line oracle: the lines written over PCIe while resident.
+///
+/// A write to a line that is resident but not cacheable goes to host
+/// memory past the NIC DRAM's copy, which is stale from then on. The
+/// copy stops mattering once the line is no longer resident, or once it
+/// is filled afresh. Until then the line must never be cacheable: the
+/// engine would serve the stale copy (the retune sweep retires lines
+/// entering the cacheable band for this reason, DESIGN.md §16).
+#[derive(Default)]
+struct StaleLines(BTreeSet<u64>);
+
+impl StaleLines {
+    /// Updates the shadow after an access of `len` bytes at `addr` that
+    /// made `fills` cache fills, and fails if a stale line is resident
+    /// and cacheable.
+    fn after(
+        &mut self,
+        d: &DispatchedMemory,
+        (addr, len, write): (u64, usize, bool),
+        fills: u64,
+    ) -> Result<(), TestCaseError> {
+        let touched = addr / LINE..=(addr + len as u64 - 1) / LINE;
+        let cacheable = |line: u64| d.dispatcher().is_cacheable(line);
+        self.0
+            .retain(|&l| d.is_resident(l) && !(fills > 0 && touched.contains(&l)));
+        if write {
+            let written_past = touched.filter(|&l| d.is_resident(l) && !cacheable(l));
+            self.0.extend(written_past);
+        }
+        match self.0.iter().find(|&&l| cacheable(l)) {
+            Some(line) => Err(TestCaseError::fail(format!(
+                "line {line} is stale, resident and cacheable at ratio {}",
+                d.dispatcher().ratio()
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Applies `ops` to both memories, comparing every read and running the
+/// stale-line oracle after every access, then reads the whole address
+/// space back from both.
+fn check_against_flat(d: &mut DispatchedMemory, ops: &[Access]) -> Result<(), TestCaseError> {
     let mut f = FlatMemory::new(CAP);
+    let mut stale = StaleLines::default();
+    let fills = |d: &DispatchedMemory| d.cache_stats().admitted_fills;
     for op in ops {
-        match op {
+        let before = fills(d);
+        let access = match op {
             Access::Write { addr, data } => {
                 d.write(*addr, data);
                 f.write(*addr, data);
+                (*addr, data.len(), true)
             }
             Access::Read { addr, len } => {
                 let mut a = vec![0u8; *len];
@@ -81,17 +130,21 @@ fn check_against_flat(
                 d.read(*addr, &mut a);
                 f.read(*addr, &mut b);
                 prop_assert_eq!(&a, &b, "divergence at {:#x}+{}", addr, len);
+                (*addr, *len, false)
             }
-        }
+        };
+        stale.after(d, access, fills(d) - before)?;
     }
     // Full sweep at the end catches stale dirty lines that were never
     // re-read during the run.
     let mut a = vec![0u8; 4096];
     let mut b = vec![0u8; 4096];
     for chunk in 0..(CAP / 4096) {
+        let before = fills(d);
         d.read(chunk * 4096, &mut a);
         f.read(chunk * 4096, &mut b);
         prop_assert_eq!(&a, &b, "sweep divergence in chunk {}", chunk);
+        stale.after(d, (chunk * 4096, 4096, false), fills(d) - before)?;
     }
     Ok(())
 }

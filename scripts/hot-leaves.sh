@@ -16,6 +16,14 @@ leaves=(
     'kvd_hash::hashing::primary_hash'
     'kvd_hash::hashing::secondary_hash'
     'kvd_mem::nicdram::NicDram::locate'
+    'kvd_mem::nicdram::NicDram::occupants'
+    'kvd_mem::nicdram::NicDram::rr_victim'
+    'kvd_mem::nicdram::NicDram::install'
+    'kvd_mem::nicdram::NicDram::mark_dirty'
+    'kvd_mem::dispatch::LoadDispatcher::is_cacheable'
+    'kvd_mem::dispatch::hash_line'
+    'kvd_mem::host::HostMemory::read'
+    'kvd_mem::host::HostMemory::write'
     'kvd_sim::fault::FaultPlane::host_stall'
     'kvd_sim::fault::FaultPlane::dram_fault'
     '<kvd_hash::swar::RawEntries as core::iter::traits::iterator::Iterator>::next'
