@@ -193,33 +193,32 @@ pub struct ParallelSystemSim {
     merged: [Histogram; 2],
 }
 
-/// One shard's share of a routed stream: `idx` lists, in stream order,
-/// the positions in `reqs` of the requests the shard owns. The view is
-/// whatever stream the slice is: closed-loop over `[KvRequest]`, carrying
-/// its arrival schedule over `[(SimTime, KvRequest)]` (a sub-sequence of a
-/// non-decreasing schedule is one).
+/// A sub-sequence of a stream, by index: `idx` lists, in stream order, the
+/// positions in `reqs` of the requests the view holds — one shard's share
+/// of a routed stream, or the live requests of one batch the timed engine
+/// hands the processor. The view is whatever stream `reqs` is:
+/// closed-loop over `[KvRequest]`, carrying its arrival schedule over
+/// `[(SimTime, KvRequest)]` (a sub-sequence of a non-decreasing schedule
+/// is one).
 #[derive(Debug)]
-pub struct Routed<'a, T = KvRequest> {
-    /// The caller's whole stream.
-    pub reqs: &'a [T],
-    /// Positions of this shard's requests in `reqs`, ascending.
+pub struct Routed<'a, S: ?Sized = [KvRequest]> {
+    /// The whole stream.
+    pub reqs: &'a S,
+    /// Positions of the view's requests in `reqs`, ascending.
     pub idx: &'a [u32],
 }
 
-impl<T> RequestStream for Routed<'_, T>
-where
-    [T]: RequestStream,
-{
+impl<S: RequestStream + ?Sized> RequestStream for Routed<'_, S> {
     fn len(&self) -> usize {
         self.idx.len()
     }
 
     fn get(&self, i: usize) -> KvRequestRef<'_> {
-        RequestStream::get(self.reqs, self.idx[i] as usize)
+        self.reqs.get(self.idx[i] as usize)
     }
 
     fn arrival(&self, i: usize) -> Option<SimTime> {
-        RequestStream::arrival(self.reqs, self.idx[i] as usize)
+        self.reqs.arrival(self.idx[i] as usize)
     }
 }
 

@@ -80,8 +80,8 @@ impl HotKeyRollup {
 
 /// Requests the core reads by position for the length of one call: a
 /// slice of borrowed or owned requests, the serving front-end's view of
-/// a bundle's arena, or the parallel router's view of one shard's share
-/// of a stream ([`crate::parallel::Routed`]). Each user is monomorphised.
+/// a bundle's arena, or an index view of a stream (a shard's share, a
+/// batch's live requests: [`crate::parallel::Routed`]). Monomorphised.
 #[allow(clippy::len_without_is_empty)] // loops compare a cursor with `len`; nothing asks "empty?"
 pub trait RequestStream {
     /// Requests in the stream.
@@ -116,6 +116,18 @@ impl RequestStream for [KvRequest] {
     fn get(&self, i: usize) -> KvRequestRef<'_> {
         self[i].as_ref()
     }
+}
+
+/// What one request of the last [`KvProcessor::run`] asked of memory, for
+/// the timed engine ([`crate::system::SystemSim`]) to charge: the reads
+/// its own execution made — not the write-backs of the dirty forwarding
+/// entries it evicted or the run flushed — and the station slot it went
+/// through (`None` if it was answered before reaching the station).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OpAccess {
+    pub(crate) dma_reads: u64,
+    pub(crate) dram_reads: u64,
+    pub(crate) slot: Option<usize>,
 }
 
 /// Answers with a bare status.
@@ -181,6 +193,9 @@ pub struct KvProcessor<M: MemoryEngine> {
     /// memory and fault costs stay in their components and are folded in
     /// on demand by [`CostSource::emit_costs`].
     ledger: OpLedger,
+    /// One entry per request of the last [`Self::run`], by position;
+    /// reused across runs.
+    accesses: Vec<OpAccess>,
 }
 
 impl KvProcessor<kvd_mem::FlatMemory> {
@@ -221,6 +236,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
             pending_ttl: HashMap::new(),
             ttl_seen: false,
             ledger: OpLedger::default(),
+            accesses: Vec::new(),
         }
     }
 
@@ -346,6 +362,12 @@ impl<M: MemoryEngine> KvProcessor<M> {
         &mut self.registry
     }
 
+    /// What each request of the last [`Self::run`] asked of memory, by
+    /// position in its stream.
+    pub(crate) fn accesses(&self) -> &[OpAccess] {
+        &self.accesses
+    }
+
     /// Reservation-station counters (forwarding rate etc.).
     pub fn station_stats(&self) -> kvd_ooo::StationStats {
         self.station.stats()
@@ -387,6 +409,8 @@ impl<M: MemoryEngine> KvProcessor<M> {
         if !self.pending_ttl.is_empty() {
             self.pending_ttl.clear();
         }
+        self.accesses.clear();
+        self.accesses.resize(requests.len(), OpAccess::default());
         for i in 0..requests.len() {
             self.admit(requests, responses, i);
         }
@@ -432,6 +456,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
             _ => OpRef::Get,
         };
         let slot = self.station.slot_for(h.station);
+        self.accesses[i].slot = Some(slot);
         loop {
             match self.station.probe(slot, req.key) {
                 Probe::Hit => {
@@ -650,7 +675,12 @@ impl<M: MemoryEngine> KvProcessor<M> {
                 answer(&mut responses[idx], Status::DeviceError);
                 self.station.release(slot);
             } else {
+                let before = self.table.mem().traffic();
                 self.execute(requests.get(idx), h, &mut responses[idx], slot);
+                let after = self.table.mem().traffic();
+                let access = &mut self.accesses[idx];
+                access.dma_reads = after.dma_reads - before.dma_reads;
+                access.dram_reads = after.dram_reads - before.dram_reads;
             }
             let (registry, ledger, detail) = (&self.registry, &mut self.ledger, self.ledger_detail);
             count_retired(ledger, detail, responses[idx].status);

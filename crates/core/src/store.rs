@@ -435,7 +435,7 @@ impl KvDirectStore {
     }
 
     /// Executes one borrowed request into a caller-owned response,
-    /// without staging allocations — the simulator's per-op hot path
+    /// without staging allocations — [`run`](Self::run) over one request
     /// (see [`KvProcessor::execute_one_into`]).
     #[inline]
     pub fn execute_one_into(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse) {

@@ -49,6 +49,7 @@ use kvd_sim::{
 };
 pub use kvd_sim::{Percentile, RunSummary};
 
+use crate::parallel::Routed;
 pub use crate::processor::RequestStream;
 use crate::store::{KvDirectConfig, KvDirectStore};
 
@@ -148,9 +149,20 @@ pub struct SystemSim {
     /// extends into the future.
     pcie_free: SimTime,
     dram_free: SimTime,
-    // ---- run state (begin_run/step_window_over/report) ----
+    /// When each reservation-station slot's data last arrived from memory:
+    /// an op the station serves without a read of its own completes no
+    /// earlier than one cycle after it. Persists across batches, as the
+    /// station's forwarding entries do.
+    slot_ready: Vec<SimTime>,
+    // ---- batch scratch, reused across batches and runs ----
+    /// Positions in the lent stream of the batch's live requests.
+    live: Vec<u32>,
+    /// The live requests' responses, by position in `live` (one slot per
+    /// request of a batch); their value buffers keep their capacity.
+    responses: Vec<KvResponse>,
+    /// The live requests' latency shares, by position in `live`.
     loads: Vec<OpLoad>,
-    statuses: Vec<Status>,
+    // ---- run state (begin_run/step_window_over/report) ----
     /// Position in the lent stream: requests before it have resolved.
     cursor: usize,
     window_free: Vec<SimTime>,
@@ -169,11 +181,6 @@ pub struct SystemSim {
     // ---- overload state ----
     record_outcomes: bool,
     outcomes: Vec<(Status, Vec<u8>)>,
-    /// The one response buffer the functional pass decodes into,
-    /// persisted across batches (and runs) so its value buffer keeps
-    /// circulating through the processor's pool instead of leaking one
-    /// pooled buffer per batch.
-    resp: KvResponse,
     goodput_ops: u64,
     shed_ops: u64,
     expired_ops: u64,
@@ -185,23 +192,12 @@ pub struct SystemSim {
     ledger: OpLedger,
 }
 
-/// One operation's captured memory-access load, charged against the
-/// timed service models (scratch state between the functional and timed
-/// passes of a batch).
+/// One live operation's service time, split by component: what the timed
+/// pass of a batch hands the resolving pass.
 #[derive(Debug, Clone, Copy)]
 struct OpLoad {
-    /// Index of the request in the lent stream.
-    idx: usize,
-    /// What pass 3 needs of the request, so it does not rebuild it.
-    op: OpCode,
-    deadline_us: u32,
-    t: SimTime,
-    dma_reads: u64,
-    dram_reads: u64,
-    dma_writes: u64,
-    dram_writes: u64,
-    /// Picoseconds attributed to the processor (decode backlog + own
-    /// decode cycles).
+    /// Picoseconds attributed to the processor (decode backlog, own
+    /// decode cycles, and the wait in the station for its slot's data).
     proc_ps: u64,
     /// Picoseconds attributed to PCIe (queueing on the tag-limited path
     /// + DMA round trips).
@@ -301,8 +297,10 @@ impl SystemSim {
             dram_line_service: Bandwidth::from_gbytes_per_sec(12.8).transfer_time(64),
             pcie_free: SimTime::ZERO,
             dram_free: SimTime::ZERO,
+            slot_ready: vec![SimTime::ZERO; cfg.store.station.hash_slots],
+            live: Vec::new(),
+            responses: vec![KvResponse::default(); cfg.batch.max(1)],
             loads: Vec::new(),
-            statuses: Vec::new(),
             cursor: 0,
             window_free: vec![SimTime::ZERO; windows],
             server_free: SimTime::ZERO,
@@ -313,10 +311,6 @@ impl SystemSim {
             makespan: SimTime::ZERO,
             record_outcomes: false,
             outcomes: Vec::new(),
-            resp: KvResponse {
-                status: Status::Ok,
-                value: Vec::new(),
-            },
             goodput_ops: 0,
             shed_ops: 0,
             expired_ops: 0,
@@ -491,31 +485,22 @@ impl SystemSim {
             // queue grows without limit and *every* response is late
             // (congestion collapse).
             let wire_start = start.max(self.req_link.free_at());
-            let dead_at_client = |r: &KvRequestRef<'_>| {
-                r.deadline_us != 0 && wire_start > SimTime::from_us(u64::from(r.deadline_us))
-            };
+            self.live.clear();
+            let mut req_bytes = 0u64;
+            for i in self.cursor..end {
+                let r = reqs.get(i);
+                if r.deadline_us == 0 || wire_start <= SimTime::from_us(u64::from(r.deadline_us)) {
+                    self.live.push(i as u32);
+                    // Request packet: header-amortized batch on the wire,
+                    // live requests only.
+                    req_bytes += 4 + r.key.len() as u64 + r.value.len() as u64;
+                }
+            }
+            let n = self.live.len();
 
-            // Request packet: header-amortized batch on the wire, live
-            // (unexpired) requests only.
-            let req_bytes: u64 = (self.cursor..end)
-                .map(|i| reqs.get(i))
-                .filter(|r| !dead_at_client(r))
-                .map(|r| 4 + r.key.len() as u64 + r.value.len() as u64)
-                .sum();
-            self.statuses.clear();
-            self.loads.clear();
-            let mut resp_bytes = 0u64;
-
-            let resp_arrive = if req_bytes == 0 {
+            let resp_arrive = if n == 0 {
                 // Every request in the batch died at the client: nothing
                 // reaches the wire, the server, or the response path.
-                for _ in self.cursor..end {
-                    self.ledger.net.client_expired += 1;
-                    self.statuses.push(Status::Expired);
-                    if self.record_outcomes {
-                        self.outcomes.push((Status::Expired, Vec::new()));
-                    }
-                }
                 self.makespan = self.makespan.max(start);
                 start
             } else {
@@ -544,70 +529,32 @@ impl SystemSim {
                     .processor_mut()
                     .set_external_pressure(gauge.overall());
 
-                // Pass 1: execute functionally, capturing each op's real
-                // access counts. Client-expired requests never reach the
-                // server; the decode clock advances only for live ops,
-                // and feeds the processor so server-side deadline expiry
-                // sees simulated time.
-                let mut decoded = 0u64;
-                // One response reused across every batch of every run:
-                // its value buffer circulates through the processor's
-                // pool, so the steady-state GET path allocates nothing
-                // per op — and nothing per batch either (dropping a
-                // batch-local response here would leak one pooled buffer
-                // per batch, which the parallel engine's zero-alloc
-                // guard would catch).
-                let mut resp = KvResponse {
-                    status: Status::Ok,
-                    value: Vec::new(),
+                // Pass 1: the live requests run through the processor as
+                // one packet, as a served bundle does: admitted in order,
+                // in flight together in the reservation station, retired,
+                // and the dirty forwarding entries written back once at
+                // the end. The deadline gate sees the batch's first decode
+                // cycle. The processor records each op's own reads and
+                // station slot; the batch's write-backs count only
+                // towards its service totals below.
+                self.store.processor_mut().set_now(decode_start + cycle);
+                let before = self.store.processor().table().mem().traffic();
+                let live = Routed {
+                    reqs,
+                    idx: &self.live,
                 };
-                std::mem::swap(&mut resp, &mut self.resp);
-                for i in self.cursor..end {
-                    let req = reqs.get(i);
-                    if dead_at_client(&req) {
-                        self.ledger.net.client_expired += 1;
-                        self.statuses.push(Status::Expired);
-                        if self.record_outcomes {
-                            self.outcomes.push((Status::Expired, Vec::new()));
-                        }
-                        continue;
-                    }
-                    decoded += 1;
-                    let decode_done = decode_start + cycle * decoded;
-                    self.store.processor_mut().set_now(decode_done);
-                    let before = self.store.processor().table().mem().traffic();
-                    self.store.execute_one_into(req, &mut resp);
-                    resp_bytes += 3 + resp.value.len() as u64;
-                    let after = self.store.processor().table().mem().traffic();
-                    self.statuses.push(resp.status);
-                    if self.record_outcomes {
-                        self.outcomes.push((resp.status, resp.value.clone()));
-                    }
-                    self.loads.push(OpLoad {
-                        idx: i,
-                        op: req.op,
-                        deadline_us: req.deadline_us,
-                        t: decode_done,
-                        dma_reads: after.dma_reads - before.dma_reads,
-                        dram_reads: after.dram_reads - before.dram_reads,
-                        dma_writes: after.dma_writes - before.dma_writes,
-                        dram_writes: after.dram_writes - before.dram_writes,
-                        proc_ps: decode_done.saturating_sub(arrive).as_ps(),
-                        pcie_ps: 0,
-                        dram_ps: 0,
-                    });
-                }
-                std::mem::swap(&mut resp, &mut self.resp);
-                self.server_free = decode_start + cycle * decoded;
+                self.store.run(&live, &mut self.responses[..n]);
+                let after = self.store.processor().table().mem().traffic();
+                self.server_free = decode_start + cycle * n as u64;
                 self.ledger.net.batches += 1;
-                self.ledger.net.batch_ops += decoded;
+                self.ledger.net.batch_ops += n as u64;
                 // Background reaper: one bounded sweep per batch, after
-                // the functional pass so per-op load deltas stay clean.
-                // Its memory traffic flows through the table's engine and
-                // is therefore captured by both the ledger's DMA counters
-                // and the window host lines; it is deliberately *not*
-                // charged to op latencies or the PCIe/DRAM backlog clocks
-                // — the reaper rides idle gaps as background traffic.
+                // the functional pass. Its memory traffic flows through
+                // the table's engine and is therefore captured by both the
+                // ledger's DMA counters and the window host lines; it is
+                // deliberately *not* charged to op latencies or the
+                // PCIe/DRAM backlog clocks — the reaper rides idle gaps as
+                // background traffic.
                 if self.cfg.store.reap_buckets_per_batch > 0 {
                     self.store
                         .processor_mut()
@@ -621,18 +568,24 @@ impl SystemSim {
                 // resource shows up as a backlog clock running ahead of
                 // arrivals, which delays every operation that touches it.
                 // Within an op, dependent reads still chain (bucket →
-                // data); posted writes consume service capacity but do
-                // not extend the critical path.
+                // data); writes, posted or written back, consume service
+                // capacity but do not extend the critical path. An op the
+                // station serves without a read of its own (forwarded,
+                // or queued behind its slot's source) completes no earlier
+                // than one cycle after that slot's last read arrives.
                 let pcie_backlog = self.pcie_free.saturating_sub(arrive);
                 let dram_backlog = self.dram_free.saturating_sub(arrive);
                 let mut batch_done = arrive;
-                let (mut pcie_lines, mut dram_lines) = (0u64, 0u64);
-                for li in 0..self.loads.len() {
-                    let op = self.loads[li];
+                let mut resp_bytes = 0u64;
+                self.loads.clear();
+                let accesses = self.store.processor().accesses();
+                for (k, (a, resp)) in accesses.iter().zip(&self.responses[..n]).enumerate() {
+                    resp_bytes += 3 + resp.value.len() as u64;
+                    let decoded = decode_start + cycle * (k as u64 + 1);
                     // Queueing delay lands on whichever resource owns the
                     // dominant backlog; it is attributed to that component
                     // in the per-op latency breakdown.
-                    let (queued, queued_is_pcie) = match (op.dma_reads > 0, op.dram_reads > 0) {
+                    let (queued, queued_is_pcie) = match (a.dma_reads > 0, a.dram_reads > 0) {
                         (true, true) => {
                             (pcie_backlog.max(dram_backlog), pcie_backlog >= dram_backlog)
                         }
@@ -640,10 +593,11 @@ impl SystemSim {
                         (false, true) => (dram_backlog, false),
                         (false, false) => (SimTime::ZERO, true),
                     };
-                    let mut t = op.t + queued;
+                    let mut t = decoded + queued;
+                    let mut proc_ps = decoded.saturating_sub(arrive).as_ps();
                     let mut pcie_ps = if queued_is_pcie { queued.as_ps() } else { 0 };
                     let mut dram_ps = if queued_is_pcie { 0 } else { queued.as_ps() };
-                    for _ in 0..op.dma_reads {
+                    for _ in 0..a.dma_reads {
                         let mut rtt = self.cfg.pcie.cached_read_latency.sample(&mut self.rng);
                         rtt += SimTime::from_ps(
                             self.rng
@@ -652,16 +606,30 @@ impl SystemSim {
                         pcie_ps += rtt.as_ps();
                         t += rtt;
                     }
-                    for _ in 0..op.dram_reads {
+                    for _ in 0..a.dram_reads {
                         dram_ps += self.cfg.dram_access.as_ps();
                         t += self.cfg.dram_access;
                     }
-                    self.loads[li].pcie_ps = pcie_ps;
-                    self.loads[li].dram_ps = dram_ps;
-                    pcie_lines += op.dma_reads + op.dma_writes;
-                    dram_lines += op.dram_reads + op.dram_writes;
+                    if let Some(slot) = a.slot {
+                        let ready = &mut self.slot_ready[slot];
+                        if a.dma_reads + a.dram_reads > 0 {
+                            *ready = (*ready).max(t);
+                        } else if t < *ready + cycle {
+                            proc_ps += (*ready + cycle - t).as_ps();
+                            t = *ready + cycle;
+                        }
+                    }
+                    self.loads.push(OpLoad {
+                        proc_ps,
+                        pcie_ps,
+                        dram_ps,
+                    });
                     batch_done = batch_done.max(t);
                 }
+                let pcie_lines =
+                    (after.dma_reads + after.dma_writes) - (before.dma_reads + before.dma_writes);
+                let dram_lines = (after.dram_reads + after.dram_writes)
+                    - (before.dram_reads + before.dram_writes);
                 self.pcie_free = self.pcie_free.max(arrive) + self.pcie_line_service * pcie_lines;
                 self.dram_free = self.dram_free.max(arrive) + self.dram_line_service * dram_lines;
 
@@ -674,26 +642,29 @@ impl SystemSim {
                 resp_arrive
             };
 
-            // Pass 3: resolve every op in the batch. Shed and expired
-            // ops count toward `ops` but not goodput and land in no
-            // latency histogram (they carry no service latency); a
-            // useful response must also beat its deadline to count as
-            // goodput.
-            let mut load_at = 0usize;
-            for (off, i) in (self.cursor..end).enumerate() {
+            // Pass 3: resolve every op in the batch, in stream order.
+            // Client-expired, shed and server-expired ops count toward
+            // `ops` but not goodput and land in no latency histogram (they
+            // carry no service latency); a useful response must also beat
+            // its deadline to count as goodput.
+            let mut k = 0;
+            for i in self.cursor..end {
                 self.ops_done += 1;
-                let status = self.statuses[off];
-                let load = if load_at < self.loads.len() && self.loads[load_at].idx == i {
-                    load_at += 1;
-                    Some(self.loads[load_at - 1])
-                } else {
-                    None
-                };
+                let live = self.live.get(k) == Some(&(i as u32));
+                k += usize::from(live);
+                let resp = live.then(|| &self.responses[k - 1]);
+                let status = resp.map_or(Status::Expired, |r| r.status);
+                self.ledger.net.client_expired += u64::from(!live);
+                if self.record_outcomes {
+                    let value = resp.map_or_else(Vec::new, |r| r.value.clone());
+                    self.outcomes.push((status, value));
+                }
                 match status {
                     Status::Overloaded => self.shed_ops += 1,
                     Status::Expired => self.expired_ops += 1,
                     _ => {
-                        let load = load.expect("an answered op was executed");
+                        let load = self.loads[k - 1];
+                        let req = reqs.get(i);
                         let issued = reqs.arrival(i).unwrap_or(start);
                         let lat = resp_arrive.saturating_sub(issued);
                         // Per-component attribution: the processor, PCIe
@@ -702,7 +673,7 @@ impl SystemSim {
                         // propagation, batch skew) is the network's.
                         let (proc, pcie, dram) = (load.proc_ps, load.pcie_ps, load.dram_ps);
                         let net = lat.as_ps().saturating_sub(proc + pcie + dram);
-                        let class = match load.op {
+                        let class = match req.op {
                             OpCode::Put => OpClass::Put,
                             OpCode::Get => OpClass::Get,
                             _ => OpClass::Other,
@@ -712,12 +683,12 @@ impl SystemSim {
                         // percentile resolution (scheduling noise
                         // stand-in).
                         let jitter = SimTime::from_ps(self.rng.u64_below(50_000));
-                        if load.op == OpCode::Put {
+                        if req.op == OpCode::Put {
                             self.put_hist.record_time(lat + jitter);
                         } else {
                             self.get_hist.record_time(lat + jitter);
                         }
-                        let deadline = load.deadline_us;
+                        let deadline = req.deadline_us;
                         let on_time =
                             deadline == 0 || resp_arrive <= SimTime::from_us(u64::from(deadline));
                         if on_time && matches!(status, Status::Ok | Status::NotFound) {
@@ -1135,6 +1106,142 @@ mod tests {
                 again.get_us(Percentile::P50),
                 first.get_us(Percentile::P50)
             );
+        }
+    }
+
+    fn fetch_add(key: &[u8]) -> KvRequest {
+        KvRequest {
+            op: OpCode::UpdateScalar,
+            key: key.to_vec(),
+            value: 1u64.to_le_bytes().to_vec(),
+            lambda: crate::lambda::builtin::ADD,
+            deadline_us: 0,
+            expiry_tick: 0,
+        }
+    }
+
+    #[test]
+    fn a_dirty_key_is_written_back_once_per_batch() {
+        // Fig 13(a)'s stream: every op a fetch-add on one key. Within a
+        // packet the station serves the key by forwarding; its dirty
+        // value goes back to memory once, when the packet's run ends.
+        let mut sim = SystemSim::new(SystemSimConfig::paper(
+            KvDirectConfig::with_memory(8 << 20),
+            40,
+        ));
+        let r = sim.run(&vec![fetch_add(b"ctr"); 60_000]);
+        assert_eq!(r.ops, 60_000);
+        let p = sim.store_mut().processor_mut();
+        assert_eq!(p.station_stats().writebacks, 1_500, "one per batch of 40");
+        let value = p.table_mut().get(b"ctr").expect("written back");
+        assert_eq!(crate::lambda::decode_scalar(Some(&value)), 60_000);
+    }
+
+    #[test]
+    fn no_forwarded_op_completes_before_its_source_data() {
+        // One packet of GETs of one key that no station entry holds and
+        // NIC DRAM never caches: the first GET reads host memory over
+        // PCIe, and the other 39 queue behind it in its slot and are
+        // served by forwarding once its data is back.
+        let mut cfg = SystemSimConfig::paper(KvDirectConfig::with_memory(4 << 20), 40);
+        cfg.windows = 1;
+        cfg.store.load_dispatch_ratio = 0.0;
+        let mut sim = SystemSim::new(cfg);
+        let p = sim.store_mut().processor_mut();
+        p.table_mut().put(b"cold", b"v").expect("fits");
+        p.table_mut().mem_mut().reset_stats();
+        let r = sim.run(&vec![KvRequest::get(b"cold"); 40]);
+        assert_eq!(r.get_latency.count, 40);
+        // An op's completion, counted from its packet's arrival, is its
+        // processor, PCIe and DRAM latency shares together.
+        let done = |l: &OpLoad| l.proc_ps + l.pcie_ps + l.dram_ps;
+        let source = done(&sim.loads[0]);
+        assert!(sim.loads[0].pcie_ps > 0, "the source read host memory");
+        for (k, load) in sim.loads.iter().enumerate().skip(1) {
+            assert!(
+                done(load) > source,
+                "GET {k} done at {} ps, before its source's data at {source} ps",
+                done(load)
+            );
+        }
+        let s = sim.store_mut().processor().station_stats();
+        assert_eq!((s.issued, s.queued, s.forwarded), (1, 39, 39));
+        assert_eq!(s.high_water, 40, "the packet is in flight together");
+    }
+
+    #[test]
+    fn the_engine_runs_a_packet_as_the_server_runs_a_bundle() {
+        // A seeded mix of GET, PUT (a fifth of them with a TTL of one to
+        // three ticks), DELETE and fetch-add over a Zipf keyspace, on an
+        // arrival schedule spanning several expiry ticks.
+        const KEYS: u64 = 300;
+        let mut rng = DetRng::seed(0x0E7A);
+        let sampler = ZipfSampler::new(KEYS, 0.99);
+        let sched: Vec<(SimTime, KvRequest)> = (0..4_000u64)
+            .map(|i| {
+                let t = SimTime::from_ns(1_500 * i);
+                let key = sampler.sample(&mut rng).to_le_bytes();
+                let req = match rng.u64_below(10) {
+                    0..=3 => KvRequest::get(&key),
+                    4..=6 => {
+                        let mut put = KvRequest::put(&key, &i.to_le_bytes());
+                        if rng.chance(0.2) {
+                            let now = kvd_hash::tick_of_us(t.as_ps() / 1_000_000);
+                            put.expiry_tick = now + 1 + rng.u64_below(3) as u32;
+                        }
+                        put
+                    }
+                    7 => KvRequest::delete(&key),
+                    _ => fetch_add(&key),
+                };
+                (t, req)
+            })
+            .collect();
+        let cfg = SystemSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 40);
+        let preload = |store: &mut KvDirectStore| {
+            for id in 0..KEYS {
+                store.put(&id.to_le_bytes(), &[id as u8; 8]).expect("fits");
+            }
+        };
+
+        // The engine, one batch per step, noting the instant each batch's
+        // run was given: its first decode cycle.
+        let mut sim = SystemSim::new(cfg.clone());
+        preload(sim.store_mut());
+        sim.set_record_outcomes(true);
+        sim.begin_run(SimTime::ZERO);
+        let mut nows = Vec::new();
+        for end in (40..=sched.len()).step_by(40) {
+            let cut = sched[end - 1].0 + SimTime::from_ps(1);
+            sim.step_window_over(&sched[..], cut, SimTime::ZERO);
+            assert_eq!(sim.cursor, end, "one batch per step");
+            nows.push(sim.server_free - cfg.clock.cycle() * (sim.live.len() as u64 - 1));
+        }
+
+        // The server's path: one run per 40-op bundle at the same instants.
+        let mut store = KvDirectStore::new(cfg.store.clone());
+        preload(&mut store);
+        let mut outcomes = Vec::new();
+        let mut responses = vec![KvResponse::default(); 40];
+        for (chunk, &now) in sched.chunks(40).zip(&nows) {
+            let bundle: Vec<KvRequest> = chunk.iter().map(|(_, r)| r.clone()).collect();
+            store.processor_mut().set_now(now);
+            store.run(&bundle[..], &mut responses);
+            outcomes.extend(responses.iter().map(|r| (r.status, r.value.clone())));
+        }
+
+        assert!(outcomes.iter().any(|(s, _)| *s == Status::NotFound));
+        assert_eq!(sim.outcomes(), &outcomes[..], "every outcome");
+        let (engine, server) = (sim.store_mut().processor_mut(), store.processor_mut());
+        assert_eq!(engine.station_stats(), server.station_stats());
+        assert_eq!(engine.table().mem().stats(), server.table().mem().stats());
+        assert!(
+            engine.expiry_stats().lazy_expired > 0,
+            "TTLs expired mid-run"
+        );
+        for id in 0..KEYS {
+            let key = id.to_le_bytes();
+            assert_eq!(engine.table_mut().get(&key), server.table_mut().get(&key));
         }
     }
 

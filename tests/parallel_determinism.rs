@@ -299,17 +299,24 @@ fn fingerprint(r: &ParallelSimReport) -> String {
 /// First-run fingerprints of [`run_reused`] recorded on `ece0ff7`, before
 /// runs had an origin: on a fresh engine the origin is zero and nothing
 /// may move.
-const GOLDEN_FRESH_Q4: &str = "RunSummary { ops: 12000, elapsed: 43.594us, mops: 275.27013060787766, goodput_ops: 12000, goodput_mops: 275.27013060787766, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3776597.9254276697, min: 2227983, p5: 3342336, p50: 3604480, p95: 4718592, p99: 5046272, max: 5471930 }, put_latency: Summary { count: 5979, mean: 3775759.8367620003, min: 2238000, p5: 3342336, p50: 3604480, p95: 4718592, p99: 4980736, max: 5470171 } } | windows 11 oversubscribed 0 lines 5023 stall 0ns | ledger 0xb0bfd59f7aad672b";
-const GOLDEN_FRESH_Q8: &str = "RunSummary { ops: 12000, elapsed: 43.594us, mops: 275.27013060787766, goodput_ops: 12000, goodput_mops: 275.27013060787766, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3776597.9254276697, min: 2227983, p5: 3342336, p50: 3604480, p95: 4718592, p99: 5046272, max: 5471930 }, put_latency: Summary { count: 5979, mean: 3775759.8367620003, min: 2238000, p5: 3342336, p50: 3604480, p95: 4718592, p99: 4980736, max: 5470171 } } | windows 6 oversubscribed 0 lines 5023 stall 0ns | ledger 0x82d37a8019a3c81f";
-const GOLDEN_FRESH_STARVED: &str = "RunSummary { ops: 12000, elapsed: 804.828us, mops: 14.910019041510767, goodput_ops: 12000, goodput_mops: 14.910019041510767, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3921145.547749543, min: 2227983, p5: 3375104, p50: 3670016, p95: 5046272, p99: 5373952, max: 5514322 }, put_latency: Summary { count: 5979, mean: 3921200.566482689, min: 2238000, p5: 3407872, p50: 3670016, p95: 4980736, p99: 5308416, max: 5513956 } } | windows 5 oversubscribed 4 lines 5023 stall 768.480us | ledger 0xb118c5493c6dff26";
+///
+/// Re-recorded once when the engine began running each packet through one
+/// `KvProcessor::run`, as the server runs a bundle: a dirty forwarding
+/// entry is written back once per batch and off every op's critical path,
+/// and an op served by forwarding completes no earlier than its slot's
+/// data.
+const GOLDEN_FRESH_Q4: &str = "RunSummary { ops: 12000, elapsed: 38.989us, mops: 307.7768674137009, goodput_ops: 12000, goodput_mops: 307.7768674137009, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3377152.2755356254, min: 2213144, p5: 2326528, p50: 3407872, p95: 4456448, p99: 5111808, max: 5375788 }, put_latency: Summary { count: 5979, mean: 3374505.2008697107, min: 2207059, p5: 2359296, p50: 3407872, p95: 4456448, p99: 5177344, max: 5359671 } } | windows 10 oversubscribed 0 lines 4147 stall 0ns | ledger 0xba3d9e5488bf82aa";
+const GOLDEN_FRESH_Q8: &str = "RunSummary { ops: 12000, elapsed: 38.989us, mops: 307.7768674137009, goodput_ops: 12000, goodput_mops: 307.7768674137009, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3377152.2755356254, min: 2213144, p5: 2326528, p50: 3407872, p95: 4456448, p99: 5111808, max: 5375788 }, put_latency: Summary { count: 5979, mean: 3374505.2008697107, min: 2207059, p5: 2359296, p50: 3407872, p95: 4456448, p99: 5177344, max: 5359671 } } | windows 5 oversubscribed 0 lines 4147 stall 0ns | ledger 0xa5e0e327e6b5bc16";
+const GOLDEN_FRESH_STARVED: &str = "RunSummary { ops: 12000, elapsed: 664.846us, mops: 18.04928230187551, goodput_ops: 12000, goodput_mops: 18.04928230187551, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 6021, mean: 3479875.102142501, min: 2169333, p5: 2359296, p50: 3506176, p95: 4521984, p99: 5111808, max: 5375788 }, put_latency: Summary { count: 5979, mean: 3482029.2483692924, min: 2131825, p5: 2359296, p50: 3506176, p95: 4521984, p99: 5177344, max: 5359671 } } | windows 5 oversubscribed 4 lines 4147 stall 630.240us | ledger 0x7f2b11df764349b0";
 
 /// The open-loop second run and the closed-loop third run of
 /// [`run_reused`], with a digest of every shard's outcomes, recorded on
 /// `0b0af86`: an open-loop run against clocks a closed-loop run left, and
-/// a closed-loop origin taken from clocks an open-loop run left.
-const GOLDEN_LATER_Q4: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 203.267us, mops: 19.67851340559615, goodput_ops: 4000, goodput_mops: 19.67851340559615, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 10495481.16092545, min: 3162484, p5: 3604480, p50: 8912896, p95: 21495808, p99: 34078720, max: 43747321 }, put_latency: Summary { count: 2055, mean: 10487534.451581508, min: 3108025, p5: 3670016, p50: 8912896, p95: 21757952, p99: 33030144, max: 43583558 } } | windows 61 oversubscribed 0 lines 6799 stall 0ns | ledger 0x94a958fc85176ee3 | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 44.203us, mops: 271.47507543217756, goodput_ops: 12000, goodput_mops: 271.47507543217756, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3750169.3449605904, min: 2442159, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325875 }, put_latency: Summary { count: 6037, mean: 3755800.0780188837, min: 2438198, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325169 } } | windows 72 oversubscribed 0 lines 11890 stall 0ns | ledger 0xc2d315c56cec1eaa | outcomes 0x7d890fad1066d8d5"];
-const GOLDEN_LATER_Q8: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 203.267us, mops: 19.67851340559615, goodput_ops: 4000, goodput_mops: 19.67851340559615, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 10495481.16092545, min: 3162484, p5: 3604480, p50: 8912896, p95: 21495808, p99: 34078720, max: 43747321 }, put_latency: Summary { count: 2055, mean: 10487534.451581508, min: 3108025, p5: 3670016, p50: 8912896, p95: 21757952, p99: 33030144, max: 43583558 } } | windows 31 oversubscribed 0 lines 6799 stall 0ns | ledger 0xf1080980f78792e7 | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 44.203us, mops: 271.47507543217756, goodput_ops: 12000, goodput_mops: 271.47507543217756, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3750169.3449605904, min: 2442159, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325875 }, put_latency: Summary { count: 6037, mean: 3755800.0780188837, min: 2438198, p5: 3342336, p50: 3571712, p95: 4521984, p99: 4784128, max: 5325169 } } | windows 37 oversubscribed 0 lines 11890 stall 0ns | ledger 0xae765a98cae25816 | outcomes 0x7d890fad1066d8d5"];
-const GOLDEN_LATER_STARVED: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 808.781us, mops: 4.945716349017689, goodput_ops: 4000, goodput_mops: 4.945716349017689, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 526513800.00411314, min: 153447035, p5: 186646528, p50: 587202560, p95: 763363328, p99: 788529152, max: 804938825 }, put_latency: Summary { count: 2055, mean: 521065145.64671534, min: 153516052, p5: 188743680, p50: 578813952, p95: 754974720, p99: 788529152, max: 804775062 } } | windows 14 oversubscribed 12 lines 6799 stall 987.520us | ledger 0x5ce4fde91eb0b9be | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 808.656us, mops: 14.839444812345885, goodput_ops: 12000, goodput_mops: 14.839444812345885, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3893174.7793057184, min: 2258017, p5: 3342336, p50: 3670016, p95: 4718592, p99: 5242880, max: 5565448 }, put_latency: Summary { count: 6037, mean: 3892145.1166142123, min: 2262389, p5: 3375104, p50: 3670016, p95: 4784128, p99: 5242880, max: 5567577 } } | windows 19 oversubscribed 17 lines 11890 stall 1.762ms | ledger 0xa395e601d647baa1 | outcomes 0x7d890fad1066d8d5"];
+/// a closed-loop origin taken from clocks an open-loop run left. Re-recorded
+/// with [`GOLDEN_FRESH_Q4`].
+const GOLDEN_LATER_Q4: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 203.171us, mops: 19.68789440543526, goodput_ops: 4000, goodput_mops: 19.68789440543526, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 9501903.1907455, min: 2318212, p5: 2916352, p50: 8257536, p95: 19398656, p99: 29884416, max: 39109763 }, put_latency: Summary { count: 2055, mean: 9581397.854987834, min: 2225209, p5: 3047424, p50: 8257536, p95: 19922944, p99: 28573696, max: 38956945 } } | windows 60 oversubscribed 0 lines 5575 stall 0ns | ledger 0x59465cc704ad778a | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 37.280us, mops: 321.8917535436862, goodput_ops: 12000, goodput_mops: 321.8917535436862, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3336896.44289787, min: 2298360, p5: 2326528, p50: 3407872, p95: 4259840, p99: 4653056, max: 5376004 }, put_latency: Summary { count: 6037, mean: 3343348.30810005, min: 2308254, p5: 2326528, p50: 3407872, p95: 4259840, p99: 4718592, max: 5380020 } } | windows 69 oversubscribed 0 lines 9804 stall 0ns | ledger 0x57e6f8ee5470aaa2 | outcomes 0x7d890fad1066d8d5"];
+const GOLDEN_LATER_Q8: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 203.171us, mops: 19.68789440543526, goodput_ops: 4000, goodput_mops: 19.68789440543526, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 9501903.1907455, min: 2318212, p5: 2916352, p50: 8257536, p95: 19398656, p99: 29884416, max: 39109763 }, put_latency: Summary { count: 2055, mean: 9581397.854987834, min: 2225209, p5: 3047424, p50: 8257536, p95: 19922944, p99: 28573696, max: 38956945 } } | windows 30 oversubscribed 0 lines 5575 stall 0ns | ledger 0x68d607b46188a576 | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 37.280us, mops: 321.8917535436862, goodput_ops: 12000, goodput_mops: 321.8917535436862, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3336896.44289787, min: 2298360, p5: 2326528, p50: 3407872, p95: 4259840, p99: 4653056, max: 5376004 }, put_latency: Summary { count: 6037, mean: 3343348.30810005, min: 2308254, p5: 2326528, p50: 3407872, p95: 4259840, p99: 4718592, max: 5380020 } } | windows 35 oversubscribed 0 lines 9804 stall 0ns | ledger 0x2bb450621102225e | outcomes 0x7d890fad1066d8d5"];
+const GOLDEN_LATER_STARVED: [&str; 2] = ["RunSummary { ops: 4000, elapsed: 669.505us, mops: 5.974559753997024, goodput_ops: 4000, goodput_mops: 5.974559753997024, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 1945, mean: 385356377.42879176, min: 124733906, p5: 146800640, p50: 415236096, p95: 612368384, p99: 654311424, max: 664959350 }, put_latency: Summary { count: 2055, mean: 385182434.39318734, min: 124739961, p5: 148897792, p50: 415236096, p95: 603979776, p99: 645922816, max: 664806532 } } | windows 19 oversubscribed 16 lines 5575 stall 753.600us | ledger 0x040136bdd6a0400e | outcomes 0xc2c60cc15aa995e8", "RunSummary { ops: 12000, elapsed: 664.284us, mops: 18.064557471617338, goodput_ops: 12000, goodput_mops: 18.064557471617338, shed_ops: 0, expired_ops: 0, get_latency: Summary { count: 5963, mean: 3436642.4801274524, min: 2169380, p5: 2326528, p50: 3473408, p95: 4456448, p99: 5111808, max: 5376004 }, put_latency: Summary { count: 6037, mean: 3434927.7919496438, min: 2179274, p5: 2326528, p50: 3440640, p95: 4456448, p99: 5177344, max: 5380020 } } | windows 23 oversubscribed 20 lines 9804 stall 1.398ms | ledger 0x867d2cc5c16e162c | outcomes 0x7d890fad1066d8d5"];
 
 #[test]
 fn a_reused_engine_is_schedule_invariant_and_starts_like_a_fresh_one() {
@@ -395,9 +402,15 @@ fn open_schedule(n: usize, seed: u64) -> Vec<(SimTime, KvRequest)> {
 /// the parts of a report that outlive its `overload` / `faults` views:
 /// summary and ledger, and for the sharded engine the shard count and the
 /// arbiter's counters.
-const GOLDEN_SEQ_OPEN: &str = "RunSummary { ops: 6000, elapsed: 35.464us, mops: 169.18458444205632, goodput_ops: 804, goodput_mops: 22.67073431523555, shed_ops: 4063, expired_ops: 984, get_latency: Summary { count: 487, mean: 5987584.503080082, min: 4741172, p5: 4849664, p50: 6029312, p95: 6750208, p99: 6881280, max: 6939751 }, put_latency: Summary { count: 466, mean: 5993408.939914163, min: 4778269, p5: 4849664, p50: 5963776, p95: 6750208, p99: 6881280, max: 6958427 } } | report 0xfe809d7452c31eb7 | outcomes 0x6f52d27799568532";
-const GOLDEN_PAR_OPEN_Q4: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 8 oversubscribed 0 lines 2372 stall 0ns | ledger 0xf841a9c16d7d7e2d | report 0x0b97e2c9d8cd8506 | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
-const GOLDEN_PAR_OPEN_Q8: &str = "RunSummary { ops: 6000, elapsed: 33.558us, mops: 178.79688292666182, goodput_ops: 4674, goodput_mops: 139.28277179986955, shed_ops: 0, expired_ops: 526, get_latency: Summary { count: 2756, mean: 4075856.7162554427, min: 2619149, p5: 3407872, p50: 3964928, p95: 5046272, p99: 5505024, max: 6212623 }, put_latency: Summary { count: 2718, mean: 4068605.0172921265, min: 2734857, p5: 3407872, p50: 3964928, p95: 4980736, p99: 5439488, max: 6180793 } } | windows 4 oversubscribed 0 lines 2372 stall 0ns | ledger 0x6a1a17c49bcbdba9 | report 0x290816a28ea155b6 | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0xb9e23d90f8b8af20, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
+///
+/// Re-recorded once when the engine began running each packet through one
+/// `KvProcessor::run`, as the server runs a bundle: a dirty forwarding
+/// entry is written back once per batch and off every op's critical path,
+/// and an op served by forwarding completes no earlier than its slot's
+/// data.
+const GOLDEN_SEQ_OPEN: &str = "RunSummary { ops: 6000, elapsed: 35.464us, mops: 169.18458444205632, goodput_ops: 766, goodput_mops: 21.599231947102524, shed_ops: 4127, expired_ops: 966, get_latency: Summary { count: 466, mean: 6205088.572961373, min: 4732284, p5: 4849664, p50: 6160384, p95: 7274496, p99: 7405568, max: 7456936 }, put_latency: Summary { count: 441, mean: 6204030.80952381, min: 4766681, p5: 4849664, p50: 6225920, p95: 7274496, p99: 7405568, max: 7453248 } } | report 0xa40baf6d7fb1d7a6 | outcomes 0x127f097faf3ee02a";
+const GOLDEN_PAR_OPEN_Q4: &str = "RunSummary { ops: 6000, elapsed: 33.377us, mops: 179.7668890842489, goodput_ops: 4750, goodput_mops: 142.31545385836372, shed_ops: 0, expired_ops: 525, get_latency: Summary { count: 2756, mean: 3527174.630986938, min: 2170481, p5: 2424832, p50: 3506176, p95: 4718592, p99: 5242880, max: 6046607 }, put_latency: Summary { count: 2719, mean: 3528535.5936005884, min: 2132611, p5: 2457600, p50: 3506176, p95: 4718592, p99: 5111808, max: 5986431 } } | windows 8 oversubscribed 0 lines 1953 stall 0ns | ledger 0x5c7515a2e5b6e30e | report 0x3976d23587adaa0a | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0x7b6389e3f4a78906, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
+const GOLDEN_PAR_OPEN_Q8: &str = "RunSummary { ops: 6000, elapsed: 33.377us, mops: 179.7668890842489, goodput_ops: 4750, goodput_mops: 142.31545385836372, shed_ops: 0, expired_ops: 525, get_latency: Summary { count: 2756, mean: 3527174.630986938, min: 2170481, p5: 2424832, p50: 3506176, p95: 4718592, p99: 5242880, max: 6046607 }, put_latency: Summary { count: 2719, mean: 3528535.5936005884, min: 2132611, p5: 2457600, p50: 3506176, p95: 4718592, p99: 5111808, max: 5986431 } } | windows 4 oversubscribed 0 lines 1953 stall 0ns | ledger 0x23903c58d4318b52 | report 0xfa664c63b2b27e9a | outcomes [0xfc91366216149e17, 0x81f1d18cff33e38e, 0x8ca6a4e28a03568f, 0x82b3792fc9216273, 0xfb47ad28c0d53e4e, 0x2874aaf6b9643f39, 0x7b6389e3f4a78906, 0xb0b30063648ea2ae, 0x4320dfcf73947977, 0x33dc702143efd407]";
 
 #[test]
 fn open_loop_runs_reproduce_their_recorded_fingerprints() {
@@ -459,7 +472,9 @@ fn open_loop_runs_reproduce_their_recorded_fingerprints() {
 
 /// An RF2 cluster run across a node kill, recorded on `0b0af86`, while
 /// members were fed through `feed_open` and stepped with `step_window`.
-const GOLDEN_CLUSTER_RF2_KILL: &str = "ops 324 elapsed 430.000us windows 215 kill Some(40) detect Some(51) | writes Summary { count: 159, mean: 10462995.220125787, min: 184000, p5: 1818624, p50: 11927552, p95: 24903680, p99: 32768000, max: 32993680 } | reads Summary { count: 165, mean: 1594230.303030303, min: 11000, p5: 79872, p50: 925696, p95: 1982464, p99: 19398656, max: 23001000 } | ClusterCosts { rep_frames: 621, rep_bytes: 10809, rep_acks: 117, rep_retries: 10, heartbeats: 384, hb_bytes: 4992, node_kills: 1, failovers: 1, promotions: 1, orphan_redrives: 0, client_retries: 3, hedged_reads: 8, writes_acked: 159, writes_failed: 0, failover_depth_windows: 11 } | ledger 0x701ce29190041565 | records 0x98926986a8d9e588";
+/// Only the ledger digest was re-recorded, with [`GOLDEN_SEQ_OPEN`]: the
+/// station's counters moved (one write-back per batch).
+const GOLDEN_CLUSTER_RF2_KILL: &str = "ops 324 elapsed 430.000us windows 215 kill Some(40) detect Some(51) | writes Summary { count: 159, mean: 10462995.220125787, min: 184000, p5: 1818624, p50: 11927552, p95: 24903680, p99: 32768000, max: 32993680 } | reads Summary { count: 165, mean: 1594230.303030303, min: 11000, p5: 79872, p50: 925696, p95: 1982464, p99: 19398656, max: 23001000 } | ClusterCosts { rep_frames: 621, rep_bytes: 10809, rep_acks: 117, rep_retries: 10, heartbeats: 384, hb_bytes: 4992, node_kills: 1, failovers: 1, promotions: 1, orphan_redrives: 0, client_retries: 3, hedged_reads: 8, writes_acked: 159, writes_failed: 0, failover_depth_windows: 11 } | ledger 0x1be56a6b2ca4c473 | records 0x98926986a8d9e588";
 
 #[test]
 fn a_cluster_node_kill_run_reproduces_its_recorded_fingerprint() {
