@@ -9,52 +9,56 @@
 //! 2. **Load dispatch ratio** — §3.3.4 solves a balance equation for the
 //!    optimal `l`; sweeping `l` over the replay driver verifies the
 //!    optimum sits where the equation says.
-//! 3. **Memory pipeline depth** — §3.3.3: "to saturate PCIe, DRAM and
+//! 3. **Operations in flight** — §3.3.3: "to saturate PCIe, DRAM and
 //!    the processing pipeline, up to 256 in-flight KV operations are
-//!    needed".
+//!    needed". The engine bounds concurrency at the client, so the sweep
+//!    is over client windows of 40 ops.
+//!
+//! Sweeps 1 and 3 are runs of the timed engine (`SystemSim`) through
+//! `kvd_bench::Ycsb`; sweep 2 replays a line trace through the memory
+//! engine.
 
-use kvd_bench::{banner, fmt_f, shape_check, Table};
+use kvd_bench::{
+    banner, fmt_f, shape_check, KeyDist, Table, Ycsb, SATURATING_WINDOWS, SCALED_MEMORY,
+};
+use kvd_core::system::SystemSimConfig;
+use kvd_core::KvDirectConfig;
 use kvd_mem::dispatch::optimal_ratio_zipf;
 use kvd_mem::replay::{replay_lines, ReplayConfig};
 use kvd_mem::{AccessKind, LINE};
-use kvd_ooo::{simulate_throughput, PipelineConfig, SimOp};
 use kvd_sim::{DetRng, ZipfSampler};
-use kvd_workloads::{Dist, YcsbSpec, YcsbWorkload};
+
+/// The throughput figures' engine: batches of 40, `windows` in flight.
+fn engine(windows: usize) -> SystemSimConfig {
+    SystemSimConfig {
+        windows,
+        ..SystemSimConfig::paper(KvDirectConfig::with_memory(SCALED_MEMORY), 40)
+    }
+}
 
 fn main() {
     banner(
-        "Ablations: station geometry, load dispatch ratio, pipeline depth",
+        "Ablations: station geometry, load dispatch ratio, ops in flight",
         "1024 station slots suffice; the dispatch optimum matches the \
-         §3.3.4 balance equation; ~256 in-flight ops saturate memory",
+         §3.3.4 balance equation; enough ops in flight saturate memory",
     );
 
     // --- 1. Station hash slots -------------------------------------------
-    let mut w = YcsbWorkload::new(YcsbSpec {
-        n_keys: 100_000,
-        kv_size: 16,
-        put_ratio: 0.5,
-        dist: Dist::long_tail(),
-        seed: 31,
-    });
-    let trace = w.key_trace(60_000);
+    let point = Ycsb::new(16, 0.5, KeyDist::Zipf);
     let mut t = Table::new(
         "station hash slots vs long-tail throughput (capacity 256)",
         &["slots", "Mops", "forwarded %"],
     );
     let mut tput_at = std::collections::BTreeMap::new();
-    for slots in [64u64, 256, 1024, 4096] {
-        let r = simulate_throughput(
-            &PipelineConfig {
-                station_slots: slots,
-                ..PipelineConfig::default()
-            },
-            &trace,
-        );
+    for slots in [64usize, 256, 1024, 4096] {
+        let mut cfg = engine(SATURATING_WINDOWS);
+        cfg.store.station.hash_slots = slots;
+        let r = point.run(cfg, 31).report;
         tput_at.insert(slots, r.mops);
         t.row(&[
             slots.to_string(),
             fmt_f(r.mops, 1),
-            fmt_f(r.forwarded as f64 / r.ops as f64 * 100.0, 1),
+            fmt_f(r.ledger.station.forwarded as f64 / r.ops as f64 * 100.0, 1),
         ]);
     }
     t.print();
@@ -141,31 +145,29 @@ fn main() {
         ),
     );
 
-    // --- 3. In-flight (pipeline depth) sweep ------------------------------
-    let mut rng = DetRng::seed(99);
-    let uni_trace: Vec<(u64, SimOp)> = (0..60_000)
-        .map(|_| (rng.u64_below(1 << 20), SimOp::Get))
-        .collect();
+    // --- 3. Ops in flight ---------------------------------------------------
+    let point = Ycsb::new(16, 0.0, KeyDist::Uniform);
     let mut t = Table::new(
-        "max in-flight memory ops vs throughput (uniform GETs)",
-        &["in-flight", "Mops"],
+        "client ops in flight vs throughput (uniform 16 B GETs)",
+        &["windows", "in flight", "Mops"],
     );
     let mut at = std::collections::BTreeMap::new();
-    for inflight in [16usize, 64, 128, 190, 256, 512] {
-        let r = simulate_throughput(
-            &PipelineConfig {
-                max_inflight: inflight,
-                ..PipelineConfig::default()
-            },
-            &uni_trace,
-        );
-        at.insert(inflight, r.mops);
-        t.row(&[inflight.to_string(), fmt_f(r.mops, 1)]);
+    for windows in [1usize, 2, 4, 8, 16, 32, 64] {
+        let r = point.run(engine(windows), 99).report;
+        at.insert(windows * 40, r.mops);
+        t.row(&[
+            windows.to_string(),
+            (windows * 40).to_string(),
+            fmt_f(r.mops, 1),
+        ]);
     }
     t.print();
     shape_check(
-        "~256 in-flight ops saturate the pipeline (paper §3.3.3)",
-        at[&256] > 150.0 && at[&16] < at[&256] * 0.5,
-        &format!("16→{:.1}, 256→{:.1} Mops", at[&16], at[&256]),
+        "concurrency saturates the NIC, then throughput plateaus",
+        at[&40] < at[&2560] * 0.25 && at[&1280] > at[&2560] * 0.95,
+        &format!(
+            "40→{:.1}, 640→{:.1}, 1280→{:.1}, 2560→{:.1} Mops",
+            at[&40], at[&640], at[&1280], at[&2560]
+        ),
     );
 }

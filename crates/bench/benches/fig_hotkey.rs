@@ -38,7 +38,7 @@ use kvd_bench::{banner, shape_check, Table};
 use kvd_mem::dispatch::optimal_ratio_zipf;
 use kvd_mem::replay::{Replay, ReplayConfig};
 use kvd_mem::{AccessKind, AdaptiveCacheConfig, MemoryEngine, LINE};
-use kvd_ooo::SimOp;
+use kvd_net::OpCode;
 use kvd_workloads::{ZipfHotSpec, ZipfHotWorkload};
 
 /// 16 MiB host address space (262,144 lines), NIC DRAM at the paper's
@@ -68,10 +68,12 @@ fn trace(theta: f64) -> Vec<(u64, AccessKind)> {
         shift_every: (OPS / 2) as u64,
         seed: SEED,
     });
-    w.key_trace(OPS)
-        .into_iter()
-        .map(|(line, op)| {
-            let kind = if op == SimOp::Put {
+    (0..OPS)
+        .map(|_| {
+            // The request's key is its id's bytes; the id names the line.
+            let r = w.next_request();
+            let line = u64::from_le_bytes(r.key.try_into().expect("8-byte key"));
+            let kind = if r.op == OpCode::Put {
                 AccessKind::Write
             } else {
                 AccessKind::Read

@@ -248,23 +248,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         self.overload_cfg = cfg;
     }
 
-    /// The tracked hot-key shares (hashed key, estimated count, share of
-    /// observed traffic), hottest first; empty when the hot-key policy is
-    /// off or nothing has been observed yet.
-    pub fn hot_key_shares(&self) -> Vec<(u64, u64, f64)> {
-        let Some(hk) = &self.hot_keys else {
-            return Vec::new();
-        };
-        let mut out: Vec<(u64, u64, f64)> = hk
-            .rollup
-            .entries()
-            .iter()
-            .map(|e| (e.item, e.count, hk.rollup.share(e.item)))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
     /// Advances the clock the deadline gate compares request deadlines
     /// against (µs since the client epoch).
     ///
@@ -316,11 +299,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// Whether the admission controller is currently shedding.
     pub fn is_shedding(&self) -> bool {
         self.admission.as_ref().is_some_and(|a| a.is_shedding())
-    }
-
-    /// Live reservation-station occupancy (0..=1 of the 256-op envelope).
-    pub fn station_occupancy(&self) -> f64 {
-        self.station.occupancy()
     }
 
     /// Attaches a fault plane: every issued memory transaction draws from
@@ -752,19 +730,13 @@ impl<M: MemoryEngine> KvProcessor<M> {
             }
             OpCode::UpdateScalar | OpCode::UpdateScalarToVector | OpCode::UpdateVector => {
                 let f = self.update_fn(req).expect("validated at submission");
-                let old = self.table.get(key);
-                let new = f(old.as_deref());
-                let stored = match &new {
-                    Some(nv) => self.table.put(key, nv).map(|_| ()),
-                    None => {
-                        if old.is_some() {
-                            self.table.delete(key);
-                        }
-                        Ok(())
-                    }
-                };
+                let mut old = None;
+                let stored = self.table.update_hashed(key, h, |v| {
+                    old = v.map(<[u8]>::to_vec);
+                    f(v)
+                });
                 match stored {
-                    Ok(()) => {
+                    Ok(new) => {
                         self.station.install(slot, key, new.as_deref());
                         respond(&self.registry, req, old.as_deref(), resp);
                     }
@@ -977,7 +949,7 @@ mod tests {
         for hash_slots in [1024usize, 1000] {
             let rs = ReservationStation::new(StationConfig {
                 hash_slots,
-                capacity: 256,
+                ..StationConfig::default()
             });
             for i in 0..2000u64 {
                 let keys = [i.to_le_bytes().to_vec(), format!("k{i:012}").into_bytes()];
@@ -1030,6 +1002,28 @@ mod tests {
         // 1000 RMWs.
         let accesses = p.table().mem().stats().accesses();
         assert!(accesses <= 6, "saw {accesses} accesses for 1000 atomics");
+    }
+
+    #[test]
+    fn a_fetch_add_on_an_inline_key_reads_its_bucket_once() {
+        // One chain walk per read-modify-write: the bucket is read once,
+        // modified and written once.
+        let mut p = proc();
+        // Straight into the table: no station entry to forward from.
+        p.table_mut().put(b"ctr", &5u64.to_le_bytes()).unwrap();
+        p.table_mut().mem_mut().reset_stats();
+        let rs = p.execute_batch(&[KvRequest {
+            op: OpCode::UpdateScalar,
+            key: b"ctr".to_vec(),
+            value: 1u64.to_le_bytes().to_vec(),
+            lambda: crate::lambda::builtin::ADD,
+            deadline_us: 0,
+            expiry_tick: 0,
+        }]);
+        assert_eq!(decode_scalar(Some(&rs[0].value)), 5);
+        let s = p.table().mem().stats();
+        assert_eq!((s.dma_reads, s.dma_writes), (1, 1));
+        assert_eq!(p.table_mut().get(b"ctr"), Some(6u64.to_le_bytes().to_vec()));
     }
 
     #[test]

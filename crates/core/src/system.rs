@@ -149,11 +149,13 @@ pub struct SystemSim {
     /// extends into the future.
     pcie_free: SimTime,
     dram_free: SimTime,
-    /// When each reservation-station slot's data last arrived from memory:
-    /// an op the station serves without a read of its own completes no
-    /// earlier than one cycle after it. Persists across batches, as the
-    /// station's forwarding entries do.
-    slot_ready: Vec<SimTime>,
+    /// When each reservation-station slot's data last arrived from memory,
+    /// and its last write's: an op the station serves without a read of
+    /// its own completes no earlier than one cycle after the first; without
+    /// forwarding, a write stalls the decoder until the first and a read
+    /// until the second. Persists across batches, as the station's
+    /// forwarding entries do.
+    slot_ready: Vec<[SimTime; 2]>,
     // ---- batch scratch, reused across batches and runs ----
     /// Positions in the lent stream of the batch's live requests.
     live: Vec<u32>,
@@ -297,7 +299,7 @@ impl SystemSim {
             dram_line_service: Bandwidth::from_gbytes_per_sec(12.8).transfer_time(64),
             pcie_free: SimTime::ZERO,
             dram_free: SimTime::ZERO,
-            slot_ready: vec![SimTime::ZERO; cfg.store.station.hash_slots],
+            slot_ready: vec![[SimTime::ZERO; 2]; cfg.store.station.hash_slots],
             live: Vec::new(),
             responses: vec![KvResponse::default(); cfg.batch.max(1)],
             loads: Vec::new(),
@@ -573,15 +575,32 @@ impl SystemSim {
                 // station serves without a read of its own (forwarded,
                 // or queued behind its slot's source) completes no earlier
                 // than one cycle after that slot's last read arrives.
-                let pcie_backlog = self.pcie_free.saturating_sub(arrive);
-                let dram_backlog = self.dram_free.saturating_sub(arrive);
+                // Without forwarding (Figure 13's baseline) a same-slot
+                // hazard stalls the decoder, and every op after it, until
+                // the source's data arrives; the backlogs drain meanwhile.
+                let stalls = !self.cfg.store.station.forwarding;
+                let mut stall = SimTime::ZERO;
+                let pcie_queue = self.pcie_free.saturating_sub(arrive);
+                let dram_queue = self.dram_free.saturating_sub(arrive);
                 let mut batch_done = arrive;
                 let mut resp_bytes = 0u64;
                 self.loads.clear();
                 let accesses = self.store.processor().accesses();
                 for (k, (a, resp)) in accesses.iter().zip(&self.responses[..n]).enumerate() {
                     resp_bytes += 3 + resp.value.len() as u64;
-                    let decoded = decode_start + cycle * (k as u64 + 1);
+                    let mut decoded = decode_start + stall + cycle * (k as u64 + 1);
+                    let writes = stalls
+                        && !matches!(
+                            reqs.get(self.live[k] as usize).op,
+                            OpCode::Get | OpCode::Reduce | OpCode::Filter
+                        );
+                    if let Some(slot) = a.slot.filter(|_| stalls) {
+                        let hazard = self.slot_ready[slot][usize::from(!writes)];
+                        stall += hazard.saturating_sub(decoded);
+                        decoded = decoded.max(hazard);
+                    }
+                    let pcie_backlog = pcie_queue.saturating_sub(stall);
+                    let dram_backlog = dram_queue.saturating_sub(stall);
                     // Queueing delay lands on whichever resource owns the
                     // dominant backlog; it is attributed to that component
                     // in the per-op latency breakdown.
@@ -613,10 +632,13 @@ impl SystemSim {
                     if let Some(slot) = a.slot {
                         let ready = &mut self.slot_ready[slot];
                         if a.dma_reads + a.dram_reads > 0 {
-                            *ready = (*ready).max(t);
-                        } else if t < *ready + cycle {
-                            proc_ps += (*ready + cycle - t).as_ps();
-                            t = *ready + cycle;
+                            ready[0] = ready[0].max(t);
+                            if writes {
+                                ready[1] = ready[1].max(t);
+                            }
+                        } else if t < ready[0] + cycle {
+                            proc_ps += (ready[0] + cycle - t).as_ps();
+                            t = ready[0] + cycle;
                         }
                     }
                     self.loads.push(OpLoad {
@@ -626,6 +648,7 @@ impl SystemSim {
                     });
                     batch_done = batch_done.max(t);
                 }
+                self.server_free += stall;
                 let pcie_lines =
                     (after.dma_reads + after.dma_writes) - (before.dma_reads + before.dma_writes);
                 let dram_lines = (after.dram_reads + after.dram_writes)
@@ -1135,6 +1158,58 @@ mod tests {
         assert_eq!(p.station_stats().writebacks, 1_500, "one per batch of 40");
         let value = p.table_mut().get(b"ctr").expect("written back");
         assert_eq!(crate::lambda::decode_scalar(Some(&value)), 60_000);
+    }
+
+    #[test]
+    fn without_forwarding_a_write_hazard_stalls_the_decoder() {
+        // Figure 13's baseline over one packet: each fetch-add of one key
+        // waits for the one before it to have its data, then reads its
+        // own bucket over PCIe; GETs of one key share the slot and
+        // overlap.
+        let mut cfg = SystemSimConfig::paper(KvDirectConfig::with_memory(4 << 20), 40);
+        cfg.windows = 1;
+        cfg.store.load_dispatch_ratio = 0.0;
+        cfg.store.station.forwarding = false;
+        // Each op's completion, counted from its packet's arrival.
+        let done = |req: KvRequest| -> Vec<u64> {
+            let mut sim = SystemSim::new(cfg.clone());
+            sim.store_mut()
+                .put(b"ctr", &7u64.to_le_bytes())
+                .expect("fits");
+            sim.run(&vec![req; 40]);
+            let s = sim.store_mut().processor().station_stats();
+            assert_eq!((s.forwarded, s.queued), (0, 0));
+            sim.loads
+                .iter()
+                .map(|l| l.proc_ps + l.pcie_ps + l.dram_ps)
+                .collect()
+        };
+        let (adds, gets) = (done(fetch_add(b"ctr")), done(KvRequest::get(b"ctr")));
+        assert!(adds.windows(2).all(|w| w[1] > w[0]), "{adds:?}");
+        let span = |d: &[u64]| d.iter().max().unwrap() - d.iter().min().unwrap();
+        let (adds, gets) = (span(&adds), span(&gets));
+        assert!(gets * 10 < adds, "GETs {gets} ps vs fetch-adds {adds} ps");
+    }
+
+    #[test]
+    fn without_forwarding_colliding_slots_retire_every_op() {
+        let mut cfg = SystemSimConfig::paper(KvDirectConfig::with_memory(4 << 20), 40);
+        cfg.store.station.hash_slots = 4;
+        cfg.store.station.capacity = 8;
+        cfg.store.station.forwarding = false;
+        let mut sim = SystemSim::new(cfg);
+        let reqs: Vec<KvRequest> = (0..64 * 62u64)
+            .map(|i| fetch_add(&(i % 64).to_le_bytes()))
+            .collect();
+        assert_eq!(sim.run(&reqs).goodput_ops, reqs.len() as u64);
+        assert_eq!(sim.run(&[]).ops, 0, "an empty stream runs nothing");
+        let p = sim.store_mut().processor_mut();
+        let s = p.station_stats();
+        assert_eq!((s.issued, s.forwarded), (reqs.len() as u64, 0));
+        for key in 0..64u64 {
+            let value = p.table_mut().get(&key.to_le_bytes());
+            assert_eq!(crate::lambda::decode_scalar(value.as_deref()), 62);
+        }
     }
 
     #[test]

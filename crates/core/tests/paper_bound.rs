@@ -44,8 +44,21 @@ fn saturating() -> SystemSimConfig {
     }
 }
 
+/// Figure 13's engine: the throughput figures' at `load_dispatch_ratio`
+/// 0, so every access crosses PCIe, with or without data forwarding (the
+/// out-of-order engine).
+fn fig13(forwarding: bool) -> SystemSimConfig {
+    let mut cfg = saturating();
+    cfg.store.load_dispatch_ratio = 0.0;
+    cfg.store.station.forwarding = forwarding;
+    cfg
+}
+
 fn run(kv_size: usize, put_ratio: f64, zipf: bool) -> Run {
-    let cfg = saturating();
+    run_on(saturating(), kv_size, put_ratio, zipf)
+}
+
+fn run_on(cfg: SystemSimConfig, kv_size: usize, put_ratio: f64, zipf: bool) -> Run {
     let mut sim = SystemSim::new(cfg.clone());
     let mut rng = DetRng::seed(kv_size as u64);
     let value = vec![7u8; kv_size - KEY_LEN];
@@ -138,11 +151,11 @@ impl Bound {
 /// (engine Mops, bound).
 fn engine_within_bound(kv_size: usize, put_ratio: f64, zipf: bool) -> (f64, Bound) {
     let point = format!("{kv_size} B, {put_ratio} PUT, zipf {zipf}");
-    run_within_bound(&point, run(kv_size, put_ratio, zipf))
+    run_within_bound(&point, &run(kv_size, put_ratio, zipf))
 }
 
-fn run_within_bound(point: &str, run: Run) -> (f64, Bound) {
-    let bound = Bound::of(&run);
+fn run_within_bound(point: &str, run: &Run) -> (f64, Bound) {
+    let bound = Bound::of(run);
     let mops = run.report.mops;
     assert!(
         mops <= 1.02 * bound.mops(),
@@ -179,23 +192,100 @@ fn no_mix_runs_above_the_bound() {
     }
 }
 
+fn fetch_add(key: &[u8]) -> KvRequest {
+    KvRequest {
+        op: OpCode::UpdateScalar,
+        key: key.to_vec(),
+        value: 1u64.to_le_bytes().to_vec(),
+        lambda: builtin::ADD,
+        deadline_us: 0,
+        expiry_tick: 0,
+    }
+}
+
 #[test]
 fn single_key_atomics_reach_the_clock_bound() {
     // Fig 13(a) with out-of-order execution: the station serves every
     // fetch-add of a packet but its first by forwarding, one per cycle,
     // and writes the key back once per packet.
-    let fetch_add = KvRequest {
-        op: OpCode::UpdateScalar,
-        key: b"counter".to_vec(),
-        value: 1u64.to_le_bytes().to_vec(),
-        lambda: builtin::ADD,
-        deadline_us: 0,
-        expiry_tick: 0,
-    };
     let cfg = saturating();
     let sim = SystemSim::new(cfg.clone());
-    let run = measure(cfg, sim, &vec![fetch_add; 60_000]);
-    let (mops, bound) = run_within_bound("single-key fetch-add", run);
+    let run = measure(cfg, sim, &vec![fetch_add(b"counter"); 60_000]);
+    let (mops, bound) = run_within_bound("single-key fetch-add", &run);
     assert_eq!(bound.mops(), bound.clock, "{bound:?}");
     assert!(mops >= 0.9 * bound.mops(), "{mops:.1} Mops vs {bound:?}");
+}
+
+/// 60 000 fetch-adds over `keys` uniform keys on Figure 13's engine.
+fn atomics(keys: u64, forwarding: bool) -> Run {
+    let mut rng = DetRng::seed(keys);
+    let reqs: Vec<KvRequest> = (0..60_000)
+        .map(|_| fetch_add(&rng.u64_below(keys).to_le_bytes()))
+        .collect();
+    let cfg = fig13(forwarding);
+    let point = format!("{keys}-key fetch-add, forwarding {forwarding}");
+    let run = measure(cfg.clone(), SystemSim::new(cfg), &reqs);
+    run_within_bound(&point, &run);
+    run
+}
+
+#[test]
+fn single_key_atomics_without_ooo_wait_out_each_round_trip() {
+    // Fig 13(a)'s stalling pipeline: each fetch-add waits for the one
+    // before it to read its bucket over PCIe (paper: 0.94 Mops).
+    let run = atomics(1, false);
+    let mops = run.report.mops;
+    assert!((0.7..1.2).contains(&mops), "{mops:.2} Mops");
+    assert_eq!(run.report.ledger.station.forwarded, 0);
+}
+
+#[test]
+fn single_key_atomics_with_ooo_forward_past_the_round_trip() {
+    // Fig 13(a) with out-of-order execution on Figure 13's engine, where
+    // every access crosses PCIe: the station forwards nine in ten
+    // fetch-adds and the run holds 150 Mops of the 180 Mops clock.
+    let run = atomics(1, true);
+    let mops = run.report.mops;
+    assert!(mops > 150.0, "{mops:.1} Mops");
+    let forwarded = run.report.ledger.station.forwarded;
+    assert!(forwarded > 54_000, "{forwarded} of 60000 forwarded");
+}
+
+#[test]
+fn ooo_speeds_single_key_atomics_up_two_orders() {
+    // Paper: 191x.
+    let (with, without) = (atomics(1, true).report.mops, atomics(1, false).report.mops);
+    assert!(with / without > 100.0, "{with:.1} vs {without:.2} Mops");
+}
+
+#[test]
+fn stalled_atomics_grow_with_keys_and_stay_far_from_the_clock() {
+    let [one, ten, hundred] = [1, 10, 100].map(|keys| atomics(keys, false).report.mops);
+    assert!(ten > 2.0 * one, "10 keys {ten:.2} vs 1 key {one:.2}");
+    assert!(
+        hundred > 2.0 * ten,
+        "100 keys {hundred:.2} vs 10 keys {ten:.2}"
+    );
+    assert!(hundred < 100.0, "100 keys {hundred:.1} Mops");
+}
+
+#[test]
+fn longtail_puts_stall_the_pipeline_without_ooo() {
+    // Fig 13(b): without forwarding, writes to the hot keys serialize.
+    let [gets, puts] = [0.0, 1.0].map(|put_ratio| {
+        let run = run_on(fig13(false), 16, put_ratio, true);
+        run_within_bound(&format!("16 B long-tail, {put_ratio} PUT, no OoO"), &run).0
+    });
+    assert!(puts < 0.7 * gets, "100% PUT {puts:.1} vs 0% PUT {gets:.1}");
+}
+
+#[test]
+fn uniform_gets_share_slots_without_ooo() {
+    // Reads never stall on reads: without forwarding, uniform GETs lose
+    // only the station hits.
+    let [without, with] = [false, true].map(|forwarding| {
+        let run = run_on(fig13(forwarding), 16, 0.0, false);
+        run_within_bound(&format!("16 B uniform GETs, forwarding {forwarding}"), &run).0
+    });
+    assert!(without >= 0.95 * with, "{without:.1} vs {with:.1} Mops");
 }

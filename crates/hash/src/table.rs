@@ -142,6 +142,9 @@ pub struct HashTable<M: MemoryEngine> {
     /// class touched so far, so steady-state reads and writes of KV data
     /// never allocate.
     kv_scratch: Vec<u8>,
+    /// The buckets a write walk found room in (`write`), kept so a walk
+    /// does not allocate: a chain has at most one per free-slot count.
+    roomy: Vec<(u64, usize, [u8; BUCKET_BYTES])>,
     /// Current expiry tick; entries with `0 < stamp <= now_tick` are
     /// dead. Driven by the embedder's deterministic clock.
     now_tick: u32,
@@ -200,6 +203,7 @@ impl<M: MemoryEngine> HashTable<M> {
             count: 0,
             stored_kv_bytes: 0,
             kv_scratch: Vec::new(),
+            roomy: Vec::with_capacity(SLOTS_PER_BUCKET),
             now_tick: 0,
             sweep_cursor: 0,
             expiry: ExpiryStats::default(),
@@ -526,13 +530,110 @@ impl<M: MemoryEngine> HashTable<M> {
         value: &[u8],
         expiry_tick: u32,
     ) -> Result<OpCost, HashError> {
+        self.write(key, h, expiry_tick, |_| Some(value)).1
+    }
+
+    /// An atomic read-modify-write of `key` (the paper's λ update), for a
+    /// caller holding `h = hash_key(key)`: `modify` maps the key's live
+    /// value (`None`: absent or dead) to its new one (`None`: delete),
+    /// which is stored unstamped in the same chain walk — one bucket read
+    /// and one write for an inline entry. Returns the new value, or why it
+    /// could not be stored (the key then keeps its old value).
+    pub fn update_hashed(
+        &mut self,
+        key: &[u8],
+        h: KeyHashes,
+        modify: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
+    ) -> Result<Option<Vec<u8>>, HashError> {
+        let (new, stored) = self.write(key, h, 0, modify);
+        stored.map(|_| new)
+    }
+
+    /// The one write walk of PUT, DELETE and update: reads `key`'s chain
+    /// once, hands `modify` the key's live value (`None`: absent or dead)
+    /// and stores what it returns (`None`: delete) where the walk stopped.
+    /// Returns it with the write's cost (`hit`: a live entry was replaced
+    /// or deleted), or why it could not be stored.
+    #[inline]
+    fn write<V: AsRef<[u8]>>(
+        &mut self,
+        key: &[u8],
+        h: KeyHashes,
+        expiry_tick: u32,
+        modify: impl FnOnce(Option<&[u8]>) -> Option<V>,
+    ) -> (Option<V>, Result<OpCost, HashError>) {
         if key.is_empty() || key.len() > u8::MAX as usize {
-            return Err(HashError::KeyTooLarge);
+            return (None, Err(HashError::KeyTooLarge));
         }
         if expiry_tick != 0 {
             self.expiry.ttl_puts += 1;
         }
         let mut cost = 0u64;
+        // Buckets stay in their 64-byte wire form; a `Bucket` is decoded
+        // only for the one bucket that gets mutated. The new entry's size
+        // is known only once the walk ends, so each bucket with more free
+        // slots than every one before it is remembered: the first bucket
+        // with room for the entry is among them.
+        let mut roomy = std::mem::take(&mut self.roomy);
+        roomy.clear();
+        let mut bytes = [0u8; BUCKET_BYTES];
+        let probe = self.find(key, h, &mut bytes, &mut cost, |addr, b| {
+            let free = swar::free_slots_of(b);
+            if free > roomy.last().map_or(0, |r| r.1) {
+                roomy.push((addr, free, *b));
+            }
+        });
+        let new = match &probe {
+            Probe::Found(f) if !f.dead => {
+                let src = if f.slab.is_some() {
+                    &self.kv_scratch[..]
+                } else {
+                    &bytes[..]
+                };
+                modify(Some(&src[f.value.clone()]))
+            }
+            _ => modify(None),
+        };
+        let stored = match (probe, new.as_ref().map(AsRef::as_ref)) {
+            (Probe::Found(f), Some(v)) => {
+                self.replace(&bytes, f, key, h.secondary, v, expiry_tick, cost)
+            }
+            (Probe::End(last), Some(v)) => {
+                self.insert(&bytes, last, &roomy, key, h.secondary, v, expiry_tick, cost)
+            }
+            (probe, None) => {
+                let hit = matches!(&probe, Probe::Found(f) if !f.dead);
+                if let Probe::Found(f) = probe {
+                    self.remove_found(&bytes, &f, &mut cost);
+                }
+                Ok(OpCost {
+                    accesses: cost,
+                    hit,
+                })
+            }
+        };
+        self.roomy = roomy;
+        (new, stored)
+    }
+
+    /// A new entry, after a walk that ended at bucket `last_addr` (image
+    /// `bytes`): in the first of the `roomy` buckets with room for it, or
+    /// else in a fresh 64B bucket from the slab allocator that extends the
+    /// chain. Both allocations come before any write: a write that fails
+    /// writes nothing, so no chain ever names a bucket that was not written.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn insert(
+        &mut self,
+        bytes: &[u8; BUCKET_BYTES],
+        last_addr: u64,
+        roomy: &[(u64, usize, [u8; BUCKET_BYTES])],
+        key: &[u8],
+        sec: u16,
+        value: &[u8],
+        expiry_tick: u32,
+        mut cost: u64,
+    ) -> Result<OpCost, HashError> {
         let kv_len = key.len() + value.len();
         let inline_ok = self.fits_inline(key, value);
         let need = if inline_ok {
@@ -540,29 +641,9 @@ impl<M: MemoryEngine> HashTable<M> {
         } else {
             1
         };
-        // Buckets stay in their 64-byte wire form; a `Bucket` is decoded
-        // only for the one bucket that gets mutated. The first one with
-        // room for the new entry is remembered on the way.
-        let mut candidate: Option<(u64, [u8; BUCKET_BYTES])> = None;
-        let mut bytes = [0u8; BUCKET_BYTES];
-        let probe = self.find(key, h, &mut bytes, &mut cost, |addr, b| {
-            if candidate.is_none() && swar::free_slots_of(b) >= need {
-                candidate = Some((addr, *b));
-            }
-        });
-        let last_addr = match probe {
-            Probe::Found(f) => {
-                return self.replace(&bytes, f, key, h.secondary, value, expiry_tick, cost)
-            }
-            Probe::End(addr) => addr,
-        };
-
-        // A new entry, in the first bucket with room or else in a fresh
-        // 64B bucket from the slab allocator that extends the chain. Both
-        // allocations come before any write: a PUT that fails writes
-        // nothing, so no chain ever names a bucket that was not written.
+        let candidate = roomy.iter().find(|&&(_, free, _)| free >= need);
         let (target_addr, mut target, fresh) = match candidate {
-            Some((addr, raw)) => (addr, Bucket::decode(&raw), None),
+            Some((addr, _, raw)) => (*addr, Bucket::decode(raw), None),
             None => {
                 let slab = self
                     .alloc
@@ -582,8 +663,7 @@ impl<M: MemoryEngine> HashTable<M> {
             Some(record?)
         };
         if fresh.is_some() {
-            // `bytes` still holds the chain's last bucket.
-            let mut last_bucket = Bucket::decode(&bytes);
+            let mut last_bucket = Bucket::decode(bytes);
             last_bucket.set_chain(Some(self.addr_to_ptr(target_addr)));
             self.write_bucket(last_addr, &last_bucket, &mut cost);
         }
@@ -591,7 +671,7 @@ impl<M: MemoryEngine> HashTable<M> {
             None => target.insert_inline_expiring(key, value, expiry_tick),
             Some(slab) => {
                 self.write_kv_data(slab.addr, slab.class, key, value, expiry_tick, &mut cost);
-                target.insert_pointer(self.addr_to_ptr(slab.addr), h.secondary, slab.class)
+                target.insert_pointer(self.addr_to_ptr(slab.addr), sec, slab.class)
             }
         }
         .expect("the target bucket has room");
@@ -696,23 +776,11 @@ impl<M: MemoryEngine> HashTable<M> {
     }
 
     /// [`Self::delete_with_cost`] for a caller holding `h = hash_key(key)`.
+    /// A key no entry can have is not looked up.
     pub fn delete_hashed(&mut self, key: &[u8], h: KeyHashes) -> (bool, OpCost) {
-        let mut cost = 0u64;
-        let mut bytes = [0u8; BUCKET_BYTES];
-        let hit = match self.find(key, h, &mut bytes, &mut cost, |_, _| {}) {
-            Probe::Found(f) => {
-                self.remove_found(&bytes, &f, &mut cost);
-                !f.dead
-            }
-            Probe::End(_) => false,
-        };
-        (
-            hit,
-            OpCost {
-                accesses: cost,
-                hit,
-            },
-        )
+        let (_, cost) = self.write(key, h, 0, |_| None::<&[u8]>);
+        let cost = cost.unwrap_or_default();
+        (cost.hit, cost)
     }
 
     /// Deletes `key`, returning whether it existed.
@@ -961,6 +1029,67 @@ mod tests {
         let cost = t.put_with_cost(b"key", &[8u8; 101]).unwrap();
         assert_eq!(cost.accesses, 3);
         assert_eq!(t.get(b"key").unwrap(), vec![8u8; 101]);
+    }
+
+    #[test]
+    fn update_walks_the_chain_once() {
+        let mut t = table(1 << 20, 0.5, 24);
+        let h = hash_key(b"ctr");
+        let mut seen = Vec::new();
+        let mut add = |t: &mut HashTable<FlatMemory>| {
+            t.update_hashed(b"ctr", h, |old| {
+                seen.push(old.map(<[u8]>::to_vec));
+                let n = old.map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+                Some((n + 1).to_le_bytes().to_vec())
+            })
+        };
+        // Absent: inserted by the same walk, one bucket read and one write.
+        assert_eq!(add(&mut t), Ok(Some(1u64.to_le_bytes().to_vec())));
+        let s = t.mem().stats();
+        assert_eq!((s.dma_reads, s.dma_writes), (1, 1));
+        t.mem_mut().reset_stats();
+        // Present inline: the same.
+        assert_eq!(add(&mut t), Ok(Some(2u64.to_le_bytes().to_vec())));
+        let s = t.mem().stats();
+        assert_eq!((s.dma_reads, s.dma_writes), (1, 1));
+        // A slab-held value grows in place or moves; `None` deletes.
+        let big = |_: Option<&[u8]>| Some(vec![9u8; 100]);
+        assert_eq!(t.update_hashed(b"ctr", h, big), Ok(Some(vec![9u8; 100])));
+        assert_eq!(t.get(b"ctr"), Some(vec![9u8; 100]));
+        assert_eq!(t.update_hashed(b"ctr", h, |_| None), Ok(None));
+        assert_eq!((t.get(b"ctr"), t.len(), t.stored_bytes()), (None, 0, 0));
+        // A dead entry reads as absent and is overwritten in place.
+        t.put_ttl(b"ctr", b"x", 5).unwrap();
+        t.set_now_tick(5);
+        add(&mut t).unwrap();
+        assert_eq!(t.get(b"ctr"), Some(1u64.to_le_bytes().to_vec()));
+        assert_eq!(t.expiry_stats().expired_overwrites, 1);
+        let one = Some(1u64.to_le_bytes().to_vec());
+        assert_eq!(seen, [None, one, None]);
+    }
+
+    #[test]
+    fn update_inserts_where_a_put_would() {
+        // Long chains with holes: an insert must land in the first bucket
+        // with room for the new value, as a PUT picks it.
+        let mut a = table(1 << 20, 0.0005, 24);
+        let mut b = table(1 << 20, 0.0005, 24);
+        for i in 0u32..200 {
+            let k = format!("k{i}");
+            let v = vec![i as u8; (i % 12) as usize];
+            a.put(k.as_bytes(), &v).unwrap();
+            let stored = b.update_hashed(k.as_bytes(), hash_key(k.as_bytes()), |_| Some(v));
+            assert!(stored.is_ok());
+            if i % 7 == 0 {
+                assert!(a.delete(k.as_bytes()) && b.delete(k.as_bytes()));
+            }
+        }
+        let image = |t: &mut HashTable<FlatMemory>| {
+            let mut out = vec![0u8; 1 << 20];
+            t.mem_mut().read(0, &mut out);
+            out
+        };
+        assert!(image(&mut a) == image(&mut b), "same layout as PUT");
     }
 
     #[test]

@@ -444,11 +444,6 @@ impl DispatchedMemory {
         });
     }
 
-    /// Whether the adaptive cache plane is enabled.
-    pub fn adaptive_enabled(&self) -> bool {
-        self.adaptive.is_some()
-    }
-
     /// The heavy-hitter rollup of the adaptive plane's sketch, if enabled.
     pub fn hot_lines(&self) -> Option<&SpaceSaving> {
         self.adaptive.as_ref().map(|a| &a.hot)

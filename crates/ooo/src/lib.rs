@@ -23,13 +23,13 @@
 //! This raises single-key atomics to the 180 Mops clock bound — a 191×
 //! improvement — and removes head-of-line blocking for popular keys.
 //!
-//! [`station`] is the functional engine used by `kvd-core`;
-//! [`pipeline`] is the cycle-level timing model behind Figure 13.
+//! [`station`] is the functional engine `kvd-core` drives for every
+//! operation. Figure 13's comparison is a timed-engine run
+//! (`kvd_core::system::SystemSim`) with and without it:
+//! [`StationConfig::forwarding`] off is the paper's stalling pipeline.
 
-pub mod pipeline;
 pub mod station;
 
-pub use pipeline::{simulate_throughput, PipelineConfig, PipelineResult, SimOp};
 pub use station::{
     Admission, Completion, KvOpKind, OpRef, OpResult, Probe, Reissue, ReservationStation,
     StationConfig, StationOp, StationStats, UpdateFn, Writeback, WritebackRef,

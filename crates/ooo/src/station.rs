@@ -24,7 +24,7 @@
 //! only then), and a dirty entry awaiting write-back (handed out from the
 //! entry's own buffers).
 //!
-//! `admit`, `complete`, `reclaim` and `flush` are the **owned forms**:
+//! `admit`, `complete` and `flush` are the **owned forms**:
 //! thin wrappers that hash the key, call the primitives and copy what
 //! they return into `Vec`s. They are the convenient way to drive a
 //! station by hand, and `tests/station_props.rs` uses them as the
@@ -143,8 +143,8 @@ pub enum Admission {
     /// [`ReservationStation::complete`].
     Queued,
     /// The station is at capacity (the paper sizes it at 256 in-flight
-    /// operations); the operation is handed back — retry after a
-    /// completion.
+    /// operations) or does not forward; the operation is handed back —
+    /// retry after a completion.
     Full(StationOp),
 }
 
@@ -194,6 +194,11 @@ pub struct StationConfig {
     pub hash_slots: usize,
     /// Maximum queued + in-flight operations (paper: 256).
     pub capacity: usize,
+    /// Data forwarding (the out-of-order engine). Off is the paper's
+    /// Figure 13 baseline: a completion installs no forwarding entry and
+    /// nothing queues, so an operation whose slot is busy waits for the
+    /// slot to retire and then does its own memory access.
+    pub forwarding: bool,
 }
 
 impl Default for StationConfig {
@@ -201,6 +206,7 @@ impl Default for StationConfig {
         StationConfig {
             hash_slots: 1024,
             capacity: 256,
+            forwarding: true,
         }
     }
 }
@@ -502,9 +508,10 @@ impl ReservationStation {
 
     /// After [`Probe::Busy`]: copies the operation into the slot's chain.
     /// Returns false if the station is at capacity (the paper sizes it at
-    /// 256 tracked operations) — retire something and probe again.
+    /// 256 tracked operations) or does not forward — retire something and
+    /// probe again.
     pub fn enqueue(&mut self, slot: usize, id: u64, key: &[u8], op: OpRef<'_>) -> bool {
-        if !self.has_room() {
+        if !(self.cfg.forwarding && self.has_room()) {
             return false;
         }
         let key = self.copy(key);
@@ -520,8 +527,9 @@ impl ReservationStation {
 
     /// The issued operation of `slot` completed: `value` is `key`'s value
     /// after it (loaded for GET, written for PUT/UPDATE, `None` for
-    /// DELETE or a miss) and becomes the slot's forwarding entry. Follow
-    /// with [`drain`](ReservationStation::drain).
+    /// DELETE or a miss) and becomes the slot's forwarding entry — valid
+    /// only if the station forwards. Follow with
+    /// [`drain`](ReservationStation::drain).
     ///
     /// # Panics
     ///
@@ -535,7 +543,7 @@ impl ReservationStation {
         s.entry.key.clear();
         s.entry.key.extend_from_slice(key);
         s.entry.set(value);
-        s.entry.valid = true;
+        s.entry.valid = self.cfg.forwarding;
     }
 
     /// The issued operation of `slot` *failed* (the memory access never
@@ -667,7 +675,7 @@ impl ReservationStation {
         let slot = self.slot_of(&op.key);
         match self.probe(slot, &op.key) {
             Probe::Busy => {
-                if !self.has_room() {
+                if !(self.cfg.forwarding && self.has_room()) {
                     return Admission::Full(op);
                 }
                 self.push(slot, op);
@@ -693,19 +701,6 @@ impl ReservationStation {
     pub fn complete(&mut self, key: &[u8], cache_value: Option<Vec<u8>>) -> Completion {
         let slot = self.slot_of(key);
         self.install(slot, key, cache_value.as_deref());
-        self.drain_owned(slot)
-    }
-
-    /// Reclaims a busy slot whose issued operation *failed*; see
-    /// [`release`](ReservationStation::release). The next pending
-    /// operation in the slot is re-issued to the pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not busy.
-    pub fn reclaim(&mut self, key: &[u8]) -> Completion {
-        let slot = self.slot_of(key);
-        self.release(slot);
         self.drain_owned(slot)
     }
 
@@ -771,6 +766,13 @@ mod tests {
         }
     }
 
+    /// The owned form of a failed issue: `release`, then `drain`.
+    fn reclaim(rs: &mut ReservationStation, key: &[u8]) -> Completion {
+        let slot = rs.slot_of(key);
+        rs.release(slot);
+        rs.drain_owned(slot)
+    }
+
     fn incr(id: u64, key: &[u8]) -> StationOp {
         StationOp {
             id,
@@ -789,6 +791,7 @@ mod tests {
         let mut rs = ReservationStation::new(StationConfig {
             hash_slots: 64,
             capacity: 4,
+            ..StationConfig::default()
         });
         assert_eq!(rs.occupancy(), 0.0);
         // Same key: one issue + three queued = 4 tracked, full station.
@@ -887,6 +890,7 @@ mod tests {
         let cfg = StationConfig {
             hash_slots: 4,
             capacity: 64,
+            ..StationConfig::default()
         };
         let mut rs = ReservationStation::new(cfg);
         let base_slot = {
@@ -927,6 +931,7 @@ mod tests {
         let mut rs = ReservationStation::new(StationConfig {
             hash_slots: 8,
             capacity: 4,
+            ..StationConfig::default()
         });
         assert!(matches!(rs.admit(get(0, b"k")), Admission::Issue { .. }));
         for i in 1..4 {
@@ -967,6 +972,7 @@ mod tests {
         let cfg = StationConfig {
             hash_slots: 1,
             capacity: 16,
+            ..StationConfig::default()
         };
         let mut rs = ReservationStation::new(cfg);
         assert!(matches!(
@@ -989,7 +995,7 @@ mod tests {
     fn reclaim_installs_no_forwarding_cache() {
         let mut rs = ReservationStation::new(StationConfig::default());
         assert!(matches!(rs.admit(get(0, b"k")), Admission::Issue { .. }));
-        let c = rs.reclaim(b"k");
+        let c = reclaim(&mut rs, b"k");
         assert!(c.results.is_empty() && c.issue.is_none());
         assert!(rs.idle());
         assert_eq!(rs.stats().reclaimed, 1);
@@ -1004,7 +1010,7 @@ mod tests {
         assert!(matches!(rs.admit(get(0, b"k")), Admission::Issue { .. }));
         assert!(matches!(rs.admit(put(1, b"k", b"v")), Admission::Queued));
         assert!(matches!(rs.admit(get(2, b"k")), Admission::Queued));
-        let c = rs.reclaim(b"k");
+        let c = reclaim(&mut rs, b"k");
         // The chain must not wedge: the first dependent is re-issued, and
         // nothing is forwarded (there is no value to forward).
         assert!(c.results.is_empty());
@@ -1023,11 +1029,12 @@ mod tests {
         let cfg = StationConfig {
             hash_slots: 1,
             capacity: 16,
+            ..StationConfig::default()
         };
         let mut rs = ReservationStation::new(cfg);
         assert!(matches!(rs.admit(get(0, b"a")), Admission::Issue { .. }));
         assert!(matches!(rs.admit(get(1, b"b")), Admission::Queued));
-        let c = rs.reclaim(b"a");
+        let c = reclaim(&mut rs, b"a");
         let issued = c.issue.expect("collider must be issued");
         assert_eq!(issued.key, b"b");
         rs.complete(b"b", None);
@@ -1038,7 +1045,7 @@ mod tests {
     #[should_panic(expected = "reclaim for a non-busy slot")]
     fn reclaim_requires_busy_slot() {
         let mut rs = ReservationStation::new(StationConfig::default());
-        rs.reclaim(b"nope");
+        reclaim(&mut rs, b"nope");
     }
 
     #[test]
@@ -1117,6 +1124,25 @@ mod tests {
         assert!(rs.flush().is_empty(), "clean cache needs no write-back");
         // Still forwards afterwards.
         assert!(matches!(rs.admit(get(1, b"k")), Admission::Fast(_)));
+    }
+
+    #[test]
+    fn without_forwarding_every_op_issues_after_its_slot_retires() {
+        let mut rs = ReservationStation::new(StationConfig {
+            forwarding: false,
+            ..StationConfig::default()
+        });
+        assert!(matches!(rs.admit(incr(0, b"k")), Admission::Issue { .. }));
+        // Nothing queues behind the busy slot, and the completion installs
+        // nothing to forward: the next op goes to memory itself.
+        assert!(matches!(rs.admit(incr(1, b"k")), Admission::Full(_)));
+        let c = rs.complete(b"k", Some(1u64.to_le_bytes().to_vec()));
+        assert!(c.results.is_empty() && c.issue.is_none());
+        assert!(matches!(rs.admit(incr(1, b"k")), Admission::Issue { .. }));
+        let s = rs.stats();
+        assert_eq!((s.issued, s.forwarded, s.queued, s.rejected), (2, 0, 0, 0));
+        rs.complete(b"k", Some(2u64.to_le_bytes().to_vec()));
+        assert!(rs.flush().is_empty(), "nothing was dirtied in the station");
     }
 
     #[test]

@@ -185,9 +185,10 @@ proptest! {
         slots in 1usize..16,
         capacity in 2usize..32,
         depth in 1usize..8,
+        forwarding in any::<bool>(),
     ) {
         let mut driver = Driver::new(
-            StationConfig { hash_slots: slots, capacity },
+            StationConfig { hash_slots: slots, capacity, forwarding },
             depth,
         );
         // Sequential reference.

@@ -205,11 +205,6 @@ impl FaultPlane {
         &self.ledger
     }
 
-    /// Zeroes the event counters (rates and RNG state are untouched).
-    pub fn reset_counters(&mut self) {
-        self.ledger = OpLedger::default();
-    }
-
     /// Bernoulli draw that consumes no randomness when `p` is zero, so a
     /// silent channel cannot perturb other draws.
     #[inline]

@@ -220,11 +220,6 @@ impl Freq {
         Freq::from_hz(mhz as f64 * 1e6)
     }
 
-    /// Creates a frequency from gigahertz.
-    pub fn from_ghz(ghz: f64) -> Self {
-        Freq::from_hz(ghz * 1e9)
-    }
-
     /// The duration of one clock cycle, rounded to the nearest picosecond.
     pub fn cycle(self) -> SimTime {
         SimTime((1e12 / self.hz).round() as u64)

@@ -1,7 +1,6 @@
 //! YCSB-style request generation.
 
 use kvd_net::KvRequest;
-use kvd_ooo::SimOp;
 use kvd_sim::{DetRng, ZipfSampler};
 
 /// Key popularity distribution.
@@ -92,11 +91,6 @@ impl YcsbWorkload {
         }
     }
 
-    /// The specification.
-    pub fn spec(&self) -> &YcsbSpec {
-        &self.spec
-    }
-
     /// Key bytes for key id `id`.
     pub fn key(&self, id: u64) -> [u8; YcsbSpec::KEY_LEN] {
         id.to_le_bytes()
@@ -145,21 +139,6 @@ impl YcsbWorkload {
     /// Generates a client-side batch (one packet's worth).
     pub fn batch(&mut self, n: usize) -> Vec<KvRequest> {
         (0..n).map(|_| self.next_request()).collect()
-    }
-
-    /// Generates a `(key, op)` trace for the pipeline timing models.
-    pub fn key_trace(&mut self, n: usize) -> Vec<(u64, SimOp)> {
-        (0..n)
-            .map(|_| {
-                let id = self.next_key_id();
-                let op = if self.rng.chance(self.spec.put_ratio) {
-                    SimOp::Put
-                } else {
-                    SimOp::Get
-                };
-                (id, op)
-            })
-            .collect()
     }
 }
 
@@ -250,9 +229,9 @@ mod tests {
     #[test]
     fn trace_generation() {
         let mut w = YcsbWorkload::new(spec(Dist::long_tail(), 0.5));
-        let t = w.key_trace(1000);
+        let t = w.batch(1000);
         assert_eq!(t.len(), 1000);
-        assert!(t.iter().any(|(_, op)| *op == SimOp::Put));
-        assert!(t.iter().any(|(_, op)| *op == SimOp::Get));
+        assert!(t.iter().any(|r| r.op == OpCode::Put));
+        assert!(t.iter().any(|r| r.op == OpCode::Get));
     }
 }

@@ -14,7 +14,6 @@
 //! them changes completely.
 
 use kvd_net::KvRequest;
-use kvd_ooo::SimOp;
 use kvd_sim::{DetRng, ZipfSampler};
 
 /// Specification of a hot-key workload.
@@ -180,22 +179,6 @@ impl ZipfHotWorkload {
     /// Generates a client-side batch (one packet's worth).
     pub fn batch(&mut self, n: usize) -> Vec<KvRequest> {
         (0..n).map(|_| self.next_request()).collect()
-    }
-
-    /// Generates a `(key, op)` trace for the pipeline timing models and
-    /// the memory replay driver.
-    pub fn key_trace(&mut self, n: usize) -> Vec<(u64, SimOp)> {
-        (0..n)
-            .map(|_| {
-                let id = self.next_key_id();
-                let op = if self.rng.chance(self.spec.put_ratio) {
-                    SimOp::Put
-                } else {
-                    SimOp::Get
-                };
-                (id, op)
-            })
-            .collect()
     }
 }
 

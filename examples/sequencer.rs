@@ -4,14 +4,14 @@
 //! applications such as centralized schedulers, sequencers, counters and
 //! short-term values." This example runs a multi-tenant sequencer
 //! service on KV-Direct and then *shows the mechanism*: the same
-//! single-key atomics trace is pushed through the cycle-level pipeline
-//! model with and without the out-of-order engine, reproducing the
-//! paper's 0.94 → 180 Mops jump (a ~191× improvement).
+//! single-key atomics stream runs through the timed engine with and
+//! without the out-of-order engine, reproducing the paper's 0.94 → 180
+//! Mops jump (a ~191× improvement).
 //!
 //! Run with: `cargo run --release --example sequencer`
 
-use kv_direct::ooo::{simulate_throughput, PipelineConfig, SimOp};
-use kv_direct::{KvDirectConfig, KvDirectStore};
+use kv_direct::system::{SystemSim, SystemSimConfig};
+use kv_direct::{builtin, KvDirectConfig, KvDirectStore, KvRequest, OpCode};
 
 fn main() {
     // --- Functional service ---------------------------------------------
@@ -37,19 +37,30 @@ fn main() {
     }
 
     // --- The mechanism: Figure 13a in miniature -------------------------
-    // A trace of dependent atomics on ONE hot sequencer key.
-    let trace: Vec<(u64, SimOp)> = (0..200_000).map(|_| (0u64, SimOp::Atomic)).collect();
+    // Dependent fetch-adds on ONE hot sequencer key, 64 client windows of
+    // 40. The NIC DRAM cache is off (load dispatch ratio 0), as in Figure
+    // 13a, so without forwarding each op waits out a PCIe round trip.
+    let fetch_add = KvRequest {
+        op: OpCode::UpdateScalar,
+        key: b"seq:orders".to_vec(),
+        value: 1u64.to_le_bytes().to_vec(),
+        lambda: builtin::ADD,
+        deadline_us: 0,
+        expiry_tick: 0,
+    };
+    let stream = vec![fetch_add; 60_000];
+    let run = |forwarding: bool| {
+        let mut cfg = SystemSimConfig {
+            windows: 64,
+            ..SystemSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 40)
+        };
+        cfg.store.load_dispatch_ratio = 0.0;
+        cfg.store.station.forwarding = forwarding;
+        SystemSim::new(cfg).run(&stream)
+    };
+    let (stall, ooo) = (run(false), run(true));
 
-    let stall = simulate_throughput(
-        &PipelineConfig {
-            ooo: false,
-            ..PipelineConfig::default()
-        },
-        &trace,
-    );
-    let ooo = simulate_throughput(&PipelineConfig::default(), &trace);
-
-    println!("\n-- single-key atomics, cycle-level pipeline model --");
+    println!("\n-- single-key atomics, timed engine --");
     println!(
         "pipeline stalling on hazards : {:>8.2} Mops   (paper: 0.94)",
         stall.mops
@@ -64,7 +75,7 @@ fn main() {
     );
     println!(
         "operations forwarded          : {} of {}",
-        ooo.forwarded, ooo.ops
+        ooo.ledger.station.forwarded, ooo.ops
     );
 
     assert!(ooo.mops / stall.mops > 100.0, "OoO speedup collapsed");

@@ -12,9 +12,9 @@
 //! Run with: `cargo run --release --example tpcc_stock`
 
 use kv_direct::lambda::decode_scalar;
-use kv_direct::ooo::{simulate_throughput, PipelineConfig, SimOp};
 use kv_direct::sim::{DetRng, ZipfSampler};
-use kv_direct::{KvDirectConfig, KvDirectStore, Lambda};
+use kv_direct::system::{SystemSim, SystemSimConfig};
+use kv_direct::{KvDirectConfig, KvDirectStore, KvRequest, Lambda, OpCode};
 
 /// λ id for the TPC-C stock wrap-around decrement.
 const STOCK_DECREMENT: u16 = 400;
@@ -32,22 +32,24 @@ fn item_key(item: u32) -> Vec<u8> {
     k
 }
 
+/// TPC-C rule 2.4.2.2: s_quantity' = s_quantity − ol_quantity, and if
+/// that is below 10, add 91.
+fn stock_decrement() -> Lambda {
+    Lambda::Scalar(std::sync::Arc::new(|s_quantity, ol_quantity| {
+        let dec = s_quantity.saturating_sub(ol_quantity);
+        if dec >= 10 {
+            dec
+        } else {
+            dec + 91
+        }
+    }))
+}
+
 fn main() {
     let mut store = KvDirectStore::new(KvDirectConfig::with_memory(16 << 20));
 
-    // TPC-C rule 2.4.2.2: s_quantity' = s_quantity − ol_quantity, and if
-    // that is below 10, add 91. Pre-registered ("compiled") before use.
-    store.register_lambda(
-        STOCK_DECREMENT,
-        Lambda::Scalar(std::sync::Arc::new(|s_quantity, ol_quantity| {
-            let dec = s_quantity.saturating_sub(ol_quantity);
-            if dec >= 10 {
-                dec
-            } else {
-                dec + 91
-            }
-        })),
-    );
+    // The stock λ, pre-registered ("compiled") before use.
+    store.register_lambda(STOCK_DECREMENT, stock_decrement());
 
     // Load a warehouse district: 10,000 items, initial quantity 50.
     let n_items = 10_000u32;
@@ -94,22 +96,38 @@ fn main() {
         st.forwarded as f64 / (st.forwarded + st.issued) as f64 * 100.0
     );
 
-    // The mechanism at scale: hot-item transactions through the pipeline
-    // model — the paper's single-key atomics argument applied to TPC-C.
-    let hot_trace: Vec<(u64, SimOp)> = (0..100_000).map(|_| (1u64, SimOp::Atomic)).collect();
-    let stall = simulate_throughput(
-        &PipelineConfig {
-            ooo: false,
-            ..PipelineConfig::default()
-        },
-        &hot_trace,
-    );
-    let ooo = simulate_throughput(&PipelineConfig::default(), &hot_trace);
+    // The mechanism at scale: transactions on one hot item through the
+    // timed engine, with and without the out-of-order engine — the paper's
+    // single-key atomics argument (Figure 13a, NIC DRAM cache off) applied
+    // to TPC-C.
+    let order_line = KvRequest {
+        op: OpCode::UpdateScalar,
+        key: item_key(1),
+        value: 5u64.to_le_bytes().to_vec(),
+        lambda: STOCK_DECREMENT,
+        deadline_us: 0,
+        expiry_tick: 0,
+    };
+    let stream = vec![order_line; 60_000];
+    let run = |forwarding: bool| {
+        let mut cfg = SystemSimConfig {
+            windows: 64,
+            ..SystemSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 40)
+        };
+        cfg.store.load_dispatch_ratio = 0.0;
+        cfg.store.station.forwarding = forwarding;
+        let mut sim = SystemSim::new(cfg);
+        sim.store_mut()
+            .register_lambda(STOCK_DECREMENT, stock_decrement());
+        sim.store_mut()
+            .put(&item_key(1), &50u64.to_le_bytes())
+            .expect("item fits");
+        sim.run(&stream).mops
+    };
+    let (stall, ooo) = (run(false), run(true));
     println!(
-        "\nhot-item transaction rate: {:.2} Mtps stalled vs {:.1} Mtps with OoO ({:.0}x)",
-        stall.mops,
-        ooo.mops,
-        ooo.mops / stall.mops
+        "\nhot-item transaction rate: {stall:.2} Mtps stalled vs {ooo:.1} Mtps with OoO ({:.0}x)",
+        ooo / stall
     );
-    assert!(ooo.mops / stall.mops > 100.0);
+    assert!(ooo / stall > 100.0);
 }
