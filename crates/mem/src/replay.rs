@@ -274,6 +274,24 @@ mod tests {
     }
 
     #[test]
+    fn a_long_tail_replay_matches_its_recorded_clock() {
+        // Recorded before `DmaPort` lost its unused fault-retry engine: the
+        // replay's device clock and the engine's hit rate, bit for bit.
+        let host = 1u64 << 22;
+        let r = replay_lines(
+            &ReplayConfig::paper_scaled(host, 0.5),
+            zipf_trace(50_000, host / LINE, 0.9, 31),
+        );
+        assert_eq!(r.elapsed.as_ps(), 291_170_851);
+        assert_eq!(
+            r.hit_rate.to_bits(),
+            0x3fe5_f230_b5aa_1448,
+            "{}",
+            r.hit_rate
+        );
+    }
+
+    #[test]
     fn the_replay_reports_the_engine_and_charges_every_request_it_issued() {
         // One adaptive trace whose hot set moves at the midpoint: retunes,
         // rejected fills, dirty write-backs and retirement sweeps all
