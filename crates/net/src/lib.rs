@@ -23,7 +23,6 @@
 //! [`rep`] defines the chain-replication frames members exchange.
 
 pub mod batch;
-pub mod client;
 pub mod config;
 pub mod link;
 pub mod rep;
@@ -33,10 +32,6 @@ pub mod vector;
 pub mod wire;
 
 pub use batch::{batched_throughput, batching_latency, BatchPoint};
-pub use client::{
-    ClientSession, OpHandle, OutboundPacket, RetryCounters, RetryDecision, RetryPolicy,
-    SessionError,
-};
 pub use config::NetConfig;
 pub use link::NetLink;
 pub use rep::RepFrame;

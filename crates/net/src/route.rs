@@ -4,7 +4,7 @@
 //! "based on the hash of keys" — clients compute the owning NIC before
 //! sending, so no inter-NIC traffic exists on the data path. This module
 //! holds that hash so every layer (the functional `MultiNicStore`, the
-//! parallel simulation engine, client sessions) routes identically: a key
+//! parallel simulation engine, the server's shards) routes identically: a key
 //! always lands on the same shard no matter which component asks.
 
 /// Routes `key` to one of `shards` partitions.

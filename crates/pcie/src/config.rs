@@ -48,15 +48,6 @@ pub struct PcieConfig {
     /// Time for the root complex to absorb a posted write and return the
     /// credit (much shorter than a read round trip).
     pub posted_credit_return: SimTime,
-    /// Extra attempts the DMA engine makes when a read completion is
-    /// corrupted or times out before giving up on the transaction.
-    pub read_retry_limit: u32,
-    /// Backoff before the first retry; doubles on each further retry
-    /// (bounded exponential backoff, as a hardware retry engine would).
-    pub retry_backoff: SimTime,
-    /// How long the engine waits for a lost completion before declaring
-    /// the tag dead and reclaiming it (PCIe completion timeout).
-    pub tag_timeout: SimTime,
 }
 
 impl PcieConfig {
@@ -72,9 +63,6 @@ impl PcieConfig {
             cached_read_latency: LatencyModel::fixed(SimTime::from_ns(800)),
             noncached_extra: SimTime::from_ns(500),
             posted_credit_return: SimTime::from_ns(300),
-            read_retry_limit: 4,
-            retry_backoff: SimTime::from_ns(200),
-            tag_timeout: SimTime::from_us(10),
         }
     }
 

@@ -30,5 +30,5 @@ pub mod port;
 pub mod stream;
 
 pub use config::PcieConfig;
-pub use port::{DmaError, DmaKind, DmaPort, PortStats};
+pub use port::{DmaPort, PortStats};
 pub use stream::{saturate_reads, saturate_writes, StreamResult};

@@ -270,16 +270,6 @@ impl FaultPlane {
         }
     }
 
-    /// Records one recovery retry.
-    pub fn count_retry(&mut self) {
-        self.ledger.pcie.retries += 1;
-    }
-
-    /// Records one abandoned transaction (retry budget exhausted).
-    pub fn count_exhausted(&mut self) {
-        self.ledger.pcie.exhausted += 1;
-    }
-
     /// Models one logical operation under bounded retry: each attempt
     /// suffers the PCIe and DRAM channels; attempts repeat (counting
     /// retries) until a clean attempt or until `max_retries` extra
@@ -305,14 +295,14 @@ impl FaultPlane {
                 };
             }
             if retries == max_retries {
-                self.count_exhausted();
+                self.ledger.pcie.exhausted += 1;
                 return TxnOutcome {
                     retries,
                     failed: true,
                 };
             }
             retries += 1;
-            self.count_retry();
+            self.ledger.pcie.retries += 1;
         }
     }
 }

@@ -153,14 +153,14 @@ impl LatencyModel {
 /// A counted-credit pool modelling PCIe flow control.
 ///
 /// Credits are acquired when a TLP is issued and released when the far end
-/// frees the buffer. In the discrete-event models, releases carry a
-/// timestamp; `earliest_available` tells the caller when it may next issue
-/// if the pool is currently empty.
+/// frees the buffer. A timed model schedules those releases itself (the
+/// PCIe port keeps them on its event queue) and calls
+/// [`release`](Self::release) when simulated time reaches them.
 ///
 /// # Examples
 ///
 /// ```
-/// use kvd_sim::{CreditPool, SimTime};
+/// use kvd_sim::CreditPool;
 ///
 /// let mut pool = CreditPool::new(2);
 /// assert!(pool.try_acquire());
@@ -173,8 +173,6 @@ impl LatencyModel {
 pub struct CreditPool {
     capacity: u32,
     available: u32,
-    /// Pending timed releases (sorted insertion not required; scanned).
-    releases: Vec<SimTime>,
     stalls: u64,
 }
 
@@ -184,7 +182,6 @@ impl CreditPool {
         CreditPool {
             capacity,
             available: capacity,
-            releases: Vec::new(),
             stalls: 0,
         }
     }
@@ -204,39 +201,6 @@ impl CreditPool {
     pub fn release(&mut self) {
         assert!(self.available < self.capacity, "credit over-release");
         self.available += 1;
-    }
-
-    /// Schedules a credit release at `at` (used by timed models).
-    pub fn release_at(&mut self, at: SimTime) {
-        assert!(
-            self.available as usize + self.releases.len() < self.capacity as usize,
-            "credit over-release"
-        );
-        self.releases.push(at);
-    }
-
-    /// Applies all releases scheduled at or before `now`.
-    pub fn advance_to(&mut self, now: SimTime) {
-        let before = self.releases.len();
-        self.releases.retain(|&t| t > now);
-        self.available += (before - self.releases.len()) as u32;
-        debug_assert!(self.available <= self.capacity);
-    }
-
-    /// Acquires a credit at `now`, or returns the earliest future time a
-    /// credit frees up.
-    pub fn acquire_at(&mut self, now: SimTime) -> Result<(), SimTime> {
-        self.advance_to(now);
-        if self.try_acquire() {
-            Ok(())
-        } else {
-            Err(self
-                .releases
-                .iter()
-                .copied()
-                .min()
-                .expect("empty pool with no pending releases"))
-        }
     }
 
     /// Credits currently available.
@@ -353,21 +317,6 @@ mod tests {
         }
         assert!(seen_low && seen_high, "jitter should cover the range");
         assert_eq!(lat.mean(), SimTime::from_ns(925));
-    }
-
-    #[test]
-    fn credit_pool_timed_acquire() {
-        let mut pool = CreditPool::new(1);
-        assert!(pool.acquire_at(SimTime::ZERO).is_ok());
-        pool.release_at(SimTime::from_ns(100));
-        // Before the release lands, acquisition reports the release time.
-        assert_eq!(
-            pool.acquire_at(SimTime::from_ns(50)),
-            Err(SimTime::from_ns(100))
-        );
-        // At the release time, acquisition succeeds.
-        assert!(pool.acquire_at(SimTime::from_ns(100)).is_ok());
-        assert!(pool.stalls() >= 1);
     }
 
     #[test]

@@ -157,48 +157,41 @@ fn multi_nic_matches_single_nic_semantics() {
 }
 
 #[test]
-fn client_session_full_loop() {
-    use kv_direct::net::client::ClientSession;
-    use kv_direct::net::{encode_responses, NetConfig};
+fn wire_round_trip_in_packets_of_eight() {
+    use kv_direct::net::{decode_packet_ref, decode_responses, encode_responses, KvRequestRef};
 
     let mut server = store();
-    let mut session = ClientSession::new(NetConfig::forty_gbe(), 8);
-
-    // The client queues a mixed stream; every full packet crosses the
-    // "wire" (real encode/decode), executes on the store, and the
-    // responses correlate back to the right handles.
-    let mut expected = std::collections::HashMap::new();
-    let mut handles = Vec::new();
-    for i in 0..50u64 {
-        let put = session.submit(KvRequest::put(&i.to_le_bytes(), &i.to_be_bytes()));
-        let get = session.submit(KvRequest::get(&i.to_le_bytes()));
-        expected.insert(get, i.to_be_bytes().to_vec());
-        handles.push((put, get));
-        while let Some(pkt) = session.take_packet() {
-            let reqs = decode_packet(&pkt.payload).expect("client encoding decodes");
-            let resps = server.execute_batch(&reqs);
-            for (h, r) in session
-                .on_response(pkt.seq, &encode_responses(&resps))
-                .expect("in-order responses")
-            {
-                if let Some(want) = expected.remove(&h) {
-                    assert_eq!(r.value, want, "handle {h:?}");
-                }
+    // A mixed PUT/GET stream crosses the wire eight requests to a packet:
+    // the client encodes, the NIC decodes in place and executes, and the
+    // encoded responses decode back in request order.
+    let stream: Vec<KvRequest> = (0..50u64)
+        .flat_map(|i| {
+            [
+                KvRequest::put(&i.to_le_bytes(), &i.to_be_bytes()),
+                KvRequest::get(&i.to_le_bytes()),
+            ]
+        })
+        .collect();
+    let mut gets = 0;
+    for packet in stream.chunks(8) {
+        let wire = encode_packet(packet);
+        let reqs: Vec<KvRequest> = decode_packet_ref(&wire)
+            .expect("client encoding decodes")
+            .into_iter()
+            .map(KvRequestRef::to_owned)
+            .collect();
+        assert_eq!(reqs, packet);
+        let resps = decode_responses(&encode_responses(&server.execute_batch(&reqs)))
+            .expect("responses decode");
+        assert_eq!(resps.len(), packet.len());
+        for (req, resp) in packet.iter().zip(&resps) {
+            assert_eq!(resp.status, Status::Ok, "{req:?}");
+            if req.op == OpCode::Get {
+                let i = u64::from_le_bytes(req.key.as_slice().try_into().unwrap());
+                assert_eq!(resp.value, i.to_be_bytes(), "key {i}");
+                gets += 1;
             }
         }
     }
-    if let Some(pkt) = session.flush() {
-        let reqs = decode_packet(&pkt.payload).expect("decodes");
-        let resps = server.execute_batch(&reqs);
-        for (h, r) in session
-            .on_response(pkt.seq, &encode_responses(&resps))
-            .expect("tail responses")
-        {
-            if let Some(want) = expected.remove(&h) {
-                assert_eq!(r.value, want);
-            }
-        }
-    }
-    assert!(expected.is_empty(), "every GET response correlated");
-    assert_eq!(session.inflight_packets(), 0);
+    assert_eq!(gets, 50, "every GET answered");
 }
