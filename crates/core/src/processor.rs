@@ -25,7 +25,7 @@ use kvd_hash::{HashError, HashTable, HashTableConfig};
 use kvd_mem::MemoryEngine;
 use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
 use kvd_ooo::{OpRef, Probe, Reissue, ReservationStation, StationConfig, UpdateFn};
-use kvd_sim::{CostSource, FaultPlane, OpLedger, SimTime};
+use kvd_sim::{CostSource, ExpiryCosts, FaultPlane, OpLedger, SimTime, StationCosts};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
 use crate::overload::{AdmissionController, HotKeyConfig, OverloadConfig};
@@ -319,11 +319,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         &self.faults
     }
 
-    /// Mutable fault-plane access (rate changes, counter resets).
-    pub fn faults_mut(&mut self) -> &mut FaultPlane {
-        &mut self.faults
-    }
-
     /// The hash table.
     #[inline]
     pub fn table(&self) -> &HashTable<M> {
@@ -347,7 +342,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     }
 
     /// Reservation-station counters (forwarding rate etc.).
-    pub fn station_stats(&self) -> kvd_ooo::StationStats {
+    pub fn station_stats(&self) -> StationCosts {
         self.station.stats()
     }
 
@@ -835,7 +830,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
 
     /// The table's lifecycle counters (also folded into
     /// [`CostSource::emit_costs`] as the ledger's expiry section).
-    pub fn expiry_stats(&self) -> kvd_hash::ExpiryStats {
+    pub fn expiry_stats(&self) -> ExpiryCosts {
         self.table.expiry_stats()
     }
 }
@@ -862,15 +857,7 @@ impl<M: MemoryEngine + CostSource> CostSource for KvProcessor<M> {
         self.table.allocator().emit_costs(out);
         self.faults.emit_costs(out);
         self.table.mem().emit_costs(out);
-        let e = self.table.expiry_stats();
-        out.expiry.ttl_puts += e.ttl_puts;
-        out.expiry.touches += e.touches;
-        out.expiry.lazy_expired += e.lazy_expired;
-        out.expiry.expired_overwrites += e.expired_overwrites;
-        out.expiry.reaped_entries += e.reaped_entries;
-        out.expiry.reaped_bytes += e.reaped_bytes;
-        out.expiry.sweep_passes += e.sweep_passes;
-        out.expiry.sweep_buckets += e.sweep_buckets;
+        out.expiry.merge(&self.table.expiry_stats());
     }
 }
 

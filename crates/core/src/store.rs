@@ -832,6 +832,76 @@ mod tests {
     }
 
     #[test]
+    fn the_ledger_carries_every_plane_counter() {
+        // Every plane counts into its own ledger section and emits it
+        // whole: after a seeded mix that reaches each of them (TTLs and
+        // the reaper, faults, the adaptive cache, station queueing), the
+        // store's ledger holds exactly the counters the planes report.
+        let mut adaptive = AdaptiveCacheConfig::data_path(5);
+        adaptive.epoch_accesses = 512;
+        let mut s = KvDirectStore::new(KvDirectConfig {
+            fault_rates: FaultRates::uniform(0.01),
+            fault_seed: 3,
+            adaptive_cache: Some(adaptive),
+            ..KvDirectConfig::with_memory(1 << 20)
+        });
+        let mut rng = kvd_sim::DetRng::seed(0x1ED6);
+        let mut responses = vec![KvResponse::default(); 40];
+        for batch in 0..150u64 {
+            let tick = (batch / 4) as u32;
+            let requests: Vec<KvRequest> = (0..40)
+                .map(|_| {
+                    // A hot set repeats within a batch (the station chains
+                    // it); the cold keys outgrow the NIC DRAM (fills evict).
+                    let key = if rng.chance(0.4) {
+                        rng.u64_below(16)
+                    } else {
+                        rng.u64_below(4_000)
+                    }
+                    .to_le_bytes();
+                    match rng.u64_below(10) {
+                        0..=3 => KvRequest::get(&key),
+                        4..=7 => {
+                            let mut value = vec![0u8; 1 + rng.usize_below(200)];
+                            rng.fill_bytes(&mut value);
+                            let expiry_tick = if rng.chance(0.5) { tick + 2 } else { 0 };
+                            KvRequest {
+                                expiry_tick,
+                                ..KvRequest::put(&key, &value)
+                            }
+                        }
+                        _ => KvRequest::delete(&key),
+                    }
+                })
+                .collect();
+            s.run(requests.as_slice(), &mut responses);
+            s.touch(&(batch % 24).to_le_bytes(), tick + 3);
+            s.processor_mut()
+                .set_now(kvd_sim::SimTime::from_us(batch * 250));
+            s.processor_mut().sweep_expired(4);
+        }
+        let l = s.ledger();
+        let p = s.processor();
+        assert_eq!(l.station, p.station_stats());
+        assert_eq!(l.slab, p.table().allocator().stats());
+        assert_eq!(l.expiry, p.expiry_stats());
+        // The core counts the hot-key sheds; the memory counts the rest.
+        let cache = kvd_sim::CacheCosts {
+            hot_key_sheds: l.cache.hot_key_sheds,
+            ..p.table().mem().cache_stats()
+        };
+        assert_eq!(l.cache, cache);
+        // The mix reached every plane it checks.
+        assert!(l.station.forwarded > 0 && l.station.queued > 0 && l.station.high_water > 1);
+        assert!(l.slab.allocs > 0 && l.slab.frees > 0);
+        assert!(l.expiry.ttl_puts > 0 && l.expiry.touches > 0 && l.expiry.sweep_passes > 0);
+        assert!(l.expiry.lazy_expired > 0 && l.expiry.reaped_entries > 0);
+        assert!(l.cache.sketch_samples > 0 && l.cache.evict_dirty > 0);
+        assert!(l.cache.retune_steps > 0 && l.cache.rejected_fills > 0);
+        assert!(l.total_faults() > 0);
+    }
+
+    #[test]
     fn external_pressure_sheds_and_recovers_with_hysteresis() {
         let mut s = KvDirectStore::new(KvDirectConfig {
             overload: crate::overload::OverloadConfig::enabled(),

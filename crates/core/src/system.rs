@@ -1310,6 +1310,10 @@ mod tests {
         let (engine, server) = (sim.store_mut().processor_mut(), store.processor_mut());
         assert_eq!(engine.station_stats(), server.station_stats());
         assert_eq!(engine.table().mem().stats(), server.table().mem().stats());
+        assert_eq!(
+            engine.table().mem().cache_stats(),
+            server.table().mem().cache_stats()
+        );
         assert!(
             engine.expiry_stats().lazy_expired > 0,
             "TTLs expired mid-run"

@@ -36,5 +36,5 @@ pub use layout::{
     tick_of_us, Bucket, BucketEntry, BUCKET_BYTES, EXPIRY_TICK_US, MAX_INLINE_KV, SLOTS_PER_BUCKET,
 };
 pub use swar::{RawEntries, RawEntry};
-pub use table::{ExpiryStats, HashError, HashTable, HashTableConfig, OpCost, SweepCost};
+pub use table::{HashError, HashTable, HashTableConfig, OpCost, SweepCost};
 pub use tuning::{optimal_config, MeasuredCosts};

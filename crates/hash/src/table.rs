@@ -12,6 +12,7 @@
 use std::ops::Range;
 
 use kvd_mem::MemoryEngine;
+use kvd_sim::ExpiryCosts;
 use kvd_slab::{SlabAddr, SlabAllocator, SlabClass, SlabConfig, GRANULE};
 
 use crate::hashing::{hash_key, KeyHashes};
@@ -81,28 +82,6 @@ pub struct OpCost {
     pub hit: bool,
 }
 
-/// Cumulative expiry-plane counters; the embedder folds these into the
-/// ledger's `expiry` section.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpiryStats {
-    /// PUTs that carried a nonzero lifecycle stamp.
-    pub ttl_puts: u64,
-    /// Successful stamp rewrites (`touch`).
-    pub touches: u64,
-    /// Dead entries discovered lazily by GET/DELETE/touch probes.
-    pub lazy_expired: u64,
-    /// Dead entries overwritten in place by a PUT of the same key.
-    pub expired_overwrites: u64,
-    /// Entries reclaimed (lazily or by the reaper) through the free path.
-    pub reaped_entries: u64,
-    /// Logical KV bytes those reclaimed entries held.
-    pub reaped_bytes: u64,
-    /// Bounded reaper passes run.
-    pub sweep_passes: u64,
-    /// Bucket frames (primary + chained) the reaper scanned.
-    pub sweep_buckets: u64,
-}
-
 /// What one bounded reaper pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepCost {
@@ -150,7 +129,7 @@ pub struct HashTable<M: MemoryEngine> {
     now_tick: u32,
     /// Reaper cursor: next primary bucket index to sweep.
     sweep_cursor: u64,
-    expiry: ExpiryStats,
+    expiry: ExpiryCosts,
 }
 
 impl<M: MemoryEngine> HashTable<M> {
@@ -206,7 +185,7 @@ impl<M: MemoryEngine> HashTable<M> {
             roomy: Vec::with_capacity(SLOTS_PER_BUCKET),
             now_tick: 0,
             sweep_cursor: 0,
-            expiry: ExpiryStats::default(),
+            expiry: ExpiryCosts::default(),
         }
     }
 
@@ -223,7 +202,7 @@ impl<M: MemoryEngine> HashTable<M> {
     }
 
     /// Cumulative expiry-plane counters.
-    pub fn expiry_stats(&self) -> ExpiryStats {
+    pub fn expiry_stats(&self) -> ExpiryCosts {
         self.expiry
     }
 

@@ -12,12 +12,12 @@
 //! * [`DispatchedMemory`] — the full stack: host memory behind PCIe, NIC
 //!   DRAM cache, and the hash-based load dispatcher.
 
-use kvd_sim::{CostSource, DramFault, FaultPlane, OpLedger};
+use kvd_sim::{CacheCosts, CostSource, DramFault, FaultPlane, OpLedger};
 
 use crate::dispatch::{hash_line, optimal_ratio_measured, DispatchConfig, LoadDispatcher};
 use crate::host::HostMemory;
 use crate::nicdram::{NicDram, NicDramConfig, Place, Victim};
-use crate::sketch::{FreqSketch, SketchConfig, SpaceSaving};
+use crate::sketch::{FreqSketch, SketchConfig};
 use crate::LINE;
 
 /// Maximum bytes one DMA request covers (PCIe max payload: the paper's
@@ -57,13 +57,6 @@ pub struct AccessStats {
     pub cache_hits: u64,
     /// Cache misses in NIC DRAM.
     pub cache_misses: u64,
-    /// Valid lines displaced clean by a cache fill.
-    pub evict_clean: u64,
-    /// Valid lines displaced dirty by a cache fill (write-back traffic).
-    pub evict_dirty: u64,
-    /// Fills that displaced a valid line (conflict misses — the thrash
-    /// signal hit-rate analysis needs; fills into invalid ways are free).
-    pub conflict_fills: u64,
 }
 
 impl AccessStats {
@@ -88,9 +81,6 @@ impl AccessStats {
             dram_writes: self.dram_writes - earlier.dram_writes,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
-            evict_clean: self.evict_clean - earlier.evict_clean,
-            evict_dirty: self.evict_dirty - earlier.evict_dirty,
-            conflict_fills: self.conflict_fills - earlier.conflict_fills,
         }
     }
 
@@ -286,8 +276,6 @@ pub const DEFAULT_BYPASS_THRESHOLD: u64 = 16;
 pub struct AdaptiveCacheConfig {
     /// Frequency sketch shape and sampling (seeded — determinism).
     pub sketch: SketchConfig,
-    /// Heavy-hitter slots tracked for the hot-line rollup.
-    pub top_k: usize,
     /// Line accesses between retune steps (access-count driven, never
     /// wall clock, so parallel runs stay bit-identical).
     pub epoch_accesses: u64,
@@ -319,7 +307,6 @@ impl AdaptiveCacheConfig {
     pub fn data_path(seed: u64) -> Self {
         AdaptiveCacheConfig {
             sketch: SketchConfig::data_path(seed),
-            top_k: 16,
             epoch_accesses: 8192,
             max_step: 0.05,
             deadband: 0.02,
@@ -332,28 +319,10 @@ impl AdaptiveCacheConfig {
     }
 }
 
-/// Counters of the adaptive cache plane's decisions (all zero when the
-/// plane is disabled, except `admitted_fills` which counts every fill).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Line accesses the frequency sketch sampled.
-    pub sketch_samples: u64,
-    /// Cache fills performed (admission granted, or plane disabled).
-    pub admitted_fills: u64,
-    /// Conflict fills the TinyLFU admission rejected (served over PCIe,
-    /// no displacement).
-    pub rejected_fills: u64,
-    /// Retune steps that actually moved the dispatch threshold.
-    pub retune_steps: u64,
-    /// Resident lines retired by threshold-migration sweeps.
-    pub demoted_lines: u64,
-}
-
 /// Live state of the adaptive plane.
 struct AdaptiveState {
     cfg: AdaptiveCacheConfig,
     sketch: FreqSketch,
-    hot: SpaceSaving,
     /// Line accesses since the last retune step.
     epoch_ticks: u64,
     /// Consecutive rejected fills (drives the `admit_every` hatch).
@@ -392,7 +361,7 @@ pub struct DispatchedMemory {
     cache: NicDram,
     dispatcher: LoadDispatcher,
     stats: AccessStats,
-    cache_stats: CacheStats,
+    cache_stats: CacheCosts,
     adaptive: Option<AdaptiveState>,
     /// Stats snapshot for the caller-facing windowed hit rate.
     window_base: AccessStats,
@@ -421,7 +390,7 @@ impl DispatchedMemory {
             host: HostMemory::new(host_capacity),
             dispatcher: LoadDispatcher::new(dispatch),
             stats: AccessStats::default(),
-            cache_stats: CacheStats::default(),
+            cache_stats: CacheCosts::default(),
             adaptive: None,
             window_base: AccessStats::default(),
             faults,
@@ -436,7 +405,6 @@ impl DispatchedMemory {
     pub fn set_adaptive(&mut self, cfg: AdaptiveCacheConfig) {
         self.adaptive = Some(AdaptiveState {
             sketch: FreqSketch::new(cfg.sketch),
-            hot: SpaceSaving::new(cfg.top_k),
             epoch_ticks: 0,
             reject_streak: 0,
             epoch_base: self.stats,
@@ -444,13 +412,10 @@ impl DispatchedMemory {
         });
     }
 
-    /// The heavy-hitter rollup of the adaptive plane's sketch, if enabled.
-    pub fn hot_lines(&self) -> Option<&SpaceSaving> {
-        self.adaptive.as_ref().map(|a| &a.hot)
-    }
-
-    /// Counters of the adaptive plane's admission and retune decisions.
-    pub fn cache_stats(&self) -> CacheStats {
+    /// The cache plane's counters: fills, evictions, and the adaptive
+    /// plane's admission and retune decisions. `hot_key_sheds` stays zero
+    /// here; the core counts it.
+    pub fn cache_stats(&self) -> CacheCosts {
         self.cache_stats
     }
 
@@ -484,11 +449,6 @@ impl DispatchedMemory {
     /// The engine's fault plane (injection counters live here).
     pub fn faults(&self) -> &FaultPlane {
         &self.faults
-    }
-
-    /// Mutable fault-plane access (rate changes, counter resets).
-    pub fn faults_mut(&mut self) -> &mut FaultPlane {
-        &mut self.faults
     }
 
     /// ECC recovery and degradation statistics.
@@ -566,7 +526,6 @@ impl DispatchedMemory {
         };
         if ad.sketch.observe(line) {
             self.cache_stats.sketch_samples += 1;
-            ad.hot.observe(line);
         }
         ad.epoch_ticks += 1;
         ad.epoch_ticks >= ad.cfg.epoch_accesses
@@ -675,9 +634,9 @@ impl DispatchedMemory {
         }
         let slot = place.way(self.admit(line, place)?);
         if let Some(victim) = self.fetch_into(slot, place) {
-            self.stats.conflict_fills += 1;
-            self.stats.evict_dirty += u64::from(victim.dirty);
-            self.stats.evict_clean += u64::from(!victim.dirty);
+            self.cache_stats.conflict_fills += 1;
+            self.cache_stats.evict_dirty += u64::from(victim.dirty);
+            self.cache_stats.evict_clean += u64::from(!victim.dirty);
         }
         self.cache_stats.admitted_fills += 1;
         Some(slot)
@@ -851,7 +810,7 @@ impl MemoryEngine for DispatchedMemory {
         // fills are a subset of misses. The ECC counters and the bypass
         // breaker are recovery state, not statistics, and stay.
         self.stats = AccessStats::default();
-        self.cache_stats = CacheStats::default();
+        self.cache_stats = CacheCosts::default();
         self.window_base = self.stats;
         if let Some(ad) = &mut self.adaptive {
             ad.epoch_base = self.stats;
@@ -882,16 +841,7 @@ impl CostSource for FlatMemory {
 impl CostSource for DispatchedMemory {
     fn emit_costs(&self, out: &mut OpLedger) {
         emit_access_stats(&self.stats, out);
-        // The adaptive-cache ledger section: eviction quality from the
-        // traffic stats, policy decisions from the plane's own counters.
-        out.cache.evict_clean += self.stats.evict_clean;
-        out.cache.evict_dirty += self.stats.evict_dirty;
-        out.cache.conflict_fills += self.stats.conflict_fills;
-        out.cache.sketch_samples += self.cache_stats.sketch_samples;
-        out.cache.admitted_fills += self.cache_stats.admitted_fills;
-        out.cache.rejected_fills += self.cache_stats.rejected_fills;
-        out.cache.retune_steps += self.cache_stats.retune_steps;
-        out.cache.demoted_lines += self.cache_stats.demoted_lines;
+        out.cache.merge(&self.cache_stats);
         // ECC recovery bookkeeping that is disjoint from the fault
         // plane's own counts: what recovery *did*, not what was injected.
         out.dram.refetches += self.ecc.refetches;
@@ -1030,7 +980,7 @@ mod tests {
         m.read(line_a * LINE, &mut buf); // must refetch from host
         assert_eq!(buf, [0xAB; 64]);
         assert!(m.stats().dma_writes >= 1, "dirty eviction must write back");
-        let s = m.stats();
+        let s = m.cache_stats();
         assert!(s.evict_dirty >= 1, "satellite: dirty evictions visible");
         assert!(s.conflict_fills >= s.evict_clean + s.evict_dirty);
     }
@@ -1149,7 +1099,7 @@ mod tests {
         // admission (the first admission resets the victim estimate, so
         // later scan lines evict the previous scan line, not a hot one).
         assert!(s.rejected_fills >= 7, "scan must mostly be rejected: {s:?}");
-        let displaced = m.stats().conflict_fills;
+        let displaced = s.conflict_fills;
         assert!(
             displaced > 0,
             "the hatch must admit at least one scan line: {s:?}"
@@ -1274,7 +1224,7 @@ mod tests {
         }
         assert_eq!(m.cache_stats().admitted_fills, 512);
         m.reset_stats();
-        assert_eq!(m.cache_stats(), CacheStats::default());
+        assert_eq!(m.cache_stats(), CacheCosts::default());
         for i in 1024..1536u64 {
             m.read(i * LINE, &mut buf); // resident: all hits
         }
@@ -1528,7 +1478,7 @@ mod tests {
     fn drive_split(
         mut m: DispatchedMemory,
         split: impl Fn(&mut DispatchedMemory, u64, &mut [u8], bool),
-    ) -> (AccessStats, CacheStats, EccStats, OpLedger, u64, u64) {
+    ) -> (AccessStats, CacheCosts, EccStats, OpLedger, u64, u64) {
         let mut rng = kvd_sim::DetRng::seed(0x5EED_11FE);
         let (mut buf, mut digest) = ([0u8; 256], 0u64);
         for _ in 0..6000 {

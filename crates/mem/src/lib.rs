@@ -20,8 +20,9 @@
 //!   non-cacheable addresses, parameterized by the load dispatch ratio `l`,
 //!   plus the paper's balance equation for choosing `l`.
 //! * [`FreqSketch`] / [`SpaceSaving`] — the sampled frequency plane behind
-//!   the adaptive cache: TinyLFU-style fill admission and online retuning
-//!   of `l` from the measured hit rate ([`AdaptiveCacheConfig`]).
+//!   the adaptive cache (TinyLFU-style fill admission and online retuning
+//!   of `l` from the measured hit rate, [`AdaptiveCacheConfig`]) and the
+//!   core's hot-key rollup.
 //! * [`MemoryEngine`] / [`AccessStats`] — the unified access interface the
 //!   hash table and slab allocator run against, with DMA/DRAM accounting
 //!   (the paper's currency: memory accesses per KV operation).
@@ -39,8 +40,8 @@ pub mod sketch;
 
 pub use dispatch::{DispatchConfig, LoadDispatcher};
 pub use engine::{
-    AccessKind, AccessStats, AdaptiveCacheConfig, CacheStats, DispatchedMemory, EccStats,
-    FlatMemory, MemoryEngine, Traffic, DEFAULT_BYPASS_THRESHOLD,
+    AccessKind, AccessStats, AdaptiveCacheConfig, DispatchedMemory, EccStats, FlatMemory,
+    MemoryEngine, Traffic, DEFAULT_BYPASS_THRESHOLD,
 };
 pub use host::HostMemory;
 pub use nicdram::{NicDram, NicDramConfig, Place, Victim, WAYS};

@@ -317,11 +317,12 @@ mod tests {
         let r = replay.finish();
         let mem = replay.mem();
         assert!(r.retune_steps > 0 && r.rejected_fills > 0, "{r:?}");
-        assert!(mem.stats().evict_dirty > 0 && mem.cache_stats().demoted_lines > 0);
+        let cs = mem.cache_stats();
+        assert!(cs.evict_dirty > 0 && cs.demoted_lines > 0);
         assert_eq!(r.hit_rate, mem.cache_hit_rate());
         assert_eq!(r.final_ratio, mem.dispatcher().ratio());
-        assert_eq!(r.retune_steps, mem.cache_stats().retune_steps);
-        assert_eq!(r.rejected_fills, mem.cache_stats().rejected_fills);
+        assert_eq!(r.retune_steps, cs.retune_steps);
+        assert_eq!(r.rejected_fills, cs.rejected_fills);
         let requests: u64 = replay
             .ports
             .iter()

@@ -1,6 +1,6 @@
 //! The 40 GbE link as a timed resource.
 
-use kvd_sim::{BandwidthLink, CostSource, FaultPlane, NetFault, OpLedger, SimTime};
+use kvd_sim::{BandwidthLink, CostSource, FaultPlane, NetCosts, NetFault, OpLedger, SimTime};
 
 use crate::config::NetConfig;
 
@@ -27,9 +27,9 @@ pub struct NetLink {
     cfg: NetConfig,
     line: BandwidthLink,
     faults: FaultPlane,
-    packets: u64,
-    payload_bytes: u64,
-    retransmits: u64,
+    /// Packets delivered, their payload bytes, and retransmissions; the
+    /// drops and reorders behind them are the fault plane's.
+    costs: NetCosts,
 }
 
 impl NetLink {
@@ -44,9 +44,7 @@ impl NetLink {
         NetLink {
             line: BandwidthLink::new(cfg.bandwidth),
             faults,
-            packets: 0,
-            payload_bytes: 0,
-            retransmits: 0,
+            costs: NetCosts::default(),
             cfg,
         }
     }
@@ -68,12 +66,12 @@ impl NetLink {
                 NetFault::Drop => {
                     // Lost in the fabric: retransmit one RTT after the
                     // send hit the wire.
-                    self.retransmits += 1;
+                    self.costs.retransmits += 1;
                     at = serialized + self.cfg.latency;
                 }
                 fault @ (NetFault::None | NetFault::Reorder) => {
-                    self.packets += 1;
-                    self.payload_bytes += payload;
+                    self.costs.packets += 1;
+                    self.costs.payload_bytes += payload;
                     let mut arrival = serialized + self.cfg.latency / 2;
                     if fault == NetFault::Reorder {
                         arrival += self.cfg.latency / 4;
@@ -90,30 +88,16 @@ impl NetLink {
         self.line.free_at()
     }
 
-    /// Packets delivered (retransmissions of dropped packets are not
-    /// counted until a copy survives).
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Payload bytes delivered.
-    pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
-    }
-
-    /// Retransmissions forced by dropped packets.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
+    /// The link's traffic: packets delivered (a dropped packet counts
+    /// once a copy survives), their payload bytes, and the retransmissions
+    /// drops forced.
+    pub fn costs(&self) -> NetCosts {
+        self.costs
     }
 
     /// The link's fault plane (injection counters live here).
     pub fn faults(&self) -> &FaultPlane {
         &self.faults
-    }
-
-    /// Mutable fault-plane access (rate changes, counter resets).
-    pub fn faults_mut(&mut self) -> &mut FaultPlane {
-        &mut self.faults
     }
 
     /// The configuration.
@@ -124,9 +108,7 @@ impl NetLink {
 
 impl CostSource for NetLink {
     fn emit_costs(&self, out: &mut OpLedger) {
-        out.net.packets += self.packets;
-        out.net.payload_bytes += self.payload_bytes;
-        out.net.retransmits += self.retransmits;
+        out.net.merge(&self.costs);
         self.faults.emit_costs(out);
     }
 }
@@ -142,8 +124,8 @@ mod tests {
         let a = link.send(SimTime::ZERO, 4096);
         let b = link.send(SimTime::ZERO, 4096);
         assert!(b > a, "second packet queues behind the first");
-        assert_eq!(link.packets(), 2);
-        assert_eq!(link.payload_bytes(), 8192);
+        assert_eq!(link.costs().packets, 2);
+        assert_eq!(link.costs().payload_bytes, 8192);
     }
 
     #[test]
@@ -162,8 +144,8 @@ mod tests {
             let t = SimTime::from_ns(313 * i);
             assert_eq!(plain.send(t, 64 + i), faulty.send(t, 64 + i));
         }
-        assert_eq!(plain.packets(), faulty.packets());
-        assert_eq!(faulty.retransmits(), 0);
+        assert_eq!(plain.costs(), faulty.costs());
+        assert_eq!(faulty.costs().retransmits, 0);
         assert_eq!(faulty.faults().ledger().total_faults(), 0);
     }
 
@@ -179,11 +161,11 @@ mod tests {
             let t = SimTime::from_us(10 * i);
             let arrive = link.send(t, 64);
             assert!(arrive > t, "arrival precedes send");
-            total_retx = link.retransmits();
+            total_retx = link.costs().retransmits;
         }
         assert!(total_retx > 50, "p=0.5 must retransmit often: {total_retx}");
         assert_eq!(link.faults().ledger().net.drops, total_retx);
-        assert_eq!(link.packets(), 200, "every packet eventually arrives");
+        assert_eq!(link.costs().packets, 200, "every packet eventually arrives");
     }
 
     #[test]
@@ -223,7 +205,7 @@ mod tests {
         let b = clean.send(t, 64);
         assert_eq!(a - b, NetConfig::forty_gbe().latency / 4);
         assert_eq!(faulty.faults().ledger().net.reorders, 1);
-        assert_eq!(faulty.retransmits(), 0, "reorder is not a loss");
+        assert_eq!(faulty.costs().retransmits, 0, "reorder is not a loss");
     }
 
     #[test]
@@ -240,7 +222,11 @@ mod tests {
             for i in 0..300u64 {
                 arrivals.push(link.send(SimTime::from_us(5 * i), 128));
             }
-            (arrivals, link.retransmits(), link.faults().ledger().net)
+            (
+                arrivals,
+                link.costs().retransmits,
+                link.faults().ledger().net,
+            )
         };
         assert_eq!(run(9), run(9));
         let (_, retx9, c9) = run(9);

@@ -32,5 +32,5 @@ pub mod station;
 
 pub use station::{
     Admission, Completion, KvOpKind, OpRef, OpResult, Probe, Reissue, ReservationStation,
-    StationConfig, StationOp, StationStats, UpdateFn, Writeback, WritebackRef,
+    StationConfig, StationOp, UpdateFn, Writeback, WritebackRef,
 };

@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use kvd_sim::{CostSource, OpLedger};
+use kvd_sim::{CostSource, OpLedger, StationCosts};
 
 /// The transform of an atomic update: old value → new value.
 ///
@@ -267,28 +267,6 @@ struct Slot {
     entry: Entry,
 }
 
-/// Counters exposed for the evaluation (merge rate, write-backs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StationStats {
-    /// Operations served by the fast path or chain forwarding (the
-    /// paper's "merged" operations — up to 15% under long-tail).
-    pub forwarded: u64,
-    /// Operations issued to the main pipeline.
-    pub issued: u64,
-    /// Operations that had to queue.
-    pub queued: u64,
-    /// Dirty-cache write-backs emitted.
-    pub writebacks: u64,
-    /// Admissions rejected for capacity.
-    pub rejected: u64,
-    /// Busy slots reclaimed because the issued operation failed (e.g. a
-    /// DMA tag timed out and the retry budget ran out).
-    pub reclaimed: u64,
-    /// Peak operations tracked at once — how close the run came to the
-    /// station's capacity envelope.
-    pub high_water: u64,
-}
-
 /// The reservation station (paper Figure 4, §3.3.3).
 ///
 /// # Examples
@@ -334,7 +312,7 @@ pub struct ReservationStation {
     /// otherwise 0 (index by remainder).
     mask: u64,
     total_tracked: usize,
-    stats: StationStats,
+    stats: StationCosts,
     /// One bit per hash slot: set iff the slot's entry is dirty, so
     /// [`flush_with`] visits dirty slots in index order without looking
     /// at the others; `dirty` counts the set bits, so a flush with
@@ -364,7 +342,7 @@ impl ReservationStation {
                 0
             },
             total_tracked: 0,
-            stats: StationStats::default(),
+            stats: StationCosts::default(),
             dirty_bits: vec![0; cfg.hash_slots.div_ceil(64)],
             dirty: 0,
             spare: Vec::new(),
@@ -372,7 +350,7 @@ impl ReservationStation {
     }
 
     /// Counters.
-    pub fn stats(&self) -> StationStats {
+    pub fn stats(&self) -> StationCosts {
         self.stats
     }
 
@@ -735,14 +713,7 @@ impl ReservationStation {
 
 impl CostSource for ReservationStation {
     fn emit_costs(&self, out: &mut OpLedger) {
-        let s = &self.stats;
-        out.station.forwarded += s.forwarded;
-        out.station.issued += s.issued;
-        out.station.queued += s.queued;
-        out.station.writebacks += s.writebacks;
-        out.station.rejected += s.rejected;
-        out.station.reclaimed += s.reclaimed;
-        out.station.high_water = out.station.high_water.max(s.high_water);
+        out.station.merge(&self.stats);
     }
 }
 

@@ -17,7 +17,7 @@
 //! threads and the merged ledgers stay bit-identical (the cluster-level
 //! analogue of the per-shard null-message protocol).
 
-use crate::ledger::{CostSource, OpLedger};
+use crate::ledger::{ClusterCosts, CostSource, OpLedger};
 use crate::resource::BandwidthLink;
 use crate::time::{Bandwidth, SimTime};
 
@@ -56,14 +56,14 @@ impl NodeLinkConfig {
 /// let mut link = NodeLink::new(NodeLinkConfig::rack());
 /// let arrive = link.send(SimTime::ZERO, 128);
 /// assert!(arrive >= SimTime::from_us(5), "at least the propagation delay");
-/// assert_eq!(link.frames(), 1);
+/// assert_eq!(link.costs().rep_frames, 1);
 /// ```
 #[derive(Debug)]
 pub struct NodeLink {
     cfg: NodeLinkConfig,
     line: BandwidthLink,
-    frames: u64,
-    payload_bytes: u64,
+    /// Frames sent and their payload bytes.
+    costs: ClusterCosts,
 }
 
 impl NodeLink {
@@ -71,8 +71,7 @@ impl NodeLink {
     pub fn new(cfg: NodeLinkConfig) -> Self {
         NodeLink {
             line: BandwidthLink::new(cfg.bandwidth),
-            frames: 0,
-            payload_bytes: 0,
+            costs: ClusterCosts::default(),
             cfg,
         }
     }
@@ -81,8 +80,8 @@ impl NodeLink {
     /// time at the destination host.
     pub fn send(&mut self, now: SimTime, payload: u64) -> SimTime {
         let serialized = self.line.transfer(now, payload + self.cfg.frame_overhead);
-        self.frames += 1;
-        self.payload_bytes += payload;
+        self.costs.rep_frames += 1;
+        self.costs.rep_bytes += payload;
         serialized + self.cfg.latency
     }
 
@@ -91,14 +90,9 @@ impl NodeLink {
         self.line.free_at()
     }
 
-    /// Frames sent.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Payload bytes sent.
-    pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
+    /// The link's traffic: frames sent and their payload bytes.
+    pub fn costs(&self) -> ClusterCosts {
+        self.costs
     }
 
     /// The configuration.
@@ -109,8 +103,7 @@ impl NodeLink {
 
 impl CostSource for NodeLink {
     fn emit_costs(&self, out: &mut OpLedger) {
-        out.cluster.rep_frames += self.frames;
-        out.cluster.rep_bytes += self.payload_bytes;
+        out.cluster.merge(&self.costs);
     }
 }
 
@@ -178,8 +171,8 @@ mod tests {
         assert!(a > SimTime::from_us(80), "got {}us", a.as_us());
         let b = link.send(SimTime::ZERO, 1 << 20);
         assert!(b > a, "second frame queues behind the first");
-        assert_eq!(link.frames(), 2);
-        assert_eq!(link.payload_bytes(), 2 << 20);
+        assert_eq!(link.costs().rep_frames, 2);
+        assert_eq!(link.costs().rep_bytes, 2 << 20);
     }
 
     #[test]

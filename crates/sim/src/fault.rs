@@ -191,14 +191,6 @@ impl FaultPlane {
         &self.rates
     }
 
-    /// Replaces the fault rates mid-run (e.g. a degradation breaker
-    /// disabling a channel, or a test turning faults off after a burst).
-    /// Counters and the random stream are left untouched.
-    pub fn set_rates(&mut self, rates: FaultRates) {
-        self.enabled = !rates.is_zero();
-        self.rates = rates;
-    }
-
     /// The plane's op-cost ledger (only the fault channels are ever
     /// populated by a plane).
     pub fn ledger(&self) -> &OpLedger {

@@ -2,16 +2,17 @@
 //! byte, line and cycle went.
 //!
 //! [`OpLedger`] is the workspace's only counter surface. Each hardware
-//! model keeps its own counters and folds them into a ledger on demand
-//! through one narrow trait ([`CostSource`]); stores, simulators, the
+//! model counts into its own section value and merges it into a ledger on
+//! demand through one narrow trait ([`CostSource`]); stores, simulators, the
 //! server and every report expose that ledger and nothing else, so a
 //! reader finds a count in exactly one place: `ledger().core.*`,
 //! `.pcie.*`, `.dram.*`, `.net.*` and so on.
 //!
 //! Every section is declared once, by `cost_section!`: the documented
-//! field list is the struct, and the same list drives `merge` and `since`
-//! (and, for [`ServerCosts`], the atomic mirror live connections fold
-//! into), so a counter added later cannot be forgotten by either.
+//! field list is the struct, and the same list drives the section's
+//! `merge`, the ledger's `merge` and `since` (and, for [`ServerCosts`],
+//! the atomic mirror live connections fold into), so a counter added later
+//! cannot be forgotten by any of them.
 //!
 //! Design rules, mirroring the fault plane's:
 //!
@@ -25,11 +26,13 @@
 //!   earlier snapshot, which is how the parallel engine's per-window
 //!   host-traffic charge ([`OpLedger::host_lines`]) is derived instead
 //!   of hand-plumbed as a bare `u64`.
-//! * **Zero-overhead when idle.** Components do not write the ledger on
-//!   their hot paths; they keep their existing counters and *emit* them
-//!   on demand ([`CostSource::emit_costs`]), so a build that never
-//!   collects a ledger executes exactly the same instructions as one
-//!   that predates it.
+//! * **One counter per count.** A plane's counters are a value of its own
+//!   section type — the slab allocator counts into a [`SlabCosts`], the
+//!   reservation station into a [`StationCosts`] — incremented in place
+//!   on its hot path. Nothing writes through a shared ledger reference:
+//!   [`CostSource::emit_costs`] merges that value into the caller's
+//!   ledger on demand, so a build that never collects a ledger pays for
+//!   the increments and nothing else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,8 +114,8 @@ impl OpClass {
 }
 
 /// Declares one ledger section from its documented field list: the struct
-/// (every field a `u64`) and the field visitor [`OpLedger::merge`] and
-/// [`OpLedger::since`] run on. A field marked `: gauge` is a level, not an
+/// (every field a `u64`), its `merge`, and the field visitor
+/// [`OpLedger::merge`] and [`OpLedger::since`] run on. A field marked `: gauge` is a level, not an
 /// event count: it merges by maximum and a delta keeps it. `shared as Name`
 /// also declares the section's atomic mirror.
 macro_rules! cost_section {
@@ -155,6 +158,13 @@ macro_rules! cost_section {
         }
 
         impl $name {
+            /// Accumulates `other` into this section: counters add, gauges
+            /// take the maximum (what [`OpLedger::merge`] does section by
+            /// section).
+            pub fn merge(&mut self, other: &$name) {
+                self.zip(other, merge_field);
+            }
+
             fn zip(&mut self, other: &$name, mut f: impl FnMut(bool, &mut u64, u64)) {
                 $( f(cost_section!(@gauge $($kind)?), &mut self.$field, other.$field); )+
             }
@@ -244,7 +254,8 @@ cost_section! {
 cost_section! {
     /// Reservation-station costs: occupancy and forwarding behavior.
     StationCosts {
-        /// Results served from the forwarding cache without touching memory.
+        /// Results served from the forwarding cache without touching memory
+        /// (the paper's "merged" operations — up to 15% under long-tail).
         forwarded,
         /// Operations issued to the execution pipeline.
         issued,
@@ -272,7 +283,8 @@ cost_section! {
         frees,
         /// Allocations that failed (out of memory).
         failed_allocs,
-        /// NIC-to-host free-list synchronization DMAs.
+        /// NIC-to-host free-list synchronization DMAs (the paper bounds them
+        /// below 0.07 per allocation or free, with batching).
         dma_syncs,
         /// Free-list entries moved by those syncs.
         entries_synced,
@@ -413,13 +425,15 @@ cost_section! {
         sketch_samples,
         /// Cache fills performed (admission granted, or the plane disabled).
         admitted_fills,
-        /// Conflict fills the TinyLFU admission rejected.
+        /// Conflict fills the TinyLFU admission rejected (served over PCIe,
+        /// nothing displaced).
         rejected_fills,
         /// Valid lines displaced clean by a fill.
         evict_clean,
         /// Valid lines displaced dirty by a fill (write-back traffic).
         evict_dirty,
-        /// Fills that displaced a valid line (conflict misses).
+        /// Fills that displaced a valid line (conflict misses — the thrash
+        /// signal; fills into invalid ways are free).
         conflict_fills,
         /// Retune steps that moved the load-dispatch threshold.
         retune_steps,
@@ -574,6 +588,15 @@ cost_section! {
     }
 }
 
+/// The merge of one field: a gauge keeps the maximum, a counter adds.
+fn merge_field(gauge: bool, mine: &mut u64, theirs: u64) {
+    *mine = if gauge {
+        (*mine).max(theirs)
+    } else {
+        *mine + theirs
+    };
+}
+
 /// Declares [`OpLedger`] from its section list, so the struct and the
 /// visitor that merges it cannot disagree about which sections exist.
 macro_rules! ledger {
@@ -630,13 +653,7 @@ impl OpLedger {
     /// failover depth) take the maximum. Associative and commutative,
     /// with the default ledger as identity.
     pub fn merge(&mut self, other: &OpLedger) {
-        self.zip(other, |gauge, mine, theirs| {
-            *mine = if gauge {
-                (*mine).max(theirs)
-            } else {
-                *mine + theirs
-            }
-        });
+        self.zip(other, merge_field);
     }
 
     /// The delta since an `earlier` snapshot of the same ledger: counter
@@ -731,6 +748,22 @@ mod tests {
             );
             assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
             assert_eq!(merged(&a, &b), merged(&b, &a));
+            // A plane emits with its section's merge: section by section,
+            // the ledger merge.
+            let mut by_section = a.clone();
+            by_section.net.merge(&b.net);
+            by_section.pcie.merge(&b.pcie);
+            by_section.dram.merge(&b.dram);
+            by_section.station.merge(&b.station);
+            by_section.slab.merge(&b.slab);
+            by_section.expiry.merge(&b.expiry);
+            by_section.cache.merge(&b.cache);
+            by_section.core.merge(&b.core);
+            by_section.server.merge(&b.server);
+            by_section.cluster.merge(&b.cluster);
+            by_section.latency.zip(&b.latency, merge_field);
+            by_section.pressure.merge(&b.pressure);
+            assert_eq!(by_section, merged(&a, &b));
         }
     }
 

@@ -29,4 +29,4 @@ pub mod slab;
 pub use bitmap::AllocBitmap;
 pub use class::{SlabClass, GRANULE, MAX_CLASSES};
 pub use merge::{merge_bitmap, merge_radix, MergeOutcome};
-pub use slab::{SlabAddr, SlabAllocator, SlabConfig, SlabStats};
+pub use slab::{SlabAddr, SlabAllocator, SlabConfig};

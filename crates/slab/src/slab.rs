@@ -13,7 +13,7 @@
 //! allocation bitmap (see [`crate::merge`] for the standalone bitmap /
 //! radix-sort merge kernels benchmarked in Figure 12).
 
-use kvd_sim::{CostSource, OpLedger};
+use kvd_sim::{CostSource, OpLedger, SlabCosts};
 
 use crate::bitmap::AllocBitmap;
 use crate::class::{SlabClass, GRANULE};
@@ -68,40 +68,6 @@ pub struct SlabAddr {
     pub class: SlabClass,
 }
 
-/// Counters for the allocator's behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlabStats {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Deallocations.
-    pub frees: u64,
-    /// Allocations that failed (out of memory for the class).
-    pub failed_allocs: u64,
-    /// DMA batch synchronizations between NIC and host stacks.
-    pub dma_syncs: u64,
-    /// Slab entries moved by those syncs.
-    pub entries_synced: u64,
-    /// Slab splits performed by the host daemon.
-    pub splits: u64,
-    /// Buddy merges performed by lazy merging.
-    pub merges: u64,
-    /// Lazy-merge passes triggered.
-    pub merge_passes: u64,
-}
-
-impl SlabStats {
-    /// Amortized DMA operations per allocator operation (the paper claims
-    /// < 0.07 with batching).
-    pub fn dma_per_op(&self) -> f64 {
-        let ops = self.allocs + self.frees;
-        if ops == 0 {
-            0.0
-        } else {
-            self.dma_syncs as f64 / ops as f64
-        }
-    }
-}
-
 /// The split NIC/host slab allocator.
 ///
 /// # Examples
@@ -121,7 +87,7 @@ pub struct SlabAllocator {
     /// Host-side authoritative pools.
     host: Vec<Vec<u64>>,
     bitmap: AllocBitmap,
-    stats: SlabStats,
+    stats: SlabCosts,
 }
 
 impl SlabAllocator {
@@ -162,7 +128,7 @@ impl SlabAllocator {
             nic: vec![Vec::new(); classes],
             host,
             bitmap: AllocBitmap::new(cfg.base, cfg.len),
-            stats: SlabStats::default(),
+            stats: SlabCosts::default(),
             cfg,
         }
     }
@@ -173,7 +139,7 @@ impl SlabAllocator {
     }
 
     /// Counters.
-    pub fn stats(&self) -> SlabStats {
+    pub fn stats(&self) -> SlabCosts {
         self.stats
     }
 
@@ -377,15 +343,7 @@ impl SlabAllocator {
 
 impl CostSource for SlabAllocator {
     fn emit_costs(&self, out: &mut OpLedger) {
-        let s = &self.stats;
-        out.slab.allocs += s.allocs;
-        out.slab.frees += s.frees;
-        out.slab.failed_allocs += s.failed_allocs;
-        out.slab.dma_syncs += s.dma_syncs;
-        out.slab.entries_synced += s.entries_synced;
-        out.slab.splits += s.splits;
-        out.slab.merges += s.merges;
-        out.slab.merge_passes += s.merge_passes;
+        out.slab.merge(&self.stats);
     }
 }
 
@@ -487,10 +445,10 @@ mod tests {
             }
         }
         let st = a.stats();
+        let dma_per_op = st.dma_syncs as f64 / (st.allocs + st.frees) as f64;
         assert!(
-            st.dma_per_op() < 0.1,
-            "amortized DMA per op {} exceeds the paper's bound",
-            st.dma_per_op()
+            dma_per_op < 0.1,
+            "amortized DMA per op {dma_per_op} exceeds the paper's bound"
         );
     }
 
