@@ -7,8 +7,8 @@
 //! routing, and the quantum-synchronized host-memory arbiter standing in
 //! for the server's shared DRAM controllers. The saturation knee emerges
 //! from the arbiter charging each window's aggregate DMA traffic — not
-//! from a closed-form cap. A functional sanity pass over the sharded
-//! store and a wall-clock speedup measurement (the engine itself runs on
+//! from a closed-form cap. A functional sanity pass over the shards'
+//! stores and a wall-clock speedup measurement (the engine itself runs on
 //! OS worker threads) close the harness out.
 
 use std::time::Instant;
@@ -16,8 +16,9 @@ use std::time::Instant;
 use kvd_bench::{
     banner, fmt_f, multi_nic_engine, multi_nic_gets, shape_check, Table, OPS_PER_NIC, SCALED_MEMORY,
 };
-use kvd_core::parallel::ParallelSystemSim;
-use kvd_core::{KvDirectConfig, MultiNicStore};
+use kvd_core::parallel::{ParallelSimConfig, ParallelSystemSim};
+use kvd_core::KvDirectConfig;
+use kvd_net::shard_of;
 use kvd_sim::SimTime;
 
 /// Harness overrides from the command line. `--workers N` picks the
@@ -146,14 +147,22 @@ fn main() {
     );
     assert_eq!(seq, par, "worker count must not change simulated results");
 
-    // Functional pass: a 10-shard store behaves like one store.
-    let mut s = MultiNicStore::new(KvDirectConfig::with_memory(SCALED_MEMORY), 10);
+    // Functional pass: a 10-shard engine's stores behave like one store.
+    let mut s = ParallelSystemSim::new(ParallelSimConfig::paper(
+        KvDirectConfig::with_memory(SCALED_MEMORY),
+        40,
+        10,
+    ));
     for i in 0..1000u64 {
-        s.put(&i.to_le_bytes(), &i.to_be_bytes()).expect("fits");
+        s.preload_put(&i.to_le_bytes(), &i.to_be_bytes())
+            .expect("fits");
     }
-    let all_ok = (0..1000u64).all(|i| s.get(&i.to_le_bytes()) == Some(i.to_be_bytes().to_vec()));
+    let all_ok = (0..1000u64).all(|i| {
+        let key = i.to_le_bytes();
+        s.shard_store_mut(shard_of(&key, 10)).get(&key) == Some(i.to_be_bytes().to_vec())
+    });
     let loads: Vec<u64> = (0..10)
-        .map(|i| s.nic(i).processor().table().len())
+        .map(|i| s.shard_store_mut(i).processor().table().len())
         .collect();
     println!("shard loads: {loads:?}\n");
 

@@ -5,14 +5,14 @@
 //! PCIe/DRAM, overload plane); this module adds what the paper's
 //! single-box scope leaves out — what happens when the *box* dies.
 //! Members are joined by [`NodeLink`]s (latency + serialization
-//! bandwidth) and driven in **window lockstep** under a
-//! [`ClusterClock`]: the credit arbiter's conservative-lookahead rule,
-//! applied between hosts. A frame sent during window `k` is never
-//! visible before window `k + 1`, so within a window every member
-//! depends only on state settled at the boundary. Members therefore
-//! step on any number of OS workers and the merged ledgers stay
-//! bit-identical — the cluster-level restatement of the per-shard
-//! null-message protocol.
+//! bandwidth) and stepped on the crate's window driver in fixed
+//! windows of one quantum: window `k` spans `[k·q, (k+1)·q)`. A frame sent
+//! during window `k` is never visible before window `k + 1`, so within a
+//! window every member depends only on state settled at the boundary,
+//! where the driver's hook delivers frames, routes client operations,
+//! detects failures and consumes what the members produced. Members
+//! therefore step on any number of OS workers and the merged ledgers
+//! stay bit-identical.
 //!
 //! # Replication and reads
 //!
@@ -58,10 +58,12 @@
 //! depth of a failover window land as measured numbers, not prose.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::ControlFlow;
 
 use kvd_net::{HashRing, KvRequest, OpCode, RepFrame, Status};
-use kvd_sim::{ClusterClock, CostSource, Histogram, NodeLink, NodeLinkConfig, OpLedger, SimTime};
+use kvd_sim::{CostSource, Histogram, NodeLink, NodeLinkConfig, OpLedger, SimTime};
 
+use crate::driver::{self, Members, Window};
 use crate::store::KvDirectConfig;
 use crate::system::{assert_arrivals_sorted, SystemSim, SystemSimConfig};
 
@@ -86,7 +88,7 @@ pub struct ClusterSimConfig {
     pub rf: usize,
     /// Inter-node link shape (shared by every member pair).
     pub link: NodeLinkConfig,
-    /// Window quantum of the cluster clock.
+    /// Window quantum.
     pub quantum: SimTime,
     /// Virtual points per member on the consistent-hash ring.
     pub vnodes: usize,
@@ -96,7 +98,9 @@ pub struct ClusterSimConfig {
     /// declared dead. Must exceed `hb_every + 1` (beacon period plus
     /// delivery lookahead), or live members would be declared dead.
     pub hb_timeout: u64,
-    /// OS worker threads stepping members within a window.
+    /// OS worker threads stepping members within a window; `0` uses the
+    /// machine's available parallelism, and more workers than members run
+    /// as one per member. Results are bit-identical for any value.
     pub workers: usize,
     /// Optional mid-run node kill.
     pub kill: Option<NodeKill>,
@@ -135,7 +139,6 @@ impl ClusterSimConfig {
             self.hb_timeout,
             self.hb_every
         );
-        assert!(self.workers >= 1, "need at least one worker");
         if let Some(kill) = self.kill {
             assert!(
                 (kill.node as usize) < self.nodes,
@@ -291,10 +294,14 @@ impl ClusterReport {
 
 /// The cluster simulation: coordinator plus M member hosts.
 pub struct ClusterSim {
-    cfg: ClusterSimConfig,
-    clock: ClusterClock,
-    ring: HashRing,
     nodes: Vec<NodeState>,
+    coord: Coordinator,
+}
+
+/// Everything but the members: the state the boundary hook settles.
+struct Coordinator {
+    cfg: ClusterSimConfig,
+    ring: HashRing,
     /// Frames in flight: delivery window → (dest, arrival, frame), in
     /// emission order.
     inbox: BTreeMap<u64, Vec<(u32, SimTime, RepFrame)>>,
@@ -316,6 +323,24 @@ pub struct ClusterSim {
     read_hist: Histogram,
     kill_window: Option<u64>,
     detect_window: Option<u64>,
+    /// Client operations of the schedule routed so far.
+    cursor: usize,
+}
+
+/// The members as the coordinator sees them at a window boundary.
+type Nodes<'a, 'm> = Members<'a, 'm, NodeState>;
+
+/// The window containing instant `t`.
+fn window_of(t: SimTime, quantum: SimTime) -> u64 {
+    t.as_ps() / quantum.as_ps()
+}
+
+/// The earliest window in which a frame sent during window `sent_in`
+/// with raw arrival time `arrival` may be delivered: never before
+/// `sent_in + 1` (the one-window conservative lookahead), never before
+/// the arrival's own window.
+fn delivery_window(sent_in: u64, arrival: SimTime, quantum: SimTime) -> u64 {
+    window_of(arrival, quantum).max(sent_in + 1)
 }
 
 impl ClusterSim {
@@ -342,22 +367,24 @@ impl ClusterSim {
             })
             .collect();
         ClusterSim {
-            clock: ClusterClock::new(cfg.quantum),
-            ring: HashRing::with_nodes(cfg.nodes, cfg.vnodes),
             nodes,
-            inbox: BTreeMap::new(),
-            writes: BTreeMap::new(),
-            reads: BTreeMap::new(),
-            by_seq: BTreeMap::new(),
-            inflight: HashMap::new(),
-            deferred: HashMap::new(),
-            led: OpLedger::default(),
-            records: Vec::new(),
-            write_hist: Histogram::new(),
-            read_hist: Histogram::new(),
-            kill_window: None,
-            detect_window: None,
-            cfg,
+            coord: Coordinator {
+                ring: HashRing::with_nodes(cfg.nodes, cfg.vnodes),
+                inbox: BTreeMap::new(),
+                writes: BTreeMap::new(),
+                reads: BTreeMap::new(),
+                by_seq: BTreeMap::new(),
+                inflight: HashMap::new(),
+                deferred: HashMap::new(),
+                led: OpLedger::default(),
+                records: Vec::new(),
+                write_hist: Histogram::new(),
+                read_hist: Histogram::new(),
+                kill_window: None,
+                detect_window: None,
+                cursor: 0,
+                cfg,
+            },
         }
     }
 
@@ -369,7 +396,7 @@ impl ClusterSim {
     /// The placement ring (pinned to full membership; effective chains
     /// filter out detected-dead members).
     pub fn ring(&self) -> &HashRing {
-        &self.ring
+        &self.coord.ring
     }
 
     /// Runs a client schedule to full drain — every op resolves, by
@@ -390,7 +417,8 @@ impl ClusterSim {
                 .all(|(_, r)| matches!(r.op, OpCode::Get | OpCode::Put | OpCode::Delete)),
             "cluster v1 routes GET/PUT/DELETE only"
         );
-        self.records = schedule
+        let coord = &mut self.coord;
+        coord.records = schedule
             .iter()
             .map(|(t, r)| OpRecord {
                 op: r.op,
@@ -403,110 +431,138 @@ impl ClusterSim {
                 hedged: false,
             })
             .collect();
-
+        coord.cursor = 0;
+        let quantum = coord.cfg.quantum;
         let last_sched_window = schedule
             .last()
-            .map(|(t, _)| self.clock.window_of(*t))
+            .map(|(t, _)| window_of(*t, quantum))
             .unwrap_or(0);
-        let mut cursor = 0usize;
-        let mut k = 0u64;
-        loop {
-            let floor = self.clock.floor(k);
-            let horizon = self.clock.horizon(k);
 
-            // 1. Kill fires at the window boundary: the member is gone
-            // before anything in this window happens.
-            if let Some(kill) = self.cfg.kill {
-                let node = &mut self.nodes[kill.node as usize];
-                if k == kill.window && node.alive {
-                    node.alive = false;
-                    node.killed_at = k;
-                    self.kill_window = Some(k);
-                    self.led.cluster.node_kills += 1;
+        let first = Window::first(SimTime::ZERO, quantum);
+        let mut nodes = [&mut self.nodes[..]];
+        coord.open_window(&mut Members::new(&mut nodes), first, schedule);
+        let last = driver::drive(
+            &mut self.nodes,
+            coord.cfg.workers,
+            SimTime::ZERO,
+            quantum,
+            // The only parallel phase: members touch only their own state.
+            |_, node, w| {
+                if node.alive {
+                    node.sim
+                        .step_window_over(&node.feed[..], w.horizon, w.floor);
                 }
-            }
+            },
+            |nodes, w| {
+                // Consume newly recorded outcomes in member order and emit
+                // the resulting replication frames (sent at the horizon,
+                // delivered next window at the earliest).
+                coord.consume_outcomes(nodes, w.index, w.horizon);
+                let drained = coord.cursor >= schedule.len()
+                    && coord.writes.is_empty()
+                    && coord.reads.is_empty()
+                    && coord.inbox.is_empty()
+                    && nodes.iter().all(|n| n.feed_buf.is_empty());
+                if drained && w.index >= last_sched_window {
+                    return ControlFlow::Break(());
+                }
+                assert!(
+                    w.index + 1 < last_sched_window + 1_000_000,
+                    "cluster failed to drain: {} writes, {} reads outstanding",
+                    coord.writes.len(),
+                    coord.reads.len()
+                );
+                coord.open_window(nodes, w.next(SimTime::ZERO), schedule);
+                ControlFlow::Continue(SimTime::ZERO)
+            },
+        );
 
-            // 2. Deliver this window's frames (sent in earlier windows —
-            // the one-window lookahead makes this race-free).
-            for (dest, arrival, frame) in self.inbox.remove(&k).unwrap_or_default() {
-                self.deliver(dest, arrival.max(floor), frame, k);
-            }
-
-            // 3. Heartbeat broadcast from every live member — while any
-            // work remains. Once the schedule is exhausted and every op
-            // resolved, members fall silent so the run can drain (the
-            // already-in-flight beacons deliver and the inbox empties).
-            let work_left = cursor < schedule.len()
-                || !self.writes.is_empty()
-                || !self.reads.is_empty()
-                || !self.inbox.is_empty();
-            if work_left && k.is_multiple_of(self.cfg.hb_every) {
-                self.broadcast_heartbeats(k, floor);
-            }
-
-            // 4. Route this window's client arrivals.
-            while cursor < schedule.len() && self.clock.window_of(schedule[cursor].0) == k {
-                let (t, req) = &schedule[cursor];
-                self.route_client_op(cursor, *t, req.clone());
-                cursor += 1;
-            }
-
-            // 5. Failure detection: a silent member is declared dead by
-            // all survivors in the same window.
-            self.detect_failures(k, floor);
-
-            // 6. Feed each live member its window batch and step them —
-            // the only parallel phase; members touch only their own
-            // state.
-            self.feed_and_step(horizon, floor);
-
-            // 7. Consume newly recorded outcomes in member order and
-            // emit the resulting replication frames (sent at the
-            // horizon, delivered next window at the earliest).
-            self.consume_outcomes(k, horizon);
-
-            let drained = cursor >= schedule.len()
-                && self.writes.is_empty()
-                && self.reads.is_empty()
-                && self.inbox.is_empty()
-                && self.nodes.iter().all(|n| n.feed_buf.is_empty());
-            if drained && k >= last_sched_window {
-                break;
-            }
-            k += 1;
-            assert!(
-                k < last_sched_window + 1_000_000,
-                "cluster failed to drain: {} writes, {} reads outstanding",
-                self.writes.len(),
-                self.reads.len()
-            );
-        }
-
-        let mut ledger = self.led.clone();
+        let mut ledger = coord.led.clone();
         for node in &self.nodes {
             ledger.merge(&node.sim.ledger());
             node.link.emit_costs(&mut ledger);
         }
         ClusterReport {
             ops: schedule.len(),
-            elapsed: self.clock.horizon(k),
-            windows: k + 1,
+            elapsed: last.horizon,
+            windows: last.index + 1,
             ledger,
-            write_hist: self.write_hist.clone(),
-            read_hist: self.read_hist.clone(),
-            records: std::mem::take(&mut self.records),
-            kill_window: self.kill_window,
-            detect_window: self.detect_window,
+            write_hist: coord.write_hist.clone(),
+            read_hist: coord.read_hist.clone(),
+            records: std::mem::take(&mut coord.records),
+            kill_window: coord.kill_window,
+            detect_window: coord.detect_window,
+        }
+    }
+}
+
+impl Coordinator {
+    /// Settles everything window `w` sees before its members step: the
+    /// kill, frame delivery, heartbeats, client arrivals and failure
+    /// detection, then feeds each live member its window batch.
+    fn open_window(&mut self, nodes: &mut Nodes, w: Window, schedule: &[(SimTime, KvRequest)]) {
+        let (k, floor) = (w.index, w.floor);
+
+        // 1. Kill fires at the window boundary: the member is gone
+        // before anything in this window happens.
+        if let Some(kill) = self.cfg.kill {
+            let node = &mut nodes[kill.node as usize];
+            if k == kill.window && node.alive {
+                node.alive = false;
+                node.killed_at = k;
+                self.kill_window = Some(k);
+                self.led.cluster.node_kills += 1;
+            }
+        }
+
+        // 2. Deliver this window's frames (sent in earlier windows —
+        // the one-window lookahead makes this race-free).
+        for (dest, arrival, frame) in self.inbox.remove(&k).unwrap_or_default() {
+            self.deliver(nodes, dest, arrival.max(floor), frame, k);
+        }
+
+        // 3. Heartbeat broadcast from every live member — while any
+        // work remains. Once the schedule is exhausted and every op
+        // resolved, members fall silent so the run can drain (the
+        // already-in-flight beacons deliver and the inbox empties).
+        let work_left = self.cursor < schedule.len()
+            || !self.writes.is_empty()
+            || !self.reads.is_empty()
+            || !self.inbox.is_empty();
+        if work_left && k.is_multiple_of(self.cfg.hb_every) {
+            self.broadcast_heartbeats(nodes, k, floor);
+        }
+
+        // 4. Route this window's client arrivals.
+        while let Some((t, req)) = schedule.get(self.cursor) {
+            if window_of(*t, self.cfg.quantum) != k {
+                break;
+            }
+            self.route_client_op(nodes, self.cursor, *t, req.clone());
+            self.cursor += 1;
+        }
+
+        // 5. Failure detection: a silent member is declared dead by
+        // all survivors in the same window.
+        self.detect_failures(nodes, k, floor);
+
+        // 6. Feed each live member its window batch.
+        for node in nodes.iter_mut() {
+            if node.alive {
+                node.feed_window(floor, w.horizon);
+            } else {
+                node.feed_buf.clear();
+            }
         }
     }
 
-    fn deliver(&mut self, dest: u32, arrival: SimTime, frame: RepFrame, k: u64) {
-        if !self.nodes[dest as usize].alive {
+    fn deliver(&mut self, nodes: &mut Nodes, dest: u32, arrival: SimTime, frame: RepFrame, k: u64) {
+        if !nodes[dest as usize].alive {
             return; // frame lost with the member
         }
         match frame {
             RepFrame::Heartbeat { from, .. } => {
-                let sender = &mut self.nodes[from as usize];
+                let sender = &mut nodes[from as usize];
                 sender.last_hb = sender.last_hb.max(k);
             }
             RepFrame::Replicate { write, origin, .. } => {
@@ -518,7 +574,7 @@ impl ClusterSim {
                     return; // chain shrank past this member
                 }
                 let req = w.req.clone();
-                self.nodes[dest as usize]
+                nodes[dest as usize]
                     .feed_buf
                     .push((arrival, req, FedKind::Apply(op)));
             }
@@ -526,18 +582,18 @@ impl ClusterSim {
                 let Some(&op) = self.by_seq.get(&(dest, write)) else {
                     return; // already committed via a re-emitted ack
                 };
-                self.commit_write(op, k, arrival);
+                self.commit_write(nodes, op, k, arrival);
             }
         }
     }
 
-    fn broadcast_heartbeats(&mut self, k: u64, floor: SimTime) {
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].alive {
+    fn broadcast_heartbeats(&mut self, nodes: &mut Nodes, k: u64, floor: SimTime) {
+        for i in 0..self.cfg.nodes {
+            if !nodes[i].alive {
                 continue;
             }
-            for j in 0..self.nodes.len() {
-                if i == j || !self.nodes[j].alive {
+            for j in 0..self.cfg.nodes {
+                if i == j || !nodes[j].alive {
                     continue;
                 }
                 let frame = RepFrame::Heartbeat {
@@ -546,17 +602,23 @@ impl ClusterSim {
                 };
                 self.led.cluster.heartbeats += 1;
                 self.led.cluster.hb_bytes += frame.wire_len() as u64;
-                self.send(i as u32, j as u32, frame, k, floor);
+                self.send(nodes, i as u32, j as u32, frame, k, floor);
             }
         }
     }
 
     /// Charges a frame to the sender's link and schedules its delivery.
-    fn send(&mut self, from: u32, to: u32, frame: RepFrame, sent_in: u64, now: SimTime) {
-        let arrival = self.nodes[from as usize]
-            .link
-            .send(now, frame.wire_len() as u64);
-        let window = self.clock.delivery_window(sent_in, arrival);
+    fn send(
+        &mut self,
+        nodes: &mut Nodes,
+        from: u32,
+        to: u32,
+        frame: RepFrame,
+        sent_in: u64,
+        now: SimTime,
+    ) {
+        let arrival = nodes[from as usize].link.send(now, frame.wire_len() as u64);
+        let window = delivery_window(sent_in, arrival, self.cfg.quantum);
         self.inbox
             .entry(window)
             .or_default()
@@ -574,16 +636,16 @@ impl ClusterSim {
     /// yet. Until a repair plane copies data over, routing to that
     /// member would serve empty reads, so chains run **degraded** at
     /// reduced RF instead.
-    fn live_chain(&self, key: &[u8]) -> Vec<u32> {
+    fn live_chain(&self, nodes: &Nodes, key: &[u8]) -> Vec<u32> {
         let mut chain = self.ring.replicas(key, self.cfg.rf);
-        chain.retain(|&n| !self.nodes[n as usize].detected);
+        chain.retain(|&n| !nodes[n as usize].detected);
         chain
     }
 
-    fn route_client_op(&mut self, op: usize, t: SimTime, req: KvRequest) {
+    fn route_client_op(&mut self, nodes: &mut Nodes, op: usize, t: SimTime, req: KvRequest) {
         match req.op {
             OpCode::Get => {
-                let replicas = self.live_chain(&req.key);
+                let replicas = self.live_chain(nodes, &req.key);
                 let target = *replicas.last().expect("a live replica remains");
                 self.reads.insert(
                     op,
@@ -593,8 +655,8 @@ impl ClusterSim {
                         issue: t,
                     },
                 );
-                if self.nodes[target as usize].alive {
-                    self.nodes[target as usize]
+                if nodes[target as usize].alive {
+                    nodes[target as usize]
                         .feed_buf
                         .push((t, req, FedKind::Read(op)));
                 }
@@ -620,7 +682,7 @@ impl ClusterSim {
                         },
                     );
                 } else {
-                    self.issue_write(op, t, req);
+                    self.issue_write(nodes, op, t, req);
                 }
             }
             _ => unreachable!("validated in run()"),
@@ -629,15 +691,15 @@ impl ClusterSim {
 
     /// Puts a write on the wire: snapshot the chain, take a sequence
     /// number from the head, gate the key, feed the head.
-    fn issue_write(&mut self, op: usize, t: SimTime, req: KvRequest) {
-        let chain = self.live_chain(&req.key);
+    fn issue_write(&mut self, nodes: &mut Nodes, op: usize, t: SimTime, req: KvRequest) {
+        let chain = self.live_chain(nodes, &req.key);
         let head = chain[0];
-        let seq = self.nodes[head as usize].seq;
-        self.nodes[head as usize].seq += 1;
+        let seq = nodes[head as usize].seq;
+        nodes[head as usize].seq += 1;
         self.by_seq.insert((head, seq), op);
         self.inflight.insert(req.key.clone(), op);
-        if self.nodes[head as usize].alive {
-            self.nodes[head as usize]
+        if nodes[head as usize].alive {
+            nodes[head as usize]
                 .feed_buf
                 .push((t, req.clone(), FedKind::Write(op)));
         }
@@ -657,7 +719,7 @@ impl ClusterSim {
     }
 
     /// Tail ack reached the head: the write is committed to the client.
-    fn commit_write(&mut self, op: usize, k: u64, at: SimTime) {
+    fn commit_write(&mut self, nodes: &mut Nodes, op: usize, k: u64, at: SimTime) {
         let w = self.writes.remove(&op).expect("committing a live write");
         self.by_seq.remove(&(w.origin, w.seq));
         self.led.cluster.writes_acked += 1;
@@ -666,63 +728,63 @@ impl ClusterSim {
         rec.done_window = k;
         rec.acked = true;
         self.write_hist.record_time(at.max(w.issue) - w.issue);
-        self.release_key(&w.req.key, op, at);
+        self.release_key(nodes, &w.req.key, op, at);
     }
 
     /// A write resolved without commit (head apply failed, or every
     /// replica died).
-    fn fail_write(&mut self, op: usize, k: u64, status: Status, at: SimTime) {
+    fn fail_write(&mut self, nodes: &mut Nodes, op: usize, k: u64, status: Status, at: SimTime) {
         let w = self.writes.remove(&op).expect("failing a live write");
         self.by_seq.remove(&(w.origin, w.seq));
         self.led.cluster.writes_failed += 1;
         let rec = &mut self.records[op];
         rec.status = status;
         rec.done_window = k;
-        self.release_key(&w.req.key, op, at);
+        self.release_key(nodes, &w.req.key, op, at);
     }
 
     /// Opens the key's write gate and issues the next deferred write,
     /// preserving client order.
-    fn release_key(&mut self, key: &[u8], op: usize, at: SimTime) {
+    fn release_key(&mut self, nodes: &mut Nodes, key: &[u8], op: usize, at: SimTime) {
         if self.inflight.get(key) == Some(&op) {
             self.inflight.remove(key);
         }
         let next = self.deferred.get_mut(key).and_then(|q| q.pop_front());
         if let Some(next_op) = next {
             let w = self.writes.remove(&next_op).expect("deferred write staged");
-            self.issue_write(next_op, at.max(w.issue), w.req);
+            self.issue_write(nodes, next_op, at.max(w.issue), w.req);
         } else {
             self.deferred.remove(key);
         }
     }
 
-    fn detect_failures(&mut self, k: u64, floor: SimTime) {
-        for d in 0..self.nodes.len() {
-            let node = &self.nodes[d];
+    fn detect_failures(&mut self, nodes: &mut Nodes, k: u64, floor: SimTime) {
+        for d in 0..self.cfg.nodes {
+            let node = &nodes[d];
             if node.alive || node.detected {
                 continue;
             }
             if k.saturating_sub(node.last_hb) <= self.cfg.hb_timeout {
                 continue;
             }
-            self.nodes[d].detected = true;
+            nodes[d].detected = true;
             self.detect_window = Some(k);
             self.led.cluster.failovers += 1;
             self.led.cluster.promotions += 1;
-            let depth = k - self.nodes[d].killed_at;
+            let depth = k - nodes[d].killed_at;
             self.led.cluster.failover_depth_windows =
                 self.led.cluster.failover_depth_windows.max(depth);
             // The placement ring is left intact: the effective chain for
             // every key is `live_chain` (placement minus detected-dead
             // members), so chains run degraded at reduced RF rather than
             // backfilling a data-less member mid-run.
-            self.recover_writes(d as u32, k, floor);
-            self.recover_reads(d as u32, floor);
+            self.recover_writes(nodes, d as u32, k, floor);
+            self.recover_reads(nodes, d as u32, floor);
         }
     }
 
     /// Walks every unresolved write through the failover rules.
-    fn recover_writes(&mut self, dead: u32, k: u64, floor: SimTime) {
+    fn recover_writes(&mut self, nodes: &mut Nodes, dead: u32, k: u64, floor: SimTime) {
         let ops: Vec<usize> = self.writes.keys().copied().collect();
         for op in ops {
             let Some(w) = self.writes.get_mut(&op) else {
@@ -739,7 +801,7 @@ impl ClusterSim {
             }
             if w.chain.is_empty() {
                 // Every replica died (only possible at RF == kill count).
-                self.fail_write(op, k, Status::DeviceError, floor);
+                self.fail_write(nodes, op, k, Status::DeviceError, floor);
                 continue;
             }
             if w.origin == dead {
@@ -748,8 +810,8 @@ impl ClusterSim {
                 // (addressed to the head) would never match `by_seq`.
                 self.by_seq.remove(&(w.origin, w.seq));
                 let new_head = w.chain[0];
-                let seq = self.nodes[new_head as usize].seq;
-                self.nodes[new_head as usize].seq += 1;
+                let seq = nodes[new_head as usize].seq;
+                nodes[new_head as usize].seq += 1;
                 w.origin = new_head;
                 w.seq = seq;
                 self.by_seq.insert((new_head, seq), op);
@@ -768,7 +830,7 @@ impl ClusterSim {
                     }
                     self.led.cluster.client_retries += 1;
                     self.records[op].retried = true;
-                    self.issue_write(op, issue.max(floor), req);
+                    self.issue_write(nodes, op, issue.max(floor), req);
                 }
                 Some(last) if last + 1 == w.chain.len() => {
                     // Tail apply exists; the ack was lost with the dead
@@ -777,13 +839,13 @@ impl ClusterSim {
                     // case the write commits on the spot.
                     if w.chain.len() == 1 {
                         self.led.cluster.rep_retries += 1;
-                        self.commit_write(op, k, floor);
+                        self.commit_write(nodes, op, k, floor);
                     } else {
                         let (from, to) = (w.chain[last], w.chain[0]);
                         let frame = RepFrame::Ack { write: w.seq, from };
                         self.led.cluster.rep_acks += 1;
                         self.led.cluster.rep_retries += 1;
-                        self.send(from, to, frame, k, floor);
+                        self.send(nodes, from, to, frame, k, floor);
                     }
                 }
                 Some(last) => {
@@ -797,7 +859,7 @@ impl ClusterSim {
                     };
                     self.led.cluster.orphan_redrives += 1;
                     self.led.cluster.rep_retries += 1;
-                    self.send(from, to, frame, k, floor);
+                    self.send(nodes, from, to, frame, k, floor);
                 }
             }
         }
@@ -805,7 +867,7 @@ impl ClusterSim {
 
     /// Hedges every read outstanding against the dead member to the new
     /// tail of its key.
-    fn recover_reads(&mut self, dead: u32, floor: SimTime) {
+    fn recover_reads(&mut self, nodes: &mut Nodes, dead: u32, floor: SimTime) {
         let ops: Vec<usize> = self
             .reads
             .iter()
@@ -814,7 +876,7 @@ impl ClusterSim {
             .collect();
         for op in ops {
             let key = self.reads[&op].key.clone();
-            let replicas = self.live_chain(&key);
+            let replicas = self.live_chain(nodes, &key);
             let target = *replicas.last().expect("a live replica remains");
             self.reads
                 .get_mut(&op)
@@ -823,71 +885,37 @@ impl ClusterSim {
             self.led.cluster.hedged_reads += 1;
             self.records[op].hedged = true;
             let req = KvRequest::get(&key);
-            if self.nodes[target as usize].alive {
-                self.nodes[target as usize]
+            if nodes[target as usize].alive {
+                nodes[target as usize]
                     .feed_buf
                     .push((floor, req, FedKind::Read(op)));
             }
         }
     }
 
-    /// Feeds each live member its accumulated window batch and steps all
-    /// members — in parallel when configured. Members touch only their own
-    /// state, and every input was settled at the window boundary, so the
-    /// worker count cannot change any outcome.
-    fn feed_and_step(&mut self, horizon: SimTime, floor: SimTime) {
-        for node in self.nodes.iter_mut() {
-            if node.alive {
-                node.feed_window(floor, horizon);
-            } else {
-                node.feed_buf.clear();
-            }
-        }
-        let step = |nodes: &mut [NodeState]| {
-            for node in nodes.iter_mut().filter(|n| n.alive) {
-                node.sim.step_window_over(&node.feed[..], horizon, floor);
-            }
-        };
-        let workers = self.cfg.workers.min(self.nodes.len()).max(1);
-        if workers == 1 {
-            step(&mut self.nodes);
-        } else {
-            let chunk = self.nodes.len().div_ceil(workers);
-            crossbeam::thread::scope(|s| {
-                for nodes in self.nodes.chunks_mut(chunk) {
-                    s.spawn(move |_| step(nodes));
-                }
-            })
-            .expect("member worker panicked");
-        }
-    }
-
     /// Consumes outcomes the members just produced, in member order, and
     /// emits the next replication hops at the window horizon.
-    fn consume_outcomes(&mut self, k: u64, horizon: SimTime) {
-        for n in 0..self.nodes.len() {
-            if !self.nodes[n].alive {
+    fn consume_outcomes(&mut self, nodes: &mut Nodes, k: u64, horizon: SimTime) {
+        for n in 0..self.cfg.nodes {
+            if !nodes[n].alive {
                 continue;
             }
-            let total = self.nodes[n].sim.outcomes().len();
-            for i in self.nodes[n].consumed..total {
-                let kind = self.nodes[n].fed[i];
-                let (status, value) = {
-                    let (s, v) = &self.nodes[n].sim.outcomes()[i];
-                    (*s, v.clone())
-                };
-                self.on_outcome(n as u32, kind, status, value, k, horizon);
+            let total = nodes[n].sim.outcomes().len();
+            for i in nodes[n].consumed..total {
+                let kind = nodes[n].fed[i];
+                let outcome = nodes[n].sim.outcomes()[i].clone();
+                self.on_outcome(nodes, n as u32, kind, outcome, k, horizon);
             }
-            self.nodes[n].consumed = total;
+            nodes[n].consumed = total;
         }
     }
 
     fn on_outcome(
         &mut self,
+        nodes: &mut Nodes,
         node: u32,
         kind: FedKind,
-        status: Status,
-        value: Vec<u8>,
+        (status, value): (Status, Vec<u8>),
         k: u64,
         horizon: SimTime,
     ) {
@@ -912,7 +940,7 @@ impl ClusterSim {
                 // DELETE of an absent key reports NotFound — a fine
                 // apply. Anything else non-Ok is a device-level failure.
                 if status != Status::Ok && status != Status::NotFound {
-                    self.fail_write(op, k, status, horizon);
+                    self.fail_write(nodes, op, k, status, horizon);
                     return;
                 }
                 w.applied[pos] = true;
@@ -921,7 +949,7 @@ impl ClusterSim {
                     // chain of one commits immediately — the head is the
                     // tail.
                     if w.chain.len() == 1 {
-                        self.commit_write(op, k, horizon);
+                        self.commit_write(nodes, op, k, horizon);
                     } else {
                         let frame = RepFrame::Ack {
                             write: w.seq,
@@ -929,7 +957,7 @@ impl ClusterSim {
                         };
                         let to = w.chain[0];
                         self.led.cluster.rep_acks += 1;
-                        self.send(node, to, frame, k, horizon);
+                        self.send(nodes, node, to, frame, k, horizon);
                     }
                 } else {
                     let frame = RepFrame::Replicate {
@@ -938,7 +966,7 @@ impl ClusterSim {
                         req: w.req.clone(),
                     };
                     let to = w.chain[pos + 1];
-                    self.send(node, to, frame, k, horizon);
+                    self.send(nodes, node, to, frame, k, horizon);
                 }
             }
         }
@@ -977,6 +1005,29 @@ mod tests {
             t += gap;
         }
         out
+    }
+
+    #[test]
+    fn clock_windows_partition_time() {
+        let q = SimTime::from_us(2);
+        let first = Window::first(SimTime::ZERO, q);
+        assert_eq!((first.floor, first.horizon), (SimTime::ZERO, q));
+        let third = first
+            .next(SimTime::ZERO)
+            .next(SimTime::ZERO)
+            .next(SimTime::ZERO);
+        assert_eq!((third.index, third.floor), (3, SimTime::from_us(6)));
+        assert_eq!(window_of(SimTime::from_ns(1_999), q), 0);
+        assert_eq!(window_of(SimTime::from_us(2), q), 1);
+    }
+
+    #[test]
+    fn delivery_never_lands_in_the_sending_window() {
+        let q = SimTime::from_us(2);
+        // Raw arrival inside the sending window: pushed to the next.
+        assert_eq!(delivery_window(4, SimTime::from_us(9), q), 5);
+        // Raw arrival far in the future: its own window wins.
+        assert_eq!(delivery_window(4, SimTime::from_us(40), q), 20);
     }
 
     #[test]

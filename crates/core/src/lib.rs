@@ -15,9 +15,7 @@
 //!   registered before use — the same contract.
 //! * [`processor`] — the KV processor: executes request batches with the
 //!   station in the loop.
-//! * [`store`] — [`KvDirectStore`], the embedder-facing API, plus
-//!   [`MultiNicStore`] for the paper's multi-NIC scaling (10 NICs →
-//!   1.22 Gops).
+//! * [`store`] — [`KvDirectStore`], the embedder-facing API.
 //! * [`overload`] — the overload-control plane: watermark admission with
 //!   hysteresis, deadline expiry and read-only degradation, counted in
 //!   the ledger's `core` section.
@@ -30,8 +28,13 @@
 //! * [`cluster`] — the multi-node plane: M member hosts in window
 //!   lockstep, chain replication over consistent hashing, heartbeat
 //!   failure detection and deterministic failover.
+//!
+//! Both multi-instance engines run on one window driver: persistent
+//! scoped workers step the members window by window, and one boundary
+//! hook per window settles what they produced.
 
 pub mod cluster;
+pub(crate) mod driver;
 pub mod lambda;
 pub mod overload;
 pub mod parallel;
@@ -45,5 +48,5 @@ pub use lambda::{builtin, Lambda, LambdaRegistry};
 pub use overload::{AdmissionController, HotKeyConfig, OverloadConfig, Watermarks};
 pub use parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 pub use processor::{KvProcessor, RequestStream};
-pub use store::{KvDirectConfig, KvDirectStore, MultiNicStore, StoreError};
+pub use store::{KvDirectConfig, KvDirectStore, StoreError};
 pub use system::{Percentile, RunSummary, SystemSim, SystemSimConfig, SystemSimReport, WindowStep};

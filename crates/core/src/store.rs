@@ -1,20 +1,19 @@
 //! The embedder-facing KV-Direct store.
 //!
 //! [`KvDirectStore`] wraps one simulated NIC (KV processor + dispatched
-//! memory stack) behind the operations of Table 1. [`MultiNicStore`]
-//! shards keys across several NICs, reproducing the paper's multi-NIC
-//! deployment where "10 programmable NIC cards in a commodity server"
-//! reach 1.22 billion KV operations per second.
+//! memory stack) behind the operations of Table 1. The paper's multi-NIC
+//! deployment, where "10 programmable NIC cards in a commodity server"
+//! reach 1.22 billion KV operations per second, is
+//! [`ParallelSystemSim`](crate::ParallelSystemSim): one store per shard.
 
 use kvd_hash::{HashTable, HashTableConfig};
 use kvd_mem::{AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, NicDramConfig};
-use kvd_net::{shard_of, KvRequest, KvRequestRef, KvResponse, OpCode, Status};
+use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
 use kvd_ooo::StationConfig;
 use kvd_sim::{Bandwidth, CostSource, FaultPlane, FaultRates, OpLedger};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
 use crate::overload::OverloadConfig;
-use crate::parallel::{route, Routed};
 use crate::processor::{KvProcessor, RequestStream};
 
 /// Errors surfaced by the store API.
@@ -456,90 +455,6 @@ impl CostSource for KvDirectStore {
     }
 }
 
-/// A multi-NIC deployment: keys shard across NICs by hash, each NIC
-/// owning a disjoint slice of host memory (the paper's 10-NIC setup).
-///
-/// # Examples
-///
-/// ```
-/// use kvd_core::{KvDirectConfig, MultiNicStore};
-///
-/// let mut s = MultiNicStore::new(KvDirectConfig::with_memory(1 << 20), 4);
-/// s.put(b"a", b"1").unwrap();
-/// assert_eq!(s.get(b"a").unwrap(), b"1");
-/// assert_eq!(s.nics(), 4);
-/// ```
-pub struct MultiNicStore {
-    nics: Vec<KvDirectStore>,
-}
-
-impl MultiNicStore {
-    /// Creates `n` NICs, each with its own `cfg`-sized memory slice.
-    pub fn new(cfg: KvDirectConfig, n: usize) -> Self {
-        assert!(n >= 1);
-        MultiNicStore {
-            nics: (0..n).map(|_| KvDirectStore::new(cfg.clone())).collect(),
-        }
-    }
-
-    /// Number of NICs.
-    pub fn nics(&self) -> usize {
-        self.nics.len()
-    }
-
-    fn shard(&self, key: &[u8]) -> usize {
-        // Client-side sharding: shared with the parallel engine so both
-        // layers agree on key ownership.
-        shard_of(key, self.nics.len())
-    }
-
-    /// Routes a GET to the owning NIC.
-    pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        let s = self.shard(key);
-        self.nics[s].get(key)
-    }
-
-    /// Routes a PUT to the owning NIC.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let s = self.shard(key);
-        self.nics[s].put(key, value)
-    }
-
-    /// Routes a DELETE to the owning NIC.
-    pub fn delete(&mut self, key: &[u8]) -> bool {
-        let s = self.shard(key);
-        self.nics[s].delete(key)
-    }
-
-    /// Routes a fetch-and-add to the owning NIC.
-    pub fn fetch_add(&mut self, key: &[u8], delta: u64) -> Result<u64, StoreError> {
-        let s = self.shard(key);
-        self.nics[s].fetch_add(key, delta)
-    }
-
-    /// Scatters a batch to the owning NICs and gathers responses in
-    /// order. Nothing is copied on the way in: each NIC's core reads its
-    /// share of `reqs` through a routed view.
-    pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
-        let mut routes = vec![Vec::new(); self.nics.len()];
-        route(reqs, &mut routes);
-        let mut out = vec![KvResponse::default(); reqs.len()];
-        for (nic, idx) in self.nics.iter_mut().zip(&routes) {
-            let mut answers = vec![KvResponse::default(); idx.len()];
-            nic.run(&Routed { reqs, idx }, &mut answers);
-            for (&i, answer) in idx.iter().zip(answers) {
-                out[i as usize] = answer;
-            }
-        }
-        out
-    }
-
-    /// Per-NIC access to the shards.
-    pub fn nic(&self, i: usize) -> &KvDirectStore {
-        &self.nics[i]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,28 +607,6 @@ mod tests {
         assert_eq!(rs[3].value, b"2");
         assert_eq!(rs[4].status, Status::Ok);
         assert_eq!(rs[5].status, Status::NotFound);
-    }
-
-    #[test]
-    fn multinic_sharding_roundtrip() {
-        let mut s = MultiNicStore::new(KvDirectConfig::with_memory(1 << 20), 4);
-        for i in 0..200u32 {
-            s.put(format!("key-{i}").as_bytes(), &i.to_le_bytes())
-                .unwrap();
-        }
-        for i in 0..200u32 {
-            assert_eq!(
-                s.get(format!("key-{i}").as_bytes()).unwrap(),
-                i.to_le_bytes()
-            );
-        }
-        // Keys actually spread across NICs.
-        let loads: Vec<u64> = (0..4).map(|i| s.nic(i).processor().table().len()).collect();
-        assert!(
-            loads.iter().all(|&l| l > 10),
-            "unbalanced shards: {loads:?}"
-        );
-        assert_eq!(loads.iter().sum::<u64>(), 200);
     }
 
     #[test]
@@ -1047,22 +940,5 @@ mod tests {
             (0, 0, 0)
         );
         assert_eq!(c.admitted, 600);
-    }
-
-    #[test]
-    fn multinic_batch_scatter_gather() {
-        let mut s = MultiNicStore::new(KvDirectConfig::with_memory(1 << 20), 3);
-        let reqs: Vec<KvRequest> = (0..50u64)
-            .flat_map(|i| {
-                vec![
-                    KvRequest::put(&i.to_le_bytes(), &(i * 2).to_le_bytes()),
-                    KvRequest::get(&i.to_le_bytes()),
-                ]
-            })
-            .collect();
-        let rs = s.execute_batch(&reqs);
-        for i in 0..50usize {
-            assert_eq!(rs[2 * i + 1].value, ((i as u64) * 2).to_le_bytes());
-        }
     }
 }

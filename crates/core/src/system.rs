@@ -209,8 +209,8 @@ struct OpLoad {
 }
 
 /// What one [`SystemSim::step_window_over`] window produced: just the
-/// three scalars the credit arbiter settles on, no ledger
-/// materialization, so a shard's publication path stays off the allocator.
+/// three scalars the parallel engine's window rendezvous reads, no
+/// ledger materialization, so a shard's window stays off the allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowStep {
     /// Host-memory cache lines (PCIe DMA reads + writes) issued inside
@@ -225,8 +225,8 @@ pub struct WindowStep {
     /// [`SimTime::MAX`] once the stream is drained. A window
     /// `[floor, horizon)` with `next_event >= horizon` processes nothing
     /// (batch issue times are floored at `floor < horizon` but start no
-    /// earlier than this), which is what lets the credit arbiter settle
-    /// idle windows with null messages instead of waking the shard.
+    /// earlier than this), which is what lets the parallel engine skip
+    /// the shard for such a window (a null message) instead of stepping it.
     pub next_event: SimTime,
     /// True once every request of the lent stream has resolved.
     pub done: bool,
@@ -386,7 +386,7 @@ impl SystemSim {
     /// Folds the shared host arbiter's verdict for the previous lockstep
     /// window into this shard's pressure signal: `stall / quantum` is how
     /// far host DRAM oversubscription stretched simulated time. Called by
-    /// the parallel engine at its barrier; purely a pressure input, it
+    /// the parallel engine at each window's rendezvous; purely a pressure input, it
     /// does not move any component clock (the engine's issue-floor
     /// already models the stall).
     pub fn absorb_host_stall(&mut self, stall: SimTime, quantum: SimTime) {

@@ -1,18 +1,18 @@
 //! Steady-state allocation guard for the parallel engine's whole `run`
 //! and `run_open`.
 //!
-//! Mirror of `zero_alloc.rs` for the asynchronous credit engine: after
+//! Mirror of `zero_alloc.rs` for the parallel engine: after
 //! warm-up runs have grown every pool (buffer pools, the router's index
 //! lists, the report's merge histograms), [`ParallelSystemSim::run`] and
 //! [`ParallelSystemSim::run_open`] with one worker must perform **zero**
 //! heap allocations, from routing to the merged report they return. Routing records positions into the
 //! caller's slice in pooled `Vec<u32>`s and clones no request, the
 //! calling thread drives the shards itself, a run resets its histograms
-//! in place, window publication is three `u64` atomics, and ledgers
-//! accumulate in per-shard arenas folded once per report.
+//! in place, a window's rendezvous reads three `u64`s per shard, and
+//! ledgers accumulate in per-shard arenas folded once per report.
 //!
-//! Multi-worker runs allocate only the scoped worker threads, which the
-//! single-worker loop never spawns. The first case is GET-only, like
+//! Multi-worker runs allocate only the scoped worker threads and their
+//! channels, once per run, which the single-worker loop never spawns. The first case is GET-only, like
 //! `zero_alloc.rs`; the second mixes in SETs of 40-480 B to show that
 //! routing copies no payload (the write path itself is pinned
 //! allocation-free by `zero_alloc_write.rs`). Both cases then repeat

@@ -2,14 +2,14 @@
 //!
 //! Two guarantees the multi-NIC deployment rests on: (1) routing is a
 //! pure function of the key — the same key always reaches the same
-//! shard, and `MultiNicStore` physically places it on the shard
-//! [`shard_of`] names, so the functional store and the parallel engine
-//! agree on ownership; (2) the partition stays usable under the paper's
+//! shard, and `ParallelSystemSim::preload_put` physically places it in
+//! the store of the shard [`shard_of`] names, so the client's routing and
+//! the engine's shards agree on ownership; (2) the partition stays usable under the paper's
 //! skewed workloads — even Zipf-0.99 traffic (YCSB presets) does not
 //! collapse onto one shard, because routing hashes keys rather than
 //! ranks.
 
-use kvd_core::{KvDirectConfig, MultiNicStore};
+use kvd_core::{KvDirectConfig, ParallelSimConfig, ParallelSystemSim};
 use kvd_net::{shard_of, OpCode};
 use kvd_workloads::presets::{PresetWorkload, YcsbPreset};
 use proptest::prelude::*;
@@ -34,26 +34,32 @@ proptest! {
         }
     }
 
-    /// `MultiNicStore` places every key on exactly the shard `shard_of`
-    /// computes: per-NIC table occupancy matches the predicted partition,
-    /// and every key is readable back through routed GETs.
+    /// `preload_put` places every key on exactly the shard `shard_of`
+    /// computes: per-shard table occupancy matches the predicted
+    /// partition, and every key is readable back from the shard it routes
+    /// to.
     #[test]
     fn store_partition_matches_shard_of(keys in keys(), shards in 1usize..6) {
         let unique: Vec<Vec<u8>> = {
             let mut seen = HashSet::new();
             keys.into_iter().filter(|k| seen.insert(k.clone())).collect()
         };
-        let mut store = MultiNicStore::new(KvDirectConfig::with_memory(1 << 20), shards);
+        let mut sim = ParallelSystemSim::new(ParallelSimConfig::paper(
+            KvDirectConfig::with_memory(1 << 20),
+            8,
+            shards,
+        ));
         let mut expected = vec![0u64; shards];
         for (i, k) in unique.iter().enumerate() {
-            store.put(k, &(i as u64).to_le_bytes()).expect("put fits");
+            sim.preload_put(k, &(i as u64).to_le_bytes()).expect("put fits");
             expected[shard_of(k, shards)] += 1;
         }
         for (i, k) in unique.iter().enumerate() {
-            prop_assert_eq!(store.get(k).expect("routed key present"), (i as u64).to_le_bytes());
+            let got = sim.shard_store_mut(shard_of(k, shards)).get(k);
+            prop_assert_eq!(got.expect("routed key present"), (i as u64).to_le_bytes());
         }
         let actual: Vec<u64> = (0..shards)
-            .map(|i| store.nic(i).processor().table().len())
+            .map(|i| sim.shard_store_mut(i).processor().table().len())
             .collect();
         prop_assert_eq!(actual, expected);
     }

@@ -1,7 +1,7 @@
-//! Oracle for the window summary the credit arbiter settles on.
+//! Oracle for the window summary the parallel engine settles on.
 //!
-//! The asynchronous parallel engine settles windows on the three scalars
-//! of [`SystemSim::step_window_over`]'s [`WindowStep`] instead of a
+//! The parallel engine's window rendezvous reads the three scalars of
+//! [`SystemSim::step_window_over`]'s [`WindowStep`] instead of a
 //! materialised ledger delta. That is only sound if (a) the scalar
 //! `host_lines` equals the ledger delta's over the same window (the
 //! simulator's PCIe DMA ledger entries are sourced solely from the memory

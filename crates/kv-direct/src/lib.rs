@@ -44,9 +44,9 @@
 
 pub use kvd_core::{
     builtin, tick_of_us, AdmissionController, ClusterReport, ClusterSim, ClusterSimConfig,
-    HotKeyConfig, KvDirectConfig, KvDirectStore, KvProcessor, Lambda, LambdaRegistry,
-    MultiNicStore, NodeKill, OpRecord, OverloadConfig, ParallelSimConfig, ParallelSimReport,
-    ParallelSystemSim, StoreError, Watermarks, EXPIRY_TICK_US,
+    HotKeyConfig, KvDirectConfig, KvDirectStore, KvProcessor, Lambda, LambdaRegistry, NodeKill,
+    OpRecord, OverloadConfig, ParallelSimConfig, ParallelSimReport, ParallelSystemSim, StoreError,
+    Watermarks, EXPIRY_TICK_US,
 };
 pub use kvd_net::{
     decode_packet, decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse,

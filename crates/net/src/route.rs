@@ -3,9 +3,9 @@
 //! The paper's multi-NIC deployment partitions the key space across NICs
 //! "based on the hash of keys" — clients compute the owning NIC before
 //! sending, so no inter-NIC traffic exists on the data path. This module
-//! holds that hash so every layer (the functional `MultiNicStore`, the
-//! parallel simulation engine, the server's shards) routes identically: a key
-//! always lands on the same shard no matter which component asks.
+//! holds that hash so every layer (the parallel simulation engine, the
+//! server's shards) routes identically: a key always lands on the same
+//! shard no matter which component asks.
 
 /// Routes `key` to one of `shards` partitions.
 ///

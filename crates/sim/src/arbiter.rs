@@ -60,11 +60,11 @@ pub struct ArbiterStats {
     pub lines: u64,
     /// Total stall injected across all windows.
     pub stall: SimTime,
-    /// Window publications the credit arbiter's settler made on a
-    /// shard's behalf — Chandy–Misra null messages, one per window a
-    /// shard sat out because it had drained or its next event lay at or
-    /// beyond the horizon. A run whose shards are busy over the same span
-    /// of simulated time has few; a bare [`HostArbiter`] has none.
+    /// Null messages: one per window a shard sat out because it had
+    /// drained or its next event lay at or beyond the horizon, counted
+    /// by the parallel engine through [`HostArbiter::note_null_messages`].
+    /// A run whose shards are busy over the same span of simulated time
+    /// has few.
     pub null_messages: u64,
 }
 
@@ -128,9 +128,8 @@ impl HostArbiter {
         self.stats
     }
 
-    /// Counts `n` null messages (the credit arbiter's settler is the only
-    /// source; see [`ArbiterStats::null_messages`]).
-    pub(crate) fn note_null_messages(&mut self, n: u64) {
+    /// Counts `n` null messages (see [`ArbiterStats::null_messages`]).
+    pub fn note_null_messages(&mut self, n: u64) {
         self.stats.null_messages += n;
     }
 }

@@ -1,21 +1,11 @@
-//! Inter-node fabric primitives for the multi-host cluster plane.
+//! Inter-node fabric primitive for the multi-host cluster plane.
 //!
 //! The single-host engine scales to N NICs sharing one server's DRAM
-//! (`HostArbiter`/`CreditArbiter`); this module supplies what the next
-//! level up needs: a timed point-to-point **node link** with
-//! configurable latency and bandwidth ([`NodeLink`]) over which
-//! replication frames and heartbeats travel, and the **cluster clock**
-//! ([`ClusterClock`]) — the fixed-quantum window discipline that keeps
-//! inter-node delivery deterministic regardless of how many OS workers
-//! drive the member hosts.
-//!
-//! The delivery rule is the credit arbiter's conservative-lookahead
-//! discipline applied between hosts: a frame sent during window `k` is
-//! never visible to its destination before window `k + 1`. Within a
-//! window every node therefore depends only on state settled at the
-//! window boundary, so nodes can be stepped on any number of worker
-//! threads and the merged ledgers stay bit-identical (the cluster-level
-//! analogue of the per-shard null-message protocol).
+//! (`HostArbiter`); this module supplies what the next level up needs: a
+//! timed point-to-point **node link** with configurable latency and
+//! bandwidth ([`NodeLink`]) over which replication frames and heartbeats
+//! travel. The window discipline that keeps inter-node delivery
+//! deterministic lives with the cluster engine in `kvd-core`.
 
 use crate::ledger::{ClusterCosts, CostSource, OpLedger};
 use crate::resource::BandwidthLink;
@@ -107,57 +97,6 @@ impl CostSource for NodeLink {
     }
 }
 
-/// The cluster's fixed-quantum window clock.
-///
-/// Window `k` spans `[k·q, (k+1)·q)`. The clock is pure arithmetic — it
-/// exists so every layer (node stepping, frame delivery, heartbeat
-/// emission, kill placement) quantizes time identically, which is what
-/// the bit-determinism argument rests on.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterClock {
-    quantum: SimTime,
-}
-
-impl ClusterClock {
-    /// A clock with the given window quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn new(quantum: SimTime) -> Self {
-        assert!(quantum > SimTime::ZERO, "cluster quantum must be positive");
-        ClusterClock { quantum }
-    }
-
-    /// The window quantum.
-    pub fn quantum(&self) -> SimTime {
-        self.quantum
-    }
-
-    /// Start of window `k` (the issue floor for that window).
-    pub fn floor(&self, k: u64) -> SimTime {
-        self.quantum * k
-    }
-
-    /// End of window `k` (exclusive horizon).
-    pub fn horizon(&self, k: u64) -> SimTime {
-        self.quantum * (k + 1)
-    }
-
-    /// The window containing instant `t`.
-    pub fn window_of(&self, t: SimTime) -> u64 {
-        t.as_ps() / self.quantum.as_ps()
-    }
-
-    /// The earliest window in which a frame sent during window `k` with
-    /// raw arrival time `arrival` may be delivered: never before
-    /// `k + 1` (the one-window conservative lookahead), never before
-    /// the arrival's own window.
-    pub fn delivery_window(&self, sent_in: u64, arrival: SimTime) -> u64 {
-        self.window_of(arrival).max(sent_in + 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,24 +123,5 @@ mod tests {
         link.emit_costs(&mut ledger);
         assert_eq!(ledger.cluster.rep_frames, 2);
         assert_eq!(ledger.cluster.rep_bytes, 128);
-    }
-
-    #[test]
-    fn clock_windows_partition_time() {
-        let clk = ClusterClock::new(SimTime::from_us(2));
-        assert_eq!(clk.floor(0), SimTime::ZERO);
-        assert_eq!(clk.horizon(0), SimTime::from_us(2));
-        assert_eq!(clk.floor(3), SimTime::from_us(6));
-        assert_eq!(clk.window_of(SimTime::from_ns(1_999)), 0);
-        assert_eq!(clk.window_of(SimTime::from_us(2)), 1);
-    }
-
-    #[test]
-    fn delivery_never_lands_in_the_sending_window() {
-        let clk = ClusterClock::new(SimTime::from_us(2));
-        // Raw arrival inside the sending window: pushed to the next.
-        assert_eq!(clk.delivery_window(4, SimTime::from_us(9)), 5);
-        // Raw arrival far in the future: its own window wins.
-        assert_eq!(clk.delivery_window(4, SimTime::from_us(40)), 20);
     }
 }

@@ -17,11 +17,8 @@
 //!   "long-tail" workload is Zipf with skewness 0.99).
 //! * [`arbiter`] — the conservative time-quantum host-memory arbiter
 //!   ([`arbiter::HostArbiter`]) that lets parallel per-shard simulations share the
-//!   server's aggregate DRAM bandwidth deterministically.
-//! * [`credit`] — the asynchronous bounded-lookahead credit issuer
-//!   ([`CreditArbiter`]) wrapping the arbiter: shards publish window
-//!   traffic through per-shard atomics and idle windows settle by
-//!   Chandy–Misra null messages instead of a global barrier.
+//!   server's aggregate DRAM bandwidth deterministically: the parallel
+//!   engine charges it each window's traffic at the window rendezvous.
 //! * [`fault`] — deterministic, seed-driven fault injection
 //!   ([`FaultPlane`]) consulted by the PCIe, DRAM and network models.
 //! * [`pressure`] — the [`PressureGauge`] backpressure snapshot shared by
@@ -29,10 +26,8 @@
 //!   admission layer.
 //! * [`chaos`] — seeded bursty open-loop arrival schedules
 //!   ([`ChaosSchedule`]) for overload/chaos soak testing.
-//! * [`cluster`] — inter-node fabric primitives ([`NodeLink`],
-//!   [`ClusterClock`]) for the multi-host replication plane: timed
-//!   host-to-host links and the fixed-quantum window discipline that
-//!   keeps cross-node delivery deterministic.
+//! * [`cluster`] — the inter-node fabric primitive ([`NodeLink`]) for the
+//!   multi-host replication plane: timed host-to-host links.
 //! * [`ledger`] — the typed, mergeable op-cost ledger ([`OpLedger`])
 //!   every plane emits into through [`CostSource`] — the only counter
 //!   surface stores, simulators and reports expose.
@@ -47,7 +42,6 @@
 pub mod arbiter;
 pub mod chaos;
 pub mod cluster;
-pub mod credit;
 pub mod fault;
 pub mod ledger;
 pub mod pressure;
@@ -61,8 +55,7 @@ pub mod time;
 
 pub use arbiter::{ArbiterStats, HostArbiterConfig};
 pub use chaos::{ChaosConfig, ChaosPhase, ChaosSchedule};
-pub use cluster::{ClusterClock, NodeLink, NodeLinkConfig};
-pub use credit::{Credit, CreditArbiter};
+pub use cluster::{NodeLink, NodeLinkConfig};
 pub use fault::{DramFault, FaultPlane, FaultRates, NetFault, PcieFault, TxnOutcome};
 pub use ledger::{
     CacheCosts, ClusterCosts, Component, CoreCosts, CostSource, DramCosts, ExpiryCosts,

@@ -132,27 +132,37 @@ fn utilization_metric_consistent_across_stack() {
 
 #[test]
 fn multi_nic_matches_single_nic_semantics() {
-    use kv_direct::MultiNicStore;
+    use kv_direct::net::shard_of;
+    use kv_direct::{ParallelSimConfig, ParallelSystemSim};
     let mut single = store();
-    let mut multi = MultiNicStore::new(KvDirectConfig::with_memory(4 << 20), 4);
+    let mut multi = ParallelSystemSim::new(ParallelSimConfig::paper(
+        KvDirectConfig::with_memory(4 << 20),
+        8,
+        4,
+    ));
+    // The NIC that owns a key, as the client routes it.
+    let nic = |k: &[u8]| shard_of(k, 4);
     for i in 0..300u64 {
         let k = i.to_le_bytes();
         let v = (i * 17).to_le_bytes();
         single.put(&k, &v).unwrap();
-        multi.put(&k, &v).unwrap();
+        multi.shard_store_mut(nic(&k)).put(&k, &v).unwrap();
     }
     for i in 0..300u64 {
         let k = i.to_le_bytes();
-        assert_eq!(single.get(&k), multi.get(&k), "key {i}");
-    }
-    for i in (0..300u64).step_by(3) {
         assert_eq!(
-            single.delete(&i.to_le_bytes()),
-            multi.delete(&i.to_le_bytes())
+            single.get(&k),
+            multi.shard_store_mut(nic(&k)).get(&k),
+            "key {i}"
         );
     }
+    for i in (0..300u64).step_by(3) {
+        let k = i.to_le_bytes();
+        assert_eq!(single.delete(&k), multi.shard_store_mut(nic(&k)).delete(&k));
+    }
     for i in 0..300u64 {
-        assert_eq!(single.get(&i.to_le_bytes()), multi.get(&i.to_le_bytes()));
+        let k = i.to_le_bytes();
+        assert_eq!(single.get(&k), multi.shard_store_mut(nic(&k)).get(&k));
     }
 }
 

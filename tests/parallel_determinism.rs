@@ -1,11 +1,11 @@
 //! Determinism regression for the parallel sharded engine.
 //!
-//! The multi-NIC simulation fans shards out across OS worker threads
-//! drawing windows from an asynchronous credit arbiter, but its results
-//! must be a pure function of (config, seed, request stream): each
-//! shard's evolution depends only on its own state and the per-window
-//! `(horizon, floor)` pair, and the arbiter's stall depends only on the
-//! aggregate line count — a commutative sum of `u64`s. These tests pin
+//! The multi-NIC simulation steps its shards on OS worker threads, one
+//! window at a time, but its results must be a pure function of (config,
+//! seed, request stream): each shard's evolution depends only on its own
+//! state and the per-window `(horizon, floor)` pair, and the arbiter's
+//! stall depends only on the aggregate line count — a sum of `u64`s the
+//! window's rendezvous takes in shard order. These tests pin
 //! that contract: a run is bit-identical for any worker count, for
 //! repeated runs, and regardless of the test harness's own thread
 //! scheduling (CI runs this suite under different `--test-threads`
@@ -13,7 +13,7 @@
 
 use kv_direct::parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 use kv_direct::sim::{Bandwidth, DetRng, SimTime};
-use kv_direct::system::{SystemSim, SystemSimConfig};
+use kv_direct::system::{SystemSim, SystemSimConfig, SystemSimReport};
 use kv_direct::workloads::presets::{PresetWorkload, YcsbPreset};
 use kv_direct::{
     ClusterSim, ClusterSimConfig, KvDirectConfig, KvRequest, NodeKill, OpClass, OpLedger, Status,
@@ -116,9 +116,9 @@ fn repeated_runs_are_bit_identical() {
     assert_eq!(a, b, "same seed + config must reproduce exactly");
 }
 
-fn run_faulty(workers: usize, reqs: &[KvRequest]) -> ParallelSimReport {
-    let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 6)
-        .with_per_shard_reports();
+/// A faulty six-shard run: the merged report, and each shard's own.
+fn run_faulty(workers: usize, reqs: &[KvRequest]) -> (ParallelSimReport, Vec<SystemSimReport>) {
+    let mut cfg = ParallelSimConfig::paper(KvDirectConfig::with_memory(1 << 20), 24, 6);
     cfg.workers = workers;
     cfg.shard.store.fault_rates = kv_direct::FaultRates::uniform(0.02);
     cfg.shard.store.fault_seed = 0xFA_17;
@@ -127,27 +127,29 @@ fn run_faulty(workers: usize, reqs: &[KvRequest]) -> ParallelSimReport {
         sim.preload_put(&id.to_le_bytes(), &[id as u8; 16])
             .expect("preload fits");
     }
-    sim.run(reqs)
+    let merged = sim.run(reqs);
+    (merged, (0..6).map(|i| sim.shard_report(i)).collect())
 }
 
 #[test]
 fn fault_counters_bit_identical_across_worker_counts() {
     // Faults fork per shard from the store seed, so the schedule is part
     // of the (config, seed, stream) function and must not care how
-    // shards map onto OS threads. `ParallelSimReport` equality covers
-    // the merged ledger's fault channels and every per-shard ledger's.
+    // shards map onto OS threads. The compared pairs cover the merged
+    // ledger's fault channels and every per-shard ledger's.
     let reqs = workload(9_000, 0xD375);
     let r1 = run_faulty(1, &reqs);
     let r2 = run_faulty(2, &reqs);
     let r8 = run_faulty(8, &reqs);
     assert!(
-        r1.ledger.total_faults() > 0,
+        r1.0.ledger.total_faults() > 0,
         "2% uniform rates over 9k ops must inject"
     );
+    let per_shard = &r1.1;
     assert!(
-        r1.per_shard
+        per_shard
             .iter()
-            .any(|s| s.ledger.total_faults() != r1.per_shard[0].ledger.total_faults()),
+            .any(|s| s.ledger.total_faults() != per_shard[0].ledger.total_faults()),
         "per-shard schedules should be decorrelated"
     );
     assert_eq!(r1, r2, "fault schedule diverged between 1 and 2 workers");
@@ -226,7 +228,7 @@ fn worker_count_does_not_change_merged_ledger() {
     let reqs = workload(9_000, 0xD376);
     let (c1, c8) = (run_with_workers(1, &reqs), run_with_workers(8, &reqs));
     assert_eq!(c1.ledger, c8.ledger, "fig18-shaped merged ledger diverged");
-    let (f1, f8) = (run_faulty(1, &reqs), run_faulty(8, &reqs));
+    let (f1, f8) = (run_faulty(1, &reqs).0, run_faulty(8, &reqs).0);
     assert_eq!(f1.ledger, f8.ledger, "faulty merged ledger diverged");
     assert!(f1.ledger.total_faults() > 0, "faults must fire");
     // The merged ledger is exactly the shard-order fold of the per-shard
