@@ -369,6 +369,9 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// `i` in `responses[i]` in place (status set, value buffer cleared
     /// and refilled). By return the pipeline is drained and dirty
     /// forwarding entries are flushed, so every effect is in the table.
+    /// Retirement waits on host memory less than one op at a time would:
+    /// each issued op's bucket line is prefetched as it is admitted, and
+    /// the slab records those buckets name once the batch is admitted.
     ///
     /// # Panics
     ///
@@ -386,6 +389,13 @@ impl<M: MemoryEngine> KvProcessor<M> {
         self.accesses.resize(requests.len(), OpAccess::default());
         for i in 0..requests.len() {
             self.admit(requests, responses, i);
+        }
+        // Stage 2 of the staging (stage 1 is in `admit`): the buckets
+        // hinted at issue have had the whole admission loop to arrive, so
+        // each one now names the slab records its op will read. Hints
+        // count nothing (DESIGN.md §11).
+        for &(_, _, h) in &self.inflight {
+            self.table.prefetch_records(h);
         }
         while !self.inflight.is_empty() {
             self.retire_one(requests, responses);
@@ -450,6 +460,9 @@ impl<M: MemoryEngine> KvProcessor<M> {
                         );
                     }
                     self.inflight.push_back((i, slot, h));
+                    // Stage 1: start the bucket's host line on its way
+                    // while the rest of the batch is admitted.
+                    self.table.prefetch_bucket(h);
                     if self.inflight.len() >= self.pipeline_depth {
                         self.retire_one(requests, responses);
                     }

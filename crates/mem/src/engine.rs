@@ -149,6 +149,21 @@ pub trait MemoryEngine {
     /// Resets the statistics (storage contents are kept).
     fn reset_stats(&mut self);
 
+    /// Hints that the host line holding `addr` is about to be accessed.
+    /// A hint is not an access: it counts nothing and moves no cache,
+    /// admission, fault or RNG state. Engines without host bytes of
+    /// their own ignore it.
+    #[inline]
+    fn prefetch(&self, _addr: u64) {}
+
+    /// The host line holding `addr`, borrowed without an access (as
+    /// uncounted as [`prefetch`](Self::prefetch)). `None` where the
+    /// engine lends no bytes or the line was never written.
+    #[inline]
+    fn peek_line(&self, _addr: u64) -> Option<&[u8; LINE as usize]> {
+        None
+    }
+
     /// Reads a little-endian `u64`.
     fn read_u64(&mut self, addr: u64) -> u64 {
         let mut b = [0u8; 8];
@@ -212,6 +227,16 @@ impl MemoryEngine for FlatMemory {
 
     fn capacity(&self) -> u64 {
         self.mem.capacity()
+    }
+
+    #[inline]
+    fn prefetch(&self, addr: u64) {
+        self.mem.prefetch(addr);
+    }
+
+    #[inline]
+    fn peek_line(&self, addr: u64) -> Option<&[u8; LINE as usize]> {
+        self.mem.line(addr)
     }
 
     fn stats(&self) -> AccessStats {
@@ -793,6 +818,16 @@ impl MemoryEngine for DispatchedMemory {
 
     fn capacity(&self) -> u64 {
         self.host.capacity()
+    }
+
+    #[inline]
+    fn prefetch(&self, addr: u64) {
+        self.host.prefetch(addr);
+    }
+
+    #[inline]
+    fn peek_line(&self, addr: u64) -> Option<&[u8; LINE as usize]> {
+        self.host.line(addr)
     }
 
     fn stats(&self) -> AccessStats {

@@ -24,6 +24,10 @@ leaves=(
     'kvd_mem::dispatch::hash_line'
     'kvd_mem::host::HostMemory::read'
     'kvd_mem::host::HostMemory::write'
+    'kvd_mem::host::HostMemory::prefetch'
+    'kvd_mem::host::HostMemory::line'
+    'kvd_hash::table::HashTable<M>::prefetch_bucket'
+    'kvd_hash::table::HashTable<M>::prefetch_records'
     'kvd_sim::fault::FaultPlane::host_stall'
     'kvd_sim::fault::FaultPlane::dram_fault'
     '<kvd_hash::swar::RawEntries as core::iter::traits::iterator::Iterator>::next'
