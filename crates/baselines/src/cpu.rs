@@ -18,8 +18,6 @@ pub struct CpuKvsModel {
     pub load_store_units: f64,
     /// Computation per KV operation (ns).
     pub compute_ns: f64,
-    /// Memory accesses per KV operation.
-    pub accesses_per_op: f64,
 }
 
 impl CpuKvsModel {
@@ -29,23 +27,7 @@ impl CpuKvsModel {
             mem_latency_ns: 110.0,
             load_store_units: 3.5,
             compute_ns: 100.0,
-            accesses_per_op: 1.0,
         }
-    }
-
-    /// Peak random 64 B accesses per second per core (paper: 29.3 M).
-    pub fn random_access_mops(&self) -> f64 {
-        self.load_store_units / self.mem_latency_ns * 1e3
-    }
-
-    /// KV ops per second per core when computation and memory access
-    /// interleave (paper: 5.5 Mops). The computation does not fit the
-    /// instruction window, so each op serializes compute + miss latency,
-    /// with the load-store units providing limited overlap.
-    pub fn interleaved_mops(&self) -> f64 {
-        let serial_ns = self.compute_ns
-            + self.accesses_per_op * self.mem_latency_ns / self.load_store_units * 2.0;
-        1e3 / serial_ns
     }
 
     /// KV ops per second per core with software batching of memory
@@ -66,20 +48,6 @@ impl CpuKvsModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn random_access_rate_matches_paper() {
-        let m = CpuKvsModel::paper();
-        let r = m.random_access_mops();
-        assert!((r - 29.3).abs() < 3.0, "got {r}");
-    }
-
-    #[test]
-    fn interleaved_rate_matches_paper() {
-        let m = CpuKvsModel::paper();
-        let r = m.interleaved_mops();
-        assert!((r - 5.5).abs() < 0.9, "got {r}");
-    }
 
     #[test]
     fn batched_rate_matches_paper() {

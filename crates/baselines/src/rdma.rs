@@ -43,21 +43,6 @@ impl OneSidedRdma {
             max_mops: 115.0,
         }
     }
-
-    /// GET throughput (reads bypass the CPU; bounded by message rate and
-    /// the multiple round trips of hash-walk reads — the paper cites
-    /// 8–150 Mops message rates, with ~2 reads per GET lookup).
-    pub fn get_mops() -> f64 {
-        OneSidedRdma::model().max_mops / 2.0
-    }
-
-    /// PUT throughput: multiple network round trips plus client-side
-    /// synchronization push writes back to the server CPU in most
-    /// systems (the paper: "for PUT operations, they fall back to the
-    /// server CPU").
-    pub fn put_mops(server_cores: u32) -> f64 {
-        TwoSidedRdma::per_core_mops() * server_cores as f64
-    }
 }
 
 /// Two-sided RDMA (server-CPU KV processing).
@@ -108,15 +93,5 @@ mod tests {
         // Paper: KV-Direct single-key atomics reach 180 Mops vs 2.24.
         let kv_direct = 180.0;
         assert!(kv_direct / OneSidedRdma::model().atomics_mops(1) > 50.0);
-    }
-
-    #[test]
-    fn write_path_falls_back_to_cpu() {
-        // One-sided RDMA PUTs are CPU-bound, not NIC-bound: the 16-core
-        // write path tops out near (but not wildly above) the GET rate.
-        let puts = OneSidedRdma::put_mops(16);
-        let gets = OneSidedRdma::get_mops();
-        assert!(puts <= gets * 3.0, "puts {puts} vs gets {gets}");
-        assert!(puts > 50.0 && puts < 200.0);
     }
 }

@@ -6,7 +6,7 @@
 //! single-box scope leaves out — what happens when the *box* dies.
 //! Members are joined by [`NodeLink`]s (latency + serialization
 //! bandwidth) and stepped on the crate's window driver in fixed
-//! windows of one quantum: window `k` spans `[k·q, (k+1)·q)`. A frame sent
+//! windows of one [`QUANTUM`]: window `k` spans `[k·q, (k+1)·q)`. A frame sent
 //! during window `k` is never visible before window `k + 1`, so within a
 //! window every member depends only on state settled at the boundary,
 //! where the driver's hook delivers frames, routes client operations,
@@ -32,8 +32,8 @@
 //!
 //! A whole node can be killed mid-run ([`NodeKill`] — the fault plane
 //! raised one level). Live members broadcast [`RepFrame::Heartbeat`]s
-//! every `hb_every` windows; when a member has not been heard from for
-//! `hb_timeout` windows, the survivors declare it dead in the same
+//! every `HB_EVERY` windows; when a member has not been heard from for
+//! `HB_TIMEOUT` windows, the survivors declare it dead in the same
 //! window (links are symmetric, so detection is cluster-wide and
 //! deterministic). Placement stays pinned to the full ring; every key's
 //! *effective* chain is its placement replicas with detected-dead
@@ -61,7 +61,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::ControlFlow;
 
 use kvd_net::{HashRing, KvRequest, OpCode, RepFrame, Status};
-use kvd_sim::{CostSource, Histogram, NodeLink, NodeLinkConfig, OpLedger, SimTime};
+use kvd_sim::{CostSource, Histogram, NodeLink, OpLedger, SimTime};
 
 use crate::driver::{self, Members, Window};
 use crate::store::KvDirectConfig;
@@ -77,7 +77,30 @@ pub struct NodeKill {
     pub window: u64,
 }
 
-/// Cluster configuration.
+/// Window quantum: every member steps one window of this length at a time.
+pub const QUANTUM: SimTime = SimTime::from_us(2);
+
+/// Virtual points per member on the consistent-hash ring.
+const VNODES: usize = 64;
+
+/// Heartbeat broadcast period, in windows.
+const HB_EVERY: u64 = 4;
+
+/// Windows without a delivered heartbeat before a member is declared dead.
+const HB_TIMEOUT: u64 = 12;
+
+const _: () = {
+    assert!(HB_EVERY >= 1, "heartbeat period must be positive");
+    // Beacon period plus delivery lookahead, or live members would be
+    // declared dead.
+    assert!(
+        HB_TIMEOUT > HB_EVERY + 1,
+        "HB_TIMEOUT must exceed HB_EVERY + delivery lookahead"
+    );
+};
+
+/// Cluster configuration. Members are joined by rack links
+/// ([`NodeLink`]), stepped in [`QUANTUM`] windows.
 #[derive(Debug, Clone)]
 pub struct ClusterSimConfig {
     /// Per-member host configuration (every member is identical).
@@ -86,18 +109,6 @@ pub struct ClusterSimConfig {
     pub nodes: usize,
     /// Replication factor (1 = no replication, chain of one).
     pub rf: usize,
-    /// Inter-node link shape (shared by every member pair).
-    pub link: NodeLinkConfig,
-    /// Window quantum.
-    pub quantum: SimTime,
-    /// Virtual points per member on the consistent-hash ring.
-    pub vnodes: usize,
-    /// Heartbeat broadcast period, in windows.
-    pub hb_every: u64,
-    /// Windows without a delivered heartbeat before a member is
-    /// declared dead. Must exceed `hb_every + 1` (beacon period plus
-    /// delivery lookahead), or live members would be declared dead.
-    pub hb_timeout: u64,
     /// OS worker threads stepping members within a window; `0` uses the
     /// machine's available parallelism, and more workers than members run
     /// as one per member. Results are bit-identical for any value.
@@ -107,18 +118,12 @@ pub struct ClusterSimConfig {
 }
 
 impl ClusterSimConfig {
-    /// A small cluster for tests: M members, RF as given, rack links,
-    /// 2 µs windows, one worker.
+    /// A small cluster for tests: M members, RF as given, one worker.
     pub fn smoke(nodes: usize, rf: usize) -> Self {
         ClusterSimConfig {
             node: SystemSimConfig::paper(KvDirectConfig::with_memory(4 << 20), 8),
             nodes,
             rf,
-            link: NodeLinkConfig::rack(),
-            quantum: SimTime::from_us(2),
-            vnodes: 64,
-            hb_every: 4,
-            hb_timeout: 12,
             workers: 1,
             kill: None,
         }
@@ -131,13 +136,6 @@ impl ClusterSimConfig {
             "RF {} outside 1..={} members",
             self.rf,
             self.nodes
-        );
-        assert!(self.hb_every >= 1, "heartbeat period must be positive");
-        assert!(
-            self.hb_timeout > self.hb_every + 1,
-            "hb_timeout {} must exceed hb_every {} + delivery lookahead",
-            self.hb_timeout,
-            self.hb_every
         );
         if let Some(kill) = self.kill {
             assert!(
@@ -331,16 +329,16 @@ struct Coordinator {
 type Nodes<'a, 'm> = Members<'a, 'm, NodeState>;
 
 /// The window containing instant `t`.
-fn window_of(t: SimTime, quantum: SimTime) -> u64 {
-    t.as_ps() / quantum.as_ps()
+fn window_of(t: SimTime) -> u64 {
+    t.as_ps() / QUANTUM.as_ps()
 }
 
 /// The earliest window in which a frame sent during window `sent_in`
 /// with raw arrival time `arrival` may be delivered: never before
 /// `sent_in + 1` (the one-window conservative lookahead), never before
 /// the arrival's own window.
-fn delivery_window(sent_in: u64, arrival: SimTime, quantum: SimTime) -> u64 {
-    window_of(arrival, quantum).max(sent_in + 1)
+fn delivery_window(sent_in: u64, arrival: SimTime) -> u64 {
+    window_of(arrival).max(sent_in + 1)
 }
 
 impl ClusterSim {
@@ -353,7 +351,7 @@ impl ClusterSim {
                 sim.set_record_outcomes(true);
                 NodeState {
                     sim,
-                    link: NodeLink::new(cfg.link.clone()),
+                    link: NodeLink::default(),
                     alive: true,
                     consumed: 0,
                     feed: Vec::new(),
@@ -369,7 +367,7 @@ impl ClusterSim {
         ClusterSim {
             nodes,
             coord: Coordinator {
-                ring: HashRing::with_nodes(cfg.nodes, cfg.vnodes),
+                ring: HashRing::with_nodes(cfg.nodes, VNODES),
                 inbox: BTreeMap::new(),
                 writes: BTreeMap::new(),
                 reads: BTreeMap::new(),
@@ -432,20 +430,16 @@ impl ClusterSim {
             })
             .collect();
         coord.cursor = 0;
-        let quantum = coord.cfg.quantum;
-        let last_sched_window = schedule
-            .last()
-            .map(|(t, _)| window_of(*t, quantum))
-            .unwrap_or(0);
+        let last_sched_window = schedule.last().map(|(t, _)| window_of(*t)).unwrap_or(0);
 
-        let first = Window::first(SimTime::ZERO, quantum);
+        let first = Window::first(SimTime::ZERO, QUANTUM);
         let mut nodes = [&mut self.nodes[..]];
         coord.open_window(&mut Members::new(&mut nodes), first, schedule);
         let last = driver::drive(
             &mut self.nodes,
             coord.cfg.workers,
             SimTime::ZERO,
-            quantum,
+            QUANTUM,
             // The only parallel phase: members touch only their own state.
             |_, node, w| {
                 if node.alive {
@@ -529,13 +523,13 @@ impl Coordinator {
             || !self.writes.is_empty()
             || !self.reads.is_empty()
             || !self.inbox.is_empty();
-        if work_left && k.is_multiple_of(self.cfg.hb_every) {
+        if work_left && k.is_multiple_of(HB_EVERY) {
             self.broadcast_heartbeats(nodes, k, floor);
         }
 
         // 4. Route this window's client arrivals.
         while let Some((t, req)) = schedule.get(self.cursor) {
-            if window_of(*t, self.cfg.quantum) != k {
+            if window_of(*t) != k {
                 break;
             }
             self.route_client_op(nodes, self.cursor, *t, req.clone());
@@ -618,7 +612,7 @@ impl Coordinator {
         now: SimTime,
     ) {
         let arrival = nodes[from as usize].link.send(now, frame.wire_len() as u64);
-        let window = delivery_window(sent_in, arrival, self.cfg.quantum);
+        let window = delivery_window(sent_in, arrival);
         self.inbox
             .entry(window)
             .or_default()
@@ -764,7 +758,7 @@ impl Coordinator {
             if node.alive || node.detected {
                 continue;
             }
-            if k.saturating_sub(node.last_hb) <= self.cfg.hb_timeout {
+            if k.saturating_sub(node.last_hb) <= HB_TIMEOUT {
                 continue;
             }
             nodes[d].detected = true;
@@ -1009,25 +1003,23 @@ mod tests {
 
     #[test]
     fn clock_windows_partition_time() {
-        let q = SimTime::from_us(2);
-        let first = Window::first(SimTime::ZERO, q);
-        assert_eq!((first.floor, first.horizon), (SimTime::ZERO, q));
+        let first = Window::first(SimTime::ZERO, QUANTUM);
+        assert_eq!((first.floor, first.horizon), (SimTime::ZERO, QUANTUM));
         let third = first
             .next(SimTime::ZERO)
             .next(SimTime::ZERO)
             .next(SimTime::ZERO);
         assert_eq!((third.index, third.floor), (3, SimTime::from_us(6)));
-        assert_eq!(window_of(SimTime::from_ns(1_999), q), 0);
-        assert_eq!(window_of(SimTime::from_us(2), q), 1);
+        assert_eq!(window_of(SimTime::from_ns(1_999)), 0);
+        assert_eq!(window_of(SimTime::from_us(2)), 1);
     }
 
     #[test]
     fn delivery_never_lands_in_the_sending_window() {
-        let q = SimTime::from_us(2);
         // Raw arrival inside the sending window: pushed to the next.
-        assert_eq!(delivery_window(4, SimTime::from_us(9), q), 5);
+        assert_eq!(delivery_window(4, SimTime::from_us(9)), 5);
         // Raw arrival far in the future: its own window wins.
-        assert_eq!(delivery_window(4, SimTime::from_us(40), q), 20);
+        assert_eq!(delivery_window(4, SimTime::from_us(40)), 20);
     }
 
     #[test]

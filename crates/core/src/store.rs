@@ -128,58 +128,6 @@ impl KvDirectConfig {
     }
 }
 
-impl KvDirectConfig {
-    /// The paper's offline tuning procedure (§5.2.1: "Before each
-    /// benchmark, we tune hash index ratio, inline threshold and load
-    /// dispatch ratio according to the KV size, access pattern and
-    /// target memory utilization").
-    ///
-    /// Runs scaled fill experiments (like Figure 10's dashed line) to
-    /// pick the inline threshold and the largest hash index ratio that
-    /// still reaches `target_utilization`, and solves the §3.3.4 balance
-    /// equation for the load dispatch ratio. This is *offline* tuning —
-    /// expect it to take a moment proportional to `total_memory`.
-    pub fn auto_tuned(
-        total_memory: u64,
-        kv_size: usize,
-        target_utilization: f64,
-        long_tail: bool,
-    ) -> Self {
-        assert!(kv_size > 8, "kv size must exceed the 8-byte tuning key");
-        // Inline threshold: prefer inlining this KV size when the target
-        // utilization is still achievable; otherwise fall back to
-        // smaller thresholds (more slab, more index headroom).
-        let candidates = [kv_size.min(kvd_hash::MAX_INLINE_KV), 24, 10];
-        let mut chosen = None;
-        for &threshold in &candidates {
-            if let Some((ratio, _)) = kvd_hash::tuning::optimal_config(
-                total_memory,
-                threshold,
-                kv_size,
-                target_utilization,
-                0xA070,
-            ) {
-                chosen = Some((ratio, threshold));
-                break;
-            }
-        }
-        let (hash_index_ratio, inline_threshold) = chosen.unwrap_or((0.5, 24)); // unreachable target: paper defaults
-        let k = 1.0 / 16.0;
-        let lines = (total_memory / 64) as f64;
-        let load_dispatch_ratio = if long_tail {
-            kvd_mem::dispatch::optimal_ratio_zipf(k, lines, 12.8, 13.2)
-        } else {
-            kvd_mem::dispatch::optimal_ratio_uniform(k, 12.8, 13.2)
-        };
-        KvDirectConfig {
-            hash_index_ratio,
-            inline_threshold,
-            load_dispatch_ratio,
-            ..KvDirectConfig::with_memory(total_memory)
-        }
-    }
-}
-
 impl Default for KvDirectConfig {
     fn default() -> Self {
         KvDirectConfig::with_memory(64 << 20)
@@ -293,20 +241,9 @@ impl KvDirectStore {
     ///
     /// Conflates "not found" and device faults into `None`; use
     /// [`try_get`](Self::try_get) to distinguish them under fault
-    /// injection, or [`get_into`](Self::get_into) to reuse a caller-owned
-    /// scratch buffer on hot read paths.
+    /// injection.
     pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
         self.one(KvRequestRef::get(key)).ok().map(<[u8]>::to_vec)
-    }
-
-    /// `get(k)` into a caller-owned scratch buffer; returns the value
-    /// length on a hit. `out` is cleared and filled in place, so a read
-    /// loop reuses one allocation instead of producing one `Vec` per op.
-    pub fn get_into(&mut self, key: &[u8], out: &mut Vec<u8>) -> Option<usize> {
-        let value = self.one(KvRequestRef::get(key)).ok()?;
-        out.clear();
-        out.extend_from_slice(value);
-        Some(out.len())
     }
 
     /// `get(k)` that separates absence (`Ok(None)`) from device faults
@@ -463,28 +400,6 @@ mod tests {
 
     fn store() -> KvDirectStore {
         KvDirectStore::new(KvDirectConfig::with_memory(1 << 20))
-    }
-
-    #[test]
-    fn auto_tuning_matches_paper_procedure() {
-        // Small inline KVs at a modest utilization: the tuner should
-        // inline them and pick a usable index ratio.
-        let cfg = KvDirectConfig::auto_tuned(1 << 19, 16, 0.3, true);
-        assert!(cfg.inline_threshold >= 16, "16B KVs should inline");
-        assert!((0.1..=0.9).contains(&cfg.hash_index_ratio));
-        assert!((0.0..=1.0).contains(&cfg.load_dispatch_ratio));
-        // The tuned store actually reaches the target.
-        let mut s = KvDirectStore::new(cfg);
-        let mut id = 0u64;
-        while s.processor().table().memory_utilization() < 0.3 {
-            s.put(&id.to_le_bytes(), &[1u8; 8])
-                .expect("tuned store fits");
-            id += 1;
-        }
-        // Large KVs force a smaller index ratio than small ones.
-        let small = KvDirectConfig::auto_tuned(1 << 19, 16, 0.3, false);
-        let large = KvDirectConfig::auto_tuned(1 << 19, 64, 0.3, false);
-        assert!(large.hash_index_ratio <= small.hash_index_ratio);
     }
 
     #[test]

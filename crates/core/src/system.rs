@@ -57,21 +57,27 @@ use crate::store::{KvDirectConfig, KvDirectStore};
 /// (memory + processor) streams derived from the same `fault_seed`.
 const NET_FAULT_SALT: u64 = 0x6E65_745F_6C6E_6B73; // "net_lnks"
 
-/// Configuration of the end-to-end simulation.
+/// PCIe endpoints on the NIC (paper: 2), each a [`PcieConfig::gen3_x8`].
+pub const PCIE_PORTS: u64 = 2;
+
+/// Processor clock in MHz (paper: 180; one op decodes per cycle).
+pub const CLOCK_MHZ: u64 = 180;
+
+/// NIC DRAM random access time per 64 B line.
+const DRAM_ACCESS: SimTime = SimTime::from_ns(120);
+
+/// One processor clock cycle.
+fn cycle() -> SimTime {
+    Freq::from_mhz(CLOCK_MHZ).cycle()
+}
+
+/// Configuration of the end-to-end simulation. The devices are the
+/// paper's testbed: [`NetConfig::forty_gbe`] links, [`PCIE_PORTS`]
+/// [`PcieConfig::gen3_x8`] endpoints, a [`CLOCK_MHZ`] pipeline.
 #[derive(Debug, Clone)]
 pub struct SystemSimConfig {
     /// Store configuration (memory sizes, ratios).
     pub store: KvDirectConfig,
-    /// Network model.
-    pub net: NetConfig,
-    /// Per-endpoint PCIe model.
-    pub pcie: PcieConfig,
-    /// PCIe endpoints (paper: 2).
-    pub pcie_ports: usize,
-    /// NIC DRAM random access time per 64 B line.
-    pub dram_access: SimTime,
-    /// Processor clock (one op decodes per cycle).
-    pub clock: Freq,
     /// Operations per request packet (1 = no batching).
     pub batch: usize,
     /// Client windows kept in flight (closed loop).
@@ -83,11 +89,6 @@ impl SystemSimConfig {
     pub fn paper(store: KvDirectConfig, batch: usize) -> Self {
         SystemSimConfig {
             store,
-            net: NetConfig::forty_gbe(),
-            pcie: PcieConfig::gen3_x8(),
-            pcie_ports: 2,
-            dram_access: SimTime::from_ns(120),
-            clock: Freq::from_mhz(180),
             batch,
             windows: 8,
         }
@@ -135,6 +136,8 @@ impl std::ops::Deref for SystemSimReport {
 /// ```
 pub struct SystemSim {
     cfg: SystemSimConfig,
+    /// Each PCIe endpoint's model: read tags and round-trip latencies.
+    pcie: PcieConfig,
     store: KvDirectStore,
     req_link: NetLink,
     resp_link: NetLink,
@@ -277,13 +280,13 @@ impl SystemSim {
     /// evolve bit-identically.
     pub fn with_seed(cfg: SystemSimConfig, seed: u64) -> Self {
         let windows = cfg.windows.max(1);
-        let ports = cfg.pcie_ports.max(1) as u64;
+        let pcie = PcieConfig::gen3_x8();
         // Per-line service time of one endpoint: a 64 B random read is
         // either tag-limited (paper: 64 tags over a ~1050 ns RTT, 61 Mops)
         // or wire-limited (90 B at 7.87 GB/s, 87 Mops); the endpoints
         // drain lines in parallel.
-        let tag_limited = cfg.pcie.mean_random_read_latency() / u64::from(cfg.pcie.read_tags);
-        let wire_limited = cfg.pcie.bandwidth.transfer_time(cfg.pcie.wire_bytes(64));
+        let tag_limited = pcie.mean_random_read_latency() / u64::from(pcie.read_tags);
+        let wire_limited = pcie.bandwidth.transfer_time(pcie.wire_bytes(64));
         // The links share the store's fault schedule: one root plane per
         // sim, forked into independent request/response streams. Zero
         // rates (the default) never consume randomness, so a fault-free
@@ -292,10 +295,10 @@ impl SystemSim {
             FaultPlane::new(cfg.store.fault_rates, cfg.store.fault_seed ^ NET_FAULT_SALT);
         SystemSim {
             store: KvDirectStore::new(cfg.store.clone()),
-            req_link: NetLink::with_faults(cfg.net.clone(), net_faults.fork(1)),
-            resp_link: NetLink::with_faults(cfg.net.clone(), net_faults.fork(2)),
+            req_link: NetLink::with_faults(NetConfig::forty_gbe(), net_faults.fork(1)),
+            resp_link: NetLink::with_faults(NetConfig::forty_gbe(), net_faults.fork(2)),
             rng: DetRng::seed(seed),
-            pcie_line_service: tag_limited.max(wire_limited) / ports,
+            pcie_line_service: tag_limited.max(wire_limited) / PCIE_PORTS,
             dram_line_service: Bandwidth::from_gbytes_per_sec(12.8).transfer_time(64),
             pcie_free: SimTime::ZERO,
             dram_free: SimTime::ZERO,
@@ -317,6 +320,7 @@ impl SystemSim {
             shed_ops: 0,
             expired_ops: 0,
             ledger: OpLedger::default(),
+            pcie,
             cfg,
         }
     }
@@ -461,7 +465,7 @@ impl SystemSim {
     /// The batch loop: runs the stream from `self.cursor` up to `horizon`.
     fn advance<S: RequestStream + ?Sized>(&mut self, reqs: &S, horizon: SimTime, floor: SimTime) {
         let batch = self.cfg.batch.max(1);
-        let cycle = self.cfg.clock.cycle();
+        let cycle = cycle();
 
         while self.cursor < reqs.len() {
             let end = (self.cursor + batch).min(reqs.len());
@@ -519,8 +523,8 @@ impl SystemSim {
                 // the store's admission controller (inert unless the
                 // overload plane is enabled).
                 let station_cap = cycle * self.cfg.store.station.capacity as u64;
-                let tag_cap = self.pcie_line_service
-                    * (u64::from(self.cfg.pcie.read_tags) * self.cfg.pcie_ports.max(1) as u64);
+                let tag_cap =
+                    self.pcie_line_service * (u64::from(self.pcie.read_tags) * PCIE_PORTS);
                 let terms = &mut self.ledger.pressure;
                 terms.station_backlog_ps = self.server_free.saturating_sub(arrive).as_ps();
                 terms.station_cap_ps = station_cap.as_ps();
@@ -617,17 +621,16 @@ impl SystemSim {
                     let mut pcie_ps = if queued_is_pcie { queued.as_ps() } else { 0 };
                     let mut dram_ps = if queued_is_pcie { 0 } else { queued.as_ps() };
                     for _ in 0..a.dma_reads {
-                        let mut rtt = self.cfg.pcie.cached_read_latency.sample(&mut self.rng);
+                        let mut rtt = self.pcie.cached_read_latency.base();
                         rtt += SimTime::from_ps(
-                            self.rng
-                                .u64_below(self.cfg.pcie.noncached_extra.as_ps() + 1),
+                            self.rng.u64_below(self.pcie.noncached_extra.as_ps() + 1),
                         );
                         pcie_ps += rtt.as_ps();
                         t += rtt;
                     }
                     for _ in 0..a.dram_reads {
-                        dram_ps += self.cfg.dram_access.as_ps();
-                        t += self.cfg.dram_access;
+                        dram_ps += DRAM_ACCESS.as_ps();
+                        t += DRAM_ACCESS;
                     }
                     if let Some(slot) = a.slot {
                         let ready = &mut self.slot_ready[slot];
@@ -1290,7 +1293,7 @@ mod tests {
             let cut = sched[end - 1].0 + SimTime::from_ps(1);
             sim.step_window_over(&sched[..], cut, SimTime::ZERO);
             assert_eq!(sim.cursor, end, "one batch per step");
-            nows.push(sim.server_free - cfg.clock.cycle() * (sim.live.len() as u64 - 1));
+            nows.push(sim.server_free - cycle() * (sim.live.len() as u64 - 1));
         }
 
         // The server's path: one run per 40-op bundle at the same instants.

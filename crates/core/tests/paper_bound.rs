@@ -16,10 +16,11 @@
 //! out-of-order point, fetch-adds on a single key, must reach the clock
 //! bound too.
 
-use kvd_core::system::{SystemSim, SystemSimConfig, SystemSimReport};
+use kvd_core::system::{SystemSim, SystemSimConfig, SystemSimReport, CLOCK_MHZ, PCIE_PORTS};
 use kvd_core::{builtin, KvDirectConfig};
-use kvd_net::{KvRequest, OpCode};
-use kvd_sim::{Bandwidth, DetRng, ZipfSampler};
+use kvd_net::{KvRequest, NetConfig, OpCode};
+use kvd_pcie::PcieConfig;
+use kvd_sim::{Bandwidth, DetRng, Freq, ZipfSampler};
 
 const OPS: usize = 40_000;
 const KEY_LEN: usize = 8;
@@ -31,7 +32,6 @@ const DRAM_GBYTES_PER_SEC: f64 = 12.8;
 /// One run and what the bound needs that the ledger does not split: the
 /// request direction's payload bytes.
 struct Run {
-    cfg: SystemSimConfig,
     report: SystemSimReport,
     request_payload: u64,
 }
@@ -59,7 +59,7 @@ fn run(kv_size: usize, put_ratio: f64, zipf: bool) -> Run {
 }
 
 fn run_on(cfg: SystemSimConfig, kv_size: usize, put_ratio: f64, zipf: bool) -> Run {
-    let mut sim = SystemSim::new(cfg.clone());
+    let mut sim = SystemSim::new(cfg);
     let mut rng = DetRng::seed(kv_size as u64);
     let value = vec![7u8; kv_size - KEY_LEN];
     let mut n_keys = 0u64;
@@ -83,11 +83,11 @@ fn run_on(cfg: SystemSimConfig, kv_size: usize, put_ratio: f64, zipf: bool) -> R
             }
         })
         .collect();
-    measure(cfg, sim, &reqs)
+    measure(sim, &reqs)
 }
 
 /// Runs `reqs` through `sim`, whose preload the run's ledger leaves out.
-fn measure(cfg: SystemSimConfig, mut sim: SystemSim, reqs: &[KvRequest]) -> Run {
+fn measure(mut sim: SystemSim, reqs: &[KvRequest]) -> Run {
     // What the engine puts on the request link per op: a 4 B header plus
     // the key and value.
     let request_payload = reqs
@@ -98,7 +98,6 @@ fn measure(cfg: SystemSimConfig, mut sim: SystemSim, reqs: &[KvRequest]) -> Run 
     let mut report = sim.run(reqs);
     report.ledger = report.ledger.since(&preload);
     Run {
-        cfg,
         report,
         request_payload,
     }
@@ -114,29 +113,29 @@ struct Bound {
 
 impl Bound {
     fn of(run: &Run) -> Self {
-        let (cfg, l) = (&run.cfg, &run.report.ledger);
+        let l = &run.report.ledger;
+        let (net, pcie) = (NetConfig::forty_gbe(), PcieConfig::gen3_x8());
         let ops = run.report.ops as f64;
         // Network: each direction serializes its own packets (full
         // duplex), one request and one response packet per batch.
         let batches = l.net.batches;
         let response_payload = l.net.payload_bytes - run.request_payload;
-        let wire = |payload: u64| batches * cfg.net.wire_bytes(payload / batches);
+        let wire = |payload: u64| batches * net.wire_bytes(payload / batches);
         let busier = wire(run.request_payload).max(wire(response_payload));
-        let network_secs = busier as f64 / cfg.net.bandwidth.bytes_per_sec();
+        let network_secs = busier as f64 / net.bandwidth.bytes_per_sec();
         // PCIe: a random 64 B read is tag-limited (tags / mean round trip)
         // or wire-limited, a write wire-limited; the ports work in
         // parallel, and so does the NIC DRAM channel.
-        let ports = cfg.pcie_ports as f64;
-        let write_rate = cfg.pcie.bandwidth_bound_mops(64) * 1e6;
-        let tag_rate =
-            f64::from(cfg.pcie.read_tags) / cfg.pcie.mean_random_read_latency().as_secs_f64();
+        let ports = PCIE_PORTS as f64;
+        let write_rate = pcie.bandwidth_bound_mops(64) * 1e6;
+        let tag_rate = f64::from(pcie.read_tags) / pcie.mean_random_read_latency().as_secs_f64();
         let read_rate = tag_rate.min(write_rate);
         let pcie_secs = l.pcie.dma_reads as f64 / (ports * read_rate)
             + l.pcie.dma_writes as f64 / (ports * write_rate);
         let dram_rate = Bandwidth::from_gbytes_per_sec(DRAM_GBYTES_PER_SEC).transfers_per_sec(64);
         let dram_secs = (l.dram.reads + l.dram.writes) as f64 / dram_rate;
         Bound {
-            clock: cfg.clock.ops_per_sec() / 1e6,
+            clock: Freq::from_mhz(CLOCK_MHZ).ops_per_sec() / 1e6,
             network: ops / network_secs / 1e6,
             memory: ops / pcie_secs.max(dram_secs) / 1e6,
         }
@@ -208,9 +207,8 @@ fn single_key_atomics_reach_the_clock_bound() {
     // Fig 13(a) with out-of-order execution: the station serves every
     // fetch-add of a packet but its first by forwarding, one per cycle,
     // and writes the key back once per packet.
-    let cfg = saturating();
-    let sim = SystemSim::new(cfg.clone());
-    let run = measure(cfg, sim, &vec![fetch_add(b"counter"); 60_000]);
+    let sim = SystemSim::new(saturating());
+    let run = measure(sim, &vec![fetch_add(b"counter"); 60_000]);
     let (mops, bound) = run_within_bound("single-key fetch-add", &run);
     assert_eq!(bound.mops(), bound.clock, "{bound:?}");
     assert!(mops >= 0.9 * bound.mops(), "{mops:.1} Mops vs {bound:?}");
@@ -222,9 +220,8 @@ fn atomics(keys: u64, forwarding: bool) -> Run {
     let reqs: Vec<KvRequest> = (0..60_000)
         .map(|_| fetch_add(&rng.u64_below(keys).to_le_bytes()))
         .collect();
-    let cfg = fig13(forwarding);
     let point = format!("{keys}-key fetch-add, forwarding {forwarding}");
-    let run = measure(cfg.clone(), SystemSim::new(cfg), &reqs);
+    let run = measure(SystemSim::new(fig13(forwarding)), &reqs);
     run_within_bound(&point, &run);
     run
 }

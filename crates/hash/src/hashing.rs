@@ -34,24 +34,12 @@ fn hash_seeded<const N: usize>(key: &[u8], seeds: [u64; N]) -> [u64; N] {
     })
 }
 
-/// The primary hash: selects the bucket.
-#[inline]
-pub fn primary_hash(key: &[u8]) -> u64 {
-    hash_seeded(key, [PRIMARY_SEED])[0]
-}
-
-/// The secondary hash: 9 bits stored beside pointer slots.
-#[inline]
-pub fn secondary_hash(key: &[u8]) -> u16 {
-    (hash_seeded(key, [SECONDARY_SEED])[0] & ((1 << SEC_HASH_BITS) - 1)) as u16
-}
-
 /// Every hash the data path takes of one key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyHashes {
-    /// [`primary_hash`]: selects the bucket.
+    /// The primary hash: selects the bucket.
     pub primary: u64,
-    /// [`secondary_hash`]: the 9-bit slot tag.
+    /// The secondary hash: the 9-bit slot tag stored beside pointer slots.
     pub secondary: u16,
     /// The reservation station's slot hash (a different stream again, so
     /// dependency-station collisions are independent of bucket collisions).
@@ -77,15 +65,14 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(primary_hash(b"key"), primary_hash(b"key"));
-        assert_eq!(secondary_hash(b"key"), secondary_hash(b"key"));
+        assert_eq!(hash_key(b"key"), hash_key(b"key"));
     }
 
     #[test]
     fn secondary_fits_nine_bits() {
         for i in 0..1000u32 {
             let k = i.to_le_bytes();
-            assert!(secondary_hash(&k) < 512);
+            assert!(hash_key(&k).secondary < 512);
         }
     }
 
@@ -94,9 +81,9 @@ mod tests {
         // Keys colliding in low primary bits should not collide in the
         // secondary hash more than chance predicts.
         let mut sec_collisions = 0;
-        let base = secondary_hash(&0u32.to_le_bytes());
+        let base = hash_key(&0u32.to_le_bytes()).secondary;
         for i in 1..2000u32 {
-            if secondary_hash(&i.to_le_bytes()) == base {
+            if hash_key(&i.to_le_bytes()).secondary == base {
                 sec_collisions += 1;
             }
         }
@@ -110,7 +97,7 @@ mod tests {
         let mut counts = vec![0u32; n_buckets as usize];
         let n = 64_000;
         for i in 0..n {
-            counts[(primary_hash(&(i as u64).to_le_bytes()) % n_buckets) as usize] += 1;
+            counts[(hash_key(&(i as u64).to_le_bytes()).primary % n_buckets) as usize] += 1;
         }
         let expect = n / n_buckets as u32;
         for (b, &c) in counts.iter().enumerate() {
@@ -169,10 +156,10 @@ mod tests {
                 key.push((x >> 56) as u8);
             }
             let h = hash_key(&key);
-            assert_eq!(h.primary, primary_hash(&key), "len {len}");
-            assert_eq!(h.secondary, secondary_hash(&key), "len {len}");
+            let secondary = one_stream(&key, SECONDARY_SEED) & ((1 << SEC_HASH_BITS) - 1);
+            assert_eq!(h.primary, one_stream(&key, PRIMARY_SEED), "len {len}");
+            assert_eq!(u64::from(h.secondary), secondary, "len {len}");
             assert_eq!(h.station, one_stream(&key, STATION_SEED), "len {len}");
-            assert_eq!(h.primary, one_stream(&key, PRIMARY_SEED));
         }
     }
 }

@@ -82,7 +82,7 @@ pub enum BucketEntry {
 /// use kvd_hash::{Bucket, BucketEntry};
 ///
 /// let mut b = Bucket::empty();
-/// assert!(b.insert_inline(b"k", b"value").is_some());
+/// assert!(b.insert_inline_expiring(b"k", b"value", 0).is_some());
 /// let bytes = b.encode();
 /// let d = Bucket::decode(&bytes);
 /// match &d.entries()[0] {
@@ -280,13 +280,6 @@ impl Bucket {
         Some(slot)
     }
 
-    /// Inserts an inline KV that never expires; compacts the bucket if
-    /// free slots exist but are fragmented. Returns the starting slot, or
-    /// `None` if it cannot fit.
-    pub fn insert_inline(&mut self, key: &[u8], value: &[u8]) -> Option<usize> {
-        self.insert_inline_expiring(key, value, 0)
-    }
-
     /// Inserts an inline KV with a lifecycle stamp (`expiry` tick; 0 =
     /// immortal); compacts the bucket if free slots exist but are
     /// fragmented. Returns the starting slot, or `None` if it cannot fit.
@@ -448,7 +441,7 @@ mod tests {
             let key: Vec<u8> = (0..kv.0 as u8).collect();
             let value: Vec<u8> = (100..100 + kv.1 as u8).collect();
             let mut b = Bucket::empty();
-            b.insert_inline(&key, &value).unwrap();
+            b.insert_inline_expiring(&key, &value, 0).unwrap();
             let d = Bucket::decode(&b.encode());
             match &d.entries()[0] {
                 BucketEntry::Inline {
@@ -467,19 +460,22 @@ mod tests {
         let key = vec![1u8; 8];
         let value = vec![2u8; MAX_INLINE_KV - 8];
         let mut b = Bucket::empty();
-        assert_eq!(b.insert_inline(&key, &value), Some(0));
+        assert_eq!(b.insert_inline_expiring(&key, &value, 0), Some(0));
         assert_eq!(b.free_slots(), 0);
         // Over the limit fails.
         let mut b2 = Bucket::empty();
-        assert_eq!(b2.insert_inline(&key, &[0u8; MAX_INLINE_KV - 7]), None);
+        assert_eq!(
+            b2.insert_inline_expiring(&key, &[0u8; MAX_INLINE_KV - 7], 0),
+            None
+        );
     }
 
     #[test]
     fn mixed_entries_coexist() {
         let mut b = Bucket::empty();
-        b.insert_inline(b"aa", b"1111").unwrap(); // 3 slots
+        b.insert_inline_expiring(b"aa", b"1111", 0).unwrap(); // 3 slots
         b.insert_pointer(42, 7, class(64)).unwrap();
-        b.insert_inline(b"bb", b"2").unwrap(); // 2 slots
+        b.insert_inline_expiring(b"bb", b"2", 0).unwrap(); // 2 slots
         let d = Bucket::decode(&b.encode());
         let es = d.entries();
         assert_eq!(es.len(), 3);
@@ -502,7 +498,7 @@ mod tests {
     #[test]
     fn remove_inline_frees_run() {
         let mut b = Bucket::empty();
-        let s = b.insert_inline(b"key1", b"0123456789").unwrap(); // 20B → 4 slots
+        let s = b.insert_inline_expiring(b"key1", b"0123456789", 0).unwrap(); // 20B → 4 slots
         assert_eq!(b.free_slots(), 6);
         b.remove(s);
         assert_eq!(b.free_slots(), 10);
@@ -526,7 +522,7 @@ mod tests {
         // Fill with 5 two-slot inline KVs, then remove alternating ones.
         let mut starts = Vec::new();
         for i in 0..5u8 {
-            starts.push(b.insert_inline(&[i], &[i; 3]).unwrap());
+            starts.push(b.insert_inline_expiring(&[i], &[i; 3], 0).unwrap());
         }
         assert_eq!(b.free_slots(), 0);
         b.remove(starts[0]);
@@ -536,7 +532,7 @@ mod tests {
         // needs compaction.
         let key = [9u8; 4];
         let val = [8u8; 15]; // 19B + 6 header = 5 slots
-        let s = b.insert_inline(&key, &val);
+        let s = b.insert_inline_expiring(&key, &val, 0);
         assert!(s.is_some(), "compaction should make room");
         let es = b.entries();
         assert_eq!(es.len(), 3);
@@ -568,7 +564,7 @@ mod tests {
     fn inline_expiry_stamp_roundtrips() {
         let mut b = Bucket::empty();
         b.insert_inline_expiring(b"k", b"v", 0xDEAD_BEEF).unwrap();
-        b.insert_inline(b"k2", b"immortal").unwrap();
+        b.insert_inline_expiring(b"k2", b"immortal", 0).unwrap();
         let d = Bucket::decode(&b.encode());
         let es = d.entries();
         assert!(matches!(
@@ -590,7 +586,7 @@ mod tests {
         // Stress the nibble/bitmap packing with varied patterns.
         let mut b = Bucket::empty();
         b.insert_pointer(0x2AAA_AAAA, 0x155, class(512)).unwrap();
-        b.insert_inline(&[0xFF; 5], &[0x00; 5]).unwrap();
+        b.insert_inline_expiring(&[0xFF; 5], &[0x00; 5], 0).unwrap();
         b.insert_pointer(0x1555_5555, 0x0AA, class(32)).unwrap();
         b.set_chain(Some(0x7FFF_FFFF));
         let d = Bucket::decode(&b.encode());

@@ -298,9 +298,9 @@ mod tests {
     #[test]
     fn raw_walk_matches_decoded_scan_on_mixed_bucket() {
         let mut b = Bucket::empty();
-        b.insert_inline(b"aa", b"1111").unwrap();
+        b.insert_inline_expiring(b"aa", b"1111", 0).unwrap();
         b.insert_pointer(0x7FFF_FFFF, 511, class(128)).unwrap();
-        b.insert_inline(b"b", b"").unwrap();
+        b.insert_inline_expiring(b"b", b"", 0).unwrap();
         b.insert_pointer(42, 0, class(32)).unwrap();
         b.set_chain(Some(77));
         let bytes = b.encode();
@@ -313,7 +313,7 @@ mod tests {
     fn probe_candidates_matches_slot_scan() {
         let mut b = Bucket::empty();
         b.insert_pointer(1, 100, class(32)).unwrap();
-        b.insert_inline(b"key", b"padpad").unwrap(); // occupies slots, type 0
+        b.insert_inline_expiring(b"key", b"padpad", 0).unwrap(); // occupies slots, type 0
         b.insert_pointer(2, 100, class(64)).unwrap();
         b.insert_pointer(3, 7, class(512)).unwrap();
         let bytes = b.encode();

@@ -181,7 +181,7 @@ proptest! {
     ) {
         let mut b = Bucket::empty();
         for (k, v) in keys {
-            let _ = b.insert_inline(&k, &v);
+            let _ = b.insert_inline_expiring(&k, &v, 0);
         }
         let once = b.encode();
         let twice = Bucket::decode(&once).encode();

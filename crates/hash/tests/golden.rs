@@ -34,7 +34,7 @@ fn golden_pointer_slot_layout() {
 #[test]
 fn golden_inline_kv_layout() {
     let mut b = Bucket::empty();
-    b.insert_inline(b"ab", b"123").expect("fits");
+    b.insert_inline_expiring(b"ab", b"123", 0).expect("fits");
     let bytes = b.encode();
     // 6-byte header + 2+3 payload = 11 bytes → 3 slots: klen, vlen,
     // expiry stamp (LE u32, 0 = immortal), key, value.

@@ -53,8 +53,8 @@ pub use kvd_net::{
     NetConfig, OpCode, Status,
 };
 pub use kvd_sim::{
-    ChaosConfig, ChaosSchedule, Component, CostSource, FaultPlane, FaultRates, OpClass, OpLedger,
-    Percentile, PressureGauge, RunSummary,
+    ChaosSchedule, Component, CostSource, FaultPlane, FaultRates, OpClass, OpLedger, Percentile,
+    PressureGauge, RunSummary,
 };
 
 /// The paper's λ machinery (element codecs, registry).

@@ -36,11 +36,6 @@ impl DispatchConfig {
         assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0,1]");
         DispatchConfig { ratio }
     }
-
-    /// PCIe-only operation (the Figure 14 baseline).
-    pub fn pcie_only() -> Self {
-        DispatchConfig { ratio: 0.0 }
-    }
 }
 
 /// Splits line addresses into cacheable and non-cacheable sets by hash.
@@ -123,15 +118,6 @@ pub fn hash_line(line: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Cache hit probability under **uniform** workload: `h(l) = k/l`,
-/// clamped to 1 (paper §3.3.4).
-pub fn hit_rate_uniform(k: f64, l: f64) -> f64 {
-    if l <= 0.0 {
-        return 0.0;
-    }
-    (k / l).min(1.0)
-}
-
 /// Cache hit probability under the **long-tail** (Zipf) workload:
 /// `h(l) = log(k·n)/log(l·n)` for `k ≤ l` (paper §3.3.4). The paper notes
 /// this reaches ~0.7 with a 1M-line cache over a 1G-line corpus.
@@ -157,12 +143,6 @@ fn balance_error(l: f64, h: f64, tput_dram: f64, tput_pcie: f64) -> f64 {
     let pcie_load = (1.0 - l) + l * (1.0 - h);
     let dram_load = l;
     dram_load * tput_pcie - pcie_load * tput_dram
-}
-
-/// Solves the paper's balance equation for the optimal load dispatch
-/// ratio under a uniform workload.
-pub fn optimal_ratio_uniform(k: f64, tput_dram: f64, tput_pcie: f64) -> f64 {
-    solve(|l| balance_error(l, hit_rate_uniform(k, l), tput_dram, tput_pcie))
 }
 
 /// Solves the balance equation under the long-tail workload with `n` KVs.
@@ -200,7 +180,7 @@ mod tests {
 
     #[test]
     fn ratio_zero_never_cacheable() {
-        let d = LoadDispatcher::new(DispatchConfig::pcie_only());
+        let d = LoadDispatcher::new(DispatchConfig::new(0.0));
         assert!((0..1000).all(|l| !d.is_cacheable(l)));
     }
 
@@ -234,16 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_hit_rate_matches_paper_formula() {
-        // k = 1/16 (4GiB NIC : 64GiB host); at l = 0.5, h = 0.125.
-        assert!((hit_rate_uniform(1.0 / 16.0, 0.5) - 0.125).abs() < 1e-9);
-        // Caching under uniform workload is inefficient (paper): h small.
-        assert!(hit_rate_uniform(1.0 / 16.0, 1.0) < 0.07);
-        // Clamped when the cache covers the corpus.
-        assert_eq!(hit_rate_uniform(0.5, 0.25), 1.0);
-    }
-
-    #[test]
     fn zipf_hit_rate_matches_paper_example() {
         // Paper: "the cache hit probability is as high as 0.7 with 1M
         // cache in 1G corpus" (k·n = 1M lines, l·n ≈ n = 1G lines).
@@ -258,7 +228,8 @@ mod tests {
         let k = 1.0 / 16.0;
         let n = 1e8;
         for l in [0.3, 0.5, 0.8] {
-            assert!(hit_rate_zipf(k, l, n) > hit_rate_uniform(k, l));
+            // Uniform access hits h = k/l (paper §3.3.4).
+            assert!(hit_rate_zipf(k, l, n) > k / l);
         }
     }
 
@@ -315,7 +286,7 @@ mod tests {
         // optimum approaches a pure bandwidth-proportional partition:
         // l* ≈ tput_dram·(1−k)/tput_pcie.
         let k = 1.0 / 16.0;
-        let u = optimal_ratio_uniform(k, 12.8, 13.2);
+        let u = solve(|l| balance_error(l, (k / l).min(1.0), 12.8, 13.2));
         let expected = 12.8 * (1.0 - k) / 13.2;
         assert!((u - expected).abs() < 0.02, "got {u}, expected {expected}");
         // Under Zipf, hits offload PCIe so much that a smaller cacheable

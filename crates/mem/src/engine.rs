@@ -65,11 +65,6 @@ impl AccessStats {
         self.dma_reads + self.dma_writes + self.dram_reads + self.dram_writes
     }
 
-    /// Total PCIe DMA requests.
-    pub fn dma_ops(&self) -> u64 {
-        self.dma_reads + self.dma_writes
-    }
-
     /// Difference since an earlier snapshot.
     pub fn since(&self, earlier: &AccessStats) -> AccessStats {
         AccessStats {
@@ -279,6 +274,28 @@ pub struct EccStats {
 /// NIC DRAM cache and serves everything over PCIe (graceful degradation).
 pub const DEFAULT_BYPASS_THRESHOLD: u64 = 16;
 
+/// Largest load-dispatch-ratio move per retune step (gradual migration).
+const MAX_STEP: f64 = 0.05;
+
+/// No retune when the measured optimum is within this band of the current
+/// ratio (hysteresis).
+const DEADBAND: f64 = 0.02;
+
+/// NIC DRAM throughput term of the retune's balance equation (GB/s).
+const TPUT_DRAM: f64 = 12.8;
+
+/// Lower clamp on the retuned load dispatch ratio.
+const MIN_RATIO: f64 = 0.05;
+
+/// Upper clamp on the retuned load dispatch ratio.
+const MAX_RATIO: f64 = 0.95;
+
+const _: () = {
+    assert!(0.0 <= MIN_RATIO && MIN_RATIO < MAX_RATIO && MAX_RATIO <= 1.0);
+    assert!(MAX_STEP > 0.0 && DEADBAND >= 0.0 && DEADBAND < MAX_RATIO - MIN_RATIO);
+    assert!(TPUT_DRAM > 0.0);
+};
+
 /// Configuration of the adaptive cache plane (off by default).
 ///
 /// When enabled on a [`DispatchedMemory`], three mechanisms replace the
@@ -293,8 +310,8 @@ pub const DEFAULT_BYPASS_THRESHOLD: u64 = 16;
 /// 3. every `epoch_accesses` line accesses the load dispatch ratio is
 ///    re-solved from the **measured** windowed hit rate
 ///    ([`optimal_ratio_measured`]) and migrated toward the optimum in
-///    steps of at most `max_step`, with a `deadband` of hysteresis so a
-///    noisy hit rate does not thrash the threshold. Lines whose
+///    steps of at most `MAX_STEP`, with a `DEADBAND` of hysteresis so
+///    a noisy hit rate does not thrash the threshold. Lines whose
 ///    cacheability changes are retired in one sweep (dirty ones written
 ///    back) instead of a full flush.
 #[derive(Debug, Clone)]
@@ -304,19 +321,9 @@ pub struct AdaptiveCacheConfig {
     /// Line accesses between retune steps (access-count driven, never
     /// wall clock, so parallel runs stay bit-identical).
     pub epoch_accesses: u64,
-    /// Largest ratio move per retune step (gradual migration).
-    pub max_step: f64,
-    /// No retune when the measured optimum is within this band of the
-    /// current ratio (hysteresis).
-    pub deadband: f64,
-    /// NIC DRAM throughput term of the balance equation (GB/s).
-    pub tput_dram: f64,
-    /// PCIe throughput term of the balance equation (GB/s).
+    /// PCIe throughput term of the balance equation (GB/s); the NIC DRAM
+    /// term is `TPUT_DRAM`.
     pub tput_pcie: f64,
-    /// Lower clamp on the retuned ratio.
-    pub min_ratio: f64,
-    /// Upper clamp on the retuned ratio.
-    pub max_ratio: f64,
     /// Starvation escape hatch (the W-TinyLFU window, made deterministic):
     /// every `admit_every`-th *consecutive* rejected fill is admitted
     /// anyway, so a freshly shifted hot set — whose sketch counts are
@@ -328,17 +335,12 @@ pub struct AdaptiveCacheConfig {
 impl AdaptiveCacheConfig {
     /// Data-path defaults: the paper's device throughputs (12.8 GB/s
     /// DRAM, 13.2 GB/s for two PCIe Gen3 x8 links), a [`SketchConfig`]
-    /// sized for the hot path, 5%-max retune steps with a 2% deadband.
+    /// sized for the hot path.
     pub fn data_path(seed: u64) -> Self {
         AdaptiveCacheConfig {
             sketch: SketchConfig::data_path(seed),
             epoch_accesses: 8192,
-            max_step: 0.05,
-            deadband: 0.02,
-            tput_dram: 12.8,
             tput_pcie: 13.2,
-            min_ratio: 0.05,
-            max_ratio: 0.95,
             admit_every: 8,
         }
     }
@@ -557,7 +559,7 @@ impl DispatchedMemory {
     }
 
     /// One retune step: re-solve the balance equation with the epoch's
-    /// measured hit rate, move the dispatch threshold at most `max_step`
+    /// measured hit rate, move the dispatch threshold at most `MAX_STEP`
     /// toward the optimum (with hysteresis), and retire the lines whose
     /// cacheability changed — dirty ones written back, nothing flushed
     /// wholesale.
@@ -573,14 +575,13 @@ impl DispatchedMemory {
         if win.cache_hits + win.cache_misses == 0 {
             return; // nothing cacheable this epoch: no signal
         }
-        let cfg = &ad.cfg;
-        let target = optimal_ratio_measured(win.hit_rate(), cfg.tput_dram, cfg.tput_pcie)
-            .clamp(cfg.min_ratio, cfg.max_ratio);
+        let target = optimal_ratio_measured(win.hit_rate(), TPUT_DRAM, ad.cfg.tput_pcie)
+            .clamp(MIN_RATIO, MAX_RATIO);
         let current = self.dispatcher.ratio();
-        if (target - current).abs() <= cfg.deadband {
+        if (target - current).abs() <= DEADBAND {
             return; // hysteresis: hold the threshold against noise
         }
-        let next = current + (target - current).clamp(-cfg.max_step, cfg.max_step);
+        let next = current + (target - current).clamp(-MAX_STEP, MAX_STEP);
         let old_t = self.dispatcher.threshold();
         self.dispatcher.set_ratio(next);
         let new_t = self.dispatcher.threshold();
@@ -1145,7 +1146,7 @@ mod tests {
     fn retune_climbs_toward_measured_optimum() {
         // A perfectly cache-friendly workload (hit rate -> 1) rebalances
         // toward l* = d/(p + h*d) = 12.8/26.0 ~ 0.49 from below, in
-        // max_step increments.
+        // MAX_STEP increments.
         let mut m = adaptive(0.2, 2, 256);
         let cacheable: Vec<u64> = (0..4096u64)
             .filter(|&l| m.dispatcher().is_cacheable(l))
@@ -1167,7 +1168,7 @@ mod tests {
     }
 
     /// Warms an adaptive engine to one tick short of a retune that will
-    /// move the ratio from `ratio` by one `max_step`, then makes the
+    /// move the ratio from `ratio` by one `MAX_STEP`, then makes the
     /// crossing access an 8-byte read of a line inside the migrated band.
     /// Returns the engine, the line and what that one access cost.
     fn read_across_a_retune(ratio: f64) -> (DispatchedMemory, u64, AccessStats) {
@@ -1557,13 +1558,14 @@ mod tests {
             ..kvd_sim::FaultRates::ZERO
         };
         // Everything cacheable, adaptive plane on (sketch, admission and
-        // the starvation hatch run; the clamp pins the ratio): no
-        // non-cacheable run exists to coalesce, so every counter agrees.
+        // the starvation hatch run; no epoch ends, so no retune moves the
+        // ratio): no non-cacheable run exists to coalesce, so every
+        // counter agrees.
         let adaptive_all_cacheable = || {
             let mut m = dispatched_faulty(1.0, rates, 21);
             m.set_bypass_threshold(u64::MAX);
             let mut cfg = AdaptiveCacheConfig::data_path(5);
-            (cfg.epoch_accesses, cfg.min_ratio, cfg.max_ratio) = (512, 1.0, 1.0);
+            cfg.epoch_accesses = u64::MAX;
             m.set_adaptive(cfg);
             m
         };

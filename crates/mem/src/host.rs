@@ -43,7 +43,6 @@ const LINE_BYTES: usize = crate::LINE as usize;
 /// ```
 pub struct HostMemory {
     root: Vec<Option<Box<Leaf>>>,
-    resident_pages: u64,
     capacity: u64,
 }
 
@@ -53,7 +52,6 @@ impl HostMemory {
         let leaves = capacity.div_ceil(1 << (PAGE_SHIFT + LEAF_SHIFT));
         HostMemory {
             root: (0..leaves).map(|_| None).collect(),
-            resident_pages: 0,
             capacity,
         }
     }
@@ -61,11 +59,6 @@ impl HostMemory {
     /// Total address-space capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Bytes of memory actually resident (allocated pages).
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_pages * PAGE_SIZE as u64
     }
 
     fn check_range(&self, addr: u64, len: usize) {
@@ -122,7 +115,6 @@ impl HostMemory {
             let leaf = self.root[page >> LEAF_SHIFT]
                 .get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
             let p = leaf[page & (LEAF_PAGES - 1)].get_or_insert_with(|| {
-                self.resident_pages += 1;
                 // Zeroed on the heap: a page never exists on the stack.
                 vec![0u8; PAGE_SIZE]
                     .into_boxed_slice()
@@ -206,14 +198,15 @@ mod tests {
         let mut buf = vec![0u8; 10];
         m.read(addr, &mut buf);
         assert_eq!(buf, data);
-        assert_eq!(m.resident_bytes(), 2 * PAGE_SIZE as u64);
     }
 
     #[test]
     fn sparse_residency() {
         let mut m = HostMemory::new(1 << 40); // 1 TiB address space
         m.write(1 << 39, &[1]);
-        assert_eq!(m.resident_bytes(), PAGE_SIZE as u64);
+        let mut buf = [0u8; 2];
+        m.read((1 << 39) - 1, &mut buf);
+        assert_eq!(buf, [0, 1]);
         assert_eq!(m.capacity(), 1 << 40);
     }
 
@@ -288,7 +281,11 @@ mod tests {
         {
             m.prefetch(addr);
         }
-        assert_eq!(m.resident_bytes(), PAGE_SIZE as u64);
+        assert_eq!(
+            m.line(PAGE_SIZE as u64),
+            None,
+            "the second page stays unmapped"
+        );
         assert_eq!(m.line(PAGE_SIZE as u64 + 64), None);
         let mut buf = [0u8; 3];
         m.read(10, &mut buf);

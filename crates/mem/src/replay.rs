@@ -328,7 +328,7 @@ mod tests {
             .iter()
             .map(|p| p.stats().reads + p.stats().writes)
             .sum();
-        assert_eq!(requests, mem.stats().dma_ops());
+        assert_eq!(requests, mem.stats().dma_reads + mem.stats().dma_writes);
         assert_eq!(
             replay.dram.bytes_moved(),
             (mem.stats().dram_reads + mem.stats().dram_writes) * LINE

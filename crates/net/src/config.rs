@@ -42,15 +42,6 @@ impl NetConfig {
         let packets = payload.div_ceil(self.max_packet_payload).max(1);
         payload + packets * self.packet_overhead
     }
-
-    /// Theoretical KV-operation ceiling for `op_bytes`-byte operations at
-    /// batch factor `batch` (ops per packet).
-    pub fn ops_ceiling(&self, op_bytes: u64, batch: u64) -> f64 {
-        assert!(batch >= 1);
-        let payload = op_bytes * batch;
-        let per_packet = self.wire_bytes(payload);
-        self.bandwidth.bytes_per_sec() / per_packet as f64 * batch as f64
-    }
 }
 
 impl Default for NetConfig {
@@ -63,20 +54,26 @@ impl Default for NetConfig {
 mod tests {
     use super::*;
 
+    /// Theoretical KV-operation ceiling for `op_bytes`-byte operations at
+    /// batch factor `batch` (ops per packet).
+    fn ops_ceiling(net: &NetConfig, op_bytes: u64, batch: u64) -> f64 {
+        net.bandwidth.bytes_per_sec() / net.wire_bytes(op_bytes * batch) as f64 * batch as f64
+    }
+
     #[test]
     fn paper_network_bound_for_64b_kvs() {
         // Paper §2.4: "with 40 Gbps network and 64-byte KV pairs, the
         // throughput ceiling is 78 Mops with client-side batching".
         let net = NetConfig::forty_gbe();
-        let mops = net.ops_ceiling(64, 40) / 1e6;
+        let mops = ops_ceiling(&net, 64, 40) / 1e6;
         assert!((mops - 76.0).abs() < 4.0, "got {mops}");
     }
 
     #[test]
     fn unbatched_overhead_dominates_small_ops() {
         let net = NetConfig::forty_gbe();
-        let unbatched = net.ops_ceiling(16, 1);
-        let batched = net.ops_ceiling(16, 64);
+        let unbatched = ops_ceiling(&net, 16, 1);
+        let batched = ops_ceiling(&net, 16, 64);
         // Paper Figure 15a: batching buys up to ~4x for small KVs.
         assert!(batched / unbatched > 3.0, "ratio {}", batched / unbatched);
     }

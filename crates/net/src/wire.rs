@@ -73,17 +73,6 @@ impl OpCode {
         !matches!(self, OpCode::Get | OpCode::Delete | OpCode::Filter)
     }
 
-    /// Whether replaying the request yields the same end state and
-    /// response. GET/PUT/DELETE and the read-only λ ops (REDUCE, FILTER)
-    /// are idempotent; the atomic updates are not — applying `Δ` twice
-    /// double-counts — so an ambiguous timeout must never retransmit them.
-    pub fn is_idempotent(self) -> bool {
-        !matches!(
-            self,
-            OpCode::UpdateScalar | OpCode::UpdateScalarToVector | OpCode::UpdateVector
-        )
-    }
-
     /// Whether the request names a pre-registered λ function.
     pub fn is_func(self) -> bool {
         matches!(

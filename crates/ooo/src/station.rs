@@ -354,11 +354,6 @@ impl ReservationStation {
         self.stats
     }
 
-    /// Operations currently tracked (busy + queued).
-    pub fn tracked(&self) -> usize {
-        self.total_tracked
-    }
-
     /// Occupancy relative to the station's operation capacity: 0 when
     /// idle, 1 when every slot of the paper's 256-op envelope is spoken
     /// for. This is the backpressure signal the admission layer watches.
@@ -987,7 +982,7 @@ mod tests {
         assert!(c.results.is_empty());
         let issued = c.issue.expect("next pending op must re-issue");
         assert_eq!(issued.id, 1);
-        assert_eq!(rs.tracked(), 2, "op 1 busy + op 2 still queued");
+        assert_eq!(rs.total_tracked, 2, "op 1 busy + op 2 still queued");
         // Normal completion of the re-issued op drains the rest.
         let c2 = rs.complete(b"k", Some(b"v".to_vec()));
         assert_eq!(c2.results.len(), 1);

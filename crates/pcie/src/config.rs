@@ -72,7 +72,7 @@ impl PcieConfig {
     /// used for back-of-envelope concurrency math (92 in-flight requests
     /// needed to saturate the link at 64 B).
     pub fn mean_random_read_latency(&self) -> SimTime {
-        self.cached_read_latency.mean() + self.noncached_extra / 2
+        self.cached_read_latency.base() + self.noncached_extra / 2
     }
 
     /// Wire bytes for one DMA of `payload` bytes (TLP splitting included).

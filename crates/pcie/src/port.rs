@@ -159,7 +159,7 @@ impl DmaPort {
         // Request TLP (header only) serializes on the NIC→host link.
         let req_done = self.tx.transfer(issue, self.cfg.tlp_overhead_bytes);
         // Host-side service latency.
-        let mut latency = self.cfg.cached_read_latency.sample(&mut self.rng);
+        let mut latency = self.cfg.cached_read_latency.base();
         if !cached {
             latency += SimTime::from_ps(self.rng.u64_below(self.cfg.noncached_extra.as_ps() + 1));
         }
@@ -192,11 +192,6 @@ impl DmaPort {
         self.stats.writes += 1;
         self.stats.write_bytes += bytes;
         sent
-    }
-
-    /// Number of in-flight reads (issued, completion pending).
-    pub fn inflight_reads(&self) -> usize {
-        (self.cfg.read_tags as usize) - self.tags.available()
     }
 
     /// The time at which all submitted traffic has drained from both link
@@ -251,8 +246,6 @@ mod tests {
             p.read(SimTime::ZERO, 64, false);
         }
         assert!(p.stats().tag_stalls > 0);
-        // In-flight reads never exceeded the tag count.
-        assert!(p.inflight_reads() <= 64);
     }
 
     #[test]

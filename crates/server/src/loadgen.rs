@@ -17,7 +17,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use kvd_sim::{ChaosConfig, ChaosSchedule, DetRng, Histogram};
+use kvd_sim::{ChaosSchedule, DetRng, Histogram};
 use kvd_workloads::{MemOp, MemcacheWorkload, YcsbPreset};
 
 /// Jittered exponential backoff for TCP (re)connection attempts.
@@ -262,10 +262,10 @@ fn preload(cfg: &LoadConfig) -> io::Result<u64> {
 
 fn run_conn(cfg: &LoadConfig, conn: usize, t0: Instant) -> io::Result<LoadReport> {
     let per_conn_rate = cfg.rate / cfg.connections as f64;
-    // `bursty` phase multipliers average ~1.375; normalize so the mean
+    // Chaos phase multipliers average ~1.375; normalize so the mean
     // offered rate is as configured (same correction as the chaos soak).
     let mut chaos = ChaosSchedule::new(
-        ChaosConfig::bursty(per_conn_rate / 1.375),
+        per_conn_rate / 1.375,
         cfg.seed ^ (conn as u64).wrapping_mul(0x9E37_79B9),
     );
     let arrivals = chaos.arrivals(cfg.ops_per_conn);

@@ -180,12 +180,6 @@ impl ServerConfig {
             cluster: None,
         }
     }
-
-    /// Joins a cluster: refuse keys outside this node's replica sets.
-    pub fn with_cluster(mut self, membership: ClusterMembership) -> Self {
-        self.cluster = Some(membership);
-        self
-    }
 }
 
 /// Operation verb as routed to a shard.
@@ -1066,11 +1060,14 @@ mod tests {
         let foreign = (0u32..)
             .find(|i| ring.primary(format!("k{i}").as_bytes()) == 1)
             .expect("foreign key");
-        let cfg = ServerConfig::loopback(1).with_cluster(ClusterMembership {
-            node: 0,
-            ring,
-            rf: 1,
-        });
+        let cfg = ServerConfig {
+            cluster: Some(ClusterMembership {
+                node: 0,
+                ring,
+                rf: 1,
+            }),
+            ..ServerConfig::loopback(1)
+        };
         let h = serve("127.0.0.1:0", cfg).expect("bind");
         let send = format!(
             "set k{owned} 0 0 1\r\na\r\nset k{foreign} 0 0 1\r\nb\r\nget k{foreign}\r\ndelete k{foreign}\r\nget k{owned}\r\n"

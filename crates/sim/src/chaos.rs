@@ -7,40 +7,28 @@
 //! holds a rate multiplier drawn from a bursty palette for a few hundred
 //! operations — so the offered load repeatedly dives below the low
 //! watermark and spikes past the high one. The schedule is a pure
-//! function of `(config, seed)`: arrivals are *data*, which is what lets
+//! function of `(base rate, seed)`: arrivals are *data*, which is what lets
 //! the parallel engine replay the identical experiment across any worker
 //! count and lets a soak test bisect a failure by seed.
 
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
-/// Shape of the bursty load generator.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// Mean offered rate at multiplier 1.0, in operations per second.
-    pub base_rate: f64,
-    /// Minimum operations per phase.
-    pub min_phase: usize,
-    /// Maximum operations per phase (inclusive).
-    pub max_phase: usize,
-    /// Rate multipliers a phase can draw (uniformly). Values above 1
-    /// are bursts, below 1 are lulls.
-    pub multipliers: Vec<f64>,
-}
+/// Minimum operations per phase.
+const MIN_PHASE: usize = 100;
 
-impl ChaosConfig {
-    /// A bursty palette swinging between one-quarter and triple the base
-    /// rate, with phases of 100–400 operations.
-    pub fn bursty(base_rate: f64) -> Self {
-        assert!(base_rate > 0.0, "base rate must be positive");
-        ChaosConfig {
-            base_rate,
-            min_phase: 100,
-            max_phase: 400,
-            multipliers: vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0],
-        }
-    }
-}
+/// Maximum operations per phase (inclusive).
+const MAX_PHASE: usize = 400;
+
+/// Rate multipliers a phase can draw (uniformly): a bursty palette
+/// swinging between one-quarter and triple the base rate. Values above 1
+/// are bursts, below 1 are lulls; they average 1.375.
+const MULTIPLIERS: [f64; 6] = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0];
+
+const _: () = assert!(
+    MIN_PHASE >= 1 && MIN_PHASE <= MAX_PHASE,
+    "phase bounds inverted"
+);
 
 /// One burst/lull phase of the schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,9 +44,9 @@ pub struct ChaosPhase {
 /// # Examples
 ///
 /// ```
-/// use kvd_sim::{ChaosConfig, ChaosSchedule};
+/// use kvd_sim::ChaosSchedule;
 ///
-/// let mut s = ChaosSchedule::new(ChaosConfig::bursty(1e6), 42);
+/// let mut s = ChaosSchedule::new(1e6, 42);
 /// let arrivals = s.arrivals(1000);
 /// assert_eq!(arrivals.len(), 1000);
 /// // Arrivals are sorted: they are a timeline, not a bag of samples.
@@ -66,24 +54,23 @@ pub struct ChaosPhase {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChaosSchedule {
-    cfg: ChaosConfig,
+    /// Mean offered rate at multiplier 1.0, in operations per second.
+    base_rate: f64,
     rng: DetRng,
 }
 
 impl ChaosSchedule {
-    /// Creates a schedule generator; every draw derives from `seed`.
+    /// Creates a schedule generator around `base_rate` operations per
+    /// second, with phases of 100–400 operations; every draw derives from
+    /// `seed`.
     ///
     /// # Panics
     ///
-    /// Panics on an empty multiplier palette or an inverted phase range.
-    pub fn new(cfg: ChaosConfig, seed: u64) -> Self {
-        assert!(!cfg.multipliers.is_empty(), "need at least one multiplier");
-        assert!(
-            cfg.min_phase >= 1 && cfg.min_phase <= cfg.max_phase,
-            "phase bounds inverted"
-        );
+    /// Panics if `base_rate` is not positive.
+    pub fn new(base_rate: f64, seed: u64) -> Self {
+        assert!(base_rate > 0.0, "base rate must be positive");
         ChaosSchedule {
-            cfg,
+            base_rate,
             rng: DetRng::seed(seed),
         }
     }
@@ -94,12 +81,12 @@ impl ChaosSchedule {
         let mut out = Vec::new();
         let mut remaining = total_ops;
         while remaining > 0 {
-            let span = self.cfg.max_phase - self.cfg.min_phase + 1;
-            let len = (self.cfg.min_phase + self.rng.usize_below(span)).min(remaining);
-            let mult = self.cfg.multipliers[self.rng.usize_below(self.cfg.multipliers.len())];
+            let span = MAX_PHASE - MIN_PHASE + 1;
+            let len = (MIN_PHASE + self.rng.usize_below(span)).min(remaining);
+            let mult = MULTIPLIERS[self.rng.usize_below(MULTIPLIERS.len())];
             out.push(ChaosPhase {
                 ops: len,
-                rate: self.cfg.base_rate * mult,
+                rate: self.base_rate * mult,
             });
             remaining -= len;
         }
@@ -128,16 +115,16 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        let mut a = ChaosSchedule::new(ChaosConfig::bursty(5e5), 9);
-        let mut b = ChaosSchedule::new(ChaosConfig::bursty(5e5), 9);
+        let mut a = ChaosSchedule::new(5e5, 9);
+        let mut b = ChaosSchedule::new(5e5, 9);
         assert_eq!(a.arrivals(5_000), b.arrivals(5_000));
-        let mut c = ChaosSchedule::new(ChaosConfig::bursty(5e5), 10);
+        let mut c = ChaosSchedule::new(5e5, 10);
         assert_ne!(a.arrivals(5_000), c.arrivals(5_000));
     }
 
     #[test]
     fn phases_cover_exactly_the_requested_ops() {
-        let mut s = ChaosSchedule::new(ChaosConfig::bursty(1e6), 3);
+        let mut s = ChaosSchedule::new(1e6, 3);
         let phases = s.phases(2_345);
         assert_eq!(phases.iter().map(|p| p.ops).sum::<usize>(), 2_345);
         assert!(phases.iter().all(|p| p.rate > 0.0));
@@ -145,7 +132,7 @@ mod tests {
 
     #[test]
     fn arrivals_are_monotone_and_bursty() {
-        let mut s = ChaosSchedule::new(ChaosConfig::bursty(1e6), 7);
+        let mut s = ChaosSchedule::new(1e6, 7);
         let arrivals = s.arrivals(10_000);
         assert_eq!(arrivals.len(), 10_000);
         assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
@@ -162,7 +149,7 @@ mod tests {
         // Over many phases the realized mean rate sits inside the palette's
         // range (0.25x..3x the base).
         let base = 1e6;
-        let mut s = ChaosSchedule::new(ChaosConfig::bursty(base), 11);
+        let mut s = ChaosSchedule::new(base, 11);
         let arrivals = s.arrivals(50_000);
         let span = arrivals.last().unwrap().as_secs_f64();
         let rate = 50_000.0 / span;

@@ -2,7 +2,7 @@
 //!
 //! The single-host engine scales to N NICs sharing one server's DRAM
 //! (`HostArbiter`); this module supplies what the next level up needs: a
-//! timed point-to-point **node link** with configurable latency and
+//! timed point-to-point **node link** with a rack fabric's latency and
 //! bandwidth ([`NodeLink`]) over which replication frames and heartbeats
 //! travel. The window discipline that keeps inter-node delivery
 //! deterministic lives with the cluster engine in `kvd-core`.
@@ -11,83 +11,60 @@ use crate::ledger::{ClusterCosts, CostSource, OpLedger};
 use crate::resource::BandwidthLink;
 use crate::time::{Bandwidth, SimTime};
 
-/// Latency/bandwidth shape of one inter-node link.
-#[derive(Debug, Clone)]
-pub struct NodeLinkConfig {
-    /// One-way propagation latency between two hosts.
-    pub latency: SimTime,
-    /// Egress serialization bandwidth of a node.
-    pub bandwidth: Bandwidth,
-    /// Per-frame wire overhead (Ethernet/IP/UDP headers and padding).
-    pub frame_overhead: u64,
-}
+/// One-way propagation latency between two hosts of a rack (a few switch
+/// hops).
+const LATENCY: SimTime = SimTime::from_us(5);
 
-impl NodeLinkConfig {
-    /// A datacenter rack fabric: 100 Gb/s egress, 5 µs one-way between
-    /// hosts (a few switch hops), 66 B of header/padding per frame.
-    pub fn rack() -> Self {
-        NodeLinkConfig {
-            latency: SimTime::from_us(5),
-            bandwidth: Bandwidth::from_gbits_per_sec(100.0),
-            frame_overhead: 66,
-        }
-    }
-}
+/// Egress serialization bandwidth of a node, in Gb/s.
+const GBITS_PER_SEC: f64 = 100.0;
 
-/// One node's egress onto the cluster fabric: serialization on a
+/// Per-frame wire overhead (Ethernet/IP/UDP headers and padding).
+const FRAME_OVERHEAD: u64 = 66;
+
+/// One node's egress onto a datacenter rack fabric: serialization on a
 /// bandwidth-limited line plus fixed propagation latency, with frame
 /// and byte counters that land in the ledger's cluster section.
 ///
 /// # Examples
 ///
 /// ```
-/// use kvd_sim::{NodeLink, NodeLinkConfig, SimTime};
+/// use kvd_sim::{NodeLink, SimTime};
 ///
-/// let mut link = NodeLink::new(NodeLinkConfig::rack());
+/// let mut link = NodeLink::default();
 /// let arrive = link.send(SimTime::ZERO, 128);
 /// assert!(arrive >= SimTime::from_us(5), "at least the propagation delay");
 /// assert_eq!(link.costs().rep_frames, 1);
 /// ```
 #[derive(Debug)]
 pub struct NodeLink {
-    cfg: NodeLinkConfig,
     line: BandwidthLink,
     /// Frames sent and their payload bytes.
     costs: ClusterCosts,
 }
 
-impl NodeLink {
-    /// Creates an idle link.
-    pub fn new(cfg: NodeLinkConfig) -> Self {
+impl Default for NodeLink {
+    /// An idle link.
+    fn default() -> Self {
         NodeLink {
-            line: BandwidthLink::new(cfg.bandwidth),
+            line: BandwidthLink::new(Bandwidth::from_gbits_per_sec(GBITS_PER_SEC)),
             costs: ClusterCosts::default(),
-            cfg,
         }
     }
+}
 
+impl NodeLink {
     /// Sends a frame with `payload` bytes at `now`; returns its arrival
     /// time at the destination host.
     pub fn send(&mut self, now: SimTime, payload: u64) -> SimTime {
-        let serialized = self.line.transfer(now, payload + self.cfg.frame_overhead);
+        let serialized = self.line.transfer(now, payload + FRAME_OVERHEAD);
         self.costs.rep_frames += 1;
         self.costs.rep_bytes += payload;
-        serialized + self.cfg.latency
-    }
-
-    /// When the egress line is next free to serialize.
-    pub fn free_at(&self) -> SimTime {
-        self.line.free_at()
+        serialized + LATENCY
     }
 
     /// The link's traffic: frames sent and their payload bytes.
     pub fn costs(&self) -> ClusterCosts {
         self.costs
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &NodeLinkConfig {
-        &self.cfg
     }
 }
 
@@ -103,8 +80,7 @@ mod tests {
 
     #[test]
     fn link_charges_serialization_and_latency() {
-        let cfg = NodeLinkConfig::rack();
-        let mut link = NodeLink::new(cfg.clone());
+        let mut link = NodeLink::default();
         let a = link.send(SimTime::ZERO, 1 << 20);
         // 1 MiB at 100 Gb/s is ~84 µs of serialization plus 5 µs flight.
         assert!(a > SimTime::from_us(80), "got {}us", a.as_us());
@@ -116,7 +92,7 @@ mod tests {
 
     #[test]
     fn link_costs_land_in_the_cluster_section() {
-        let mut link = NodeLink::new(NodeLinkConfig::rack());
+        let mut link = NodeLink::default();
         link.send(SimTime::ZERO, 100);
         link.send(SimTime::ZERO, 28);
         let mut ledger = OpLedger::default();

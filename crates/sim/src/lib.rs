@@ -54,8 +54,8 @@ pub mod stats;
 pub mod time;
 
 pub use arbiter::{ArbiterStats, HostArbiterConfig};
-pub use chaos::{ChaosConfig, ChaosPhase, ChaosSchedule};
-pub use cluster::{NodeLink, NodeLinkConfig};
+pub use chaos::{ChaosPhase, ChaosSchedule};
+pub use cluster::NodeLink;
 pub use fault::{DramFault, FaultPlane, FaultRates, NetFault, PcieFault, TxnOutcome};
 pub use ledger::{
     CacheCosts, ClusterCosts, Component, CoreCosts, CostSource, DramCosts, ExpiryCosts,

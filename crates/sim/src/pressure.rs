@@ -21,8 +21,7 @@ use crate::ledger::PressureTerms;
 ///
 /// let g = PressureGauge { station: 0.4, tags: 0.9, stretch: 0.1 };
 /// assert_eq!(g.overall(), 0.9); // the bottleneck dominates
-/// assert!(!PressureGauge::IDLE.saturated(0.85));
-/// assert!(g.saturated(0.85));
+/// assert_eq!(PressureGauge::default().overall(), 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PressureGauge {
@@ -39,13 +38,6 @@ pub struct PressureGauge {
 }
 
 impl PressureGauge {
-    /// A gauge with every signal at zero.
-    pub const IDLE: PressureGauge = PressureGauge {
-        station: 0.0,
-        tags: 0.0,
-        stretch: 0.0,
-    };
-
     /// Computes the gauge from the ledger's raw backpressure terms: each
     /// signal is its backlog divided by its capacity envelope (zero when
     /// the envelope is unknown/zero, i.e. before any batch ran).
@@ -70,11 +62,6 @@ impl PressureGauge {
     pub fn overall(&self) -> f64 {
         self.station.max(self.tags).max(self.stretch).max(0.0)
     }
-
-    /// True when the dominant signal has crossed `threshold`.
-    pub fn saturated(&self, threshold: f64) -> bool {
-        self.overall() >= threshold
-    }
 }
 
 #[cfg(test)]
@@ -91,15 +78,14 @@ mod tests {
         assert_eq!(g.overall(), 0.7);
         let g = PressureGauge {
             station: 1.5,
-            ..PressureGauge::IDLE
+            ..PressureGauge::default()
         };
         assert_eq!(g.overall(), 1.5, "backlog past capacity is reported");
     }
 
     #[test]
     fn idle_gauge_never_saturates() {
-        assert_eq!(PressureGauge::IDLE.overall(), 0.0);
-        assert!(!PressureGauge::IDLE.saturated(0.0 + f64::EPSILON));
+        assert_eq!(PressureGauge::default().overall(), 0.0);
     }
 
     #[test]
@@ -117,7 +103,7 @@ mod tests {
         assert_eq!(g.stretch, 0.0);
         assert_eq!(
             PressureGauge::from_terms(&PressureTerms::default()),
-            PressureGauge::IDLE,
+            PressureGauge::default(),
             "zero envelopes (no batch yet) read as idle"
         );
     }

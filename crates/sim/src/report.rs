@@ -42,11 +42,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of displayable cells.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -133,13 +128,6 @@ mod tests {
     fn rejects_wrong_arity() {
         let mut t = Table::new("cap", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn row_display_accepts_numbers() {
-        let mut t = Table::new("cap", &["x", "y"]);
-        t.row_display(&[1.5, 2.25]);
-        assert!(t.render().contains("2.25"));
     }
 
     #[test]

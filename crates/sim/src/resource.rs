@@ -5,15 +5,13 @@
 //! * [`BandwidthLink`] — serialization on a shared link (PCIe lanes, DDR3
 //!   channel, 40 GbE port). Requests queue behind each other; the link
 //!   tracks when it next becomes free.
-//! * [`LatencyModel`] — a fixed propagation delay plus optional uniform
-//!   jitter (e.g. the paper's 800 ns cached PCIe DMA read with an extra
-//!   0–500 ns spread for DRAM access/refresh/reordering).
+//! * [`LatencyModel`] — a fixed propagation delay (e.g. the paper's 800 ns
+//!   cached PCIe DMA read).
 //! * [`CreditPool`] — PCIe credit-based flow control (the root complex in
 //!   the paper advertises 88 posted / 84 non-posted header credits).
 //! * [`TagPool`] — PCIe DMA read tags (the paper's FPGA DMA engine supports
 //!   64 tags, capping read concurrency at 64 requests in flight).
 
-use crate::rng::DetRng;
 use crate::time::{Bandwidth, SimTime};
 
 /// A bandwidth-limited, work-conserving serial link.
@@ -94,59 +92,30 @@ impl BandwidthLink {
     }
 }
 
-/// A fixed latency plus uniform jitter stage.
+/// A fixed latency stage.
 ///
 /// # Examples
 ///
 /// ```
-/// use kvd_sim::{LatencyModel, DetRng, SimTime};
+/// use kvd_sim::{LatencyModel, SimTime};
 ///
 /// let lat = LatencyModel::fixed(SimTime::from_ns(800));
-/// let mut rng = DetRng::seed(1);
-/// assert_eq!(lat.sample(&mut rng), SimTime::from_ns(800));
-///
-/// let jittery = LatencyModel::with_jitter(SimTime::from_ns(800), SimTime::from_ns(500));
-/// let s = jittery.sample(&mut rng);
-/// assert!(s >= SimTime::from_ns(800) && s <= SimTime::from_ns(1300));
+/// assert_eq!(lat.base(), SimTime::from_ns(800));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyModel {
     base: SimTime,
-    jitter: SimTime,
 }
 
 impl LatencyModel {
     /// A deterministic fixed latency.
     pub fn fixed(base: SimTime) -> Self {
-        LatencyModel {
-            base,
-            jitter: SimTime::ZERO,
-        }
+        LatencyModel { base }
     }
 
-    /// A fixed latency plus uniform jitter in `[0, jitter]`.
-    pub fn with_jitter(base: SimTime, jitter: SimTime) -> Self {
-        LatencyModel { base, jitter }
-    }
-
-    /// Draws one latency sample.
-    #[inline]
-    pub fn sample(&self, rng: &mut DetRng) -> SimTime {
-        if self.jitter == SimTime::ZERO {
-            self.base
-        } else {
-            self.base + SimTime::from_ps(rng.u64_below(self.jitter.as_ps() + 1))
-        }
-    }
-
-    /// The minimum (base) latency.
+    /// The latency.
     pub fn base(&self) -> SimTime {
         self.base
-    }
-
-    /// The mean latency (base + jitter/2).
-    pub fn mean(&self) -> SimTime {
-        self.base + self.jitter / 2
     }
 }
 
@@ -296,27 +265,6 @@ mod tests {
         assert_eq!(done, SimTime::from_us(5) + SimTime::from_ns(100));
         // Busy 200ns over a 10us horizon = 2%.
         assert!((link.utilization(SimTime::from_us(10)) - 0.02).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_jitter_within_bounds() {
-        let lat = LatencyModel::with_jitter(SimTime::from_ns(800), SimTime::from_ns(250));
-        let mut rng = DetRng::seed(42);
-        let mut seen_low = false;
-        let mut seen_high = false;
-        for _ in 0..10_000 {
-            let s = lat.sample(&mut rng);
-            assert!(s >= SimTime::from_ns(800));
-            assert!(s <= SimTime::from_ns(1050));
-            if s < SimTime::from_ns(850) {
-                seen_low = true;
-            }
-            if s > SimTime::from_ns(1000) {
-                seen_high = true;
-            }
-        }
-        assert!(seen_low && seen_high, "jitter should cover the range");
-        assert_eq!(lat.mean(), SimTime::from_ns(925));
     }
 
     #[test]

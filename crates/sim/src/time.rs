@@ -225,12 +225,6 @@ impl Freq {
         SimTime((1e12 / self.hz).round() as u64)
     }
 
-    /// The duration of `n` cycles (computed in f64 then rounded once, so
-    /// rounding error does not accumulate per cycle).
-    pub fn cycles(self, n: u64) -> SimTime {
-        SimTime((n as f64 * 1e12 / self.hz).round() as u64)
-    }
-
     /// Operations per second for a fully pipelined unit (one op per cycle).
     pub fn ops_per_sec(self) -> f64 {
         self.hz
@@ -344,22 +338,6 @@ mod tests {
         // The paper's 180MHz clock: 5.5555..ns per cycle.
         let clk = Freq::from_mhz(180);
         assert_eq!(clk.cycle().as_ps(), 5556);
-        // 180M cycles is 1 second (within rounding).
-        let t = clk.cycles(180_000_000);
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn freq_cycles_does_not_accumulate_rounding() {
-        let clk = Freq::from_mhz(180);
-        let bulk = clk.cycles(1_000_000);
-        let step: SimTime = (0..1_000_000).map(|_| clk.cycle()).sum();
-        // Per-cycle rounding would drift by ~0.44ps * 1e6 = 444ns.
-        let drift = step.saturating_sub(bulk).max(bulk.saturating_sub(step));
-        assert!(drift >= SimTime::from_ns(400), "expected per-cycle drift");
-        // The bulk computation matches the exact value to <1ns.
-        let exact_ns = 1_000_000.0 / 180e6 * 1e9;
-        assert!((bulk.as_ns() - exact_ns).abs() < 1.0);
     }
 
     #[test]

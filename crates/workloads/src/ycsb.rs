@@ -12,13 +12,6 @@ pub enum Dist {
     Zipf(f64),
 }
 
-impl Dist {
-    /// The paper's long-tail workload.
-    pub fn long_tail() -> Dist {
-        Dist::Zipf(0.99)
-    }
-}
-
 /// Specification of a YCSB workload.
 #[derive(Debug, Clone, Copy)]
 pub struct YcsbSpec {
@@ -59,7 +52,7 @@ impl YcsbSpec {
 ///     n_keys: 1000,
 ///     kv_size: 16,
 ///     put_ratio: 0.5,
-///     dist: Dist::long_tail(),
+///     dist: Dist::Zipf(0.99),
 ///     seed: 1,
 /// });
 /// let batch = w.batch(40);
@@ -159,8 +152,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = YcsbWorkload::new(spec(Dist::long_tail(), 0.5));
-        let mut b = YcsbWorkload::new(spec(Dist::long_tail(), 0.5));
+        let mut a = YcsbWorkload::new(spec(Dist::Zipf(0.99), 0.5));
+        let mut b = YcsbWorkload::new(spec(Dist::Zipf(0.99), 0.5));
         assert_eq!(a.batch(100), b.batch(100));
     }
 
@@ -177,7 +170,7 @@ mod tests {
 
     #[test]
     fn zipf_concentrates_on_few_keys() {
-        let mut w = YcsbWorkload::new(spec(Dist::long_tail(), 0.0));
+        let mut w = YcsbWorkload::new(spec(Dist::Zipf(0.99), 0.0));
         let mut counts = std::collections::HashMap::new();
         for _ in 0..50_000 {
             *counts.entry(w.next_key_id()).or_insert(0u32) += 1;
@@ -200,7 +193,7 @@ mod tests {
 
     #[test]
     fn keys_in_range_and_values_sized() {
-        let mut w = YcsbWorkload::new(spec(Dist::long_tail(), 1.0));
+        let mut w = YcsbWorkload::new(spec(Dist::Zipf(0.99), 1.0));
         for _ in 0..1000 {
             let r = w.next_request();
             let id = u64::from_le_bytes(r.key.clone().try_into().unwrap());
@@ -228,7 +221,7 @@ mod tests {
 
     #[test]
     fn trace_generation() {
-        let mut w = YcsbWorkload::new(spec(Dist::long_tail(), 0.5));
+        let mut w = YcsbWorkload::new(spec(Dist::Zipf(0.99), 0.5));
         let t = w.batch(1000);
         assert_eq!(t.len(), 1000);
         assert!(t.iter().any(|r| r.op == OpCode::Put));

@@ -42,19 +42,6 @@ impl ZipfHotSpec {
     /// long tail, and the adversarial head-heavy mix.
     pub const THETAS: [f64; 3] = [0.5, 0.99, 1.2];
 
-    /// The benchmark's default shape at a given skewness: 64 Ki keys,
-    /// 16 B KVs, 10% PUTs, hot set shifting every 16 Ki requests.
-    pub fn sweep_point(theta: f64, seed: u64) -> Self {
-        ZipfHotSpec {
-            n_keys: 64 << 10,
-            theta,
-            kv_size: 16,
-            put_ratio: 0.1,
-            shift_every: 16 << 10,
-            seed,
-        }
-    }
-
     /// Value length implied by `kv_size`.
     pub fn value_len(&self) -> usize {
         assert!(
@@ -72,11 +59,17 @@ impl ZipfHotSpec {
 /// ```
 /// use kvd_workloads::{ZipfHotSpec, ZipfHotWorkload};
 ///
-/// let mut w = ZipfHotWorkload::new(ZipfHotSpec::sweep_point(1.2, 7));
-/// let before = w.hottest_key_id();
+/// let mut w = ZipfHotWorkload::new(ZipfHotSpec {
+///     n_keys: 64 << 10,
+///     theta: 1.2,
+///     kv_size: 16,
+///     put_ratio: 0.1,
+///     shift_every: 16 << 10,
+///     seed: 7,
+/// });
 /// let batch = w.batch(40);
 /// assert_eq!(batch.len(), 40);
-/// assert_eq!(before, w.hottest_key_id(), "no shift after 40 requests");
+/// assert_eq!(w.phase(), 0, "no shift after 40 requests");
 /// ```
 pub struct ZipfHotWorkload {
     spec: ZipfHotSpec,
@@ -124,11 +117,6 @@ impl ZipfHotWorkload {
             .wrapping_add(self.phase.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             | 1;
         rank.wrapping_mul(salt).wrapping_add(salt >> 7) % self.spec.n_keys
-    }
-
-    /// The key id currently holding Zipf rank 0 (the hottest key).
-    pub fn hottest_key_id(&self) -> u64 {
-        self.scramble(0)
     }
 
     /// Key bytes for key id `id`.
@@ -210,7 +198,7 @@ mod tests {
     #[test]
     fn hot_set_moves_at_the_shift_boundary() {
         let mut w = ZipfHotWorkload::new(spec(1.2, 500));
-        let before = w.hottest_key_id();
+        let before = w.scramble(0);
         let mut head_before = HashMap::new();
         for _ in 0..500 {
             *head_before.entry(w.next_key_id()).or_insert(0u32) += 1;
@@ -218,7 +206,7 @@ mod tests {
         // Next draw crosses the boundary.
         let _ = w.next_key_id();
         assert_eq!(w.phase(), 1);
-        let after = w.hottest_key_id();
+        let after = w.scramble(0);
         assert_ne!(before, after, "hot set did not move");
         let mut head_after = HashMap::new();
         for _ in 0..500 {
@@ -236,10 +224,10 @@ mod tests {
     #[test]
     fn zero_shift_every_never_shifts() {
         let mut w = ZipfHotWorkload::new(spec(0.99, 0));
-        let before = w.hottest_key_id();
+        let before = w.scramble(0);
         w.batch(5000);
         assert_eq!(w.phase(), 0);
-        assert_eq!(w.hottest_key_id(), before);
+        assert_eq!(w.scramble(0), before);
     }
 
     #[test]

@@ -13,8 +13,7 @@ leaves=(
     'kvd_ooo::station::ReservationStation::issue'
     'kvd_ooo::station::ReservationStation::forward'
     'kvd_ooo::station::ReservationStation::install'
-    'kvd_hash::hashing::primary_hash'
-    'kvd_hash::hashing::secondary_hash'
+    'kvd_hash::hashing::hash_key'
     'kvd_mem::nicdram::NicDram::locate'
     'kvd_mem::nicdram::NicDram::occupants'
     'kvd_mem::nicdram::NicDram::rr_victim'

@@ -28,8 +28,7 @@ use kv_direct::net::shard_of;
 use kv_direct::parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 use kv_direct::sim::{DetRng, SimTime};
 use kv_direct::{
-    ChaosConfig, ChaosSchedule, FaultRates, KvDirectConfig, KvRequest, OpCode, OverloadConfig,
-    Status,
+    ChaosSchedule, FaultRates, KvDirectConfig, KvRequest, OpCode, OverloadConfig, Status,
 };
 use kvd_server::{serve, ServerConfig};
 
@@ -100,10 +99,10 @@ fn saturation_mops(seed: u64) -> f64 {
 
 /// Bursty open-loop schedule offering `offered_mops` on average.
 fn soak_schedule(seed: u64, offered_mops: f64) -> Vec<(SimTime, KvRequest)> {
-    // `ChaosConfig::bursty` phase multipliers average ~1.37; divide it
+    // Chaos phase multipliers average ~1.37; divide it
     // out so the schedule's mean rate is the requested offered load.
     let base = offered_mops * 1e6 / 1.375;
-    let mut chaos = ChaosSchedule::new(ChaosConfig::bursty(base), seed ^ 0xB0057);
+    let mut chaos = ChaosSchedule::new(base, seed ^ 0xB0057);
     let arrivals = chaos.arrivals(OPS);
     arrivals
         .into_iter()

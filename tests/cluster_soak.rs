@@ -23,6 +23,7 @@
 //! and requires the merged ledgers to be bit-identical — the window
 //! lockstep discipline, restated as an end-to-end assertion.
 
+use kvd_core::cluster::QUANTUM;
 use kvd_core::{ClusterSim, ClusterSimConfig, NodeKill, OpRecord};
 use kvd_net::{KvRequest, OpCode, Status};
 use kvd_sim::{DetRng, SimTime};
@@ -98,13 +99,8 @@ fn model_state(muts: &[Mutation], p: usize) -> Option<u64> {
 
 /// Replays every read against the per-key model; panics with context on
 /// the first linearizability violation.
-fn check_linearizable(
-    sched: &[(SimTime, KvRequest)],
-    records: &[OpRecord],
-    quantum: SimTime,
-    label: &str,
-) {
-    let win = |t: SimTime| t.as_ps() / quantum.as_ps();
+fn check_linearizable(sched: &[(SimTime, KvRequest)], records: &[OpRecord], label: &str) {
+    let win = |t: SimTime| t.as_ps() / QUANTUM.as_ps();
     // Client-ordered mutation history per key.
     let mut history: Vec<Vec<Mutation>> = (0..KEYS).map(|_| Vec::new()).collect();
     for ((t, req), rec) in sched.iter().zip(records) {
@@ -182,7 +178,6 @@ fn soak(
         node: 1,
         window: 40,
     });
-    let quantum = cfg.quantum;
     let sched = soak_schedule(seed);
     let mut cluster = ClusterSim::new(cfg);
     let report = cluster.run(&sched);
@@ -201,12 +196,7 @@ fn soak(
         report.ledger.cluster.writes_failed, 0,
         "seed {seed:#x}: no write may fail under a single kill at RF {rf}"
     );
-    check_linearizable(
-        &sched,
-        &report.records,
-        quantum,
-        &format!("seed {seed:#x} rf {rf}"),
-    );
+    check_linearizable(&sched, &report.records, &format!("seed {seed:#x} rf {rf}"));
     (sched, report)
 }
 

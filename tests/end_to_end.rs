@@ -57,7 +57,7 @@ fn ycsb_uniform_all_mixes() {
 #[test]
 fn ycsb_longtail_all_mixes() {
     for put in [0.0, 0.5, 1.0] {
-        let store = run_workload(Dist::long_tail(), put);
+        let store = run_workload(Dist::Zipf(0.99), put);
         assert_eq!(store.processor().table().len(), 40_000);
     }
 }
@@ -67,7 +67,7 @@ fn longtail_forwards_more_than_uniform() {
     // Paper §5.2.2: "the out-of-order execution engine merges up to 15%
     // operations on the most popular keys" under long-tail.
     let uni = run_workload(Dist::Uniform, 0.5);
-    let zipf = run_workload(Dist::long_tail(), 0.5);
+    let zipf = run_workload(Dist::Zipf(0.99), 0.5);
     let fu = uni.processor().station_stats().forwarded as f64 / uni.ledger().core.requests as f64;
     let fz = zipf.processor().station_stats().forwarded as f64 / zipf.ledger().core.requests as f64;
     assert!(fz > fu, "zipf {fz} should forward more than uniform {fu}");
@@ -78,7 +78,7 @@ fn longtail_forwards_more_than_uniform() {
 fn longtail_caches_better_than_uniform() {
     use kv_direct::mem::MemoryEngine;
     let uni = run_workload(Dist::Uniform, 0.0);
-    let zipf = run_workload(Dist::long_tail(), 0.0);
+    let zipf = run_workload(Dist::Zipf(0.99), 0.0);
     // Steady-state (post-preload) hit rates from the resettable stats.
     let rate = |s: &KvDirectStore| {
         let m = s.processor().table().mem().stats();

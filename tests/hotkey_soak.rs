@@ -27,7 +27,7 @@ use kv_direct::net::shard_of;
 use kv_direct::parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 use kv_direct::sim::SimTime;
 use kv_direct::workloads::{ZipfHotSpec, ZipfHotWorkload};
-use kv_direct::{ChaosConfig, ChaosSchedule, KvDirectConfig, KvRequest, Status};
+use kv_direct::{ChaosSchedule, KvDirectConfig, KvRequest, Status};
 
 const SHARDS: usize = 4;
 const KEYS: u64 = 2_000;
@@ -75,10 +75,10 @@ fn saturation_mops() -> f64 {
 
 /// Bursty open-loop schedule offering `offered_mops` on average.
 fn soak_schedule(offered_mops: f64) -> Vec<(SimTime, KvRequest)> {
-    // `ChaosConfig::bursty` phase multipliers average ~1.37; divide it
+    // Chaos phase multipliers average ~1.37; divide it
     // out so the schedule's mean rate is the requested offered load.
     let base = offered_mops * 1e6 / 1.375;
-    let mut chaos = ChaosSchedule::new(ChaosConfig::bursty(base), SEED ^ 0xB0057);
+    let mut chaos = ChaosSchedule::new(base, SEED ^ 0xB0057);
     chaos
         .arrivals(OPS)
         .into_iter()
