@@ -28,7 +28,7 @@ pub mod rdma;
 pub use cpu::CpuKvsModel;
 pub use cuckoo::CuckooTable;
 pub use hopscotch::HopscotchTable;
-pub use measure::{measure_baseline, BaselineCosts, MeasurableTable};
+pub use measure::measure_baseline;
 pub use rdma::{OneSidedRdma, RdmaModel, TwoSidedRdma};
 
 /// Shared access accounting for baseline tables.

@@ -1,82 +1,37 @@
-//! Fill-and-measure drivers for the baseline tables (Figure 11).
-//!
-//! Mirrors `kvd_hash::tuning`: fill a table with fixed-size KVs (8-byte
-//! keys) to a target memory utilization, then sample average GET and PUT
-//! (update) access counts.
+//! The baseline tables under `kvd_hash::tuning`'s fill-and-measure driver
+//! (Figure 11).
 
-use kvd_sim::DetRng;
+use kvd_hash::tuning::{fill, measure, Measurable};
+use kvd_hash::MeasuredCosts;
 
 use crate::cuckoo::CuckooTable;
 use crate::hopscotch::HopscotchTable;
-use crate::TableFull;
 
-/// Average access costs of a baseline at some utilization.
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineCosts {
-    /// Utilization actually reached.
-    pub utilization: f64,
-    /// Mean accesses per GET of an existing key.
-    pub get_avg: f64,
-    /// Mean accesses per PUT (update) of an existing key.
-    pub put_avg: f64,
-    /// Mean accesses per insertion during the fill.
-    pub insert_avg: f64,
+/// Counts a baseline operation's accesses off the table's stats.
+macro_rules! impl_measurable {
+    ($table:ty) => {
+        impl Measurable for $table {
+            fn put_counted(&mut self, key: &[u8], value: &[u8]) -> Option<u64> {
+                let before = self.stats().accesses();
+                self.put(key, value).ok()?;
+                Some(self.stats().accesses() - before)
+            }
+
+            fn get_counted(&mut self, key: &[u8]) -> (bool, u64) {
+                let before = self.stats().accesses();
+                let hit = self.get(key).is_some();
+                (hit, self.stats().accesses() - before)
+            }
+
+            fn utilization(&self) -> f64 {
+                self.memory_utilization()
+            }
+        }
+    };
 }
 
-fn key_bytes(id: u64) -> [u8; 8] {
-    id.to_le_bytes()
-}
-
-fn value_for(kv_size: usize, id: u64) -> Vec<u8> {
-    assert!(kv_size > 8, "kv size must exceed the 8-byte key");
-    let mut v = vec![0u8; kv_size - 8];
-    let tag = id.to_le_bytes();
-    let n = v.len().min(8);
-    v[..n].copy_from_slice(&tag[..n]);
-    v
-}
-
-/// A common measuring interface over the two baseline tables.
-pub trait MeasurableTable {
-    /// Inserts or replaces; `Err` when full.
-    fn bput(&mut self, key: &[u8], value: &[u8]) -> Result<(), TableFull>;
-    /// Looks up.
-    fn bget(&mut self, key: &[u8]) -> Option<Vec<u8>>;
-    /// Accesses so far.
-    fn baccesses(&self) -> u64;
-    /// Utilization.
-    fn butilization(&self) -> f64;
-}
-
-impl MeasurableTable for CuckooTable {
-    fn bput(&mut self, key: &[u8], value: &[u8]) -> Result<(), TableFull> {
-        self.put(key, value)
-    }
-    fn bget(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.get(key)
-    }
-    fn baccesses(&self) -> u64 {
-        self.stats().accesses()
-    }
-    fn butilization(&self) -> f64 {
-        self.memory_utilization()
-    }
-}
-
-impl MeasurableTable for HopscotchTable {
-    fn bput(&mut self, key: &[u8], value: &[u8]) -> Result<(), TableFull> {
-        self.put(key, value)
-    }
-    fn bget(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.get(key)
-    }
-    fn baccesses(&self) -> u64 {
-        self.stats().accesses()
-    }
-    fn butilization(&self) -> f64 {
-        self.memory_utilization()
-    }
-}
+impl_measurable!(CuckooTable);
+impl_measurable!(HopscotchTable);
 
 /// Fills `table` to `target_utilization` with `kv_size`-byte KVs and
 /// measures average GET and PUT access counts over `samples` operations.
@@ -84,47 +39,15 @@ impl MeasurableTable for HopscotchTable {
 /// Returns `None` if the target utilization is unreachable for this
 /// design (the paper: MemC3/FaRM "cannot support more than 55% memory
 /// utilization for 10B KV size").
-pub fn measure_baseline<T: MeasurableTable>(
+pub fn measure_baseline<T: Measurable>(
     table: &mut T,
     kv_size: usize,
     target_utilization: f64,
     samples: usize,
     seed: u64,
-) -> Option<BaselineCosts> {
-    let mut ids = Vec::new();
-    let mut id = 0u64;
-    let before = table.baccesses();
-    while table.butilization() < target_utilization {
-        if table.bput(&key_bytes(id), &value_for(kv_size, id)).is_err() {
-            return None;
-        }
-        ids.push(id);
-        id += 1;
-    }
-    if ids.is_empty() {
-        return None;
-    }
-    let insert_avg = (table.baccesses() - before) as f64 / ids.len() as f64;
-    let mut rng = DetRng::seed(seed);
-    let mut get_total = 0u64;
-    let mut put_total = 0u64;
-    for _ in 0..samples {
-        let id = ids[rng.usize_below(ids.len())];
-        let a = table.baccesses();
-        assert!(table.bget(&key_bytes(id)).is_some(), "key {id} lost");
-        get_total += table.baccesses() - a;
-        let a = table.baccesses();
-        table
-            .bput(&key_bytes(id), &value_for(kv_size, id))
-            .expect("update of existing key");
-        put_total += table.baccesses() - a;
-    }
-    Some(BaselineCosts {
-        utilization: table.butilization(),
-        get_avg: get_total as f64 / samples as f64,
-        put_avg: put_total as f64 / samples as f64,
-        insert_avg,
-    })
+) -> Option<MeasuredCosts> {
+    let filled = fill(table, &[kv_size], target_utilization);
+    (!filled.full && filled.keys > 0).then(|| measure(table, &[kv_size], &filled, samples, seed))
 }
 
 #[cfg(test)]

@@ -970,18 +970,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Value encoding the soak and these tests share: 16 LE bytes of
-    /// (key id, version).
-    fn val(id: u64, version: u64) -> Vec<u8> {
-        let mut v = id.to_le_bytes().to_vec();
-        v.extend_from_slice(&version.to_le_bytes());
-        v
-    }
-
-    fn version_of(v: &[u8]) -> u64 {
-        u64::from_le_bytes(v[8..16].try_into().expect("16-byte value"))
-    }
+    use kvd_model::{version_of, versioned};
 
     /// A put/get schedule over `keys` keys: one put then one get per
     /// key, spaced `gap`.
@@ -989,7 +978,7 @@ mod tests {
         let mut out = Vec::new();
         let mut t = SimTime::ZERO;
         for id in 0..keys {
-            out.push((t, KvRequest::put(&id.to_le_bytes(), &val(id, 1))));
+            out.push((t, KvRequest::put(&id.to_le_bytes(), &versioned(id, 1))));
             t += gap;
         }
         // Reads trail all writes by a comfortable margin.
@@ -1099,7 +1088,7 @@ mod tests {
         let mut sched = Vec::new();
         let mut t = SimTime::ZERO;
         for id in 0..48u64 {
-            sched.push((t, KvRequest::put(&id.to_le_bytes(), &val(id, 1))));
+            sched.push((t, KvRequest::put(&id.to_le_bytes(), &versioned(id, 1))));
             t += SimTime::from_ns(800);
         }
         let late = SimTime::from_us(200); // far past kill + timeout
@@ -1135,9 +1124,15 @@ mod tests {
         // Three rapid-fire writes to one key, then a read.
         let key = 7u64.to_le_bytes();
         let sched = vec![
-            (SimTime::ZERO, KvRequest::put(&key, &val(7, 1))),
-            (SimTime::from_ns(100), KvRequest::put(&key, &val(7, 2))),
-            (SimTime::from_ns(200), KvRequest::put(&key, &val(7, 3))),
+            (SimTime::ZERO, KvRequest::put(&key, &versioned(7, 1))),
+            (
+                SimTime::from_ns(100),
+                KvRequest::put(&key, &versioned(7, 2)),
+            ),
+            (
+                SimTime::from_ns(200),
+                KvRequest::put(&key, &versioned(7, 3)),
+            ),
             (SimTime::from_us(100), KvRequest::get(&key)),
         ];
         let report = cluster.run(&sched);

@@ -915,8 +915,8 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvd_model::Model;
     use kvd_sim::{DetRng, ZipfSampler};
-    use std::collections::BTreeMap;
 
     fn proc() -> KvProcessor<kvd_mem::FlatMemory> {
         KvProcessor::with_flat_memory(1 << 20, 0.5, 24)
@@ -1029,74 +1029,42 @@ mod tests {
     #[test]
     fn differential_vs_btreemap_reference() {
         // The processor (station + table + caches + write-backs) must be
-        // indistinguishable from a plain map under any GET/PUT/DELETE/
-        // fetch-add interleaving, per batch and across batches.
+        // indistinguishable from the reference model under any GET/PUT/
+        // DELETE/fetch-add interleaving, per batch and across batches.
         let mut p = proc();
-        let mut reference: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut model = Model::default();
         let mut rng = DetRng::seed(2024);
         let zipf = ZipfSampler::new(50, 0.99); // hot keys stress forwarding
         for _batch in 0..60 {
-            let mut reqs = Vec::new();
-            let mut expected: Vec<Option<Vec<u8>>> = Vec::new();
-            for _ in 0..40 {
-                let key = format!("k{}", zipf.sample(&mut rng)).into_bytes();
-                match rng.u64_below(4) {
-                    0 => {
-                        let mut v = vec![0u8; 1 + rng.usize_below(40)];
-                        rng.fill_bytes(&mut v);
-                        reference.insert(key.clone(), v.clone());
-                        reqs.push(KvRequest::put(&key, &v));
-                        expected.push(None);
-                    }
-                    1 => {
-                        reference.remove(&key);
-                        reqs.push(KvRequest::delete(&key));
-                        expected.push(None);
-                    }
-                    2 => {
-                        let old =
-                            crate::lambda::decode_scalar(reference.get(&key).map(|v| v.as_slice()));
-                        reference.insert(key.clone(), (old + 7).to_le_bytes().to_vec());
-                        reqs.push(KvRequest {
-                            op: OpCode::UpdateScalar,
-                            key: key.clone(),
-                            value: 7u64.to_le_bytes().to_vec(),
-                            lambda: crate::lambda::builtin::ADD,
-                            deadline_us: 0,
-                            expiry_tick: 0,
-                        });
-                        expected.push(Some(old.to_le_bytes().to_vec()));
-                    }
-                    _ => {
-                        expected.push(Some(reference.get(&key).cloned().unwrap_or_default()));
-                        reqs.push(KvRequest::get(&key));
-                    }
-                }
-            }
-            let rs = p.execute_batch(&reqs);
-            for (i, (r, e)) in rs.iter().zip(&expected).enumerate() {
-                match &reqs[i].op {
-                    OpCode::Get => {
-                        let want = e.as_ref().expect("get expectation");
-                        if want.is_empty() && r.status == Status::NotFound {
-                            continue;
+            let reqs: Vec<KvRequest> = (0..40)
+                .map(|_| {
+                    let key = format!("k{}", zipf.sample(&mut rng)).into_bytes();
+                    match rng.u64_below(4) {
+                        0 => {
+                            let mut v = vec![0u8; 1 + rng.usize_below(40)];
+                            rng.fill_bytes(&mut v);
+                            KvRequest::put(&key, &v)
                         }
-                        assert_eq!(&r.value, want, "GET divergence at op {i}");
+                        1 => KvRequest::delete(&key),
+                        2 => KvRequest {
+                            op: OpCode::UpdateScalar,
+                            lambda: crate::lambda::builtin::ADD,
+                            ..KvRequest::put(&key, &7u64.to_le_bytes())
+                        },
+                        _ => KvRequest::get(&key),
                     }
-                    OpCode::UpdateScalar => {
-                        assert_eq!(&r.value, e.as_ref().unwrap(), "update original at {i}");
-                    }
-                    _ => {}
+                })
+                .collect();
+            for (i, (req, r)) in reqs.iter().zip(p.execute_batch(&reqs)).enumerate() {
+                if let Err(e) = model.check(req.as_ref(), r.status, &r.value) {
+                    panic!("op {i}: {e}");
                 }
             }
         }
-        // After the final flush, the table matches the reference exactly.
-        for (k, v) in &reference {
-            assert_eq!(
-                p.table_mut().get(k).as_ref(),
-                Some(v),
-                "table divergence at {k:?}"
-            );
+        // After the final flush, the table matches the model exactly.
+        for (k, v) in model.entries() {
+            let got = p.table_mut().get(k);
+            assert_eq!(got.as_deref(), Some(v), "table divergence at {k:?}");
         }
         assert_eq!(p.ledger().core.writeback_failures, 0);
     }

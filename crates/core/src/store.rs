@@ -397,6 +397,7 @@ mod tests {
     use super::*;
     use crate::lambda::builtin;
     use kvd_mem::MemoryEngine;
+    use kvd_model::{Effect, Model};
 
     fn store() -> KvDirectStore {
         KvDirectStore::new(KvDirectConfig::with_memory(1 << 20))
@@ -576,45 +577,31 @@ mod tests {
     #[test]
     fn faulty_store_agrees_with_model_on_ok_responses() {
         // Moderate fault rates: some ops may fail with DeviceError, but
-        // every op that reports Ok must match a fault-free HashMap model,
-        // and the store must never panic.
+        // every op that reports Ok must match the fault-free model, and
+        // the store must never panic.
         let mut s = KvDirectStore::new(KvDirectConfig {
             fault_rates: FaultRates::uniform(0.05),
             fault_seed: 42,
             ..KvDirectConfig::with_memory(1 << 20)
         });
-        let mut model = std::collections::HashMap::new();
+        let mut model = Model::default().tolerating(&[Status::DeviceError]);
+        let mut resp = KvResponse::default();
         let mut oks = 0u64;
-        let mut errs = 0u64;
         for i in 0..500u64 {
-            let k = (i % 64).to_le_bytes();
-            if i % 3 == 0 {
-                match s.put(&k, &i.to_le_bytes()) {
-                    Ok(()) => {
-                        model.insert(k, i.to_le_bytes().to_vec());
-                        oks += 1;
-                    }
-                    Err(StoreError::DeviceError) => errs += 1,
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
+            let (k, v) = ((i % 64).to_le_bytes(), i.to_le_bytes());
+            let req = if i % 3 == 0 {
+                KvRequestRef::put(&k, &v)
             } else {
-                match s.try_get(&k) {
-                    Ok(got) => {
-                        assert_eq!(
-                            got.as_deref(),
-                            model.get(&k).map(Vec::as_slice),
-                            "GET diverged from model"
-                        );
-                        oks += 1;
-                    }
-                    Err(StoreError::DeviceError) => errs += 1,
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
+                KvRequestRef::get(&k)
+            };
+            s.execute_one_into(req, &mut resp);
+            match model.check(req, resp.status, &resp.value) {
+                Ok(effect) => oks += u64::from(effect != Effect::Refused),
+                Err(e) => panic!("op {i}: {e}"),
             }
         }
         assert!(oks > 400, "most ops should survive 5% rates: {oks}");
         assert!(s.ledger().total_faults() > 0, "faults did fire");
-        let _ = errs;
     }
 
     #[test]

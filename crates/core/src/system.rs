@@ -621,7 +621,7 @@ impl SystemSim {
                     let mut pcie_ps = if queued_is_pcie { queued.as_ps() } else { 0 };
                     let mut dram_ps = if queued_is_pcie { 0 } else { queued.as_ps() };
                     for _ in 0..a.dma_reads {
-                        let mut rtt = self.pcie.cached_read_latency.base();
+                        let mut rtt = self.pcie.cached_read_latency;
                         rtt += SimTime::from_ps(
                             self.rng.u64_below(self.pcie.noncached_extra.as_ps() + 1),
                         );

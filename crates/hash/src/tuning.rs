@@ -1,4 +1,5 @@
-//! Hash-table tuning experiments (paper §5.1.1, Figures 6, 9, 10).
+//! Hash-table tuning experiments (paper §5.1.1, Figures 6, 9, 10), and the
+//! fill-and-measure driver Figure 11 also runs its baselines through.
 //!
 //! The table has two initialization-time free parameters — inline
 //! threshold and hash index ratio. The paper measures average memory
@@ -28,6 +29,37 @@ pub struct MeasuredCosts {
     pub put_avg: f64,
     /// Mean accesses per insertion of a new key (measured during fill).
     pub insert_avg: f64,
+}
+
+/// A hash index the fill-and-measure driver runs: KV-Direct's chained
+/// table, and the MemC3 and FaRM baselines of Figure 11.
+pub trait Measurable {
+    /// Inserts or replaces `key`: the memory accesses it took, or `None`
+    /// when the table is full.
+    fn put_counted(&mut self, key: &[u8], value: &[u8]) -> Option<u64>;
+    /// Looks `key` up: whether it hit, and the memory accesses it took.
+    fn get_counted(&mut self, key: &[u8]) -> (bool, u64);
+    /// Stored KV bytes over total memory.
+    fn utilization(&self) -> f64;
+}
+
+impl Measurable for HashTable<FlatMemory> {
+    fn put_counted(&mut self, key: &[u8], value: &[u8]) -> Option<u64> {
+        match self.put_with_cost(key, value) {
+            Ok(cost) => Some(cost.accesses),
+            Err(HashError::OutOfMemory) => None,
+            Err(e) => panic!("unexpected fill error: {e}"),
+        }
+    }
+
+    fn get_counted(&mut self, key: &[u8]) -> (bool, u64) {
+        let (hit, cost) = self.get_into_with_cost(key, &mut Vec::new());
+        (hit, cost.accesses)
+    }
+
+    fn utilization(&self) -> f64 {
+        self.memory_utilization()
+    }
 }
 
 fn key_bytes(id: u64) -> [u8; TUNING_KEY_LEN] {
@@ -60,40 +92,79 @@ fn table(
     )
 }
 
-/// Fills `table` with KVs of [`value_for`]'s sizes (8-byte keys) until it
-/// reaches `target_utilization` or runs out of memory.
-///
-/// Returns the inserted key ids and the mean insertion cost.
-fn fill_to_utilization(
-    table: &mut HashTable<FlatMemory>,
-    sizes: &[usize],
-    target_utilization: f64,
-) -> (Vec<u64>, f64) {
-    let mut ids = Vec::new();
-    let mut accesses = 0u64;
-    let mut id = 0u64;
-    while table.memory_utilization() < target_utilization {
-        match table.put_with_cost(&key_bytes(id), &value_for(sizes, id)) {
-            Ok(cost) => {
-                accesses += cost.accesses;
-                ids.push(id);
-            }
-            Err(HashError::OutOfMemory) => break,
-            Err(e) => panic!("unexpected fill error: {e}"),
-        }
-        id += 1;
-    }
-    let insert_avg = if ids.is_empty() {
-        0.0
-    } else {
-        accesses as f64 / ids.len() as f64
-    };
-    (ids, insert_avg)
+/// How a [`fill`] ended.
+#[derive(Debug, Clone, Copy)]
+pub struct Fill {
+    /// Keys inserted: ids `0..keys`.
+    pub keys: u64,
+    /// Mean accesses per insertion.
+    pub insert_avg: f64,
+    /// The table filled up before the target utilization.
+    pub full: bool,
 }
 
-/// Builds a fresh table, fills it to `utilization`, and measures average
-/// GET and PUT costs over random existing keys — the one driver behind
-/// [`point`] and [`point_mixed`].
+/// Inserts KVs of `sizes` (cycled by key id, 8-byte keys) into `table`
+/// until it reaches `target_utilization` or fills up.
+pub fn fill<T: Measurable>(table: &mut T, sizes: &[usize], target_utilization: f64) -> Fill {
+    let (mut keys, mut accesses, mut full) = (0u64, 0u64, false);
+    while table.utilization() < target_utilization {
+        match table.put_counted(&key_bytes(keys), &value_for(sizes, keys)) {
+            Some(a) => accesses += a,
+            None => {
+                full = true;
+                break;
+            }
+        }
+        keys += 1;
+    }
+    let insert_avg = if keys == 0 {
+        0.0
+    } else {
+        accesses as f64 / keys as f64
+    };
+    Fill {
+        keys,
+        insert_avg,
+        full,
+    }
+}
+
+/// Measures mean GET and PUT (update) costs over `samples` random keys of
+/// a non-empty `fill` of `table` with the same `sizes`.
+pub fn measure<T: Measurable>(
+    table: &mut T,
+    sizes: &[usize],
+    fill: &Fill,
+    samples: usize,
+    seed: u64,
+) -> MeasuredCosts {
+    assert!(fill.keys > 0, "nothing to measure");
+    let filled = table.utilization();
+    let mut rng = DetRng::seed(seed);
+    let mut get_total = 0u64;
+    let mut put_total = 0u64;
+    for _ in 0..samples {
+        let id = rng.usize_below(fill.keys as usize) as u64;
+        let (hit, accesses) = table.get_counted(&key_bytes(id));
+        assert!(hit, "inserted key {id} must be present");
+        get_total += accesses;
+        put_total += table
+            .put_counted(&key_bytes(id), &value_for(sizes, id))
+            .expect("update of existing key cannot fill the table");
+        // A same-size update that hits leaves the stored bytes unchanged.
+        assert_eq!(table.utilization(), filled, "update of key {id} must hit");
+    }
+    MeasuredCosts {
+        utilization: filled,
+        get_avg: get_total as f64 / samples as f64,
+        put_avg: put_total as f64 / samples as f64,
+        insert_avg: fill.insert_avg,
+    }
+}
+
+/// Builds a fresh table, fills it to `utilization` (or as far as memory
+/// allows), and measures costs over up to 2000 random existing keys —
+/// the one driver behind [`point`] and [`point_mixed`].
 fn fill_and_measure(
     total_memory: u64,
     hash_index_ratio: f64,
@@ -103,32 +174,12 @@ fn fill_and_measure(
     seed: u64,
 ) -> MeasuredCosts {
     let mut table = table(total_memory, hash_index_ratio, inline_threshold);
-    let (ids, insert_avg) = fill_to_utilization(&mut table, sizes, utilization);
-    if ids.is_empty() {
+    let filled = fill(&mut table, sizes, utilization);
+    if filled.keys == 0 {
         return MeasuredCosts::default();
     }
-    let samples = 2000.min(ids.len() * 2);
-    let mut rng = DetRng::seed(seed);
-    let mut out = Vec::new();
-    let mut get_total = 0u64;
-    let mut put_total = 0u64;
-    for _ in 0..samples {
-        let id = ids[rng.usize_below(ids.len())];
-        let (hit, cost) = table.get_into_with_cost(&key_bytes(id), &mut out);
-        assert!(hit, "inserted key {id} must be present");
-        get_total += cost.accesses;
-        let cost = table
-            .put_with_cost(&key_bytes(id), &value_for(sizes, id))
-            .expect("update of existing key cannot OOM");
-        assert!(cost.hit, "update must hit");
-        put_total += cost.accesses;
-    }
-    MeasuredCosts {
-        utilization: table.memory_utilization(),
-        get_avg: get_total as f64 / samples as f64,
-        put_avg: put_total as f64 / samples as f64,
-        insert_avg,
-    }
+    let samples = 2000.min(filled.keys as usize * 2);
+    measure(&mut table, sizes, &filled, samples, seed)
 }
 
 /// Builds a fresh table, fills it to `utilization` with `kv_size`-byte
@@ -183,7 +234,7 @@ pub fn max_achievable_utilization(
     kv_size: usize,
 ) -> f64 {
     let mut table = table(total_memory, hash_index_ratio, inline_threshold);
-    fill_to_utilization(&mut table, &[kv_size], 1.0);
+    fill(&mut table, &[kv_size], 1.0);
     table.memory_utilization()
 }
 
@@ -226,10 +277,10 @@ mod tests {
     #[test]
     fn fill_reaches_target() {
         let mut t = table(MEM, 0.5, 24);
-        let (ids, insert_avg) = fill_to_utilization(&mut t, &[16], 0.3);
+        let filled = fill(&mut t, &[16], 0.3);
         assert!(t.memory_utilization() >= 0.3);
-        assert!(!ids.is_empty());
-        assert!(insert_avg >= 2.0, "inline insert costs at least 2");
+        assert!(filled.keys > 0 && !filled.full);
+        assert!(filled.insert_avg >= 2.0, "inline insert costs at least 2");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! PCIe endpoint configuration with the paper's measured constants.
 
-use kvd_sim::{Bandwidth, LatencyModel, SimTime};
+use kvd_sim::{Bandwidth, SimTime};
 
 /// Configuration of one PCIe endpoint as measured in the paper (§2.4, §4).
 ///
@@ -40,7 +40,7 @@ pub struct PcieConfig {
     pub nonposted_header_credits: u32,
     /// Round-trip latency of a cached DMA read, including FPGA processing
     /// delay (paper: 800 ns).
-    pub cached_read_latency: LatencyModel,
+    pub cached_read_latency: SimTime,
     /// Extra latency spread of random non-cached reads, from host DRAM
     /// access, refresh and PCIe response reordering (paper: +250 ns mean;
     /// modelled as uniform 0–500 ns on top of the cached latency).
@@ -60,7 +60,7 @@ impl PcieConfig {
             read_tags: 64,
             posted_header_credits: 88,
             nonposted_header_credits: 84,
-            cached_read_latency: LatencyModel::fixed(SimTime::from_ns(800)),
+            cached_read_latency: SimTime::from_ns(800),
             noncached_extra: SimTime::from_ns(500),
             posted_credit_return: SimTime::from_ns(300),
         }
@@ -72,7 +72,7 @@ impl PcieConfig {
     /// used for back-of-envelope concurrency math (92 in-flight requests
     /// needed to saturate the link at 64 B).
     pub fn mean_random_read_latency(&self) -> SimTime {
-        self.cached_read_latency.base() + self.noncached_extra / 2
+        self.cached_read_latency + self.noncached_extra / 2
     }
 
     /// Wire bytes for one DMA of `payload` bytes (TLP splitting included).
@@ -104,7 +104,7 @@ mod tests {
         assert_eq!(cfg.read_tags, 64);
         assert_eq!(cfg.posted_header_credits, 88);
         assert_eq!(cfg.nonposted_header_credits, 84);
-        assert_eq!(cfg.cached_read_latency.base(), SimTime::from_ns(800));
+        assert_eq!(cfg.cached_read_latency, SimTime::from_ns(800));
         // Paper: ~1050ns mean random read RTT.
         assert_eq!(cfg.mean_random_read_latency(), SimTime::from_ns(1050));
     }

@@ -159,7 +159,7 @@ impl DmaPort {
         // Request TLP (header only) serializes on the NIC→host link.
         let req_done = self.tx.transfer(issue, self.cfg.tlp_overhead_bytes);
         // Host-side service latency.
-        let mut latency = self.cfg.cached_read_latency.base();
+        let mut latency = self.cfg.cached_read_latency;
         if !cached {
             latency += SimTime::from_ps(self.rng.u64_below(self.cfg.noncached_extra.as_ps() + 1));
         }

@@ -64,7 +64,7 @@ pub use ledger::{
 };
 pub use pressure::PressureGauge;
 pub use queue::EventQueue;
-pub use resource::{BandwidthLink, CreditPool, LatencyModel, TagPool};
+pub use resource::{BandwidthLink, CreditPool, TagPool};
 pub use rng::{DetRng, ZipfSampler};
 pub use runreport::{Percentile, RunSummary};
 pub use stats::{Counter, Histogram, Summary};

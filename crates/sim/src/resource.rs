@@ -1,12 +1,10 @@
 //! Contention models shared by the hardware simulations.
 //!
-//! Four primitives cover every bottleneck in the paper's evaluation:
+//! Three primitives cover every bottleneck in the paper's evaluation:
 //!
 //! * [`BandwidthLink`] — serialization on a shared link (PCIe lanes, DDR3
 //!   channel, 40 GbE port). Requests queue behind each other; the link
 //!   tracks when it next becomes free.
-//! * [`LatencyModel`] — a fixed propagation delay (e.g. the paper's 800 ns
-//!   cached PCIe DMA read).
 //! * [`CreditPool`] — PCIe credit-based flow control (the root complex in
 //!   the paper advertises 88 posted / 84 non-posted header credits).
 //! * [`TagPool`] — PCIe DMA read tags (the paper's FPGA DMA engine supports
@@ -89,33 +87,6 @@ impl BandwidthLink {
         } else {
             self.busy_time.as_ns() / horizon.as_ns()
         }
-    }
-}
-
-/// A fixed latency stage.
-///
-/// # Examples
-///
-/// ```
-/// use kvd_sim::{LatencyModel, SimTime};
-///
-/// let lat = LatencyModel::fixed(SimTime::from_ns(800));
-/// assert_eq!(lat.base(), SimTime::from_ns(800));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyModel {
-    base: SimTime,
-}
-
-impl LatencyModel {
-    /// A deterministic fixed latency.
-    pub fn fixed(base: SimTime) -> Self {
-        LatencyModel { base }
-    }
-
-    /// The latency.
-    pub fn base(&self) -> SimTime {
-        self.base
     }
 }
 

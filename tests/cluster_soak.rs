@@ -5,7 +5,7 @@
 //! faults inside one host, an entire member of an M-node cluster loses
 //! power mid-run ([`NodeKill`]). The soak drives a seeded mixed
 //! PUT/GET/DELETE workload across the failover window and then replays
-//! every read against a HashMap model of the per-key mutation history:
+//! every read against `kvd-model`'s per-key mutation history:
 //!
 //! * **Zero acked writes lost** — a write the cluster acknowledged must
 //!   be visible to every read that starts after the ack, including the
@@ -24,27 +24,13 @@
 //! lockstep discipline, restated as an end-to-end assertion.
 
 use kvd_core::cluster::QUANTUM;
-use kvd_core::{ClusterSim, ClusterSimConfig, NodeKill, OpRecord};
-use kvd_net::{KvRequest, OpCode, Status};
+use kvd_core::{ClusterSim, ClusterSimConfig, NodeKill};
+use kvd_model::{check_linearizable, versioned, Resolved};
+use kvd_net::{KvRequest, Status};
 use kvd_sim::{DetRng, SimTime};
 
 const KEYS: u64 = 40;
 const OPS: usize = 360;
-
-/// 16 LE bytes of (key id, version) — the soak's value encoding.
-fn val(id: u64, version: u64) -> Vec<u8> {
-    let mut v = id.to_le_bytes().to_vec();
-    v.extend_from_slice(&version.to_le_bytes());
-    v
-}
-
-fn version_of(v: &[u8]) -> u64 {
-    u64::from_le_bytes(v[8..16].try_into().expect("16-byte value"))
-}
-
-fn key_of(req: &KvRequest) -> u64 {
-    u64::from_le_bytes(req.key[..8].try_into().expect("8-byte key"))
-}
 
 /// A seeded mixed workload spanning the kill: writes and reads
 /// interleave from before the kill window until well after detection,
@@ -67,7 +53,7 @@ fn soak_schedule(seed: u64) -> Vec<(SimTime, KvRequest)> {
         } else if roll < 0.92 || versions[id as usize] == 0 {
             versions[id as usize] = next_version;
             next_version += 1;
-            KvRequest::put(&id.to_le_bytes(), &val(id, versions[id as usize]))
+            KvRequest::put(&id.to_le_bytes(), &versioned(id, versions[id as usize]))
         } else {
             versions[id as usize] = 0;
             KvRequest::delete(&id.to_le_bytes())
@@ -81,90 +67,6 @@ fn soak_schedule(seed: u64) -> Vec<(SimTime, KvRequest)> {
         late += SimTime::from_ns(400);
     }
     sched
-}
-
-/// One key's mutation, reconstructed from the schedule + records.
-struct Mutation {
-    /// `Some(version)` for a PUT, `None` for a DELETE.
-    put: Option<u64>,
-    acked: bool,
-    issue_window: u64,
-    done_window: u64,
-}
-
-/// What the model says a read observes after `p` mutations applied.
-fn model_state(muts: &[Mutation], p: usize) -> Option<u64> {
-    muts[..p].last().and_then(|m| m.put)
-}
-
-/// Replays every read against the per-key model; panics with context on
-/// the first linearizability violation.
-fn check_linearizable(sched: &[(SimTime, KvRequest)], records: &[OpRecord], label: &str) {
-    let win = |t: SimTime| t.as_ps() / QUANTUM.as_ps();
-    // Client-ordered mutation history per key.
-    let mut history: Vec<Vec<Mutation>> = (0..KEYS).map(|_| Vec::new()).collect();
-    for ((t, req), rec) in sched.iter().zip(records) {
-        if matches!(req.op, OpCode::Put | OpCode::Delete) {
-            assert!(
-                rec.acked && rec.status == Status::Ok,
-                "{label}: write to key {} at {t:?} not acked (status {:?}) — \
-                 a single node kill at RF>=2 must not fail writes",
-                key_of(req),
-                rec.status
-            );
-            history[key_of(req) as usize].push(Mutation {
-                put: (req.op == OpCode::Put).then(|| version_of(&req.value)),
-                acked: rec.acked,
-                issue_window: win(*t),
-                done_window: rec.done_window,
-            });
-        }
-    }
-    let mut last_seen: Vec<Option<u64>> = vec![None; KEYS as usize];
-    for ((t, req), rec) in sched.iter().zip(records) {
-        if req.op != OpCode::Get {
-            continue;
-        }
-        let id = key_of(req);
-        let muts = &history[id as usize];
-        let observed = match rec.status {
-            Status::Ok => Some(version_of(&rec.value)),
-            Status::NotFound => None,
-            other => panic!("{label}: read of key {id} failed with {other:?}"),
-        };
-        // Admissible prefix range: everything committed before the read
-        // was issued must be visible; nothing issued after the read
-        // resolved can be.
-        let issue_w = win(*t);
-        let p_min = muts
-            .iter()
-            .filter(|m| m.acked && m.done_window < issue_w)
-            .count();
-        let p_max = muts
-            .iter()
-            .filter(|m| m.issue_window <= rec.done_window)
-            .count();
-        let admissible = (p_min..=p_max).any(|p| model_state(muts, p) == observed);
-        assert!(
-            admissible,
-            "{label}: read of key {id} at {t:?} observed {observed:?}, but \
-             admissible prefixes {p_min}..={p_max} of {} mutations allow {:?}",
-            muts.len(),
-            (p_min..=p_max)
-                .map(|p| model_state(muts, p))
-                .collect::<Vec<_>>()
-        );
-        // Monotonic per-key versions across the failover window.
-        if let (Some(prev), Some(now)) = (last_seen[id as usize], observed) {
-            assert!(
-                now >= prev,
-                "{label}: key {id} version went backwards {prev} -> {now}"
-            );
-        }
-        if observed.is_some() {
-            last_seen[id as usize] = observed;
-        }
-    }
 }
 
 fn soak(
@@ -196,7 +98,11 @@ fn soak(
         report.ledger.cluster.writes_failed, 0,
         "seed {seed:#x}: no write may fail under a single kill at RF {rf}"
     );
-    check_linearizable(&sched, &report.records, &format!("seed {seed:#x} rf {rf}"));
+    let records: Vec<Resolved> = (report.records.iter())
+        .map(|r| (r.status, &r.value[..], r.acked, r.done_window))
+        .collect();
+    let label = format!("seed {seed:#x} rf {rf}");
+    check_linearizable(&sched, &records, QUANTUM, &label);
     (sched, report)
 }
 
@@ -241,14 +147,14 @@ fn ttl_stamps_survive_failover_and_expire_on_survivors() {
     let mut t = SimTime::ZERO;
     for id in 0..N {
         t += SimTime::from_ns(500);
-        let req = KvRequest::put(&id.to_le_bytes(), &val(id, 1));
+        let req = KvRequest::put(&id.to_le_bytes(), &versioned(id, 1));
         let req = if stamped(id) { req.with_ttl(1) } else { req };
         sched.push((t, req));
     }
     // Stamped write issued mid-failover (kill at 80 µs, detection later).
     sched.push((
         SimTime::from_us(200),
-        KvRequest::put(&N.to_le_bytes(), &val(N, 1)).with_ttl(1),
+        KvRequest::put(&N.to_le_bytes(), &versioned(N, 1)).with_ttl(1),
     ));
     let mut early = SimTime::from_us(300);
     for id in 0..=N {
@@ -281,7 +187,7 @@ fn ttl_stamps_survive_failover_and_expire_on_survivors() {
             Status::Ok,
             "key {id} must still be served at 300 us (stamp not lapsed)"
         );
-        assert_eq!(rec.value, val(id as u64, 1), "key {id} bytes intact");
+        assert_eq!(rec.value, versioned(id as u64, 1), "key {id} bytes intact");
     }
     for (id, rec) in late_reads.iter().enumerate() {
         if stamped(id as u64) {
@@ -296,7 +202,7 @@ fn ttl_stamps_survive_failover_and_expire_on_survivors() {
                 Status::Ok,
                 "immortal key {id} must survive both the kill and the sweep"
             );
-            assert_eq!(rec.value, val(id as u64, 1));
+            assert_eq!(rec.value, versioned(id as u64, 1));
         }
     }
 

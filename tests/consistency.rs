@@ -7,104 +7,38 @@
 //! sequential map. These properties check that against arbitrary
 //! operation interleavings, key shapes and value sizes.
 
-use std::collections::HashMap;
-
 use kv_direct::lambda::decode_scalar;
-use kv_direct::{builtin, KvDirectConfig, KvDirectStore, KvRequest, OpCode, Status};
+use kv_direct::{builtin, KvDirectConfig, KvDirectStore, KvRequest, KvResponse, OpCode, Status};
+use kvd_model::{op_strategy, to_request, Model};
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Put { key: u8, len: usize },
-    Get { key: u8 },
-    Delete { key: u8 },
-    FetchAdd { key: u8, delta: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), 0usize..300).prop_map(|(key, len)| Op::Put { key: key % 24, len }),
-        any::<u8>().prop_map(|key| Op::Get { key: key % 24 }),
-        any::<u8>().prop_map(|key| Op::Delete { key: key % 24 }),
-        (any::<u8>(), 1u64..100).prop_map(|(key, delta)| Op::FetchAdd {
-            key: key % 24,
-            delta
-        }),
-    ]
-}
-
-fn key_bytes(k: u8) -> Vec<u8> {
-    format!("key-{k}").into_bytes()
-}
-
-fn value_bytes(k: u8, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| k.wrapping_mul(31).wrapping_add(i as u8))
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of operations matches a HashMap reference, both
+    /// Any interleaving of operations matches the reference model, both
     /// in responses and in final table contents.
     #[test]
-    fn store_matches_reference_map(ops in prop::collection::vec(op_strategy(), 1..300)) {
+    fn store_matches_reference_map(ops in prop::collection::vec(op_strategy(300), 1..300)) {
         let mut store = KvDirectStore::new(KvDirectConfig::with_memory(4 << 20));
-        let mut reference: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+        let mut model = Model::default();
+        let mut resp = KvResponse::default();
         for op in &ops {
-            match op {
-                Op::Put { key, len } => {
-                    let k = key_bytes(*key);
-                    let v = value_bytes(*key, *len);
-                    store.put(&k, &v).expect("4MiB fits this workload");
-                    reference.insert(k, v);
-                }
-                Op::Get { key } => {
-                    let k = key_bytes(*key);
-                    prop_assert_eq!(store.get(&k), reference.get(&k).cloned());
-                }
-                Op::Delete { key } => {
-                    let k = key_bytes(*key);
-                    let existed = store.delete(&k);
-                    prop_assert_eq!(existed, reference.remove(&k).is_some());
-                }
-                Op::FetchAdd { key, delta } => {
-                    let k = key_bytes(*key);
-                    let expect_old = decode_scalar(reference.get(&k).map(|v| v.as_slice()));
-                    let old = store.fetch_add(&k, *delta).expect("atomics cannot OOM here");
-                    prop_assert_eq!(old, expect_old);
-                    reference.insert(k, (expect_old + delta).to_le_bytes().to_vec());
-                }
-            }
+            let req = to_request(op);
+            store.execute_one_into(req.as_ref(), &mut resp);
+            model.check(req.as_ref(), resp.status, &resp.value).map_err(TestCaseError::fail)?;
         }
         // Final state equivalence.
-        for (k, v) in &reference {
+        for (k, v) in model.entries() {
             let got = store.get(k);
-            prop_assert_eq!(got.as_ref(), Some(v));
+            prop_assert_eq!(got.as_deref(), Some(v));
         }
-        prop_assert_eq!(store.processor().table().len(), reference.len() as u64);
+        prop_assert_eq!(store.processor().table().len(), model.entries().count() as u64);
     }
 
     /// Batched execution is equivalent to one-at-a-time execution.
     #[test]
-    fn batching_is_transparent(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let to_req = |op: &Op| -> KvRequest {
-            match op {
-                Op::Put { key, len } => KvRequest::put(&key_bytes(*key), &value_bytes(*key, *len)),
-                Op::Get { key } => KvRequest::get(&key_bytes(*key)),
-                Op::Delete { key } => KvRequest::delete(&key_bytes(*key)),
-                Op::FetchAdd { key, delta } => KvRequest {
-                    op: OpCode::UpdateScalar,
-                    key: key_bytes(*key),
-                    value: delta.to_le_bytes().to_vec(),
-                    lambda: builtin::ADD,
-                    deadline_us: 0,
-                    expiry_tick: 0,
-                },
-            }
-        };
-        let reqs: Vec<KvRequest> = ops.iter().map(to_req).collect();
+    fn batching_is_transparent(ops in prop::collection::vec(op_strategy(300), 1..200)) {
+        let reqs: Vec<KvRequest> = ops.iter().map(to_request).collect();
         let mut batched = KvDirectStore::new(KvDirectConfig::with_memory(4 << 20));
         let mut serial = KvDirectStore::new(KvDirectConfig::with_memory(4 << 20));
         let rb = batched.execute_batch(&reqs);
@@ -147,11 +81,8 @@ proptest! {
             let reqs: Vec<KvRequest> = (0..*n)
                 .map(|_| KvRequest {
                     op: OpCode::UpdateScalar,
-                    key: b"seq".to_vec(),
-                    value: 1u64.to_le_bytes().to_vec(),
                     lambda: builtin::ADD,
-                    deadline_us: 0,
-                    expiry_tick: 0,
+                    ..KvRequest::put(b"seq", &1u64.to_le_bytes())
                 })
                 .collect();
             for r in store.execute_batch(&reqs) {

@@ -5,8 +5,8 @@
 //! mechanisms that must agree on one semantic: an entry whose stamp has
 //! passed is *gone* (never served, eventually reclaimed), and an entry
 //! whose stamp has not passed is *intact* (never dropped, bytes exact).
-//! These tests check the whole store against a time-aware `HashMap`
-//! model:
+//! These tests check the whole store against `kvd-model`'s time-aware
+//! reference model:
 //!
 //! 1. a property test over arbitrary interleavings of TTL puts, gets,
 //!    deletes, touches, clock advances and reaper sweeps;
@@ -16,48 +16,24 @@
 //!    stay bit-identical across worker counts — the background sweep is
 //!    part of the deterministic schedule, not a wall-clock daemon.
 
-use std::collections::HashMap;
-
 use kv_direct::parallel::{ParallelSimConfig, ParallelSystemSim};
 use kv_direct::sim::SimTime;
 use kv_direct::workloads::ttl::{MemcacheTtl, MemcacheTtlWorkload};
-use kv_direct::{FaultRates, KvDirectConfig, KvDirectStore, KvResponse, OpCode, Status};
+use kv_direct::{FaultRates, KvDirectConfig, KvDirectStore, KvRequestRef, KvResponse, Status};
+use kvd_model::{key_bytes, Effect, Model};
 use proptest::prelude::*;
 
-/// The model: value + stamp per key (stamp 0 = immortal).
-type Model = HashMap<Vec<u8>, (Vec<u8>, u32)>;
-
-fn live(stamp: u32, now: u32) -> bool {
-    stamp == 0 || stamp > now
-}
-
+/// A lifecycle op: `ttl` 0 is immortal, else the stamp is `now + ttl`;
+/// `Advance` moves the clock `dt` ticks; `Sweep` is one bounded reaper
+/// pass.
 #[derive(Debug, Clone)]
 enum Op {
-    /// `ttl` 0 = immortal, else the stamp is `now + ttl`.
-    PutTtl {
-        key: u8,
-        len: usize,
-        ttl: u16,
-    },
-    Get {
-        key: u8,
-    },
-    Delete {
-        key: u8,
-    },
-    /// Same `ttl` encoding as `PutTtl`.
-    Touch {
-        key: u8,
-        ttl: u16,
-    },
-    /// Advance the clock `dt` ticks.
-    Advance {
-        dt: u16,
-    },
-    /// One bounded reaper pass.
-    Sweep {
-        buckets: u8,
-    },
+    PutTtl { key: u8, len: usize, ttl: u16 },
+    Get { key: u8 },
+    Delete { key: u8 },
+    Touch { key: u8, ttl: u16 },
+    Advance { dt: u16 },
+    Sweep { buckets: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -73,14 +49,30 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn key_bytes(k: u8) -> Vec<u8> {
-    format!("key-{k}").into_bytes()
-}
-
 fn value_bytes(k: u8, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| k.wrapping_mul(37).wrapping_add(i as u8))
         .collect()
+}
+
+/// The stamp of a `ttl` op at tick `now`: 0 stays immortal.
+fn stamp(ttl: u16, now: u32) -> u32 {
+    if ttl == 0 {
+        0
+    } else {
+        now + ttl as u32
+    }
+}
+
+/// Runs `req` on the store and checks the response against the model.
+fn execute(
+    store: &mut KvDirectStore,
+    model: &mut Model,
+    req: KvRequestRef<'_>,
+) -> Result<Effect, String> {
+    let mut resp = KvResponse::default();
+    store.execute_one_into(req, &mut resp);
+    model.check(req, resp.status, &resp.value)
 }
 
 proptest! {
@@ -92,72 +84,52 @@ proptest! {
     #[test]
     fn store_matches_time_aware_model(ops in prop::collection::vec(op_strategy(), 1..300)) {
         let mut store = KvDirectStore::new(KvDirectConfig::with_memory(4 << 20));
-        let mut model: Model = HashMap::new();
+        let mut model = Model::default();
         // Tick 0 would make fresh stamps ambiguous with the immortal
         // sentinel; start at 1 like every production clock does.
         let mut now: u32 = 1;
         store.processor_mut().set_now(SimTime::from_ms(now as u64));
+        model.set_now(now);
         for op in &ops {
-            match op {
+            let checked = match op {
                 Op::PutTtl { key, len, ttl } => {
-                    let k = key_bytes(*key);
-                    let v = value_bytes(*key, *len);
-                    let stamp = if *ttl == 0 { 0 } else { now + *ttl as u32 };
-                    store.put_ttl(&k, &v, stamp).expect("4MiB fits this workload");
-                    model.insert(k, (v, stamp));
+                    let (k, v) = (key_bytes(*key), value_bytes(*key, *len));
+                    let req = KvRequestRef::put_ttl(&k, &v, stamp(*ttl, now));
+                    execute(&mut store, &mut model, req)
                 }
-                Op::Get { key } => {
-                    let k = key_bytes(*key);
-                    let want = match model.get(&k) {
-                        Some((v, stamp)) if live(*stamp, now) => Some(v.clone()),
-                        _ => None,
-                    };
-                    prop_assert_eq!(store.get(&k), want, "GET diverged at tick {}", now);
-                    // The store reclaims a dead entry it probes; mirror.
-                    if let Some((_, stamp)) = model.get(&k) {
-                        if !live(*stamp, now) {
-                            model.remove(&k);
-                        }
-                    }
-                }
+                Op::Get { key } => execute(&mut store, &mut model, KvRequestRef::get(&key_bytes(*key))),
                 Op::Delete { key } => {
-                    let k = key_bytes(*key);
-                    let want = matches!(model.get(&k), Some((_, s)) if live(*s, now));
-                    prop_assert_eq!(store.delete(&k), want, "DELETE diverged at tick {}", now);
-                    model.remove(&k);
+                    execute(&mut store, &mut model, KvRequestRef::delete(&key_bytes(*key)))
                 }
                 Op::Touch { key, ttl } => {
-                    let k = key_bytes(*key);
-                    let stamp = if *ttl == 0 { 0 } else { now + *ttl as u32 };
-                    let want = matches!(model.get(&k), Some((_, s)) if live(*s, now));
-                    prop_assert_eq!(store.touch(&k, stamp), want, "TOUCH diverged at tick {}", now);
-                    if want {
-                        model.get_mut(&k).expect("checked live").1 = stamp;
-                    } else {
-                        model.remove(&k);
-                    }
+                    let (k, stamp) = (key_bytes(*key), stamp(*ttl, now));
+                    let found = store.touch(&k, stamp);
+                    model.check_touch(&k, stamp, found)
                 }
                 Op::Advance { dt } => {
                     now += *dt as u32;
                     store.processor_mut().set_now(SimTime::from_ms(now as u64));
+                    model.set_now(now);
+                    continue;
                 }
                 Op::Sweep { buckets } => {
                     store.processor_mut().sweep_expired(*buckets as u64);
+                    continue;
                 }
-            }
+            };
+            checked.map_err(|e| TestCaseError::fail(format!("tick {now}: {e}")))?;
         }
         // Final audit: every live model entry reads back exactly; after
         // a full-table sweep, residency equals the live set.
-        model.retain(|_, (_, stamp)| live(*stamp, now));
-        for (k, (v, _)) in &model {
+        for (k, v) in model.entries() {
             let got = store.get(k);
-            prop_assert_eq!(got.as_ref(), Some(v), "live entry dropped");
+            prop_assert_eq!(got.as_deref(), Some(v), "live entry dropped");
         }
         let full = store.processor().table().n_buckets() * 4;
         store.processor_mut().sweep_expired(full);
         prop_assert_eq!(
             store.processor().table().len(),
-            model.len() as u64,
+            model.entries().count() as u64,
             "post-sweep residency != live set"
         );
     }
@@ -185,50 +157,20 @@ fn seeded_soak_across_seeds_and_fault_rates() {
                 max_ttl_ticks: 60,
             };
             let mut w = MemcacheTtlWorkload::new(ttl_cfg, 600, 24, seed);
-            let mut model: Model = HashMap::new();
-            let mut resp = KvResponse {
-                status: Status::Ok,
-                value: Vec::new(),
-            };
-            let mut served_expired = 0u64;
-            let mut dropped_live = 0u64;
+            // Only acknowledged mutations count: a `DeviceError` op was
+            // not applied, and a `DeviceError` read is a fault, not a drop.
+            let mut model = Model::default().tolerating(&[Status::DeviceError]);
             for round in 1u32..=40 {
                 let now = round * 5;
                 store.processor_mut().set_now(SimTime::from_ms(now as u64));
+                model.set_now(now);
                 for req in w.batch(500, now) {
-                    store.execute_one_into(req.as_ref(), &mut resp);
-                    if resp.status == Status::DeviceError {
-                        continue; // not applied; model unchanged
-                    }
-                    match req.op {
-                        OpCode::Put => {
-                            model.insert(req.key.clone(), (req.value.clone(), req.expiry_tick));
-                        }
-                        OpCode::Get => match model.get(&req.key) {
-                            Some((_, stamp)) if !live(*stamp, now) => {
-                                if resp.status == Status::Ok {
-                                    served_expired += 1;
-                                }
-                                model.remove(&req.key);
-                            }
-                            Some((v, _)) if resp.status != Status::Ok || &resp.value != v => {
-                                dropped_live += 1;
-                            }
-                            Some(_) | None => {}
-                        },
-                        _ => {}
+                    if let Err(e) = execute(&mut store, &mut model, req.as_ref()) {
+                        panic!("seed {seed:#x}, faults {fault_rate}, tick {now}: {e}");
                     }
                 }
                 store.processor_mut().sweep_expired(64);
             }
-            assert_eq!(
-                served_expired, 0,
-                "expired keys served (seed {seed:#x}, faults {fault_rate})"
-            );
-            assert_eq!(
-                dropped_live, 0,
-                "live keys dropped or corrupted (seed {seed:#x}, faults {fault_rate})"
-            );
         }
     }
 }

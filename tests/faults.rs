@@ -3,7 +3,7 @@
 //! The fault plane's contract has three testable halves:
 //!
 //! 1. **Differential safety** — under any fault rate, an operation that
-//!    acknowledges `Ok` behaves exactly like a fault-free HashMap; an
+//!    acknowledges `Ok` behaves exactly like the fault-free model; an
 //!    operation that reports `DeviceError` was not applied at all. The
 //!    store never panics and never hangs, whatever the schedule.
 //! 2. **Determinism** — the schedule is a pure function of the config
@@ -12,13 +12,10 @@
 //! 3. **Inertness** — a zero-rate plane consumes no randomness and the
 //!    store is bit-identical to one built without fault injection.
 
-use std::collections::HashMap;
-
-use kv_direct::lambda::decode_scalar;
 use kv_direct::{
-    builtin, FaultRates, KvDirectConfig, KvDirectStore, KvRequest, KvResponse, OpCode, OpLedger,
-    Status,
+    FaultRates, KvDirectConfig, KvDirectStore, KvRequest, KvResponse, OpLedger, Status,
 };
+use kvd_model::{op_strategy, to_request, Effect, Model, Op};
 use proptest::prelude::*;
 
 /// The fault pressures exercised by every differential property.
@@ -32,57 +29,11 @@ fn faulty_store(rate: f64, seed: u64) -> KvDirectStore {
     })
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    Put { key: u8, len: usize },
-    Get { key: u8 },
-    Delete { key: u8 },
-    FetchAdd { key: u8, delta: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), 0usize..200).prop_map(|(key, len)| Op::Put { key: key % 24, len }),
-        any::<u8>().prop_map(|key| Op::Get { key: key % 24 }),
-        any::<u8>().prop_map(|key| Op::Delete { key: key % 24 }),
-        (any::<u8>(), 1u64..100).prop_map(|(key, delta)| Op::FetchAdd {
-            key: key % 24,
-            delta
-        }),
-    ]
-}
-
-fn key_bytes(k: u8) -> Vec<u8> {
-    format!("key-{k}").into_bytes()
-}
-
-fn value_bytes(k: u8, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| k.wrapping_mul(31).wrapping_add(i as u8))
-        .collect()
-}
-
-fn to_request(op: &Op) -> KvRequest {
-    match op {
-        Op::Put { key, len } => KvRequest::put(&key_bytes(*key), &value_bytes(*key, *len)),
-        Op::Get { key } => KvRequest::get(&key_bytes(*key)),
-        Op::Delete { key } => KvRequest::delete(&key_bytes(*key)),
-        Op::FetchAdd { key, delta } => KvRequest {
-            op: OpCode::UpdateScalar,
-            key: key_bytes(*key),
-            value: delta.to_le_bytes().to_vec(),
-            lambda: builtin::ADD,
-            deadline_us: 0,
-            expiry_tick: 0,
-        },
-    }
-}
-
-/// Replays `ops` against a faulty store and a fault-free HashMap model,
+/// Replays `ops` against a faulty store and the fault-free model,
 /// asserting agreement on every response that is not a `DeviceError`.
 /// Returns the number of device errors observed.
 fn run_differential(store: &mut KvDirectStore, ops: &[Op]) -> Result<u64, TestCaseError> {
-    let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut model = Model::default().tolerating(&[Status::DeviceError]);
     let mut device_errors = 0u64;
     for op in ops {
         let req = to_request(op);
@@ -90,49 +41,14 @@ fn run_differential(store: &mut KvDirectStore, ops: &[Op]) -> Result<u64, TestCa
             .execute_batch(std::slice::from_ref(&req))
             .pop()
             .expect("one response per request");
-        if resp.status == Status::DeviceError {
-            // Contract: the operation was not applied. The model keeps
-            // its state and subsequent ops must still agree.
-            device_errors += 1;
-            continue;
-        }
-        match op {
-            Op::Put { key, len } => {
-                prop_assert_eq!(resp.status, Status::Ok, "4MiB fits this workload");
-                model.insert(key_bytes(*key), value_bytes(*key, *len));
-            }
-            Op::Get { key } => match model.get(&key_bytes(*key)) {
-                Some(v) => {
-                    prop_assert_eq!(resp.status, Status::Ok);
-                    prop_assert_eq!(&resp.value, v, "GET diverged from model");
-                }
-                None => prop_assert_eq!(resp.status, Status::NotFound),
-            },
-            Op::Delete { key } => {
-                let existed = model.remove(&key_bytes(*key)).is_some();
-                prop_assert_eq!(
-                    resp.status,
-                    if existed {
-                        Status::Ok
-                    } else {
-                        Status::NotFound
-                    }
-                );
-            }
-            Op::FetchAdd { key, delta } => {
-                prop_assert_eq!(resp.status, Status::Ok);
-                let k = key_bytes(*key);
-                let old = decode_scalar(model.get(&k).map(|v| v.as_slice()));
-                prop_assert_eq!(decode_scalar(Some(&resp.value)), old);
-                model.insert(k, (old + delta).to_le_bytes().to_vec());
-            }
-        }
+        let effect = model.check(req.as_ref(), resp.status, &resp.value);
+        device_errors += u64::from(effect.map_err(TestCaseError::fail)? == Effect::Refused);
     }
     // Final state: every model key the store acknowledged must still read
     // back correctly (tolerating read-time device errors).
-    for (k, v) in &model {
+    for (k, v) in model.entries() {
         match store.try_get(k) {
-            Ok(got) => prop_assert_eq!(got.as_ref(), Some(v), "final state diverged"),
+            Ok(got) => prop_assert_eq!(got.as_deref(), Some(v), "final state diverged"),
             Err(kv_direct::StoreError::DeviceError) => {}
             Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
         }
@@ -148,7 +64,7 @@ proptest! {
     /// response, and the run always terminates without a panic.
     #[test]
     fn faulty_store_matches_reference_map(
-        ops in prop::collection::vec(op_strategy(), 1..250),
+        ops in prop::collection::vec(op_strategy(200), 1..250),
         seed in any::<u64>(),
     ) {
         for rate in RATES {
@@ -166,7 +82,7 @@ proptest! {
     /// and the whole ledger (processor counts, fault channels) bit-for-bit.
     #[test]
     fn fault_schedule_reproducible_for_any_seed(
-        ops in prop::collection::vec(op_strategy(), 1..150),
+        ops in prop::collection::vec(op_strategy(200), 1..150),
         seed in any::<u64>(),
     ) {
         let reqs: Vec<KvRequest> = ops.iter().map(to_request).collect();
@@ -250,23 +166,18 @@ fn ecc_pressure_degrades_to_pcie_but_stays_correct() {
         fault_seed: 99,
         ..KvDirectConfig::with_memory(1 << 20)
     });
-    let mut model = HashMap::new();
+    // ECC faults retry inside the engine: every op must succeed.
+    let mut model = Model::default();
+    let mut resp = KvResponse::default();
     for i in 0..2000u64 {
-        let k = (i % 64).to_le_bytes();
-        let v = i.to_le_bytes();
-        store
-            .put(&k, &v)
-            .expect("ECC faults retry inside the engine");
-        model.insert(k, v);
+        let req = KvRequest::put(&(i % 64).to_le_bytes(), &i.to_le_bytes());
+        store.execute_one_into(req.as_ref(), &mut resp);
+        model.check(req.as_ref(), resp.status, &resp.value).unwrap();
     }
     let ecc = store.ecc_stats();
     assert!(ecc.uncorrectable > 0, "pressure did fire");
     assert!(ecc.bypassed, "breaker trips under sustained pressure");
-    for (k, v) in &model {
-        assert_eq!(
-            store.get(k).as_deref(),
-            Some(v.as_slice()),
-            "degraded store lost data"
-        );
+    for (k, v) in model.entries() {
+        assert_eq!(store.get(k).as_deref(), Some(v), "degraded store lost data");
     }
 }
