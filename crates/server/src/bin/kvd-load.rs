@@ -12,7 +12,8 @@
 //! `--hot-shift N` moves the whole hot set every N requests — the
 //! adversarial mix the hot-key-aware cache plane is tuned against.
 //!
-//! Offers `--rate` ops/sec on a seeded bursty schedule regardless of
+//! Offers a seeded bursty schedule whose phase rates average `--rate`
+//! ops/sec (it delivers about half of that on average) regardless of
 //! how fast the server answers, then reports wall-clock RPS, goodput
 //! (answers on time) and open-loop latency percentiles.
 
