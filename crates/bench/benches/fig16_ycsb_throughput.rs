@@ -7,16 +7,13 @@
 //! cycle, PCIe DMAs and NIC DRAM lines in simulated time. The client keeps
 //! `SATURATING_WINDOWS` batches of 40 in flight, so the NIC sets the rate.
 
-use std::time::Instant;
-
 use kvd_bench::{
-    banner, fmt_f, multi_nic_engine, shape_check, KeyDist, Table, Ycsb, OPS_PER_NIC,
-    POPULATION_PER_NIC, SATURATING_WINDOWS, SCALED_MEMORY, YCSB_OPS,
+    banner, fmt_f, shape_check, KeyDist, Table, Ycsb, SATURATING_WINDOWS, SCALED_MEMORY, YCSB_OPS,
 };
 use kvd_core::system::SystemSimConfig;
 use kvd_core::KvDirectConfig;
 use kvd_sim::LatencyCosts;
-use kvd_workloads::{paper_kv_sizes, PresetWorkload, YcsbPreset};
+use kvd_workloads::paper_kv_sizes;
 
 /// The network's share of a run's latency, over every answered op (the
 /// ledger attributes each op's latency to network, PCIe, DRAM and the
@@ -28,61 +25,7 @@ fn network_share(latency: &LatencyCosts) -> f64 {
     network as f64 / total.max(1) as f64
 }
 
-/// `--shards N` runs the YCSB-B stream through the parallel sharded
-/// engine instead of the Figure 16 grid: N timed pipelines,
-/// key-partitioned routing, and a wall-clock comparison of stepping the
-/// shards sequentially vs. on worker threads.
-fn sharded_run(shards: usize) {
-    banner(
-        "YCSB-B on the parallel sharded engine",
-        "simulated multi-NIC throughput and host wall-clock, sequential vs threaded stepping",
-    );
-    let population = POPULATION_PER_NIC * shards as u64;
-    let mut w = PresetWorkload::new(YcsbPreset::B, population, 8, 0xF16B);
-    let reqs = w.batch(OPS_PER_NIC * shards);
-
-    let run = |workers: usize| {
-        let mut sim = multi_nic_engine(shards, workers, None);
-        let started = Instant::now();
-        let report = sim.run(&reqs);
-        (report, started.elapsed())
-    };
-    let (seq, t_seq) = run(1);
-    let (par, t_par) = run(0);
-    assert_eq!(seq, par, "worker count must not change simulated results");
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "{} shards, {} ops: {} simulated Mops (p50 GET {:.2} us)",
-        shards,
-        seq.ops,
-        fmt_f(seq.mops, 0),
-        seq.get_latency.p50 as f64 / 1e6,
-    );
-    println!(
-        "wall-clock: sequential {:.0} ms, {} workers {:.0} ms ({:.2}x)",
-        t_seq.as_secs_f64() * 1e3,
-        cores.min(shards),
-        t_par.as_secs_f64() * 1e3,
-        t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9),
-    );
-}
-
 fn main() {
-    // Cargo's bench runner prepends its own flags (e.g. `--bench`), so
-    // scan for ours anywhere in the argument list.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let shards: usize = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(10)
-            .max(1);
-        sharded_run(shards);
-        return;
-    }
     banner(
         "Figure 16: YCSB throughput vs KV size (uniform / long-tail)",
         "tiny inline KVs approach the 180 Mops clock bound (long-tail, \

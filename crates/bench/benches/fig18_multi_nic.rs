@@ -19,66 +19,13 @@ use kvd_bench::{
 use kvd_core::parallel::{ParallelSimConfig, ParallelSystemSim};
 use kvd_core::KvDirectConfig;
 use kvd_net::shard_of;
-use kvd_sim::SimTime;
-
-/// Harness overrides from the command line. `--workers N` picks the
-/// worker-thread count (default: the machine's parallelism), `--quantum-us Q`
-/// the arbiter window. Workers never change simulated results (the
-/// determinism suite pins that); a non-default quantum does, so the shape
-/// gates below assume the paper's.
-#[derive(Default, Clone, Copy)]
-struct Cli {
-    workers: Option<usize>,
-    quantum_us: Option<u64>,
-}
-
-fn parse_cli() -> Cli {
-    fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} requires a value"))
-    }
-    let mut cli = Cli::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--workers" => {
-                cli.workers = Some(value(&mut args, "--workers").parse().expect("--workers: N"))
-            }
-            "--quantum-us" => {
-                cli.quantum_us = Some(
-                    value(&mut args, "--quantum-us")
-                        .parse()
-                        .expect("--quantum-us: microseconds"),
-                )
-            }
-            // Cargo's bench runner forwards its own flags (`--bench`,
-            // filter strings); only this harness's flags are consumed.
-            other => eprintln!("fig18: ignoring argument {other}"),
-        }
-    }
-    cli
-}
-
-/// Builds the simulation. `forced_workers` pins the worker count for the
-/// wall-clock comparison; `None` defers to `--workers` (or auto).
-fn engine(shards: usize, forced_workers: Option<usize>, cli: Cli) -> ParallelSystemSim {
-    let workers = forced_workers.unwrap_or_else(|| cli.workers.unwrap_or(0));
-    multi_nic_engine(shards, workers, cli.quantum_us.map(SimTime::from_us))
-}
 
 fn main() {
-    let cli = parse_cli();
     banner(
         "Multi-NIC scaling (paper §5.2): 10 NICs → 1.22 Gops",
         "throughput scales near-linearly with NICs until the server's \
          aggregate host memory bandwidth caps it just above 1.2 Gops",
     );
-    if cli.workers.is_some() || cli.quantum_us.is_some() {
-        println!(
-            "overrides: workers {:?}, quantum {:?} us\n",
-            cli.workers, cli.quantum_us
-        );
-    }
 
     let mut t = Table::new(
         "simulated throughput vs number of NICs",
@@ -96,7 +43,7 @@ fn main() {
     let mut mops_10 = 0.0;
     let mut stalled_10 = false;
     for &n in &[1usize, 2, 3, 4, 5, 6, 8, 10] {
-        let mut sim = engine(n, None, cli);
+        let mut sim = multi_nic_engine(n, 0);
         let r = sim.run(&multi_nic_gets(n, 0xF160 + n as u64));
         let lines_per_op = r.arbiter.lines as f64 / r.ops as f64;
         let stall_us = r.arbiter.stall.as_secs_f64() * 1e6 / r.arbiter.windows.max(1) as f64;
@@ -132,10 +79,10 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let started = Instant::now();
-    let seq = engine(10, Some(1), cli).run(&reqs);
+    let seq = multi_nic_engine(10, 1).run(&reqs);
     let t_seq = started.elapsed();
     let started = Instant::now();
-    let par = engine(10, None, cli).run(&reqs);
+    let par = multi_nic_engine(10, 0).run(&reqs);
     let t_par = started.elapsed();
     let speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
     println!(

@@ -64,7 +64,7 @@ fn main() {
         .run(at_windows(LATENCY_WINDOWS), 26)
         .report
         .get_us(Percentile::P50);
-    let ten_nic_mops = multi_nic_engine(10, 0, None)
+    let ten_nic_mops = multi_nic_engine(10, 0)
         .run(&multi_nic_gets(10, 0xF160 + 10))
         .mops;
 

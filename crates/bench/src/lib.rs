@@ -10,9 +10,9 @@ use kvd_core::parallel::{ParallelSimConfig, ParallelSystemSim};
 use kvd_core::system::{SystemSim, SystemSimConfig, SystemSimReport};
 use kvd_core::{KvDirectConfig, StoreError};
 use kvd_net::KvRequest;
-use kvd_sim::{DetRng, SimTime, ZipfSampler};
+use kvd_sim::{DetRng, ZipfSampler};
 
-pub use kvd_sim::report::{fmt_bytes, fmt_f, fmt_mops, Table};
+pub use kvd_sim::report::{fmt_f, Table};
 
 /// Prints the harness banner: which paper artifact this regenerates and
 /// what shape to expect.
@@ -163,19 +163,12 @@ pub const OPS_PER_NIC: usize = 24_000;
 /// Figure 18's engine, also behind Table 3's 10-NIC row: `shards` timed
 /// pipelines (batch 40, 24 client windows each) preloaded with
 /// [`POPULATION_PER_NIC`] tiny keys per NIC. `workers` 0 takes the
-/// machine's parallelism; `quantum` overrides the arbiter window.
-pub fn multi_nic_engine(
-    shards: usize,
-    workers: usize,
-    quantum: Option<SimTime>,
-) -> ParallelSystemSim {
+/// machine's parallelism.
+pub fn multi_nic_engine(shards: usize, workers: usize) -> ParallelSystemSim {
     let mut cfg =
         ParallelSimConfig::paper(KvDirectConfig::with_memory(SCALED_MEMORY_BIG), 40, shards);
     cfg.shard.windows = 24;
     cfg.workers = workers;
-    if let Some(q) = quantum {
-        cfg.arbiter.quantum = q;
-    }
     let mut sim = ParallelSystemSim::new(cfg);
     for id in 0..POPULATION_PER_NIC * shards as u64 {
         sim.preload_put(&id.to_le_bytes(), &[id as u8; 8])

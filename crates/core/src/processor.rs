@@ -291,16 +291,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         &self.ledger
     }
 
-    /// Whether the processor is in read-only degraded mode.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
-    /// Whether the admission controller is currently shedding.
-    pub fn is_shedding(&self) -> bool {
-        self.admission.as_ref().is_some_and(|a| a.is_shedding())
-    }
-
     /// Attaches a fault plane: every issued memory transaction draws from
     /// it, retrying recoverable faults up to the retry budget and failing
     /// with [`Status::DeviceError`] (table untouched) past it.

@@ -221,12 +221,6 @@ impl KvDirectStore {
         *self.proc.table().mem().ecc()
     }
 
-    /// Whether the store is in read-only degraded mode (writes shed with
-    /// [`StoreError::Overloaded`] after slab exhaustion).
-    pub fn is_read_only(&self) -> bool {
-        self.proc.is_read_only()
-    }
-
     /// Runs one request through the core into the pooled scratch
     /// response; `Ok` lends out the response's value.
     fn one(&mut self, req: KvRequestRef<'_>) -> Result<&[u8], StoreError> {
@@ -794,7 +788,8 @@ mod tests {
             }
             i += 1;
         }
-        assert!(s.is_read_only());
+        let c = s.ledger().core;
+        assert_eq!((c.read_only_entries, c.read_only_exits), (1, 0));
         // Writes shed, reads flow: degraded, not dead.
         assert_eq!(
             s.put(b"more", &[0xCD; 200]),
@@ -812,7 +807,6 @@ mod tests {
         }
         s.put(b"after", b"v")
             .expect("recovered store admits writes");
-        assert!(!s.is_read_only());
         let c = s.ledger().core;
         assert_eq!(c.read_only_entries, 1);
         assert_eq!(c.read_only_exits, 1);

@@ -5,9 +5,8 @@
 //! puts, gets, forwarding and write-backs together) is driven through two
 //! identically configured stores:
 //!
-//! * **owned**: `encode_packet` → `decode_packet` (owned requests) →
-//!   `execute_batch` — the path every caller used before the zero-copy
-//!   rework;
+//! * **owned**: the owned requests → `execute_batch` — the path every
+//!   caller used before the zero-copy rework;
 //! * **zero-copy**: the same packet bytes → `decode_packet_ref` (borrowed
 //!   requests) → `run` over a reused response arena.
 //!
@@ -17,7 +16,7 @@
 //! no station decision, and no retire outcome.
 
 use kvd_core::{KvDirectConfig, KvDirectStore};
-use kvd_net::{decode_packet, decode_packet_ref, encode_packet, KvResponse};
+use kvd_net::{decode_packet_ref, encode_packet, KvResponse};
 use kvd_sim::{CostSource, OpLedger};
 use kvd_workloads::presets::{PresetWorkload, YcsbPreset};
 
@@ -49,8 +48,7 @@ fn zero_copy_batches_match_owned_path() {
     let mut arena = vec![KvResponse::default(); BATCH];
     for chunk in preload.chunks(BATCH) {
         let bytes = encode_packet(chunk);
-        let owned_reqs = decode_packet(&bytes).expect("round-trip");
-        owned.execute_batch(&owned_reqs);
+        owned.execute_batch(chunk);
         let refs = decode_packet_ref(&bytes).expect("round-trip");
         zero_copy.run(&refs[..], &mut arena[..refs.len()]);
     }
@@ -59,8 +57,7 @@ fn zero_copy_batches_match_owned_path() {
         let batch = w.batch(BATCH);
         let bytes = encode_packet(&batch);
 
-        let owned_reqs = decode_packet(&bytes).expect("round-trip");
-        let owned_resps = owned.execute_batch(&owned_reqs);
+        let owned_resps = owned.execute_batch(&batch);
 
         let refs = decode_packet_ref(&bytes).expect("round-trip");
         zero_copy.run(&refs[..], &mut arena[..refs.len()]);

@@ -49,8 +49,8 @@ pub use kvd_core::{
     Watermarks, EXPIRY_TICK_US,
 };
 pub use kvd_net::{
-    decode_packet, decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse,
-    NetConfig, OpCode, Status,
+    decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse, NetConfig,
+    OpCode, Status,
 };
 pub use kvd_sim::{
     ChaosSchedule, Component, CostSource, FaultPlane, FaultRates, OpClass, OpLedger, Percentile,

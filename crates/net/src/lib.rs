@@ -39,6 +39,6 @@ pub use ring::HashRing;
 pub use route::shard_of;
 pub use vector::{vector_strategies, VectorStrategy, VectorThroughput};
 pub use wire::{
-    decode_packet, decode_packet_ref, decode_responses, encode_packet, encode_responses, KvRequest,
-    KvRequestRef, KvResponse, OpCode, Status, WireError,
+    decode_packet_ref, decode_responses, encode_packet, encode_responses, KvRequest, KvRequestRef,
+    KvResponse, OpCode, Status, WireError,
 };

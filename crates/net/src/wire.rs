@@ -185,7 +185,7 @@ impl KvRequest {
 /// let borrowed = owned.as_ref();
 /// assert_eq!(borrowed.op, OpCode::Put);
 /// assert_eq!(borrowed.key, b"k");
-/// assert_eq!(borrowed.to_owned(), owned);
+/// assert_eq!(borrowed, owned.as_ref());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvRequestRef<'a> {
@@ -253,18 +253,6 @@ impl<'a> KvRequestRef<'a> {
             lambda: 0,
             deadline_us: 0,
             expiry_tick: 0,
-        }
-    }
-
-    /// Clones into an owned [`KvRequest`].
-    pub fn to_owned(self) -> KvRequest {
-        KvRequest {
-            op: self.op,
-            key: self.key.to_vec(),
-            value: self.value.to_vec(),
-            lambda: self.lambda,
-            deadline_us: self.deadline_us,
-            expiry_tick: self.expiry_tick,
         }
     }
 }
@@ -401,14 +389,15 @@ impl std::error::Error for WireError {}
 /// # Examples
 ///
 /// ```
-/// use kvd_net::{decode_packet, encode_packet, KvRequest};
+/// use kvd_net::{decode_packet_ref, encode_packet, KvRequest};
 ///
 /// let ops = vec![
 ///     KvRequest::put(b"key1", b"value"),
 ///     KvRequest::put(b"key2", b"value"), // same sizes AND same value
 /// ];
 /// let bytes = encode_packet(&ops);
-/// assert_eq!(decode_packet(&bytes).unwrap(), ops);
+/// let decoded = decode_packet_ref(&bytes).unwrap();
+/// assert_eq!(decoded[1], ops[1].as_ref());
 /// // The second op elides sizes and value: only header + key.
 /// assert!(bytes.len() < 2 * (1 + 3 + 4 + 5) + 2);
 /// ```
@@ -480,7 +469,7 @@ pub fn encode_packet(ops: &[KvRequest]) -> Bytes {
 /// ];
 /// let bytes = encode_packet(&ops);
 /// let refs = decode_packet_ref(&bytes).unwrap();
-/// assert_eq!(refs[1].to_owned(), ops[1]);
+/// assert_eq!(refs[1], ops[1].as_ref());
 /// // Both requests borrow the one value payload in the packet.
 /// assert!(std::ptr::eq(refs[0].value, refs[1].value));
 /// ```
@@ -568,16 +557,6 @@ pub fn decode_packet_ref(bytes: &[u8]) -> Result<Vec<KvRequestRef<'_>>, WireErro
     Ok(out)
 }
 
-/// Decodes a packet payload back into owned requests — a thin wrapper
-/// over [`decode_packet_ref`] kept for embedders that need `'static`
-/// requests.
-pub fn decode_packet(bytes: &[u8]) -> Result<Vec<KvRequest>, WireError> {
-    Ok(decode_packet_ref(bytes)?
-        .into_iter()
-        .map(KvRequestRef::to_owned)
-        .collect())
-}
-
 /// Encodes a batch of responses.
 pub fn encode_responses(rs: &[KvResponse]) -> Bytes {
     let mut buf = BytesMut::new();
@@ -620,6 +599,11 @@ pub fn decode_responses(mut bytes: &[u8]) -> Result<Vec<KvResponse>, WireError> 
 mod tests {
     use super::*;
 
+    /// The borrowed form of `ops`, which a decode of their packet equals.
+    fn borrowed(ops: &[KvRequest]) -> Vec<KvRequestRef<'_>> {
+        ops.iter().map(KvRequest::as_ref).collect()
+    }
+
     #[test]
     fn roundtrip_mixed_batch() {
         let ops = vec![
@@ -652,7 +636,7 @@ mod tests {
             },
         ];
         let bytes = encode_packet(&ops);
-        assert_eq!(decode_packet(&bytes).unwrap(), ops);
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&ops));
     }
 
     #[test]
@@ -665,7 +649,7 @@ mod tests {
         let bytes = encode_packet(&ops);
         // First op: 1 + 3 + 8 + 8 = 20; rest: 1 + 8 + 8 = 17.
         assert_eq!(bytes.len(), 2 + 20 + 63 * 17);
-        assert_eq!(decode_packet(&bytes).unwrap(), ops);
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&ops));
     }
 
     #[test]
@@ -681,13 +665,13 @@ mod tests {
             .map(|o| 1 + 3 + o.key.len() + o.value.len())
             .sum();
         assert!(bytes.len() < naive - 9 * 12 + 16, "no value elision?");
-        assert_eq!(decode_packet(&bytes).unwrap(), ops);
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&ops));
     }
 
     #[test]
     fn empty_batch() {
         let bytes = encode_packet(&[]);
-        assert_eq!(decode_packet(&bytes).unwrap(), Vec::<KvRequest>::new());
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), vec![]);
     }
 
     #[test]
@@ -696,7 +680,7 @@ mod tests {
         let bytes = encode_packet(&ops);
         for cut in 0..bytes.len() {
             assert!(
-                decode_packet(&bytes[..cut]).is_err(),
+                decode_packet_ref(&bytes[..cut]).is_err(),
                 "cut at {cut} accepted"
             );
         }
@@ -706,7 +690,7 @@ mod tests {
     fn bad_opcode_rejected() {
         let mut bytes = encode_packet(&[KvRequest::get(b"k")]).to_vec();
         bytes[2] = 0x0F; // opcode 15
-        assert_eq!(decode_packet(&bytes), Err(WireError::BadCode));
+        assert_eq!(decode_packet_ref(&bytes), Err(WireError::BadCode));
     }
 
     #[test]
@@ -737,7 +721,7 @@ mod tests {
             KvRequest::get(b"k3"), // mixed: no deadline on this one
         ];
         let bytes = encode_packet(&with);
-        assert_eq!(decode_packet(&bytes).unwrap(), with);
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&with));
 
         let without: Vec<KvRequest> = with
             .iter()
@@ -760,7 +744,7 @@ mod tests {
             KvRequest::put(b"k4", b"v4").with_deadline(9).with_ttl(77),
         ];
         let bytes = encode_packet(&with);
-        assert_eq!(decode_packet(&bytes).unwrap(), with);
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&with));
 
         let without: Vec<KvRequest> = with
             .iter()
@@ -792,9 +776,9 @@ mod tests {
             let _ = b;
         }
         assert_eq!(bytes[2] & FLAG_TTL, 0, "first header has no ttl bit");
-        let decoded = decode_packet(&bytes).unwrap();
+        let decoded = decode_packet_ref(&bytes).unwrap();
         assert!(decoded.iter().all(|r| r.expiry_tick == 0));
-        assert_eq!(decoded, ops);
+        assert_eq!(decoded, borrowed(&ops));
     }
 
     #[test]
@@ -807,8 +791,7 @@ mod tests {
         let refs = decode_packet_ref(&bytes).unwrap();
         assert_eq!(refs[0].expiry_tick, 123);
         assert_eq!(refs[1].expiry_tick, 123);
-        let owned: Vec<KvRequest> = refs.into_iter().map(KvRequestRef::to_owned).collect();
-        assert_eq!(owned, ops);
+        assert_eq!(refs, borrowed(&ops));
     }
 
     #[test]
@@ -840,7 +823,7 @@ mod tests {
         let refs = decode_packet_ref(&bytes).unwrap();
         assert_eq!(refs.len(), 8);
         for (r, o) in refs.iter().copied().zip(&ops) {
-            assert_eq!(&r.to_owned(), o);
+            assert_eq!(r, o.as_ref());
         }
         // Every request in the chain borrows the exact same slice.
         for w in refs.windows(2) {
@@ -852,7 +835,7 @@ mod tests {
         let p = payload.as_ptr() as usize;
         assert!(p >= base && p + payload.len() <= base + bytes.len());
         // The owned wrapper agrees with the borrowed decode.
-        assert_eq!(decode_packet(&bytes).unwrap(), ops);
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&ops));
     }
 
     #[test]
@@ -871,7 +854,7 @@ mod tests {
                 "flag {flag:#x}"
             );
             assert_eq!(
-                decode_packet(&bytes).unwrap_err(),
+                decode_packet_ref(&bytes).unwrap_err(),
                 WireError::DanglingCopyFlag,
                 "flag {flag:#x}"
             );
@@ -896,16 +879,7 @@ mod tests {
             KvRequest::get(b"k3").with_deadline(77),
         ];
         let bytes = encode_packet(&ops);
-        let refs = decode_packet_ref(&bytes).unwrap();
-        let owned: Vec<KvRequest> = refs.into_iter().map(KvRequestRef::to_owned).collect();
-        assert_eq!(owned, ops);
-        // Truncations error identically through the wrapper.
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                decode_packet_ref(&bytes[..cut]).is_err(),
-                decode_packet(&bytes[..cut]).is_err()
-            );
-        }
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&ops));
     }
 
     #[test]
@@ -914,7 +888,7 @@ mod tests {
         let bytes = [1, 0, OpCode::Get as u8, 5, 0, 0, b'a', b'b'];
         let want = WireError::ShortKey { want: 5, have: 2 };
         assert_eq!(decode_packet_ref(&bytes).unwrap_err(), want);
-        assert_eq!(decode_packet(&bytes).unwrap_err(), want);
+        assert_eq!(decode_packet_ref(&bytes).unwrap_err(), want);
     }
 
     #[test]
@@ -964,9 +938,9 @@ mod tests {
     fn fixed_field_truncations_still_generic() {
         // Cut inside the 2-byte count and inside the size triplet: these
         // are not length-field failures and keep the generic variant.
-        assert_eq!(decode_packet(&[1]).unwrap_err(), WireError::Truncated);
+        assert_eq!(decode_packet_ref(&[1]).unwrap_err(), WireError::Truncated);
         let bytes = [1, 0, OpCode::Get as u8, 5]; // size triplet cut short
-        assert_eq!(decode_packet(&bytes).unwrap_err(), WireError::Truncated);
+        assert_eq!(decode_packet_ref(&bytes).unwrap_err(), WireError::Truncated);
     }
 
     #[test]
@@ -974,7 +948,7 @@ mod tests {
         // GET carries no value even when flags could apply.
         let ops = vec![KvRequest::put(b"aaaa", b"vvvv"), KvRequest::get(b"bbbb")];
         let bytes = encode_packet(&ops);
-        let decoded = decode_packet(&bytes).unwrap();
-        assert_eq!(decoded[1].value, Vec::<u8>::new());
+        let decoded = decode_packet_ref(&bytes).unwrap();
+        assert!(decoded[1].value.is_empty());
     }
 }

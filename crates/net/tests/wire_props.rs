@@ -6,8 +6,13 @@
 //! truncations and bit flips of valid packets) either decodes or returns
 //! an error, but never panics and never reads out of bounds.
 
-use kvd_net::{decode_packet, encode_packet, KvRequest, OpCode};
+use kvd_net::{decode_packet_ref, encode_packet, KvRequest, KvRequestRef, OpCode};
 use proptest::prelude::*;
+
+/// The borrowed form of `reqs`, which a decode of their packet equals.
+fn borrowed(reqs: &[KvRequest]) -> Vec<KvRequestRef<'_>> {
+    reqs.iter().map(KvRequest::as_ref).collect()
+}
 
 fn request() -> impl Strategy<Value = KvRequest> {
     (
@@ -49,8 +54,8 @@ proptest! {
     #[test]
     fn roundtrip_arbitrary_batches(reqs in prop::collection::vec(request(), 0..64)) {
         let bytes = encode_packet(&reqs);
-        let decoded = decode_packet(&bytes).expect("own encoding must decode");
-        prop_assert_eq!(decoded, reqs);
+        let decoded = decode_packet_ref(&bytes).expect("own encoding must decode");
+        prop_assert_eq!(decoded, borrowed(&reqs));
     }
 
     /// Compression never loses information even with adversarial
@@ -73,13 +78,13 @@ proptest! {
             })
             .collect();
         let bytes = encode_packet(&reqs);
-        prop_assert_eq!(decode_packet(&bytes).expect("decodes"), reqs);
+        prop_assert_eq!(decode_packet_ref(&bytes).expect("decodes"), borrowed(&reqs));
     }
 
     /// The decoder is total on arbitrary bytes.
     #[test]
     fn decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode_packet(&bytes);
+        let _ = decode_packet_ref(&bytes);
     }
 
     /// Truncating a valid packet anywhere yields an error or a shorter
@@ -90,7 +95,7 @@ proptest! {
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
             // The count header promises more ops than the bytes deliver.
-            prop_assert!(decode_packet(&bytes[..cut]).is_err());
+            prop_assert!(decode_packet_ref(&bytes[..cut]).is_err());
         }
     }
 
@@ -101,6 +106,6 @@ proptest! {
         let mut bytes = encode_packet(&reqs).to_vec();
         let pos = pos % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let _ = decode_packet(&bytes);
+        let _ = decode_packet_ref(&bytes);
     }
 }

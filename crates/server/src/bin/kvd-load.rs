@@ -12,9 +12,8 @@
 //! `--hot-shift N` moves the whole hot set every N requests — the
 //! adversarial mix the hot-key-aware cache plane is tuned against.
 //!
-//! Offers a seeded bursty schedule whose phase rates average `--rate`
-//! ops/sec (it delivers about half of that on average) regardless of
-//! how fast the server answers, then reports wall-clock RPS, goodput
+//! Offers a seeded bursty schedule averaging `--rate` ops/sec regardless
+//! of how fast the server answers, then reports wall-clock RPS, goodput
 //! (answers on time) and open-loop latency percentiles.
 
 use std::env;
@@ -22,7 +21,7 @@ use std::net::ToSocketAddrs;
 use std::process::exit;
 use std::time::Duration;
 
-use kvd_server::{run_load, LoadConfig, ReconnectPolicy};
+use kvd_server::{run_load, LoadConfig};
 use kvd_workloads::YcsbPreset;
 
 fn usage() -> ! {
@@ -123,7 +122,6 @@ fn main() {
         seed,
         preload,
         fallbacks,
-        reconnect: ReconnectPolicy::default(),
     };
     let report = match run_load(&cfg) {
         Ok(r) => r,

@@ -28,6 +28,6 @@ pub mod loadgen;
 pub mod proto;
 pub mod server;
 
-pub use loadgen::{run_load, LoadConfig, LoadReport, ReconnectPolicy};
+pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use proto::{parse, Command, KeyList, Parsed, ProtoError, StoreVerb};
-pub use server::{serve, ClusterMembership, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle};

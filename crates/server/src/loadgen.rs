@@ -20,41 +20,23 @@ use std::time::{Duration, Instant};
 use kvd_sim::{ChaosSchedule, DetRng, Histogram};
 use kvd_workloads::{MemOp, MemcacheWorkload, YcsbPreset};
 
-/// Jittered exponential backoff for TCP (re)connection attempts.
-///
-/// A refused dial retries after `min(cap, base·2^attempt)` scaled by a
-/// seeded jitter in `[0.5, 1.0)` — exponential so a down server is not
-/// hammered, jittered so concurrent clients de-correlate instead of
-/// stampeding the listener in lockstep when it comes back.
-#[derive(Debug, Clone)]
-pub struct ReconnectPolicy {
-    /// Backoff scale for the first retry.
-    pub base: Duration,
-    /// Ceiling the exponential curve saturates at.
-    pub cap: Duration,
-    /// Dial attempts before the connection is abandoned.
-    pub max_attempts: u32,
-}
+/// Jittered exponential backoff for TCP (re)connection attempts: a
+/// refused dial retries after `min(RECONNECT_CAP, RECONNECT_BASE·2^attempt)`
+/// scaled by a seeded jitter in `[0.5, 1.0)` — exponential so a down
+/// server is not hammered, jittered so concurrent clients de-correlate
+/// instead of stampeding the listener in lockstep when it comes back.
+const RECONNECT_BASE: Duration = Duration::from_millis(10);
+/// Ceiling the exponential backoff saturates at.
+const RECONNECT_CAP: Duration = Duration::from_secs(2);
+/// Dial attempts before a connection is abandoned.
+const RECONNECT_ATTEMPTS: u32 = 8;
 
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            base: Duration::from_millis(10),
-            cap: Duration::from_secs(2),
-            max_attempts: 8,
-        }
-    }
-}
-
-impl ReconnectPolicy {
-    /// The sleep before retry `attempt` (0-based), drawn from `rng`.
-    pub fn delay(&self, attempt: u32, rng: &mut DetRng) -> Duration {
-        let ideal = self
-            .base
-            .saturating_mul(1u32 << attempt.min(20))
-            .min(self.cap);
-        ideal.mul_f64(0.5 + 0.5 * rng.f64())
-    }
+/// The sleep before retry `attempt` (0-based), drawn from `rng`.
+fn reconnect_delay(attempt: u32, rng: &mut DetRng) -> Duration {
+    let ideal = RECONNECT_BASE
+        .saturating_mul(1u32 << attempt.min(20))
+        .min(RECONNECT_CAP);
+    ideal.mul_f64(0.5 + 0.5 * rng.f64())
 }
 
 /// Open-loop load configuration.
@@ -66,8 +48,7 @@ pub struct LoadConfig {
     pub connections: usize,
     /// Operations per connection.
     pub ops_per_conn: usize,
-    /// Total mean phase rate across all connections, ops/sec; the bursty
-    /// schedule delivers about half of it (see `ChaosSchedule::new`).
+    /// Total offered rate across all connections, ops/sec.
     pub rate: f64,
     /// Key-popularity preset driving the mix.
     pub preset: YcsbPreset,
@@ -89,8 +70,6 @@ pub struct LoadConfig {
     pub preload: bool,
     /// Fallback addresses tried in rotation after `addr` refuses.
     pub fallbacks: Vec<SocketAddr>,
-    /// Backoff between dial attempts.
-    pub reconnect: ReconnectPolicy,
 }
 
 impl LoadConfig {
@@ -110,7 +89,6 @@ impl LoadConfig {
             seed: 0x10AD,
             preload: true,
             fallbacks: Vec::new(),
-            reconnect: ReconnectPolicy::default(),
         }
     }
 }
@@ -160,7 +138,6 @@ struct Pending {
 
 /// Runs the configured load and blocks until every reply is scored.
 pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
-    assert!(cfg.reconnect.max_attempts >= 1, "need one dial attempt");
     let mut preload_reconnects = 0;
     if cfg.preload {
         preload_reconnects = preload(cfg)?;
@@ -192,7 +169,7 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
 }
 
 /// Dials the primary address, rotating through the fallbacks on
-/// failure, sleeping the policy's jittered backoff between attempts.
+/// failure, sleeping the jittered backoff between attempts.
 /// Returns the stream plus how many dials failed before it connected.
 fn connect(cfg: &LoadConfig, salt: u64) -> io::Result<(TcpStream, u64)> {
     let mut rng = DetRng::seed(cfg.seed ^ 0x7EC0_77EC ^ salt.wrapping_mul(0x9E37_79B9));
@@ -210,10 +187,10 @@ fn connect(cfg: &LoadConfig, salt: u64) -> io::Result<(TcpStream, u64)> {
             Ok(s) => return Ok((s, failed)),
             Err(e) => {
                 failed += 1;
-                if attempt + 1 >= cfg.reconnect.max_attempts {
+                if attempt + 1 >= RECONNECT_ATTEMPTS {
                     return Err(e);
                 }
-                thread::sleep(cfg.reconnect.delay(attempt, &mut rng));
+                thread::sleep(reconnect_delay(attempt, &mut rng));
             }
         }
     }
@@ -471,15 +448,12 @@ mod tests {
 
     #[test]
     fn backoff_sequence_is_jittered_exponential() {
-        let p = ReconnectPolicy {
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(160),
-            max_attempts: 8,
-        };
         let mut rng = DetRng::seed(7);
-        for attempt in 0..8u32 {
-            let ideal = p.base.saturating_mul(1 << attempt).min(p.cap);
-            let d = p.delay(attempt, &mut rng);
+        for attempt in 0..10u32 {
+            let ideal = RECONNECT_BASE
+                .saturating_mul(1 << attempt)
+                .min(RECONNECT_CAP);
+            let d = reconnect_delay(attempt, &mut rng);
             assert!(
                 d >= ideal / 2 && d <= ideal,
                 "attempt {attempt}: {d:?} outside [{:?}, {:?}]",
@@ -487,12 +461,12 @@ mod tests {
                 ideal
             );
         }
-        // Attempts 4+ saturate at the cap.
+        // Attempts 8+ saturate at the cap.
         let mut rng = DetRng::seed(11);
-        assert!(p.delay(30, &mut rng) <= p.cap);
+        assert!(reconnect_delay(30, &mut rng) <= RECONNECT_CAP);
         // Same seed, same jitter: the schedule is deterministic.
         let (mut a, mut b) = (DetRng::seed(9), DetRng::seed(9));
-        assert_eq!(p.delay(3, &mut a), p.delay(3, &mut b));
+        assert_eq!(reconnect_delay(3, &mut a), reconnect_delay(3, &mut b));
     }
 
     #[test]
@@ -506,11 +480,6 @@ mod tests {
         let h = serve("127.0.0.1:0", ServerConfig::loopback(1)).expect("bind");
         let mut cfg = LoadConfig::smoke(dead);
         cfg.fallbacks = vec![h.local_addr()];
-        cfg.reconnect = ReconnectPolicy {
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(4),
-            max_attempts: 4,
-        };
         cfg.connections = 2;
         cfg.ops_per_conn = 50;
         cfg.rate = 20_000.0;

@@ -6,7 +6,7 @@
 //! * `Shared`, behind one `Arc`, holds what every connection and the
 //!   [`ServerHandle`] share: `shards` **shards** (each one
 //!   [`KvDirectStore`] behind its own mutex), the cas counter, protocol
-//!   counters, clock, cluster membership, shutdown flag and open gauge;
+//!   counters, clock, shutdown flag and open gauge;
 //! * one **acceptor** thread owns the (blocking) listener;
 //! * a `Session` is one connection's protocol state and owns no socket:
 //!   it reassembles frames incrementally ([`crate::proto::parse`]),
@@ -57,7 +57,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use kvd_core::{tick_of_us, KvDirectConfig, KvDirectStore, RequestStream, EXPIRY_TICK_US};
-use kvd_net::{shard_of, HashRing, KvRequestRef, KvResponse, Status};
+use kvd_net::{shard_of, KvRequestRef, KvResponse, Status};
 use kvd_sim::{CostSource, OpLedger, ServerCosts, SharedServerCosts, SimTime};
 
 use crate::proto::StoreVerb::{self, Add, Replace, Set};
@@ -69,9 +69,6 @@ const MAX_BATCH: usize = 64;
 
 /// Bytes of `flags | cas` prepended to every stored value.
 pub const VALUE_HEADER_LEN: usize = 12;
-
-/// Reply for a key this node does not own under the cluster ring.
-pub const NOT_PRIMARY_REPLY: &[u8] = b"SERVER_ERROR not_primary\r\n";
 
 /// Memcached's pivot between the two `exptime` encodings: values up to
 /// thirty days are relative seconds, anything larger is an absolute
@@ -134,28 +131,6 @@ impl ServerClock {
     }
 }
 
-/// This node's place in a cluster: requests for keys whose replica set
-/// (under the ring, at the configured replication factor) does not
-/// include `node` are refused with [`NOT_PRIMARY_REPLY`] instead of
-/// being served from a store that was never written to — a stale read
-/// masquerading as a miss is worse than an explicit redirect.
-#[derive(Debug, Clone)]
-pub struct ClusterMembership {
-    /// This node's id on the ring.
-    pub node: u32,
-    /// The cluster's placement ring (shared by every member).
-    pub ring: HashRing,
-    /// Replication factor: keys are owned by their first `rf` replicas.
-    pub rf: usize,
-}
-
-impl ClusterMembership {
-    /// Whether this node serves `key`.
-    pub fn owns(&self, key: &[u8]) -> bool {
-        self.ring.replicas(key, self.rf).contains(&self.node)
-    }
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -163,8 +138,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Per-shard store configuration.
     pub store: KvDirectConfig,
-    /// Cluster membership; `None` (standalone) serves every key.
-    pub cluster: Option<ClusterMembership>,
 }
 
 impl ServerConfig {
@@ -174,11 +147,7 @@ impl ServerConfig {
     pub fn loopback(shards: usize) -> Self {
         let mut store = KvDirectConfig::with_memory(64 << 20);
         store.extended_slabs = true;
-        ServerConfig {
-            shards,
-            store,
-            cluster: None,
-        }
+        ServerConfig { shards, store }
     }
 }
 
@@ -282,7 +251,6 @@ struct Shared {
     cas: AtomicU64,
     costs: SharedServerCosts,
     clock: ServerClock,
-    cluster: Option<ClusterMembership>,
     shutdown: AtomicBool,
     /// Sessions alive (accepted connections not yet torn down).
     active: AtomicUsize,
@@ -304,15 +272,9 @@ impl Shared {
             cas: AtomicU64::new(0),
             costs: SharedServerCosts::default(),
             clock,
-            cluster: cfg.cluster,
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
         }
-    }
-
-    /// Whether this node serves `key` (standalone servers serve all).
-    fn owns(&self, key: &[u8]) -> bool {
-        self.cluster.as_ref().is_none_or(|m| m.owns(key))
     }
 }
 
@@ -742,13 +704,6 @@ impl Session {
     fn command(&mut self, cmd: Command<'_>) -> Result<(), Poisoned> {
         let (verb, key, flags, data, exptime, noreply) = match cmd {
             Command::Get { with_cas, keys } => {
-                // A frame touching any key this node does not own is
-                // refused whole — partial answers would read as misses
-                // on the foreign keys.
-                if keys.iter().any(|key| !self.shared.owns(key)) {
-                    self.refuse(false);
-                    return Ok(());
-                }
                 let first_slot = self.slots.len() as u32;
                 for key in keys.iter() {
                     self.stage(Verb::Get, key, 0, &[], 0)?;
@@ -783,10 +738,6 @@ impl Session {
                 return Ok(());
             }
         };
-        if !self.shared.owns(key) {
-            self.refuse(noreply);
-            return Ok(());
-        }
         let expiry = self.shared.clock.expiry_tick(exptime);
         let slot = self.stage(verb, key, flags, data, expiry)?;
         self.plan.push(PlanItem::Op {
@@ -795,15 +746,6 @@ impl Session {
             noreply,
         });
         Ok(())
-    }
-
-    /// Refuses a frame whose key this node does not own.
-    fn refuse(&mut self, noreply: bool) {
-        self.local.server_errors += 1;
-        self.local.not_primary += 1;
-        if !noreply {
-            self.plan.push(PlanItem::Reply(NOT_PRIMARY_REPLY));
-        }
     }
 
     /// Stages one op into its shard's bundle and returns its response
@@ -1046,42 +988,6 @@ mod tests {
         assert_eq!(ledger.server.server_errors, 1);
         assert_eq!(ledger.server.get_misses, 0, "fault must not count as miss");
         assert!(ledger.core.device_errors > 0);
-    }
-
-    #[test]
-    fn non_owned_keys_refused_not_primary() {
-        // Node 0 of a 2-node ring at RF=1: keys placed on node 1 must
-        // be refused with the `not_primary` taxonomy line, not served
-        // from a store the cluster never writes through this member.
-        let ring = HashRing::with_nodes(2, 64);
-        let owned = (0u32..)
-            .find(|i| ring.primary(format!("k{i}").as_bytes()) == 0)
-            .expect("owned key");
-        let foreign = (0u32..)
-            .find(|i| ring.primary(format!("k{i}").as_bytes()) == 1)
-            .expect("foreign key");
-        let cfg = ServerConfig {
-            cluster: Some(ClusterMembership {
-                node: 0,
-                ring,
-                rf: 1,
-            }),
-            ..ServerConfig::loopback(1)
-        };
-        let h = serve("127.0.0.1:0", cfg).expect("bind");
-        let send = format!(
-            "set k{owned} 0 0 1\r\na\r\nset k{foreign} 0 0 1\r\nb\r\nget k{foreign}\r\ndelete k{foreign}\r\nget k{owned}\r\n"
-        );
-        let got = roundtrip(&h, send.as_bytes());
-        let mut want = b"STORED\r\n".to_vec();
-        want.extend_from_slice(NOT_PRIMARY_REPLY);
-        want.extend_from_slice(NOT_PRIMARY_REPLY);
-        want.extend_from_slice(NOT_PRIMARY_REPLY);
-        want.extend_from_slice(format!("VALUE k{owned} 0 1\r\na\r\nEND\r\n").as_bytes());
-        assert_eq!(got, want);
-        let ledger = h.stop();
-        assert_eq!(ledger.server.not_primary, 3);
-        assert_eq!(ledger.server.server_errors, 3);
     }
 
     #[test]
@@ -1533,11 +1439,7 @@ mod tests {
         store.extended_slabs = true;
         store.station.hash_slots = 16;
         store.station.capacity = 16;
-        Arc::new(Shared::new(ServerConfig {
-            shards: 4,
-            store,
-            cluster: None,
-        }))
+        Arc::new(Shared::new(ServerConfig { shards: 4, store }))
     }
 
     /// Feeds `bytes` into `session` the way `drive` does — as much as

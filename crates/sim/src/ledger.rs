@@ -337,11 +337,11 @@ cost_section! {
         /// Client mistakes answered `ERROR`/`CLIENT_ERROR`.
         protocol_errors,
         /// Store-side failures answered `SERVER_ERROR` (every taxonomy
-        /// class: `device_error`, `overloaded`, `not_primary`, allocation).
+        /// class: `device_error`, `overloaded`, allocation).
         server_errors,
-        /// Requests refused with `SERVER_ERROR not_primary` because this
-        /// node does not own the key under the cluster ring (also counted in
-        /// [`Self::server_errors`]).
+        /// Nothing writes it: its writer, the server's static ring
+        /// check, is gone. The field stays so the ledger's `Debug` form,
+        /// which the determinism goldens digest, does not move.
         not_primary,
     }
 }

@@ -84,27 +84,6 @@ pub fn fmt_f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
-/// Formats an ops/sec rate in Mops, the paper's unit.
-pub fn fmt_mops(ops_per_sec: f64) -> String {
-    format!("{:.1}", ops_per_sec / 1e6)
-}
-
-/// Formats a byte count with binary units.
-pub fn fmt_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = bytes as f64;
-    let mut unit = 0;
-    while v >= 1024.0 && unit < UNITS.len() - 1 {
-        v /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes}B")
-    } else {
-        format!("{v:.1}{}", UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,8 +112,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_mops(180e6), "180.0");
-        assert_eq!(fmt_bytes(512), "512B");
-        assert_eq!(fmt_bytes(4 * 1024 * 1024 * 1024), "4.0GiB");
     }
 }

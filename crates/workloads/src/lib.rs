@@ -17,7 +17,7 @@ pub mod ttl;
 pub mod ycsb;
 pub mod zipfhot;
 
-pub use memcache::{memcache_key, memcache_key_id, MemOp, MemcacheWorkload};
+pub use memcache::{memcache_key, MemOp, MemcacheWorkload};
 pub use presets::{PresetWorkload, YcsbPreset};
 pub use sizes::{inline_kv_sizes, noninline_kv_sizes, paper_kv_sizes};
 pub use ttl::{MemcacheTtl, MemcacheTtlWorkload};

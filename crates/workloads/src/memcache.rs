@@ -58,15 +58,6 @@ pub fn memcache_key(id: u64) -> Vec<u8> {
     out
 }
 
-/// Parses a key produced by [`memcache_key`] back to its id.
-pub fn memcache_key_id(key: &[u8]) -> Option<u64> {
-    if key.len() != MEMCACHE_KEY_LEN || key[0] != b'k' {
-        return None;
-    }
-    let hex = std::str::from_utf8(&key[1..]).ok()?;
-    u64::from_str_radix(hex, 16).ok()
-}
-
 /// A memcache-keyed YCSB workload: the preset's distribution with
 /// ASCII keys, deterministic per seed.
 ///
@@ -212,7 +203,7 @@ mod tests {
         for op in &batch {
             let key = op.key();
             assert_eq!(key.len(), MEMCACHE_KEY_LEN);
-            assert!(memcache_key_id(key).is_some());
+            assert!(key[0] == b'k' && key[1..].iter().all(u8::is_ascii_hexdigit));
             if let MemOp::Set { value, .. } = op {
                 assert_eq!(value.len(), 32);
             }
@@ -223,9 +214,12 @@ mod tests {
     #[test]
     fn key_roundtrips_through_hex() {
         for id in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-            assert_eq!(memcache_key_id(&memcache_key(id)), Some(id));
+            let key = memcache_key(id);
+            assert_eq!(key.len(), MEMCACHE_KEY_LEN);
+            assert_eq!(key[0], b'k');
+            let hex = std::str::from_utf8(&key[1..]).expect("ascii");
+            assert_eq!(u64::from_str_radix(hex, 16), Ok(id));
         }
-        assert_eq!(memcache_key_id(b"not-a-key"), None);
     }
 
     #[test]

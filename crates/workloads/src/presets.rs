@@ -51,6 +51,9 @@ impl YcsbPreset {
     }
 }
 
+/// λ id of F's read-modify-write: `kvd-core`'s builtin ADD (fetch-and-add).
+const RMW_LAMBDA: u16 = 1;
+
 /// A preset-driven request generator.
 ///
 /// # Examples
@@ -69,8 +72,6 @@ pub struct PresetWorkload {
     /// Keys 0..population exist; D appends.
     population: u64,
     value_len: usize,
-    /// λ id used for F's read-modify-write (fetch-and-add).
-    pub rmw_lambda: u16,
 }
 
 impl PresetWorkload {
@@ -84,7 +85,6 @@ impl PresetWorkload {
             zipf: ZipfSampler::new(population, 0.99),
             population,
             value_len,
-            rmw_lambda: 1, // kvd-core builtin::ADD
         }
     }
 
@@ -159,7 +159,7 @@ impl PresetWorkload {
                         op: OpCode::UpdateScalar,
                         key: self.key(id).to_vec(),
                         value: 1u64.to_le_bytes().to_vec(),
-                        lambda: self.rmw_lambda,
+                        lambda: RMW_LAMBDA,
                         deadline_us: 0,
                         expiry_tick: 0,
                     }

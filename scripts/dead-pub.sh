@@ -4,7 +4,9 @@
 # some non-comment line of the code that can call it: the non-test part of
 # crates/*/src (bins included), crates/bench/benches, examples and
 # benchmark/src. Its own declaration does not count, nor does another `pub`
-# declaration of the same name.
+# declaration of the same name, nor does a `use` / `pub use` declaration
+# (single- or multi-line): a re-export is not a caller, and counting it
+# would let a re-exported item with no caller pass.
 #
 # An item that only tests outside its crate, or an open ROADMAP item, call is
 # listed in scripts/dead-pub.allow as `path name  # reason`. The script fails
@@ -33,10 +35,12 @@ allow=scripts/dead-pub.allow
     {
         kind = $1; file = $2
         if (kind == "A") { read_allow(file); next }
-        declaring = (kind == "D")
+        declaring = (kind == "D"); in_use = 0
         while ((getline line < file) > 0) {
             if (line ~ /#\[cfg\(test\)\]/) break
             if (line ~ /^[ \t]*\/\//) continue
+            if (in_use) { if (line ~ /;/) in_use = 0; continue }
+            if (line ~ /^[ \t]*(pub(\([^)]*\))?[ \t]+)?use[ \t]/) { in_use = (line !~ /;/); continue }
             own = decl_name(line)
             if (own != "" && declaring) { decl[file " " own] = 1 }
             n = split(line, w, /[^A-Za-z0-9_]+/)

@@ -1,9 +1,9 @@
 //! Chaos soak: bursty overload + fault injection + consistency checking.
 //!
 //! The full overload plane under the worst conditions the simulator can
-//! produce: an open-loop client whose phase rates average ~2x (about 1x
-//! delivered) the measured saturation throughput, in bursty phases
-//! (0.5x–6x swings from the chaos scheduler), fault injection on every
+//! produce: an open-loop client offering ~2x the measured saturation
+//! throughput on average, in bursty phases (0.7x–8.5x swings from the
+//! chaos scheduler), fault injection on every
 //! component (PCIe corruption, DRAM bit errors, packet drops/reorders),
 //! admission control and deadlines enabled. Three invariant families are
 //! enforced:
@@ -86,8 +86,7 @@ fn saturation_mops(seed: u64) -> f64 {
     sim.run(&soak_ops(seed)).mops
 }
 
-/// Bursty open-loop schedule whose phase rates average `offered_mops`
-/// (the arrivals deliver about half of it: see `ChaosSchedule::new`).
+/// Bursty open-loop schedule delivering `offered_mops` on average.
 fn soak_schedule(seed: u64, offered_mops: f64) -> Vec<(SimTime, KvRequest)> {
     let mut chaos = ChaosSchedule::new(offered_mops * 1e6, seed ^ 0xB0057);
     let arrivals = chaos.arrivals(OPS);

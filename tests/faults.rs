@@ -12,6 +12,7 @@
 //! 3. **Inertness** — a zero-rate plane consumes no randomness and the
 //!    store is bit-identical to one built without fault injection.
 
+use kv_direct::sim::DetRng;
 use kv_direct::{
     FaultRates, KvDirectConfig, KvDirectStore, KvRequest, KvResponse, OpLedger, Status,
 };
@@ -21,20 +22,43 @@ use proptest::prelude::*;
 /// The fault pressures exercised by every differential property.
 const RATES: [f64; 3] = [0.0, 0.01, 0.1];
 
-fn faulty_store(rate: f64, seed: u64) -> KvDirectStore {
-    KvDirectStore::new(KvDirectConfig {
+fn faulty_config(rate: f64, seed: u64) -> KvDirectConfig {
+    KvDirectConfig {
         fault_rates: FaultRates::uniform(rate),
         fault_seed: seed,
         ..KvDirectConfig::with_memory(4 << 20)
-    })
+    }
+}
+
+fn faulty_store(rate: f64, seed: u64) -> KvDirectStore {
+    KvDirectStore::new(faulty_config(rate, seed))
+}
+
+/// `cfg` on a station smaller than the 24 generated keys: 8 hash slots,
+/// 16 in flight. On the paper's 1 024 slots every key keeps a forwarding
+/// entry after its first touch and most ops retire by forwarding; here
+/// keys share slots and evict each other's entries, so ops reach the
+/// hash table.
+fn small_station(mut cfg: KvDirectConfig) -> KvDirectConfig {
+    cfg.station.hash_slots = 8;
+    cfg.station.capacity = 16;
+    cfg
+}
+
+/// Device errors one differential saw: all of them, and those that
+/// answered a write (PUT, DELETE or fetch-add).
+#[derive(Debug, Default)]
+struct Refusals {
+    all: u64,
+    writes: u64,
 }
 
 /// Replays `ops` against a faulty store and the fault-free model,
-/// asserting agreement on every response that is not a `DeviceError`.
-/// Returns the number of device errors observed.
-fn run_differential(store: &mut KvDirectStore, ops: &[Op]) -> Result<u64, TestCaseError> {
+/// asserting agreement on every response that is not a `DeviceError`
+/// and that a `DeviceError` left the key as it was.
+fn run_differential(store: &mut KvDirectStore, ops: &[Op]) -> Result<Refusals, TestCaseError> {
     let mut model = Model::default().tolerating(&[Status::DeviceError]);
-    let mut device_errors = 0u64;
+    let mut refused = Refusals::default();
     for op in ops {
         let req = to_request(op);
         let resp = store
@@ -42,7 +66,10 @@ fn run_differential(store: &mut KvDirectStore, ops: &[Op]) -> Result<u64, TestCa
             .pop()
             .expect("one response per request");
         let effect = model.check(req.as_ref(), resp.status, &resp.value);
-        device_errors += u64::from(effect.map_err(TestCaseError::fail)? == Effect::Refused);
+        if effect.map_err(TestCaseError::fail)? == Effect::Refused {
+            refused.all += 1;
+            refused.writes += u64::from(!matches!(op, Op::Get { .. }));
+        }
     }
     // Final state: every model key the store acknowledged must still read
     // back correctly (tolerating read-time device errors).
@@ -53,26 +80,33 @@ fn run_differential(store: &mut KvDirectStore, ops: &[Op]) -> Result<u64, TestCa
             Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
         }
     }
-    Ok(device_errors)
+    Ok(refused)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// At fault rates 0, 1% and 10%, any interleaving of operations
-    /// agrees with a fault-free reference map on every acknowledged
-    /// response, and the run always terminates without a panic.
+    /// At fault rates 0, 1% and 10%, on either station, any interleaving
+    /// of operations agrees with a fault-free reference map on every
+    /// acknowledged response, and the run always terminates without a
+    /// panic.
     #[test]
     fn faulty_store_matches_reference_map(
         ops in prop::collection::vec(op_strategy(200), 1..250),
         seed in any::<u64>(),
     ) {
         for rate in RATES {
-            let mut store = faulty_store(rate, seed);
-            let device_errors = run_differential(&mut store, &ops)?;
-            if rate == 0.0 {
-                prop_assert_eq!(device_errors, 0, "zero rate cannot fail ops");
-                prop_assert_eq!(store.ledger().total_faults(), 0);
+            let cfg = faulty_config(rate, seed);
+            for cfg in [small_station(cfg.clone()), cfg] {
+                let slots = cfg.station.hash_slots;
+                let mut store = KvDirectStore::new(cfg);
+                let refused = run_differential(&mut store, &ops).map_err(|e| {
+                    TestCaseError::fail(format!("rate {rate}, {slots} slots: {e}"))
+                })?;
+                if rate == 0.0 {
+                    prop_assert_eq!(refused.all, 0, "zero rate cannot fail ops");
+                    prop_assert_eq!(store.ledger().total_faults(), 0);
+                }
             }
         }
     }
@@ -93,6 +127,44 @@ proptest! {
         };
         prop_assert_eq!(run(seed), run(seed), "same seed must replay exactly");
     }
+}
+
+/// At 30 % per fault channel an issued transaction exhausts its 4 retries
+/// about 5 % of the time (0.554^5), so writes do answer `DeviceError`,
+/// and each must leave its key as it was. The lower rates above almost
+/// never get there (about rate^5 per transaction). It runs on the small
+/// station only: on the paper's, the 24 keys' forwarding entries answer
+/// nearly every op after its key's first touch, so few transactions are
+/// issued at all.
+#[test]
+fn heavy_faults_refuse_writes_without_effect() {
+    let mut rng = DetRng::seed(0x0330);
+    let ops: Vec<Op> = (0..4_000)
+        .map(|_| {
+            let key = rng.u64_below(24) as u8;
+            match rng.usize_below(4) {
+                0 => Op::Put {
+                    key,
+                    len: rng.usize_below(200),
+                },
+                1 => Op::Get { key },
+                2 => Op::Delete { key },
+                _ => Op::FetchAdd {
+                    key,
+                    delta: 1 + rng.u64_below(99),
+                },
+            }
+        })
+        .collect();
+    let mut store = KvDirectStore::new(small_station(faulty_config(0.3, 0x5EED)));
+    let refused = run_differential(&mut store, &ops).unwrap_or_else(|e| panic!("{e}"));
+    println!(
+        "uniform(0.3): {} of {} replies DeviceError, {} of them to writes",
+        refused.all,
+        ops.len(),
+        refused.writes
+    );
+    assert!(refused.writes > 0, "no write was refused");
 }
 
 /// Same seed → identical run; different seed → different fault schedule.

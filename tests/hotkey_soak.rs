@@ -1,10 +1,9 @@
 //! Hot-key soak: the adversarial Zipf-1.2 mix against the hot-key-aware
 //! adaptive cache plane.
 //!
-//! An open-loop client offers phase rates averaging ~4x (about 2x
-//! delivered) the closed-loop throughput of a bursty (0.5x–6x phase
-//! swings) Zipf-1.2 stream whose hot set shifts wholesale at the
-//! midpoint — the workload the ROADMAP's hot-key open item names as the
+//! An open-loop client offers ~4x on average the closed-loop throughput
+//! of a bursty (1.4x–17x phase swings) Zipf-1.2 stream whose hot set
+//! shifts wholesale at the midpoint — the workload the ROADMAP's hot-key open item names as the
 //! collapse case for the paper's static policies.
 //! The engine runs with the full adaptive plane: frequency sketch,
 //! TinyLFU admission, online retune, and the heavy-hitter rollup wired
@@ -74,8 +73,7 @@ fn saturation_mops() -> f64 {
     engine(2).run(&soak_ops()).mops
 }
 
-/// Bursty open-loop schedule whose phase rates average `offered_mops`
-/// (the arrivals deliver about half of it: see `ChaosSchedule::new`).
+/// Bursty open-loop schedule delivering `offered_mops` on average.
 fn soak_schedule(offered_mops: f64) -> Vec<(SimTime, KvRequest)> {
     let mut chaos = ChaosSchedule::new(offered_mops * 1e6, SEED ^ 0xB0057);
     chaos

@@ -9,7 +9,8 @@
 use kv_direct::lambda::{decode_scalar, encode_vector};
 use kv_direct::mem::MemoryEngine;
 use kv_direct::{
-    builtin, decode_packet, encode_packet, KvDirectConfig, KvDirectStore, KvRequest, OpCode, Status,
+    builtin, decode_packet_ref, encode_packet, KvDirectConfig, KvDirectStore, KvRequest, OpCode,
+    Status,
 };
 
 fn store() -> KvDirectStore {
@@ -37,9 +38,12 @@ fn packet_roundtrip_through_store() {
     ];
     // Through the wire: encode client-side, decode NIC-side.
     let packet = encode_packet(&reqs);
-    let decoded = decode_packet(&packet).expect("well-formed packet");
-    assert_eq!(decoded, reqs);
-    let rs = s.execute_batch(&decoded);
+    let decoded = decode_packet_ref(&packet).expect("well-formed packet");
+    assert_eq!(
+        decoded,
+        reqs.iter().map(KvRequest::as_ref).collect::<Vec<_>>()
+    );
+    let rs = s.execute_batch(&reqs);
     assert_eq!(rs[2].value, b"1");
     assert_eq!(decode_scalar(Some(&rs[3].value)), 0, "original value");
     assert_eq!(decode_scalar(Some(&rs[4].value)), 3, "GET sees the add");
@@ -168,7 +172,7 @@ fn multi_nic_matches_single_nic_semantics() {
 
 #[test]
 fn wire_round_trip_in_packets_of_eight() {
-    use kv_direct::net::{decode_packet_ref, decode_responses, encode_responses, KvRequestRef};
+    use kv_direct::net::{decode_packet_ref, decode_responses, encode_responses, KvResponse};
 
     let mut server = store();
     // A mixed PUT/GET stream crosses the wire eight requests to a packet:
@@ -185,14 +189,14 @@ fn wire_round_trip_in_packets_of_eight() {
     let mut gets = 0;
     for packet in stream.chunks(8) {
         let wire = encode_packet(packet);
-        let reqs: Vec<KvRequest> = decode_packet_ref(&wire)
-            .expect("client encoding decodes")
-            .into_iter()
-            .map(KvRequestRef::to_owned)
-            .collect();
-        assert_eq!(reqs, packet);
-        let resps = decode_responses(&encode_responses(&server.execute_batch(&reqs)))
-            .expect("responses decode");
+        let reqs = decode_packet_ref(&wire).expect("client encoding decodes");
+        assert_eq!(
+            reqs,
+            packet.iter().map(KvRequest::as_ref).collect::<Vec<_>>()
+        );
+        let mut answered = vec![KvResponse::default(); reqs.len()];
+        server.run(&reqs[..], &mut answered);
+        let resps = decode_responses(&encode_responses(&answered)).expect("responses decode");
         assert_eq!(resps.len(), packet.len());
         for (req, resp) in packet.iter().zip(&resps) {
             assert_eq!(resp.status, Status::Ok, "{req:?}");
