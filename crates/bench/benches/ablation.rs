@@ -25,7 +25,8 @@ use kvd_core::system::SystemSimConfig;
 use kvd_core::KvDirectConfig;
 use kvd_mem::dispatch::optimal_ratio_zipf;
 use kvd_mem::replay::{replay_lines, ReplayConfig};
-use kvd_mem::{AccessKind, LINE};
+use kvd_mem::{AccessKind, LINE, NIC_DRAM_GBYTES_PER_SEC};
+use kvd_pcie::config::TWO_ENDPOINT_GBYTES_PER_SEC;
 use kvd_sim::{DetRng, ZipfSampler};
 
 /// The throughput figures' engine: batches of 40, `windows` in flight.
@@ -131,7 +132,12 @@ fn main() {
     );
     // The byte-bandwidth form the paper quotes (12.8 vs 13.2 GB/s) lands
     // lower; report it for reference.
-    let paper_form = optimal_ratio_zipf(1.0 / 16.0, lines as f64, 12.8, 13.2);
+    let paper_form = optimal_ratio_zipf(
+        1.0 / 16.0,
+        lines as f64,
+        NIC_DRAM_GBYTES_PER_SEC,
+        TWO_ENDPOINT_GBYTES_PER_SEC,
+    );
     println!("(paper's byte-bandwidth form would give l*={paper_form:.2})\n");
     shape_check(
         "the hybrid beats both extremes",

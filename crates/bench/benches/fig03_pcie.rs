@@ -4,7 +4,7 @@
 //! (b) the latency distribution of random DMA reads.
 
 use kvd_bench::{banner, fmt_f, shape_check, Table};
-use kvd_pcie::{saturate_reads, saturate_writes, PcieConfig};
+use kvd_pcie::{saturate_reads, saturate_writes};
 
 fn main() {
     banner(
@@ -13,7 +13,6 @@ fn main() {
          bandwidth-bound (~87 Mops at 64B); read latency spans ~0.8-1.3us",
     );
 
-    let cfg = PcieConfig::gen3_x8();
     let ops = 20_000;
 
     // --- (a) throughput vs payload size ---------------------------------
@@ -31,8 +30,8 @@ fn main() {
     let mut read64 = 0.0;
     let mut write64 = 0.0;
     for payload in [16u64, 32, 64, 128, 256, 512, 1024] {
-        let r = saturate_reads(&cfg, payload, ops, 1);
-        let w = saturate_writes(&cfg, payload, ops, 1);
+        let r = saturate_reads(payload, ops, 1);
+        let w = saturate_writes(payload, ops, 1);
         if payload == 64 {
             read64 = r.mops();
             write64 = w.mops();
@@ -53,7 +52,7 @@ fn main() {
     t.print();
 
     // --- (b) read latency CDF --------------------------------------------
-    let r = saturate_reads(&cfg, 64, ops, 2);
+    let r = saturate_reads(64, ops, 2);
     let lat = r.latency.expect("reads have latency");
     let mut t = Table::new(
         "Figure 3b: random 64B DMA read RTT latency",

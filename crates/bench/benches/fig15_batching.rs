@@ -3,7 +3,7 @@
 //! operations packed into one packet).
 
 use kvd_bench::{banner, fmt_f, shape_check, Table};
-use kvd_net::{batched_throughput, batching_latency, NetConfig};
+use kvd_net::{batched_throughput, batching_latency};
 
 /// KV size of the batched operations (16 B: 8 B key + 8 B value).
 const KV: u64 = 16;
@@ -16,9 +16,8 @@ fn main() {
          under ~3.5us; batching adds <1us over non-batched",
     );
 
-    let cfg = NetConfig::forty_gbe();
-    let un_tp = batched_throughput(&cfg, KV, 1);
-    let un_lat = batching_latency(&cfg, KV, 1);
+    let un_tp = batched_throughput(KV, 1);
+    let un_lat = batching_latency(KV, 1);
 
     let mut t = Table::new(
         "Figure 15: throughput and latency vs batched size (16B KVs)",
@@ -44,8 +43,8 @@ fn main() {
     let mut added_at_operating_point = 0.0f64;
     for batched_bytes in [64u64, 128, 256, 512, 1024, 2048] {
         let batch = batched_bytes / KV;
-        let tp = batched_throughput(&cfg, KV, batch);
-        let lat = batching_latency(&cfg, KV, batch);
+        let tp = batched_throughput(KV, batch);
+        let lat = batching_latency(KV, batch);
         let gain = tp.ops_per_sec / un_tp.ops_per_sec;
         let added = (lat - un_lat).as_us();
         final_gain = gain;

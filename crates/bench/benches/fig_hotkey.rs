@@ -37,8 +37,9 @@
 use kvd_bench::{banner, shape_check, Table};
 use kvd_mem::dispatch::optimal_ratio_zipf;
 use kvd_mem::replay::{Replay, ReplayConfig};
-use kvd_mem::{AccessKind, AdaptiveCacheConfig, MemoryEngine, LINE};
+use kvd_mem::{AccessKind, AdaptiveCacheConfig, MemoryEngine, LINE, NIC_DRAM_GBYTES_PER_SEC};
 use kvd_net::OpCode;
+use kvd_pcie::config::TWO_ENDPOINT_GBYTES_PER_SEC;
 use kvd_workloads::{ZipfHotSpec, ZipfHotWorkload};
 
 /// 16 MiB host address space (262,144 lines), NIC DRAM at the paper's
@@ -53,7 +54,12 @@ const SEED: u64 = 0x407E;
 /// Both policies start here; only the adaptive one gets to change its
 /// mind when the measured hit rate disagrees with the model.
 fn offline_ratio() -> f64 {
-    optimal_ratio_zipf(1.0 / 16.0, (HOST / LINE) as f64, 12.8, 13.2)
+    optimal_ratio_zipf(
+        1.0 / 16.0,
+        (HOST / LINE) as f64,
+        NIC_DRAM_GBYTES_PER_SEC,
+        TWO_ENDPOINT_GBYTES_PER_SEC,
+    )
 }
 
 /// The identical line trace both policies replay: Zipf(θ) ranks over the

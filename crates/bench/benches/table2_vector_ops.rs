@@ -5,8 +5,7 @@
 use kvd_bench::{banner, fmt_f, shape_check, Table};
 use kvd_core::lambda::{decode_vector, encode_vector};
 use kvd_core::{builtin, KvDirectConfig, KvDirectStore};
-use kvd_net::{vector_strategies, NetConfig, VectorStrategy};
-use kvd_sim::Bandwidth;
+use kvd_net::{vector_strategies, VectorStrategy};
 
 fn main() {
     banner(
@@ -16,9 +15,6 @@ fn main() {
          per-element KVs and fetch-to-client drown in network overhead \
          (and give up consistency within the vector)",
     );
-
-    let net = NetConfig::forty_gbe();
-    let pcie2 = Bandwidth::from_gbytes_per_sec(13.2); // two Gen3 x8
 
     let sizes = [64u64, 256, 1024, 4096, 16 * 1024, 64 * 1024];
     let mut t = Table::new(
@@ -30,7 +26,7 @@ fn main() {
         let mut cells = vec![strat.label().to_string()];
         let mut series = Vec::new();
         for &size in &sizes {
-            let r = vector_strategies(&net, pcie2, size);
+            let r = vector_strategies(size);
             let g = r
                 .iter()
                 .find(|x| x.strategy == strat)

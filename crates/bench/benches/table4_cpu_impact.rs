@@ -5,7 +5,7 @@
 //! workloads" with minimal interference (paper §5.2.5).
 
 use kvd_bench::{banner, fmt_f, shape_check, Table};
-use kvd_pcie::PcieConfig;
+use kvd_pcie::config::ENDPOINT_GBYTES_PER_SEC;
 
 /// Host memory performance as the CPU sees it.
 #[derive(Debug, Clone, Copy)]
@@ -20,7 +20,7 @@ struct HostImpact {
 
 /// KV-Direct's peak host-memory draw: both PCIe Gen3 x8 links, GB/s.
 fn kvd_draw_gbs() -> f64 {
-    PcieConfig::gen3_x8().bandwidth.gbytes_per_sec() * 2.0
+    ENDPOINT_GBYTES_PER_SEC * 2.0
 }
 
 /// Host memory performance with KV-Direct idle vs at peak: a simple

@@ -45,7 +45,7 @@ pub mod system;
 pub use cluster::{ClusterReport, ClusterSim, ClusterSimConfig, NodeKill, OpRecord};
 pub use kvd_hash::{tick_of_us, EXPIRY_TICK_US};
 pub use lambda::{builtin, Lambda, LambdaRegistry};
-pub use overload::{AdmissionController, HotKeyConfig, OverloadConfig, Watermarks};
+pub use overload::{AdmissionController, OverloadConfig, Watermarks};
 pub use parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 pub use processor::{KvProcessor, RequestStream};
 pub use store::{KvDirectConfig, KvDirectStore, StoreError};

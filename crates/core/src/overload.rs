@@ -36,43 +36,28 @@ impl Watermarks {
     }
 }
 
-/// Hot-key-aware shedding policy layered on the admission controller.
-///
-/// Under a skewed adversarial mix (Zipf 1.2 and beyond) indiscriminate
-/// watermark shedding throws away the long tail along with the hot keys
-/// that caused the overload. With this policy enabled the processor keeps
-/// a space-saving rollup of hashed request keys; while the controller is
-/// shedding but pressure is still below [`HotKeyConfig::severe`], only
-/// requests for tracked heavy hitters whose traffic share is at or above
-/// [`HotKeyConfig::min_share`] are shed — the spread traffic keeps
-/// flowing. At or above `severe` the carve-out disappears and everything
-/// sheds, exactly as without the policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotKeyConfig {
-    /// Heavy-hitter slots tracked in the space-saving rollup.
-    pub top_k: usize,
-    /// Minimum tracked traffic share for a key to count as hot.
-    pub min_share: f64,
-    /// Pressure at or above which shedding is unconditional again.
-    pub severe: f64,
-    /// Observations between halvings of the rollup, so the hot set
-    /// tracks the recent mix instead of all history.
-    pub halve_every: u64,
-}
+// Hot-key-aware shedding, layered on the admission controller.
+//
+// Under a skewed adversarial mix (Zipf 1.2 and beyond) indiscriminate
+// watermark shedding throws away the long tail along with the hot keys
+// that caused the overload. With the policy on, the processor keeps a
+// space-saving rollup of hashed request keys; while the controller is
+// shedding but pressure is still below `HOT_KEY_SEVERE`, only requests for
+// tracked heavy hitters whose traffic share is at or above
+// `HOT_KEY_MIN_SHARE` are shed — the spread traffic keeps flowing. At or
+// above `HOT_KEY_SEVERE` the carve-out disappears and everything sheds,
+// exactly as without the policy. The figures are sized for the paper's
+// station envelope.
 
-impl HotKeyConfig {
-    /// Defaults sized for the paper's station envelope: 16 tracked keys,
-    /// a key is hot at 5% of traffic, unconditional shedding resumes at
-    /// 95% pressure, and the rollup ages every 64 Ki observations.
-    pub fn paper() -> Self {
-        HotKeyConfig {
-            top_k: 16,
-            min_share: 0.05,
-            severe: 0.95,
-            halve_every: 1 << 16,
-        }
-    }
-}
+/// Heavy-hitter slots tracked in the space-saving rollup.
+pub(crate) const HOT_KEY_TOP_K: usize = 16;
+/// Minimum tracked traffic share for a key to count as hot.
+pub(crate) const HOT_KEY_MIN_SHARE: f64 = 0.05;
+/// Pressure at or above which shedding is unconditional again.
+pub(crate) const HOT_KEY_SEVERE: f64 = 0.95;
+/// Observations between halvings of the rollup, so the hot set tracks
+/// the recent mix instead of all history.
+pub(crate) const HOT_KEY_HALVE_EVERY: u64 = 1 << 16;
 
 /// Configuration of the overload plane, carried in `KvDirectConfig`.
 ///
@@ -83,10 +68,11 @@ impl HotKeyConfig {
 pub struct OverloadConfig {
     /// Watermark-based admission control; `None` disables shedding.
     pub admission: Option<Watermarks>,
-    /// Hot-key-aware shedding; `None` sheds indiscriminately whenever the
-    /// admission controller says shed. Only meaningful when `admission`
-    /// is set.
-    pub hot_key: Option<HotKeyConfig>,
+    /// Hot-key-aware shedding: while pressure is below a severe mark,
+    /// shed only the tracked heavy hitters. `false` sheds indiscriminately
+    /// whenever the admission controller says shed. Only meaningful when
+    /// `admission` is set.
+    pub hot_key: bool,
     /// Enter read-only mode when a write fails for memory exhaustion
     /// (writes shed with `Overloaded`, reads still served) instead of
     /// failing every subsequent write with `OutOfMemory`.
@@ -104,7 +90,7 @@ impl OverloadConfig {
     pub fn enabled() -> Self {
         OverloadConfig {
             admission: Some(Watermarks::paper()),
-            hot_key: None,
+            hot_key: false,
             read_only_on_oom: true,
             read_only_exit_utilization: 0.7,
         }
@@ -113,7 +99,7 @@ impl OverloadConfig {
     /// The enabled profile plus per-hot-key shedding.
     pub fn hot_key_aware() -> Self {
         OverloadConfig {
-            hot_key: Some(HotKeyConfig::paper()),
+            hot_key: true,
             ..OverloadConfig::enabled()
         }
     }

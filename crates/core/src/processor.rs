@@ -28,7 +28,10 @@ use kvd_ooo::{OpRef, Probe, Reissue, ReservationStation, StationConfig, UpdateFn
 use kvd_sim::{CostSource, ExpiryCosts, FaultPlane, OpLedger, SimTime, StationCosts};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
-use crate::overload::{AdmissionController, HotKeyConfig, OverloadConfig};
+use crate::overload::{
+    AdmissionController, OverloadConfig, HOT_KEY_HALVE_EVERY, HOT_KEY_MIN_SHARE, HOT_KEY_SEVERE,
+    HOT_KEY_TOP_K,
+};
 
 /// Retries the processor grants a memory transaction before surfacing
 /// [`Status::DeviceError`] (matches the DMA engine's read retry budget).
@@ -40,40 +43,38 @@ pub const DEFAULT_FAULT_RETRY_LIMIT: u32 = 4;
 /// rollup allocation-free per request — no key bytes are retained.
 #[derive(Debug, Clone)]
 struct HotKeyRollup {
-    cfg: HotKeyConfig,
     rollup: kvd_mem::SpaceSaving,
     since_halve: u64,
 }
 
 impl HotKeyRollup {
-    fn new(cfg: HotKeyConfig) -> Self {
+    fn new() -> Self {
         HotKeyRollup {
-            rollup: kvd_mem::SpaceSaving::new(cfg.top_k),
+            rollup: kvd_mem::SpaceSaving::new(HOT_KEY_TOP_K),
             since_halve: 0,
-            cfg,
         }
     }
 
     fn observe(&mut self, key_hash: u64) {
         self.rollup.observe(key_hash);
         self.since_halve += 1;
-        if self.since_halve >= self.cfg.halve_every {
+        if self.since_halve >= HOT_KEY_HALVE_EVERY {
             self.rollup.halve();
             self.since_halve = 0;
         }
     }
 
     /// Hot means *provably* hot: the space-saving lower bound
-    /// (`count - err`) must reach `min_share` of observed traffic, so a
-    /// spread key that merely inherited a displaced slot's inflated count
-    /// is never shed by mistake.
+    /// (`count - err`) must reach `HOT_KEY_MIN_SHARE` of observed traffic,
+    /// so a spread key that merely inherited a displaced slot's inflated
+    /// count is never shed by mistake.
     fn is_hot(&self, key_hash: u64) -> bool {
         let total = self.rollup.total();
         if total == 0 {
             return false;
         }
         self.rollup.estimate(key_hash).is_some_and(|e| {
-            e.count.saturating_sub(e.err) as f64 >= self.cfg.min_share * total as f64
+            e.count.saturating_sub(e.err) as f64 >= HOT_KEY_MIN_SHARE * total as f64
         })
     }
 }
@@ -244,7 +245,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// degradation). The default [`OverloadConfig`] disables everything.
     pub fn set_overload_config(&mut self, cfg: OverloadConfig) {
         self.admission = cfg.admission.map(AdmissionController::new);
-        self.hot_keys = cfg.hot_key.map(HotKeyRollup::new);
+        self.hot_keys = cfg.hot_key.then(HotKeyRollup::new);
         self.overload_cfg = cfg;
     }
 
@@ -515,7 +516,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
                 // mark, shed only the heavy hitters that caused the
                 // overload; the spread traffic keeps flowing. At or above
                 // severe the carve-out vanishes and everything sheds.
-                match self.hot_keys.as_ref().filter(|hk| pressure < hk.cfg.severe) {
+                match self.hot_keys.as_ref().filter(|_| pressure < HOT_KEY_SEVERE) {
                     Some(hk) if hk.is_hot(key_hash) => {
                         self.ledger.cache.hot_key_sheds += 1;
                         self.ledger.core.shed_overload += 1;

@@ -7,7 +7,9 @@
 //! [`ParallelSystemSim`](crate::ParallelSystemSim): one store per shard.
 
 use kvd_hash::{HashTable, HashTableConfig};
-use kvd_mem::{AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, NicDramConfig};
+use kvd_mem::{
+    AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, NicDramConfig, NIC_DRAM_GBYTES_PER_SEC,
+};
 use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
 use kvd_ooo::StationConfig;
 use kvd_sim::{Bandwidth, CostSource, FaultPlane, FaultRates, OpLedger};
@@ -170,7 +172,7 @@ impl KvDirectStore {
             cfg.total_memory,
             NicDramConfig {
                 capacity: cfg.nic_dram_capacity,
-                bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
+                bandwidth: Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC),
             },
             DispatchConfig::new(cfg.load_dispatch_ratio),
             root.fork(1),

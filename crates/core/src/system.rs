@@ -41,8 +41,12 @@
 //! drops and reorders ride the same deterministic schedule.
 
 use kvd_mem::MemoryEngine;
-use kvd_net::{KvRequest, KvRequestRef, KvResponse, NetConfig, NetLink, OpCode, Status};
-use kvd_pcie::PcieConfig;
+use kvd_mem::NIC_DRAM_GBYTES_PER_SEC;
+use kvd_net::{KvRequest, KvRequestRef, KvResponse, NetLink, OpCode, Status};
+use kvd_pcie::config::{
+    mean_random_read_latency, wire_bytes, CACHED_READ_LATENCY, ENDPOINT_GBYTES_PER_SEC,
+    NONCACHED_EXTRA, READ_TAGS,
+};
 use kvd_sim::{
     Bandwidth, CostSource, DetRng, FaultPlane, Freq, Histogram, OpClass, OpLedger, PressureGauge,
     SimTime,
@@ -57,7 +61,8 @@ use crate::store::{KvDirectConfig, KvDirectStore};
 /// (memory + processor) streams derived from the same `fault_seed`.
 const NET_FAULT_SALT: u64 = 0x6E65_745F_6C6E_6B73; // "net_lnks"
 
-/// PCIe endpoints on the NIC (paper: 2), each a [`PcieConfig::gen3_x8`].
+/// PCIe endpoints on the NIC (paper: 2), each a Gen3 x8 endpoint as
+/// [`kvd_pcie::config`] describes it.
 pub const PCIE_PORTS: u64 = 2;
 
 /// Processor clock in MHz (paper: 180; one op decodes per cycle).
@@ -72,8 +77,9 @@ fn cycle() -> SimTime {
 }
 
 /// Configuration of the end-to-end simulation. The devices are the
-/// paper's testbed: [`NetConfig::forty_gbe`] links, [`PCIE_PORTS`]
-/// [`PcieConfig::gen3_x8`] endpoints, a [`CLOCK_MHZ`] pipeline.
+/// paper's testbed: 40 GbE links ([`kvd_net::config`]), [`PCIE_PORTS`]
+/// Gen3 x8 endpoints ([`kvd_pcie::config`]), a [`CLOCK_MHZ`] pipeline and
+/// a [`NIC_DRAM_GBYTES_PER_SEC`] NIC DRAM channel.
 #[derive(Debug, Clone)]
 pub struct SystemSimConfig {
     /// Store configuration (memory sizes, ratios).
@@ -136,8 +142,6 @@ impl std::ops::Deref for SystemSimReport {
 /// ```
 pub struct SystemSim {
     cfg: SystemSimConfig,
-    /// Each PCIe endpoint's model: read tags and round-trip latencies.
-    pcie: PcieConfig,
     store: KvDirectStore,
     req_link: NetLink,
     resp_link: NetLink,
@@ -280,13 +284,13 @@ impl SystemSim {
     /// evolve bit-identically.
     pub fn with_seed(cfg: SystemSimConfig, seed: u64) -> Self {
         let windows = cfg.windows.max(1);
-        let pcie = PcieConfig::gen3_x8();
         // Per-line service time of one endpoint: a 64 B random read is
         // either tag-limited (paper: 64 tags over a ~1050 ns RTT, 61 Mops)
         // or wire-limited (90 B at 7.87 GB/s, 87 Mops); the endpoints
         // drain lines in parallel.
-        let tag_limited = pcie.mean_random_read_latency() / u64::from(pcie.read_tags);
-        let wire_limited = pcie.bandwidth.transfer_time(pcie.wire_bytes(64));
+        let tag_limited = mean_random_read_latency() / u64::from(READ_TAGS);
+        let wire_limited =
+            Bandwidth::from_gbytes_per_sec(ENDPOINT_GBYTES_PER_SEC).transfer_time(wire_bytes(64));
         // The links share the store's fault schedule: one root plane per
         // sim, forked into independent request/response streams. Zero
         // rates (the default) never consume randomness, so a fault-free
@@ -295,11 +299,12 @@ impl SystemSim {
             FaultPlane::new(cfg.store.fault_rates, cfg.store.fault_seed ^ NET_FAULT_SALT);
         SystemSim {
             store: KvDirectStore::new(cfg.store.clone()),
-            req_link: NetLink::with_faults(NetConfig::forty_gbe(), net_faults.fork(1)),
-            resp_link: NetLink::with_faults(NetConfig::forty_gbe(), net_faults.fork(2)),
+            req_link: NetLink::with_faults(net_faults.fork(1)),
+            resp_link: NetLink::with_faults(net_faults.fork(2)),
             rng: DetRng::seed(seed),
             pcie_line_service: tag_limited.max(wire_limited) / PCIE_PORTS,
-            dram_line_service: Bandwidth::from_gbytes_per_sec(12.8).transfer_time(64),
+            dram_line_service: Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC)
+                .transfer_time(64),
             pcie_free: SimTime::ZERO,
             dram_free: SimTime::ZERO,
             slot_ready: vec![[SimTime::ZERO; 2]; cfg.store.station.hash_slots],
@@ -320,7 +325,6 @@ impl SystemSim {
             shed_ops: 0,
             expired_ops: 0,
             ledger: OpLedger::default(),
-            pcie,
             cfg,
         }
     }
@@ -523,8 +527,7 @@ impl SystemSim {
                 // the store's admission controller (inert unless the
                 // overload plane is enabled).
                 let station_cap = cycle * self.cfg.store.station.capacity as u64;
-                let tag_cap =
-                    self.pcie_line_service * (u64::from(self.pcie.read_tags) * PCIE_PORTS);
+                let tag_cap = self.pcie_line_service * (u64::from(READ_TAGS) * PCIE_PORTS);
                 let terms = &mut self.ledger.pressure;
                 terms.station_backlog_ps = self.server_free.saturating_sub(arrive).as_ps();
                 terms.station_cap_ps = station_cap.as_ps();
@@ -621,10 +624,8 @@ impl SystemSim {
                     let mut pcie_ps = if queued_is_pcie { queued.as_ps() } else { 0 };
                     let mut dram_ps = if queued_is_pcie { 0 } else { queued.as_ps() };
                     for _ in 0..a.dma_reads {
-                        let mut rtt = self.pcie.cached_read_latency;
-                        rtt += SimTime::from_ps(
-                            self.rng.u64_below(self.pcie.noncached_extra.as_ps() + 1),
-                        );
+                        let mut rtt = CACHED_READ_LATENCY;
+                        rtt += SimTime::from_ps(self.rng.u64_below(NONCACHED_EXTRA.as_ps() + 1));
                         pcie_ps += rtt.as_ps();
                         t += rtt;
                     }

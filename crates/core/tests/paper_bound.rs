@@ -18,16 +18,13 @@
 
 use kvd_core::system::{SystemSim, SystemSimConfig, SystemSimReport, CLOCK_MHZ, PCIE_PORTS};
 use kvd_core::{builtin, KvDirectConfig};
-use kvd_net::{KvRequest, NetConfig, OpCode};
-use kvd_pcie::PcieConfig;
+use kvd_mem::NIC_DRAM_GBYTES_PER_SEC;
+use kvd_net::{config as net, KvRequest, OpCode};
+use kvd_pcie::config as pcie;
 use kvd_sim::{Bandwidth, DetRng, Freq, ZipfSampler};
 
 const OPS: usize = 40_000;
 const KEY_LEN: usize = 8;
-
-/// NIC DRAM channel bandwidth (paper: 12.8 GB/s), which the engine charges
-/// per 64 B line.
-const DRAM_GBYTES_PER_SEC: f64 = 12.8;
 
 /// One run and what the bound needs that the ledger does not split: the
 /// request direction's payload bytes.
@@ -114,25 +111,26 @@ struct Bound {
 impl Bound {
     fn of(run: &Run) -> Self {
         let l = &run.report.ledger;
-        let (net, pcie) = (NetConfig::forty_gbe(), PcieConfig::gen3_x8());
         let ops = run.report.ops as f64;
         // Network: each direction serializes its own packets (full
         // duplex), one request and one response packet per batch.
         let batches = l.net.batches;
         let response_payload = l.net.payload_bytes - run.request_payload;
-        let wire = |payload: u64| batches * net.wire_bytes(payload / batches);
+        let wire = |payload: u64| batches * net::wire_bytes(payload / batches);
         let busier = wire(run.request_payload).max(wire(response_payload));
-        let network_secs = busier as f64 / net.bandwidth.bytes_per_sec();
+        let network_secs =
+            busier as f64 / Bandwidth::from_gbits_per_sec(net::GBITS_PER_SEC).bytes_per_sec();
         // PCIe: a random 64 B read is tag-limited (tags / mean round trip)
         // or wire-limited, a write wire-limited; the ports work in
         // parallel, and so does the NIC DRAM channel.
         let ports = PCIE_PORTS as f64;
-        let write_rate = pcie.bandwidth_bound_mops(64) * 1e6;
-        let tag_rate = f64::from(pcie.read_tags) / pcie.mean_random_read_latency().as_secs_f64();
+        let write_rate = pcie::bandwidth_bound_mops(64) * 1e6;
+        let tag_rate = f64::from(pcie::READ_TAGS) / pcie::mean_random_read_latency().as_secs_f64();
         let read_rate = tag_rate.min(write_rate);
         let pcie_secs = l.pcie.dma_reads as f64 / (ports * read_rate)
             + l.pcie.dma_writes as f64 / (ports * write_rate);
-        let dram_rate = Bandwidth::from_gbytes_per_sec(DRAM_GBYTES_PER_SEC).transfers_per_sec(64);
+        let dram_rate =
+            Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC).transfers_per_sec(64);
         let dram_secs = (l.dram.reads + l.dram.writes) as f64 / dram_rate;
         Bound {
             clock: Freq::from_mhz(CLOCK_MHZ).ops_per_sec() / 1e6,

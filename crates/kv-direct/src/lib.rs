@@ -44,13 +44,12 @@
 
 pub use kvd_core::{
     builtin, tick_of_us, AdmissionController, ClusterReport, ClusterSim, ClusterSimConfig,
-    HotKeyConfig, KvDirectConfig, KvDirectStore, KvProcessor, Lambda, LambdaRegistry, NodeKill,
-    OpRecord, OverloadConfig, ParallelSimConfig, ParallelSimReport, ParallelSystemSim, StoreError,
+    KvDirectConfig, KvDirectStore, KvProcessor, Lambda, LambdaRegistry, NodeKill, OpRecord,
+    OverloadConfig, ParallelSimConfig, ParallelSimReport, ParallelSystemSim, StoreError,
     Watermarks, EXPIRY_TICK_US,
 };
 pub use kvd_net::{
-    decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse, NetConfig,
-    OpCode, Status,
+    decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse, OpCode, Status,
 };
 pub use kvd_sim::{
     ChaosSchedule, Component, CostSource, FaultPlane, FaultRates, OpClass, OpLedger, Percentile,

@@ -12,11 +12,12 @@
 //! * [`DispatchedMemory`] — the full stack: host memory behind PCIe, NIC
 //!   DRAM cache, and the hash-based load dispatcher.
 
+use kvd_pcie::config::TWO_ENDPOINT_GBYTES_PER_SEC;
 use kvd_sim::{CacheCosts, CostSource, DramFault, FaultPlane, OpLedger};
 
 use crate::dispatch::{hash_line, optimal_ratio_measured, DispatchConfig, LoadDispatcher};
 use crate::host::HostMemory;
-use crate::nicdram::{NicDram, NicDramConfig, Place, Victim};
+use crate::nicdram::{NicDram, NicDramConfig, Place, Victim, NIC_DRAM_GBYTES_PER_SEC};
 use crate::sketch::{FreqSketch, SketchConfig};
 use crate::LINE;
 
@@ -281,9 +282,6 @@ const MAX_STEP: f64 = 0.05;
 /// ratio (hysteresis).
 const DEADBAND: f64 = 0.02;
 
-/// NIC DRAM throughput term of the retune's balance equation (GB/s).
-const TPUT_DRAM: f64 = 12.8;
-
 /// Lower clamp on the retuned load dispatch ratio.
 const MIN_RATIO: f64 = 0.05;
 
@@ -293,7 +291,6 @@ const MAX_RATIO: f64 = 0.95;
 const _: () = {
     assert!(0.0 <= MIN_RATIO && MIN_RATIO < MAX_RATIO && MAX_RATIO <= 1.0);
     assert!(MAX_STEP > 0.0 && DEADBAND >= 0.0 && DEADBAND < MAX_RATIO - MIN_RATIO);
-    assert!(TPUT_DRAM > 0.0);
 };
 
 /// Configuration of the adaptive cache plane (off by default).
@@ -322,7 +319,7 @@ pub struct AdaptiveCacheConfig {
     /// wall clock, so parallel runs stay bit-identical).
     pub epoch_accesses: u64,
     /// PCIe throughput term of the balance equation (GB/s); the NIC DRAM
-    /// term is `TPUT_DRAM`.
+    /// term is [`NIC_DRAM_GBYTES_PER_SEC`].
     pub tput_pcie: f64,
     /// Starvation escape hatch (the W-TinyLFU window, made deterministic):
     /// every `admit_every`-th *consecutive* rejected fill is admitted
@@ -333,14 +330,14 @@ pub struct AdaptiveCacheConfig {
 }
 
 impl AdaptiveCacheConfig {
-    /// Data-path defaults: the paper's device throughputs (12.8 GB/s
-    /// DRAM, 13.2 GB/s for two PCIe Gen3 x8 links), a [`SketchConfig`]
+    /// Data-path defaults: the PCIe term is the paper's two Gen3 x8
+    /// endpoints ([`TWO_ENDPOINT_GBYTES_PER_SEC`]), and a [`SketchConfig`]
     /// sized for the hot path.
     pub fn data_path(seed: u64) -> Self {
         AdaptiveCacheConfig {
             sketch: SketchConfig::data_path(seed),
             epoch_accesses: 8192,
-            tput_pcie: 13.2,
+            tput_pcie: TWO_ENDPOINT_GBYTES_PER_SEC,
             admit_every: 8,
         }
     }
@@ -371,11 +368,10 @@ struct AdaptiveState {
 ///
 /// ```
 /// use kvd_mem::{DispatchConfig, DispatchedMemory, MemoryEngine, NicDramConfig};
-/// use kvd_sim::Bandwidth;
 ///
 /// let mut m = DispatchedMemory::new(
 ///     1 << 20, // 1 MiB host
-///     NicDramConfig { capacity: 1 << 16, bandwidth: Bandwidth::from_gbytes_per_sec(12.8) },
+///     NicDramConfig { capacity: 1 << 16, ..NicDramConfig::paper_scaled(1) },
 ///     DispatchConfig::new(0.5),
 /// );
 /// m.write(4096, b"value");
@@ -575,8 +571,9 @@ impl DispatchedMemory {
         if win.cache_hits + win.cache_misses == 0 {
             return; // nothing cacheable this epoch: no signal
         }
-        let target = optimal_ratio_measured(win.hit_rate(), TPUT_DRAM, ad.cfg.tput_pcie)
-            .clamp(MIN_RATIO, MAX_RATIO);
+        let target =
+            optimal_ratio_measured(win.hit_rate(), NIC_DRAM_GBYTES_PER_SEC, ad.cfg.tput_pcie)
+                .clamp(MIN_RATIO, MAX_RATIO);
         let current = self.dispatcher.ratio();
         if (target - current).abs() <= DEADBAND {
             return; // hysteresis: hold the threshold against noise

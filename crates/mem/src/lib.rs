@@ -44,7 +44,7 @@ pub use engine::{
     MemoryEngine, Traffic, DEFAULT_BYPASS_THRESHOLD,
 };
 pub use host::HostMemory;
-pub use nicdram::{NicDram, NicDramConfig, Place, Victim, WAYS};
+pub use nicdram::{NicDram, NicDramConfig, Place, Victim, NIC_DRAM_GBYTES_PER_SEC, WAYS};
 pub use sketch::{FreqSketch, HeavyHitter, SketchConfig, SpaceSaving};
 
 /// Cache-line granularity used throughout the paper (bytes).

@@ -31,6 +31,10 @@ use crate::LINE;
 /// (parity granularity widened from 64 to 512 data bits).
 pub const ECC_SPARE_BITS: u32 = 8;
 
+/// Random-access bandwidth of the paper's NIC DRAM, GB/s (a single
+/// DDR3-1600 channel: 12.8 GB/s).
+pub const NIC_DRAM_GBYTES_PER_SEC: f64 = 12.8;
+
 /// Associativity of the cache. With [`ECC_SPARE_BITS`] = 8 and
 /// `tag bits = log2(host:DRAM ratio) + log2(WAYS)`, a dirty bit and a
 /// valid bit, the paper's 16:1 capacity ratio fits exactly
@@ -42,8 +46,7 @@ pub const WAYS: usize = 4;
 pub struct NicDramConfig {
     /// Capacity in bytes (paper: 4 GiB; scaled down in tests).
     pub capacity: u64,
-    /// Random-access bandwidth (paper: 12.8 GB/s, single DDR3-1600
-    /// channel).
+    /// Random-access bandwidth (paper: [`NIC_DRAM_GBYTES_PER_SEC`]).
     pub bandwidth: Bandwidth,
 }
 
@@ -54,7 +57,7 @@ impl NicDramConfig {
         assert!(scale > 0);
         NicDramConfig {
             capacity: (4u64 << 30) / scale,
-            bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
+            bandwidth: Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC),
         }
     }
 }
@@ -115,12 +118,12 @@ pub struct Victim {
 /// # Examples
 ///
 /// ```
-/// use kvd_mem::{NicDram, NicDramConfig, LINE};
+/// use kvd_mem::{NicDram, NicDramConfig, LINE, NIC_DRAM_GBYTES_PER_SEC};
 /// use kvd_sim::Bandwidth;
 ///
 /// let cfg = NicDramConfig {
 ///     capacity: 64 * 1024,
-///     bandwidth: Bandwidth::from_gbytes_per_sec(12.8),
+///     bandwidth: Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC),
 /// };
 /// let mut cache = NicDram::new(cfg, 16 * 64 * 1024); // 16:1 host ratio
 /// assert!(cache.locate(0).slot.is_some()); // tags 0..3 start resident (zeroed)

@@ -11,12 +11,12 @@
 //! time. Sustained throughput is the trace length divided by the slowest
 //! device's finish time.
 
-use kvd_pcie::{DmaPort, PcieConfig};
-use kvd_sim::{BandwidthLink, Counter, SimTime};
+use kvd_pcie::DmaPort;
+use kvd_sim::{Bandwidth, BandwidthLink, Counter, SimTime};
 
 use crate::{
     AccessKind, AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, MemoryEngine, NicDramConfig,
-    LINE,
+    LINE, NIC_DRAM_GBYTES_PER_SEC,
 };
 
 /// Configuration of a timed replay run.
@@ -40,7 +40,7 @@ impl ReplayConfig {
             host_capacity,
             dram: NicDramConfig {
                 capacity: host_capacity / 16,
-                bandwidth: kvd_sim::Bandwidth::from_gbytes_per_sec(12.8),
+                bandwidth: Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC),
             },
             dispatch: DispatchConfig::new(dispatch_ratio),
             adaptive: None,
@@ -85,7 +85,7 @@ impl Replay {
         }
         Replay {
             mem,
-            ports: [0, 1].map(|i| DmaPort::new(PcieConfig::gen3_x8(), 0x5EED + i)),
+            ports: [0, 1].map(|i| DmaPort::new(0x5EED + i)),
             next_port: 0,
             dram: BandwidthLink::new(cfg.dram.bandwidth),
             ops: Counter::new(),

@@ -5,9 +5,9 @@
 //! of latency. The model here reproduces both panels from the wire-format
 //! arithmetic plus the link model.
 
-use kvd_sim::SimTime;
+use kvd_sim::{Bandwidth, SimTime};
 
-use crate::config::NetConfig;
+use crate::config::{wire_bytes, GBITS_PER_SEC, RTT};
 use crate::wire::{encode_packet, KvRequest};
 
 /// One point of the Figure 15 sweep.
@@ -42,30 +42,31 @@ fn batch_payload_bytes(kv_size: u64, batch: u64) -> u64 {
 
 /// Throughput of `kv_size`-byte operations at batch factor `batch`
 /// (Figure 15a).
-pub fn batched_throughput(cfg: &NetConfig, kv_size: u64, batch: u64) -> BatchPoint {
+pub fn batched_throughput(kv_size: u64, batch: u64) -> BatchPoint {
     let payload = batch_payload_bytes(kv_size, batch);
-    let wire = cfg.wire_bytes(payload);
-    let packets_per_sec = cfg.bandwidth.bytes_per_sec() / wire as f64;
+    let wire = wire_bytes(payload);
+    let packets_per_sec =
+        Bandwidth::from_gbits_per_sec(GBITS_PER_SEC).bytes_per_sec() / wire as f64;
     BatchPoint {
         kv_size,
         ops_per_sec: packets_per_sec * batch as f64,
-        latency: batching_latency(cfg, kv_size, batch),
+        latency: batching_latency(kv_size, batch),
     }
 }
 
 /// Client-observed round-trip latency at batch factor `batch`
 /// (Figure 15b): batch assembly wait + serialization + propagation, both
 /// ways.
-pub fn batching_latency(cfg: &NetConfig, kv_size: u64, batch: u64) -> SimTime {
+pub fn batching_latency(kv_size: u64, batch: u64) -> SimTime {
     let payload = batch_payload_bytes(kv_size, batch);
-    let wire = cfg.wire_bytes(payload);
-    let serialize = cfg.bandwidth.transfer_time(wire);
+    let wire = wire_bytes(payload);
+    let serialize = Bandwidth::from_gbits_per_sec(GBITS_PER_SEC).transfer_time(wire);
     // A batch assembles while the previous packet serializes, so the mean
     // extra wait is half a serialization window.
     let assembly = serialize / 2;
     // Request path + response path (responses are comparable in size for
-    // GET-heavy mixes; symmetric model). `latency` is already round-trip.
-    assembly + serialize * 2 + cfg.latency
+    // GET-heavy mixes; symmetric model). `RTT` covers both directions.
+    assembly + serialize * 2 + RTT
 }
 
 #[cfg(test)]
@@ -74,18 +75,16 @@ mod tests {
 
     #[test]
     fn figure15a_batching_gains_up_to_4x() {
-        let cfg = NetConfig::forty_gbe();
-        let un = batched_throughput(&cfg, 16, 1);
-        let b = batched_throughput(&cfg, 16, 64);
+        let un = batched_throughput(16, 1);
+        let b = batched_throughput(16, 64);
         let gain = b.ops_per_sec / un.ops_per_sec;
         assert!(gain > 3.0 && gain < 6.5, "gain {gain}");
     }
 
     #[test]
     fn figure15b_batching_adds_under_a_microsecond() {
-        let cfg = NetConfig::forty_gbe();
-        let un = batching_latency(&cfg, 64, 1);
-        let b = batching_latency(&cfg, 64, 16);
+        let un = batching_latency(64, 1);
+        let b = batching_latency(64, 16);
         assert!(b > un);
         assert!((b - un) < SimTime::from_us(1), "batching added {}", b - un);
         // Paper Figure 15b: networking latency stays below 3.5us.
@@ -95,23 +94,21 @@ mod tests {
     #[test]
     fn throughput_grows_then_saturates_with_kv_size_fixed() {
         // More batching always helps but with diminishing returns.
-        let cfg = NetConfig::forty_gbe();
         let mut prev = 0.0;
         for batch in [1, 2, 4, 8, 16, 32, 64] {
-            let p = batched_throughput(&cfg, 32, batch);
+            let p = batched_throughput(32, batch);
             assert!(p.ops_per_sec >= prev, "batch {batch} regressed");
             prev = p.ops_per_sec;
         }
-        let small = batched_throughput(&cfg, 32, 32).ops_per_sec;
-        let big = batched_throughput(&cfg, 32, 64).ops_per_sec;
+        let small = batched_throughput(32, 32).ops_per_sec;
+        let big = batched_throughput(32, 64).ops_per_sec;
         assert!(big / small < 1.15, "returns should diminish");
     }
 
     #[test]
     fn large_kvs_bound_by_bandwidth_not_headers() {
-        let cfg = NetConfig::forty_gbe();
-        let p = batched_throughput(&cfg, 1024, 4);
+        let p = batched_throughput(1024, 4);
         let data_rate = p.ops_per_sec * 1024.0;
-        assert!(data_rate > 0.85 * cfg.bandwidth.bytes_per_sec());
+        assert!(data_rate > 0.85 * GBITS_PER_SEC * 1e9 / 8.0);
     }
 }

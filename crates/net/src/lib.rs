@@ -14,6 +14,7 @@
 //!   pre-registered λ functions — which move one scalar instead of a
 //!   whole vector or one operation per element.
 //!
+//! [`config`] holds the 40 GbE link's figures as constants;
 //! [`wire`] implements the exact byte format with an encoder/decoder pair
 //! (the KV processor's decoder unpacks multiple KV operations from a
 //! single RDMA packet); [`link`] models the 40 GbE port;
@@ -32,7 +33,6 @@ pub mod vector;
 pub mod wire;
 
 pub use batch::{batched_throughput, batching_latency, BatchPoint};
-pub use config::NetConfig;
 pub use link::NetLink;
 pub use rep::RepFrame;
 pub use ring::HashRing;

@@ -1,8 +1,10 @@
 //! The 40 GbE link as a timed resource.
 
-use kvd_sim::{BandwidthLink, CostSource, FaultPlane, NetCosts, NetFault, OpLedger, SimTime};
+use kvd_sim::{
+    Bandwidth, BandwidthLink, CostSource, FaultPlane, NetCosts, NetFault, OpLedger, SimTime,
+};
 
-use crate::config::NetConfig;
+use crate::config::{wire_bytes, GBITS_PER_SEC, RTT};
 
 /// A directional network link: serialization + propagation latency.
 ///
@@ -14,17 +16,16 @@ use crate::config::NetConfig;
 /// # Examples
 ///
 /// ```
-/// use kvd_net::{NetConfig, NetLink};
+/// use kvd_net::NetLink;
 /// use kvd_sim::SimTime;
 ///
-/// let mut link = NetLink::new(NetConfig::forty_gbe());
+/// let mut link = NetLink::new();
 /// let arrive = link.send(SimTime::ZERO, 1000);
 /// // ~1us one-way propagation + ~0.2us serialization of 1088 wire bytes.
 /// assert!(arrive > SimTime::from_us(1));
 /// assert!(arrive < SimTime::from_us(2));
 /// ```
 pub struct NetLink {
-    cfg: NetConfig,
     line: BandwidthLink,
     faults: FaultPlane,
     /// Packets delivered, their payload bytes, and retransmissions; the
@@ -34,18 +35,18 @@ pub struct NetLink {
 
 impl NetLink {
     /// Creates an idle link.
-    pub fn new(cfg: NetConfig) -> Self {
-        NetLink::with_faults(cfg, FaultPlane::disabled())
+    #[allow(clippy::new_without_default)] // the one testbed link; nothing builds it generically
+    pub fn new() -> Self {
+        NetLink::with_faults(FaultPlane::disabled())
     }
 
     /// Creates a link whose packets suffer drops/reorders drawn from
     /// `faults`.
-    pub fn with_faults(cfg: NetConfig, faults: FaultPlane) -> Self {
+    pub fn with_faults(faults: FaultPlane) -> Self {
         NetLink {
-            line: BandwidthLink::new(cfg.bandwidth),
+            line: BandwidthLink::new(Bandwidth::from_gbits_per_sec(GBITS_PER_SEC)),
             faults,
             costs: NetCosts::default(),
-            cfg,
         }
     }
 
@@ -58,7 +59,7 @@ impl NetLink {
     /// A reordered packet arrives late by up to half the propagation
     /// delay, modelling a slower switch path.
     pub fn send(&mut self, now: SimTime, payload: u64) -> SimTime {
-        let wire = self.cfg.wire_bytes(payload);
+        let wire = wire_bytes(payload);
         let mut at = now;
         loop {
             let serialized = self.line.transfer(at, wire);
@@ -67,14 +68,14 @@ impl NetLink {
                     // Lost in the fabric: retransmit one RTT after the
                     // send hit the wire.
                     self.costs.retransmits += 1;
-                    at = serialized + self.cfg.latency;
+                    at = serialized + RTT;
                 }
                 fault @ (NetFault::None | NetFault::Reorder) => {
                     self.costs.packets += 1;
                     self.costs.payload_bytes += payload;
-                    let mut arrival = serialized + self.cfg.latency / 2;
+                    let mut arrival = serialized + RTT / 2;
                     if fault == NetFault::Reorder {
-                        arrival += self.cfg.latency / 4;
+                        arrival += RTT / 4;
                     }
                     return arrival;
                 }
@@ -99,11 +100,6 @@ impl NetLink {
     pub fn faults(&self) -> &FaultPlane {
         &self.faults
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
 }
 
 impl CostSource for NetLink {
@@ -120,7 +116,7 @@ mod tests {
 
     #[test]
     fn serialization_queues_packets() {
-        let mut link = NetLink::new(NetConfig::forty_gbe());
+        let mut link = NetLink::new();
         let a = link.send(SimTime::ZERO, 4096);
         let b = link.send(SimTime::ZERO, 4096);
         assert!(b > a, "second packet queues behind the first");
@@ -130,7 +126,7 @@ mod tests {
 
     #[test]
     fn latency_dominates_small_packets() {
-        let mut link = NetLink::new(NetConfig::forty_gbe());
+        let mut link = NetLink::new();
         let arrive = link.send(SimTime::ZERO, 64);
         let lat = arrive.as_us();
         assert!((1.0..1.1).contains(&lat), "got {lat}us");
@@ -138,8 +134,8 @@ mod tests {
 
     #[test]
     fn disabled_fault_plane_is_bit_identical_to_plain_link() {
-        let mut plain = NetLink::new(NetConfig::forty_gbe());
-        let mut faulty = NetLink::with_faults(NetConfig::forty_gbe(), FaultPlane::disabled());
+        let mut plain = NetLink::new();
+        let mut faulty = NetLink::with_faults(FaultPlane::disabled());
         for i in 0..200u64 {
             let t = SimTime::from_ns(313 * i);
             assert_eq!(plain.send(t, 64 + i), faulty.send(t, 64 + i));
@@ -155,7 +151,7 @@ mod tests {
             net_drop: 0.5,
             ..FaultRates::ZERO
         };
-        let mut link = NetLink::with_faults(NetConfig::forty_gbe(), FaultPlane::new(rates, 3));
+        let mut link = NetLink::with_faults(FaultPlane::new(rates, 3));
         let mut total_retx = 0u64;
         for i in 0..200u64 {
             let t = SimTime::from_us(10 * i);
@@ -176,8 +172,8 @@ mod tests {
         };
         // Find a seed position where the first draw drops: with p=0.5 and
         // seed 1 the schedule is fixed; assert against a clean link.
-        let mut faulty = NetLink::with_faults(NetConfig::forty_gbe(), FaultPlane::new(rates, 1));
-        let mut clean = NetLink::new(NetConfig::forty_gbe());
+        let mut faulty = NetLink::with_faults(FaultPlane::new(rates, 1));
+        let mut clean = NetLink::new();
         let mut saw_delay = false;
         for i in 0..50u64 {
             let t = SimTime::from_us(100 * i);
@@ -185,7 +181,7 @@ mod tests {
             let b = clean.send(t, 64);
             if a > b {
                 // The delay is at least one RTT per dropped copy.
-                assert!(a - b >= NetConfig::forty_gbe().latency);
+                assert!(a - b >= RTT);
                 saw_delay = true;
             }
         }
@@ -198,12 +194,12 @@ mod tests {
             net_reorder: 1.0,
             ..FaultRates::ZERO
         };
-        let mut faulty = NetLink::with_faults(NetConfig::forty_gbe(), FaultPlane::new(rates, 3));
-        let mut clean = NetLink::new(NetConfig::forty_gbe());
+        let mut faulty = NetLink::with_faults(FaultPlane::new(rates, 3));
+        let mut clean = NetLink::new();
         let t = SimTime::ZERO;
         let a = faulty.send(t, 64);
         let b = clean.send(t, 64);
-        assert_eq!(a - b, NetConfig::forty_gbe().latency / 4);
+        assert_eq!(a - b, RTT / 4);
         assert_eq!(faulty.faults().ledger().net.reorders, 1);
         assert_eq!(faulty.costs().retransmits, 0, "reorder is not a loss");
     }
@@ -216,8 +212,7 @@ mod tests {
             ..FaultRates::ZERO
         };
         let run = |seed: u64| {
-            let mut link =
-                NetLink::with_faults(NetConfig::forty_gbe(), FaultPlane::new(rates, seed));
+            let mut link = NetLink::with_faults(FaultPlane::new(rates, seed));
             let mut arrivals = Vec::new();
             for i in 0..300u64 {
                 arrivals.push(link.send(SimTime::from_us(5 * i), 128));

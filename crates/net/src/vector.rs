@@ -7,9 +7,10 @@
 //! operation per element — over the much slower network, and additionally
 //! give up consistency within the vector.
 
+use kvd_pcie::config::TWO_ENDPOINT_GBYTES_PER_SEC;
 use kvd_sim::Bandwidth;
 
-use crate::config::NetConfig;
+use crate::config::{wire_bytes, GBITS_PER_SEC};
 
 /// The four strategies of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,16 +75,12 @@ const ELEM: u64 = 8;
 
 /// Computes Table 2: throughput of every strategy at `vector_bytes`.
 ///
-/// `pcie_bandwidth` is the aggregate host-memory bandwidth available to
-/// the NIC (two Gen3 x8 endpoints ≈ 13.2 GB/s achievable in the paper).
-pub fn vector_strategies(
-    net: &NetConfig,
-    pcie_bandwidth: Bandwidth,
-    vector_bytes: u64,
-) -> Vec<VectorThroughput> {
+/// The server side is bounded by the aggregate host-memory bandwidth of
+/// the NIC's two PCIe endpoints, [`TWO_ENDPOINT_GBYTES_PER_SEC`].
+pub fn vector_strategies(vector_bytes: u64) -> Vec<VectorThroughput> {
     assert!(vector_bytes >= ELEM);
-    let net_bw = net.bandwidth.bytes_per_sec();
-    let pcie_bw = pcie_bandwidth.bytes_per_sec();
+    let net_bw = Bandwidth::from_gbits_per_sec(GBITS_PER_SEC).bytes_per_sec();
+    let pcie_bw = Bandwidth::from_gbytes_per_sec(TWO_ENDPOINT_GBYTES_PER_SEC).bytes_per_sec();
     VectorStrategy::all()
         .into_iter()
         .map(|strategy| {
@@ -93,12 +90,12 @@ pub fn vector_strategies(
                 VectorStrategy::UpdateWithReturn => {
                     // Request: scalar. Response: the original vector.
                     (
-                        net.wire_bytes(UPDATE_REQUEST_BYTES) + net.wire_bytes(vector_bytes),
+                        wire_bytes(UPDATE_REQUEST_BYTES) + wire_bytes(vector_bytes),
                         2 * vector_bytes, // read + write on the server
                     )
                 }
                 VectorStrategy::UpdateNoReturn => (
-                    net.wire_bytes(UPDATE_REQUEST_BYTES) + net.wire_bytes(4),
+                    wire_bytes(UPDATE_REQUEST_BYTES) + wire_bytes(4),
                     2 * vector_bytes,
                 ),
                 VectorStrategy::OneKeyPerElement => {
@@ -108,13 +105,13 @@ pub fn vector_strategies(
                     // accesses (read+write of its own KV).
                     let payload = elems * PER_ELEMENT_OP_BYTES;
                     (
-                        net.wire_bytes(payload) + net.wire_bytes(elems * 4),
+                        wire_bytes(payload) + wire_bytes(elems * 4),
                         2 * vector_bytes,
                     )
                 }
                 VectorStrategy::FetchToClient => (
                     // GET returns the vector; PUT sends it back.
-                    net.wire_bytes(16) + 2 * net.wire_bytes(vector_bytes) + net.wire_bytes(4),
+                    wire_bytes(16) + 2 * wire_bytes(vector_bytes) + wire_bytes(4),
                     2 * vector_bytes,
                 ),
             };
@@ -133,11 +130,7 @@ mod tests {
     use super::*;
 
     fn run(size: u64) -> Vec<VectorThroughput> {
-        vector_strategies(
-            &NetConfig::forty_gbe(),
-            Bandwidth::from_gbytes_per_sec(13.2),
-            size,
-        )
+        vector_strategies(size)
     }
 
     fn by(strategies: &[VectorThroughput], s: VectorStrategy) -> f64 {

@@ -386,6 +386,12 @@ impl std::error::Error for WireError {}
 /// Encodes a batch of requests into one packet payload, applying the
 /// same-sizes / same-value compression automatically.
 ///
+/// # Panics
+///
+/// Panics if the batch holds more than 65 535 requests, or a request's key
+/// is longer than 255 bytes or its value longer than 65 535: the wire
+/// fields cannot frame them.
+///
 /// # Examples
 ///
 /// ```
@@ -407,8 +413,8 @@ pub fn encode_packet(ops: &[KvRequest]) -> Bytes {
     buf.put_u16_le(ops.len() as u16);
     let mut prev: Option<&KvRequest> = None;
     for op in ops {
-        debug_assert!(op.key.len() <= u8::MAX as usize, "key too long for wire");
-        debug_assert!(
+        assert!(op.key.len() <= u8::MAX as usize, "key too long for wire");
+        assert!(
             op.value.len() <= u16::MAX as usize,
             "value too long for wire"
         );
@@ -558,10 +564,20 @@ pub fn decode_packet_ref(bytes: &[u8]) -> Result<Vec<KvRequestRef<'_>>, WireErro
 }
 
 /// Encodes a batch of responses.
+///
+/// # Panics
+///
+/// Panics if the batch holds more than 65 535 responses or a value is
+/// longer than 65 535 bytes: the wire fields cannot frame them.
 pub fn encode_responses(rs: &[KvResponse]) -> Bytes {
+    assert!(rs.len() <= u16::MAX as usize, "batch too large");
     let mut buf = BytesMut::new();
     buf.put_u16_le(rs.len() as u16);
     for r in rs {
+        assert!(
+            r.value.len() <= u16::MAX as usize,
+            "value too long for wire"
+        );
         buf.put_u8(r.status as u8);
         buf.put_u16_le(r.value.len() as u16);
         buf.put_slice(&r.value);
@@ -941,6 +957,52 @@ mod tests {
         assert_eq!(decode_packet_ref(&[1]).unwrap_err(), WireError::Truncated);
         let bytes = [1, 0, OpCode::Get as u8, 5]; // size triplet cut short
         assert_eq!(decode_packet_ref(&bytes).unwrap_err(), WireError::Truncated);
+    }
+
+    #[test]
+    fn the_longest_frameable_value_round_trips() {
+        let value = vec![0xA5; u16::MAX as usize];
+        let ops = [KvRequest::put(&[7; u8::MAX as usize], &value)];
+        let bytes = encode_packet(&ops);
+        assert_eq!(decode_packet_ref(&bytes).unwrap(), borrowed(&ops));
+        let rs = [KvResponse {
+            status: Status::Ok,
+            value,
+        }];
+        assert_eq!(decode_responses(&encode_responses(&rs)).unwrap(), rs);
+    }
+
+    #[test]
+    #[should_panic(expected = "value too long for wire")]
+    fn encode_packet_refuses_an_unframeable_value() {
+        encode_packet(&[KvRequest::put(b"k", &vec![0; 70_000])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "key too long for wire")]
+    fn encode_packet_refuses_an_unframeable_key() {
+        encode_packet(&[KvRequest::get(&[0; 256])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch too large")]
+    fn encode_packet_refuses_an_unframeable_batch() {
+        encode_packet(&vec![KvRequest::get(b"k"); u16::MAX as usize + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "value too long for wire")]
+    fn encode_responses_refuses_an_unframeable_value() {
+        encode_responses(&[KvResponse {
+            status: Status::Ok,
+            value: vec![0; 70_000],
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch too large")]
+    fn encode_responses_refuses_an_unframeable_batch() {
+        encode_responses(&vec![KvResponse::default(); u16::MAX as usize + 1]);
     }
 
     #[test]

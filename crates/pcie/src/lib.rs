@@ -21,14 +21,13 @@
 //!   random non-cached reads add ~250 ns on average from DRAM access,
 //!   refresh and PCIe response reordering (paper Figure 3b).
 //!
-//! [`DmaPort`] is a discrete-event model of a single endpoint;
-//! [`stream`] contains the closed-loop saturation experiments
-//! behind Figure 3.
+//! [`config`] holds these figures as constants; [`DmaPort`] is a
+//! discrete-event model of a single endpoint; [`stream`] contains the
+//! closed-loop saturation experiments behind Figure 3.
 
 pub mod config;
 pub mod port;
 pub mod stream;
 
-pub use config::PcieConfig;
 pub use port::{DmaPort, PortStats};
 pub use stream::{saturate_reads, saturate_writes, StreamResult};

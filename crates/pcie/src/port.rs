@@ -6,9 +6,15 @@
 //! exhausted the call transparently waits for the earliest release, exactly
 //! like the FPGA DMA engine stalls its pipeline.
 
-use kvd_sim::{BandwidthLink, CreditPool, DetRng, EventQueue, Histogram, SimTime, TagPool};
+use kvd_sim::{
+    Bandwidth, BandwidthLink, CreditPool, DetRng, EventQueue, Histogram, SimTime, TagPool,
+};
 
-use crate::config::PcieConfig;
+use crate::config::{
+    wire_bytes, CACHED_READ_LATENCY, ENDPOINT_GBYTES_PER_SEC, NONCACHED_EXTRA,
+    NONPOSTED_HEADER_CREDITS, POSTED_CREDIT_RETURN, POSTED_HEADER_CREDITS, READ_TAGS,
+    TLP_OVERHEAD_BYTES,
+};
 
 /// Internal completion event kinds.
 #[derive(Debug, Clone, Copy)]
@@ -39,16 +45,15 @@ pub struct PortStats {
 /// # Examples
 ///
 /// ```
-/// use kvd_pcie::{DmaPort, PcieConfig};
+/// use kvd_pcie::DmaPort;
 /// use kvd_sim::SimTime;
 ///
-/// let mut port = DmaPort::new(PcieConfig::gen3_x8(), 7);
+/// let mut port = DmaPort::new(7);
 /// // A single cached 64B read completes in ~815ns (800ns RTT + wire time).
 /// let done = port.read(SimTime::ZERO, 64, true);
 /// assert!(done >= SimTime::from_ns(800) && done < SimTime::from_ns(900));
 /// ```
 pub struct DmaPort {
-    cfg: PcieConfig,
     /// NIC→host direction: read request TLPs and write TLPs.
     tx: BandwidthLink,
     /// Host→NIC direction: read completion TLPs.
@@ -64,25 +69,20 @@ pub struct DmaPort {
 }
 
 impl DmaPort {
-    /// Creates an idle port with the given configuration and RNG seed.
-    pub fn new(cfg: PcieConfig, seed: u64) -> Self {
+    /// Creates an idle port with the given RNG seed.
+    pub fn new(seed: u64) -> Self {
+        let bandwidth = Bandwidth::from_gbytes_per_sec(ENDPOINT_GBYTES_PER_SEC);
         DmaPort {
-            tags: TagPool::new(cfg.read_tags),
-            nonposted: CreditPool::new(cfg.nonposted_header_credits),
-            posted: CreditPool::new(cfg.posted_header_credits),
-            tx: BandwidthLink::new(cfg.bandwidth),
-            rx: BandwidthLink::new(cfg.bandwidth),
+            tags: TagPool::new(READ_TAGS),
+            nonposted: CreditPool::new(NONPOSTED_HEADER_CREDITS),
+            posted: CreditPool::new(POSTED_HEADER_CREDITS),
+            tx: BandwidthLink::new(bandwidth),
+            rx: BandwidthLink::new(bandwidth),
             releases: EventQueue::new(),
             rng: DetRng::seed(seed),
             stats: PortStats::default(),
             read_latency: Histogram::new(),
-            cfg,
         }
-    }
-
-    /// The endpoint configuration.
-    pub fn config(&self) -> &PcieConfig {
-        &self.cfg
     }
 
     /// Traffic statistics so far.
@@ -157,16 +157,14 @@ impl DmaPort {
     pub fn read(&mut self, now: SimTime, bytes: u64, cached: bool) -> SimTime {
         let (issue, tag) = self.wait_read_resources(now);
         // Request TLP (header only) serializes on the NIC→host link.
-        let req_done = self.tx.transfer(issue, self.cfg.tlp_overhead_bytes);
+        let req_done = self.tx.transfer(issue, TLP_OVERHEAD_BYTES);
         // Host-side service latency.
-        let mut latency = self.cfg.cached_read_latency;
+        let mut latency = CACHED_READ_LATENCY;
         if !cached {
-            latency += SimTime::from_ps(self.rng.u64_below(self.cfg.noncached_extra.as_ps() + 1));
+            latency += SimTime::from_ps(self.rng.u64_below(NONCACHED_EXTRA.as_ps() + 1));
         }
         // Completion TLP(s) serialize on the host→NIC link.
-        let done = self
-            .rx
-            .transfer(req_done + latency, self.cfg.wire_bytes(bytes));
+        let done = self.rx.transfer(req_done + latency, wire_bytes(bytes));
         self.releases.push(done, Release::ReadDone { tag });
         self.stats.reads += 1;
         self.stats.read_bytes += bytes;
@@ -181,14 +179,12 @@ impl DmaPort {
     /// last TLP leaves the NIC (posted writes do not wait for the host).
     pub fn write(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let issue = self.wait_posted_credit(now);
-        let wire = self.cfg.wire_bytes(bytes);
+        let wire = wire_bytes(bytes);
         let sent = self.tx.transfer(issue, wire);
         // The root complex absorbs the TLP and returns the credit shortly
         // after it lands.
-        self.releases.push(
-            sent + self.cfg.posted_credit_return,
-            Release::WriteCreditReturn,
-        );
+        self.releases
+            .push(sent + POSTED_CREDIT_RETURN, Release::WriteCreditReturn);
         self.stats.writes += 1;
         self.stats.write_bytes += bytes;
         sent
@@ -206,7 +202,7 @@ mod tests {
     use super::*;
 
     fn port() -> DmaPort {
-        DmaPort::new(PcieConfig::gen3_x8(), 42)
+        DmaPort::new(42)
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use kvd_sim::{SimTime, Summary};
 
-use crate::config::PcieConfig;
 use crate::port::DmaPort;
 
 /// Result of one saturation run.
@@ -31,8 +30,8 @@ impl StreamResult {
 }
 
 /// Saturates a port with random non-cached DMA reads of `payload` bytes.
-pub fn saturate_reads(cfg: &PcieConfig, payload: u64, ops: u64, seed: u64) -> StreamResult {
-    let mut port = DmaPort::new(cfg.clone(), seed);
+pub fn saturate_reads(payload: u64, ops: u64, seed: u64) -> StreamResult {
+    let mut port = DmaPort::new(seed);
     let mut last = SimTime::ZERO;
     for _ in 0..ops {
         last = last.max(port.read(SimTime::ZERO, payload, false));
@@ -47,8 +46,8 @@ pub fn saturate_reads(cfg: &PcieConfig, payload: u64, ops: u64, seed: u64) -> St
 }
 
 /// Saturates a port with posted DMA writes of `payload` bytes.
-pub fn saturate_writes(cfg: &PcieConfig, payload: u64, ops: u64, seed: u64) -> StreamResult {
-    let mut port = DmaPort::new(cfg.clone(), seed);
+pub fn saturate_writes(payload: u64, ops: u64, seed: u64) -> StreamResult {
+    let mut port = DmaPort::new(seed);
     let mut last = SimTime::ZERO;
     for _ in 0..ops {
         last = last.max(port.write(SimTime::ZERO, payload));
@@ -70,11 +69,10 @@ mod tests {
 
     #[test]
     fn figure3a_shape_read_vs_write() {
-        let cfg = PcieConfig::gen3_x8();
         // At 64B, reads are tag-limited (~60 Mops), writes bandwidth-bound
         // (~87 Mops): writes beat reads, as in Figure 3a.
-        let r = saturate_reads(&cfg, 64, 4000, 1);
-        let w = saturate_writes(&cfg, 64, 4000, 1);
+        let r = saturate_reads(64, 4000, 1);
+        let w = saturate_writes(64, 4000, 1);
         assert!(r.mops() > 50.0 && r.mops() < 70.0, "read {}", r.mops());
         assert!(w.mops() > 80.0, "write {}", w.mops());
         assert!(w.mops() > r.mops());
@@ -82,11 +80,10 @@ mod tests {
 
     #[test]
     fn figure3a_shape_large_payloads_converge_to_bandwidth() {
-        let cfg = PcieConfig::gen3_x8();
         // At large payloads both directions approach link bandwidth.
-        let r = saturate_reads(&cfg, 512, 2000, 2);
-        let w = saturate_writes(&cfg, 512, 2000, 2);
-        let bound = cfg.bandwidth.bytes_per_sec();
+        let r = saturate_reads(512, 2000, 2);
+        let w = saturate_writes(512, 2000, 2);
+        let bound = crate::config::ENDPOINT_GBYTES_PER_SEC * 1e9;
         assert!(
             r.bytes_per_sec > 0.85 * bound,
             "read bw {}",
@@ -101,8 +98,7 @@ mod tests {
 
     #[test]
     fn figure3b_latency_distribution() {
-        let cfg = PcieConfig::gen3_x8();
-        let r = saturate_reads(&cfg, 64, 4000, 3);
+        let r = saturate_reads(64, 4000, 3);
         let lat = r.latency.expect("reads record latency");
         // Paper Figure 3b: RTT spans ~800ns to ~1.3us plus queueing.
         assert!(lat.min >= SimTime::from_ns(800).as_ps());
@@ -114,9 +110,8 @@ mod tests {
     fn two_endpoints_reach_paper_aggregate_bandwidth() {
         // Paper §2.4: "the achievable throughput (13.2 GB/s) of two PCIe
         // Gen3 x8 endpoints". Two independent ports at large payloads.
-        let cfg = PcieConfig::gen3_x8();
-        let a = saturate_reads(&cfg, 512, 2000, 10);
-        let b = saturate_reads(&cfg, 512, 2000, 11);
+        let a = saturate_reads(512, 2000, 10);
+        let b = saturate_reads(512, 2000, 11);
         let combined = (a.bytes_per_sec + b.bytes_per_sec) / 1e9;
         assert!(
             (12.5..14.5).contains(&combined),
@@ -126,10 +121,9 @@ mod tests {
 
     #[test]
     fn read_mops_monotonically_decreases_with_payload() {
-        let cfg = PcieConfig::gen3_x8();
         let mut prev = f64::INFINITY;
         for payload in [64, 128, 256, 512] {
-            let r = saturate_reads(&cfg, payload, 2000, 4);
+            let r = saturate_reads(payload, 2000, 4);
             assert!(r.mops() <= prev + 1.0, "not monotone at {payload}");
             prev = r.mops();
         }

@@ -6,7 +6,7 @@
 //! fault-retry engine was deleted; any change to the port's timing shows
 //! here as a changed bit.
 
-use kvd_pcie::{saturate_reads, saturate_writes, PcieConfig};
+use kvd_pcie::{saturate_reads, saturate_writes};
 
 /// One payload size: read and write `ops_per_sec` as `f64` bits, and the
 /// read-latency summary as `[count, mean bits, min, p5, p50, p95, p99, max]`
@@ -86,10 +86,9 @@ const PINS: [Pin; 4] = [
 
 #[test]
 fn saturation_runs_match_their_recorded_bits() {
-    let cfg = PcieConfig::gen3_x8();
     for pin in &PINS {
-        let r = saturate_reads(&cfg, pin.payload, OPS, SEED);
-        let w = saturate_writes(&cfg, pin.payload, OPS, SEED);
+        let r = saturate_reads(pin.payload, OPS, SEED);
+        let w = saturate_writes(pin.payload, OPS, SEED);
         let l = r.latency.expect("reads record latency");
         let latency = [
             l.count,

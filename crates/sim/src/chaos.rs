@@ -46,11 +46,11 @@ const _: () = assert!(
 
 /// One burst/lull phase of the schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosPhase {
+struct ChaosPhase {
     /// Operations issued during the phase.
-    pub ops: usize,
+    ops: usize,
     /// Offered rate during the phase, in operations per second.
-    pub rate: f64,
+    rate: f64,
 }
 
 /// A seeded generator of bursty arrival schedules.
@@ -91,7 +91,7 @@ impl ChaosSchedule {
 
     /// Draws phases until they cover `total_ops` operations; the last
     /// phase is truncated to land exactly on the total.
-    pub fn phases(&mut self, total_ops: usize) -> Vec<ChaosPhase> {
+    fn phases(&mut self, total_ops: usize) -> Vec<ChaosPhase> {
         let mut out = Vec::new();
         let mut remaining = total_ops;
         while remaining > 0 {

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod time;
 
 pub use arbiter::{ArbiterStats, HostArbiterConfig};
-pub use chaos::{ChaosPhase, ChaosSchedule};
+pub use chaos::ChaosSchedule;
 pub use cluster::NodeLink;
 pub use fault::{DramFault, FaultPlane, FaultRates, NetFault, PcieFault, TxnOutcome};
 pub use ledger::{

@@ -6,9 +6,8 @@
 //! "long-tail" key popularity (Zipf, skewness 0.99, §5: "For skewed Zipf
 //! workload, we choose skewness 0.99 and refer it as long-tail workload").
 //!
-//! Two Zipf implementations are provided and cross-checked in tests: a
-//! rejection sampler from `rand_distr` (fast, any `n`) and an exact
-//! inverse-CDF table ([`ZipfTable`], small `n` only).
+//! [`ZipfSampler`] is a rejection sampler from `rand_distr` (fast, any
+//! `n`); the tests cross-check it against an exact inverse-CDF table.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -129,42 +128,42 @@ impl ZipfSampler {
     }
 }
 
-/// Exact inverse-CDF Zipf sampler for small `n`; cross-checks `ZipfSampler`.
-///
-/// Builds the full cumulative distribution (O(n) memory), then samples by
-/// binary search. Only suitable for `n` up to a few million.
-#[derive(Debug, Clone)]
-pub struct ZipfTable {
-    cdf: Vec<f64>,
-}
-
-impl ZipfTable {
-    /// Builds the CDF table for `n` items with exponent `s`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf over zero items");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for rank in 1..=n {
-            acc += 1.0 / (rank as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        ZipfTable { cdf }
-    }
-
-    /// Draws a rank in `[0, n)`; rank 0 is the hottest key.
-    pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exact inverse-CDF Zipf sampler for small `n`; cross-checks `ZipfSampler`.
+    ///
+    /// Builds the full cumulative distribution (O(n) memory), then samples by
+    /// binary search. Only suitable for `n` up to a few million.
+    #[derive(Debug, Clone)]
+    struct ZipfTable {
+        cdf: Vec<f64>,
+    }
+
+    impl ZipfTable {
+        /// Builds the CDF table for `n` items with exponent `s`.
+        fn new(n: usize, s: f64) -> Self {
+            assert!(n > 0, "Zipf over zero items");
+            let mut cdf = Vec::with_capacity(n);
+            let mut acc = 0.0;
+            for rank in 1..=n {
+                acc += 1.0 / (rank as f64).powf(s);
+                cdf.push(acc);
+            }
+            let total = acc;
+            for v in &mut cdf {
+                *v /= total;
+            }
+            ZipfTable { cdf }
+        }
+
+        /// Draws a rank in `[0, n)`; rank 0 is the hottest key.
+        fn sample(&self, rng: &mut DetRng) -> usize {
+            let u = rng.f64();
+            self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        }
+    }
 
     #[test]
     fn det_rng_reproducible() {

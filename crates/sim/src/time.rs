@@ -271,11 +271,6 @@ impl Bandwidth {
         self.bytes_per_sec
     }
 
-    /// Returns gigabytes (1e9 bytes) per second.
-    pub fn gbytes_per_sec(self) -> f64 {
-        self.bytes_per_sec / 1e9
-    }
-
     /// The time to serialize `bytes` onto this link.
     pub fn transfer_time(self, bytes: u64) -> SimTime {
         SimTime::from_ns_f64(bytes as f64 / self.bytes_per_sec * 1e9)

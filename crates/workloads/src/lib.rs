@@ -7,19 +7,19 @@
 //! inline cases use multiples of the 5-byte slot size (up to 10 slots);
 //! non-inline cases use powers of two minus 2 bytes of metadata.
 //!
-//! [`YcsbWorkload`] produces request streams for the functional store and
-//! key traces for the pipeline timing models.
+//! [`PresetWorkload`] maps the YCSB core workloads onto request streams;
+//! [`MemcacheWorkload`] and [`MemcacheTtlWorkload`] drive the serving
+//! front-end; [`ZipfHotWorkload`] is the adversarial hot-set-shift stream.
+//! The Figure 16/17 harnesses generate their YCSB mixes in `kvd-bench`.
 
 pub mod memcache;
 pub mod presets;
 pub mod sizes;
 pub mod ttl;
-pub mod ycsb;
 pub mod zipfhot;
 
 pub use memcache::{memcache_key, MemOp, MemcacheWorkload};
 pub use presets::{PresetWorkload, YcsbPreset};
 pub use sizes::{inline_kv_sizes, noninline_kv_sizes, paper_kv_sizes};
 pub use ttl::{MemcacheTtl, MemcacheTtlWorkload};
-pub use ycsb::{Dist, YcsbSpec, YcsbWorkload};
 pub use zipfhot::{ZipfHotSpec, ZipfHotWorkload};

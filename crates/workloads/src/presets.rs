@@ -1,6 +1,6 @@
 //! Standard YCSB core workload presets.
 //!
-//! The paper evaluates with "YCSB workload [15]" mixes; these presets
+//! The paper evaluates with "YCSB workload \[15\]" mixes; these presets
 //! map the YCSB core workloads A–F onto KV-Direct request streams so the
 //! benchmark harnesses (and downstream users) can name them directly.
 //! Workload D's "latest" distribution (reads skewed toward recent

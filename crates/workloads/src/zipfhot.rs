@@ -87,7 +87,10 @@ impl ZipfHotWorkload {
     pub fn new(spec: ZipfHotSpec) -> Self {
         assert!(spec.n_keys > 0);
         assert!((0.0..=1.0).contains(&spec.put_ratio));
-        assert!(spec.theta > 0.0, "use YcsbWorkload for uniform traffic");
+        assert!(
+            spec.theta > 0.0,
+            "theta must be positive; kvd_bench::Ycsb generates uniform traffic"
+        );
         ZipfHotWorkload {
             rng: DetRng::seed(spec.seed),
             zipf: ZipfSampler::new(spec.n_keys, spec.theta),

@@ -6,24 +6,78 @@
 //! skew-dependent behaviour of the forwarding and caching layers, and
 //! Figure 16's headline shapes on the timed engine.
 
+use kv_direct::sim::{DetRng, ZipfSampler};
 use kv_direct::system::SystemSimConfig;
-use kv_direct::workloads::{Dist, YcsbSpec, YcsbWorkload};
-use kv_direct::{Component, KvDirectConfig, KvDirectStore, OpClass, OpCode};
+use kv_direct::{Component, KvDirectConfig, KvDirectStore, KvRequest, OpClass, OpCode};
 use kvd_bench::{KeyDist, Ycsb, SATURATING_WINDOWS};
 
-fn run_workload(dist: Dist, put_ratio: f64) -> KvDirectStore {
+/// Keys in the store: enough that the touched hash-index lines dwarf the
+/// NIC DRAM (8 MiB / 16 = 512 KiB), as in the paper's 64 GiB : 4 GiB setup.
+const KEYS: u64 = 40_000;
+/// The stream's seed; odd, so it doubles as the rank → key scramble.
+const SEED: u64 = 99;
+/// Key popularity: `None` is uniform, `Some(θ)` Zipf with skewness θ.
+const UNIFORM: Option<f64> = None;
+/// The paper's long tail.
+const LONG_TAIL: Option<f64> = Some(0.99);
+
+/// The 8 B key of key id `id`.
+fn key(id: u64) -> [u8; 8] {
+    id.to_le_bytes()
+}
+
+/// The 8 B value of key `id` (16 B KVs): the same on every write, so a GET
+/// can only ever see this one.
+fn value(id: u64) -> [u8; 8] {
+    let tag = id.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes();
+    std::array::from_fn(|i| tag[i] ^ i as u8)
+}
+
+/// A YCSB-style stream of GETs and PUTs (a `put_ratio` share) over the
+/// preloaded keys.
+struct Stream {
+    rng: DetRng,
+    zipf: Option<ZipfSampler>,
+    put_ratio: f64,
+}
+
+impl Stream {
+    fn new(theta: Option<f64>, put_ratio: f64) -> Self {
+        Stream {
+            rng: DetRng::seed(SEED),
+            zipf: theta.map(|t| ZipfSampler::new(KEYS, t)),
+            put_ratio,
+        }
+    }
+
+    /// One client packet's worth of requests.
+    fn batch(&mut self, n: usize) -> Vec<KvRequest> {
+        (0..n)
+            .map(|_| {
+                let rank = match &self.zipf {
+                    None => self.rng.u64_below(KEYS),
+                    Some(z) => z.sample(&mut self.rng),
+                };
+                // Scramble rank → id, so the hottest key is not key 0.
+                let id = rank.wrapping_mul(SEED).wrapping_add(SEED >> 3) % KEYS;
+                if self.rng.chance(self.put_ratio) {
+                    KvRequest::put(&key(id), &value(id))
+                } else {
+                    KvRequest::get(&key(id))
+                }
+            })
+            .collect()
+    }
+}
+
+fn run_workload(theta: Option<f64>, put_ratio: f64) -> KvDirectStore {
     use kv_direct::mem::MemoryEngine;
     let mut store = KvDirectStore::new(KvDirectConfig::with_memory(8 << 20));
-    // Enough keys that the touched hash-index lines dwarf the NIC DRAM
-    // (8 MiB / 16 = 512 KiB), as in the paper's 64 GiB : 4 GiB setup.
-    let mut w = YcsbWorkload::new(YcsbSpec {
-        n_keys: 40_000,
-        kv_size: 16,
-        put_ratio,
-        dist,
-        seed: 99,
-    });
-    for chunk in w.preload_requests().chunks(64) {
+    let mut w = Stream::new(theta, put_ratio);
+    let preload: Vec<KvRequest> = (0..KEYS)
+        .map(|id| KvRequest::put(&key(id), &value(id)))
+        .collect();
+    for chunk in preload.chunks(64) {
         for r in store.execute_batch(chunk) {
             assert_eq!(r.status, kv_direct::Status::Ok);
         }
@@ -48,7 +102,7 @@ fn run_workload(dist: Dist, put_ratio: f64) -> KvDirectStore {
 #[test]
 fn ycsb_uniform_all_mixes() {
     for put in [0.0, 0.5, 1.0] {
-        let store = run_workload(Dist::Uniform, put);
+        let store = run_workload(UNIFORM, put);
         assert_eq!(store.processor().table().len(), 40_000);
         assert_eq!(store.ledger().core.writeback_failures, 0);
     }
@@ -57,7 +111,7 @@ fn ycsb_uniform_all_mixes() {
 #[test]
 fn ycsb_longtail_all_mixes() {
     for put in [0.0, 0.5, 1.0] {
-        let store = run_workload(Dist::Zipf(0.99), put);
+        let store = run_workload(LONG_TAIL, put);
         assert_eq!(store.processor().table().len(), 40_000);
     }
 }
@@ -66,8 +120,8 @@ fn ycsb_longtail_all_mixes() {
 fn longtail_forwards_more_than_uniform() {
     // Paper §5.2.2: "the out-of-order execution engine merges up to 15%
     // operations on the most popular keys" under long-tail.
-    let uni = run_workload(Dist::Uniform, 0.5);
-    let zipf = run_workload(Dist::Zipf(0.99), 0.5);
+    let uni = run_workload(UNIFORM, 0.5);
+    let zipf = run_workload(LONG_TAIL, 0.5);
     let fu = uni.processor().station_stats().forwarded as f64 / uni.ledger().core.requests as f64;
     let fz = zipf.processor().station_stats().forwarded as f64 / zipf.ledger().core.requests as f64;
     assert!(fz > fu, "zipf {fz} should forward more than uniform {fu}");
@@ -77,8 +131,8 @@ fn longtail_forwards_more_than_uniform() {
 #[test]
 fn longtail_caches_better_than_uniform() {
     use kv_direct::mem::MemoryEngine;
-    let uni = run_workload(Dist::Uniform, 0.0);
-    let zipf = run_workload(Dist::Zipf(0.99), 0.0);
+    let uni = run_workload(UNIFORM, 0.0);
+    let zipf = run_workload(LONG_TAIL, 0.0);
     // Steady-state (post-preload) hit rates from the resettable stats.
     let rate = |s: &KvDirectStore| {
         let m = s.processor().table().mem().stats();
