@@ -386,17 +386,6 @@ impl ClusterSim {
         }
     }
 
-    /// Direct access to one member's store (preloading).
-    pub fn store_mut(&mut self, node: u32) -> &mut crate::store::KvDirectStore {
-        self.nodes[node as usize].sim.store_mut()
-    }
-
-    /// The placement ring (pinned to full membership; effective chains
-    /// filter out detected-dead members).
-    pub fn ring(&self) -> &HashRing {
-        &self.coord.ring
-    }
-
     /// Runs a client schedule to full drain — every op resolves, by
     /// commit, observed read, or failover recovery — and reports.
     ///

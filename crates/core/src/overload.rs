@@ -117,13 +117,11 @@ impl OverloadConfig {
 /// assert!(ac.observe(0.85)); // crossed high: shed
 /// assert!(ac.observe(0.6)); // still above low: keep shedding (hysteresis)
 /// assert!(!ac.observe(0.5)); // back at low: admit again
-/// assert_eq!(ac.transitions(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     marks: Watermarks,
     shedding: bool,
-    transitions: u64,
 }
 
 impl AdmissionController {
@@ -140,7 +138,6 @@ impl AdmissionController {
         AdmissionController {
             marks,
             shedding: false,
-            transitions: 0,
         }
     }
 
@@ -150,11 +147,9 @@ impl AdmissionController {
         if self.shedding {
             if pressure <= self.marks.low {
                 self.shedding = false;
-                self.transitions += 1;
             }
         } else if pressure >= self.marks.high {
             self.shedding = true;
-            self.transitions += 1;
         }
         self.shedding
     }
@@ -162,16 +157,6 @@ impl AdmissionController {
     /// Whether the controller is currently shedding.
     pub fn is_shedding(&self) -> bool {
         self.shedding
-    }
-
-    /// State flips (admit→shed and shed→admit) so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// The configured watermarks.
-    pub fn watermarks(&self) -> Watermarks {
-        self.marks
     }
 }
 
@@ -185,7 +170,6 @@ mod tests {
         for p in [0.0, 0.1, 0.3, 0.49, 0.2, 0.0] {
             assert!(!ac.observe(p), "shed at pressure {p}");
         }
-        assert_eq!(ac.transitions(), 0);
     }
 
     #[test]
@@ -209,6 +193,5 @@ mod tests {
         // Only crossing low clears it.
         assert!(!ac.observe(0.4));
         assert!(!ac.observe(0.7));
-        assert_eq!(ac.transitions(), 2);
     }
 }

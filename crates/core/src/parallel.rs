@@ -269,11 +269,6 @@ impl ParallelSystemSim {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Preloads a key/value pair into its owning shard (functional path,
     /// outside simulated time).
     pub fn preload_put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -606,7 +601,7 @@ mod tests {
         assert_eq!(r.ops, 2_000);
         assert_eq!(r.goodput_ops, 2_000, "uncongested open loop is all goodput");
         assert_eq!(r.shed_ops + r.expired_ops, 0);
-        let recorded: usize = (0..sim.shards()).map(|i| sim.shard_outcomes(i).len()).sum();
+        let recorded: usize = (0..r.shards).map(|i| sim.shard_outcomes(i).len()).sum();
         assert_eq!(recorded, 2_000, "every op's outcome captured exactly once");
     }
 

@@ -285,13 +285,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         self.ledger_detail = on;
     }
 
-    /// The processor's own ledger slice (request mix, retire outcomes,
-    /// overload decisions). For the full rollup including station, slab,
-    /// memory and fault costs, use [`CostSource::emit_costs`].
-    pub fn ledger(&self) -> &OpLedger {
-        &self.ledger
-    }
-
     /// Attaches a fault plane: every issued memory transaction draws from
     /// it, retrying recoverable faults up to the retry budget and failing
     /// with [`Status::DeviceError`] (table untouched) past it.
@@ -303,11 +296,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
     /// ([`DEFAULT_FAULT_RETRY_LIMIT`]).
     pub fn set_fault_retry_limit(&mut self, limit: u32) {
         self.fault_retry_limit = limit;
-    }
-
-    /// The processor's fault plane (injection counters live here).
-    pub fn faults(&self) -> &FaultPlane {
-        &self.faults
     }
 
     /// The hash table.
@@ -926,7 +914,7 @@ mod tests {
         assert_eq!(rs[2].value, b"1");
         assert_eq!(rs[3].value, b"2");
         assert_eq!(rs[4].status, Status::NotFound);
-        let s = p.ledger().core;
+        let s = OpLedger::of(&p).core;
         assert_eq!(s.requests, 5);
         assert_eq!(s.puts, 2);
         assert_eq!(s.reads, 3);
@@ -1057,7 +1045,7 @@ mod tests {
             let got = p.table_mut().get(k);
             assert_eq!(got.as_deref(), Some(v), "table divergence at {k:?}");
         }
-        assert_eq!(p.ledger().core.writeback_failures, 0);
+        assert_eq!(OpLedger::of(&p).core.writeback_failures, 0);
     }
 
     #[test]
@@ -1301,7 +1289,7 @@ mod tests {
         ]);
         assert!(rs.iter().all(|r| r.status == Status::DeviceError));
         assert_eq!(p.table().len(), 0, "no failed op reached the table");
-        assert_eq!(p.ledger().core.device_errors, 3);
+        assert_eq!(OpLedger::of(&p).core.device_errors, 3);
         assert_eq!(p.station_stats().reclaimed, 3, "every op reclaimed");
     }
 
@@ -1340,7 +1328,7 @@ mod tests {
             errs > 0,
             "~0.55^5 per-op exhaustion should fire over 500 ops"
         );
-        assert_eq!(p.ledger().core.device_errors, errs);
-        assert_eq!(p.faults().ledger().pcie.exhausted, errs);
+        assert_eq!(OpLedger::of(&p).core.device_errors, errs);
+        assert_eq!(OpLedger::of(&p).pcie.exhausted, errs);
     }
 }

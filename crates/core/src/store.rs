@@ -212,9 +212,7 @@ impl KvDirectStore {
     /// overload decisions, station occupancy, slab activity, memory
     /// traffic and every fault plane's injections, folded together.
     pub fn ledger(&self) -> OpLedger {
-        let mut out = OpLedger::default();
-        self.emit_costs(&mut out);
-        out
+        OpLedger::of(self)
     }
 
     /// The memory engine's ECC recovery state (corrected/uncorrectable
@@ -674,7 +672,7 @@ mod tests {
         let l = s.ledger();
         let p = s.processor();
         assert_eq!(l.station, p.station_stats());
-        assert_eq!(l.slab, p.table().allocator().stats());
+        assert_eq!(l.slab, OpLedger::of(p.table().allocator()).slab);
         assert_eq!(l.expiry, p.expiry_stats());
         // The core counts the hot-key sheds; the memory counts the rest.
         let cache = kvd_sim::CacheCosts {
@@ -736,14 +734,14 @@ mod tests {
             let spread = i.to_le_bytes();
             assert!(s.try_get(&spread).is_ok(), "spread key {i} was shed");
         }
-        let sheds = s.processor().ledger().cache.hot_key_sheds;
+        let sheds = OpLedger::of(s.processor()).cache.hot_key_sheds;
         assert!(sheds >= 1, "celebrity shed must be attributed");
         assert_eq!(s.ledger().core.shed_overload, sheds);
         // At severe pressure the carve-out vanishes: everything sheds,
         // and those sheds are NOT attributed to the hot-key defense.
         s.processor_mut().set_external_pressure(0.97);
         assert_eq!(s.try_get(&0u64.to_le_bytes()), Err(StoreError::Overloaded));
-        assert_eq!(s.processor().ledger().cache.hot_key_sheds, sheds);
+        assert_eq!(OpLedger::of(s.processor()).cache.hot_key_sheds, sheds);
         // Below the low watermark everything — celebrity included — is
         // admitted again.
         s.processor_mut().set_external_pressure(0.3);

@@ -385,12 +385,6 @@ impl SystemSim {
         &self.outcomes
     }
 
-    /// The backpressure gauge computed for the most recent batch,
-    /// derived from the ledger's raw backpressure terms.
-    pub fn pressure(&self) -> PressureGauge {
-        PressureGauge::from_terms(&self.ledger.pressure)
-    }
-
     /// Folds the shared host arbiter's verdict for the previous lockstep
     /// window into this shard's pressure signal: `stall / quantum` is how
     /// far host DRAM oversubscription stretched simulated time. Called by

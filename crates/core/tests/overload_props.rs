@@ -76,32 +76,26 @@ proptest! {
         for &p in &saw {
             prop_assert!(!ac.observe(p), "flapped to shedding inside the band");
         }
-        prop_assert_eq!(ac.transitions(), 0);
 
         // From the shedding state: stays shedding through the band.
         let mut ac = AdmissionController::new(marks);
         prop_assert!(ac.observe(marks.high + 0.1));
-        let t0 = ac.transitions();
         for &p in &saw {
             prop_assert!(ac.observe(p), "flapped to admitting inside the band");
         }
-        prop_assert_eq!(ac.transitions(), t0);
     }
 
-    /// Transition count is bounded by the number of band crossings: each
-    /// flip needs pressure to actually cross a watermark.
+    /// Every flip needs pressure to actually cross a watermark.
     #[test]
     fn transitions_require_crossings(
         marks in watermarks(),
         trace in prop::collection::vec(0.0f64..1.5, 1..300),
     ) {
         let mut ac = AdmissionController::new(marks);
-        let mut crossings = 0u64;
         for &p in &trace {
             let was = ac.is_shedding();
             ac.observe(p);
             if ac.is_shedding() != was {
-                crossings += 1;
                 // The sample that flipped the state did cross a watermark.
                 if ac.is_shedding() {
                     prop_assert!(p >= marks.high);
@@ -110,6 +104,5 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(ac.transitions(), crossings);
     }
 }

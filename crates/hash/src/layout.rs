@@ -191,11 +191,6 @@ impl Bucket {
         SLOTS_PER_BUCKET - (self.used & 0x3FF).count_ones() as usize
     }
 
-    /// Returns `true` if the bucket has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.used == 0
-    }
-
     /// Decodes all entries.
     pub fn entries(&self) -> Vec<BucketEntry> {
         let mut out = Vec::new();

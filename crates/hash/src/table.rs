@@ -985,6 +985,7 @@ mod tests {
     use super::*;
     use crate::layout::BucketEntry;
     use kvd_mem::FlatMemory;
+    use kvd_sim::OpLedger;
 
     fn table(mem_bytes: u64, ratio: f64, inline: usize) -> HashTable<FlatMemory> {
         HashTable::new(
@@ -1312,10 +1313,13 @@ mod tests {
     fn shrink_to_inline_reclaims_slab() {
         let mut t = table(1 << 20, 0.5, 24);
         t.put(b"k", &[1u8; 200]).unwrap();
-        let allocs_before = t.allocator().stats().frees;
+        let allocs_before = OpLedger::of(t.allocator()).slab.frees;
         t.put(b"k", b"small").unwrap();
         assert_eq!(t.get(b"k").unwrap(), b"small");
-        assert!(t.allocator().stats().frees > allocs_before, "slab freed");
+        assert!(
+            OpLedger::of(t.allocator()).slab.frees > allocs_before,
+            "slab freed"
+        );
         let (_, cost) = t.get_into_with_cost(b"k", &mut Vec::new());
         assert_eq!(cost.accesses, 1, "now served inline");
     }
@@ -1440,11 +1444,11 @@ mod tests {
     fn lazy_expiry_slab_get_frees_allocation() {
         let mut t = table(1 << 20, 0.5, 24);
         t.put_ttl(b"big", &[7u8; 200], 5).unwrap();
-        let frees_before = t.allocator().stats().frees;
+        let frees_before = OpLedger::of(t.allocator()).slab.frees;
         t.set_now_tick(5);
         assert_eq!(t.get(b"big"), None);
         assert!(
-            t.allocator().stats().frees > frees_before,
+            OpLedger::of(t.allocator()).slab.frees > frees_before,
             "slab record freed on lazy expiry"
         );
         assert_eq!(t.len(), 0);

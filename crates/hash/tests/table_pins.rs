@@ -238,7 +238,7 @@ fn drive(mix: &Mix) -> Outcome {
         }
     }
     let expiry = table.expiry_stats();
-    let slab = table.allocator().stats();
+    let slab = OpLedger::of(table.allocator()).slab;
     let mem = table.mem().stats();
     // Cache evictions are counted in the ledger's cache section (always
     // zero for a memory without a cache, as here).

@@ -367,11 +367,15 @@ struct AdaptiveState {
 /// # Examples
 ///
 /// ```
-/// use kvd_mem::{DispatchConfig, DispatchedMemory, MemoryEngine, NicDramConfig};
+/// use kvd_mem::{
+///     DispatchConfig, DispatchedMemory, MemoryEngine, NicDramConfig, NIC_DRAM_GBYTES_PER_SEC,
+/// };
+/// use kvd_sim::Bandwidth;
 ///
+/// let bandwidth = Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC);
 /// let mut m = DispatchedMemory::new(
 ///     1 << 20, // 1 MiB host
-///     NicDramConfig { capacity: 1 << 16, ..NicDramConfig::paper_scaled(1) },
+///     NicDramConfig { capacity: 1 << 16, bandwidth },
 ///     DispatchConfig::new(0.5),
 /// );
 /// m.write(4096, b"value");
@@ -467,11 +471,6 @@ impl DispatchedMemory {
     /// Starts a fresh hit-rate window (snapshots the current stats).
     pub fn roll_hit_window(&mut self) {
         self.window_base = self.stats;
-    }
-
-    /// The engine's fault plane (injection counters live here).
-    pub fn faults(&self) -> &FaultPlane {
-        &self.faults
     }
 
     /// ECC recovery and degradation statistics.
@@ -1369,7 +1368,7 @@ mod tests {
         }
         assert_eq!(plain.stats(), faulty.stats());
         assert_eq!(*faulty.ecc(), EccStats::default());
-        assert_eq!(faulty.faults().ledger().total_faults(), 0);
+        assert_eq!(OpLedger::of(&faulty).total_faults(), 0);
     }
 
     #[test]
@@ -1529,8 +1528,8 @@ mod tests {
             }
         }
         let ratio = m.dispatcher().ratio().to_bits();
-        let faults = m.faults().ledger().clone();
-        (m.stats(), m.cache_stats(), *m.ecc(), faults, ratio, digest)
+        let ledger = OpLedger::of(&m);
+        (m.stats(), m.cache_stats(), *m.ecc(), ledger, ratio, digest)
     }
 
     #[test]
@@ -1591,6 +1590,8 @@ mod tests {
         assert!(a.0.dma_reads < b.0.dma_reads && a.0.dma_writes < b.0.dma_writes);
         (a.0.dma_reads, a.0.dma_writes) = (0, 0);
         (b.0.dma_reads, b.0.dma_writes) = (0, 0);
+        (a.3.pcie.dma_reads, a.3.pcie.dma_writes) = (0, 0);
+        (b.3.pcie.dma_reads, b.3.pcie.dma_writes) = (0, 0);
         assert_eq!(a, b);
     }
 
@@ -1649,7 +1650,7 @@ mod tests {
                     m.read(addr, &mut buf);
                 }
             }
-            (m.stats(), *m.ecc(), m.faults().ledger().clone())
+            (m.stats(), *m.ecc(), OpLedger::of(&m))
         };
         assert_eq!(run(7), run(7));
         let (_, e7, _) = run(7);

@@ -183,18 +183,6 @@ impl HostMemory {
         #[cfg(not(target_arch = "x86_64"))]
         let _ = addr;
     }
-
-    /// Reads a little-endian `u64` at `addr`.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, &v.to_le_bytes());
-    }
 }
 
 #[cfg(test)]
@@ -234,8 +222,11 @@ mod tests {
     #[test]
     fn u64_helpers() {
         let mut m = HostMemory::new(1 << 20);
-        m.write_u64(64, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(m.read_u64(64), 0xDEAD_BEEF_CAFE_F00D);
+        // A little-endian word, as the table's slot and chain words are.
+        m.write(64, &0xDEAD_BEEF_CAFE_F00Du64.to_le_bytes());
+        let mut b = [0u8; 8];
+        m.read(64, &mut b);
+        assert_eq!(u64::from_le_bytes(b), 0xDEAD_BEEF_CAFE_F00D);
     }
 
     #[test]

@@ -50,18 +50,6 @@ pub struct NicDramConfig {
     pub bandwidth: Bandwidth,
 }
 
-impl NicDramConfig {
-    /// The paper's NIC DRAM, scaled by `scale` (capacity only; bandwidth is
-    /// a property of the device, not the corpus size).
-    pub fn paper_scaled(scale: u64) -> Self {
-        assert!(scale > 0);
-        NicDramConfig {
-            capacity: (4u64 << 30) / scale,
-            bandwidth: Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC),
-        }
-    }
-}
-
 /// A way's [`ECC_SPARE_BITS`] are the byte `tag << 2 | DIRTY | VALID`; a
 /// set's four make one `u32`, way 0 lowest: one load, one compare per lookup.
 const VALID: u32 = 1;
@@ -143,7 +131,6 @@ pub struct Victim {
 /// [`install`]: NicDram::install
 /// [`mark_dirty`]: NicDram::mark_dirty
 pub struct NicDram {
-    cfg: NicDramConfig,
     sets: u64,
     /// One packed word per set (see [`VALID`]).
     meta: Vec<u32>,
@@ -187,13 +174,7 @@ impl NicDram {
             sets,
             meta: vec![0x0D09_0501; sets as usize],
             rr: vec![0; sets as usize],
-            cfg,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &NicDramConfig {
-        &self.cfg
     }
 
     /// Resolves `host_line` to its set, tag and — if resident — slot.
@@ -644,7 +625,10 @@ mod tests {
     #[test]
     fn paper_ratio_fits_ecc_bits() {
         // 16:1 (the paper's 64GiB:4GiB) needs 6 tag bits + dirty + valid = 8.
-        let c = NicDram::new(NicDramConfig::paper_scaled(1024), (64u64 << 30) / 1024);
-        assert_eq!(c.config().capacity, 4 << 20);
+        let cfg = NicDramConfig {
+            capacity: (4u64 << 30) / 1024,
+            bandwidth: Bandwidth::from_gbytes_per_sec(NIC_DRAM_GBYTES_PER_SEC),
+        };
+        NicDram::new(cfg, (64u64 << 30) / 1024);
     }
 }

@@ -12,7 +12,7 @@
 //! device's finish time.
 
 use kvd_pcie::DmaPort;
-use kvd_sim::{Bandwidth, BandwidthLink, Counter, SimTime};
+use kvd_sim::{Bandwidth, BandwidthLink, SimTime};
 
 use crate::{
     AccessKind, AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, MemoryEngine, NicDramConfig,
@@ -73,7 +73,7 @@ pub struct Replay {
     ports: [DmaPort; 2],
     next_port: usize,
     dram: BandwidthLink,
-    ops: Counter,
+    ops: u64,
 }
 
 impl Replay {
@@ -88,7 +88,7 @@ impl Replay {
             ports: [0, 1].map(|i| DmaPort::new(0x5EED + i)),
             next_port: 0,
             dram: BandwidthLink::new(cfg.dram.bandwidth),
-            ops: Counter::new(),
+            ops: 0,
         }
     }
 
@@ -110,7 +110,7 @@ impl Replay {
             AccessKind::Write => self.mem.write(addr, &buf),
         }
         let after = self.mem.traffic();
-        self.ops.inc();
+        self.ops += 1;
         for _ in before.dma_reads..after.dma_reads {
             self.port().read(SimTime::ZERO, LINE, false);
         }
@@ -135,7 +135,11 @@ impl Replay {
         let elapsed = a.horizon().max(b.horizon()).max(self.dram.free_at());
         ReplayResult {
             elapsed,
-            mops: self.ops.mops(elapsed),
+            mops: if elapsed == SimTime::ZERO {
+                0.0
+            } else {
+                self.ops as f64 / elapsed.as_secs_f64() / 1e6
+            },
             hit_rate: self.mem.cache_hit_rate(),
             final_ratio: self.mem.dispatcher().ratio(),
             retune_steps: self.mem.cache_stats().retune_steps,

@@ -90,9 +90,6 @@ pub struct FreqSketch {
     halve_every: u64,
     rng: DetRng,
     samples_since_halve: u64,
-    samples: u64,
-    observed: u64,
-    halvings: u64,
 }
 
 /// SplitMix64 finalizer: the same mixer the load dispatcher hashes line
@@ -125,9 +122,6 @@ impl FreqSketch {
             halve_every: cfg.halve_every,
             rng: DetRng::seed(cfg.seed),
             samples_since_halve: 0,
-            samples: 0,
-            observed: 0,
-            halvings: 0,
         }
     }
 
@@ -135,11 +129,9 @@ impl FreqSketch {
     /// counters. Deterministic: the same observation sequence samples
     /// the same subset for a given seed.
     pub fn observe(&mut self, item: u64) -> bool {
-        self.observed += 1;
         if self.sample_period > 1 && self.rng.u64_below(self.sample_period) != 0 {
             return false;
         }
-        self.samples += 1;
         let cols = self.mask + 1;
         for (row, &salt) in self.salts.iter().enumerate() {
             let idx = row as u64 * cols + (mix(item, salt) & self.mask);
@@ -174,22 +166,6 @@ impl FreqSketch {
             *c /= 2;
         }
         self.samples_since_halve = 0;
-        self.halvings += 1;
-    }
-
-    /// Observations sampled into the counters so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Observations fed (sampled or not).
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Epoch halvings performed.
-    pub fn halvings(&self) -> u64 {
-        self.halvings
     }
 }
 
@@ -226,7 +202,7 @@ pub struct HeavyHitter {
 /// }
 /// let hot = ss.estimate(7).unwrap();
 /// assert!(hot.count >= 100);
-/// assert!(ss.share(7) > 0.5);
+/// assert!(hot.count * 2 > ss.total());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
@@ -280,17 +256,6 @@ impl SpaceSaving {
     /// The tracked entry for `item`, if it is currently in the summary.
     pub fn estimate(&self, item: u64) -> Option<HeavyHitter> {
         self.entries.iter().find(|e| e.item == item).copied()
-    }
-
-    /// `item`'s estimated share of all observations (0.0 if untracked).
-    pub fn share(&self, item: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        match self.estimate(item) {
-            Some(e) => e.count as f64 / self.total as f64,
-            None => 0.0,
-        }
     }
 
     /// Total observations fed.
@@ -349,11 +314,11 @@ mod tests {
                 ..SketchConfig::data_path(seed)
             });
             let sampled: Vec<bool> = (0..1000).map(|i| s.observe(i % 13)).collect();
-            (sampled, s.samples(), s.estimate(5))
+            (sampled, s.estimate(5))
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).0, run(8).0, "different seeds sample differently");
-        let (_, samples, _) = run(7);
+        let samples = run(7).0.iter().filter(|&&sampled| sampled).count();
         // 1-in-4 sampling: roughly a quarter of the stream counts.
         assert!((150..350).contains(&samples), "sampled {samples}/1000");
     }
@@ -372,7 +337,6 @@ mod tests {
         assert_eq!(s.estimate(1), hot / 2);
         assert_eq!(s.estimate(2), cold / 2);
         assert!(s.estimate(1) > s.estimate(2));
-        assert_eq!(s.halvings(), 1);
     }
 
     #[test]
@@ -384,10 +348,12 @@ mod tests {
             halve_every: 100,
             seed: 0,
         });
-        for i in 0..250u64 {
-            s.observe(i % 7);
+        // Halved at the 100th and 200th sample: 100 -> 50, 50 + 100 -> 75,
+        // then 50 more.
+        for _ in 0..250 {
+            s.observe(3);
         }
-        assert_eq!(s.halvings(), 2);
+        assert_eq!(s.estimate(3), 125);
     }
 
     #[test]
@@ -410,7 +376,7 @@ mod tests {
         let e = ss.estimate(777).expect("heavy hitter must be tracked");
         assert!(e.count >= hot_truth, "count is an overestimate");
         assert!(e.count - e.err <= hot_truth, "error bound holds");
-        assert!(ss.share(777) > 0.3);
+        assert!(e.count as f64 / ss.total() as f64 > 0.3);
     }
 
     #[test]

@@ -17,9 +17,9 @@ use crate::config::{wire_bytes, GBITS_PER_SEC, RTT};
 ///
 /// ```
 /// use kvd_net::NetLink;
-/// use kvd_sim::SimTime;
+/// use kvd_sim::{FaultPlane, SimTime};
 ///
-/// let mut link = NetLink::new();
+/// let mut link = NetLink::with_faults(FaultPlane::disabled());
 /// let arrive = link.send(SimTime::ZERO, 1000);
 /// // ~1us one-way propagation + ~0.2us serialization of 1088 wire bytes.
 /// assert!(arrive > SimTime::from_us(1));
@@ -34,12 +34,6 @@ pub struct NetLink {
 }
 
 impl NetLink {
-    /// Creates an idle link.
-    #[allow(clippy::new_without_default)] // the one testbed link; nothing builds it generically
-    pub fn new() -> Self {
-        NetLink::with_faults(FaultPlane::disabled())
-    }
-
     /// Creates a link whose packets suffer drops/reorders drawn from
     /// `faults`.
     pub fn with_faults(faults: FaultPlane) -> Self {
@@ -88,18 +82,6 @@ impl NetLink {
     pub fn free_at(&self) -> SimTime {
         self.line.free_at()
     }
-
-    /// The link's traffic: packets delivered (a dropped packet counts
-    /// once a copy survives), their payload bytes, and the retransmissions
-    /// drops forced.
-    pub fn costs(&self) -> NetCosts {
-        self.costs
-    }
-
-    /// The link's fault plane (injection counters live here).
-    pub fn faults(&self) -> &FaultPlane {
-        &self.faults
-    }
 }
 
 impl CostSource for NetLink {
@@ -114,19 +96,24 @@ mod tests {
     use super::*;
     use kvd_sim::FaultRates;
 
+    fn clean() -> NetLink {
+        NetLink::with_faults(FaultPlane::disabled())
+    }
+
     #[test]
     fn serialization_queues_packets() {
-        let mut link = NetLink::new();
+        let mut link = clean();
         let a = link.send(SimTime::ZERO, 4096);
         let b = link.send(SimTime::ZERO, 4096);
         assert!(b > a, "second packet queues behind the first");
-        assert_eq!(link.costs().packets, 2);
-        assert_eq!(link.costs().payload_bytes, 8192);
+        let net = OpLedger::of(&link).net;
+        assert_eq!(net.packets, 2);
+        assert_eq!(net.payload_bytes, 8192);
     }
 
     #[test]
     fn latency_dominates_small_packets() {
-        let mut link = NetLink::new();
+        let mut link = clean();
         let arrive = link.send(SimTime::ZERO, 64);
         let lat = arrive.as_us();
         assert!((1.0..1.1).contains(&lat), "got {lat}us");
@@ -134,15 +121,18 @@ mod tests {
 
     #[test]
     fn disabled_fault_plane_is_bit_identical_to_plain_link() {
-        let mut plain = NetLink::new();
-        let mut faulty = NetLink::with_faults(FaultPlane::disabled());
+        let mut link = clean();
+        let mut at = SimTime::ZERO;
         for i in 0..200u64 {
             let t = SimTime::from_ns(313 * i);
-            assert_eq!(plain.send(t, 64 + i), faulty.send(t, 64 + i));
+            let wire = wire_bytes(64 + i);
+            at = at.max(t) + Bandwidth::from_gbits_per_sec(GBITS_PER_SEC).transfer_time(wire);
+            assert_eq!(link.send(t, 64 + i), at + RTT / 2);
         }
-        assert_eq!(plain.costs(), faulty.costs());
-        assert_eq!(faulty.costs().retransmits, 0);
-        assert_eq!(faulty.faults().ledger().total_faults(), 0);
+        let ledger = OpLedger::of(&link);
+        assert_eq!(ledger.net.packets, 200);
+        assert_eq!(ledger.net.retransmits, 0);
+        assert_eq!(ledger.total_faults(), 0);
     }
 
     #[test]
@@ -157,11 +147,12 @@ mod tests {
             let t = SimTime::from_us(10 * i);
             let arrive = link.send(t, 64);
             assert!(arrive > t, "arrival precedes send");
-            total_retx = link.costs().retransmits;
+            total_retx = OpLedger::of(&link).net.retransmits;
         }
         assert!(total_retx > 50, "p=0.5 must retransmit often: {total_retx}");
-        assert_eq!(link.faults().ledger().net.drops, total_retx);
-        assert_eq!(link.costs().packets, 200, "every packet eventually arrives");
+        let net = OpLedger::of(&link).net;
+        assert_eq!(net.drops, total_retx);
+        assert_eq!(net.packets, 200, "every packet eventually arrives");
     }
 
     #[test]
@@ -173,7 +164,7 @@ mod tests {
         // Find a seed position where the first draw drops: with p=0.5 and
         // seed 1 the schedule is fixed; assert against a clean link.
         let mut faulty = NetLink::with_faults(FaultPlane::new(rates, 1));
-        let mut clean = NetLink::new();
+        let mut clean = clean();
         let mut saw_delay = false;
         for i in 0..50u64 {
             let t = SimTime::from_us(100 * i);
@@ -195,13 +186,14 @@ mod tests {
             ..FaultRates::ZERO
         };
         let mut faulty = NetLink::with_faults(FaultPlane::new(rates, 3));
-        let mut clean = NetLink::new();
+        let mut clean = clean();
         let t = SimTime::ZERO;
         let a = faulty.send(t, 64);
         let b = clean.send(t, 64);
         assert_eq!(a - b, RTT / 4);
-        assert_eq!(faulty.faults().ledger().net.reorders, 1);
-        assert_eq!(faulty.costs().retransmits, 0, "reorder is not a loss");
+        let net = OpLedger::of(&faulty).net;
+        assert_eq!(net.reorders, 1);
+        assert_eq!(net.retransmits, 0, "reorder is not a loss");
     }
 
     #[test]
@@ -217,17 +209,13 @@ mod tests {
             for i in 0..300u64 {
                 arrivals.push(link.send(SimTime::from_us(5 * i), 128));
             }
-            (
-                arrivals,
-                link.costs().retransmits,
-                link.faults().ledger().net,
-            )
+            (arrivals, OpLedger::of(&link).net)
         };
         assert_eq!(run(9), run(9));
-        let (_, retx9, c9) = run(9);
-        let (_, _, c10) = run(10);
+        let (_, c9) = run(9);
+        let (_, c10) = run(10);
         assert!(c9.drops + c9.reorders > 0);
-        assert_eq!(retx9, c9.drops);
+        assert_eq!(c9.retransmits, c9.drops);
         assert_ne!(c9, c10, "different seeds, different schedules");
     }
 }

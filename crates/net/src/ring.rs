@@ -101,21 +101,6 @@ impl HashRing {
         ring
     }
 
-    /// Live nodes, sorted by id.
-    pub fn nodes(&self) -> &[u32] {
-        &self.nodes
-    }
-
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no node is left.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Adds a node (its points join the circle; ≈ 1/(M+1) of keys move
     /// to it).
     ///
@@ -150,13 +135,6 @@ impl HashRing {
         assert!(self.nodes.len() > 1, "cannot empty the ring");
         self.nodes.remove(at);
         self.points.retain(|&(_, n)| n != node);
-    }
-
-    /// The key's primary owner (first node point at or after its hash).
-    pub fn primary(&self, key: &[u8]) -> u32 {
-        let mut out = [0u32; 1];
-        self.replicas_into(key, &mut out);
-        out[0]
     }
 
     /// The key's replica set: the first `rf` distinct nodes clockwise
@@ -215,7 +193,7 @@ mod tests {
             assert_eq!(r.len(), 3);
             assert!(r[0] != r[1] && r[1] != r[2] && r[0] != r[2]);
             assert_eq!(r, ring.replicas(&k, 3));
-            assert_eq!(r[0], ring.primary(&k));
+            assert_eq!(r[0], ring.replicas(&k, 1)[0]);
         }
     }
 
@@ -231,7 +209,7 @@ mod tests {
         let ring = HashRing::with_nodes(8, 128);
         let mut counts = [0u64; 8];
         for k in keys(40_000) {
-            counts[ring.primary(&k) as usize] += 1;
+            counts[ring.replicas(&k, 1)[0] as usize] += 1;
         }
         let expect = 40_000.0 / 8.0;
         for (n, &c) in counts.iter().enumerate() {
@@ -244,18 +222,18 @@ mod tests {
     fn removal_moves_a_bounded_fraction() {
         let m = 6usize;
         let mut ring = HashRing::with_nodes(m, 128);
-        let before: Vec<u32> = keys(20_000).map(|k| ring.primary(&k)).collect();
+        let before: Vec<u32> = keys(20_000).map(|k| ring.replicas(&k, 1)[0]).collect();
         ring.remove_node(2);
         let moved = keys(20_000)
             .zip(&before)
-            .filter(|(k, &b)| ring.primary(k) != b)
+            .filter(|(k, &b)| ring.replicas(k, 1)[0] != b)
             .count();
         let frac = moved as f64 / 20_000.0;
         // Expected 1/6 ≈ 0.167; generous slack for vnode variance.
         assert!(frac < 2.0 / m as f64, "removal moved {frac:.3} of keys");
         // Every moved key was owned by the removed node.
         for (k, &b) in keys(20_000).zip(&before) {
-            if ring.primary(&k) != b {
+            if ring.replicas(&k, 1)[0] != b {
                 assert_eq!(b, 2, "a key not owned by node 2 moved");
             }
         }

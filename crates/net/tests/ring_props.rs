@@ -44,11 +44,11 @@ proptest! {
         let m = nodes.len();
         let mut ring = HashRing::new(nodes, VNODES);
         let keys = sample_keys();
-        let before: Vec<u32> = keys.iter().map(|k| ring.primary(k)).collect();
+        let before: Vec<u32> = keys.iter().map(|k| ring.replicas(k, 1)[0]).collect();
         ring.remove_node(victim);
         let mut moved = 0usize;
         for (k, &b) in keys.iter().zip(&before) {
-            let now = ring.primary(k);
+            let now = ring.replicas(k, 1)[0];
             if now != b {
                 prop_assert_eq!(b, victim, "key not owned by the victim moved");
                 moved += 1;

@@ -361,11 +361,6 @@ impl ReservationStation {
         self.total_tracked as f64 / self.cfg.capacity as f64
     }
 
-    /// True if no operation is busy or queued anywhere.
-    pub fn idle(&self) -> bool {
-        self.total_tracked == 0
-    }
-
     #[inline]
     fn note_tracked(&mut self) {
         self.total_tracked += 1;
@@ -812,7 +807,7 @@ mod tests {
             }
         );
         assert!(c.issue.is_none());
-        assert!(rs.idle());
+        assert_eq!(rs.occupancy(), 0.0);
         // The dirtied cache flushes as a write-back PUT.
         let wb = rs.flush();
         assert_eq!(wb, vec![(b"k".to_vec(), Some(b"new".to_vec()))]);
@@ -889,7 +884,7 @@ mod tests {
         assert_eq!(issued.key, collider.as_bytes());
         let c2 = rs.complete(collider.as_bytes(), None);
         assert!(c2.results.is_empty() && c2.issue.is_none());
-        assert!(rs.idle());
+        assert_eq!(rs.occupancy(), 0.0);
     }
 
     #[test]
@@ -963,7 +958,7 @@ mod tests {
         assert!(matches!(rs.admit(get(0, b"k")), Admission::Issue { .. }));
         let c = reclaim(&mut rs, b"k");
         assert!(c.results.is_empty() && c.issue.is_none());
-        assert!(rs.idle());
+        assert_eq!(rs.occupancy(), 0.0);
         assert_eq!(rs.stats().reclaimed, 1);
         // The failed op forwarded nothing: the next same-key op must go to
         // memory itself, not ride a stale fast path.
@@ -987,7 +982,7 @@ mod tests {
         let c2 = rs.complete(b"k", Some(b"v".to_vec()));
         assert_eq!(c2.results.len(), 1);
         assert_eq!(c2.results[0].id, 2);
-        assert!(rs.idle());
+        assert_eq!(rs.occupancy(), 0.0);
     }
 
     #[test]
@@ -1004,7 +999,7 @@ mod tests {
         let issued = c.issue.expect("collider must be issued");
         assert_eq!(issued.key, b"b");
         rs.complete(b"b", None);
-        assert!(rs.idle());
+        assert_eq!(rs.occupancy(), 0.0);
     }
 
     #[test]

@@ -226,6 +226,6 @@ proptest! {
         }
         // Final table state matches.
         prop_assert_eq!(&driver.table, &reference);
-        prop_assert!(driver.rs.idle());
+        prop_assert_eq!(driver.rs.occupancy(), 0.0);
     }
 }

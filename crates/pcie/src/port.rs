@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn noncached_read_adds_spread() {
         let mut p = port();
-        let mut min = SimTime::from_secs(1);
+        let mut min = SimTime::from_ms(1_000);
         let mut max = SimTime::ZERO;
         for i in 0..200 {
             // Space requests out so they don't queue.

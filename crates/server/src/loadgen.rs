@@ -72,27 +72,6 @@ pub struct LoadConfig {
     pub fallbacks: Vec<SocketAddr>,
 }
 
-impl LoadConfig {
-    /// A small smoke-test load against `addr`.
-    pub fn smoke(addr: SocketAddr) -> Self {
-        LoadConfig {
-            addr,
-            connections: 2,
-            ops_per_conn: 2_000,
-            rate: 40_000.0,
-            preset: YcsbPreset::B,
-            zipf: None,
-            hot_shift: 0,
-            population: 2_000,
-            value_len: 64,
-            deadline: Duration::from_millis(100),
-            seed: 0x10AD,
-            preload: true,
-            fallbacks: Vec::new(),
-        }
-    }
-}
-
 /// Aggregate outcome of a load run.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
@@ -196,9 +175,6 @@ fn connect(cfg: &LoadConfig, salt: u64) -> io::Result<(TcpStream, u64)> {
     }
 }
 
-/// Warm start: SET the whole population with `noreply`, then a
-/// `version` round trip to confirm the stream was fully applied.
-/// Returns the failed-dial count.
 /// The configured workload: the preset, or the moving-hot-set Zipf
 /// stream when `--zipf` was given.
 fn make_workload(cfg: &LoadConfig, seed: u64) -> MemcacheWorkload {
@@ -210,6 +186,9 @@ fn make_workload(cfg: &LoadConfig, seed: u64) -> MemcacheWorkload {
     }
 }
 
+/// Warm start: SET the whole population with `noreply`, then a
+/// `version` round trip to confirm the stream was fully applied.
+/// Returns the failed-dial count.
 fn preload(cfg: &LoadConfig) -> io::Result<u64> {
     let mut w = make_workload(cfg, cfg.seed);
     let (mut stream, reconnects) = connect(cfg, u64::MAX)?;
@@ -446,6 +425,25 @@ mod tests {
     use super::*;
     use crate::server::{serve, ServerConfig};
 
+    /// A small smoke-test load against `addr`.
+    fn smoke(addr: SocketAddr) -> LoadConfig {
+        LoadConfig {
+            addr,
+            connections: 2,
+            ops_per_conn: 2_000,
+            rate: 40_000.0,
+            preset: YcsbPreset::B,
+            zipf: None,
+            hot_shift: 0,
+            population: 2_000,
+            value_len: 64,
+            deadline: Duration::from_millis(100),
+            seed: 0x10AD,
+            preload: true,
+            fallbacks: Vec::new(),
+        }
+    }
+
     #[test]
     fn backoff_sequence_is_jittered_exponential() {
         let mut rng = DetRng::seed(7);
@@ -478,7 +476,7 @@ mod tests {
             .local_addr()
             .expect("addr");
         let h = serve("127.0.0.1:0", ServerConfig::loopback(1)).expect("bind");
-        let mut cfg = LoadConfig::smoke(dead);
+        let mut cfg = smoke(dead);
         cfg.fallbacks = vec![h.local_addr()];
         cfg.connections = 2;
         cfg.ops_per_conn = 50;
@@ -494,7 +492,7 @@ mod tests {
     #[test]
     fn open_loop_load_reports_goodput_and_ledger_attribution() {
         let h = serve("127.0.0.1:0", ServerConfig::loopback(2)).expect("bind");
-        let mut cfg = LoadConfig::smoke(h.local_addr());
+        let mut cfg = smoke(h.local_addr());
         cfg.connections = 2;
         cfg.ops_per_conn = 500;
         cfg.rate = 20_000.0;

@@ -72,16 +72,6 @@ impl<'a> KeyList<'a> {
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> {
         self.raw.split(|&b| b == b' ').filter(|k| !k.is_empty())
     }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// True when the list is empty (never after a successful parse).
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
 }
 
 /// One decoded command, borrowing key and data slices from the receive
@@ -461,7 +451,6 @@ mod tests {
         let Command::Get { keys, .. } = cmd else {
             panic!("not a get")
         };
-        assert_eq!(keys.len(), 3);
         assert_eq!(
             keys.iter().collect::<Vec<_>>(),
             vec![b"a".as_slice(), b"b".as_slice(), b"c".as_slice()]

@@ -28,12 +28,12 @@ const FRAME_OVERHEAD: u64 = 66;
 /// # Examples
 ///
 /// ```
-/// use kvd_sim::{NodeLink, SimTime};
+/// use kvd_sim::{NodeLink, OpLedger, SimTime};
 ///
 /// let mut link = NodeLink::default();
 /// let arrive = link.send(SimTime::ZERO, 128);
 /// assert!(arrive >= SimTime::from_us(5), "at least the propagation delay");
-/// assert_eq!(link.costs().rep_frames, 1);
+/// assert_eq!(OpLedger::of(&link).cluster.rep_frames, 1);
 /// ```
 #[derive(Debug)]
 pub struct NodeLink {
@@ -61,11 +61,6 @@ impl NodeLink {
         self.costs.rep_bytes += payload;
         serialized + LATENCY
     }
-
-    /// The link's traffic: frames sent and their payload bytes.
-    pub fn costs(&self) -> ClusterCosts {
-        self.costs
-    }
 }
 
 impl CostSource for NodeLink {
@@ -86,8 +81,8 @@ mod tests {
         assert!(a > SimTime::from_us(80), "got {}us", a.as_us());
         let b = link.send(SimTime::ZERO, 1 << 20);
         assert!(b > a, "second frame queues behind the first");
-        assert_eq!(link.costs().rep_frames, 2);
-        assert_eq!(link.costs().rep_bytes, 2 << 20);
+        assert_eq!(OpLedger::of(&link).cluster.rep_frames, 2);
+        assert_eq!(OpLedger::of(&link).cluster.rep_bytes, 2 << 20);
     }
 
     #[test]
@@ -95,8 +90,7 @@ mod tests {
         let mut link = NodeLink::default();
         link.send(SimTime::ZERO, 100);
         link.send(SimTime::ZERO, 28);
-        let mut ledger = OpLedger::default();
-        link.emit_costs(&mut ledger);
+        let ledger = OpLedger::of(&link);
         assert_eq!(ledger.cluster.rep_frames, 2);
         assert_eq!(ledger.cluster.rep_bytes, 128);
     }

@@ -186,17 +186,6 @@ impl FaultPlane {
         self.enabled
     }
 
-    /// The configured rates.
-    pub fn rates(&self) -> &FaultRates {
-        &self.rates
-    }
-
-    /// The plane's op-cost ledger (only the fault channels are ever
-    /// populated by a plane).
-    pub fn ledger(&self) -> &OpLedger {
-        &self.ledger
-    }
-
     /// Bernoulli draw that consumes no randomness when `p` is zero, so a
     /// silent channel cannot perturb other draws.
     #[inline]
@@ -320,7 +309,7 @@ mod tests {
             assert_eq!(p.net_fault(), NetFault::None);
             assert_eq!(p.transaction(3), TxnOutcome::CLEAN);
         }
-        assert_eq!(p.ledger(), before.ledger());
+        assert_eq!(OpLedger::of(&p), OpLedger::of(&before));
         // The RNG stream was never advanced: forks from both planes with
         // the same salt must agree.
         let mut a = p;
@@ -342,8 +331,8 @@ mod tests {
             assert_eq!(a.dram_fault(), b.dram_fault());
             assert_eq!(a.net_fault(), b.net_fault());
         }
-        assert_eq!(a.ledger(), b.ledger());
-        assert!(a.ledger().total_faults() > 0);
+        assert_eq!(OpLedger::of(&a), OpLedger::of(&b));
+        assert!(OpLedger::of(&a).total_faults() > 0);
     }
 
     #[test]
@@ -379,8 +368,8 @@ mod tests {
             .count() as f64;
         let frac = drops / trials as f64;
         assert!((frac - 0.1).abs() < 0.01, "drop rate {frac}");
-        assert_eq!(p.ledger().net.drops, drops as u64);
-        assert_eq!(p.ledger().net.reorders, 0);
+        assert_eq!(OpLedger::of(&p).net.drops, drops as u64);
+        assert_eq!(OpLedger::of(&p).net.reorders, 0);
     }
 
     #[test]
@@ -393,9 +382,9 @@ mod tests {
         let out = p.transaction(3);
         assert!(out.failed);
         assert_eq!(out.retries, 3);
-        assert_eq!(p.ledger().pcie.retries, 3);
-        assert_eq!(p.ledger().pcie.exhausted, 1);
-        assert_eq!(p.ledger().pcie.corruptions, 4);
+        assert_eq!(OpLedger::of(&p).pcie.retries, 3);
+        assert_eq!(OpLedger::of(&p).pcie.exhausted, 1);
+        assert_eq!(OpLedger::of(&p).pcie.corruptions, 4);
     }
 
     #[test]
@@ -413,9 +402,9 @@ mod tests {
             assert!(!out.failed);
             assert_eq!(out.retries, 0);
         }
-        assert_eq!(p.ledger().pcie.replays, 100);
-        assert_eq!(p.ledger().dram.corrected, 100);
-        assert_eq!(p.ledger().pcie.retries, 0);
+        assert_eq!(OpLedger::of(&p).pcie.replays, 100);
+        assert_eq!(OpLedger::of(&p).dram.corrected, 100);
+        assert_eq!(OpLedger::of(&p).pcie.retries, 0);
     }
 
     #[test]
@@ -430,7 +419,7 @@ mod tests {
         for _ in 0..trials {
             p.dram_fault();
         }
-        let c = p.ledger().dram;
+        let c = OpLedger::of(&p).dram;
         assert_eq!(c.corrected + c.uncorrectable, trials);
         let frac = c.uncorrectable as f64 / trials as f64;
         assert!((frac - 0.25).abs() < 0.02, "uncorrectable frac {frac}");

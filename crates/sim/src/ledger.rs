@@ -95,15 +95,6 @@ impl OpClass {
     /// Every class, in record-layout order.
     pub const ALL: [OpClass; 3] = [OpClass::Get, OpClass::Put, OpClass::Other];
 
-    /// Human-readable label for report tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpClass::Get => "GET",
-            OpClass::Put => "PUT",
-            OpClass::Other => "OTHER",
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             OpClass::Get => 0,
@@ -675,6 +666,13 @@ impl OpLedger {
     /// against shared DRAM bandwidth.
     pub fn host_lines(&self) -> u64 {
         self.pcie.dma_reads + self.pcie.dma_writes
+    }
+
+    /// Everything `source` has accumulated, in a ledger of its own.
+    pub fn of(source: &impl CostSource) -> OpLedger {
+        let mut out = OpLedger::default();
+        source.emit_costs(&mut out);
+        out
     }
 
     /// Fault events injected across the PCIe, DRAM and network channels.

@@ -67,5 +67,5 @@ pub use queue::EventQueue;
 pub use resource::{BandwidthLink, CreditPool, TagPool};
 pub use rng::{DetRng, ZipfSampler};
 pub use runreport::{Percentile, RunSummary};
-pub use stats::{Counter, Histogram, Summary};
+pub use stats::{Histogram, Summary};
 pub use time::{Bandwidth, Freq, SimTime};

@@ -85,16 +85,6 @@ impl<T> EventQueue<T> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -132,10 +122,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_ns(7), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
         q.pop();
-        assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
     }
 

@@ -35,7 +35,6 @@ pub struct BandwidthLink {
     bandwidth: Bandwidth,
     free_at: SimTime,
     bytes_moved: u64,
-    busy_time: SimTime,
 }
 
 impl BandwidthLink {
@@ -45,7 +44,6 @@ impl BandwidthLink {
             bandwidth,
             free_at: SimTime::ZERO,
             bytes_moved: 0,
-            busy_time: SimTime::ZERO,
         }
     }
 
@@ -54,7 +52,6 @@ impl BandwidthLink {
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = now.max(self.free_at);
         let end = start + self.bandwidth.transfer_time(bytes);
-        self.busy_time += end - start;
         self.free_at = end;
         self.bytes_moved += bytes;
         end
@@ -68,25 +65,6 @@ impl BandwidthLink {
     /// Total bytes moved so far.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
-    }
-
-    /// Total time spent transferring (for utilization accounting).
-    pub fn busy_time(&self) -> SimTime {
-        self.busy_time
-    }
-
-    /// The configured bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy_time.as_ns() / horizon.as_ns()
-        }
     }
 }
 
@@ -113,7 +91,6 @@ impl BandwidthLink {
 pub struct CreditPool {
     capacity: u32,
     available: u32,
-    stalls: u64,
 }
 
 impl CreditPool {
@@ -122,7 +99,6 @@ impl CreditPool {
         CreditPool {
             capacity,
             available: capacity,
-            stalls: 0,
         }
     }
 
@@ -132,7 +108,6 @@ impl CreditPool {
             self.available -= 1;
             true
         } else {
-            self.stalls += 1;
             false
         }
     }
@@ -147,16 +122,6 @@ impl CreditPool {
     pub fn available(&self) -> u32 {
         self.available
     }
-
-    /// Total capacity.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// How many acquisition attempts found the pool empty.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
 }
 
 /// A pool of identifying tags for out-of-order completions.
@@ -168,7 +133,6 @@ impl CreditPool {
 pub struct TagPool {
     free: Vec<u16>,
     capacity: u16,
-    stalls: u64,
 }
 
 impl TagPool {
@@ -177,17 +141,12 @@ impl TagPool {
         TagPool {
             free: (0..capacity).rev().collect(),
             capacity,
-            stalls: 0,
         }
     }
 
     /// Takes a free tag, if any.
     pub fn acquire(&mut self) -> Option<u16> {
-        let tag = self.free.pop();
-        if tag.is_none() {
-            self.stalls += 1;
-        }
-        tag
+        self.free.pop()
     }
 
     /// Returns a tag to the pool.
@@ -200,16 +159,6 @@ impl TagPool {
     /// Number of free tags.
     pub fn available(&self) -> usize {
         self.free.len()
-    }
-
-    /// Total number of tags.
-    pub fn capacity(&self) -> u16 {
-        self.capacity
-    }
-
-    /// How many acquisition attempts found no free tag.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
     }
 }
 
@@ -234,8 +183,6 @@ mod tests {
         link.transfer(SimTime::ZERO, 100); // done at 100ns
         let done = link.transfer(SimTime::from_us(5), 100);
         assert_eq!(done, SimTime::from_us(5) + SimTime::from_ns(100));
-        // Busy 200ns over a 10us horizon = 2%.
-        assert!((link.utilization(SimTime::from_us(10)) - 0.02).abs() < 1e-9);
     }
 
     #[test]
@@ -251,8 +198,6 @@ mod tests {
         let tags: Vec<u16> = std::iter::from_fn(|| pool.acquire()).collect();
         assert_eq!(tags.len(), 4);
         assert!(pool.acquire().is_none());
-        // Both the terminating `from_fn` probe and the explicit call stall.
-        assert_eq!(pool.stalls(), 2);
         pool.release(tags[2]);
         assert_eq!(pool.acquire(), Some(tags[2]));
     }

@@ -121,11 +121,6 @@ impl ZipfSampler {
         // clamp defensively against FP edge cases.
         (v as u64).clamp(1, self.n) - 1
     }
-
-    /// Number of items.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Measurement primitives: histograms, counters and summaries.
+//! Measurement primitives: histograms and their summaries.
 //!
 //! The paper reports tail latency ("below 10 µs"), percentile error bars
 //! (5th/95th) and throughput in Mops. [`Histogram`] is a log-linear
@@ -124,11 +124,6 @@ impl Histogram {
         }
     }
 
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// The value at percentile `p` (0–100), by bucket lower bound.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
@@ -226,58 +221,6 @@ pub struct Summary {
     pub max: u64,
 }
 
-/// A monotonically increasing event counter with a rate query.
-///
-/// # Examples
-///
-/// ```
-/// use kvd_sim::{Counter, SimTime};
-///
-/// let mut ops = Counter::new();
-/// ops.add(180);
-/// assert_eq!(ops.rate_per_sec(SimTime::from_us(1)), 180e6);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Events per (simulated) second over `elapsed`.
-    pub fn rate_per_sec(&self, elapsed: SimTime) -> f64 {
-        if elapsed == SimTime::ZERO {
-            0.0
-        } else {
-            self.value as f64 / elapsed.as_secs_f64()
-        }
-    }
-
-    /// Events per second, expressed in Mops (the paper's unit).
-    pub fn mops(&self, elapsed: SimTime) -> f64 {
-        self.rate_per_sec(elapsed) / 1e6
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,7 +283,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1_000_000);
+        assert_eq!(a.summary().max, 1_000_000);
     }
 
     #[test]
@@ -429,18 +372,5 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(points[0], (5, 2));
         assert_eq!(points[1].1, 1);
-    }
-
-    #[test]
-    fn counter_rates() {
-        let mut c = Counter::new();
-        for _ in 0..5 {
-            c.inc();
-        }
-        c.add(5);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.rate_per_sec(SimTime::from_secs(2)), 5.0);
-        assert_eq!(c.mops(SimTime::from_us(1)), 10.0);
-        assert_eq!(Counter::new().rate_per_sec(SimTime::ZERO), 0.0);
     }
 }

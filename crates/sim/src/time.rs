@@ -58,11 +58,6 @@ impl SimTime {
         SimTime(ms * 1_000_000_000)
     }
 
-    /// Creates a time from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000_000)
-    }
-
     /// Creates a time from fractional nanoseconds, rounding to the nearest
     /// picosecond.
     pub fn from_ns_f64(ns: f64) -> Self {
@@ -89,25 +84,6 @@ impl SimTime {
     /// Returns the time in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
-    }
-
-    /// Returns the larger of two times.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two times.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 
     /// Saturating subtraction: returns zero instead of underflowing.
@@ -291,7 +267,6 @@ mod tests {
         assert_eq!(SimTime::from_ns(1), SimTime::from_ps(1_000));
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
-        assert_eq!(SimTime::from_secs(1), SimTime::from_ms(1_000));
     }
 
     #[test]
@@ -325,7 +300,7 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_ns(500)), "500.000ns");
         assert_eq!(format!("{}", SimTime::from_us(3)), "3.000us");
         assert_eq!(format!("{}", SimTime::from_ms(7)), "7.000ms");
-        assert_eq!(format!("{}", SimTime::from_secs(2)), "2.000s");
+        assert_eq!(format!("{}", SimTime::from_ms(2_000)), "2.000s");
     }
 
     #[test]

@@ -84,16 +84,6 @@ impl AllocBitmap {
     pub fn allocated_granules(&self) -> u64 {
         self.words.iter().map(|w| w.count_ones() as u64).sum()
     }
-
-    /// Total granules covered.
-    pub fn granules(&self) -> u64 {
-        self.granules
-    }
-
-    /// Region base address.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
 }
 
 #[cfg(test)]

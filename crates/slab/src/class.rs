@@ -29,9 +29,6 @@ pub const MAX_CLASSES: usize = 12;
 pub struct SlabClass(u8);
 
 impl SlabClass {
-    /// The smallest class (32 B).
-    pub const MIN: SlabClass = SlabClass(0);
-
     /// Creates a class from its index.
     ///
     /// # Panics
@@ -133,7 +130,7 @@ mod tests {
 
     #[test]
     fn zero_size_gets_smallest() {
-        assert_eq!(SlabClass::for_size(0).unwrap(), SlabClass::MIN);
+        assert_eq!(SlabClass::for_size(0).unwrap(), SlabClass::from_index(0));
     }
 
     #[test]
@@ -150,7 +147,7 @@ mod tests {
         let c = SlabClass::for_size(64).unwrap();
         assert_eq!(c.larger().unwrap().size(), 128);
         assert_eq!(c.smaller().unwrap().size(), 32);
-        assert_eq!(SlabClass::MIN.smaller(), None);
+        assert_eq!(SlabClass::from_index(0).smaller(), None);
         assert_eq!(SlabClass::from_index(MAX_CLASSES - 1).larger(), None);
     }
 

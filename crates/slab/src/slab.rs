@@ -138,11 +138,6 @@ impl SlabAllocator {
         &self.cfg
     }
 
-    /// Counters.
-    pub fn stats(&self) -> SlabCosts {
-        self.stats
-    }
-
     /// Allocates a slab fitting `size` bytes; returns `None` when the
     /// region is exhausted (after attempting splits and lazy merging) or
     /// `size` exceeds the largest configured class.
@@ -405,7 +400,7 @@ mod tests {
         // 512→256→128→64→32.
         let s = a.alloc(1).unwrap();
         assert_eq!(s.class.size(), 32);
-        assert!(a.stats().splits >= 4);
+        assert!(OpLedger::of(&a).slab.splits >= 4);
         a.check_invariants();
     }
 
@@ -420,8 +415,8 @@ mod tests {
         }
         let big = a.alloc(512);
         assert!(big.is_some(), "lazy merge must rebuild a 512B slab");
-        assert!(a.stats().merges > 0);
-        assert!(a.stats().merge_passes >= 1);
+        assert!(OpLedger::of(&a).slab.merges > 0);
+        assert!(OpLedger::of(&a).slab.merge_passes >= 1);
         a.check_invariants();
     }
 
@@ -444,7 +439,7 @@ mod tests {
                 }
             }
         }
-        let st = a.stats();
+        let st = OpLedger::of(&a).slab;
         let dma_per_op = st.dma_syncs as f64 / (st.allocs + st.frees) as f64;
         assert!(
             dma_per_op < 0.1,
@@ -458,7 +453,7 @@ mod tests {
         let n = std::iter::from_fn(|| a.alloc(512)).count();
         assert_eq!(n, 2);
         assert!(a.alloc(512).is_none());
-        assert!(a.stats().failed_allocs >= 1);
+        assert!(OpLedger::of(&a).slab.failed_allocs >= 1);
         a.check_invariants();
     }
 
@@ -496,13 +491,13 @@ mod tests {
         for s in small_slabs {
             a.free(s);
         }
-        let before = a.stats().merge_passes;
+        let before = OpLedger::of(&a).slab.merge_passes;
         // Shift to large KVs.
         let mut got = 0;
         while a.alloc(512).is_some() {
             got += 1;
         }
         assert_eq!(got, 64 * 1024 / 512);
-        assert!(a.stats().merge_passes > before);
+        assert!(OpLedger::of(&a).slab.merge_passes > before);
     }
 }

@@ -37,15 +37,6 @@ pub enum MemOp {
     },
 }
 
-impl MemOp {
-    /// The ASCII key.
-    pub fn key(&self) -> &[u8] {
-        match self {
-            MemOp::Get { key } | MemOp::Set { key, .. } => key,
-        }
-    }
-}
-
 /// Formats a key id as a legal memcache key: `k` + 16 lowercase hex
 /// digits (17 bytes, well under the protocol's 250-byte limit).
 pub fn memcache_key(id: u64) -> Vec<u8> {
@@ -64,12 +55,12 @@ pub fn memcache_key(id: u64) -> Vec<u8> {
 /// # Examples
 ///
 /// ```
-/// use kvd_workloads::memcache::MemcacheWorkload;
+/// use kvd_workloads::memcache::{MemOp, MemcacheWorkload};
 /// use kvd_workloads::YcsbPreset;
 ///
 /// let mut w = MemcacheWorkload::new(YcsbPreset::B, 1_000, 64, 7);
-/// let op = w.next_op();
-/// assert!(op.key().starts_with(b"k"));
+/// let (MemOp::Get { key } | MemOp::Set { key, .. }) = w.next_op();
+/// assert!(key.starts_with(b"k"));
 /// ```
 pub struct MemcacheWorkload {
     inner: Gen,
@@ -116,19 +107,6 @@ impl MemcacheWorkload {
         }
     }
 
-    /// Current key population (grows under YCSB-D).
-    pub fn population(&self) -> u64 {
-        match &self.inner {
-            Gen::Preset(p) => p.population(),
-            Gen::ZipfHot(z) => z.spec().n_keys,
-        }
-    }
-
-    /// Value length every SET carries.
-    pub fn value_len(&self) -> usize {
-        self.value_len
-    }
-
     /// SETs covering the initial population, for warm-start loads.
     pub fn preload(&mut self) -> Vec<MemOp> {
         let reqs = match &mut self.inner {
@@ -163,11 +141,6 @@ impl MemcacheWorkload {
             }
         }
     }
-
-    /// Generates a batch.
-    pub fn batch(&mut self, n: usize) -> Vec<MemOp> {
-        (0..n).map(|_| self.next_op()).collect()
-    }
 }
 
 /// Re-keys a preset's 8-byte little-endian key as ASCII.
@@ -180,11 +153,21 @@ fn rekey(raw: &[u8]) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    fn batch(w: &mut MemcacheWorkload, n: usize) -> Vec<MemOp> {
+        (0..n).map(|_| w.next_op()).collect()
+    }
+
+    fn key(op: &MemOp) -> &[u8] {
+        match op {
+            MemOp::Get { key } | MemOp::Set { key, .. } => key,
+        }
+    }
+
     #[test]
     fn keys_are_legal_memcache_ascii() {
         let mut w = MemcacheWorkload::new(YcsbPreset::A, 5_000, 32, 11);
-        for op in w.batch(2_000) {
-            let key = op.key();
+        for op in batch(&mut w, 2_000) {
+            let key = key(&op);
             assert_eq!(key.len(), MEMCACHE_KEY_LEN);
             assert!(
                 key.iter()
@@ -198,17 +181,16 @@ mod tests {
     fn zipf_hot_mode_is_legal_and_deterministic() {
         let mut a = MemcacheWorkload::zipf_hot(1.2, 500, 4_096, 32, 9);
         let mut b = MemcacheWorkload::zipf_hot(1.2, 500, 4_096, 32, 9);
-        let batch = a.batch(1_200);
-        assert_eq!(batch, b.batch(1_200));
-        for op in &batch {
-            let key = op.key();
+        let ops = batch(&mut a, 1_200);
+        assert_eq!(ops, batch(&mut b, 1_200));
+        for op in &ops {
+            let key = key(op);
             assert_eq!(key.len(), MEMCACHE_KEY_LEN);
             assert!(key[0] == b'k' && key[1..].iter().all(u8::is_ascii_hexdigit));
             if let MemOp::Set { value, .. } = op {
                 assert_eq!(value.len(), 32);
             }
         }
-        assert_eq!(a.population(), 4_096);
     }
 
     #[test]
@@ -226,7 +208,7 @@ mod tests {
     fn deterministic_per_seed() {
         let mut a = MemcacheWorkload::new(YcsbPreset::B, 1_000, 16, 3);
         let mut b = MemcacheWorkload::new(YcsbPreset::B, 1_000, 16, 3);
-        assert_eq!(a.batch(300), b.batch(300));
+        assert_eq!(batch(&mut a, 300), batch(&mut b, 300));
     }
 
     #[test]
@@ -242,8 +224,7 @@ mod tests {
     #[test]
     fn f_rmw_maps_to_set() {
         let mut w = MemcacheWorkload::new(YcsbPreset::F, 1_000, 16, 9);
-        let sets = w
-            .batch(4_000)
+        let sets = batch(&mut w, 4_000)
             .iter()
             .filter(|op| matches!(op, MemOp::Set { .. }))
             .count();

@@ -27,29 +27,7 @@ pub enum YcsbPreset {
     F,
 }
 
-impl YcsbPreset {
-    /// All supported presets.
-    pub fn all() -> [YcsbPreset; 5] {
-        [
-            YcsbPreset::A,
-            YcsbPreset::B,
-            YcsbPreset::C,
-            YcsbPreset::D,
-            YcsbPreset::F,
-        ]
-    }
-
-    /// The YCSB name ("workload a" …).
-    pub fn name(&self) -> &'static str {
-        match self {
-            YcsbPreset::A => "YCSB-A (update heavy)",
-            YcsbPreset::B => "YCSB-B (read mostly)",
-            YcsbPreset::C => "YCSB-C (read only)",
-            YcsbPreset::D => "YCSB-D (read latest)",
-            YcsbPreset::F => "YCSB-F (read-modify-write)",
-        }
-    }
-}
+impl YcsbPreset {}
 
 /// λ id of F's read-modify-write: `kvd-core`'s builtin ADD (fetch-and-add).
 const RMW_LAMBDA: u16 = 1;
@@ -86,11 +64,6 @@ impl PresetWorkload {
             population,
             value_len,
         }
-    }
-
-    /// Current key population (grows under D).
-    pub fn population(&self) -> u64 {
-        self.population
     }
 
     fn key(&self, id: u64) -> [u8; 8] {
@@ -221,7 +194,7 @@ mod tests {
     #[test]
     fn d_inserts_grow_population_and_reads_skew_recent() {
         let mut w = PresetWorkload::new(YcsbPreset::D, 1_000, 16, 2);
-        let before = w.population();
+        let before = w.population;
         let mut recent_reads = 0;
         let n = 10_000;
         for _ in 0..n {
@@ -229,12 +202,12 @@ mod tests {
             if r.op == OpCode::Get {
                 let id = u64::from_le_bytes(r.key.clone().try_into().expect("8B key"));
                 // "Recent" = newest 10% of the population at request time.
-                if id >= w.population() - w.population() / 10 {
+                if id >= w.population - w.population / 10 {
                     recent_reads += 1;
                 }
             }
         }
-        assert!(w.population() > before, "D must insert");
+        assert!(w.population > before, "D must insert");
         // YCSB-D reads concentrate on the latest keys.
         assert!(
             recent_reads as f64 / n as f64 > 0.5,

@@ -82,11 +82,6 @@ impl MemcacheTtlWorkload {
         }
     }
 
-    /// Key population.
-    pub fn population(&self) -> u64 {
-        self.population
-    }
-
     fn key(&mut self) -> [u8; 8] {
         let rank = self.zipf.sample(&mut self.rng);
         let id = rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.population;

@@ -69,7 +69,6 @@ impl ZipfHotSpec {
 /// });
 /// let batch = w.batch(40);
 /// assert_eq!(batch.len(), 40);
-/// assert_eq!(w.phase(), 0, "no shift after 40 requests");
 /// ```
 pub struct ZipfHotWorkload {
     spec: ZipfHotSpec,
@@ -98,16 +97,6 @@ impl ZipfHotWorkload {
             phase: 0,
             spec,
         }
-    }
-
-    /// The specification.
-    pub fn spec(&self) -> &ZipfHotSpec {
-        &self.spec
-    }
-
-    /// The current phase (number of hot-set shifts so far).
-    pub fn phase(&self) -> u64 {
-        self.phase
     }
 
     /// Phase-salted rank→id scramble: the popularity ranking keeps its
@@ -194,8 +183,8 @@ mod tests {
         let mut a = ZipfHotWorkload::new(spec(1.2, 1000));
         let mut b = ZipfHotWorkload::new(spec(1.2, 1000));
         assert_eq!(a.batch(3000), b.batch(3000));
-        assert_eq!(a.phase(), b.phase());
-        assert_eq!(a.phase(), 2);
+        assert_eq!(a.phase, b.phase);
+        assert_eq!(a.phase, 2);
     }
 
     #[test]
@@ -208,7 +197,7 @@ mod tests {
         }
         // Next draw crosses the boundary.
         let _ = w.next_key_id();
-        assert_eq!(w.phase(), 1);
+        assert_eq!(w.phase, 1);
         let after = w.scramble(0);
         assert_ne!(before, after, "hot set did not move");
         let mut head_after = HashMap::new();
@@ -229,7 +218,7 @@ mod tests {
         let mut w = ZipfHotWorkload::new(spec(0.99, 0));
         let before = w.scramble(0);
         w.batch(5000);
-        assert_eq!(w.phase(), 0);
+        assert_eq!(w.phase, 0);
         assert_eq!(w.scramble(0), before);
     }
 

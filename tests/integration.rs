@@ -117,7 +117,7 @@ fn slab_reuse_under_churn() {
             assert!(s.delete(&i.to_le_bytes()));
         }
     }
-    let a = s.processor().table().allocator().stats();
+    let a = s.ledger().slab;
     assert_eq!(a.allocs, a.frees, "allocator leak: {a:?}");
 }
 

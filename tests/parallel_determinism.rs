@@ -264,16 +264,17 @@ fn run_reused(workers: usize, quantum: SimTime, bandwidth: Option<Bandwidth>) ->
         outcomes: Vec::new(),
     };
     for nth in 0..3 {
-        out.reports.push(match nth {
+        let r = match nth {
             0 => sim.run(&workload(12_000, 0xD37A)),
             1 => sim.run_open(&open),
             _ => sim.run(&workload(12_000, 0xD37C)),
-        });
+        };
         out.outcomes.push(
-            (0..sim.shards())
+            (0..r.shards)
                 .map(|i| sim.shard_outcomes(i).to_vec())
                 .collect(),
         );
+        out.reports.push(r);
     }
     out
 }
@@ -455,7 +456,7 @@ fn open_loop_runs_reproduce_their_recorded_fingerprints() {
             let mut par = engine(workers, quantum, None);
             par.set_record_outcomes(true);
             let r = par.run_open(&sched);
-            let shards: Vec<String> = (0..par.shards())
+            let shards: Vec<String> = (0..r.shards)
                 .map(|i| format!("{:#018x}", debug_digest(&par.shard_outcomes(i))))
                 .collect();
             assert_eq!(
