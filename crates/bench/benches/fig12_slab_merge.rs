@@ -9,11 +9,12 @@
 //! host-side daemon. Scaling shape checks adapt to the host: a box with
 //! one core (or a last-level cache larger than the scaled bitmap) cannot
 //! exhibit the paper's parallel speedup, and the harness says so instead
-//! of faking it.
+//! of faking it. Everything timed or sized by the host prints on stderr;
+//! stdout keeps what the code alone decides.
 
 use std::time::Instant;
 
-use kvd_bench::{banner, fmt_f, shape_check, Table};
+use kvd_bench::{banner, fmt_f, shape_check, wall_check, Table};
 use kvd_sim::DetRng;
 use kvd_slab::{merge_bitmap, merge_radix};
 
@@ -33,7 +34,7 @@ fn main() {
     let n_free: usize = 8 << 20;
     let slab = 32u64;
     let region = slots_total * slab;
-    println!("scale: {n_free} free slots (paper: 4G); host cores: {host_cores}\n");
+    eprintln!("scale: {n_free} free slots (paper: 4G); host cores: {host_cores}\n");
 
     let mut rng = DetRng::seed(0x51AB);
     let mut free: Vec<u64> = (0..n_free)
@@ -87,7 +88,7 @@ fn main() {
             fmt_f(radix_1core / secs, 2),
         ]);
     }
-    t.print();
+    eprintln!("{}", t.render());
     println!(
         "merged {} buddy pairs, {} unmerged\n",
         bm.merged.len(),
@@ -99,14 +100,14 @@ fn main() {
         true,
         &format!("{} pairs from both kernels", bm.merged.len()),
     );
-    shape_check(
+    wall_check(
         "single-thread costs are comparable",
         radix_1core < bitmap_secs * 5.0 && bitmap_secs < radix_1core * 5.0,
         &format!("radix {radix_1core:.3}s vs bitmap {bitmap_secs:.3}s"),
     );
     if host_cores >= 4 {
         let best = radix_times.iter().cloned().fold(f64::INFINITY, f64::min);
-        shape_check(
+        wall_check(
             "radix sort parallelizes",
             radix_1core / best > 1.5,
             &format!(
@@ -116,13 +117,13 @@ fn main() {
                 radix_1core / best
             ),
         );
-        shape_check(
+        wall_check(
             "multicore radix beats bitmap",
             best < bitmap_secs,
             &format!("radix best {best:.3}s vs bitmap {bitmap_secs:.3}s"),
         );
     } else {
-        println!(
+        eprintln!(
             "[shape SKIP] parallel scaling: host has {host_cores} core(s); the \
              paper's 32-core speedup cannot manifest here (kernels still \
              verified equivalent at every thread count)"
