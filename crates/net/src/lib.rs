@@ -42,3 +42,30 @@ pub use wire::{
     decode_packet_ref, decode_responses, encode_packet, encode_responses, KvRequest, KvRequestRef,
     KvResponse, OpCode, Status, WireError,
 };
+
+#[cfg(test)]
+mod tests {
+    use crate::wire::{next_chunk, WireError};
+
+    #[test]
+    fn roundtrip() {
+        // The codecs' little-endian reader, over what `to_le_bytes` wrote.
+        let mut wire = 0xBEEFu16.to_le_bytes().to_vec();
+        wire.push(7);
+        wire.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        wire.extend_from_slice(b"abc");
+        let mut cursor: &[u8] = &wire;
+        assert_eq!(u16::from_le_bytes(next_chunk(&mut cursor).unwrap()), 0xBEEF);
+        assert_eq!(next_chunk(&mut cursor), Ok([7]));
+        assert_eq!(
+            u64::from_le_bytes(next_chunk(&mut cursor).unwrap()),
+            0x0123_4567_89AB_CDEF
+        );
+        assert_eq!(
+            next_chunk::<4>(&mut cursor),
+            Err(WireError::Truncated),
+            "a short read fails"
+        );
+        assert_eq!(cursor, b"abc", "and leaves the cursor where it was");
+    }
+}

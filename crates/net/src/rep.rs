@@ -25,9 +25,7 @@
 //! whole run, which is what lets an ack from the tail be matched back to
 //! the pending client op and what the orphan-redrive path keys on.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use crate::wire::{KvRequest, OpCode, WireError};
+use crate::wire::{next_chunk, KvRequest, OpCode, WireError};
 
 const TAG_REPLICATE: u8 = 1;
 const TAG_ACK: u8 = 2;
@@ -74,8 +72,8 @@ impl RepFrame {
     }
 
     /// Encodes the frame into a fresh buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_len());
         match self {
             RepFrame::Replicate { write, origin, req } => {
                 assert!(req.key.len() <= u8::MAX as usize, "replicated key too long");
@@ -83,89 +81,70 @@ impl RepFrame {
                     req.value.len() <= u16::MAX as usize,
                     "replicated value too long"
                 );
-                buf.put_u8(TAG_REPLICATE);
-                buf.put_u64_le(*write);
-                buf.put_u32_le(*origin);
-                buf.put_u8(req.op as u8);
-                buf.put_u8(req.key.len() as u8);
-                buf.put_u16_le(req.value.len() as u16);
-                buf.put_u32_le(req.expiry_tick);
-                buf.put_slice(&req.key);
-                buf.put_slice(&req.value);
+                buf.push(TAG_REPLICATE);
+                buf.extend_from_slice(&write.to_le_bytes());
+                buf.extend_from_slice(&origin.to_le_bytes());
+                buf.extend_from_slice(&[req.op as u8, req.key.len() as u8]);
+                buf.extend_from_slice(&(req.value.len() as u16).to_le_bytes());
+                buf.extend_from_slice(&req.expiry_tick.to_le_bytes());
+                buf.extend_from_slice(&req.key);
+                buf.extend_from_slice(&req.value);
             }
             RepFrame::Ack { write, from } => {
-                buf.put_u8(TAG_ACK);
-                buf.put_u64_le(*write);
-                buf.put_u32_le(*from);
+                buf.push(TAG_ACK);
+                buf.extend_from_slice(&write.to_le_bytes());
+                buf.extend_from_slice(&from.to_le_bytes());
             }
             RepFrame::Heartbeat { from, window } => {
-                buf.put_u8(TAG_HEARTBEAT);
-                buf.put_u32_le(*from);
-                buf.put_u64_le(*window);
+                buf.push(TAG_HEARTBEAT);
+                buf.extend_from_slice(&from.to_le_bytes());
+                buf.extend_from_slice(&window.to_le_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes one frame, consuming exactly its bytes from the cursor.
     pub fn decode(buf: &mut &[u8]) -> Result<RepFrame, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        match buf.get_u8() {
+        let [tag] = next_chunk(buf)?;
+        match tag {
             TAG_REPLICATE => {
-                if buf.remaining() < 8 + 4 + 1 + 1 + 2 + 4 {
-                    return Err(WireError::Truncated);
-                }
-                let write = buf.get_u64_le();
-                let origin = buf.get_u32_le();
-                let op_bits = buf.get_u8();
+                let write = u64::from_le_bytes(next_chunk(buf)?);
+                let origin = u32::from_le_bytes(next_chunk(buf)?);
+                let [op_bits, klen] = next_chunk(buf)?;
+                let vlen = u16::from_le_bytes(next_chunk(buf)?) as usize;
+                let expiry_tick = u32::from_le_bytes(next_chunk(buf)?);
                 let op = match op_bits {
                     b if b == OpCode::Put as u8 => OpCode::Put,
                     b if b == OpCode::Delete as u8 => OpCode::Delete,
                     _ => return Err(WireError::BadCode),
                 };
-                let klen = buf.get_u8() as usize;
-                let vlen = buf.get_u16_le() as usize;
-                let expiry_tick = buf.get_u32_le();
-                if buf.remaining() < klen + vlen {
-                    return Err(WireError::Truncated);
-                }
-                let key = buf[..klen].to_vec();
-                buf.advance(klen);
-                let value = buf[..vlen].to_vec();
-                buf.advance(vlen);
+                let (kv, rest) = buf
+                    .split_at_checked(klen as usize + vlen)
+                    .ok_or(WireError::Truncated)?;
+                *buf = rest;
+                let (key, value) = kv.split_at(klen as usize);
                 Ok(RepFrame::Replicate {
                     write,
                     origin,
                     req: KvRequest {
                         op,
-                        key,
-                        value,
+                        key: key.to_vec(),
+                        value: value.to_vec(),
                         lambda: 0,
                         deadline_us: 0,
                         expiry_tick,
                     },
                 })
             }
-            TAG_ACK => {
-                if buf.remaining() < 8 + 4 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(RepFrame::Ack {
-                    write: buf.get_u64_le(),
-                    from: buf.get_u32_le(),
-                })
-            }
-            TAG_HEARTBEAT => {
-                if buf.remaining() < 4 + 8 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(RepFrame::Heartbeat {
-                    from: buf.get_u32_le(),
-                    window: buf.get_u64_le(),
-                })
-            }
+            TAG_ACK => Ok(RepFrame::Ack {
+                write: u64::from_le_bytes(next_chunk(buf)?),
+                from: u32::from_le_bytes(next_chunk(buf)?),
+            }),
+            TAG_HEARTBEAT => Ok(RepFrame::Heartbeat {
+                from: u32::from_le_bytes(next_chunk(buf)?),
+                window: u64::from_le_bytes(next_chunk(buf)?),
+            }),
             _ => Err(WireError::BadCode),
         }
     }
@@ -204,7 +183,7 @@ mod tests {
             assert_eq!(wire.len(), f.wire_len(), "wire_len is exact for {f:?}");
             let mut buf: &[u8] = &wire;
             assert_eq!(RepFrame::decode(&mut buf).unwrap(), f);
-            assert_eq!(buf.remaining(), 0, "decode consumed exactly one frame");
+            assert!(buf.is_empty(), "decode consumed exactly one frame");
         }
     }
 
@@ -227,17 +206,12 @@ mod tests {
 
     #[test]
     fn only_mutations_replicate() {
-        let mut wire = BytesMut::new();
-        wire.put_u8(TAG_REPLICATE);
-        wire.put_u64_le(1);
-        wire.put_u32_le(0);
-        wire.put_u8(OpCode::Get as u8);
-        wire.put_u8(1);
-        wire.put_u16_le(0);
-        wire.put_u32_le(0);
-        wire.put_u8(b'k');
-        let frozen = wire.freeze();
-        let mut buf: &[u8] = &frozen;
+        let mut wire = vec![TAG_REPLICATE];
+        wire.extend_from_slice(&1u64.to_le_bytes());
+        wire.extend_from_slice(&0u32.to_le_bytes());
+        // op GET, klen 1, vlen 0, expiry tick 0, key.
+        wire.extend_from_slice(&[OpCode::Get as u8, 1, 0, 0, 0, 0, 0, 0, b'k']);
+        let mut buf: &[u8] = &wire;
         assert!(matches!(
             RepFrame::decode(&mut buf),
             Err(WireError::BadCode)

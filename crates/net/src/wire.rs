@@ -29,8 +29,6 @@
 //! every replica agrees on the death time regardless of when it applies
 //! the write.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// Operation codes — the KV-Direct operations of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -407,10 +405,10 @@ impl std::error::Error for WireError {}
 /// // The second op elides sizes and value: only header + key.
 /// assert!(bytes.len() < 2 * (1 + 3 + 4 + 5) + 2);
 /// ```
-pub fn encode_packet(ops: &[KvRequest]) -> Bytes {
+pub fn encode_packet(ops: &[KvRequest]) -> Vec<u8> {
     assert!(ops.len() <= u16::MAX as usize, "batch too large");
-    let mut buf = BytesMut::new();
-    buf.put_u16_le(ops.len() as u16);
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(ops.len() as u16).to_le_bytes());
     let mut prev: Option<&KvRequest> = None;
     for op in ops {
         assert!(op.key.len() <= u8::MAX as usize, "key too long for wire");
@@ -435,27 +433,27 @@ pub fn encode_packet(ops: &[KvRequest]) -> Bytes {
         if op.expiry_tick != 0 {
             header |= FLAG_TTL;
         }
-        buf.put_u8(header);
+        buf.push(header);
         if !same_sizes {
-            buf.put_u8(op.key.len() as u8);
-            buf.put_u16_le(op.value.len() as u16);
+            buf.push(op.key.len() as u8);
+            buf.extend_from_slice(&(op.value.len() as u16).to_le_bytes());
         }
         if op.op.is_func() {
-            buf.put_u16_le(op.lambda);
+            buf.extend_from_slice(&op.lambda.to_le_bytes());
         }
         if op.deadline_us != 0 {
-            buf.put_u32_le(op.deadline_us);
+            buf.extend_from_slice(&op.deadline_us.to_le_bytes());
         }
         if op.expiry_tick != 0 {
-            buf.put_u32_le(op.expiry_tick);
+            buf.extend_from_slice(&op.expiry_tick.to_le_bytes());
         }
-        buf.put_slice(&op.key);
+        buf.extend_from_slice(&op.key);
         if op.op.carries_value() && !same_value {
-            buf.put_slice(&op.value);
+            buf.extend_from_slice(&op.value);
         }
         prev = Some(op);
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a packet payload into borrowed requests — the zero-copy
@@ -569,46 +567,50 @@ pub fn decode_packet_ref(bytes: &[u8]) -> Result<Vec<KvRequestRef<'_>>, WireErro
 ///
 /// Panics if the batch holds more than 65 535 responses or a value is
 /// longer than 65 535 bytes: the wire fields cannot frame them.
-pub fn encode_responses(rs: &[KvResponse]) -> Bytes {
+pub fn encode_responses(rs: &[KvResponse]) -> Vec<u8> {
     assert!(rs.len() <= u16::MAX as usize, "batch too large");
-    let mut buf = BytesMut::new();
-    buf.put_u16_le(rs.len() as u16);
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(rs.len() as u16).to_le_bytes());
     for r in rs {
         assert!(
             r.value.len() <= u16::MAX as usize,
             "value too long for wire"
         );
-        buf.put_u8(r.status as u8);
-        buf.put_u16_le(r.value.len() as u16);
-        buf.put_slice(&r.value);
+        buf.push(r.status as u8);
+        buf.extend_from_slice(&(r.value.len() as u16).to_le_bytes());
+        buf.extend_from_slice(&r.value);
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a batch of responses.
 pub fn decode_responses(mut bytes: &[u8]) -> Result<Vec<KvResponse>, WireError> {
-    if bytes.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    let n = bytes.get_u16_le() as usize;
+    let n = u16::from_le_bytes(next_chunk(&mut bytes)?) as usize;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        if bytes.remaining() < 3 {
-            return Err(WireError::Truncated);
-        }
-        let status = Status::from_bits(bytes.get_u8()).ok_or(WireError::BadCode)?;
-        let vlen = bytes.get_u16_le() as usize;
-        if bytes.remaining() < vlen {
-            return Err(WireError::ShortValue {
-                want: vlen,
-                have: bytes.remaining(),
-            });
-        }
-        let value = bytes[..vlen].to_vec();
-        bytes.advance(vlen);
-        out.push(KvResponse { status, value });
+        let [code, len0, len1] = next_chunk(&mut bytes)?;
+        let status = Status::from_bits(code).ok_or(WireError::BadCode)?;
+        let vlen = u16::from_le_bytes([len0, len1]) as usize;
+        let (value, rest) = bytes.split_at_checked(vlen).ok_or(WireError::ShortValue {
+            want: vlen,
+            have: bytes.len(),
+        })?;
+        bytes = rest;
+        out.push(KvResponse {
+            status,
+            value: value.to_vec(),
+        });
     }
     Ok(out)
+}
+
+/// Takes the next `N` bytes off the front of a cursor, for a
+/// `from_le_bytes` to read: the little-endian reader behind
+/// [`decode_responses`] and [`RepFrame::decode`](crate::RepFrame::decode).
+pub(crate) fn next_chunk<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (chunk, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*chunk)
 }
 
 #[cfg(test)]

@@ -1,17 +1,15 @@
 //! Seeded deterministic randomness and workload samplers.
 //!
-//! Everything in this workspace draws randomness through [`DetRng`], a
-//! seeded `SmallRng`, so a benchmark invoked twice with the same seed
-//! produces identical traces. [`ZipfSampler`] provides the paper's
+//! Everything in this workspace draws randomness through [`DetRng`], so a
+//! benchmark invoked twice with the same seed produces identical traces.
+//! [`DetRng`] is xoshiro256++ seeded through SplitMix64: fast, and sound
+//! for simulation workloads. [`ZipfSampler`] provides the paper's
 //! "long-tail" key popularity (Zipf, skewness 0.99, §5: "For skewed Zipf
 //! workload, we choose skewness 0.99 and refer it as long-tail workload").
 //!
-//! [`ZipfSampler`] is a rejection sampler from `rand_distr` (fast, any
-//! `n`); the tests cross-check it against an exact inverse-CDF table.
-
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-use rand_distr::{Distribution, Zipf};
+//! [`ZipfSampler`] is Hörmann & Derflinger's rejection-inversion: O(1) per
+//! sample for any `n`, exact for every exponent `s >= 0`; the tests
+//! cross-check it against an exact inverse-CDF table.
 
 /// A deterministic, seedable random number generator.
 ///
@@ -26,14 +24,24 @@ use rand_distr::{Distribution, Zipf};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: SmallRng,
+    /// xoshiro256++ state.
+    s: [u64; 4],
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl DetRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
+        let mut state = seed;
         DetRng {
-            inner: SmallRng::seed_from_u64(seed),
+            s: std::array::from_fn(|_| splitmix64(&mut state)),
         }
     }
 
@@ -43,41 +51,60 @@ impl DetRng {
         DetRng::seed(self.u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// Uniform `u64`.
+    /// Uniform `u64`: one xoshiro256++ step, which every other draw spends.
+    #[inline]
     pub fn u64(&mut self) -> u64 {
-        self.inner.random()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform value in `[0, bound)`. `bound` must be nonzero.
+    /// Uniform value in `[0, bound)` by 128-bit multiply-shift; the bias is
+    /// at most `bound / 2^64`. `bound` must be nonzero.
     #[inline]
     pub fn u64_below(&mut self, bound: u64) -> u64 {
-        self.inner.random_range(0..bound)
+        assert!(bound > 0, "empty range");
+        ((self.u64() as u128 * bound as u128) >> 64) as u64
     }
 
     /// Uniform `usize` in `[0, bound)`. `bound` must be nonzero.
     #[inline]
     pub fn usize_below(&mut self, bound: usize) -> usize {
-        self.inner.random_range(0..bound)
+        self.u64_below(bound as u64) as usize
     }
 
-    /// Uniform `f64` in `[0, 1)`.
+    /// Uniform `f64` in `[0, 1)`: 53 uniform mantissa bits.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
-        self.inner.random()
+        (self.u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw with probability `p`.
+    /// Bernoulli draw with probability `p`, clamped to `[0, 1]`. It spends
+    /// one draw whatever `p` is, so the stream does not depend on `p`.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.inner.random_bool(p.clamp(0.0, 1.0))
+        let u = self.f64();
+        p >= 1.0 || u < p
     }
 
-    /// Fills `buf` with uniform bytes.
+    /// Fills `buf` with uniform bytes, one little-endian word per 8 bytes;
+    /// a shorter tail spends one more word.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        self.inner.fill(buf);
-    }
-
-    /// Access to the underlying `rand` generator for `rand_distr` sampling.
-    pub fn inner(&mut self) -> &mut SmallRng {
-        &mut self.inner
+        let mut chunks = buf.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&self.u64().to_le_bytes());
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let word = self.u64().to_le_bytes();
+            tail.copy_from_slice(&word[..tail.len()]);
+        }
     }
 }
 
@@ -98,8 +125,14 @@ impl DetRng {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
-    dist: Zipf<f64>,
     n: u64,
+    s: f64,
+    /// `H(1.5) - h(1)`: upper edge of the inversion interval.
+    h_x1: f64,
+    /// `H(n + 0.5)`: lower edge of the inversion interval.
+    h_n: f64,
+    /// Threshold for the quick-accept test.
+    quick: f64,
 }
 
 impl ZipfSampler {
@@ -110,16 +143,68 @@ impl ZipfSampler {
     /// Panics if `n == 0` or `s < 0`.
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "Zipf over zero items");
-        let dist = Zipf::new(n as f64, s).expect("invalid Zipf parameters");
-        ZipfSampler { dist, n }
+        assert!(s.is_finite() && s >= 0.0, "Zipf requires exponent s >= 0");
+        ZipfSampler {
+            n,
+            s,
+            h_x1: h_integral(1.5, s) - 1.0,
+            h_n: h_integral(n as f64 + 0.5, s),
+            quick: 2.0 - h_integral_inverse(h_integral(2.5, s) - h(2.0, s), s),
+        }
     }
 
     /// Draws a rank in `[0, n)`; rank 0 is the hottest key.
     pub fn sample(&self, rng: &mut DetRng) -> u64 {
-        let v = self.dist.sample(rng.inner());
-        // rand_distr returns a value in [1, n]; convert to 0-based rank and
-        // clamp defensively against FP edge cases.
-        (v as u64).clamp(1, self.n) - 1
+        // Rejection-inversion yields a rank k in [1, n] with P(k) ∝ k^-s.
+        let k = loop {
+            let u = self.h_n + rng.f64() * (self.h_x1 - self.h_n);
+            let x = h_integral_inverse(u, self.s);
+            let k = (x + 0.5).floor().clamp(1.0, self.n as f64);
+            if k - x <= self.quick || u >= h_integral(k + 0.5, self.s) - h(k, self.s) {
+                break k;
+            }
+        };
+        // 0-based rank, clamped defensively against FP edge cases.
+        (k as u64).clamp(1, self.n) - 1
+    }
+}
+
+/// `h(x) = x^-s`.
+fn h(x: f64, s: f64) -> f64 {
+    (-s * x.ln()).exp()
+}
+
+/// `H(x) = (x^(1-s) - 1) / (1 - s)` computed stably near `s = 1`.
+fn h_integral(x: f64, s: f64) -> f64 {
+    let log_x = x.ln();
+    helper2((1.0 - s) * log_x) * log_x
+}
+
+/// `H^-1(y) = (1 + y(1-s))^(1/(1-s))` computed stably near `s = 1`.
+fn h_integral_inverse(y: f64, s: f64) -> f64 {
+    let mut t = y * (1.0 - s);
+    if t < -1.0 {
+        // Numerical guard: t may round slightly below the domain edge.
+        t = -1.0;
+    }
+    (helper1(t) * y).exp()
+}
+
+/// `log(1+x)/x`, continuous at 0.
+fn helper1(x: f64) -> f64 {
+    if x.abs() > 1e-8 {
+        x.ln_1p() / x
+    } else {
+        1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x))
+    }
+}
+
+/// `(exp(x)-1)/x`, continuous at 0.
+fn helper2(x: f64) -> f64 {
+    if x.abs() > 1e-8 {
+        x.exp_m1() / x
+    } else {
+        1.0 + x * 0.5 * (1.0 + x * (1.0 / 3.0) * (1.0 + 0.25 * x))
     }
 }
 

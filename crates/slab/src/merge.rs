@@ -17,8 +17,6 @@
 //! them (wall-clock — these run on the real host CPU, just like the
 //! paper's daemon).
 
-use crossbeam::thread;
-
 use crate::class::GRANULE;
 
 /// Result of a merge pass.
@@ -127,19 +125,19 @@ fn radix_sort(keys: &mut Vec<u64>, threads: usize) {
         let chunk = n.div_ceil(threads);
         // Per-thread digit histograms.
         let mut hists = vec![vec![0usize; DIGITS]; threads];
-        thread::scope(|s| {
+        // A panicking sort thread panics the caller when its scope ends.
+        std::thread::scope(|s| {
             for (t, hist) in hists.iter_mut().enumerate() {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
                 let slice = &src[lo.min(n)..hi];
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for &k in slice {
                         hist[(k >> shift) as usize & 0xFF] += 1;
                     }
                 });
             }
-        })
-        .expect("histogram threads panicked");
+        });
         // Global prefix sums: offsets[t][d] = start of thread t's digit-d
         // output window.
         let mut offsets = vec![vec![0usize; DIGITS]; threads];
@@ -153,12 +151,12 @@ fn radix_sort(keys: &mut Vec<u64>, threads: usize) {
         // Parallel scatter: each (thread, digit) window is disjoint, so
         // threads write disjoint regions of `dst`.
         let dst_ptr = SendPtr(dst.as_mut_ptr());
-        thread::scope(|s| {
+        std::thread::scope(|s| {
             for (t, offs) in offsets.iter_mut().enumerate() {
                 let lo = (t * chunk).min(n);
                 let hi = ((t + 1) * chunk).min(n);
                 let slice = &src[lo..hi];
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // Bind the wrapper (not its field) so the closure
                     // captures the `Send` SendPtr, not the raw pointer.
                     let dst = dst_ptr;
@@ -177,8 +175,7 @@ fn radix_sort(keys: &mut Vec<u64>, threads: usize) {
                     }
                 });
             }
-        })
-        .expect("scatter threads panicked");
+        });
         std::mem::swap(&mut src, &mut dst);
     }
     *keys = src;

@@ -28,6 +28,9 @@ leaves=(
     'kvd_mem::host::page_offset'
     'kvd_hash::table::HashTable<M>::prefetch_bucket'
     'kvd_hash::table::HashTable<M>::prefetch_records'
+    'kvd_sim::rng::DetRng::u64'
+    'kvd_sim::rng::DetRng::u64_below'
+    'kvd_sim::rng::DetRng::f64'
     'kvd_sim::fault::FaultPlane::host_stall'
     'kvd_sim::fault::FaultPlane::dram_fault'
     '<kvd_hash::swar::RawEntries as core::iter::traits::iterator::Iterator>::next'
