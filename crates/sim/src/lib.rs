@@ -70,9 +70,9 @@ pub use runreport::{Percentile, RunSummary};
 pub use stats::{Histogram, Summary};
 pub use time::{Bandwidth, Freq, SimTime};
 
+#[cfg(test)]
 /// The generator's and the Zipf sampler's contract, through the crate's
 /// public surface ([`rng`] holds their distribution cross-checks).
-#[cfg(test)]
 mod tests {
     use super::{DetRng, ZipfSampler};
 

@@ -38,10 +38,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 impl DetRng {
     /// Creates a generator from a 64-bit seed.
-    pub fn seed(seed: u64) -> Self {
-        let mut state = seed;
+    pub fn seed(mut seed: u64) -> Self {
         DetRng {
-            s: std::array::from_fn(|_| splitmix64(&mut state)),
+            s: std::array::from_fn(|_| splitmix64(&mut seed)),
         }
     }
 
