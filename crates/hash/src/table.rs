@@ -158,6 +158,7 @@ impl<M: MemoryEngine> HashTable<M> {
             * BUCKET_BYTES as u64;
         let n_buckets = index_bytes / BUCKET_BYTES as u64;
         assert!(n_buckets > 0, "hash index ratio leaves no buckets");
+        mem.dense_prefix(index_bytes);
         // The dynamic region starts right after the index, granule-aligned.
         let dyn_base = index_bytes.next_multiple_of(GRANULE);
         let dyn_len = (cfg.total_memory - dyn_base) / GRANULE * GRANULE;
@@ -1167,10 +1168,22 @@ mod tests {
         assert_eq!(t.get(b"k").unwrap(), huge);
     }
 
-    /// Flat memory that records the lines it is asked to prefetch.
+    /// Flat memory that records the lines it is asked to prefetch and
+    /// the dense prefixes it is told of.
     struct Hinted {
         mem: FlatMemory,
         hints: std::cell::RefCell<Vec<u64>>,
+        dense: std::cell::RefCell<Vec<u64>>,
+    }
+
+    impl Hinted {
+        fn new(capacity: u64) -> Self {
+            Hinted {
+                mem: FlatMemory::new(capacity),
+                hints: Default::default(),
+                dense: Default::default(),
+            }
+        }
     }
 
     impl MemoryEngine for Hinted {
@@ -1195,6 +1208,10 @@ mod tests {
         }
         fn peek_line(&self, addr: u64) -> Option<&[u8; LINE as usize]> {
             self.mem.peek_line(addr)
+        }
+        fn dense_prefix(&self, len: u64) {
+            self.mem.dense_prefix(len);
+            self.dense.borrow_mut().push(len);
         }
     }
 
@@ -1227,10 +1244,7 @@ mod tests {
         // One bucket, so every key shares the first bucket and its chain.
         let mem_bytes = 1 << 16;
         let mut t = HashTable::new(
-            Hinted {
-                mem: FlatMemory::new(mem_bytes),
-                hints: Default::default(),
-            },
+            Hinted::new(mem_bytes),
             HashTableConfig::new(mem_bytes, 64.0 / mem_bytes as f64, 8),
         );
         let keys: Vec<Vec<u8>> = (0..400u32).map(|i| format!("k{i}").into_bytes()).collect();
@@ -1283,6 +1297,40 @@ mod tests {
         t.put_ttl(b"k1", &[1; 100], 5).unwrap();
         t.set_now_tick(10);
         assert!(check(&t, "dead entry") >= stored);
+    }
+
+    #[test]
+    fn new_hints_exactly_the_bucket_array_and_counts_nothing() {
+        let mem_bytes = 1 << 20;
+        for ratio in [64.0 / mem_bytes as f64, 0.3, 0.5] {
+            let cfg = HashTableConfig::new(mem_bytes, ratio, 24);
+            let mut t = HashTable::new(Hinted::new(mem_bytes), cfg.clone());
+            let mut plain = HashTable::new(FlatMemory::new(mem_bytes), cfg);
+            assert_eq!(
+                *t.mem().dense.borrow(),
+                [t.n_buckets() * 64],
+                "ratio {ratio}"
+            );
+            for i in 0..200u32 {
+                let key = format!("k{i}").into_bytes();
+                let value = vec![i as u8; i as usize % 90];
+                assert_eq!(t.put(&key, &value), plain.put(&key, &value));
+            }
+            let stats = t.mem().stats();
+            let ledger = (OpLedger::of(&t.mem().mem), OpLedger::of(t.allocator()));
+            assert_eq!(stats, plain.mem().stats(), "ratio {ratio}");
+            assert_eq!(
+                ledger,
+                (OpLedger::of(plain.mem()), OpLedger::of(plain.allocator()))
+            );
+            // Given again on a filled table, the hint still counts nothing.
+            t.mem().dense_prefix(t.n_buckets() * 64);
+            assert_eq!(t.mem().stats(), stats);
+            assert_eq!(
+                (OpLedger::of(&t.mem().mem), OpLedger::of(t.allocator())),
+                ledger
+            );
+        }
     }
 
     #[test]

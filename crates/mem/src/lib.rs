@@ -7,9 +7,10 @@
 //! a *hybrid*: a cache for a fixed, hash-selected portion of host memory
 //! (§3.3.4, Figure 7). This crate provides:
 //!
-//! * [`HostMemory`] — a sparse, allocate-on-touch byte store (64 KiB
-//!   pages behind a direct-indexed page table) so paper-scale address
-//!   spaces work laptop-scale.
+//! * [`HostMemory`] — a sparse, allocate-on-touch byte store (one
+//!   anonymous mapping of the whole capacity, the hash index's bucket
+//!   array on 2 MiB pages) so paper-scale address spaces work
+//!   laptop-scale.
 //! * [`NicDram`] — the on-board DRAM: the tags and dirty and valid bits of
 //!   a 4-way set-associative 64 B-line cache, kept in the spare ECC bits
 //!   (the paper's trick of widening the parity granularity — here 64 to

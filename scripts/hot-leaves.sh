@@ -25,7 +25,6 @@ leaves=(
     'kvd_mem::host::HostMemory::write'
     'kvd_mem::host::HostMemory::prefetch'
     'kvd_mem::host::HostMemory::line'
-    'kvd_mem::host::page_offset'
     'kvd_hash::table::HashTable<M>::prefetch_bucket'
     'kvd_hash::table::HashTable<M>::prefetch_records'
     'kvd_sim::rng::DetRng::u64'
